@@ -17,6 +17,7 @@ first grid cell no matter how many workers participate.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -134,10 +135,11 @@ def _chunked_masked_argmin(
 
     Each chunk reports (value, row, col); the merge takes the tuple
     minimum, i.e. smallest value with lexicographic index tie-break, which
-    is independent of the chunk layout.
+    is independent of the chunk layout. At most ``os.cpu_count()`` threads
+    run (one when that is unknown), whatever ``workers`` asks for.
     """
     rows = obj.shape[0]
-    k = max(1, min(int(workers), rows))
+    k = max(1, min(int(workers), rows, os.cpu_count() or 1))
     bounds = [round(i * rows / k) for i in range(k + 1)]
 
     def one(i: int) -> tuple[float, int, int] | None:

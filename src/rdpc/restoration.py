@@ -279,28 +279,39 @@ def monte_carlo_mse(
     """Sample estimate of the restoration MSE and its standard error.
 
     Chunked so 10^7 samples stay inside a modest memory budget; fully
-    determined by the seed.
+    determined by the seed. Each chunk is computed in two reused float
+    buffers, in the same draw and operation order as the expression
+    ``(x - a*(x + noise))**2`` with ``x = where(pick1, m1 + s1*z, m2 + s2*z)``
+    and ``noise = sigma_n * normal``, so the result is that expression's.
     """
     if n <= 1:
         raise DomainError(f"need at least 2 samples: {n}")
     mix = model.mixture
+    s1, s2 = math.sqrt(mix.v1), math.sqrt(mix.v2)
     rng = np.random.default_rng(seed)
+    size = min(n, 1_000_000)
+    buf_u, buf_x, buf_pick = np.empty(size), np.empty(size), np.empty(size, bool)
     total = 0.0
     total_sq = 0.0
     remaining = n
     while remaining > 0:
-        m = min(remaining, 1_000_000)
-        pick1 = rng.random(m) < mix.w1
-        z = rng.standard_normal(m)
-        x = np.where(
-            pick1,
-            mix.m1 + math.sqrt(mix.v1) * z,
-            mix.m2 + math.sqrt(mix.v2) * z,
-        )
-        noise = model.sigma_n * rng.standard_normal(m)
-        err = (x - a * (x + noise)) ** 2
-        total += float(err.sum())
-        total_sq += float((err * err).sum())
+        m = min(remaining, size)
+        u, x, pick1 = buf_u[:m], buf_x[:m], buf_pick[:m]
+        np.less(rng.random(out=u), mix.w1, out=pick1)
+        rng.standard_normal(out=x)
+        np.multiply(x, s1, out=u)
+        u += mix.m1
+        x *= s2
+        x += mix.m2
+        np.copyto(x, u, where=pick1)
+        rng.standard_normal(out=u)
+        u *= model.sigma_n  # noise
+        u += x
+        u *= a
+        np.subtract(x, u, out=u)
+        u *= u  # err
+        total += float(u.sum())
+        total_sq += float(np.multiply(u, u, out=x).sum())
         remaining -= m
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0)

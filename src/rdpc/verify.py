@@ -199,9 +199,14 @@ def _suite_entropy(seed: int, workers: int) -> SuiteResult:
     )
     rec.worst("gauss_kl_self", abs(gaussian_kl(0.3, 1.2, 0.3, 1.2)), 0.0)
 
-    def norm_pdf(mu: float, var: float) -> Callable[[float], float]:
+    def norm_pdf(mu: float, var: float) -> Callable:
         z = 1.0 / math.sqrt(2.0 * math.pi * var)
-        return lambda x: z * math.exp(-0.5 * (x - mu) ** 2 / var)
+
+        def pdf(x):
+            exp = np.exp if isinstance(x, np.ndarray) else math.exp
+            return z * exp(-0.5 * (x - mu) ** 2 / var)
+
+        return pdf
 
     same = numeric_kl(norm_pdf(0, 1), norm_pdf(0, 1), (-14.0, 14.0))
     rec.worst("numeric_kl_self", abs(same), 1e-8)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -78,9 +79,8 @@ def test_gaussian_kl_matches_formula():
 
 def _normal_density(mean, var):
     def dens(x):
-        return math.exp(-0.5 * (x - mean) ** 2 / var) / math.sqrt(
-            2 * math.pi * var
-        )
+        exp = np.exp if isinstance(x, np.ndarray) else math.exp
+        return exp(-0.5 * (x - mean) ** 2 / var) / math.sqrt(2 * math.pi * var)
 
     return dens
 
@@ -98,9 +98,26 @@ def test_numeric_kl_self_is_zero():
 
 
 def test_numeric_kl_rejects_vanishing_q():
-    boxcar = lambda x: 0.25 if abs(x) <= 2.0 else 0.0  # noqa: E731
+    boxcar = lambda x: np.where(np.abs(x) <= 2.0, 0.25, 0.0)  # noqa: E731
     with pytest.raises(DomainError):
         numeric_kl(_normal_density(0.0, 1.0), boxcar, (-12.0, 12.0))
+
+
+@pytest.mark.parametrize(
+    "scalar_only",
+    [
+        lambda x: math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi),
+        lambda x: 1.0 / 24.0,
+    ],
+    ids=["math-only", "returns-a-float"],
+)
+def test_numeric_kl_requires_array_densities(scalar_only):
+    dens = _normal_density(0.0, 1.0)
+    for p, q in ((scalar_only, dens), (dens, scalar_only)):
+        with pytest.raises(DomainError):
+            numeric_kl(p, q, (-12.0, 12.0))
+    with pytest.raises(DomainError):
+        numeric_kl(dens, dens, (-12.0, 12.0), log_p=np.log, log_q=scalar_only)
 
 
 def test_numeric_kl_log_arguments_must_pair():

@@ -1,5 +1,7 @@
 import math
+import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from rdpc import (
     rdc_gaussian,
     rpc_gaussian,
 )
+from rdpc import oracle
 
 SRC = BinaryPairSource(a=0.3, p1=0.1)
 GSRC = GaussianPairSource(0.0, 0.0, 1.0, 0.49, 0.63)
@@ -169,3 +172,30 @@ def test_gaussian_oracle_worker_count_is_invisible():
     team = gaussian_min_rate(GSRC, {"D": 0.5, "C": H_S - 0.3}, workers=8)
     assert lone.rate == team.rate
     assert lone.argmin == team.argmin
+
+
+@pytest.mark.parametrize("cpus, pools", [(2, [2]), (None, [])])
+def test_argmin_threads_capped_at_cpu_count(monkeypatch, cpus, pools):
+    made = []
+
+    class RecordingPool:
+        """Records the pool size and maps in this thread; starts none."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(oracle, "ThreadPoolExecutor", RecordingPool)
+    obj = np.arange(12.0).reshape(6, 2)[::-1]
+    mask = np.ones_like(obj, dtype=bool)
+    assert oracle._chunked_masked_argmin(obj, mask, 1001) == (0.0, 5, 0)
+    assert made == pools

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from rdpc import (
@@ -16,6 +17,8 @@ from rdpc import (
     scaled_mixture,
     sweep,
 )
+from rdpc import restoration
+from rdpc.entropy import _quad_with_budget
 
 MODEL = default_model()
 BAYES_ERROR = 0.204117333467254  # min over thresholds, invariant under gain
@@ -145,3 +148,94 @@ def test_frontier_monotone_and_marks_infeasible():
     assert all(b <= a + 1e-10 for a, b in zip(values, values[1:]))
     # loose-bound end reaches the unconstrained fixed-threshold optimum
     assert values[-1] == pytest.approx(error_rate_of_gain(MODEL, 0.5), abs=1e-4)
+
+
+def _scalar_probe_numeric_kl(
+    density_p, density_q, support, *, atol=1e-8, points=None, log_p=None, log_q=None
+):
+    """Reference: numeric_kl as it was with a point-by-point probe."""
+    lo, hi = support
+    grid = np.linspace(lo, hi, 4097)
+    p_vals = np.array([density_p(float(x)) for x in grid])
+    q_vals = np.array([density_q(float(x)) for x in grid])
+    if np.any(p_vals < 0.0) or np.any(q_vals < 0.0):
+        raise DomainError("densities must be nonnegative")
+    live = p_vals >= 1e-300
+    if not np.any(live):
+        return 0.0
+    if log_q is not None:
+        if any(log_q(float(x)) == -math.inf for x in grid[live]):
+            raise DomainError("q vanishes where p does not; KL is undefined")
+    elif np.any(q_vals[live] <= 0.0):
+        raise DomainError("q vanishes where p does not; KL is undefined")
+
+    for name, dens in (("p", density_p), ("q", density_q)):
+        mass = _quad_with_budget(dens, lo, hi, 1e-9, points)
+        if abs(mass - 1.0) > 1e-8:
+            raise DomainError(f"density {name} integrates to {mass}, not 1")
+
+    idx = np.nonzero(live)[0]
+    step = float(grid[1] - grid[0])
+    lo_eff = max(lo, float(grid[idx[0]]) - step)
+    hi_eff = min(hi, float(grid[idx[-1]]) + step)
+
+    if log_p is not None and log_q is not None:
+
+        def integrand(x):
+            lp = log_p(x)
+            p = math.exp(lp)
+            if p < 1e-300:
+                return 0.0
+            return p * (lp - log_q(x))
+
+    else:
+
+        def integrand(x):
+            p = density_p(x)
+            if p < 1e-300:
+                return 0.0
+            q = max(density_q(x), 5e-324)
+            return p * math.log(p / q)
+
+    return _quad_with_budget(integrand, lo_eff, hi_eff, atol, points)
+
+
+@pytest.mark.parametrize("sigma_n", [1.0, 0.0])
+def test_sweep_is_bit_identical_to_scalar_probe(monkeypatch, sigma_n):
+    model = default_model(sigma_n=sigma_n)
+    gains = np.linspace(0.05, 1.5, 15)
+    rows = sweep(model, gains)
+    monkeypatch.setattr(restoration, "numeric_kl", _scalar_probe_numeric_kl)
+    assert sweep(model, gains) == rows
+
+
+def _seed_monte_carlo_mse(model, a, n, seed):
+    mix = model.mixture
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    total_sq = 0.0
+    remaining = n
+    while remaining > 0:
+        m = min(remaining, 1_000_000)
+        pick1 = rng.random(m) < mix.w1
+        z = rng.standard_normal(m)
+        x = np.where(
+            pick1,
+            mix.m1 + math.sqrt(mix.v1) * z,
+            mix.m2 + math.sqrt(mix.v2) * z,
+        )
+        noise = model.sigma_n * rng.standard_normal(m)
+        err = (x - a * (x + noise)) ** 2
+        total += float(err.sum())
+        total_sq += float((err * err).sum())
+        remaining -= m
+    mean = total / n
+    var = max(total_sq / n - mean * mean, 0.0)
+    return mean, math.sqrt(var / n)
+
+
+@pytest.mark.parametrize("n", [1_000_003, 10])
+def test_monte_carlo_is_bit_identical_to_seed_formula(n):
+    assert monte_carlo_mse(MODEL, 0.8, n, seed=5) == _seed_monte_carlo_mse(
+        MODEL, 0.8, n, seed=5
+    )
