@@ -614,7 +614,7 @@ def _common_flags() -> argparse.ArgumentParser:
 
 def _add_binary_source(par: argparse.ArgumentParser) -> None:
     par.add_argument("--a", type=float, help="P(S=1), in [p1, 1/2]")
-    par.add_argument("--p1", type=float, help="label flip probability, < a")
+    par.add_argument("--p1", type=float, help="label flip probability, in [0, a], below 1/2")
 
 
 def _add_gaussian_source(par: argparse.ArgumentParser) -> None:

@@ -13,13 +13,12 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, IntegrationError
-from .optimize import bisect_root
 
 _LN2 = math.log(2.0)
 _TINY = 1e-300
@@ -42,10 +41,16 @@ def binary_entropy(p: float) -> float:
     return -_xlog2x(p) - _xlog2x(1.0 - p)
 
 
+@lru_cache(maxsize=256)
 def binary_entropy_inv(h: float) -> float:
     """The unique p in [0, 1/2] with ``binary_entropy(p) == h``.
 
-    Bisection on the increasing branch; absolute tolerance 1e-12 in p.
+    Bisection on the increasing branch of ``binary_entropy(p) - h`` over
+    [0, 1/2]: it returns the midpoint at which that difference is exactly
+    0 or the half-width of the bracket falls below 1e-14, so the result is
+    within 1e-14 of the root. Results are memoized (256 entries, least
+    recently used first out); out-of-range and NaN ``h`` raise
+    ``DomainError`` on every call.
     """
     if not 0.0 <= h <= 1.0:
         raise DomainError(f"binary entropy out of range: {h}")
@@ -53,7 +58,21 @@ def binary_entropy_inv(h: float) -> float:
         return 0.0
     if h == 1.0:
         return 0.5
-    return bisect_root(lambda p: binary_entropy(p) - h, 0.0, 0.5, xtol=1e-14)
+    # optimize.bisect_root(lambda p: binary_entropy(p) - h, 0, 1/2,
+    # xtol=1e-14) written out with the same float operations: f(0) is -h,
+    # and mid stays above 2**-47, so the 0 log 0 guard never applies.
+    lo, hi, flo = 0.0, 0.5, -h
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        rest = 1.0 - mid
+        fmid = -(mid * math.log2(mid)) - rest * math.log2(rest) - h
+        if fmid == 0.0 or (hi - lo) * 0.5 < 1e-14:
+            return mid
+        if flo * fmid < 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    return 0.5 * (lo + hi)
 
 
 def binary_convolution(p: float, q: float) -> float:
@@ -114,6 +133,10 @@ def _quad_with_budget(
     we retry with double the limit instead of silently accepting the
     flagged estimate.
     """
+    # imported here: scipy.integrate is most of `import rdpc`, and only
+    # numeric_kl integrates
+    from scipy.integrate import quad
+
     limit = 50
     while limit <= _QUAD_LIMIT_BUDGET:
         pts = [p for p in (points or []) if lo < p < hi] or None

@@ -24,7 +24,6 @@ from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.special import entr
 
 from .entropy import (
     binary_convolution,
@@ -54,6 +53,9 @@ _LN2 = math.log(2.0)
 
 def _h2_bits_arr(x: np.ndarray) -> np.ndarray:
     """Vectorized binary entropy in bits; entr handles the 0 log 0 ends."""
+    # imported here so that `import rdpc` does not load scipy.special
+    from scipy.special import entr
+
     return (entr(x) + entr(1.0 - x)) / _LN2
 
 

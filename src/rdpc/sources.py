@@ -156,7 +156,12 @@ def gaussian_derived(src: GaussianPairSource) -> GaussianDerived:
 
 @dataclass(frozen=True)
 class GaussianMixture2:
-    """Two-component Gaussian mixture w1*N(m1,v1) + w2*N(m2,v2)."""
+    """Two-component Gaussian mixture w1*N(m1,v1) + w2*N(m2,v2).
+
+    Each component's normalizer sqrt(2*pi*v), its log 0.5*log(2*pi*v) and
+    the log weight (-inf for a zero weight) are computed once, at
+    construction, not on every density call.
+    """
 
     w1: float
     w2: float
@@ -172,28 +177,29 @@ class GaussianMixture2:
             raise DomainError(f"weights must sum to 1: {self.w1 + self.w2}")
         if self.v1 <= 0.0 or self.v2 <= 0.0:
             raise DomainError(f"variances must be positive: ({self.v1}, {self.v2})")
+        # plain attributes, not fields: they stay out of eq, hash and repr
+        two_pi_v = (2.0 * math.pi * self.v1, 2.0 * math.pi * self.v2)
+        object.__setattr__(self, "_norm", tuple(math.sqrt(t) for t in two_pi_v))
+        object.__setattr__(self, "_log_norm", tuple(0.5 * math.log(t) for t in two_pi_v))
+        object.__setattr__(
+            self, "_log_w",
+            tuple(math.log(w) if w > 0.0 else -math.inf for w in (self.w1, self.w2)),
+        )
 
     def density(self, x: FloatOrArray) -> FloatOrArray:
         """Mixture density at a float or elementwise on a numpy array."""
         exp = _ops(x).exp
-        d1 = exp(-0.5 * (x - self.m1) ** 2 / self.v1) / math.sqrt(
-            2.0 * math.pi * self.v1
-        )
-        d2 = exp(-0.5 * (x - self.m2) ** 2 / self.v2) / math.sqrt(
-            2.0 * math.pi * self.v2
-        )
+        d1 = exp(-0.5 * (x - self.m1) ** 2 / self.v1) / self._norm[0]
+        d2 = exp(-0.5 * (x - self.m2) ** 2 / self.v2) / self._norm[1]
         return self.w1 * d1 + self.w2 * d2
 
     def log_density(self, x: FloatOrArray) -> FloatOrArray:
         """Log of ``density``, stable far into the tails where the plain
         density underflows to zero. A zero-weight component is -inf."""
         ops = _ops(x)
-        l1, l2 = (
-            math.log(w) - 0.5 * (x - m) ** 2 / v - 0.5 * math.log(2.0 * math.pi * v)
-            if w > 0.0
-            else -math.inf
-            for w, m, v in ((self.w1, self.m1, self.v1), (self.w2, self.m2, self.v2))
-        )
+        (log_w1, log_w2), (log_n1, log_n2) = self._log_w, self._log_norm
+        l1 = log_w1 - 0.5 * (x - self.m1) ** 2 / self.v1 - log_n1
+        l2 = log_w2 - 0.5 * (x - self.m2) ** 2 / self.v2 - log_n2
         # -|l1 - l2| is exactly the smaller term minus the larger one
         return ops.maximum(l1, l2) + ops.log1p(ops.exp(-abs(l1 - l2)))
 

@@ -2,9 +2,14 @@
 config merging, and determinism. Everything drives ``main`` directly."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rdpc
 from rdpc import GaussianPairSource, rpc_gaussian
 from rdpc.cli import main
 
@@ -85,6 +90,29 @@ def test_bad_flags_exit_one(capsys):
             main(argv)
         capsys.readouterr()
         assert exc.value.code == 1
+
+
+def test_binary_source_help_states_the_accepted_ranges(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rdc", "binary", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--p1 P1 label flip probability, in [0, a], below 1/2" in text
+    assert "--a A P(S=1), in [p1, 1/2]" in text
+
+
+def test_import_loads_no_scipy_integrate_or_special():
+    # every CLI command pays the import; only numeric_kl and the oracle
+    # grids need these scipy modules, and they import them when called
+    code = (
+        "import sys, rdpc; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.special') "
+        "if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(rdpc.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"
 
 
 def test_surface_csv_schema_and_order(capsys):

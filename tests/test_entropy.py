@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rdpc import (
+    BinaryPairSource,
     DomainError,
     binary_convolution,
     binary_entropy,
@@ -13,8 +14,10 @@ from rdpc import (
     gaussian_diff_entropy,
     gaussian_kl,
     numeric_kl,
+    rdc_binary,
     std_normal_cdf,
 )
+from rdpc.optimize import bisect_root
 
 
 @pytest.mark.parametrize(
@@ -44,6 +47,52 @@ def test_inverse_anchor():
 @given(st.floats(min_value=1e-6, max_value=0.5))
 def test_inverse_roundtrip(p):
     assert binary_entropy_inv(binary_entropy(p)) == pytest.approx(p, abs=1e-10)
+
+
+def _bisect_root_inverse(h):
+    # the bisect_root formulation the inlined loop must reproduce bit for bit
+    if h == 0.0:
+        return 0.0
+    if h == 1.0:
+        return 0.5
+    return bisect_root(lambda p: binary_entropy(p) - h, 0.0, 0.5, xtol=1e-14)
+
+
+def test_inverse_is_bit_identical_to_bisect_root():
+    rng = np.random.default_rng(20261018)
+    hs = np.concatenate([
+        rng.uniform(0.0, 1.0, 2000),
+        10.0 ** rng.uniform(-300.0, 0.0, 2000),
+        1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 2000),
+        [0.0, 1.0, 5e-324, 1.0 - 1e-16],
+    ])
+    for h in hs.tolist():
+        assert binary_entropy_inv(h) == _bisect_root_inverse(h), h
+
+
+@pytest.mark.parametrize("h", [math.nan, -0.01, 1.01, -math.inf, math.inf])
+def test_inverse_rejects_every_time_and_caches_no_error(h):
+    before = binary_entropy_inv.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(DomainError):
+            binary_entropy_inv(h)
+    assert binary_entropy_inv.cache_info().currsize == before
+
+
+def test_inverse_cache_serves_repeated_surfaces_and_stays_bounded():
+    binary_entropy_inv.cache_clear()
+    src = BinaryPairSource(a=0.3, p1=0.1)
+    ds = np.linspace(0.0, 0.3, 20).tolist()
+    cs = np.linspace(binary_entropy(0.1), 1.0, 20).tolist()
+    first = [rdc_binary(src, d, c).rate for d in ds for c in cs]
+    info = binary_entropy_inv.cache_info()
+    assert info.misses <= len(cs) and info.hits > 0
+    assert [rdc_binary(src, d, c).rate for d in ds for c in cs] == first
+    again = binary_entropy_inv.cache_info()
+    assert again.misses == info.misses and again.hits > info.hits
+    for h in np.linspace(0.01, 0.99, 300).tolist():
+        binary_entropy_inv(h)
+    assert binary_entropy_inv.cache_info().currsize == 256
 
 
 @given(

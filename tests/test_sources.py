@@ -119,7 +119,8 @@ def _seed_log_density(mix, x):
 @pytest.mark.parametrize("mix", MIXTURES)
 def test_mixture_float_path_is_the_math_formula(mix):
     xs = [float(x) for x in np.linspace(-40.0, 40.0, 4001)] + [-0.75, 0.0, 1e-9]
-    for x in xs:
+    # np.float64 is not an ndarray, so it takes the math path as well
+    for x in xs + [np.float64(x) for x in xs]:
         assert type(mix.density(x)) is float
         assert mix.density(x) == _seed_density(mix, x)
         assert mix.log_density(x) == _seed_log_density(mix, x)
