@@ -20,6 +20,11 @@ attained perception. Two analytic seed points, s = sigma_x (zero
 perception) and the rate dip, are always tried as well so that
 constraint bands thinner than the grid step cannot be missed.
 
+The scan depends only on (source, D) and is cached. The classification
+bound is applied to it once per (D, C): a frontier row screens its cells
+once, and each perception bound its bisection tries re-screens only the
+KL column of the cells that survived.
+
 Because the distortion is pinned to equality rather than bounded, the
 feasible sets at two distortion levels are not nested; the rate is
 monotone in P and C but only monotone in D when the perception bound is
@@ -160,23 +165,7 @@ def _classify(
     return Region.DISTORTION_LIMITED
 
 
-def rate_given_pcd(
-    src: GaussianPairSource,
-    d: float,
-    p: float,
-    c: float,
-    *,
-    scan_points: int = _SCAN_POINTS,
-) -> TradeoffPoint:
-    """Minimal rate at pinned distortion ``d`` under perception bound
-    ``p`` (KL, nats; +inf means unconstrained) and classification bound
-    ``c`` (conditional label entropy, nats).
-
-    The witness carries the argmin reconstruction; its covariance is the
-    pinned theta2 at the returned spread. When the classification bound
-    is tight at both of its boundary roots the returned point is the one
-    with the smaller perception.
-    """
+def _check_args(d: float, p: float, c: float, scan_points: int) -> None:
     if math.isnan(d) or d <= 0.0:
         raise DomainError(f"pinned distortion must be positive: {d}")
     if math.isnan(p) or p < 0.0:
@@ -186,18 +175,39 @@ def rate_given_pcd(
     if scan_points < 2:
         raise DomainError(f"scan needs at least 2 points: {scan_points}")
 
+
+@dataclass(frozen=True)
+class _Screen:
+    """The scan at one (source, D, C, scan size) with the classification
+    bound already applied: ``base`` indexes the admissible cells with
+    hs <= C + slack, ``kl`` is their perception column. A perception
+    bound then re-screens only ``kl``."""
+
+    src: GaussianPairSource
+    d: float
+    c: float
+    s: np.ndarray
+    rate: np.ndarray
+    base: np.ndarray
+    kl: np.ndarray
+    seeds: tuple[float, ...]
+
+
+def _screen(src: GaussianPairSource, d: float, c: float, scan_points: int) -> _Screen:
     s, rate, kl, hs = _scan(src, float(d), int(scan_points))
-    ok = (
-        (kl <= p + _CONSTRAINT_SLACK)
-        & (hs <= c + _CONSTRAINT_SLACK)
-        & np.isfinite(rate)
-    )
+    base = np.flatnonzero((hs <= c + _CONSTRAINT_SLACK) & np.isfinite(rate))
+    return _Screen(src, d, c, s, rate, base, kl[base], _seed_spreads(src, d, c))
+
+
+def _solve(screen: _Screen, p: float) -> TradeoffPoint:
+    """Minimal rate on a screened scan under perception bound ``p``."""
+    src, d, c, s, rate = screen.src, screen.d, screen.c, screen.s, screen.rate
 
     def feas(x: float) -> bool:
         return eval_at(src, d, x).feasible_for(p, c)
 
     candidates: list[ScanPoint] = []
-    idx = np.flatnonzero(ok)
+    idx = screen.base[screen.kl <= p + _CONSTRAINT_SLACK]
     if idx.size:
         runs = np.split(idx, np.where(np.diff(idx) != 1)[0] + 1)
         for run in runs:
@@ -222,7 +232,7 @@ def rate_given_pcd(
                 min(options, key=lambda q: (q.rate, q.perception_kl))
             )
     # analytic seeds rescue feasible bands thinner than the grid step
-    for s_seed in _seed_spreads(src, d, c):
+    for s_seed in screen.seeds:
         q = eval_at(src, d, s_seed)
         if q.feasible_for(p, c):
             candidates.append(q)
@@ -250,6 +260,27 @@ def rate_given_pcd(
     )
 
 
+def rate_given_pcd(
+    src: GaussianPairSource,
+    d: float,
+    p: float,
+    c: float,
+    *,
+    scan_points: int = _SCAN_POINTS,
+) -> TradeoffPoint:
+    """Minimal rate at pinned distortion ``d`` under perception bound
+    ``p`` (KL, nats; +inf means unconstrained) and classification bound
+    ``c`` (conditional label entropy, nats).
+
+    The witness carries the argmin reconstruction; its covariance is the
+    pinned theta2 at the returned spread. When the classification bound
+    is tight at both of its boundary roots the returned point is the one
+    with the smaller perception.
+    """
+    _check_args(d, p, c, scan_points)
+    return _solve(_screen(src, d, c, scan_points), p)
+
+
 def pc_frontier_given_rd(
     src: GaussianPairSource,
     d: float,
@@ -264,19 +295,24 @@ def pc_frontier_given_rd(
     For each C the perception bound is bisected down from the perception
     attained by the unconstrained-P optimum; rows where even P = +inf
     cannot reach ``rate_level`` are marked infeasible (NaN columns).
+    Each row checks its arguments and screens the scan against its C
+    once; every perception step of the row then re-screens only the KL
+    column of those cells.
     """
     if math.isnan(rate_level) or rate_level < 0.0:
         raise DomainError(f"rate level must be >= 0: {rate_level}")
     out: list[PCFrontierPoint] = []
     for c_raw in c_grid:
         c = float(c_raw)
-        relaxed = rate_given_pcd(src, d, math.inf, c, scan_points=scan_points)
+        _check_args(d, math.inf, c, scan_points)
+        screen = _screen(src, d, c, scan_points)
+        relaxed = _solve(screen, math.inf)
         if not relaxed.feasible or relaxed.rate > rate_level + rate_slack:
             out.append(PCFrontierPoint(c, math.nan, math.nan, math.nan, False))
             continue
 
         def meets(p_bound: float) -> bool:
-            tp = rate_given_pcd(src, d, p_bound, c, scan_points=scan_points)
+            tp = _solve(screen, p_bound)
             return tp.feasible and tp.rate <= rate_level + rate_slack
 
         assert relaxed.witness is not None
@@ -291,7 +327,7 @@ def pc_frontier_given_rd(
             min_p = bisect_predicate(meets, 0.0, cap, xtol=1e-10)
         else:  # pragma: no cover - round-off guard, conservative upper bound
             min_p = cap
-        final = rate_given_pcd(src, d, min_p, c, scan_points=scan_points)
+        final = _solve(screen, min_p)
         assert final.witness is not None
         out.append(
             PCFrontierPoint(

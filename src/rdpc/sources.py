@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
-from typing import Any
 
 import numpy as np
 
@@ -24,13 +22,17 @@ FloatOrArray = float | np.ndarray
 
 # Float arguments keep the math module's arithmetic: quad calls the
 # densities on floats, and those last bits fix the verify report bytes
-# (np.exp and math.exp disagree in the last bit on some inputs).
-_MATH_OPS = SimpleNamespace(exp=math.exp, log1p=math.log1p, maximum=max)
+# (np.exp and math.exp disagree in the last bit on some inputs). The
+# densities pick it by isinstance(x, np.ndarray), so np.float64 takes
+# the math path as well.
 
 
-def _ops(x: FloatOrArray) -> Any:
-    """Elementwise exp, log1p and maximum: numpy's for arrays, math's for floats."""
-    return np if isinstance(x, np.ndarray) else _MATH_OPS
+def _float_sq(d: float) -> float:
+    """``d ** 2``, +inf where a Python float raises OverflowError."""
+    try:
+        return d ** 2
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -101,9 +103,13 @@ def binary_derived(src: BinaryPairSource) -> BinaryDerived:
 class GaussianPairSource:
     """Jointly Gaussian (X, S) with covariance ``cov`` between them.
 
-    Variances are strict; |cov| up to the Cauchy-Schwarz bound is allowed,
-    with the fully correlated case reported through a -inf feasibility
-    floor rather than rejected.
+    Every field must be finite. Variances are strict; |cov| up to the
+    Cauchy-Schwarz bound is allowed, with the fully correlated case
+    reported through a -inf feasibility floor rather than rejected.
+
+    The correlation ``rho`` (clamped to [-1, 1]) and the label's
+    differential entropy ``h_s`` (nats) are computed once, at
+    construction, not on every access.
     """
 
     mu_x: float
@@ -113,6 +119,9 @@ class GaussianPairSource:
     cov: float
 
     def __post_init__(self) -> None:
+        params = (self.mu_x, self.mu_s, self.var_x, self.var_s, self.cov)
+        if not all(math.isfinite(v) for v in params):
+            raise DomainError(f"source parameters must be finite: {self}")
         if self.var_x <= 0.0 or self.var_s <= 0.0:
             raise DomainError(f"variances must be positive: {self}")
         bound = math.sqrt(self.var_s * self.var_x)
@@ -120,16 +129,10 @@ class GaussianPairSource:
             raise DomainError(
                 f"|cov|={abs(self.cov)} exceeds Cauchy-Schwarz bound {bound}"
             )
-
-    @property
-    def rho(self) -> float:
+        # plain attributes, not fields: they stay out of eq, hash and repr
         r = self.cov / math.sqrt(self.var_s * self.var_x)
-        return max(-1.0, min(1.0, r))
-
-    @property
-    def h_s(self) -> float:
-        """Differential entropy of the label, nats."""
-        return gaussian_diff_entropy(self.var_s)
+        object.__setattr__(self, "rho", max(-1.0, min(1.0, r)))
+        object.__setattr__(self, "h_s", gaussian_diff_entropy(self.var_s))
 
 
 @dataclass(frozen=True)
@@ -186,22 +189,60 @@ class GaussianMixture2:
             tuple(math.log(w) if w > 0.0 else -math.inf for w in (self.w1, self.w2)),
         )
 
+    def _squares(self, x: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
+        """(x - m1) ** 2 and (x - m2) ** 2, +inf where a square overflows
+        (x more than about 1.3e154 from a mean), where a float raises
+        OverflowError and numpy warns. ``quad`` calls the densities about
+        a million times per verify run, so they square an in-range float
+        inline and come here only for arrays and on OverflowError."""
+        if isinstance(x, np.ndarray):
+            with np.errstate(over="ignore"):
+                return (x - self.m1) ** 2, (x - self.m2) ** 2
+        return _float_sq(x - self.m1), _float_sq(x - self.m2)
+
     def density(self, x: FloatOrArray) -> FloatOrArray:
-        """Mixture density at a float or elementwise on a numpy array."""
-        exp = _ops(x).exp
-        d1 = exp(-0.5 * (x - self.m1) ** 2 / self.v1) / self._norm[0]
-        d2 = exp(-0.5 * (x - self.m2) ** 2 / self.v2) / self._norm[1]
+        """Mixture density at a float or elementwise on a numpy array. A
+        component whose squared distance from x overflows contributes 0."""
+        if isinstance(x, np.ndarray):
+            exp = np.exp
+            q1, q2 = self._squares(x)
+        else:
+            exp = math.exp
+            try:
+                q1, q2 = (x - self.m1) ** 2, (x - self.m2) ** 2
+            except OverflowError:
+                q1, q2 = self._squares(x)
+        d1 = exp(-0.5 * q1 / self.v1) / self._norm[0]
+        d2 = exp(-0.5 * q2 / self.v2) / self._norm[1]
         return self.w1 * d1 + self.w2 * d2
 
     def log_density(self, x: FloatOrArray) -> FloatOrArray:
         """Log of ``density``, stable far into the tails where the plain
-        density underflows to zero. A zero-weight component is -inf."""
-        ops = _ops(x)
+        density underflows to zero. A zero-weight component, or one whose
+        squared distance from x overflows, is a -inf term; with both terms
+        -inf the result is -inf."""
+        is_array = isinstance(x, np.ndarray)
+        if is_array:
+            q1, q2 = self._squares(x)
+        else:
+            try:
+                q1, q2 = (x - self.m1) ** 2, (x - self.m2) ** 2
+            except OverflowError:
+                q1, q2 = self._squares(x)
         (log_w1, log_w2), (log_n1, log_n2) = self._log_w, self._log_norm
-        l1 = log_w1 - 0.5 * (x - self.m1) ** 2 / self.v1 - log_n1
-        l2 = log_w2 - 0.5 * (x - self.m2) ** 2 / self.v2 - log_n2
-        # -|l1 - l2| is exactly the smaller term minus the larger one
-        return ops.maximum(l1, l2) + ops.log1p(ops.exp(-abs(l1 - l2)))
+        l1 = log_w1 - 0.5 * q1 / self.v1 - log_n1
+        l2 = log_w2 - 0.5 * q2 / self.v2 - log_n2
+        # -|l1 - l2| is exactly the smaller term minus the larger one; it
+        # is nan where both terms are -inf
+        if is_array:
+            top = np.maximum(l1, l2)
+            with np.errstate(invalid="ignore"):
+                tail = np.log1p(np.exp(-abs(l1 - l2)))
+            return np.where(top == -np.inf, top, top + tail)
+        top = max(l1, l2)
+        if top == -math.inf:
+            return top
+        return top + math.log1p(math.exp(-abs(l1 - l2)))
 
     def second_moment(self) -> float:
         return self.w1 * (self.m1**2 + self.v1) + self.w2 * (self.m2**2 + self.v2)

@@ -2,7 +2,9 @@
 and the closed-form geometry of the binding-classification window."""
 
 import math
+from dataclasses import astuple
 
+import numpy as np
 import pytest
 
 from rdpc import (
@@ -14,7 +16,10 @@ from rdpc import (
     pc_frontier_given_rd,
     rate_given_pcd,
     rdc_gaussian,
+    rpc_given_d,
 )
+from rdpc.optimize import bisect_predicate, golden_min
+from rdpc.results import GaussianReconstruction, TradeoffPoint, Unit
 
 SRC = GaussianPairSource(0.0, 0.0, 1.0, 0.49, 0.63)
 H_S = SRC.h_s
@@ -161,3 +166,195 @@ def test_frontier_relaxes_with_c_and_marks_dead_rows():
     )
     assert live[1] <= 1e-9 and live[2] <= 1e-9
     assert all(b <= a + 1e-9 for a, b in zip(live, live[1:]))
+
+
+def _full_mask_rate(src, d, p, c, scan_points=rpc_given_d._SCAN_POINTS):
+    """Reference solver: the full (kl, hs, rate) mask rebuilt on every
+    call, without argument checks."""
+    slack = rpc_given_d._CONSTRAINT_SLACK
+    ev = rpc_given_d.eval_at
+    s, rate, kl, hs = rpc_given_d._scan(src, float(d), int(scan_points))
+    ok = (kl <= p + slack) & (hs <= c + slack) & np.isfinite(rate)
+
+    def feas(x):
+        return ev(src, d, x).feasible_for(p, c)
+
+    candidates = []
+    idx = np.flatnonzero(ok)
+    if idx.size:
+        for run in np.split(idx, np.where(np.diff(idx) != 1)[0] + 1):
+            i = int(run[np.argmin(rate[run])])
+            lo = float(s[run[0]])
+            if run[0] > 0:
+                lo = bisect_predicate(feas, float(s[run[0] - 1]), lo, xtol=1e-10)
+            hi = float(s[run[-1]])
+            if run[-1] < len(s) - 1:
+                hi = -bisect_predicate(
+                    lambda u: feas(-u), -float(s[run[-1] + 1]), -hi, xtol=1e-10
+                )
+            s_star, _ = golden_min(lambda x: ev(src, d, x).rate, lo, hi, xtol=1e-10)
+            options = [ev(src, d, float(s[i]))]
+            refined = ev(src, d, s_star)
+            if refined.feasible_for(p, c):
+                options.append(refined)
+            candidates.append(min(options, key=lambda q: (q.rate, q.perception_kl)))
+    for s_seed in rpc_given_d._seed_spreads(src, d, c):
+        q = ev(src, d, s_seed)
+        if q.feasible_for(p, c):
+            candidates.append(q)
+    if not candidates:
+        return TradeoffPoint(
+            rate=math.nan, unit=Unit.NATS, feasible=False,
+            region=Region.INFEASIBLE, c=c, d=d, p=p,
+        )
+    best_rate = min(q.rate for q in candidates)
+    best = min(
+        (q for q in candidates if q.rate <= best_rate + rpc_given_d._RATE_TIE),
+        key=lambda q: (q.perception_kl, q.sigma_xh),
+    )
+    return TradeoffPoint(
+        rate=best.rate, unit=Unit.NATS, feasible=True,
+        region=rpc_given_d._classify(src, d, p, c, best), c=c, d=d, p=p,
+        witness=GaussianReconstruction(
+            src.mu_x, best.sigma_xh**2, 0.5 * (src.var_x + best.sigma_xh**2 - d)
+        ),
+    )
+
+
+def _full_mask_frontier(src, d, rate_level, c_grid, rate_slack=1e-9):
+    """Reference frontier: every perception step a full-mask solve."""
+    out = []
+    for c_raw in c_grid:
+        c = float(c_raw)
+        relaxed = _full_mask_rate(src, d, math.inf, c)
+        if not relaxed.feasible or relaxed.rate > rate_level + rate_slack:
+            out.append(rpc_given_d.PCFrontierPoint(c, math.nan, math.nan, math.nan, False))
+            continue
+
+        def meets(p_bound):
+            tp = _full_mask_rate(src, d, p_bound, c)
+            return tp.feasible and tp.rate <= rate_level + rate_slack
+
+        cap = eval_at(src, d, math.sqrt(relaxed.witness.var_xh)).perception_kl
+        if not meets(cap):
+            cap = cap * (1.0 + 1e-9) + 1e-12
+        if meets(0.0):
+            min_p = 0.0
+        elif meets(cap):
+            min_p = bisect_predicate(meets, 0.0, cap, xtol=1e-10)
+        else:
+            min_p = cap
+        final = _full_mask_rate(src, d, min_p, c)
+        out.append(rpc_given_d.PCFrontierPoint(
+            c, min_p, final.rate, math.sqrt(final.witness.var_xh), True
+        ))
+    return out
+
+
+def _same(a, b):
+    """Field by field equality that also matches NaN with NaN."""
+    ta, tb = astuple(a), astuple(b)
+    assert len(ta) == len(tb)
+    for x, y in zip(ta, tb):
+        if isinstance(x, float) and math.isnan(x):
+            assert isinstance(y, float) and math.isnan(y)
+        else:
+            assert x == y
+            assert type(x) is type(y)
+
+
+def _seeded_sources(n, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        var_x = float(rng.uniform(0.3, 3.0))
+        var_s = float(rng.uniform(0.2, 2.0))
+        rho = float(rng.uniform(0.3, 0.95)) * (1.0 if rng.random() < 0.5 else -1.0)
+        out.append(GaussianPairSource(
+            float(rng.normal()), float(rng.normal()), var_x, var_s,
+            rho * math.sqrt(var_x * var_s),
+        ))
+    return out
+
+
+def _c_values(src):
+    floor = src.h_s + 0.5 * math.log(1.0 - src.rho**2)
+    return [floor + 0.05, 0.5 * (floor + src.h_s), src.h_s + 0.1]
+
+
+@pytest.mark.parametrize("src", _seeded_sources(3, seed=11))
+def test_rate_given_pcd_equals_the_full_mask_solver(src):
+    for share in (0.5, 0.8, 2.0):
+        d = share * src.var_x
+        for c in _c_values(src):
+            for p in (0.0, 1e-6, 1e-3, 0.1, math.inf):
+                _same(rate_given_pcd(src, d, p, c), _full_mask_rate(src, d, p, c))
+
+
+@pytest.mark.parametrize("src", _seeded_sources(2, seed=23) + [SRC])
+def test_frontier_rows_equal_the_full_mask_frontier(src):
+    for share in (0.5, 0.8, 2.0):
+        d = share * src.var_x
+        for level in (0.3, 0.9):
+            new = pc_frontier_given_rd(src, d, level, _c_values(src))
+            old = _full_mask_frontier(src, d, level, _c_values(src))
+            assert len(new) == len(old)
+            for a, b in zip(new, old):
+                _same(a, b)
+
+
+def test_frontier_screens_each_row_once(monkeypatch):
+    calls = {"screen": 0, "solve": 0}
+    screen, solve = rpc_given_d._screen, rpc_given_d._solve
+
+    def counted_screen(*args):
+        calls["screen"] += 1
+        return screen(*args)
+
+    def counted_solve(*args):
+        calls["solve"] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(rpc_given_d, "_screen", counted_screen)
+    monkeypatch.setattr(rpc_given_d, "_solve", counted_solve)
+    # a dead row, a bisected row and a row with min P = 0
+    c_grid = [H_S - 1.0, H_S + 0.5 * math.log(1.0 - 0.81 * 0.6), H_S - 0.05]
+    rows = pc_frontier_given_rd(SRC, 0.5, 0.5, c_grid)
+    assert not rows[0].feasible
+    assert rows[1].min_p > 1e-3 and rows[2].min_p == 0.0
+    assert calls["screen"] == len(c_grid)
+    # the bisected row takes its many perception steps on that one screen
+    assert calls["solve"] > 20
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(d=0.0), dict(d=-0.5), dict(d=math.nan),
+        dict(c_grid=[H_S - 0.1, math.nan]),
+        dict(rate_level=math.nan), dict(rate_level=-0.1),
+        dict(scan_points=1),
+    ],
+)
+def test_frontier_still_validates_its_arguments(kwargs):
+    args = dict(d=0.5, rate_level=0.5, c_grid=[H_S - 0.1])
+    args.update(kwargs)
+    scan = {"scan_points": args.pop("scan_points")} if "scan_points" in args else {}
+    with pytest.raises(DomainError):
+        pc_frontier_given_rd(SRC, args["d"], args["rate_level"], args["c_grid"], **scan)
+
+
+def test_frontier_row_with_round_off_negative_cap():
+    # at D = 2 var_x the relaxed optimum sits at s = sigma_x, where the
+    # KL formula rounds to -4.7e-18; that cap is an internal bound, so the
+    # row must not fail the public p >= 0 check, and P = 0 already meets it
+    src = GaussianPairSource(
+        0.4314941677088505, -2.126279784450882, 2.1736193177748837,
+        1.354624797580815, 0.6582654702003291,
+    )
+    d, c = 2.0 * src.var_x, 1.6707007901210749
+    relaxed = rate_given_pcd(src, d, math.inf, c)
+    assert eval_at(src, d, math.sqrt(relaxed.witness.var_xh)).perception_kl < 0.0
+    (row,) = pc_frontier_given_rd(src, d, 0.9, [c])
+    assert row.feasible and row.min_p == 0.0
+    assert row.rate == pytest.approx(0.0, abs=1e-12)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from rdpc import (
     binary_derived,
     gaussian_derived,
 )
+from rdpc.entropy import gaussian_diff_entropy
 
 
 def test_binary_marginal_and_entropies():
@@ -141,3 +144,94 @@ def test_mixture_array_path_matches_float_path(mix):
     gap = np.abs(mix.density(xs) - dens)
     assert np.all(gap <= (1e-15 + 2.0**-51 * t) * dens)
     assert np.all(gap[t <= 1.0] <= 1e-15 * dens[t <= 1.0])
+
+
+GAUSS_FIELDS = ("mu_x", "mu_s", "var_x", "var_s", "cov")
+
+
+@pytest.mark.parametrize("field", GAUSS_FIELDS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gaussian_rejects_non_finite_fields(field, bad):
+    args = dict(mu_x=0.0, mu_s=0.0, var_x=1.0, var_s=0.49, cov=0.63)
+    args[field] = bad
+    with pytest.raises(DomainError):
+        GaussianPairSource(**args)
+
+
+def _old_rho(src):
+    r = src.cov / math.sqrt(src.var_s * src.var_x)
+    return max(-1.0, min(1.0, r))
+
+
+def _gaussian_sources(seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(200):
+        var_x = float(10.0 ** rng.uniform(-3, 3))
+        var_s = float(10.0 ** rng.uniform(-3, 3))
+        bound = math.sqrt(var_x * var_s)
+        cov = float(rng.uniform(-1.0, 1.0)) * bound
+        out.append(GaussianPairSource(float(rng.normal()), 0.0, var_x, var_s, cov))
+        # at and just past the Cauchy-Schwarz edge, where rho is clamped
+        for scale in (1.0, 1.0 + 5e-13, -1.0, -(1.0 + 5e-13)):
+            out.append(GaussianPairSource(0.0, 0.0, var_x, var_s, scale * bound))
+    return out
+
+
+def test_gaussian_constants_equal_the_property_formulas():
+    clamped = 0
+    for src in _gaussian_sources(seed=5):
+        assert src.rho == _old_rho(src)
+        assert src.h_s == gaussian_diff_entropy(src.var_s)
+        clamped += abs(src.cov / math.sqrt(src.var_s * src.var_x)) > 1.0
+    assert clamped > 0
+
+
+def test_gaussian_constants_follow_replace_and_stay_frozen():
+    src = GaussianPairSource(0.0, 0.0, 1.0, 0.49, 0.63)
+    moved = dataclasses.replace(src, var_s=2.0, cov=-0.5)
+    assert moved.rho == _old_rho(moved) and moved.rho != src.rho
+    assert moved.h_s == gaussian_diff_entropy(2.0)
+    for name in ("rho", "h_s"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(src, name, 0.5)
+    # not fields: equality, hashing and repr see only the five parameters
+    assert [f.name for f in dataclasses.fields(src)] == list(GAUSS_FIELDS)
+    twin = GaussianPairSource(0.0, 0.0, 1.0, 0.49, 0.63)
+    assert twin == src and hash(twin) == hash(src)
+    assert repr(src) == (
+        "GaussianPairSource(mu_x=0.0, mu_s=0.0, var_x=1.0, var_s=0.49, cov=0.63)"
+    )
+
+
+HALVES = GaussianMixture2(0.5, 0.5, 0.0, 1.0, 1.0, 1.0)
+
+
+def test_mixture_far_from_both_means_is_zero_density():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (1e200, -1e200, math.inf):
+            assert HALVES.density(x) == 0.0
+            assert HALVES.log_density(x) == -math.inf
+        xs = np.array([1e200, -1e200, 0.3])
+        dens, logs = HALVES.density(xs), HALVES.log_density(xs)
+    assert dens[:2].tolist() == [0.0, 0.0]
+    assert logs[:2].tolist() == [-math.inf, -math.inf]
+    # in range, the array path keeps its bits
+    assert dens[2] == HALVES.density(np.array([0.3]))[0]
+    assert logs[2] == HALVES.log_density(np.array([0.3]))[0]
+
+
+def test_mixture_far_component_is_a_zero_term():
+    # a zero-weight component and a weighted one, each 1e200 from x
+    for w2 in (0.0, 0.5):
+        mix = GaussianMixture2(1.0 - w2, w2, 0.0, 1e200, 1.0, 1.0)
+        for x in (0.0, 0.3, -2.0):
+            near = math.exp(-0.5 * x**2) / math.sqrt(2.0 * math.pi)
+            assert mix.density(x) == (1.0 - w2) * near
+            assert mix.log_density(x) == (
+                math.log(1.0 - w2) - 0.5 * x**2 - 0.5 * math.log(2.0 * math.pi)
+            )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(mix.log_density(np.array([0.0, 0.3]))))
