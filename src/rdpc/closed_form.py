@@ -105,8 +105,10 @@ def rdc_binary(src: BinaryPairSource, d: float, c: float) -> TradeoffPoint:
     looser of the two exceeds the source marginal b. Infeasible iff
     c < H(p1).
     """
-    if d < 0.0:
+    if not d >= 0.0:
         raise DomainError(f"distortion bound must be nonnegative: {d}")
+    if math.isnan(c):
+        raise DomainError("classification bound is NaN")
     if c < binary_entropy(src.p1) - _TOL:
         return TradeoffPoint(
             rate=math.nan, unit=Unit.BITS, feasible=False,
@@ -194,8 +196,10 @@ def rpc_binary(src: BinaryPairSource, p: float, c: float) -> TradeoffPoint:
     feasible classification level, so the perception bound is never the
     binding constraint. Zero rate for c >= H(a); infeasible for c < H(p1).
     """
-    if p < 0.0:
+    if not p >= 0.0:
         raise DomainError(f"perception bound must be nonnegative: {p}")
+    if math.isnan(c):
+        raise DomainError("classification bound is NaN")
     h_p1 = binary_entropy(src.p1)
     h_a = binary_entropy(src.a)
     if c < h_p1 - _TOL:
@@ -282,8 +286,10 @@ def rdc_gaussian(src: GaussianPairSource, d: float, c: float) -> TradeoffPoint:
     slack at the constant reconstruction. Infeasible below the floor
     0.5 ln(1 - rho^2) + h(S).
     """
-    if d < 0.0:
+    if not d >= 0.0:
         raise DomainError(f"distortion bound must be nonnegative: {d}")
+    if math.isnan(c):
+        raise DomainError("classification bound is NaN")
     floor = gaussian_derived(src).feasibility_floor_c
     if c < floor - _TOL:
         return TradeoffPoint(
@@ -304,8 +310,10 @@ def rdc_gaussian_region(
 
     d* is reported as NaN for infeasible instances (no boundary exists).
     """
-    if d < 0.0:
+    if not d >= 0.0:
         raise DomainError(f"distortion bound must be nonnegative: {d}")
+    if math.isnan(c):
+        raise DomainError("classification bound is NaN")
     floor = gaussian_derived(src).feasibility_floor_c
     if c < floor - _TOL:
         return Region.INFEASIBLE, math.nan
@@ -338,8 +346,10 @@ def rpc_gaussian(src: GaussianPairSource, p: float, c: float) -> TradeoffPoint:
     distribution costs nothing in rate here, so only the classification
     bound matters. Zero rate for c >= h(S); infeasible below the floor.
     """
-    if p < 0.0:
+    if not p >= 0.0:
         raise DomainError(f"perception bound must be nonnegative: {p}")
+    if math.isnan(c):
+        raise DomainError("classification bound is NaN")
     floor = gaussian_derived(src).feasibility_floor_c
     if c < floor - _TOL:
         return TradeoffPoint(

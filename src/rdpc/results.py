@@ -8,7 +8,6 @@ into plain dicts for the JSON/CSV layer. Infeasible results carry
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Union
@@ -75,7 +74,8 @@ class TradeoffPoint:
 
     ``d`` / ``p`` are None for programs without that constraint. ``rate``
     is NaN when infeasible and may be ``inf`` at degenerate boundaries
-    (exact reconstruction demanded).
+    (exact reconstruction demanded); a feasible point with a NaN or
+    negative rate is refused.
     """
 
     rate: float
@@ -88,8 +88,8 @@ class TradeoffPoint:
     witness: Witness | None = None
 
     def __post_init__(self) -> None:
-        if self.feasible and not math.isnan(self.rate) and self.rate < 0.0:
-            raise DomainError(f"negative rate on a feasible point: {self.rate}")
+        if self.feasible and not self.rate >= 0.0:
+            raise DomainError(f"feasible point needs a rate >= 0: {self.rate}")
         if (self.region is Region.INFEASIBLE) == self.feasible:
             raise DomainError("region/feasibility flags disagree")
 

@@ -1,54 +1,24 @@
 """Minimal Gaussian rate with the mean-squared error pinned to equality.
 
-Inside the jointly Gaussian reconstruction family, requiring
-E[(X - Xhat)^2] = D exactly ties the source/reconstruction covariance to
-the reconstruction spread: theta2 = (var_x + s^2 - D) / 2 with s the
-reconstruction standard deviation. The three-constraint rate program then
-collapses to one dimension: the rate -0.5*ln(1 - theta2^2/(var_x s^2))
-has a single dip in s, the perception bound (KL of the source law from
-the reconstruction law) carves out an interval around s = sigma_x, and
-the classification bound removes a middle band where the implied
-source/label/reconstruction correlation is too weak. The feasible set is
-a union of at most a few intervals.
-
-The solver scans the admissible arc |theta2| <= sigma_x*s on a dense
-grid, trims each contiguous feasible run to the exact constraint
-boundary by bisection, and finishes each run with a golden-section pass.
-Near-equal rates across runs (a binding classification bound admits two
-boundary roots with identical rate) are broken toward the smaller
-attained perception. Two analytic seed points, s = sigma_x (zero
-perception) and the rate dip, are always tried as well so that
-constraint bands thinner than the grid step cannot be missed.
-
-The scan depends only on (source, D) and is cached. The classification
-bound is applied to it once per (D, C): a frontier row screens its cells
-once, and each perception bound its bisection tries re-screens only the
-KL column of the cells that survived.
-
-Because the distortion is pinned to equality rather than bounded, the
-feasible sets at two distortion levels are not nested; the rate is
-monotone in P and C but only monotone in D when the perception bound is
-off. Demands met only by a perfectly correlated reconstruction
-(|theta2| = sigma_x*s, infinite rate) are reported infeasible.
+A Gaussian reconstruction of variance u meeting MSE = D exactly has rate,
+KL and label entropy that depend on u alone, through the squared
+correlation ratio(u) = (a + u)^2 / (4 var_x u), a = var_x - D. It is
+convex and least at u = |a|; the rate -0.5*log1p(-ratio) rises with it,
+the C bound is ratio >= k, and the P bound an interval of u around var_x,
+so both programs are closed forms. Pinned distortions do not nest: the
+rate is monotone in D only when P is off.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+from .closed_form import _gaussian_k
 from .errors import DomainError
-from .optimize import bisect_predicate, golden_min
 from .results import GaussianReconstruction, Region, TradeoffPoint, Unit
 from .sources import GaussianPairSource
-
-_SCAN_POINTS = 100_000
-_CONSTRAINT_SLACK = 1e-12
-_RATE_TIE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -59,13 +29,6 @@ class ScanPoint:
     rate: float
     perception_kl: float
     cond_entropy_s: float
-
-    def feasible_for(self, p: float, c: float) -> bool:
-        return (
-            math.isfinite(self.rate)
-            and self.perception_kl <= p + _CONSTRAINT_SLACK
-            and self.cond_entropy_s <= c + _CONSTRAINT_SLACK
-        )
 
 
 @dataclass(frozen=True)
@@ -80,82 +43,82 @@ class PCFrontierPoint:
 
 
 def eval_at(src: GaussianPairSource, d: float, s: float) -> ScanPoint:
-    """Rate, perception, and conditional label entropy at spread ``s``.
-
-    Inadmissible spreads (s <= 0, or an implied correlation of magnitude
-    1 or more) come back with infinite rate and constraint values so they
-    never test feasible.
-    """
+    """Rate, perception, and conditional label entropy at spread ``s``;
+    infinite off the arc ratio < 1 (s = 0 is on it only at D = var_x).
+    The arithmetic is ``gaussian_recon_stats``' on the witness of variance
+    s * s, so both give the witness the same rate to the bit."""
+    u = s * s
     if s <= 0.0:
+        if s == 0.0 and d == src.var_x:
+            return ScanPoint(s, 0.0, math.inf, src.h_s)
         return ScanPoint(s, math.inf, math.inf, math.inf)
-    theta2 = 0.5 * (src.var_x + s * s - d)
-    ratio = (theta2 * theta2) / (src.var_x * s * s)
-    kl = 0.5 * math.log(s * s / src.var_x) + (src.var_x - s * s) / (2.0 * s * s)
+    try:
+        ratio = (0.5 * (src.var_x + u - d)) ** 2 / (src.var_x * u)
+    except OverflowError:  # the covariance squared passes 1.8e308: off the arc
+        ratio = math.inf
+    kl = 0.5 * math.log(u / src.var_x) + (src.var_x - u) / (2.0 * u)
     if ratio >= 1.0:
         return ScanPoint(s, math.inf, kl, math.inf)
-    rate = -0.5 * math.log1p(-ratio)
-    rho = src.rho
-    hs = src.h_s + 0.5 * math.log1p(-rho * rho * ratio)
-    return ScanPoint(s, rate, kl, hs)
+    hs = src.h_s + 0.5 * math.log1p(-src.rho * src.rho * ratio)
+    return ScanPoint(s, -0.5 * math.log1p(-ratio), kl, hs)
 
 
-@functools.lru_cache(maxsize=8)
-def _scan(src: GaussianPairSource, d: float, n: int):
-    """Vectorized ``eval_at`` over the admissible arc. Cached because the
-    arrays depend only on (source, D): frontier bisections re-mask them."""
-    sx = math.sqrt(src.var_x)
-    root = math.sqrt(d)
-    s = np.linspace(max(0.0, sx - root), sx + root, n)
-    theta2 = 0.5 * (src.var_x + s * s - d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (theta2 * theta2) / (src.var_x * s * s)
-        rate = -0.5 * np.log1p(-ratio)
-        kl = 0.5 * np.log(s * s / src.var_x) + (src.var_x - s * s) / (2.0 * s * s)
-        rho2 = src.rho**2
-        hs = src.h_s + 0.5 * np.log1p(-rho2 * ratio)
-    bad = ~np.isfinite(rate) | (ratio >= 1.0) | (s <= 0.0)
-    rate = np.where(bad, np.inf, rate)
-    kl = np.where(np.isfinite(kl), kl, np.inf)
-    hs = np.where(bad | ~np.isfinite(hs), np.inf, hs)
-    return s, rate, kl, hs
+def _roots(vx: float, a: float, q: float) -> tuple[float, float]:
+    """The u with ratio(u) = q >= max(a, 0) / var_x, monotone in q; the
+    smaller is a^2 over the larger, which keeps its precision."""
+    big = (2.0 * vx * q - a) + 2.0 * math.sqrt(max(vx * q * (vx * q - a), 0.0))
+    return a / big * a, big
 
 
-def _pinned_rate_floor(src: GaussianPairSource, d: float) -> float:
-    """Rate with only the distortion pin active: the classical
-    rate-distortion value below var_x, zero at or beyond it."""
-    if d < src.var_x:
-        return 0.5 * math.log(src.var_x / d)
-    return 0.0
+def _kl_interval(p: float) -> tuple[float, float]:
+    """Ends of {t = u / var_x : KL <= p}. In v = -ln t the KL is (e^v - 1
+    - v) / 2, convex, so Newton runs monotonically to each root from a
+    start outside it; by e^v >= 1 + v + v^2/2 + v^3/6, 2 sqrt(p) and
+    -(2p + min(1, 2 sqrt(p))) are such starts."""
+    if p == math.inf:
+        return 0.0, math.inf
+    ends = []
+    for v in (2.0 * math.sqrt(p), -2.0 * p - min(1.0, 2.0 * math.sqrt(p))):
+        while (g := math.expm1(v) - v - 2.0 * p) > 0.0:
+            if v == (v := v - g / math.expm1(v)):
+                break
+        ends.append(math.exp(-v) if v > -709.0 else math.inf)  # e^709: overflow
+    return ends[0], ends[1]
 
 
-def _seed_spreads(src: GaussianPairSource, d: float, c: float) -> tuple[float, ...]:
-    """Spreads that anchor feasible bands thinner than the scan step: the
-    zero-perception spread, the rate-dip spread, and the boundary roots
-    where the classification bound binds exactly. Any of them may still
-    be inadmissible (off the arc, or at unit correlation), which
-    ``eval_at`` reports as infinite rate."""
-    sx = math.sqrt(src.var_x)
-    seeds = [sx, math.sqrt(abs(src.var_x - d))]
-    rho2 = src.rho**2
-    if rho2 > 0.0 and c < src.h_s:
-        k = (1.0 - math.exp(2.0 * (c - src.h_s))) / rho2
-        disc = src.var_x * k - src.var_x + d
-        if k > 0.0 and disc >= 0.0:
-            half_width = math.sqrt(disc)
-            center = sx * math.sqrt(k)
-            # one quadratic per sign of the pinned covariance
-            for cand in (
-                center - half_width, center + half_width, half_width - center
-            ):
-                if cand > 0.0:
-                    seeds.append(cand)
-    return tuple(seeds)
+def _k(src: GaussianPairSource, d: float, p: float, c: float) -> float:
+    """Checks the bounds and returns k, the least ratio the C bound allows
+    (-inf or +inf if it is vacuous or unmeetable at rho^2 = 0)."""
+    if not 0.0 < d < math.inf:
+        raise DomainError(f"pinned distortion must be positive and finite: {d}")
+    if not p >= 0.0:
+        raise DomainError(f"perception bound must be >= 0 (inf allowed): {p}")
+    if math.isnan(c):
+        raise DomainError("classification bound is NaN")
+    if src.rho**2 == 0.0:
+        return -math.inf if c >= src.h_s else math.inf
+    return _gaussian_k(src, c)
 
 
-def _classify(
-    src: GaussianPairSource, d: float, p: float, c: float, best: ScanPoint
-) -> Region:
-    floor = _pinned_rate_floor(src, d)
+def _witness(src: GaussianPairSource, d: float, k: float, target: float,
+             lo: float, hi: float) -> ScanPoint | None:
+    """``target`` clamped into [lo, hi] if it meets ratio >= k, else the
+    roots of ratio = k in [lo, hi] (u = 0 at D = var_x is spurious, with
+    KL +inf); of these the point of least KL, evaluated."""
+    vx, a = src.var_x, src.var_x - d
+    u = min(max(target, lo), hi)
+    spreads = [u]
+    if k > max(a, 0.0) / vx:
+        r_lo, r_hi = _roots(vx, a, k)
+        if not (0.0 < u <= r_lo or u >= r_hi):
+            spreads = [r for r in (r_lo, r_hi) if lo <= r <= hi]
+    points = (eval_at(src, d, math.sqrt(w)) for w in spreads)
+    return min(points, key=lambda q: q.perception_kl, default=None)
+
+
+def _classify(src: GaussianPairSource, d: float, p: float, c: float,
+              best: ScanPoint) -> Region:
+    floor = 0.5 * math.log(src.var_x / d) if d < src.var_x else 0.0
     if best.rate <= floor + 1e-9:
         return Region.DISTORTION_LIMITED if floor > 1e-12 else Region.ZERO_RATE
     if best.cond_entropy_s >= c - 1e-7:
@@ -165,173 +128,55 @@ def _classify(
     return Region.DISTORTION_LIMITED
 
 
-def _check_args(d: float, p: float, c: float, scan_points: int) -> None:
-    if math.isnan(d) or d <= 0.0:
-        raise DomainError(f"pinned distortion must be positive: {d}")
-    if math.isnan(p) or p < 0.0:
-        raise DomainError(f"perception bound must be >= 0 (inf allowed): {p}")
-    if math.isnan(c):
-        raise DomainError("classification bound is NaN")
-    if scan_points < 2:
-        raise DomainError(f"scan needs at least 2 points: {scan_points}")
-
-
-@dataclass(frozen=True)
-class _Screen:
-    """The scan at one (source, D, C, scan size) with the classification
-    bound already applied: ``base`` indexes the admissible cells with
-    hs <= C + slack, ``kl`` is their perception column. A perception
-    bound then re-screens only ``kl``."""
-
-    src: GaussianPairSource
-    d: float
-    c: float
-    s: np.ndarray
-    rate: np.ndarray
-    base: np.ndarray
-    kl: np.ndarray
-    seeds: tuple[float, ...]
-
-
-def _screen(src: GaussianPairSource, d: float, c: float, scan_points: int) -> _Screen:
-    s, rate, kl, hs = _scan(src, float(d), int(scan_points))
-    base = np.flatnonzero((hs <= c + _CONSTRAINT_SLACK) & np.isfinite(rate))
-    return _Screen(src, d, c, s, rate, base, kl[base], _seed_spreads(src, d, c))
-
-
-def _solve(screen: _Screen, p: float) -> TradeoffPoint:
-    """Minimal rate on a screened scan under perception bound ``p``."""
-    src, d, c, s, rate = screen.src, screen.d, screen.c, screen.s, screen.rate
-
-    def feas(x: float) -> bool:
-        return eval_at(src, d, x).feasible_for(p, c)
-
-    candidates: list[ScanPoint] = []
-    idx = screen.base[screen.kl <= p + _CONSTRAINT_SLACK]
-    if idx.size:
-        runs = np.split(idx, np.where(np.diff(idx) != 1)[0] + 1)
-        for run in runs:
-            i = int(run[np.argmin(rate[run])])
-            lo = float(s[run[0]])
-            if run[0] > 0:
-                lo = bisect_predicate(feas, float(s[run[0] - 1]), lo, xtol=1e-10)
-            hi = float(s[run[-1]])
-            if run[-1] < len(s) - 1:
-                # mirror the axis so the feasible side is the upper end
-                hi = -bisect_predicate(
-                    lambda u: feas(-u), -float(s[run[-1] + 1]), -hi, xtol=1e-10
-                )
-            s_star, _ = golden_min(
-                lambda x: eval_at(src, d, x).rate, lo, hi, xtol=1e-10
-            )
-            options = [eval_at(src, d, float(s[i]))]
-            refined = eval_at(src, d, s_star)
-            if refined.feasible_for(p, c):
-                options.append(refined)
-            candidates.append(
-                min(options, key=lambda q: (q.rate, q.perception_kl))
-            )
-    # analytic seeds rescue feasible bands thinner than the grid step
-    for s_seed in screen.seeds:
-        q = eval_at(src, d, s_seed)
-        if q.feasible_for(p, c):
-            candidates.append(q)
-
-    if not candidates:
-        return TradeoffPoint(
-            rate=math.nan, unit=Unit.NATS, feasible=False,
-            region=Region.INFEASIBLE, c=c, d=d, p=p,
-        )
-    best_rate = min(q.rate for q in candidates)
-    best = min(
-        (q for q in candidates if q.rate <= best_rate + _RATE_TIE),
-        key=lambda q: (q.perception_kl, q.sigma_xh),
-    )
-    theta2 = 0.5 * (src.var_x + best.sigma_xh**2 - d)
+def rate_given_pcd(src: GaussianPairSource, d: float, p: float,
+                   c: float) -> TradeoffPoint:
+    """Minimal rate at pinned distortion ``d``, KL bound ``p`` (nats, +inf
+    for none) and label-entropy bound ``c`` (nats): -0.5*log1p(-max(m, k)),
+    m the least ratio on the arc ratio <= 1 cut to {KL <= p}. The witness
+    (with the pinned covariance) is where m is reached, or if k > m the
+    root of ratio = k there, of smaller perception if both roots are."""
+    vx, a, k = src.var_x, src.var_x - d, _k(src, d, p, c)
+    arc_lo, arc_hi = _roots(vx, a, 1.0)
+    t_lo, t_hi = _kl_interval(p)
+    lo, hi = max(arc_lo, vx * t_lo), min(arc_hi, vx * t_hi)
+    best = _witness(src, d, k, abs(a), lo, hi) if lo <= hi and k < 1.0 else None
+    if best is None or not math.isfinite(best.rate):
+        return TradeoffPoint(rate=math.nan, unit=Unit.NATS, feasible=False,
+                             region=Region.INFEASIBLE, c=c, d=d, p=p)
+    var_xh = best.sigma_xh * best.sigma_xh
     return TradeoffPoint(
-        rate=best.rate,
-        unit=Unit.NATS,
-        feasible=True,
-        region=_classify(src, d, p, c, best),
-        c=c,
-        d=d,
-        p=p,
-        witness=GaussianReconstruction(src.mu_x, best.sigma_xh**2, theta2),
+        rate=best.rate, unit=Unit.NATS, feasible=True,
+        region=_classify(src, d, p, c, best), c=c, d=d, p=p,
+        witness=GaussianReconstruction(src.mu_x, var_xh, 0.5 * (vx + var_xh - d)),
     )
-
-
-def rate_given_pcd(
-    src: GaussianPairSource,
-    d: float,
-    p: float,
-    c: float,
-    *,
-    scan_points: int = _SCAN_POINTS,
-) -> TradeoffPoint:
-    """Minimal rate at pinned distortion ``d`` under perception bound
-    ``p`` (KL, nats; +inf means unconstrained) and classification bound
-    ``c`` (conditional label entropy, nats).
-
-    The witness carries the argmin reconstruction; its covariance is the
-    pinned theta2 at the returned spread. When the classification bound
-    is tight at both of its boundary roots the returned point is the one
-    with the smaller perception.
-    """
-    _check_args(d, p, c, scan_points)
-    return _solve(_screen(src, d, c, scan_points), p)
 
 
 def pc_frontier_given_rd(
-    src: GaussianPairSource,
-    d: float,
-    rate_level: float,
-    c_grid: Sequence[float],
-    *,
-    scan_points: int = _SCAN_POINTS,
-    rate_slack: float = 1e-9,
+    src: GaussianPairSource, d: float, rate_level: float,
+    c_grid: Sequence[float], *, rate_slack: float = 1e-9,
 ) -> list[PCFrontierPoint]:
     """Minimal perception per classification bound at a fixed rate budget.
 
-    For each C the perception bound is bisected down from the perception
-    attained by the unconstrained-P optimum; rows where even P = +inf
-    cannot reach ``rate_level`` are marked infeasible (NaN columns).
-    Each row checks its arguments and screens the scan against its C
-    once; every perception step of the row then re-screens only the KL
-    column of those cells.
+    A row is dead (NaN) if its P = +inf ratio max(max(a, 0) / var_x, k)
+    exceeds 1 - e^{-2(rate_level + rate_slack)}. Otherwise its witness is
+    the point nearest var_x of {k <= ratio <= q}, q = 1 - e^{-2 rate_level}
+    or the P = +inf ratio if larger; min P is the KL there, floored at 0.
     """
-    if math.isnan(rate_level) or rate_level < 0.0:
+    if not rate_level >= 0.0:
         raise DomainError(f"rate level must be >= 0: {rate_level}")
+    vx, a = src.var_x, src.var_x - d
+    budget = -math.expm1(-2.0 * rate_level)
+    live = -math.expm1(-2.0 * (rate_level + rate_slack))
     out: list[PCFrontierPoint] = []
-    for c_raw in c_grid:
-        c = float(c_raw)
-        _check_args(d, math.inf, c, scan_points)
-        screen = _screen(src, d, c, scan_points)
-        relaxed = _solve(screen, math.inf)
-        if not relaxed.feasible or relaxed.rate > rate_level + rate_slack:
+    for c in map(float, c_grid):
+        k, floor = _k(src, d, math.inf, c), max(a, 0.0) / vx
+        best = None
+        if max(floor, k) <= live:
+            best = _witness(src, d, k, vx, *_roots(vx, a, max(budget, floor, k)))
+        # a witness that misses the budget (round-off at D >> var_x) is none
+        if best is None or not best.rate <= rate_level + rate_slack:
             out.append(PCFrontierPoint(c, math.nan, math.nan, math.nan, False))
             continue
-
-        def meets(p_bound: float) -> bool:
-            tp = _solve(screen, p_bound)
-            return tp.feasible and tp.rate <= rate_level + rate_slack
-
-        assert relaxed.witness is not None
-        s_star = math.sqrt(relaxed.witness.var_xh)
-        cap = eval_at(src, d, s_star).perception_kl
-        if not meets(cap):
-            # absorb refinement round-off at the relaxed optimum
-            cap = cap * (1.0 + 1e-9) + 1e-12
-        if meets(0.0):
-            min_p = 0.0
-        elif meets(cap):
-            min_p = bisect_predicate(meets, 0.0, cap, xtol=1e-10)
-        else:  # pragma: no cover - round-off guard, conservative upper bound
-            min_p = cap
-        final = _solve(screen, min_p)
-        assert final.witness is not None
-        out.append(
-            PCFrontierPoint(
-                c, min_p, final.rate, math.sqrt(final.witness.var_xh), True
-            )
-        )
+        kl = max(best.perception_kl, 0.0)
+        out.append(PCFrontierPoint(c, kl, best.rate, best.sigma_xh, True))
     return out

@@ -12,6 +12,7 @@ from rdpc import (
     DomainError,
     GaussianPairSource,
     Region,
+    TradeoffPoint,
     Unit,
     WitnessUnavailableError,
     binary_channel_stats,
@@ -238,3 +239,33 @@ def test_rpc_gaussian_unit_correlation_rate_is_entropy_gap():
 def test_rpc_gaussian_monotone_in_c(c1, c2):
     lo, hi = sorted((c1, c2))
     assert rpc_gaussian(GSRC, 0.1, hi).rate <= rpc_gaussian(GSRC, 0.1, lo).rate + 1e-12
+
+
+@pytest.mark.parametrize(
+    "solve, args",
+    [
+        (rdc_binary, (SRC, math.nan, 0.6)),
+        (rdc_binary, (SRC, 0.1, math.nan)),
+        (rpc_binary, (SRC, math.nan, 0.6)),
+        (rpc_binary, (SRC, 0.1, math.nan)),
+        (rdc_gaussian, (GSRC, math.nan, H_S - 0.05)),
+        (rdc_gaussian, (GSRC, 0.5, math.nan)),
+        (rdc_gaussian_region, (GSRC, math.nan, H_S - 0.05)),
+        (rdc_gaussian_region, (GSRC, 0.5, math.nan)),
+        (rpc_gaussian, (GSRC, math.nan, H_S - 0.05)),
+        (rpc_gaussian, (GSRC, 0.1, math.nan)),
+    ],
+)
+def test_nan_bounds_are_refused(solve, args):
+    with pytest.raises(DomainError):
+        solve(*args)
+
+
+def test_feasible_point_refuses_a_nan_rate():
+    with pytest.raises(DomainError):
+        TradeoffPoint(
+            rate=math.nan, unit=Unit.NATS, feasible=True,
+            region=Region.ZERO_RATE, c=0.1,
+        )
+    # exact reconstruction (D = 0) keeps its +inf sentinel
+    assert rdc_gaussian(GSRC, 0.0, H_S).rate == math.inf

@@ -1,11 +1,12 @@
-"""Pinned-distortion program: scan/refine solver, frontier extraction,
-and the closed-form geometry of the binding-classification window."""
+"""Pinned-distortion program: the closed-form solver and frontier, checked
+against an independent scan/refine reference solver kept in this file."""
 
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdpc import (
     DomainError,
@@ -127,6 +128,11 @@ def test_overconstrained_instances_are_infeasible():
         rate_given_pcd(SRC, -0.1, math.inf, H_S)
     with pytest.raises(DomainError):
         rate_given_pcd(SRC, 0.5, -1.0, H_S)
+    with pytest.raises(DomainError):
+        rate_given_pcd(SRC, math.inf, math.inf, H_S)
+    # at D = 1e300 var_x the pinned covariance is lost to round-off: the
+    # answer is a result, not an OverflowError
+    assert rate_given_pcd(SRC, 1e300, math.inf, H_S).region in Region
 
 
 def test_frontier_row_matches_window_root_formula():
@@ -168,16 +174,69 @@ def test_frontier_relaxes_with_c_and_marks_dead_rows():
     assert all(b <= a + 1e-9 for a, b in zip(live, live[1:]))
 
 
-def _full_mask_rate(src, d, p, c, scan_points=rpc_given_d._SCAN_POINTS):
-    """Reference solver: the full (kl, hs, rate) mask rebuilt on every
-    call, without argument checks."""
-    slack = rpc_given_d._CONSTRAINT_SLACK
+# The reference solver: the scan/refine search the closed form replaced. It
+# scans the admissible arc on a dense grid, trims each feasible run to the
+# constraint boundary by bisection, refines it by golden section, and always
+# tries the analytic seed spreads. Its constraint slack lets it move a little
+# off sigma_x at P = 0, so it agrees with the closed form within _REF_RATE_TOL
+# in rate; its frontier bisects P to 1e-10.
+_REF_SCAN_POINTS = 100_000
+_REF_SLACK = 1e-12
+_REF_RATE_TIE = 1e-9
+_REF_RATE_TOL = 1e-6
+_REF_MIN_P_TOL = 1e-9
+
+
+def _ref_scan(src, d):
+    sx = math.sqrt(src.var_x)
+    root = math.sqrt(d)
+    s = np.linspace(max(0.0, sx - root), sx + root, _REF_SCAN_POINTS)
+    theta2 = 0.5 * (src.var_x + s * s - d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (theta2 * theta2) / (src.var_x * s * s)
+        rate = -0.5 * np.log1p(-ratio)
+        kl = 0.5 * np.log(s * s / src.var_x) + (src.var_x - s * s) / (2.0 * s * s)
+        hs = src.h_s + 0.5 * np.log1p(-src.rho**2 * ratio)
+    bad = ~np.isfinite(rate) | (ratio >= 1.0) | (s <= 0.0)
+    rate = np.where(bad, np.inf, rate)
+    kl = np.where(np.isfinite(kl), kl, np.inf)
+    hs = np.where(bad | ~np.isfinite(hs), np.inf, hs)
+    return s, rate, kl, hs
+
+
+def _ref_seed_spreads(src, d, c):
+    sx = math.sqrt(src.var_x)
+    seeds = [sx, math.sqrt(abs(src.var_x - d))]
+    rho2 = src.rho**2
+    if rho2 > 0.0 and c < src.h_s:
+        k = (1.0 - math.exp(2.0 * (c - src.h_s))) / rho2
+        disc = src.var_x * k - src.var_x + d
+        if k > 0.0 and disc >= 0.0:
+            half_width = math.sqrt(disc)
+            center = sx * math.sqrt(k)
+            for cand in (center - half_width, center + half_width, half_width - center):
+                if cand > 0.0:
+                    seeds.append(cand)
+    return seeds
+
+
+def _ref_ok(q, p, c):
+    return (
+        math.isfinite(q.rate)
+        and q.perception_kl <= p + _REF_SLACK
+        and q.cond_entropy_s <= c + _REF_SLACK
+    )
+
+
+def _full_mask_rate(src, d, p, c):
+    """Reference minimal rate: a full (kl, hs, rate) mask of the scan, each
+    feasible run refined, the seed spreads tried."""
     ev = rpc_given_d.eval_at
-    s, rate, kl, hs = rpc_given_d._scan(src, float(d), int(scan_points))
-    ok = (kl <= p + slack) & (hs <= c + slack) & np.isfinite(rate)
+    s, rate, kl, hs = _ref_scan(src, float(d))
+    ok = (kl <= p + _REF_SLACK) & (hs <= c + _REF_SLACK) & np.isfinite(rate)
 
     def feas(x):
-        return ev(src, d, x).feasible_for(p, c)
+        return _ref_ok(ev(src, d, x), p, c)
 
     candidates = []
     idx = np.flatnonzero(ok)
@@ -195,12 +254,12 @@ def _full_mask_rate(src, d, p, c, scan_points=rpc_given_d._SCAN_POINTS):
             s_star, _ = golden_min(lambda x: ev(src, d, x).rate, lo, hi, xtol=1e-10)
             options = [ev(src, d, float(s[i]))]
             refined = ev(src, d, s_star)
-            if refined.feasible_for(p, c):
+            if _ref_ok(refined, p, c):
                 options.append(refined)
             candidates.append(min(options, key=lambda q: (q.rate, q.perception_kl)))
-    for s_seed in rpc_given_d._seed_spreads(src, d, c):
+    for s_seed in _ref_seed_spreads(src, d, c):
         q = ev(src, d, s_seed)
-        if q.feasible_for(p, c):
+        if _ref_ok(q, p, c):
             candidates.append(q)
     if not candidates:
         return TradeoffPoint(
@@ -209,7 +268,7 @@ def _full_mask_rate(src, d, p, c, scan_points=rpc_given_d._SCAN_POINTS):
         )
     best_rate = min(q.rate for q in candidates)
     best = min(
-        (q for q in candidates if q.rate <= best_rate + rpc_given_d._RATE_TIE),
+        (q for q in candidates if q.rate <= best_rate + _REF_RATE_TIE),
         key=lambda q: (q.perception_kl, q.sigma_xh),
     )
     return TradeoffPoint(
@@ -222,13 +281,15 @@ def _full_mask_rate(src, d, p, c, scan_points=rpc_given_d._SCAN_POINTS):
 
 
 def _full_mask_frontier(src, d, rate_level, c_grid, rate_slack=1e-9):
-    """Reference frontier: every perception step a full-mask solve."""
+    """Reference frontier: P bisected on reference solves for each row."""
     out = []
     for c_raw in c_grid:
         c = float(c_raw)
         relaxed = _full_mask_rate(src, d, math.inf, c)
         if not relaxed.feasible or relaxed.rate > rate_level + rate_slack:
-            out.append(rpc_given_d.PCFrontierPoint(c, math.nan, math.nan, math.nan, False))
+            out.append(
+                rpc_given_d.PCFrontierPoint(c, math.nan, math.nan, math.nan, False)
+            )
             continue
 
         def meets(p_bound):
@@ -249,18 +310,6 @@ def _full_mask_frontier(src, d, rate_level, c_grid, rate_slack=1e-9):
             c, min_p, final.rate, math.sqrt(final.witness.var_xh), True
         ))
     return out
-
-
-def _same(a, b):
-    """Field by field equality that also matches NaN with NaN."""
-    ta, tb = astuple(a), astuple(b)
-    assert len(ta) == len(tb)
-    for x, y in zip(ta, tb):
-        if isinstance(x, float) and math.isnan(x):
-            assert isinstance(y, float) and math.isnan(y)
-        else:
-            assert x == y
-            assert type(x) is type(y)
 
 
 def _seeded_sources(n, seed):
@@ -284,47 +333,54 @@ def _c_values(src):
 
 @pytest.mark.parametrize("src", _seeded_sources(3, seed=11))
 def test_rate_given_pcd_equals_the_full_mask_solver(src):
+    # equal up to the reference's resolution: same feasibility and region,
+    # rate within _REF_RATE_TOL
     for share in (0.5, 0.8, 2.0):
         d = share * src.var_x
         for c in _c_values(src):
             for p in (0.0, 1e-6, 1e-3, 0.1, math.inf):
-                _same(rate_given_pcd(src, d, p, c), _full_mask_rate(src, d, p, c))
+                new, ref = rate_given_pcd(src, d, p, c), _full_mask_rate(src, d, p, c)
+                assert new.feasible == ref.feasible
+                assert new.region is ref.region
+                if new.feasible:
+                    assert new.rate == pytest.approx(ref.rate, abs=_REF_RATE_TOL)
 
 
 @pytest.mark.parametrize("src", _seeded_sources(2, seed=23) + [SRC])
 def test_frontier_rows_equal_the_full_mask_frontier(src):
+    # equal up to the reference's resolution: same feasibility, min P
+    # within _REF_MIN_P_TOL, rate within _REF_RATE_TOL
     for share in (0.5, 0.8, 2.0):
         d = share * src.var_x
         for level in (0.3, 0.9):
             new = pc_frontier_given_rd(src, d, level, _c_values(src))
-            old = _full_mask_frontier(src, d, level, _c_values(src))
-            assert len(new) == len(old)
-            for a, b in zip(new, old):
-                _same(a, b)
+            ref = _full_mask_frontier(src, d, level, _c_values(src))
+            assert len(new) == len(ref)
+            for a, b in zip(new, ref):
+                assert a.c == b.c and a.feasible == b.feasible
+                if a.feasible:
+                    assert a.min_p == pytest.approx(b.min_p, abs=_REF_MIN_P_TOL)
+                    assert a.rate == pytest.approx(b.rate, abs=_REF_RATE_TOL)
 
 
-def test_frontier_screens_each_row_once(monkeypatch):
-    calls = {"screen": 0, "solve": 0}
-    screen, solve = rpc_given_d._screen, rpc_given_d._solve
+def test_frontier_rows_evaluate_at_most_eight_spreads(monkeypatch):
+    calls = []
+    original = rpc_given_d.eval_at
 
-    def counted_screen(*args):
-        calls["screen"] += 1
-        return screen(*args)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-    def counted_solve(*args):
-        calls["solve"] += 1
-        return solve(*args)
-
-    monkeypatch.setattr(rpc_given_d, "_screen", counted_screen)
-    monkeypatch.setattr(rpc_given_d, "_solve", counted_solve)
-    # a dead row, a bisected row and a row with min P = 0
+    monkeypatch.setattr(rpc_given_d, "eval_at", counted)
+    # a dead row, a row bounded away from sigma_x and a row with min P = 0
     c_grid = [H_S - 1.0, H_S + 0.5 * math.log(1.0 - 0.81 * 0.6), H_S - 0.05]
-    rows = pc_frontier_given_rd(SRC, 0.5, 0.5, c_grid)
+    rows = []
+    for c in c_grid:
+        calls.clear()
+        rows += pc_frontier_given_rd(SRC, 0.5, 0.5, [c])
+        assert len(calls) <= 8
     assert not rows[0].feasible
     assert rows[1].min_p > 1e-3 and rows[2].min_p == 0.0
-    assert calls["screen"] == len(c_grid)
-    # the bisected row takes its many perception steps on that one screen
-    assert calls["solve"] > 20
 
 
 @pytest.mark.parametrize(
@@ -333,28 +389,118 @@ def test_frontier_screens_each_row_once(monkeypatch):
         dict(d=0.0), dict(d=-0.5), dict(d=math.nan),
         dict(c_grid=[H_S - 0.1, math.nan]),
         dict(rate_level=math.nan), dict(rate_level=-0.1),
-        dict(scan_points=1),
     ],
 )
 def test_frontier_still_validates_its_arguments(kwargs):
     args = dict(d=0.5, rate_level=0.5, c_grid=[H_S - 0.1])
     args.update(kwargs)
-    scan = {"scan_points": args.pop("scan_points")} if "scan_points" in args else {}
     with pytest.raises(DomainError):
-        pc_frontier_given_rd(SRC, args["d"], args["rate_level"], args["c_grid"], **scan)
+        pc_frontier_given_rd(SRC, args["d"], args["rate_level"], args["c_grid"])
 
 
 def test_frontier_row_with_round_off_negative_cap():
-    # at D = 2 var_x the relaxed optimum sits at s = sigma_x, where the
-    # KL formula rounds to -4.7e-18; that cap is an internal bound, so the
-    # row must not fail the public p >= 0 check, and P = 0 already meets it
+    # at D = 2 var_x the relaxed optimum sits at s = sigma_x, where the KL
+    # formula can round below 0 (the scan solver saw -4.7e-18 here); the
+    # row must still report min P = 0
     src = GaussianPairSource(
         0.4314941677088505, -2.126279784450882, 2.1736193177748837,
         1.354624797580815, 0.6582654702003291,
     )
     d, c = 2.0 * src.var_x, 1.6707007901210749
-    relaxed = rate_given_pcd(src, d, math.inf, c)
-    assert eval_at(src, d, math.sqrt(relaxed.witness.var_xh)).perception_kl < 0.0
     (row,) = pc_frontier_given_rd(src, d, 0.9, [c])
     assert row.feasible and row.min_p == 0.0
     assert row.rate == pytest.approx(0.0, abs=1e-12)
+
+
+def test_frontier_row_whose_refined_cap_fell_below_round_off():
+    # the scan solver's relaxed optimum here has a KL 2.9e-10 below the one
+    # recomputed from its spread, and the row raised AssertionError
+    src = GaussianPairSource(
+        0.0, 0.0, 0.4069007669933477, 1.7271910108020585, -0.06477081879683703
+    )
+    d, level, c = 0.8635955054010293, 0.9799258452520937, 1.6915894355194954
+    (row,) = pc_frontier_given_rd(src, d, level, [c])
+    assert row.feasible
+    assert row.min_p == pytest.approx(0.159711, abs=1e-6)
+    assert row.rate <= level + 1e-9
+    s = row.sigma_xh
+    stats = gaussian_recon_stats(
+        src, GaussianReconstruction(src.mu_x, s * s, 0.5 * (src.var_x + s * s - d))
+    )
+    assert stats.perception <= row.min_p + 1e-9
+    assert stats.cond_entropy_s <= c + 1e-9
+    assert stats.mutual_info == pytest.approx(row.rate, abs=1e-9)
+
+
+@pytest.mark.parametrize("share", [1e25, 1e100, 1e300])
+def test_frontier_rows_far_beyond_the_source_variance_meet_the_budget(share):
+    # at D >> var_x the pinned covariance drowns in round-off; a row is
+    # feasible only with a witness inside its rate budget
+    rows = pc_frontier_given_rd(SRC, share * SRC.var_x, 0.5, [H_S - 0.3, H_S])
+    assert all(r.rate <= 0.5 + 1e-9 for r in rows if r.feasible)
+    with pytest.raises(DomainError):
+        pc_frontier_given_rd(SRC, math.inf, 0.5, [H_S])
+
+
+def test_distortion_at_the_source_variance():
+    # at D = var_x the arc reaches s = 0: with P and C slack the constant
+    # reconstruction meets D exactly at zero rate
+    free = rate_given_pcd(SRC, SRC.var_x, math.inf, H_S + 0.1)
+    assert free.feasible and free.region is Region.ZERO_RATE
+    assert free.rate == 0.0
+    assert free.witness.var_xh == 0.0 and free.witness.cov_xxh == 0.0
+    stats = gaussian_recon_stats(SRC, free.witness)
+    assert stats.distortion == SRC.var_x and stats.mutual_info == 0.0
+    # a binding C bound costs what the distortion-bounded program charges
+    tight = rate_given_pcd(SRC, SRC.var_x, math.inf, H_S - 0.2)
+    assert tight.feasible
+    relaxed = rdc_gaussian(SRC, SRC.var_x, H_S - 0.2)
+    assert tight.rate == pytest.approx(relaxed.rate, abs=1e-9)
+
+
+_VARIANCE = st.floats(0.2, 3.0)
+
+
+@st.composite
+def _pinned_instances(draw):
+    var_x, var_s = draw(_VARIANCE), draw(_VARIANCE)
+    rho = draw(st.floats(-0.95, 0.95))
+    src = GaussianPairSource(0.0, 0.0, var_x, var_s, rho * math.sqrt(var_x * var_s))
+    d = draw(st.floats(1e-3, 2.0)) * var_x
+    floor = src.h_s + 0.5 * math.log1p(-rho * rho)
+    c = floor + draw(st.floats(0.0, 1.0)) * (src.h_s + 0.2 - floor)
+    return src, d, c
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    _pinned_instances(),
+    st.one_of(st.just(0.0), st.just(math.inf), st.floats(1e-9, 2.0)),
+)
+def test_feasible_witnesses_certify_the_rate(inst, p):
+    src, d, c = inst
+    tp = rate_given_pcd(src, d, p, c)
+    if not tp.feasible:
+        return
+    stats = gaussian_recon_stats(src, tp.witness)
+    assert stats.distortion == pytest.approx(d, abs=1e-9)
+    assert stats.mutual_info == pytest.approx(tp.rate, abs=1e-9)
+    assert stats.perception <= p + 1e-9
+    assert stats.cond_entropy_s <= c + 1e-7
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_pinned_instances(), st.floats(0.0, 2.0))
+def test_feasible_frontier_rows_meet_their_rate_budget(inst, level):
+    src, d, c = inst
+    (row,) = pc_frontier_given_rd(src, d, level, [c])
+    if not row.feasible:
+        return
+    assert row.rate <= level + 1e-9
+    s = row.sigma_xh
+    wit = GaussianReconstruction(src.mu_x, s * s, 0.5 * (src.var_x + s * s - d))
+    stats = gaussian_recon_stats(src, wit)
+    assert stats.distortion == pytest.approx(d, abs=1e-9)
+    assert stats.mutual_info == pytest.approx(row.rate, abs=1e-9)
+    assert stats.perception <= row.min_p + 1e-9
+    assert stats.cond_entropy_s <= c + 1e-9
