@@ -5,9 +5,9 @@ completed dataset, a clean verify run), 1 for usage or internal errors,
 2 for a well-posed but infeasible instance.
 
 Flag values win over config-file values, which win over built-in
-defaults; RDPC_WORKERS supplies only the default worker count. All
-output is deterministic for a fixed (command, config, seed); worker
-counts never change any emitted byte.
+defaults; RDPC_WORKERS supplies only the default worker count, which is
+accepted and has no effect. All output is deterministic for a fixed
+(command, config, seed).
 """
 
 from __future__ import annotations
@@ -605,7 +605,7 @@ def _common_flags() -> argparse.ArgumentParser:
                      help="must match the source family; rejected otherwise")
     par.add_argument("--seed", type=int, help="seed for randomized suites")
     par.add_argument("--workers", type=int,
-                     help="oracle grid partitions (default RDPC_WORKERS or 1)")
+                     help="accepted and has no effect (default RDPC_WORKERS or 1)")
     par.add_argument("--config", help="JSON file of defaults; flags win")
     par.add_argument("--emit-plot-script", action="store_true", default=None,
                      help="write a matplotlib script next to the CSV")

@@ -34,6 +34,16 @@ from .sources import BinaryPairSource, GaussianPairSource, gaussian_derived
 _TOL = 1e-12
 
 
+def _check_bounds(c: float, d: float = 0.0, p: float = 0.0) -> None:
+    """Argument checks shared by every entry point: d, p >= 0, c not NaN."""
+    if not d >= 0.0:
+        raise DomainError(f"distortion bound must be nonnegative: {d}")
+    if not p >= 0.0:
+        raise DomainError(f"perception bound must be nonnegative: {p}")
+    if math.isnan(c):
+        raise DomainError("classification bound is NaN")
+
+
 # ---------------------------------------------------------------------------
 # binary pair source
 # ---------------------------------------------------------------------------
@@ -105,10 +115,7 @@ def rdc_binary(src: BinaryPairSource, d: float, c: float) -> TradeoffPoint:
     looser of the two exceeds the source marginal b. Infeasible iff
     c < H(p1).
     """
-    if not d >= 0.0:
-        raise DomainError(f"distortion bound must be nonnegative: {d}")
-    if math.isnan(c):
-        raise DomainError("classification bound is NaN")
+    _check_bounds(c, d=d)
     if c < binary_entropy(src.p1) - _TOL:
         return TradeoffPoint(
             rate=math.nan, unit=Unit.BITS, feasible=False,
@@ -127,6 +134,7 @@ def rdc_binary(src: BinaryPairSource, d: float, c: float) -> TradeoffPoint:
 
 def rdc_binary_witness(src: BinaryPairSource, d: float, c: float) -> BinaryChannel:
     """Achievability channel for a feasible binary distortion instance."""
+    _check_bounds(c, d=d)
     if c < binary_entropy(src.p1) - _TOL:
         raise WitnessUnavailableError("instance is infeasible, no witness exists")
     _, region, eps = _classify_rdc_binary(src, d, c)
@@ -171,6 +179,7 @@ def rpc_binary_witness(src: BinaryPairSource, c: float) -> BinaryChannel:
     strictly exceed the closed-form rate for interior c (see the gap probe
     in the verify suite), so callers must not assume rate equality.
     """
+    _check_bounds(c)
     b = src.b
     if b < 1e-15:
         return BinaryChannel(1.0, 1.0)
@@ -196,10 +205,7 @@ def rpc_binary(src: BinaryPairSource, p: float, c: float) -> TradeoffPoint:
     feasible classification level, so the perception bound is never the
     binding constraint. Zero rate for c >= H(a); infeasible for c < H(p1).
     """
-    if not p >= 0.0:
-        raise DomainError(f"perception bound must be nonnegative: {p}")
-    if math.isnan(c):
-        raise DomainError("classification bound is NaN")
+    _check_bounds(c, p=p)
     h_p1 = binary_entropy(src.p1)
     h_a = binary_entropy(src.a)
     if c < h_p1 - _TOL:
@@ -286,10 +292,7 @@ def rdc_gaussian(src: GaussianPairSource, d: float, c: float) -> TradeoffPoint:
     slack at the constant reconstruction. Infeasible below the floor
     0.5 ln(1 - rho^2) + h(S).
     """
-    if not d >= 0.0:
-        raise DomainError(f"distortion bound must be nonnegative: {d}")
-    if math.isnan(c):
-        raise DomainError("classification bound is NaN")
+    _check_bounds(c, d=d)
     floor = gaussian_derived(src).feasibility_floor_c
     if c < floor - _TOL:
         return TradeoffPoint(
@@ -310,10 +313,7 @@ def rdc_gaussian_region(
 
     d* is reported as NaN for infeasible instances (no boundary exists).
     """
-    if not d >= 0.0:
-        raise DomainError(f"distortion bound must be nonnegative: {d}")
-    if math.isnan(c):
-        raise DomainError("classification bound is NaN")
+    _check_bounds(c, d=d)
     floor = gaussian_derived(src).feasibility_floor_c
     if c < floor - _TOL:
         return Region.INFEASIBLE, math.nan
@@ -328,6 +328,7 @@ def rpc_gaussian_witness(src: GaussianPairSource, c: float) -> GaussianReconstru
     and tilts only the covariance; at the feasibility floor the covariance
     saturates Cauchy-Schwarz and the rate diverges.
     """
+    _check_bounds(c)
     floor = gaussian_derived(src).feasibility_floor_c
     if c < floor - _TOL:
         raise DomainError(f"c={c} is below the feasibility floor {floor}")
@@ -346,10 +347,7 @@ def rpc_gaussian(src: GaussianPairSource, p: float, c: float) -> TradeoffPoint:
     distribution costs nothing in rate here, so only the classification
     bound matters. Zero rate for c >= h(S); infeasible below the floor.
     """
-    if not p >= 0.0:
-        raise DomainError(f"perception bound must be nonnegative: {p}")
-    if math.isnan(c):
-        raise DomainError("classification bound is NaN")
+    _check_bounds(c, p=p)
     floor = gaussian_derived(src).feasibility_floor_c
     if c < floor - _TOL:
         return TradeoffPoint(

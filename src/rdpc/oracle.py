@@ -8,19 +8,19 @@ feasible cell (with a half-step slack so optima between grid points are
 not screened out), then a pattern search tightens the best candidates to
 constraint tolerance 1e-9 with steps shrinking to 1e-7.
 
-Determinism contract: grids are evaluated as whole arrays, the argmin
-reduction runs over disjoint row chunks (one per worker) and merges
-(value, row, col) tuples, so ties always resolve to the lexicographically
-first grid cell no matter how many workers participate.
+Determinism contract: grids are evaluated as whole arrays in one thread,
+and each argmin is a single pass over the masked grid whose ties resolve
+to the lexicographically first cell (smallest row, then column). The
+``workers`` argument is accepted for compatibility and has no effect, so
+results never depend on it.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from math import log2
 from typing import Callable, Mapping
 
 import numpy as np
@@ -47,41 +47,107 @@ _EVAL_BUDGET = 60_000
 # a requested P = 0 is executed as this tolerance; exact equality is
 # measure-zero on a continuous parameter grid
 _P_ZERO_TOL = 1e-6
+# the 0 log 0 = 0 guard of entropy.binary_entropy
+_TINY = 1e-300
 
-_LN2 = math.log(2.0)
+Cell = tuple[float, int, int]  # (objective value, row, col) of a grid cell
 
 
-def _h2_bits_arr(x: np.ndarray) -> np.ndarray:
-    """Vectorized binary entropy in bits; entr handles the 0 log 0 ends."""
-    # imported here so that `import rdpc` does not load scipy.special
-    from scipy.special import entr
+def _h2_bits_arr(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Binary entropy in bits, elementwise: -(x log2 x + (1-x) log2(1-x)).
 
-    return (entr(x) + entr(1.0 - x)) / _LN2
+    The formula of the scalar ``binary_entropy``, with its guard: a term
+    whose argument is below 1e-300 is 0, so 0 log 0 = 0 without NaN or
+    warnings. ``out``, if given, receives the result and must not be ``x``.
+    """
+    x = np.asarray(x, dtype=float)
+    rest = 1.0 - x
+    out = np.empty_like(rest) if out is None else out
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 * log2(0), zeroed below
+        np.log2(rest, out=out)
+        out *= rest
+        np.copyto(out, 0.0, where=rest < _TINY)
+        np.log2(x, out=rest)
+        rest *= x
+    np.copyto(rest, 0.0, where=x < _TINY)
+    out += rest
+    return np.negative(out, out=out)
+
+
+def _binary_joint_arr(
+    b1, p1, pa: np.ndarray, pb: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q0, I(X; Xhat), H(S | Xhat)) in bits of binary channels, elementwise.
+
+    The formulas of ``_binary_point`` on broadcast arrays: ``b1`` is
+    P(X = 1), ``p1`` the label flip probability, (pa, pb) the channel and
+    q0 = P(Xhat = 0). Besides its results it allocates two scratch arrays.
+    """
+    shape = np.broadcast_shapes(*(np.shape(v) for v in (b1, p1, pa, pb)))
+    q0 = np.add((1.0 - b1) * pa, b1 * pb, out=np.empty(shape))
+    # each value of Xhat adds its probability times h(p1 * P(X=1 | Xhat)),
+    # the backward conditional clipped to [0, 1]; (1 - q0) > 0 iff q0 < 1
+    hs, cond, term = np.zeros(shape), np.empty(shape), np.empty(shape)
+    for num, weight in ((b1 * pb, q0), (b1 * (1.0 - pb), 1.0 - q0)):
+        cond.fill(0.0)
+        np.divide(num, weight, out=cond, where=weight > 0.0)
+        np.clip(cond, 0.0, 1.0, out=cond)
+        np.subtract(1.0, cond, out=term)
+        term *= p1
+        cond *= 1.0 - p1
+        cond += term
+        _h2_bits_arr(cond, out=term)
+        term *= weight
+        hs += term
+    info = _h2_bits_arr(q0, out=cond)
+    np.add((1.0 - b1) * _h2_bits_arr(pa), b1 * _h2_bits_arr(pb), out=term)
+    info -= term
+    np.clip(info, 0.0, None, out=info)
+    return q0, info, hs
 
 
 # ---------------------------------------------------------------------------
 # binary channels
 # ---------------------------------------------------------------------------
 
+def _binary_hs(b1: float, p1: float, q0: float, p_b: float) -> float:
+    """H(S | Xhat) in bits of the channel with P(Xhat = 0) = q0.
+
+    Here and in ``_binary_point``, ``binary_entropy`` (0 log 0 guard
+    included) and ``binary_convolution`` are written out with the same float
+    operations: the pattern search calls them 10^5 times per query.
+    """
+    if not 0.0 <= q0 <= 1.0:
+        raise DomainError(f"probability out of range: {q0}")
+    hs = 0.0
+    if q0 > 0.0:
+        c = min(max(b1 * p_b / q0, 0.0), 1.0)
+        x = p1 * (1.0 - c) + c * (1.0 - p1)
+        r = 1.0 - x
+        h = -(0.0 if x < _TINY else x * log2(x)) - (0.0 if r < _TINY else r * log2(r))
+        hs += q0 * h
+    if q0 < 1.0:
+        c = min(max(b1 * (1.0 - p_b) / (1.0 - q0), 0.0), 1.0)
+        x = p1 * (1.0 - c) + c * (1.0 - p1)
+        r = 1.0 - x
+        h = -(0.0 if x < _TINY else x * log2(x)) - (0.0 if r < _TINY else r * log2(r))
+        hs += (1.0 - q0) * h
+    return hs
+
+
 def _binary_point(
     b1: float, p1: float, p_a: float, p_b: float
 ) -> tuple[float, float, float, float]:
     """(mutual_info, distortion, tv, cond_entropy_S) for one channel."""
     q0 = (1.0 - b1) * p_a + b1 * p_b
+    hs = _binary_hs(b1, p1, q0, p_b)
+    r, ra, rb = 1.0 - q0, 1.0 - p_a, 1.0 - p_b
+    h_q0 = -(0.0 if q0 < _TINY else q0 * log2(q0)) - (0.0 if r < _TINY else r * log2(r))
+    h_a = -(0.0 if p_a < _TINY else p_a * log2(p_a)) - (0.0 if ra < _TINY else ra * log2(ra))
+    h_b = -(0.0 if p_b < _TINY else p_b * log2(p_b)) - (0.0 if rb < _TINY else rb * log2(rb))
+    info = h_q0 - ((1.0 - b1) * h_a + b1 * h_b)
     dist = (1.0 - b1) * (1.0 - p_a) + b1 * p_b
-    tv = abs(q0 - (1.0 - b1))
-    info = binary_entropy(q0) - (
-        (1.0 - b1) * binary_entropy(p_a) + b1 * binary_entropy(p_b)
-    )
-    info = max(info, 0.0)
-    hs = 0.0
-    if q0 > 0.0:
-        x1_given_0 = min(max(b1 * p_b / q0, 0.0), 1.0)
-        hs += q0 * binary_entropy(binary_convolution(p1, x1_given_0))
-    if q0 < 1.0:
-        x1_given_1 = min(max(b1 * (1.0 - p_b) / (1.0 - q0), 0.0), 1.0)
-        hs += (1.0 - q0) * binary_entropy(binary_convolution(p1, x1_given_1))
-    return info, dist, tv, hs
+    return max(info, 0.0), dist, abs(q0 - (1.0 - b1)), hs
 
 
 def binary_channel_stats(src: BinaryPairSource, ch: BinaryChannel) -> ChannelStats:
@@ -110,59 +176,25 @@ def _binary_grid(a: float, p1: float, n: int) -> dict:
     axis = np.linspace(0.0, 1.0, n)
     pa = axis[:, None]
     pb = axis[None, :]
-    q0 = (1.0 - b1) * pa + b1 * pb
+    tv, info, hs = _binary_joint_arr(b1, p1, pa, pb)
     dist = (1.0 - b1) * (1.0 - pa) + b1 * pb
-    tv = np.abs(q0 - (1.0 - b1))
-    info = _h2_bits_arr(q0) - (
-        (1.0 - b1) * _h2_bits_arr(pa) + b1 * _h2_bits_arr(pb)
-    )
-    np.clip(info, 0.0, None, out=info)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c_given_0 = np.where(q0 > 0.0, b1 * pb / np.where(q0 > 0.0, q0, 1.0), 0.0)
-        c_given_1 = np.where(
-            q0 < 1.0, b1 * (1.0 - pb) / np.where(q0 < 1.0, 1.0 - q0, 1.0), 0.0
-        )
-    np.clip(c_given_0, 0.0, 1.0, out=c_given_0)
-    np.clip(c_given_1, 0.0, 1.0, out=c_given_1)
-    conv0 = p1 * (1.0 - c_given_0) + c_given_0 * (1.0 - p1)
-    conv1 = p1 * (1.0 - c_given_1) + c_given_1 * (1.0 - p1)
-    hs = q0 * _h2_bits_arr(conv0) + (1.0 - q0) * _h2_bits_arr(conv1)
+    tv -= 1.0 - b1  # q0 becomes |q0 - (1 - b1)| in place
+    np.abs(tv, out=tv)
     return {"info": info, "dist": dist, "tv": tv, "hs": hs}
 
 
-def _chunked_masked_argmin(
-    obj: np.ndarray, mask: np.ndarray, workers: int
-) -> tuple[float, int, int] | None:
-    """Deterministic argmin of obj over mask, chunked by rows.
+def _masked_argmin(obj: np.ndarray, mask: np.ndarray) -> Cell | None:
+    """(value, row, col) of the smallest ``obj`` over the 2-D ``mask``.
 
-    Each chunk reports (value, row, col); the merge takes the tuple
-    minimum, i.e. smallest value with lexicographic index tie-break, which
-    is independent of the chunk layout. At most ``os.cpu_count()`` threads
-    run (one when that is unknown), whatever ``workers`` asks for.
+    ``obj`` broadcasts against ``mask``. Ties go to the lexicographically
+    first cell; None when no masked value is finite.
     """
-    rows = obj.shape[0]
-    k = max(1, min(int(workers), rows, os.cpu_count() or 1))
-    bounds = [round(i * rows / k) for i in range(k + 1)]
-
-    def one(i: int) -> tuple[float, int, int] | None:
-        r0, r1 = bounds[i], bounds[i + 1]
-        if r0 >= r1:
-            return None
-        sub = np.where(mask[r0:r1], obj[r0:r1], np.inf)
-        flat = int(np.argmin(sub))
-        val = float(sub.flat[flat])
-        if not math.isfinite(val):
-            return None
-        ia, ib = divmod(flat, sub.shape[1])
-        return (val, r0 + ia, ib)
-
-    if k == 1:
-        parts = [one(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=k) as pool:
-            parts = list(pool.map(one, range(k)))
-    found = [p for p in parts if p is not None]
-    return min(found) if found else None
+    sub = np.where(mask, obj, np.inf)
+    flat = int(np.argmin(sub))
+    val = float(sub.flat[flat])
+    if not math.isfinite(val):
+        return None
+    return (val, *divmod(flat, sub.shape[1]))
 
 
 def _normalize_constraints(constraints: Mapping[str, float]) -> dict[str, float]:
@@ -172,6 +204,8 @@ def _normalize_constraints(constraints: Mapping[str, float]) -> dict[str, float]
         if k not in ("D", "P", "C"):
             raise DomainError(f"unknown constraint {key!r}; use D, P, or C")
         v = float(value)
+        if math.isnan(v):
+            raise DomainError(f"constraint {k} is NaN")
         if k in ("D", "P") and v < 0.0:
             raise DomainError(f"constraint {k} must be nonnegative: {v}")
         if k == "P" and v == 0.0:
@@ -267,6 +301,60 @@ def _pattern_search(
     return rate, x[0], x[1]
 
 
+def _screened_min(
+    result: Callable[..., OracleResult],
+    tight: np.ndarray,
+    slack: np.ndarray,
+    best_of: Callable[[np.ndarray], Cell | None],
+    axes: tuple[np.ndarray, np.ndarray],
+    search: Callable[[tuple[float, float]], tuple[float, float, float] | None] | None,
+    witness: Callable[[float, float], tuple[BinaryChannel | GaussianReconstruction, float]],
+) -> OracleResult:
+    """The oracle's answer from its tight and slack-widened screens.
+
+    The candidates are the best tight cell (the best slack cell when there
+    is no refinement, i.e. ``search`` is None) and the end of every
+    feasible pattern search started from either; the least (rate, x, y)
+    wins and ``witness`` turns it into the argmin and its exact rate;
+    ``axes`` are the grid coordinates of the rows and the columns.
+    """
+
+    def point(cell: Cell) -> tuple[float, float]:
+        return float(axes[0][cell[1]]), float(axes[1][cell[2]])
+
+    feasible_points = int(np.count_nonzero(slack))
+    if feasible_points == 0:
+        return result(rate=math.nan, argmin=None, refined=False, feasible=False,
+                      feasible_points=0)
+    best_tight, best_slack = best_of(tight), best_of(slack)
+    candidates: list[tuple[float, float, float]] = []
+    if best_tight is not None:
+        candidates.append((best_tight[0], *point(best_tight)))
+    elif search is None and best_slack is not None:
+        # without refinement the half-step screen is the declared tolerance
+        candidates.append((best_slack[0], *point(best_slack)))
+
+    refined = False
+    if search is not None:
+        starts: list[tuple[float, float]] = []
+        for cell in (best_tight, best_slack):
+            if cell is not None and point(cell) not in starts:
+                starts.append(point(cell))
+        for pt in starts:
+            out = search(pt)
+            if out is not None:
+                candidates.append(out)
+                refined = True
+
+    if not candidates:
+        return result(rate=math.nan, argmin=None, refined=refined, feasible=False,
+                      feasible_points=feasible_points)
+    _, x, y = min(candidates)
+    argmin, rate = witness(x, y)
+    return result(rate=rate, argmin=argmin, refined=refined, feasible=True,
+                  feasible_points=feasible_points)
+
+
 def binary_min_rate(
     src: BinaryPairSource,
     constraints: Mapping[str, float],
@@ -282,7 +370,8 @@ def binary_min_rate(
     feasibility screen widens distortion/perception bounds by half a grid
     step and the entropy bound by a matching continuity modulus, and
     refinement re-checks everything at 1e-9. Returns an infeasible result
-    (rate NaN, no argmin) rather than raising when nothing qualifies.
+    (rate NaN, no argmin) rather than raising when nothing qualifies; a NaN
+    bound raises ``DomainError``. ``workers`` is accepted and has no effect.
     """
     if not 1e-4 <= resolution <= 1e-1:
         raise DomainError(f"resolution {resolution} outside [1e-4, 1e-1]")
@@ -311,32 +400,13 @@ def binary_min_rate(
         tight_mask &= values <= bound + _TIGHT
         slack_mask &= values <= bound + slack[key]
 
-    feasible_points = int(slack_mask.sum())
-    if feasible_points == 0:
-        return OracleResult(
-            rate=math.nan, unit=Unit.BITS, argmin=None, grid_resolution=step,
-            refined=False, feasible=False, feasible_points=0, constraints=cons,
-        )
-
     axis = np.linspace(0.0, 1.0, n)
-    best_tight = _chunked_masked_argmin(grid["info"], tight_mask, workers)
-    best_slack = _chunked_masked_argmin(grid["info"], slack_mask, workers)
 
-    def stats_at(pa: float, pb: float) -> tuple[float, float, float, float]:
-        return _binary_point(b1, p1, pa, pb)
+    def witness(pa: float, pb: float) -> tuple[BinaryChannel, float]:
+        ch = BinaryChannel(pa, pb)
+        return ch, binary_channel_stats(src, ch).mutual_info
 
-    candidates: list[tuple[float, float, float]] = []
-    if best_tight is not None:
-        candidates.append(
-            (best_tight[0], float(axis[best_tight[1]]), float(axis[best_tight[2]]))
-        )
-    elif not refine and best_slack is not None:
-        # without refinement the half-step screen is the declared tolerance
-        candidates.append(
-            (best_slack[0], float(axis[best_slack[1]]), float(axis[best_slack[2]]))
-        )
-
-    refined = False
+    search = None
     if refine:
         norm = math.hypot(b1, 1.0 - b1)
         fixed = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
@@ -345,54 +415,37 @@ def binary_min_rate(
         if "P" in cons:
             fixed += [(b1 / norm, -(1.0 - b1) / norm), (-b1 / norm, (1.0 - b1) / norm)]
 
+        def stats_at(pa: float, pb: float) -> tuple[float, float, float, float]:
+            return _binary_point(b1, p1, pa, pb)
+
         c_tangent = None
         if "C" in cons:
+
+            def hs_at(pa: float, pb: float) -> float:
+                return _binary_hs(b1, p1, (1.0 - b1) * pa + b1 * pb, pb)
 
             def c_tangent(x: tuple[float, float]) -> tuple[float, float] | None:
                 h = 1e-6
                 pa, pb = x
                 ga = (
-                    stats_at(min(pa + h, 1.0), pb)[3]
-                    - stats_at(max(pa - h, 0.0), pb)[3]
+                    hs_at(min(pa + h, 1.0), pb) - hs_at(max(pa - h, 0.0), pb)
                 ) / (min(pa + h, 1.0) - max(pa - h, 0.0))
                 gb = (
-                    stats_at(pa, min(pb + h, 1.0))[3]
-                    - stats_at(pa, max(pb - h, 0.0))[3]
+                    hs_at(pa, min(pb + h, 1.0)) - hs_at(pa, max(pb - h, 0.0))
                 ) / (min(pb + h, 1.0) - max(pb - h, 0.0))
                 nrm = math.hypot(ga, gb)
                 if nrm < 1e-14:
                     return None
                 return (-gb / nrm, ga / nrm)
 
-        starts = []
-        for cand in (best_tight, best_slack):
-            if cand is not None:
-                pt = (float(axis[cand[1]]), float(axis[cand[2]]))
-                if pt not in starts:
-                    starts.append(pt)
-        for pt in starts:
-            out = _pattern_search(
-                pt, stats_at, cons, ((0.0, 1.0), (0.0, 1.0)),
-                fixed, c_tangent, step,
-            )
-            if out is not None:
-                candidates.append(out)
-                refined = True
+        def search(pt: tuple[float, float]) -> tuple[float, float, float] | None:
+            box = ((0.0, 1.0), (0.0, 1.0))
+            return _pattern_search(pt, stats_at, cons, box, fixed, c_tangent, step)
 
-    if not candidates:
-        return OracleResult(
-            rate=math.nan, unit=Unit.BITS, argmin=None, grid_resolution=step,
-            refined=refined, feasible=False, feasible_points=feasible_points,
-            constraints=cons,
-        )
-
-    _, pa_best, pb_best = min(candidates, key=lambda c: (c[0], c[1], c[2]))
-    argmin = BinaryChannel(pa_best, pb_best)
-    rate = binary_channel_stats(src, argmin).mutual_info
-    return OracleResult(
-        rate=rate, unit=Unit.BITS, argmin=argmin, grid_resolution=step,
-        refined=refined, feasible=True, feasible_points=feasible_points,
-        constraints=cons,
+    result = partial(OracleResult, unit=Unit.BITS, grid_resolution=step, constraints=cons)
+    return _screened_min(
+        result, tight_mask, slack_mask,
+        lambda mask: _masked_argmin(grid["info"], mask), (axis, axis), search, witness,
     )
 
 
@@ -407,7 +460,8 @@ def gaussian_recon_stats(
 
     Sentinels at the degenerate corners: an exact copy (correlation 1)
     reports infinite rate; a constant reconstruction reports infinite KL
-    and the unconditional label entropy.
+    and the unconditional label entropy. A covariance whose square
+    overflows, or that breaks Cauchy-Schwarz, raises ``DomainError``.
     """
     vx = src.var_x
     if rec.var_xh == 0.0:
@@ -416,11 +470,13 @@ def gaussian_recon_stats(
             mutual_info=0.0, distortion=mse, perception=math.inf,
             cond_entropy_s=src.h_s, unit=Unit.NATS,
         )
-    ratio = rec.cov_xxh**2 / (vx * rec.var_xh)
+    try:
+        cov2 = rec.cov_xxh**2
+    except OverflowError:  # a Python float raises where numpy gives inf
+        raise DomainError(f"cov^2 overflows at cov_xxh={rec.cov_xxh}") from None
+    ratio = cov2 / (vx * rec.var_xh)
     if ratio > 1.0 + 1e-12:
-        raise DomainError(
-            f"cov^2={rec.cov_xxh**2} exceeds var_x*var_xh={vx * rec.var_xh}"
-        )
+        raise DomainError(f"cov^2={cov2} exceeds var_x*var_xh={vx * rec.var_xh}")
     ratio = min(ratio, 1.0)
     info = math.inf if ratio >= 1.0 else -0.5 * math.log1p(-ratio)
     mse = (src.mu_x - rec.mu_xh) ** 2 + vx + rec.var_xh - 2.0 * rec.cov_xxh
@@ -457,12 +513,11 @@ def _gauss_point(
 def _gaussian_grid(
     vx: float, rho2: float, h_s: float, s_hi: float, ns: int, nt: int
 ) -> dict:
-    """Objective and constraint arrays over the (s, t) lattice plus the
-    per-point half-step feasibility slacks (analytic derivative bounds).
-
-    The s = 0 row is special-cased: a zero-variance reconstruction is the
-    same constant regardless of t, so its rate is 0 and its label entropy
-    is the unconditional h(S), not the values the t-formulas suggest.
+    """Screen values over the (s, t) lattice with their half-step slacks
+    (analytic derivative bounds). MSE is 2-D, KL depends on s alone, rate
+    and label entropy on t alone except in row 0: s = 0 is a constant
+    reconstruction whatever t, with rate 0, label entropy h(S) (``hs_0``)
+    and entropy slack 0 (``slack_hs_0``).
     """
     s = np.linspace(0.0, s_hi, ns)
     t = np.linspace(-1.0, 1.0, nt)
@@ -481,31 +536,36 @@ def _gaussian_grid(
             + (vx - s * s) / np.where(s > 0, 2.0 * s * s, 1.0),
             np.inf,
         )
-    mse = vx + (s * s)[:, None] - 2.0 * sx * np.outer(s, t)
-    rate = np.tile(rate_t[None, :], (ns, 1))
-    hs = np.tile(hs_t[None, :], (ns, 1))
+    # vx + s^2 - 2 sx s t, built in one array
+    mse = np.outer(s, t)
+    mse *= 2.0 * sx
+    np.subtract(vx + (s * s)[:, None], mse, out=mse)
 
     # half-step movement bounds for the screen: |d mse| <= ds|2s-2 sx t| + dt 2 sx s,
     # |d kl/ds| = |1/s - vx/s^3|, |d hs/dt| = rho^2 |t| / (1 - rho^2 t^2)
-    slack_mse = 0.5 * (
-        ds * np.abs(2.0 * s[:, None] - 2.0 * sx * t[None, :])
-        + dt * 2.0 * sx * s[:, None]
-    )
+    slack_mse = np.subtract(2.0 * s[:, None], 2.0 * sx * t[None, :])
+    np.abs(slack_mse, out=slack_mse)
+    slack_mse *= ds
+    slack_mse += dt * 2.0 * sx * s[:, None]
+    slack_mse *= 0.5
     with np.errstate(divide="ignore", invalid="ignore"):
         slack_kl = 0.5 * ds * np.where(s > 0.0, np.abs(1.0 / s - vx / s**3), np.inf)
         slack_hs_t = 0.5 * dt * np.where(arg > 0.0, rho2 * np.abs(t) / arg, np.inf)
-    slack_hs = np.tile(slack_hs_t[None, :], (ns, 1))
-
-    if s[0] == 0.0:
-        rate[0, :] = 0.0
-        hs[0, :] = h_s
-        slack_hs[0, :] = 0.0
 
     return {
         "s": s, "t": t, "ds": float(ds), "dt": float(dt),
-        "rate": rate, "mse": mse, "kl_s": kl_s, "hs": hs,
-        "slack_mse": slack_mse, "slack_kl": slack_kl, "slack_hs": slack_hs,
+        "rate_t": rate_t, "mse": mse, "kl_s": kl_s, "hs_t": hs_t, "hs_0": h_s,
+        "slack_mse": slack_mse, "slack_kl": slack_kl,
+        "slack_hs_t": slack_hs_t, "slack_hs_0": 0.0,
     }
+
+
+def _gaussian_argmin(grid: dict, mask: np.ndarray) -> Cell | None:
+    """``_masked_argmin`` of the rate over the (s, t) lattice. Row 0 (rate
+    0, which no rate_t undercuts) comes first, so a masked cell there wins."""
+    if mask[0].any():
+        return 0.0, 0, int(np.argmax(mask[0]))
+    return _masked_argmin(grid["rate_t"], mask)
 
 
 def gaussian_min_rate(
@@ -523,7 +583,8 @@ def gaussian_min_rate(
     given) times normalized correlation in [-1, 1]; the covariance is
     their product scaled by sigma_x, which spans every admissible value.
     Restricting to jointly Gaussian reconstructions is an assumption the
-    search cannot test, and results should be read under it.
+    search cannot test, and results should be read under it. A NaN bound
+    raises ``DomainError``; ``workers`` is accepted and has no effect.
     """
     if sigma_steps < 2 or theta_steps < 2:
         raise DomainError("need at least 2 grid steps per axis")
@@ -539,54 +600,41 @@ def gaussian_min_rate(
     def cap(arr: np.ndarray, bound: float) -> np.ndarray:
         return np.minimum(arr, 0.5 * (1.0 + abs(bound)))
 
-    tight = np.ones((ns, nt), dtype=bool)
-    slackm = np.ones((ns, nt), dtype=bool)
+    # only the D screen is 2-D; the P screen is per row and the C screen
+    # per column (row 0 apart), and both broadcast into it
     if "D" in cons:
-        tight &= grid["mse"] <= cons["D"] + _TIGHT
-        slackm &= grid["mse"] <= cons["D"] + cap(grid["slack_mse"], cons["D"]) + _TIGHT
+        d = cons["D"]
+        tight = grid["mse"] <= d + _TIGHT
+        widened = cap(grid["slack_mse"], d)
+        widened += d
+        widened += _TIGHT
+        slackm = grid["mse"] <= widened
+    else:
+        tight = np.ones((ns, nt), dtype=bool)
+        slackm = np.ones((ns, nt), dtype=bool)
     if "P" in cons:
+        p = cons["P"]
         finite = np.isfinite(grid["kl_s"])
-        tight &= finite[:, None] & (grid["kl_s"][:, None] <= cons["P"] + _TIGHT)
-        widened = cons["P"] + cap(grid["slack_kl"], cons["P"]) + _TIGHT
-        slackm &= finite[:, None] & (grid["kl_s"][:, None] <= widened[:, None])
+        tight &= (finite & (grid["kl_s"] <= p + _TIGHT))[:, None]
+        widened_p = p + cap(grid["slack_kl"], p) + _TIGHT
+        slackm &= (finite & (grid["kl_s"] <= widened_p))[:, None]
     if "C" in cons:
-        tight &= grid["hs"] <= cons["C"] + _TIGHT
-        slackm &= grid["hs"] <= cons["C"] + cap(grid["slack_hs"], cons["C"]) + _TIGHT
+        c = cons["C"]
+        for row, hs, slack in ((slice(0, 1), "hs_0", "slack_hs_0"),
+                               (slice(1, None), "hs_t", "slack_hs_t")):
+            tight[row] &= grid[hs] <= c + _TIGHT
+            slackm[row] &= grid[hs] <= c + cap(grid[slack], c) + _TIGHT
 
-    feasible_points = int(slackm.sum())
-    if feasible_points == 0:
-        return OracleResult(
-            rate=math.nan, unit=Unit.NATS, argmin=None, grid_resolution=step,
-            refined=False, feasible=False, feasible_points=0, constraints=cons,
-        )
+    def witness(s: float, t: float) -> tuple[GaussianReconstruction, float]:
+        rec = GaussianReconstruction(src.mu_x, s**2, sx * s * t)
+        return rec, gaussian_recon_stats(src, rec).mutual_info
 
-    best_tight = _chunked_masked_argmin(grid["rate"], tight, workers)
-    best_slack = _chunked_masked_argmin(grid["rate"], slackm, workers)
-
-    def stats_at(s: float, t: float) -> tuple[float, float, float, float]:
-        return _gauss_point(src, s, t)
-
-    candidates: list[tuple[float, float, float]] = []
-    if best_tight is not None:
-        candidates.append(
-            (
-                best_tight[0],
-                float(grid["s"][best_tight[1]]),
-                float(grid["t"][best_tight[2]]),
-            )
-        )
-    elif not refine and best_slack is not None:
-        candidates.append(
-            (
-                best_slack[0],
-                float(grid["s"][best_slack[1]]),
-                float(grid["t"][best_slack[2]]),
-            )
-        )
-
-    refined = False
+    search = None
     if refine:
         fixed = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
+
+        def stats_at(s: float, t: float) -> tuple[float, float, float, float]:
+            return _gauss_point(src, s, t)
 
         def mse_tangent(x: tuple[float, float]) -> tuple[float, float] | None:
             s, t = x
@@ -599,35 +647,14 @@ def gaussian_min_rate(
 
         tangent = mse_tangent if "D" in cons else None
 
-        starts = []
-        for cand in (best_tight, best_slack):
-            if cand is not None:
-                pt = (float(grid["s"][cand[1]]), float(grid["t"][cand[2]]))
-                if pt not in starts:
-                    starts.append(pt)
-        for pt in starts:
-            out = _pattern_search(
-                pt, stats_at, cons, ((0.0, s_hi), (-1.0, 1.0)),
-                fixed, tangent, step,
-            )
-            if out is not None:
-                candidates.append(out)
-                refined = True
+        def search(pt: tuple[float, float]) -> tuple[float, float, float] | None:
+            box = ((0.0, s_hi), (-1.0, 1.0))
+            return _pattern_search(pt, stats_at, cons, box, fixed, tangent, step)
 
-    if not candidates:
-        return OracleResult(
-            rate=math.nan, unit=Unit.NATS, argmin=None, grid_resolution=step,
-            refined=refined, feasible=False, feasible_points=feasible_points,
-            constraints=cons,
-        )
-
-    _, s_best, t_best = min(candidates, key=lambda c: (c[0], c[1], c[2]))
-    argmin = GaussianReconstruction(src.mu_x, s_best**2, sx * s_best * t_best)
-    rate = gaussian_recon_stats(src, argmin).mutual_info
-    return OracleResult(
-        rate=rate, unit=Unit.NATS, argmin=argmin, grid_resolution=step,
-        refined=refined, feasible=True, feasible_points=feasible_points,
-        constraints=cons,
+    result = partial(OracleResult, unit=Unit.NATS, grid_resolution=step, constraints=cons)
+    return _screened_min(
+        result, tight, slackm, lambda mask: _gaussian_argmin(grid, mask),
+        (grid["s"], grid["t"]), search, witness,
     )
 
 

@@ -5,9 +5,8 @@ and reports measured extremes next to the tolerance it compared against,
 so a report is useful even when everything passes. Suites draw any
 randomness from a generator seeded by (seed, fixed per-suite index);
 results are therefore reproducible and independent of which other suites
-run alongside, and the worker count only partitions oracle grids whose
-reduction is order-independent, so reports are byte-identical across
-worker counts.
+run alongside. The worker count is accepted and has no effect, so reports
+are byte-identical across worker counts.
 
 One suite is special: the binary perception probe measures the distance
 between the closed-form rate at C = 0.6 and the brute-force optimum on
@@ -42,6 +41,7 @@ from .entropy import (
 )
 from .errors import DomainError
 from .oracle import (
+    _binary_joint_arr,
     _h2_bits_arr,
     binary_channel_stats,
     binary_min_rate,
@@ -167,7 +167,7 @@ def _max_increase(values: Sequence[float]) -> float:
 # suites
 # ---------------------------------------------------------------------------
 
-def _suite_entropy(seed: int, workers: int) -> SuiteResult:
+def _suite_entropy(seed: int) -> SuiteResult:
     rec = _Recorder()
     rng = _rng_for(seed, 0)
 
@@ -234,30 +234,18 @@ def _mgl_margins(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(lhs, rhs) of the conditional-entropy lower bound, elementwise.
 
-    Same joint-law formulas the scalar checker uses, restated on arrays
-    so a hundred thousand draws stay affordable.
+    The joint-law statistics come from the oracle's array form of the
+    scalar checker's formulas, so a hundred thousand draws stay affordable.
     """
     b1 = (a - p1) / (1.0 - 2.0 * p1)
-    q0 = (1.0 - b1) * pa + b1 * pb
-    info = _h2_bits_arr(q0) - (
-        (1.0 - b1) * _h2_bits_arr(pa) + b1 * _h2_bits_arr(pb)
-    )
-    np.clip(info, 0.0, None, out=info)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x1_g0 = np.clip(np.where(q0 > 0, b1 * pb / np.where(q0 > 0, q0, 1), 0), 0, 1)
-        x1_g1 = np.clip(
-            np.where(q0 < 1, b1 * (1 - pb) / np.where(q0 < 1, 1 - q0, 1), 0), 0, 1
-        )
-    conv0 = p1 * (1.0 - x1_g0) + x1_g0 * (1.0 - p1)
-    conv1 = p1 * (1.0 - x1_g1) + x1_g1 * (1.0 - p1)
-    lhs = q0 * _h2_bits_arr(conv0) + (1.0 - q0) * _h2_bits_arr(conv1)
+    _, info, lhs = _binary_joint_arr(b1, p1, pa, pb)
     h_x_given = np.clip(_h2_bits_arr(b1) - info, 0.0, 1.0)
     eps = _h2_inv_arr(h_x_given)
     rhs = _h2_bits_arr(p1 * (1.0 - eps) + eps * (1.0 - p1))
     return lhs, rhs
 
 
-def _suite_mgl(seed: int, workers: int) -> SuiteResult:
+def _suite_mgl(seed: int) -> SuiteResult:
     rec = _Recorder()
     rng = _rng_for(seed, 1)
     n = 100_000
@@ -292,7 +280,7 @@ def _suite_mgl(seed: int, workers: int) -> SuiteResult:
     return rec.result("mgl")
 
 
-def _suite_convexity(seed: int, workers: int) -> SuiteResult:
+def _suite_convexity(seed: int) -> SuiteResult:
     rec = _Recorder()
     rng = _rng_for(seed, 2)
 
@@ -358,15 +346,12 @@ _BINARY_ORACLE_SOURCES = (BinaryPairSource(0.3, 0.1), BinaryPairSource(0.45, 0.2
 _BINARY_ORACLE_DC = ((0.1, 0.85), (0.3, 0.6), (0.3, 1.0), (0.02, 0.95), (0.25, 0.5))
 
 
-def _suite_oracle_rdc_binary(seed: int, workers: int) -> SuiteResult:
+def _suite_oracle_rdc_binary(seed: int) -> SuiteResult:
     rec = _Recorder()
     for src in _BINARY_ORACLE_SOURCES:
         for d, c in _BINARY_ORACLE_DC:
             closed = rdc_binary(src, d, c)
-            got = binary_min_rate(
-                src, {"D": d, "C": c}, resolution=1e-3, refine=True,
-                workers=workers,
-            )
+            got = binary_min_rate(src, {"D": d, "C": c}, resolution=1e-3, refine=True)
             rec.flag("feasibility_agreement", closed.feasible == got.feasible)
             if closed.feasible and got.feasible:
                 rec.worst("max_rate_diff", abs(closed.rate - got.rate), 1e-3)
@@ -380,7 +365,7 @@ def _suite_oracle_rdc_binary(seed: int, workers: int) -> SuiteResult:
     return rec.result("oracle-rdc-binary")
 
 
-def _suite_oracle_rdc_gaussian(seed: int, workers: int) -> SuiteResult:
+def _suite_oracle_rdc_gaussian(seed: int) -> SuiteResult:
     rec = _Recorder()
     src = GaussianPairSource(0.0, 0.0, 1.0, 0.49, 0.63)
     h = src.h_s
@@ -390,9 +375,7 @@ def _suite_oracle_rdc_gaussian(seed: int, workers: int) -> SuiteResult:
     ]
     for d, c in cases:
         closed = rdc_gaussian(src, d, c)
-        got = gaussian_min_rate(
-            src, {"D": d, "C": c}, refine=True, workers=workers
-        )
+        got = gaussian_min_rate(src, {"D": d, "C": c}, refine=True)
         rec.flag("feasibility_agreement", closed.feasible == got.feasible)
         if closed.feasible and got.feasible:
             rec.worst("max_rate_diff", abs(closed.rate - got.rate), 1e-3)
@@ -402,7 +385,7 @@ def _suite_oracle_rdc_gaussian(seed: int, workers: int) -> SuiteResult:
     return rec.result("oracle-rdc-gaussian")
 
 
-def _suite_oracle_rpc_gaussian(seed: int, workers: int) -> SuiteResult:
+def _suite_oracle_rpc_gaussian(seed: int) -> SuiteResult:
     rec = _Recorder()
     src = GaussianPairSource(0.0, 0.0, 1.0, 0.49, 0.63)
     h = src.h_s
@@ -414,9 +397,7 @@ def _suite_oracle_rpc_gaussian(seed: int, workers: int) -> SuiteResult:
     ]
     for p, c in cases:
         closed = rpc_gaussian(src, p, c)
-        got = gaussian_min_rate(
-            src, {"P": p, "C": c}, refine=True, workers=workers
-        )
+        got = gaussian_min_rate(src, {"P": p, "C": c}, refine=True)
         rec.flag("feasibility_agreement", closed.feasible == got.feasible)
         if closed.feasible and got.feasible:
             rec.worst("max_rate_diff", abs(closed.rate - got.rate), 1e-3)
@@ -428,17 +409,13 @@ def _suite_oracle_rpc_gaussian(seed: int, workers: int) -> SuiteResult:
     return rec.result("oracle-rpc-gaussian")
 
 
-def _suite_rpc_binary_gap_probe(
-    seed: int, workers: int
-) -> tuple[SuiteResult, list[GapProbe]]:
+def _suite_rpc_binary_gap_probe(seed: int) -> tuple[SuiteResult, list[GapProbe]]:
     rec = _Recorder()
     src = BinaryPairSource(0.3, 0.1)
     c = 0.6
 
     closed_rate = rpc_binary(src, 0.05, c).rate
-    relaxed = binary_min_rate(
-        src, {"C": c, "P": 0.05}, resolution=1e-3, workers=workers
-    )
+    relaxed = binary_min_rate(src, {"C": c, "P": 0.05}, resolution=1e-3)
     rec.worst("oracle_vs_closed_form_p0.05", abs(relaxed.rate - closed_rate), 1e-3)
     tv_at_relaxed = binary_channel_stats(src, relaxed.argmin).perception
     rec.worst("relaxed_argmin_tv", tv_at_relaxed, 0.05 + 1e-9)
@@ -448,9 +425,7 @@ def _suite_rpc_binary_gap_probe(
     rec.worst("line_witness_tv", abs(line_stats.perception), 1e-12)
     rec.worst("line_witness_cond_entropy_err", abs(line_stats.cond_entropy_s - c), 1e-9)
 
-    probe = binary_min_rate(
-        src, {"C": c, "P": 0.0}, resolution=1e-3, workers=workers
-    )
+    probe = binary_min_rate(src, {"C": c, "P": 0.0}, resolution=1e-3)
     rec.worst(
         "probe_vs_line_witness", abs(probe.rate - line_stats.mutual_info), 1e-3
     )
@@ -466,7 +441,7 @@ def _suite_rpc_binary_gap_probe(
     return rec.result("rpc-binary-gap-probe"), [gap]
 
 
-def _suite_restoration(seed: int, workers: int) -> SuiteResult:
+def _suite_restoration(seed: int) -> SuiteResult:
     rec = _Recorder()
     rng = _rng_for(seed, 7)
     model = default_model()
@@ -537,7 +512,7 @@ def _suite_restoration(seed: int, workers: int) -> SuiteResult:
     return rec.result("restoration")
 
 
-def _suite_rpc_given_d(seed: int, workers: int) -> SuiteResult:
+def _suite_rpc_given_d(seed: int) -> SuiteResult:
     rec = _Recorder()
     src = GaussianPairSource(0.0, 0.0, 1.0, 0.49, 0.63)
     h = src.h_s
@@ -622,7 +597,7 @@ def _suite_rpc_given_d(seed: int, workers: int) -> SuiteResult:
     return rec.result("rpc-given-d")
 
 
-_PLAIN_SUITES: dict[str, Callable[[int, int], SuiteResult]] = {
+_PLAIN_SUITES: dict[str, Callable[[int], SuiteResult]] = {
     "entropy": _suite_entropy,
     "mgl": _suite_mgl,
     "convexity": _suite_convexity,
@@ -654,9 +629,9 @@ def run_suites(
 ) -> VerifyReport:
     """Run the named suites (all of them by default) and build a report.
 
-    The report captures the seed but deliberately not the worker count:
-    identical (suite selection, seed) must yield identical reports no
-    matter how the oracle grids were partitioned.
+    ``workers`` is accepted and has no effect; the report captures the
+    seed and not the worker count, so identical (suite selection, seed)
+    yields identical reports.
     """
     selected = list(names) if names is not None else list(SUITE_NAMES)
     unknown = [n for n in selected if n not in SUITE_NAMES]
@@ -667,9 +642,9 @@ def run_suites(
     probes: list[GapProbe] = []
     for name in selected:
         if name == "rpc-binary-gap-probe":
-            result, found = _suite_rpc_binary_gap_probe(seed, workers)
+            result, found = _suite_rpc_binary_gap_probe(seed)
             suites.append(result)
             probes.extend(found)
         else:
-            suites.append(_PLAIN_SUITES[name](seed, workers))
+            suites.append(_PLAIN_SUITES[name](seed))
     return VerifyReport(seed=seed, suites=suites, gap_probes=probes)

@@ -102,17 +102,21 @@ def test_binary_source_help_states_the_accepted_ranges(capsys):
 
 
 def test_import_loads_no_scipy_integrate_or_special():
-    # every CLI command pays the import; only numeric_kl and the oracle
-    # grids need these scipy modules, and they import them when called
+    # every CLI command pays the import; only numeric_kl needs
+    # scipy.integrate, and it imports it when called. The oracle grids
+    # compute their entropies with numpy and need no scipy.special.
     code = (
         "import sys, rdpc; "
         "print(sorted(m for m in ('scipy.integrate', 'scipy.special') "
-        "if m in sys.modules))"
+        "if m in sys.modules)); "
+        "rdpc.binary_min_rate(rdpc.BinaryPairSource(0.3, 0.1), {'D': 0.2, 'C': 0.8}, "
+        "resolution=1e-2); "
+        "print('scipy.special' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(rdpc.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
-    assert out.strip() == "[]"
+    assert out.split() == ["[]", "False"]
 
 
 def test_surface_csv_schema_and_order(capsys):

@@ -254,6 +254,10 @@ def test_rpc_gaussian_monotone_in_c(c1, c2):
         (rdc_gaussian_region, (GSRC, 0.5, math.nan)),
         (rpc_gaussian, (GSRC, math.nan, H_S - 0.05)),
         (rpc_gaussian, (GSRC, 0.1, math.nan)),
+        (rdc_binary_witness, (SRC, math.nan, 0.6)),
+        (rdc_binary_witness, (SRC, 0.1, math.nan)),
+        (rpc_binary_witness, (SRC, math.nan)),
+        (rpc_gaussian_witness, (GSRC, math.nan)),
     ],
 )
 def test_nan_bounds_are_refused(solve, args):

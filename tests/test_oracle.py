@@ -1,5 +1,7 @@
 import math
 import os
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from rdpc import (
     rpc_gaussian,
 )
 from rdpc import oracle
+from rdpc.entropy import binary_convolution, binary_entropy
 
 SRC = BinaryPairSource(a=0.3, p1=0.1)
 GSRC = GaussianPairSource(0.0, 0.0, 1.0, 0.49, 0.63)
@@ -174,28 +177,188 @@ def test_gaussian_oracle_worker_count_is_invisible():
     assert lone.argmin == team.argmin
 
 
-@pytest.mark.parametrize("cpus, pools", [(2, [2]), (None, [])])
-def test_argmin_threads_capped_at_cpu_count(monkeypatch, cpus, pools):
-    made = []
+def test_oracles_start_no_thread(monkeypatch):
+    def refuse(thread):
+        raise AssertionError(f"the oracle started a thread: {thread}")
 
-    class RecordingPool:
-        """Records the pool size and maps in this thread; starts none."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    lone = binary_min_rate(SRC, {"D": 0.2, "C": 0.7}, resolution=2e-3, workers=8)
+    team = gaussian_min_rate(GSRC, {"D": 0.5, "C": H_S - 0.3}, workers=8)
+    assert lone.feasible and team.feasible
 
-        def __init__(self, max_workers):
-            made.append(max_workers)
 
-        def __enter__(self):
-            return self
+@pytest.mark.parametrize(
+    "oracle_min_rate, src, cons",
+    [
+        (binary_min_rate, SRC, {"D": math.nan, "C": 0.8}),
+        (binary_min_rate, SRC, {"D": 0.2, "C": math.nan}),
+        (binary_min_rate, SRC, {"P": math.nan, "C": 0.8}),
+        (gaussian_min_rate, GSRC, {"D": math.nan, "C": H_S}),
+        (gaussian_min_rate, GSRC, {"P": math.nan, "C": H_S}),
+        (gaussian_min_rate, GSRC, {"D": 0.5, "C": math.nan}),
+    ],
+)
+def test_nan_constraints_are_refused(oracle_min_rate, src, cons):
+    with pytest.raises(DomainError):
+        oracle_min_rate(src, cons)
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+def test_recon_stats_refuse_an_overflowing_covariance():
+    with pytest.raises(DomainError):
+        gaussian_recon_stats(GSRC, GaussianReconstruction(0.0, 1e300, 1e155))
+    # just inside the float range the statistics are still computed
+    stats = gaussian_recon_stats(GSRC, GaussianReconstruction(0.0, 1e300, 1e149))
+    assert stats.mutual_info == -0.5 * math.log1p(-(1e149**2 / 1e300))
 
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(oracle, "ThreadPoolExecutor", RecordingPool)
-    obj = np.arange(12.0).reshape(6, 2)[::-1]
-    mask = np.ones_like(obj, dtype=bool)
-    assert oracle._chunked_masked_argmin(obj, mask, 1001) == (0.0, 5, 0)
-    assert made == pools
+
+# ---------------------------------------------------------------------------
+# array kernels and the screen against the formulas they replace
+# ---------------------------------------------------------------------------
+
+def test_h2_kernel_matches_scalar_binary_entropy():
+    edges = [0.0, 1.0, 5e-324, 1e-300, 1.0 - 1e-16]
+    x = np.concatenate([np.random.default_rng(11).uniform(0.0, 1.0, 20_000), edges])
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        got = oracle._h2_bits_arr(x)
+        into = oracle._h2_bits_arr(x, out=np.full_like(x, np.nan))
+    assert not np.isnan(got).any()
+    assert np.array_equal(got, into)
+    worst = max(abs(g - binary_entropy(float(v))) for g, v in zip(got, x))
+    assert worst <= 4.5e-16
+    assert got[-5:].tolist() == [binary_entropy(v) for v in edges]
+
+
+def _scalar_binary_point(b1, p1, p_a, p_b):
+    """The channel statistics as first written, with the entropy module's
+    scalar functions (reference for the written-out fast path)."""
+    q0 = (1.0 - b1) * p_a + b1 * p_b
+    dist = (1.0 - b1) * (1.0 - p_a) + b1 * p_b
+    tv = abs(q0 - (1.0 - b1))
+    info = binary_entropy(q0) - (
+        (1.0 - b1) * binary_entropy(p_a) + b1 * binary_entropy(p_b)
+    )
+    info = max(info, 0.0)
+    hs = 0.0
+    if q0 > 0.0:
+        x1_given_0 = min(max(b1 * p_b / q0, 0.0), 1.0)
+        hs += q0 * binary_entropy(binary_convolution(p1, x1_given_0))
+    if q0 < 1.0:
+        x1_given_1 = min(max(b1 * (1.0 - p_b) / (1.0 - q0), 0.0), 1.0)
+        hs += (1.0 - q0) * binary_entropy(binary_convolution(p1, x1_given_1))
+    return info, dist, tv, hs
+
+
+def test_binary_point_is_the_scalar_formula_bit_for_bit():
+    rng = np.random.default_rng(12)
+    corners = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (1e-300, 5e-324)]
+    for a, frac in ((0.3, 1 / 3), (0.45, 0.44), (0.2, 0.0)):
+        src = BinaryPairSource(a, a * frac)
+        b1 = src.marginal_x1
+        points = corners + [tuple(v) for v in rng.uniform(0.0, 1.0, (2_000, 2))]
+        for p_a, p_b in points:
+            want = _scalar_binary_point(b1, src.p1, p_a, p_b)
+            assert oracle._binary_point(b1, src.p1, p_a, p_b) == want
+            q0 = (1.0 - b1) * p_a + b1 * p_b
+            assert oracle._binary_hs(b1, src.p1, q0, p_b) == want[3]
+    with pytest.raises(DomainError):
+        oracle._binary_point(0.5, 0.1, 1.0 + 1e-9, 1.0)
+
+
+def _tiled_gaussian_screen(src, cons, ns, nt):
+    """(feasible_points, best tight cell, best slack cell) from the screen
+    as first written: every field a full (s, t) array, rate, h(S|Xhat) and
+    their slacks tiled over the rows, one masked argmin per screen."""
+    vx = src.var_x
+    rho2 = src.rho**2
+    h_s = src.h_s
+    s_hi = math.sqrt(vx) * (1.0 + max(3.0, 2.0 * math.sqrt(cons.get("D", vx))))
+    s = np.linspace(0.0, s_hi, ns)
+    t = np.linspace(-1.0, 1.0, nt)
+    ds, dt, sx = s[1] - s[0], t[1] - t[0], math.sqrt(vx)
+    t2 = np.minimum(t * t, 1.0)
+    with np.errstate(divide="ignore"):
+        rate_t = -0.5 * np.log1p(-t2)
+        arg = 1.0 - rho2 * t2
+        hs_t = h_s + 0.5 * np.where(arg > 0.0, np.log(np.where(arg > 0, arg, 1.0)), -np.inf)
+        kl_s = np.where(
+            s > 0.0,
+            0.5 * np.log(np.where(s > 0, s * s / vx, 1.0))
+            + (vx - s * s) / np.where(s > 0, 2.0 * s * s, 1.0),
+            np.inf,
+        )
+    mse = vx + (s * s)[:, None] - 2.0 * sx * np.outer(s, t)
+    rate = np.tile(rate_t[None, :], (ns, 1))
+    hs = np.tile(hs_t[None, :], (ns, 1))
+    slack_mse = 0.5 * (
+        ds * np.abs(2.0 * s[:, None] - 2.0 * sx * t[None, :])
+        + dt * 2.0 * sx * s[:, None]
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slack_kl = 0.5 * ds * np.where(s > 0.0, np.abs(1.0 / s - vx / s**3), np.inf)
+        slack_hs_t = 0.5 * dt * np.where(arg > 0.0, rho2 * np.abs(t) / arg, np.inf)
+    slack_hs = np.tile(slack_hs_t[None, :], (ns, 1))
+    rate[0, :] = 0.0
+    hs[0, :] = h_s
+    slack_hs[0, :] = 0.0
+
+    def cap(arr, bound):
+        return np.minimum(arr, 0.5 * (1.0 + abs(bound)))
+
+    tight = np.ones((ns, nt), dtype=bool)
+    slackm = np.ones((ns, nt), dtype=bool)
+    if "D" in cons:
+        tight &= mse <= cons["D"] + 1e-9
+        slackm &= mse <= cons["D"] + cap(slack_mse, cons["D"]) + 1e-9
+    if "P" in cons:
+        finite = np.isfinite(kl_s)
+        tight &= finite[:, None] & (kl_s[:, None] <= cons["P"] + 1e-9)
+        widened = cons["P"] + cap(slack_kl, cons["P"]) + 1e-9
+        slackm &= finite[:, None] & (kl_s[:, None] <= widened[:, None])
+    if "C" in cons:
+        tight &= hs <= cons["C"] + 1e-9
+        slackm &= hs <= cons["C"] + cap(slack_hs, cons["C"]) + 1e-9
+
+    def argmin(mask):
+        sub = np.where(mask, rate, np.inf)
+        flat = int(np.argmin(sub))
+        val = float(sub.flat[flat])
+        return (val, *divmod(flat, nt)) if math.isfinite(val) else None
+
+    return int(slackm.sum()), argmin(tight), argmin(slackm)
+
+
+def test_gaussian_screen_equals_the_tiled_screen(monkeypatch):
+    cells = []
+
+    def recording_argmin(grid, mask):
+        cells.append(real_argmin(grid, mask))
+        return cells[-1]
+
+    real_argmin = oracle._gaussian_argmin
+    monkeypatch.setattr(oracle, "_gaussian_argmin", recording_argmin)
+    rng = np.random.default_rng(13)
+    row0_cases = 0
+    for _ in range(6):
+        var_x, var_s = rng.uniform(0.5, 2.0), rng.uniform(0.3, 1.5)
+        cov = rng.uniform(0.3, 0.95) * math.sqrt(var_x * var_s) * rng.choice([-1, 1])
+        src = GaussianPairSource(0.0, 0.0, var_x, var_s, cov)
+        h = src.h_s
+        for cons in (
+            {"D": 0.3 * var_x, "C": h - 0.2},
+            {"D": 1.2 * var_x, "C": h + 0.05},
+            {"D": 0.7 * var_x, "C": h - 0.05},
+            {"P": 1e-6, "C": h - 0.3},
+            {"P": 0.05, "C": h + 0.1},
+            {"P": 0.5, "C": h - 0.6},
+        ):
+            for ns, nt in ((801, 801), (301, 241)):
+                cells.clear()
+                got = gaussian_min_rate(src, cons, sigma_steps=ns, theta_steps=nt,
+                                        refine=False)
+                want = _tiled_gaussian_screen(src, cons, ns, nt)
+                assert got.feasible_points == want[0]
+                assert cells == ([] if want[0] == 0 else [want[1], want[2]])
+                row0_cases += any(c is not None and c[1] == 0 for c in cells)
+    assert row0_cases > 0
