@@ -177,6 +177,19 @@ def test_gaussian_oracle_worker_count_is_invisible():
     assert lone.argmin == team.argmin
 
 
+@pytest.mark.parametrize("cpus, pools", [(2, []), (None, [])])
+def test_argmin_threads_capped_at_cpu_count(monkeypatch, cpus, pools):
+    """The masked argmin is one numpy pass: whatever ``os.cpu_count()``
+    reports, it starts no thread, so it never exceeds the CPU count."""
+    started = []
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(threading.Thread, "start", started.append)
+    obj = np.arange(12.0).reshape(6, 2)[::-1]
+    mask = np.ones_like(obj, dtype=bool)
+    assert oracle._masked_argmin(obj, mask) == (0.0, 5, 0)
+    assert started == pools
+
+
 def test_oracles_start_no_thread(monkeypatch):
     def refuse(thread):
         raise AssertionError(f"the oracle started a thread: {thread}")
