@@ -20,12 +20,33 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError
 
-_LN2 = math.log(2.0)
 _TINY = 1e-300
 
-# Subdivision budget for adaptive quadrature. Retries double the interval
-# limit until it passes this cap, then give up loudly.
-_QUAD_LIMIT_BUDGET = 1_000_000
+# Gauss-Kronrod G10/K21 pair (QUADPACK qk21; Piessens et al., 1983): the
+# Kronrod abscissae on [0, 1] from the outermost in, their weights, and the
+# 10-point Gauss weights of the odd-indexed abscissae, rounded to float64.
+_K21_X = (
+    0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+    0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+    0.2943928627014602, 0.14887433898163122, 0.0,
+)
+_K21_W = (
+    0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
+    0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
+    0.14277593857706009, 0.14773910490133849, 0.1494455540029169,
+)
+_G10_W = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
+          0.26926671930999635, 0.29552422471475287)
+# the 21 nodes on [-1, 1] in ascending order, with both weight vectors
+_NODES = np.array([-x for x in _K21_X[:-1]] + list(reversed(_K21_X)))
+_WK = np.array(list(_K21_W[:-1]) + list(reversed(_K21_W)))
+_WG = np.zeros(21)
+_WG[1::2] = _G10_W + _G10_W[::-1]
+_ROUNDING = 50.0 * float(np.finfo(float).eps)  # qk21's rounding floor, per |f|
+
+# Intervals one integral may evaluate. It also bounds a round's arrays:
+# 4096 intervals of 21 nodes are 0.7 MB of float64 each.
+_MAX_INTERVALS = 4096
 
 
 def _xlog2x(x: float) -> float:
@@ -105,12 +126,17 @@ def gaussian_diff_entropy(variance: float) -> float:
 
 
 def gaussian_kl(mean1: float, var1: float, mean2: float, var2: float) -> float:
-    """KL divergence N(mean1, var1) || N(mean2, var2), in nats."""
+    """KL divergence N(mean1, var1) || N(mean2, var2), in nats. A mean
+    difference whose square overflows raises ``DomainError``."""
     if var1 <= 0.0 or var2 <= 0.0:
         raise DomainError(f"variances must be positive: ({var1}, {var2})")
+    try:
+        shift2 = (mean1 - mean2) ** 2
+    except OverflowError:  # a Python float raises where numpy gives inf
+        raise DomainError(f"(mean1 - mean2)^2 overflows: ({mean1}, {mean2})") from None
     return (
         0.5 * math.log(var2 / var1)
-        + (mean1 - mean2) ** 2 / (2.0 * var2)
+        + shift2 / (2.0 * var2)
         + (var1 - var2) / (2.0 * var2)
     )
 
@@ -120,37 +146,49 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def _quad_with_budget(
-    f: Callable[[float], float],
+def _integrate(
+    f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     atol: float,
     points: Sequence[float] | None,
 ) -> float:
-    """quad() with an escalating subdivision limit.
+    """Integral of ``f`` over [lo, hi] by adaptive G10/K21 quadrature.
 
-    scipy reports a nonzero ``ier`` when its interval store is exhausted;
-    we retry with double the limit instead of silently accepting the
-    flagged estimate.
+    The initial intervals end at the ``points`` inside (lo, hi). Each
+    round evaluates ``f`` once, on the 21 nodes of every pending interval,
+    and estimates each interval's error as QUADPACK's qk21 does. An
+    interval is accepted when that error is at most ``atol * width /
+    (hi - lo)``, so the accepted errors sum to at most ``atol``, or at
+    most the rounding floor ``50 * eps * integral of |f|``, which a tall,
+    narrow peak cannot get below; every other interval is split in two.
+    ``IntegrationError`` is raised when ``f`` is not finite at a node or
+    when more than ``_MAX_INTERVALS`` intervals are needed.
     """
-    # imported here: scipy.integrate is most of `import rdpc`, and only
-    # numeric_kl integrates
-    from scipy.integrate import quad
-
-    limit = 50
-    while limit <= _QUAD_LIMIT_BUDGET:
-        pts = [p for p in (points or []) if lo < p < hi] or None
-        value, abserr, *rest = quad(
-            f, lo, hi, limit=limit, epsabs=atol, epsrel=0.0,
-            points=pts, full_output=1,
-        )
-        ier_ok = len(rest) == 1  # full_output appends a message on failure
-        if ier_ok and abserr <= max(atol, abs(value) * 1e-12):
-            return value
-        limit *= 4
-    raise IntegrationError(
-        f"quadrature did not reach atol={atol} within the subdivision budget"
-    )
+    edges = np.array([lo, *sorted(p for p in (points or ()) if lo < p < hi), hi])
+    a, b = edges[:-1], edges[1:]
+    total, used = 0.0, 0
+    while a.size:
+        used += a.size
+        if used > _MAX_INTERVALS:
+            raise IntegrationError(f"quadrature did not reach atol={atol} "
+                                   f"within {_MAX_INTERVALS} intervals")
+        half, mid = 0.5 * (b - a), 0.5 * (a + b)
+        fx = f((mid[:, None] + half[:, None] * _NODES).ravel()).reshape(-1, 21)
+        if not np.all(np.isfinite(fx)):
+            raise IntegrationError("integrand is not finite on the integration range")
+        resk = fx @ _WK
+        resabs = np.abs(fx) @ _WK * half
+        resasc = np.abs(fx - 0.5 * resk[:, None]) @ _WK * half
+        err = np.abs((resk - fx @ _WG) * half)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+        err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+        done = err <= np.maximum(atol * (b - a) / (hi - lo), _ROUNDING * resabs)
+        total += float(np.sum(resk[done] * half[done]))
+        a, b, mid = a[~done], b[~done], mid[~done]
+        a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
+    return total
 
 
 def _probe(density: Callable, grid: np.ndarray, name: str) -> np.ndarray:
@@ -182,19 +220,21 @@ def numeric_kl(
     integrating. The integration range is truncated to where p exceeds
     1e-300.
 
-    Every density (and ``log_q``) must accept a numpy array as well as a
-    float: the probe calls each once on the whole grid and raises
-    ``DomainError`` unless it returns an array of the grid's shape.
-    ``quad`` then calls them on floats, so it is their float arithmetic
-    (``math``, not numpy, in the rdpc densities) that fixes the returned
-    value, and with it the verify report bytes, to the last bit.
+    Every density and log density must accept a numpy array: the probe
+    calls the densities and ``log_q`` once on the whole grid and raises
+    ``DomainError`` unless each returns an array of the grid's shape. The
+    integrals (the two masses and the divergence) are adaptive G10/K21
+    quadrature, which calls its integrand once per round on the nodes of
+    every pending interval; it raises ``IntegrationError`` when the
+    integrand is not finite or the interval budget runs out.
 
     ``points`` may list known non-smooth spots (e.g. mixture component
-    means) to help the subdivision. When the densities span more dynamic
-    range than float64 (a sharply concentrated q under a broad p makes
-    the ratio overflow long before the divergence does), pass ``log_p``
-    and ``log_q``; the log-ratio is then evaluated directly and only a
-    true ``log_q = -inf`` counts as vanishing support.
+    means); each integration range is split there first. When the
+    densities span more dynamic range than float64 (a sharply
+    concentrated q under a broad p makes the ratio overflow long before
+    the divergence does), pass ``log_p`` and ``log_q``; the log-ratio is
+    then evaluated directly and only a true ``log_q = -inf`` counts as
+    vanishing support.
     """
     lo, hi = support
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
@@ -217,7 +257,7 @@ def numeric_kl(
         raise DomainError("q vanishes where p does not; KL is undefined")
 
     for name, dens in (("p", density_p), ("q", density_q)):
-        mass = _quad_with_budget(dens, lo, hi, 1e-9, points)
+        mass = _integrate(dens, lo, hi, 1e-9, points)
         if abs(mass - 1.0) > 1e-8:
             raise DomainError(f"density {name} integrates to {mass}, not 1")
 
@@ -226,23 +266,17 @@ def numeric_kl(
     lo_eff = max(lo, float(grid[idx[0]]) - step)
     hi_eff = min(hi, float(grid[idx[-1]]) + step)
 
-    if log_p is not None and log_q is not None:
-        lp_fn, lq_fn = log_p, log_q
+    def integrand(x: np.ndarray) -> np.ndarray:
+        # p counts as 0 below 1e-300; the errstate covers the 0 * inf and
+        # log(0) discarded there, and an overflowing p / q, which
+        # _integrate reports as a non-finite integrand
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if log_p is not None and log_q is not None:
+                lp = log_p(x)
+                p, log_ratio = np.exp(lp), lp - log_q(x)
+            else:
+                p = density_p(x)
+                log_ratio = np.log(p / np.maximum(density_q(x), 5e-324))
+            return np.where(p < _TINY, 0.0, p * log_ratio)
 
-        def integrand(x: float) -> float:
-            lp = lp_fn(x)
-            p = math.exp(lp)
-            if p < _TINY:
-                return 0.0
-            return p * (lp - lq_fn(x))
-
-    else:
-
-        def integrand(x: float) -> float:
-            p = density_p(x)
-            if p < _TINY:
-                return 0.0
-            q = max(density_q(x), 5e-324)
-            return p * math.log(p / q)
-
-    return _quad_with_budget(integrand, lo_eff, hi_eff, atol, points)
+    return _integrate(integrand, lo_eff, hi_eff, atol, points)

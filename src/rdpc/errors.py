@@ -17,7 +17,7 @@ class DegenerateSourceError(DomainError):
 
 
 class IntegrationError(RuntimeError):
-    """Adaptive quadrature exhausted its subdivision budget."""
+    """Adaptive quadrature ran out of intervals or met a non-finite integrand."""
 
 
 class WitnessUnavailableError(RuntimeError):

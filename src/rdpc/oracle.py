@@ -460,26 +460,30 @@ def gaussian_recon_stats(
 
     Sentinels at the degenerate corners: an exact copy (correlation 1)
     reports infinite rate; a constant reconstruction reports infinite KL
-    and the unconditional label entropy. A covariance whose square
-    overflows, or that breaks Cauchy-Schwarz, raises ``DomainError``.
+    and the unconditional label entropy. A mean difference or covariance
+    whose square overflows, or a covariance that breaks Cauchy-Schwarz,
+    raises ``DomainError``.
     """
     vx = src.var_x
+    try:
+        shift2 = (src.mu_x - rec.mu_xh) ** 2
+        cov2 = rec.cov_xxh**2
+    except OverflowError:  # a Python float raises where numpy gives inf
+        raise DomainError(
+            f"a square overflows at mu_xh={rec.mu_xh}, cov_xxh={rec.cov_xxh}"
+        ) from None
     if rec.var_xh == 0.0:
-        mse = (src.mu_x - rec.mu_xh) ** 2 + vx
+        mse = shift2 + vx
         return ChannelStats(
             mutual_info=0.0, distortion=mse, perception=math.inf,
             cond_entropy_s=src.h_s, unit=Unit.NATS,
         )
-    try:
-        cov2 = rec.cov_xxh**2
-    except OverflowError:  # a Python float raises where numpy gives inf
-        raise DomainError(f"cov^2 overflows at cov_xxh={rec.cov_xxh}") from None
     ratio = cov2 / (vx * rec.var_xh)
     if ratio > 1.0 + 1e-12:
         raise DomainError(f"cov^2={cov2} exceeds var_x*var_xh={vx * rec.var_xh}")
     ratio = min(ratio, 1.0)
     info = math.inf if ratio >= 1.0 else -0.5 * math.log1p(-ratio)
-    mse = (src.mu_x - rec.mu_xh) ** 2 + vx + rec.var_xh - 2.0 * rec.cov_xxh
+    mse = shift2 + vx + rec.var_xh - 2.0 * rec.cov_xxh
     kl = gaussian_kl(src.mu_x, vx, rec.mu_xh, rec.var_xh)
     label_ratio = min(src.rho**2 * ratio, 1.0)
     info_s = math.inf if label_ratio >= 1.0 else -0.5 * math.log1p(-label_ratio)

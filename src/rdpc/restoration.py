@@ -32,6 +32,11 @@ from .sources import GaussianMixture2
 _METRICS = ("mse", "kl", "error_rate")
 
 
+def _check_gain(a: float) -> None:
+    if not math.isfinite(a):
+        raise DomainError(f"gain must be finite: {a}")
+
+
 @dataclass(frozen=True)
 class RestorationModel:
     mixture: GaussianMixture2
@@ -39,8 +44,8 @@ class RestorationModel:
     threshold_c0: float
 
     def __post_init__(self) -> None:
-        if self.sigma_n < 0.0:
-            raise DomainError(f"noise level must be nonnegative: {self.sigma_n}")
+        if not (math.isfinite(self.sigma_n) and self.sigma_n >= 0.0):
+            raise DomainError(f"noise level must be finite and nonnegative: {self.sigma_n}")
         if not math.isfinite(self.threshold_c0):
             raise DomainError(f"threshold must be finite: {self.threshold_c0}")
 
@@ -107,6 +112,7 @@ def default_model(sigma_n: float = 1.0) -> RestorationModel:
 def scaled_mixture(model: RestorationModel, a: float) -> GaussianMixture2:
     """Law of the restored signal a*(X+N): component means scale by a,
     variances by a^2 after adding the noise."""
+    _check_gain(a)
     if a == 0.0:
         raise DomainError("gain 0 collapses the restored law to a point mass")
     mix = model.mixture
@@ -119,6 +125,7 @@ def scaled_mixture(model: RestorationModel, a: float) -> GaussianMixture2:
 
 def mse_of_gain(model: RestorationModel, a: float) -> float:
     """E[(X - aY)^2] = (1-a)^2 E[X^2] + a^2 sigma_n^2 exactly."""
+    _check_gain(a)
     return (1.0 - a) ** 2 * model.mixture.second_moment() + (a * model.sigma_n) ** 2
 
 
@@ -131,6 +138,7 @@ def error_rate_of_gain(
     the restored value exceeds the threshold; each term is a normal tail
     of the corresponding restored component law.
     """
+    _check_gain(a)
     if a == 0.0:
         raise DomainError("classifier is undefined at gain 0")
     c0 = model.threshold_c0 if threshold is None else threshold

@@ -84,6 +84,13 @@ def test_usage_errors_exit_one(capsys, argv):
     assert "error" in err
 
 
+@pytest.mark.parametrize("flag", ["--sigma-n", "--a-min"])
+def test_restore_refuses_non_finite_inputs(capsys, flag):
+    code, out, err = run(capsys, "restore", flag, "nan", "--a-steps", "3")
+    assert code == 1 and out == ""
+    assert "must be finite" in err
+
+
 def test_bad_flags_exit_one(capsys):
     for argv in (["bogus"], [], ["rdc"], ["verify", "--suite", "nope"]):
         with pytest.raises(SystemExit) as exc:
@@ -102,21 +109,23 @@ def test_binary_source_help_states_the_accepted_ranges(capsys):
 
 
 def test_import_loads_no_scipy_integrate_or_special():
-    # every CLI command pays the import; only numeric_kl needs
-    # scipy.integrate, and it imports it when called. The oracle grids
-    # compute their entropies with numpy and need no scipy.special.
+    # every CLI command pays the import. The oracle grids compute their
+    # entropies with numpy and need no scipy.special, and numeric_kl
+    # integrates with its own numpy quadrature, so no scipy module loads.
     code = (
         "import sys, rdpc; "
         "print(sorted(m for m in ('scipy.integrate', 'scipy.special') "
         "if m in sys.modules)); "
         "rdpc.binary_min_rate(rdpc.BinaryPairSource(0.3, 0.1), {'D': 0.2, 'C': 0.8}, "
         "resolution=1e-2); "
-        "print('scipy.special' in sys.modules)"
+        "print('scipy.special' in sys.modules); "
+        "rdpc.kl_of_gain(rdpc.default_model(), 0.5); "
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(rdpc.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
-    assert out.split() == ["[]", "False"]
+    assert out.split() == ["[]", "False", "False"]
 
 
 def test_surface_csv_schema_and_order(capsys):

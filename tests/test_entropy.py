@@ -1,13 +1,15 @@
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdpc import (
     BinaryPairSource,
     DomainError,
+    IntegrationError,
     binary_convolution,
     binary_entropy,
     binary_entropy_inv,
@@ -17,6 +19,7 @@ from rdpc import (
     rdc_binary,
     std_normal_cdf,
 )
+from rdpc import entropy
 from rdpc.optimize import bisect_root
 
 
@@ -173,6 +176,77 @@ def test_numeric_kl_log_arguments_must_pair():
     dens = _normal_density(0.0, 1.0)
     with pytest.raises(DomainError):
         numeric_kl(dens, dens, (-12.0, 12.0), log_p=lambda x: 0.0)
+
+
+def _normal_log_density(mean, var):
+    return lambda x: -0.5 * (x - mean) ** 2 / var - 0.5 * math.log(2 * math.pi * var)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.floats(min_value=-5.0, max_value=5.0),
+    st.floats(min_value=0.05, max_value=20.0),
+    st.floats(min_value=-5.0, max_value=5.0),
+    st.floats(min_value=0.05, max_value=20.0),
+)
+def test_numeric_kl_matches_gaussian_kl(m1, v1, m2, v2):
+    spread1, spread2 = 12.0 * math.sqrt(v1), 12.0 * math.sqrt(v2)
+    support = (min(m1 - spread1, m2 - spread2), max(m1 + spread1, m2 + spread2))
+    got = numeric_kl(
+        _normal_density(m1, v1), _normal_density(m2, v2), support, points=[m1, m2],
+        log_p=_normal_log_density(m1, v1), log_q=_normal_log_density(m2, v2),
+    )
+    assert abs(got - gaussian_kl(m1, v1, m2, v2)) <= 1e-8
+
+
+def test_kronrod_rule_constants():
+    gauss_x, gauss_w = np.polynomial.legendre.leggauss(10)
+    is_gauss = entropy._WG != 0.0
+    np.testing.assert_allclose(entropy._NODES[is_gauss], gauss_x, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(entropy._WG[is_gauss], gauss_w, rtol=0, atol=1e-15)
+    # K21 integrates x^k exactly up to degree 31, G10 up to degree 19
+    for k in range(32):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert entropy._NODES**k @ entropy._WK == pytest.approx(exact, abs=1e-15)
+        if k < 20:
+            assert entropy._NODES**k @ entropy._WG == pytest.approx(exact, abs=1e-15)
+
+
+def test_integrate_reaches_atol_and_splits_at_points():
+    value = entropy._integrate(np.exp, 0.0, 1.0, 1e-12, None)
+    assert abs(value - math.expm1(1.0)) <= 1e-12
+    # |x - 1/3| has a kink; a breakpoint there makes both pieces polynomial
+    kink = lambda x: np.abs(x - 1.0 / 3.0)  # noqa: E731
+    assert entropy._integrate(kink, 0.0, 1.0, 1e-12, [1.0 / 3.0]) == pytest.approx(
+        5.0 / 18.0, abs=1e-15
+    )
+    assert abs(entropy._integrate(kink, 0.0, 1.0, 1e-10, None) - 5.0 / 18.0) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "integrand",
+    [
+        lambda x: np.full_like(x, np.nan),  # not finite
+        lambda x: np.where(x < 0.5, 1.0, np.nan),  # not finite on part of the range
+        lambda x: np.sin(1e6 * x),  # needs more intervals than the budget
+    ],
+    ids=["nan", "part-nan", "budget"],
+)
+def test_integrate_failures_raise_quickly(integrand):
+    t0 = time.perf_counter()
+    with pytest.raises(IntegrationError):
+        entropy._integrate(integrand, 0.0, 1.0, 1e-12, None)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_gaussian_kl_refuses_an_overflowing_mean_shift():
+    with pytest.raises(DomainError):
+        gaussian_kl(0.0, 1.0, 1e200, 1.0)
+    # just inside the float range the formula is unchanged
+    shift = 1e153
+    assert gaussian_kl(0.0, 1.0, shift, 1.0) == (
+        0.5 * math.log(1.0) + shift**2 / 2.0 + 0.0 / 2.0
+    )
 
 
 def test_std_normal_cdf():

@@ -225,6 +225,17 @@ def test_recon_stats_refuse_an_overflowing_covariance():
     assert stats.mutual_info == -0.5 * math.log1p(-(1e149**2 / 1e300))
 
 
+@pytest.mark.parametrize("var_xh", [1.0, 0.0])
+def test_recon_stats_refuse_an_overflowing_mean_shift(var_xh):
+    with pytest.raises(DomainError):
+        gaussian_recon_stats(GSRC, GaussianReconstruction(1e200, var_xh, 0.0))
+    # in range, and just inside the float range, the distortion is the
+    # same formula as before
+    for mu_xh in (0.37, 1e153):
+        stats = gaussian_recon_stats(GSRC, GaussianReconstruction(mu_xh, var_xh, 0.0))
+        assert stats.distortion == (0.0 - mu_xh) ** 2 + 1.0 + var_xh - 2.0 * 0.0
+
+
 # ---------------------------------------------------------------------------
 # array kernels and the screen against the formulas they replace
 # ---------------------------------------------------------------------------

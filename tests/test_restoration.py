@@ -1,11 +1,15 @@
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from rdpc import (
     DomainError,
     GaussianMixture2,
+    RestorationModel,
     bayes_threshold_clean,
     default_model,
     error_rate_of_gain,
@@ -17,8 +21,6 @@ from rdpc import (
     scaled_mixture,
     sweep,
 )
-from rdpc import restoration
-from rdpc.entropy import _quad_with_budget
 
 MODEL = default_model()
 BAYES_ERROR = 0.204117333467254  # min over thresholds, invariant under gain
@@ -150,63 +152,60 @@ def test_frontier_monotone_and_marks_infeasible():
     assert values[-1] == pytest.approx(error_rate_of_gain(MODEL, 0.5), abs=1e-4)
 
 
-def _scalar_probe_numeric_kl(
-    density_p, density_q, support, *, atol=1e-8, points=None, log_p=None, log_q=None
-):
-    """Reference: numeric_kl as it was with a point-by-point probe."""
-    lo, hi = support
-    grid = np.linspace(lo, hi, 4097)
-    p_vals = np.array([density_p(float(x)) for x in grid])
-    q_vals = np.array([density_q(float(x)) for x in grid])
-    if np.any(p_vals < 0.0) or np.any(q_vals < 0.0):
-        raise DomainError("densities must be nonnegative")
-    live = p_vals >= 1e-300
-    if not np.any(live):
-        return 0.0
-    if log_q is not None:
-        if any(log_q(float(x)) == -math.inf for x in grid[live]):
-            raise DomainError("q vanishes where p does not; KL is undefined")
-    elif np.any(q_vals[live] <= 0.0):
-        raise DomainError("q vanishes where p does not; KL is undefined")
-
-    for name, dens in (("p", density_p), ("q", density_q)):
-        mass = _quad_with_budget(dens, lo, hi, 1e-9, points)
-        if abs(mass - 1.0) > 1e-8:
-            raise DomainError(f"density {name} integrates to {mass}, not 1")
-
-    idx = np.nonzero(live)[0]
-    step = float(grid[1] - grid[0])
-    lo_eff = max(lo, float(grid[idx[0]]) - step)
-    hi_eff = min(hi, float(grid[idx[-1]]) + step)
-
-    if log_p is not None and log_q is not None:
-
-        def integrand(x):
-            lp = log_p(x)
-            p = math.exp(lp)
-            if p < 1e-300:
-                return 0.0
-            return p * (lp - log_q(x))
-
-    else:
-
-        def integrand(x):
-            p = density_p(x)
-            if p < 1e-300:
-                return 0.0
-            q = max(density_q(x), 5e-324)
-            return p * math.log(p / q)
-
-    return _quad_with_budget(integrand, lo_eff, hi_eff, atol, points)
+def _log_mixture(mix, x):
+    """Scalar log density of a two-component mixture with positive weights."""
+    terms = [
+        math.log(w) - 0.5 * (x - m) ** 2 / v - 0.5 * math.log(2.0 * math.pi * v)
+        for w, m, v in ((mix.w1, mix.m1, mix.v1), (mix.w2, mix.m2, mix.v2))
+    ]
+    top = max(terms)
+    return top + math.log1p(math.exp(min(terms) - top))
 
 
-@pytest.mark.parametrize("sigma_n", [1.0, 0.0])
-def test_sweep_is_bit_identical_to_scalar_probe(monkeypatch, sigma_n):
+def _quad_kl(model, a):
+    """Reference: KL(clean || restored) by scipy's quad on scalar log
+    densities, over the support and breakpoints kl_of_gain uses."""
+    clean, restored = model.mixture, scaled_mixture(model, a)
+    lo = min(clean.support_12sd()[0], restored.support_12sd()[0])
+    hi = max(clean.support_12sd()[1], restored.support_12sd()[1])
+
+    def integrand(x):
+        lp = _log_mixture(clean, x)
+        return math.exp(lp) * (lp - _log_mixture(restored, x))
+
+    marks = sorted({clean.m1, clean.m2, restored.m1, restored.m2})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an IntegrationWarning fails the test
+        value, _ = quad(integrand, lo, hi, points=marks, epsabs=1e-10, epsrel=0.0,
+                        limit=200)
+    return value
+
+
+@pytest.mark.parametrize("sigma_n", [0.0, 0.3, 1.0, 2.0, 5.0])
+def test_sweep_kl_agrees_with_scipy_quad(sigma_n):
     model = default_model(sigma_n=sigma_n)
-    gains = np.linspace(0.05, 1.5, 15)
-    rows = sweep(model, gains)
-    monkeypatch.setattr(restoration, "numeric_kl", _scalar_probe_numeric_kl)
-    assert sweep(model, gains) == rows
+    for row in sweep(model, np.linspace(0.05, 1.5, 146)):
+        assert abs(row.kl - _quad_kl(model, row.a)) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "entry", [kl_of_gain, mse_of_gain, error_rate_of_gain, error_rate_reoptimized,
+              scaled_mixture]
+)
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+def test_non_finite_gain_is_refused(entry, a):
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError):
+        entry(MODEL, a)
+    assert time.perf_counter() - t0 < 0.1
+
+
+@pytest.mark.parametrize("sigma_n", [math.nan, math.inf])
+def test_non_finite_noise_is_refused(sigma_n):
+    with pytest.raises(DomainError):
+        default_model(sigma_n)
+    with pytest.raises(DomainError):
+        RestorationModel(MODEL.mixture, sigma_n, MODEL.threshold_c0)
 
 
 def _seed_monte_carlo_mse(model, a, n, seed):

@@ -120,30 +120,44 @@ def _seed_log_density(mix, x):
 
 
 @pytest.mark.parametrize("mix", MIXTURES)
-def test_mixture_float_path_is_the_math_formula(mix):
-    xs = [float(x) for x in np.linspace(-40.0, 40.0, 4001)] + [-0.75, 0.0, 1e-9]
-    # np.float64 is not an ndarray, so it takes the math path as well
-    for x in xs + [np.float64(x) for x in xs]:
-        assert type(mix.density(x)) is float
-        assert mix.density(x) == _seed_density(mix, x)
-        assert mix.log_density(x) == _seed_log_density(mix, x)
+def test_mixture_float_equals_the_array_element(mix):
+    xs = np.concatenate([np.linspace(-40.0, 40.0, 4001), [-0.75, 0.0, 1e-9]])
+    dens, logs = mix.density(xs), mix.log_density(xs)
+    for x, d, log_d in zip(xs, dens, logs):
+        for arg in (float(x), x):  # a Python float and an np.float64
+            assert type(mix.density(arg)) is float
+            assert type(mix.log_density(arg)) is float
+            assert mix.density(arg) == d
+            assert mix.log_density(arg) == log_d
 
 
 @pytest.mark.parametrize("mix", MIXTURES)
 def test_mixture_array_path_matches_float_path(mix):
     # densities stay above 1e-300 here, so relative error is meaningful
     xs = np.linspace(-20.0, 20.0, 4097)
-    logs = np.array([mix.log_density(float(x)) for x in xs])
+    logs = np.array([_seed_log_density(mix, float(x)) for x in xs])
     np.testing.assert_allclose(mix.log_density(xs), logs, rtol=1e-15, atol=0.0)
-    # The float path squares with libm pow, which is one ulp off d*d on
+    # The float formula squares with libm pow, which is one ulp off d*d on
     # about 0.1% of inputs; up to 2 ulps of the exponent t after the
     # division become a relative 2^-51 |t| after exp, on top of exp's own
     # last-bit disagreement, so the bound widens in the far tails.
-    dens = np.array([mix.density(float(x)) for x in xs])
+    dens = np.array([_seed_density(mix, float(x)) for x in xs])
     t = np.maximum((xs - mix.m1) ** 2 / mix.v1, (xs - mix.m2) ** 2 / mix.v2) / 2
     gap = np.abs(mix.density(xs) - dens)
     assert np.all(gap <= (1e-15 + 2.0**-51 * t) * dens)
     assert np.all(gap[t <= 1.0] <= 1e-15 * dens[t <= 1.0])
+
+
+MIX_FIELDS = ("w1", "w2", "m1", "m2", "v1", "v2")
+
+
+@pytest.mark.parametrize("field", MIX_FIELDS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_mixture_rejects_non_finite_fields(field, bad):
+    args = dict(w1=0.7, w2=0.3, m1=-1.0, m2=1.0, v1=1.0, v2=1.0)
+    args[field] = bad
+    with pytest.raises(DomainError):
+        GaussianMixture2(**args)
 
 
 GAUSS_FIELDS = ("mu_x", "mu_s", "var_x", "var_s", "cov")
@@ -227,7 +241,7 @@ def test_mixture_far_component_is_a_zero_term():
     for w2 in (0.0, 0.5):
         mix = GaussianMixture2(1.0 - w2, w2, 0.0, 1e200, 1.0, 1.0)
         for x in (0.0, 0.3, -2.0):
-            near = math.exp(-0.5 * x**2) / math.sqrt(2.0 * math.pi)
+            near = float(np.exp(-0.5 * x**2)) / math.sqrt(2.0 * math.pi)
             assert mix.density(x) == (1.0 - w2) * near
             assert mix.log_density(x) == (
                 math.log(1.0 - w2) - 0.5 * x**2 - 0.5 * math.log(2.0 * math.pi)
