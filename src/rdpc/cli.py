@@ -151,15 +151,23 @@ def _gaussian_source(m: _Merged) -> GaussianPairSource:
     return GaussianPairSource(mu_x, mu_s, sigma_x**2, sigma_s**2, theta1)
 
 
-def _grid(m: _Merged, prefix: str) -> list[float]:
-    lo = float(m.require(f"{prefix}_min"))
-    hi = float(m.require(f"{prefix}_max"))
-    steps = int(m.require(f"{prefix}_steps"))
+def _linspace(prefix: str, lo: float, hi: float, steps: int) -> list[float]:
+    """The --{prefix}-min/-max/-steps grid, its flags checked first."""
+    for end, value in (("min", lo), ("max", hi)):
+        if not math.isfinite(value):
+            raise _UsageError(f"--{prefix}-{end} must be finite: {value}")
     if steps < 1:
         raise _UsageError(f"--{prefix}-steps must be >= 1")
     if hi < lo:
         raise _UsageError(f"--{prefix}-max must be >= --{prefix}-min")
     return [float(v) for v in np.linspace(lo, hi, steps)]
+
+
+def _grid(m: _Merged, prefix: str) -> list[float]:
+    return _linspace(
+        prefix, float(m.require(f"{prefix}_min")), float(m.require(f"{prefix}_max")),
+        int(m.require(f"{prefix}_steps")),
+    )
 
 
 def _point_payload(pt: TradeoffPoint, inputs: dict[str, Any]) -> dict[str, Any]:
@@ -372,14 +380,10 @@ def _rpc_given_d_frontier(
     if m.get("p") is not None:
         raise _UsageError("--p belongs to point queries; a frontier minimizes it")
     d_values = [float(v) for v in m.get("d") or (0.5, 0.6, 0.8)]
-    c_lo = float(m.get("c_min", src.h_s - 0.7))
-    c_hi = float(m.get("c_max", src.h_s + 0.1))
-    steps = int(m.get("c_steps", 50))
-    if steps < 1:
-        raise _UsageError("--c-steps must be >= 1")
-    if c_hi < c_lo:
-        raise _UsageError("--c-max must be >= --c-min")
-    c_grid = [float(v) for v in np.linspace(c_lo, c_hi, steps)]
+    c_grid = _linspace(
+        "c", float(m.get("c_min", src.h_s - 0.7)), float(m.get("c_max", src.h_s + 0.1)),
+        int(m.get("c_steps", 50)),
+    )
 
     header = ("C_nats", "min_P_nats", "rate_nats", "sigma_xh")
     datasets = []
@@ -544,16 +548,10 @@ def _cmd_oracle(m: _Merged) -> int:
 def _cmd_restore(m: _Merged) -> int:
     _check_units(m, "nats", "the restoration example")
     sigma_n = float(m.get("sigma_n", 1.0))
-    a_lo = float(m.get("a_min", 0.05))
-    a_hi = float(m.get("a_max", 1.5))
-    steps = int(m.get("a_steps", 146))
-    if steps < 1:
-        raise _UsageError("--a-steps must be >= 1")
-    if a_hi < a_lo:
-        raise _UsageError("--a-max must be >= --a-min")
-    model = default_model(sigma_n=sigma_n)
-    grid = [float(v) for v in np.linspace(a_lo, a_hi, steps)]
-    curve = sweep(model, grid)
+    grid = _linspace(
+        "a", float(m.get("a_min", 0.05)), float(m.get("a_max", 1.5)), int(m.get("a_steps", 146)),
+    )
+    curve = sweep(default_model(sigma_n=sigma_n), grid)
 
     header = ("a", "mse", "kl_nats", "error_rate")
     rows = [(q.a, q.mse, q.kl, q.error_rate) for q in curve]

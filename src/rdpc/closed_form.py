@@ -9,13 +9,22 @@ achievability witness that the oracle module can re-evaluate.
 Units follow the package convention: bits for binary sources, nats for
 Gaussian ones. Boundary comparisons use a 1e-12 slack so exact-boundary
 inputs classify as feasible.
+
+The private ``_rdc_*_rates`` kernels give the RDC rates alone over numpy
+arrays of bounds, for callers that need thousands of them at once; the
+scalar entry points stay plain Python, which is several times faster per
+point than a numpy call on one element.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .entropy import (
+    _binary_entropy_inv_arr,
+    _h2_bits_arr,
     binary_entropy,
     binary_entropy_inv,
     discrete_entropy_bits,
@@ -44,6 +53,16 @@ def _check_bounds(c: float, d: float = 0.0, p: float = 0.0) -> None:
         raise DomainError("classification bound is NaN")
 
 
+def _bound_arrays(d, c) -> tuple[np.ndarray, np.ndarray]:
+    """``_check_bounds`` on arrays of distortion and classification bounds."""
+    d, c = np.asarray(d, dtype=float), np.asarray(c, dtype=float)
+    if not np.all(d >= 0.0):
+        raise DomainError(f"distortion bound must be nonnegative: {d[~(d >= 0.0)].flat[0]}")
+    if np.any(np.isnan(c)):
+        raise DomainError("classification bound is NaN")
+    return d, c
+
+
 # ---------------------------------------------------------------------------
 # binary pair source
 # ---------------------------------------------------------------------------
@@ -52,10 +71,11 @@ def _c1(src: BinaryPairSource, c: float) -> float:
     """Distortion-equivalent level of a classification bound C (bits).
 
     Inverts the label entropy constraint into a crossover probability:
-    c1 = (Hinv(min(C,1)) - p1) / (1 - 2 p1), clamped at 0 for C within
-    rounding of the floor H(p1). Always <= 1/2.
+    c1 = (Hinv(C) - p1) / (1 - 2 p1), with C clamped to [0, 1] (a C
+    inside the feasibility slack below a floor of 0 is negative), and c1
+    clamped at 0 for C within rounding of the floor H(p1). Always <= 1/2.
     """
-    c_eff = min(c, 1.0)
+    c_eff = min(max(c, 0.0), 1.0)
     raw = (binary_entropy_inv(c_eff) - src.p1) / (1.0 - 2.0 * src.p1)
     return max(raw, 0.0)
 
@@ -130,6 +150,24 @@ def rdc_binary(src: BinaryPairSource, d: float, c: float) -> TradeoffPoint:
         rate=rate, unit=Unit.BITS, feasible=True, region=region,
         c=c, d=d, witness=witness,
     )
+
+
+def _rdc_binary_rates(src: BinaryPairSource, d, c) -> np.ndarray:
+    """``rdc_binary(src, d, c).rate`` over d and c broadcast together.
+
+    The branches of ``_classify_rdc_binary`` with the same slack; an
+    infeasible entry is NaN. c1 comes from the array entropy inverse, so an
+    entry can differ from the scalar rate in its last bits.
+    """
+    d, c = _bound_arrays(d, c)
+    b, p1 = src.b, src.p1
+    raw = (_binary_entropy_inv_arr(np.clip(c, 0.0, 1.0)) - p1) / (1.0 - 2.0 * p1)
+    c1 = np.maximum(raw, 0.0)
+    by_c = (c1 <= b + _TOL) & (d >= c1 - _TOL)
+    by_d = ~by_c & (d <= b + _TOL) & (d < c1)
+    eps = np.where(by_c, np.minimum(c1, b), np.minimum(d, b))
+    rate = np.where(by_c | by_d, np.maximum(0.0, binary_entropy(b) - _h2_bits_arr(eps)), 0.0)
+    return np.where(c >= binary_entropy(p1) - _TOL, rate, np.nan)
 
 
 def rdc_binary_witness(src: BinaryPairSource, d: float, c: float) -> BinaryChannel:
@@ -249,37 +287,50 @@ def _rdc_gaussian_core(
 ) -> tuple[float, Region, GaussianReconstruction | None, float]:
     """Returns (rate, region, witness, d_star)."""
     vx = src.var_x
-    h = src.h_s
-
-    if c >= h - _TOL:
-        # classification constraint is vacuous: plain rate-distortion
-        d_star = vx
-        if d > vx + _TOL:
-            return 0.0, Region.ZERO_RATE, GaussianReconstruction(src.mu_x, 0.0, 0.0), d_star
-        if d == 0.0:
-            rate = math.inf
-            wit = GaussianReconstruction(src.mu_x, vx, vx)
-        else:
-            rate = max(0.0, 0.5 * math.log(vx / d))
-            v = max(vx - d, 0.0)
-            wit = GaussianReconstruction(src.mu_x, v, v)
-        return rate, Region.DISTORTION_LIMITED, wit, d_star
-
-    k = _gaussian_k(src, c)
+    # at c >= h(S) the classification constraint is vacuous: k = 0, and
+    # above d* = var_x the constant reconstruction costs nothing
+    vacuous = c >= src.h_s - _TOL
+    k = 0.0 if vacuous else _gaussian_k(src, c)
     d_star = vx * (1.0 - k)
     if d <= d_star + _TOL:
-        if d == 0.0:
-            rate = math.inf
-            wit = GaussianReconstruction(src.mu_x, vx, vx)
-        else:
-            rate = max(0.0, 0.5 * math.log(vx / d))
-            v = max(vx - d, 0.0)
-            wit = GaussianReconstruction(src.mu_x, v, v)
-        return rate, Region.DISTORTION_LIMITED, wit, d_star
+        rate = math.inf if d == 0.0 else max(0.0, 0.5 * math.log(vx / d))
+        v = max(vx - d, 0.0)
+        return rate, Region.DISTORTION_LIMITED, GaussianReconstruction(src.mu_x, v, v), d_star
+    if vacuous:
+        return 0.0, Region.ZERO_RATE, GaussianReconstruction(src.mu_x, 0.0, 0.0), d_star
     one_minus_k = 1.0 - k
     rate = math.inf if one_minus_k <= 0.0 else -0.5 * math.log(one_minus_k)
     wit = GaussianReconstruction(src.mu_x, vx * k, vx * k)
     return rate, Region.CLASSIFICATION_LIMITED, wit, d_star
+
+
+def _rdc_gaussian_rates(src: GaussianPairSource, d, c) -> np.ndarray:
+    """``rdc_gaussian(src, d, c).rate`` over d and c broadcast together.
+
+    The branches of ``_rdc_gaussian_core`` with the same slack; an
+    infeasible entry is NaN and d = 0 keeps the +inf sentinel. k uses
+    ``math.exp`` per element: numpy's exp can differ from it in the last
+    bit, and at the feasibility floor that bit decides between k = 1 (an
+    infinite rate) and a finite one.
+    """
+    d, c = _bound_arrays(d, c)
+    vx = src.var_x
+    vacuous = c >= src.h_s - _TOL
+    # rho = 0 divides by zero (vacuous entries only), |c| near the float
+    # limit overflows 2 (c - h), and a d of 0 or a subnormal d gives vx / d = inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # clipped at 0, which only vacuous entries reach, so math.exp cannot overflow
+        arg = np.minimum(2.0 * (c - src.h_s), 0.0)
+        shrink = np.fromiter(map(math.exp, arg.ravel().tolist()), float, arg.size)
+        k = np.minimum((1.0 - shrink.reshape(arg.shape)) / src.rho**2, 1.0)
+        k = np.where(vacuous, 0.0, k)
+        by_d = d <= vx * (1.0 - k) + _TOL
+        rate = np.where(
+            by_d, np.maximum(0.0, 0.5 * np.log(vx / d)),
+            np.where(vacuous, 0.0, -0.5 * np.log(1.0 - k)),
+        )
+    floor = gaussian_derived(src).feasibility_floor_c
+    return np.where(c >= floor - _TOL, rate, np.nan)
 
 
 def rdc_gaussian(src: GaussianPairSource, d: float, c: float) -> TradeoffPoint:

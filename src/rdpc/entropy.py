@@ -1,10 +1,12 @@
-"""Scalar information-theoretic primitives.
+"""Information-theoretic primitives.
 
 Conventions used throughout the package:
 
 * Discrete (binary) quantities are measured in **bits**, differential
-  quantities in **nats**. Functions here return plain floats; unit tags are
-  attached by the result objects one level up.
+  quantities in **nats**. Public functions here return plain floats; unit
+  tags are attached by the result objects one level up. The private
+  ``_arr`` forms of the binary entropy and its inverse work elementwise on
+  numpy arrays for the oracle grids and the verify suites.
 * ``0 * log 0 == 0`` everywhere, implemented by guarding arguments below
   1e-300 rather than by special-casing exact zeros, so denormals do not
   produce spurious infinities.
@@ -62,6 +64,27 @@ def binary_entropy(p: float) -> float:
     return -_xlog2x(p) - _xlog2x(1.0 - p)
 
 
+def _h2_bits_arr(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Binary entropy in bits, elementwise: -(x log2 x + (1-x) log2(1-x)).
+
+    The formula of the scalar ``binary_entropy``, with its guard: a term
+    whose argument is below 1e-300 is 0, so 0 log 0 = 0 without NaN or
+    warnings. ``out``, if given, receives the result and must not be ``x``.
+    """
+    x = np.asarray(x, dtype=float)
+    rest = 1.0 - x
+    out = np.empty_like(rest) if out is None else out
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 * log2(0), zeroed below
+        np.log2(rest, out=out)
+        out *= rest
+        np.copyto(out, 0.0, where=rest < _TINY)
+        np.log2(x, out=rest)
+        rest *= x
+    np.copyto(rest, 0.0, where=x < _TINY)
+    out += rest
+    return np.negative(out, out=out)
+
+
 @lru_cache(maxsize=256)
 def binary_entropy_inv(h: float) -> float:
     """The unique p in [0, 1/2] with ``binary_entropy(p) == h``.
@@ -94,6 +117,36 @@ def binary_entropy_inv(h: float) -> float:
         else:
             lo, flo = mid, fmid
     return 0.5 * (lo + hi)
+
+
+def _binary_entropy_inv_arr(h) -> np.ndarray:
+    """``binary_entropy_inv`` elementwise, by the same bisection in lockstep.
+
+    Every element takes the scalar's midpoints and sign test and stops
+    under its rule: at fmid == 0 it stays at that midpoint, and the
+    half-width falls below 1e-14 at the same step for every element,
+    because the bracket ends are dyadic and halve exactly. numpy's log2
+    can differ from ``math.log2`` in the last bit, so a result may differ
+    from the scalar one by the root's width at that precision, 1e-14 or
+    less away from h = 1. Out-of-range and NaN ``h`` raise ``DomainError``.
+    """
+    h = np.asarray(h, dtype=float)
+    bad = ~((h >= 0.0) & (h <= 1.0))
+    if np.any(bad):
+        raise DomainError(f"binary entropy out of range: {h[bad].flat[0]}")
+    # mid stays strictly inside (0, 1/2), so both logs are finite
+    lo, hi, flo = np.zeros_like(h), np.full_like(h, 0.5), -h
+    for step in range(200):
+        mid = 0.5 * (lo + hi)
+        if 0.5 ** (step + 2) < 1e-14:  # (hi - lo) * 0.5 at this step
+            break
+        rest = 1.0 - mid
+        fmid = -(mid * np.log2(mid)) - rest * np.log2(rest) - h
+        up = flo * fmid < 0.0
+        hi = np.where(up | (fmid == 0.0), mid, hi)
+        lo = np.where(up, lo, mid)
+        flo = np.where(up, flo, fmid)
+    return np.where(h == 0.0, 0.0, np.where(h == 1.0, 0.5, mid))
 
 
 def binary_convolution(p: float, q: float) -> float:
@@ -217,8 +270,8 @@ def numeric_kl(
     Both densities must integrate to 1 over ``support`` (checked to 1e-8),
     and ``density_q`` must be strictly positive wherever ``density_p`` is
     nonnegligible; that is probed on a fixed 4097-point grid before
-    integrating. The integration range is truncated to where p exceeds
-    1e-300.
+    integrating, where a negative or NaN density raises ``DomainError``.
+    The integration range is truncated to where p exceeds 1e-300.
 
     Every density and log density must accept a numpy array: the probe
     calls the densities and ``log_q`` once on the whole grid and raises
@@ -245,8 +298,8 @@ def numeric_kl(
     grid = np.linspace(lo, hi, 4097)
     p_vals = _probe(density_p, grid, "density_p")
     q_vals = _probe(density_q, grid, "density_q")
-    if np.any(p_vals < 0.0) or np.any(q_vals < 0.0):
-        raise DomainError("densities must be nonnegative")
+    if not (np.all(p_vals >= 0.0) and np.all(q_vals >= 0.0)):  # NaN fails too
+        raise DomainError("densities must be nonnegative numbers")
     live = p_vals >= _TINY
     if not np.any(live):
         return 0.0

@@ -26,6 +26,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .entropy import (
+    _TINY,
+    _h2_bits_arr,
     binary_convolution,
     binary_entropy,
     binary_entropy_inv,
@@ -47,31 +49,8 @@ _EVAL_BUDGET = 60_000
 # a requested P = 0 is executed as this tolerance; exact equality is
 # measure-zero on a continuous parameter grid
 _P_ZERO_TOL = 1e-6
-# the 0 log 0 = 0 guard of entropy.binary_entropy
-_TINY = 1e-300
 
 Cell = tuple[float, int, int]  # (objective value, row, col) of a grid cell
-
-
-def _h2_bits_arr(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Binary entropy in bits, elementwise: -(x log2 x + (1-x) log2(1-x)).
-
-    The formula of the scalar ``binary_entropy``, with its guard: a term
-    whose argument is below 1e-300 is 0, so 0 log 0 = 0 without NaN or
-    warnings. ``out``, if given, receives the result and must not be ``x``.
-    """
-    x = np.asarray(x, dtype=float)
-    rest = 1.0 - x
-    out = np.empty_like(rest) if out is None else out
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0 * log2(0), zeroed below
-        np.log2(rest, out=out)
-        out *= rest
-        np.copyto(out, 0.0, where=rest < _TINY)
-        np.log2(x, out=rest)
-        rest *= x
-    np.copyto(rest, 0.0, where=x < _TINY)
-    out += rest
-    return np.negative(out, out=out)
 
 
 def _binary_joint_arr(

@@ -23,6 +23,8 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from .closed_form import (
+    _rdc_binary_rates,
+    _rdc_gaussian_rates,
     rdc_binary,
     rdc_binary_witness,
     rdc_gaussian,
@@ -32,6 +34,8 @@ from .closed_form import (
     rpc_gaussian_witness,
 )
 from .entropy import (
+    _binary_entropy_inv_arr,
+    _h2_bits_arr,
     binary_convolution,
     binary_entropy,
     binary_entropy_inv,
@@ -42,7 +46,6 @@ from .entropy import (
 from .errors import DomainError
 from .oracle import (
     _binary_joint_arr,
-    _h2_bits_arr,
     binary_channel_stats,
     binary_min_rate,
     gaussian_min_rate,
@@ -212,18 +215,6 @@ def _suite_entropy(seed: int) -> SuiteResult:
     return rec.result("entropy")
 
 
-def _h2_inv_arr(h: np.ndarray) -> np.ndarray:
-    """Vectorized inverse of the binary entropy onto [0, 1/2] by bisection."""
-    lo = np.zeros_like(h)
-    hi = np.full_like(h, 0.5)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        below = _h2_bits_arr(mid) < h
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 def _mgl_margins(
     a: np.ndarray, p1: np.ndarray, pa: np.ndarray, pb: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -235,7 +226,7 @@ def _mgl_margins(
     b1 = (a - p1) / (1.0 - 2.0 * p1)
     _, info, lhs = _binary_joint_arr(b1, p1, pa, pb)
     h_x_given = np.clip(_h2_bits_arr(b1) - info, 0.0, 1.0)
-    eps = _h2_inv_arr(h_x_given)
+    eps = _binary_entropy_inv_arr(h_x_given)
     rhs = _h2_bits_arr(p1 * (1.0 - eps) + eps * (1.0 - p1))
     return lhs, rhs
 
@@ -278,61 +269,49 @@ def _suite_mgl(seed: int) -> SuiteResult:
 def _suite_convexity(seed: int) -> SuiteResult:
     rec = _Recorder()
     rng = _rng_for(seed, 2)
+    n = 10_000
+
+    def convexity(
+        tag: str, src: BinaryPairSource | GaussianPairSource, rates: Callable, scalar: Callable,
+        d_lo: float, d_hi: float, c_lo: float, c_hi: float,
+    ) -> None:
+        d1 = rng.uniform(d_lo, d_hi, n)
+        d2 = rng.uniform(d_lo, d_hi, n)
+        c1 = rng.uniform(c_lo, c_hi, n)
+        c2 = rng.uniform(c_lo, c_hi, n)
+        lam = rng.uniform(0.0, 1.0, n)
+        dm = lam * d1 + (1 - lam) * d2
+        cm = lam * c1 + (1 - lam) * c2
+        rm = rates(src, dm, cm)
+        chord = lam * rates(src, d1, c1) + (1 - lam) * rates(src, d2, c2)
+        rec.worst(f"{tag}_convexity_violation", float(np.max(rm - chord)), 1e-9)
+        # the kernel restates the scalar entry point users call
+        for i in range(0, n, 100):
+            got = scalar(src, float(dm[i]), float(cm[i])).rate
+            rec.worst(f"{tag}_scalar_array_mismatch", abs(got - float(rm[i])), 1e-9)
 
     bsrc = BinaryPairSource(0.3, 0.1)
     floor_b = binary_entropy(bsrc.p1)
-    n = 10_000
-    d1 = rng.uniform(0.0, 0.6, n)
-    d2 = rng.uniform(0.0, 0.6, n)
-    c1 = rng.uniform(floor_b + 1e-6, 1.0, n)
-    c2 = rng.uniform(floor_b + 1e-6, 1.0, n)
-    lam = rng.uniform(0.0, 1.0, n)
-    worst = -math.inf
-    for i in range(n):
-        r1 = rdc_binary(bsrc, float(d1[i]), float(c1[i])).rate
-        r2 = rdc_binary(bsrc, float(d2[i]), float(c2[i])).rate
-        dm = lam[i] * d1[i] + (1 - lam[i]) * d2[i]
-        cm = lam[i] * c1[i] + (1 - lam[i]) * c2[i]
-        rm = rdc_binary(bsrc, float(dm), float(cm)).rate
-        worst = max(worst, rm - (lam[i] * r1 + (1 - lam[i]) * r2))
-    rec.worst("binary_convexity_violation", worst, 1e-9)
-
+    convexity("binary", bsrc, _rdc_binary_rates, rdc_binary, 0.0, 0.6, floor_b + 1e-6, 1.0)
     gsrc = GaussianPairSource(0.0, 0.0, 1.0, 0.49, 0.63)
     floor_g = 0.5 * math.log(1.0 - gsrc.rho**2) + gsrc.h_s
-    d1 = rng.uniform(0.05, 2.5, n)
-    d2 = rng.uniform(0.05, 2.5, n)
-    c1 = rng.uniform(floor_g + 1e-6, gsrc.h_s + 0.4, n)
-    c2 = rng.uniform(floor_g + 1e-6, gsrc.h_s + 0.4, n)
-    lam = rng.uniform(0.0, 1.0, n)
-    worst = -math.inf
-    for i in range(n):
-        r1 = rdc_gaussian(gsrc, float(d1[i]), float(c1[i])).rate
-        r2 = rdc_gaussian(gsrc, float(d2[i]), float(c2[i])).rate
-        dm = lam[i] * d1[i] + (1 - lam[i]) * d2[i]
-        cm = lam[i] * c1[i] + (1 - lam[i]) * c2[i]
-        rm = rdc_gaussian(gsrc, float(dm), float(cm)).rate
-        worst = max(worst, rm - (lam[i] * r1 + (1 - lam[i]) * r2))
-    rec.worst("gaussian_convexity_violation", worst, 1e-9)
+    convexity(
+        "gaussian", gsrc, _rdc_gaussian_rates, rdc_gaussian,
+        0.05, 2.5, floor_g + 1e-6, gsrc.h_s + 0.4,
+    )
 
     def monotone_increase(rates: np.ndarray) -> float:
-        along_d = float(np.max(np.diff(rates, axis=0))) if rates.shape[0] > 1 else -math.inf
-        along_c = float(np.max(np.diff(rates, axis=1))) if rates.shape[1] > 1 else -math.inf
-        return max(along_d, along_c)
+        return max(float(np.max(np.diff(rates, axis=0))), float(np.max(np.diff(rates, axis=1))))
 
     m = 200
     dgrid = np.linspace(0.0, 0.6, m)
     cgrid = np.linspace(floor_b + 1e-9, 1.05, m)
-    rates = np.empty((m, m))
-    for i, dv in enumerate(dgrid):
-        for j, cv in enumerate(cgrid):
-            rates[i, j] = rdc_binary(bsrc, float(dv), float(cv)).rate
+    rates = _rdc_binary_rates(bsrc, dgrid[:, None], cgrid)
     rec.worst("binary_monotonicity_increase", monotone_increase(rates), 1e-12)
 
     dgrid = np.linspace(0.01, 2.5, m)
     cgrid = np.linspace(floor_g + 1e-9, gsrc.h_s + 0.4, m)
-    for i, dv in enumerate(dgrid):
-        for j, cv in enumerate(cgrid):
-            rates[i, j] = rdc_gaussian(gsrc, float(dv), float(cv)).rate
+    rates = _rdc_gaussian_rates(gsrc, dgrid[:, None], cgrid)
     rec.worst("gaussian_monotonicity_increase", monotone_increase(rates), 1e-12)
     return rec.result("convexity")
 

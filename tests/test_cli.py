@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -84,11 +85,18 @@ def test_usage_errors_exit_one(capsys, argv):
     assert "error" in err
 
 
-@pytest.mark.parametrize("flag", ["--sigma-n", "--a-min"])
+@pytest.mark.parametrize("flag", ["--sigma-n", "--a-min", "--a-max"])
 def test_restore_refuses_non_finite_inputs(capsys, flag):
-    code, out, err = run(capsys, "restore", flag, "nan", "--a-steps", "3")
-    assert code == 1 and out == ""
-    assert "must be finite" in err
+    # the gain grid's ends are checked before np.linspace, which would warn
+    # and hand the sweep a NaN the user never passed
+    for value in ("nan", "inf", "-inf"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "restore", f"{flag}={value}", "--a-steps", "3")
+        assert code == 1 and out == ""
+        assert "must be finite" in err
+        if flag != "--sigma-n":
+            assert f"{flag} must be finite: {value}" in err
 
 
 def test_bad_flags_exit_one(capsys):

@@ -3,6 +3,7 @@ own achievability witnesses."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,9 @@ from rdpc import (
     rpc_gaussian,
     rpc_gaussian_witness,
 )
+from rdpc.closed_form import _rdc_binary_rates, _rdc_gaussian_rates
+from rdpc.entropy import binary_entropy
+from rdpc.sources import gaussian_derived
 
 SRC = BinaryPairSource(a=0.3, p1=0.1)
 GSRC = GaussianPairSource(0.0, 0.0, 1.0, 0.49, 0.63)
@@ -258,6 +262,12 @@ def test_rpc_gaussian_monotone_in_c(c1, c2):
         (rdc_binary_witness, (SRC, 0.1, math.nan)),
         (rpc_binary_witness, (SRC, math.nan)),
         (rpc_gaussian_witness, (GSRC, math.nan)),
+        (_rdc_binary_rates, (SRC, np.array([0.1, math.nan]), 0.6)),
+        (_rdc_binary_rates, (SRC, np.array([0.1, -0.1]), 0.6)),
+        (_rdc_binary_rates, (SRC, 0.1, np.array([0.6, math.nan]))),
+        (_rdc_gaussian_rates, (GSRC, np.array([0.5, math.nan]), H_S - 0.05)),
+        (_rdc_gaussian_rates, (GSRC, np.array([0.5, -0.5]), H_S - 0.05)),
+        (_rdc_gaussian_rates, (GSRC, 0.5, np.array([H_S, math.nan]))),
     ],
 )
 def test_nan_bounds_are_refused(solve, args):
@@ -273,3 +283,50 @@ def test_feasible_point_refuses_a_nan_rate():
         )
     # exact reconstruction (D = 0) keeps its +inf sentinel
     assert rdc_gaussian(GSRC, 0.0, H_S).rate == math.inf
+
+
+# ---------------------------------------------------------------------------
+# array rate kernels against the scalar entry points
+# ---------------------------------------------------------------------------
+
+def _assert_kernel_matches(kernel, scalar, src, ds, cs):
+    got = kernel(src, np.array(ds)[:, None], np.array(cs))
+    assert got.shape == (len(ds), len(cs))
+    for i, d in enumerate(ds):
+        for j, c in enumerate(cs):
+            want, rate = scalar(src, d, c).rate, float(got[i, j])
+            assert math.isnan(rate) == math.isnan(want), (d, c, rate, want)
+            assert math.isinf(rate) == math.isinf(want), (d, c, rate, want)
+            if math.isfinite(want):
+                assert abs(rate - want) <= 1e-9, (d, c, rate, want)
+
+
+_BOUNDS = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(a=st.floats(0.01, 0.5), share=st.floats(0.0, 0.95), ds=_BOUNDS, cs=_BOUNDS)
+def test_rdc_binary_rates_match_the_scalar_entry_point(a, share, ds, cs):
+    src = BinaryPairSource(a, a * share)
+    floor = binary_entropy(src.p1)
+    # d = 0, the marginal and beyond; C at the floor, inside its slack, below
+    # it, at H(S) and at 1 bit (with d = 1, the zero-rate corner)
+    ds = [0.0, src.b, 1.0, *(0.7 * d for d in ds)]
+    cs = [floor, floor - 5e-13, floor - 0.05, binary_entropy(a), 1.0, *(1.2 * c for c in cs)]
+    _assert_kernel_matches(_rdc_binary_rates, rdc_binary, src, ds, cs)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    var_x=st.floats(0.05, 4.0), var_s=st.floats(0.05, 4.0), rho=st.floats(-0.99, 0.99),
+    ds=_BOUNDS, cs=_BOUNDS,
+)
+def test_rdc_gaussian_rates_match_the_scalar_entry_point(var_x, var_s, rho, ds, cs):
+    src = GaussianPairSource(0.0, 0.0, var_x, var_s, rho * math.sqrt(var_x * var_s))
+    floor = gaussian_derived(src).feasibility_floor_c
+    # d = 0 (the +inf sentinel), var_x and beyond; C at the floor, inside its
+    # slack, below it, at h(S) and above it (with d = 2 var_x, zero rate)
+    ds = [0.0, var_x, 2.0 * var_x, *(5.0 * d for d in ds)]
+    cs = [floor, floor - 5e-13, floor - 0.05, src.h_s, src.h_s + 0.5,
+          *(floor - 0.2 + 2.0 * c for c in cs)]
+    _assert_kernel_matches(_rdc_gaussian_rates, rdc_gaussian, src, ds, cs)

@@ -82,6 +82,31 @@ def test_inverse_rejects_every_time_and_caches_no_error(h):
     assert binary_entropy_inv.cache_info().currsize == before
 
 
+def test_array_inverse_follows_the_scalar_bisection():
+    rng = np.random.default_rng(20261019)
+    hs = np.concatenate([
+        rng.uniform(0.0, 0.999, 3000),
+        10.0 ** rng.uniform(-300.0, 0.0, 1000),
+        [0.0, 1.0, 5e-324, 0.5],
+    ])
+    got = entropy._binary_entropy_inv_arr(hs.reshape(4, -1)).ravel()
+    want = np.array([binary_entropy_inv(h) for h in hs.tolist()])
+    assert np.max(np.abs(got - want)) <= 1e-14
+    assert got[-4:-2].tolist() == [0.0, 0.5]
+    # near h = 1 the root is flat, and a last-bit difference between numpy's
+    # and math's log2 moves the midpoint further; both land on the same entropy
+    near_one = 1.0 - 10.0 ** -rng.uniform(3.0, 16.0, 1000)
+    got = entropy._binary_entropy_inv_arr(near_one)
+    want = np.array([binary_entropy_inv(h) for h in near_one.tolist()])
+    assert np.max(np.abs(entropy._h2_bits_arr(got) - entropy._h2_bits_arr(want))) <= 1e-15
+
+
+@pytest.mark.parametrize("h", [math.nan, -0.01, 1.01, -math.inf, math.inf])
+def test_array_inverse_rejects_out_of_range(h):
+    with pytest.raises(DomainError):
+        entropy._binary_entropy_inv_arr(np.array([0.3, h, 0.6]))
+
+
 def test_inverse_cache_serves_repeated_surfaces_and_stays_bounded():
     binary_entropy_inv.cache_clear()
     src = BinaryPairSource(a=0.3, p1=0.1)
@@ -170,6 +195,15 @@ def test_numeric_kl_requires_array_densities(scalar_only):
             numeric_kl(p, q, (-12.0, 12.0))
     with pytest.raises(DomainError):
         numeric_kl(dens, dens, (-12.0, 12.0), log_p=np.log, log_q=scalar_only)
+
+
+@pytest.mark.parametrize("side", ["p", "q"])
+def test_numeric_kl_refuses_nan_densities(side):
+    nan = lambda x: np.full_like(x, np.nan)  # noqa: E731
+    dens = _normal_density(0.0, 1.0)
+    p, q = (nan, dens) if side == "p" else (dens, nan)
+    with pytest.raises(DomainError):
+        numeric_kl(p, q, (-12.0, 12.0))
 
 
 def test_numeric_kl_log_arguments_must_pair():

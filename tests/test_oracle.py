@@ -25,7 +25,7 @@ from rdpc import (
     rpc_gaussian,
 )
 from rdpc import oracle
-from rdpc.entropy import binary_convolution, binary_entropy
+from rdpc.entropy import _h2_bits_arr, binary_convolution, binary_entropy
 
 SRC = BinaryPairSource(a=0.3, p1=0.1)
 GSRC = GaussianPairSource(0.0, 0.0, 1.0, 0.49, 0.63)
@@ -245,8 +245,8 @@ def test_h2_kernel_matches_scalar_binary_entropy():
     x = np.concatenate([np.random.default_rng(11).uniform(0.0, 1.0, 20_000), edges])
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        got = oracle._h2_bits_arr(x)
-        into = oracle._h2_bits_arr(x, out=np.full_like(x, np.nan))
+        got = _h2_bits_arr(x)
+        into = _h2_bits_arr(x, out=np.full_like(x, np.nan))
     assert not np.isnan(got).any()
     assert np.array_equal(got, into)
     worst = max(abs(g - binary_entropy(float(v))) for g, v in zip(got, x))

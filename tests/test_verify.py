@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rdpc import DomainError
+from rdpc import DomainError, verify
 from rdpc.verify import SUITE_NAMES, run_suites
 
 
@@ -52,3 +52,25 @@ def test_seed_changes_draws_not_verdicts():
     other = run_suites(["entropy"], seed=5).to_dict()
     assert first["all_passed"] and other["all_passed"]
     assert first != other
+
+
+def test_convexity_suite_spot_checks_without_scalar_loops(monkeypatch):
+    # the suite evaluates its 10^4 draws and 200 x 200 grids on the array
+    # kernels; only the 1-in-100 spot-checks call the scalar entry points
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(verify, "rdc_binary", counted(verify.rdc_binary))
+    monkeypatch.setattr(verify, "rdc_gaussian", counted(verify.rdc_gaussian))
+    report = run_suites(["convexity"], seed=0)
+    assert report.all_passed
+    assert 0 < calls.count("rdc_binary") and 0 < calls.count("rdc_gaussian")
+    assert len(calls) <= 200
+    measured = report.suites[0].measured
+    assert measured["binary_scalar_array_mismatch"] <= 1e-9
+    assert measured["gaussian_scalar_array_mismatch"] <= 1e-9
