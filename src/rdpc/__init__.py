@@ -48,6 +48,7 @@ from .restoration import (
     error_rate_reoptimized,
     frontier,
     kl_of_gain,
+    kl_of_gains,
     monte_carlo_mse,
     mse_of_gain,
     scaled_mixture,

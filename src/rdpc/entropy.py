@@ -104,18 +104,20 @@ def binary_entropy_inv(h: float) -> float:
         return 0.5
     # optimize.bisect_root(lambda p: binary_entropy(p) - h, 0, 1/2,
     # xtol=1e-14) written out with the same float operations: f(0) is -h,
-    # and mid stays above 2**-47, so the 0 log 0 guard never applies.
-    lo, hi, flo = 0.0, 0.5, -h
+    # and mid stays above 2**-47, so the 0 log 0 guard never applies. f
+    # increases on [0, 1/2], so f(lo) < 0 throughout and bisect_root's sign
+    # test (f(lo) and f(mid) of opposite signs) is f(mid) > 0.
+    lo, hi = 0.0, 0.5
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         rest = 1.0 - mid
         fmid = -(mid * math.log2(mid)) - rest * math.log2(rest) - h
         if fmid == 0.0 or (hi - lo) * 0.5 < 1e-14:
             return mid
-        if flo * fmid < 0.0:
+        if fmid > 0.0:
             hi = mid
         else:
-            lo, flo = mid, fmid
+            lo = mid
     return 0.5 * (lo + hi)
 
 
@@ -135,17 +137,16 @@ def _binary_entropy_inv_arr(h) -> np.ndarray:
     if np.any(bad):
         raise DomainError(f"binary entropy out of range: {h[bad].flat[0]}")
     # mid stays strictly inside (0, 1/2), so both logs are finite
-    lo, hi, flo = np.zeros_like(h), np.full_like(h, 0.5), -h
+    lo, hi = np.zeros_like(h), np.full_like(h, 0.5)
     for step in range(200):
         mid = 0.5 * (lo + hi)
         if 0.5 ** (step + 2) < 1e-14:  # (hi - lo) * 0.5 at this step
             break
         rest = 1.0 - mid
         fmid = -(mid * np.log2(mid)) - rest * np.log2(rest) - h
-        up = flo * fmid < 0.0
+        up = fmid > 0.0
         hi = np.where(up | (fmid == 0.0), mid, hi)
         lo = np.where(up, lo, mid)
-        flo = np.where(up, flo, fmid)
     return np.where(h == 0.0, 0.0, np.where(h == 1.0, 0.5, mid))
 
 
@@ -199,60 +200,237 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def _integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    atol: float,
-    points: Sequence[float] | None,
-) -> float:
-    """Integral of ``f`` over [lo, hi] by adaptive G10/K21 quadrature.
+def _blocked_matvec(m: np.ndarray, w: np.ndarray, groups: list[tuple[int, int, int]]) -> np.ndarray:
+    """``m @ w`` computed as one matmul per row's block of ``m``.
 
-    The initial intervals end at the ``points`` inside (lo, hi). Each
-    round evaluates ``f`` once, on the 21 nodes of every pending interval,
-    and estimates each interval's error as QUADPACK's qk21 does. An
-    interval is accepted when that error is at most ``atol * width /
-    (hi - lo)``, so the accepted errors sum to at most ``atol``, or at
-    most the rounding floor ``50 * eps * integral of |f|``, which a tall,
-    narrow peak cannot get below; every other interval is split in two.
-    ``IntegrationError`` is raised when ``f`` is not finite at a node or
-    when more than ``_MAX_INTERVALS`` intervals are needed.
+    A BLAS matrix-vector product rounds a row differently depending on the
+    row's position and the number of rows (its kernels work in blocks of
+    rows), so each row's intervals are multiplied as one block, as a
+    one-row run multiplies them. ``groups`` lists ``(start, stop, n)``
+    runs of blocks that all have ``n`` rows; each run is one stacked
+    matmul.
     """
-    edges = np.array([lo, *sorted(p for p in (points or ()) if lo < p < hi), hi])
-    a, b = edges[:-1], edges[1:]
-    total, used = 0.0, 0
+    out = np.empty(m.shape[0])
+    for start, stop, n in groups:
+        np.matmul(m[start:stop].reshape(-1, n, 21), w, out=out[start:stop].reshape(-1, n))
+    return out
+
+
+def _row_sums(values: np.ndarray, rows: np.ndarray, nrows: int) -> np.ndarray:
+    """``np.sum`` of each row's values, the rows' values being contiguous.
+
+    ``np.bincount`` adds in order from 0, which is what ``np.sum`` does
+    below 8 terms; a row with more is summed by ``np.sum`` itself, whose
+    pairwise order differs.
+    """
+    counts = np.bincount(rows, minlength=nrows)
+    sums = np.bincount(rows, weights=values, minlength=nrows)
+    for r in np.flatnonzero(counts >= 8).tolist():
+        sums[r] = np.sum(values[rows == r])
+    return sums
+
+
+def _integrate(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    atol: float | np.ndarray,
+    points: Sequence[Sequence[float] | None] | None,
+) -> np.ndarray:
+    """Integrals of a family of integrands by adaptive G10/K21 quadrature.
+
+    Row r of the family is the integral of ``f(., r)`` over
+    [lo[r], hi[r]], with tolerance ``atol`` (a float or one per row); its
+    initial intervals end at the ``points[r]`` inside (lo[r], hi[r]).
+    ``f(x, rows)`` gets the nodes ``x`` and the row of each, as an array
+    that broadcasts against ``x``, and returns the integrand there; ``x``
+    is (21, intervals) and ``rows`` (intervals,).
+
+    Each round evaluates ``f`` once, on the 21 nodes of every pending
+    interval of every row, and estimates each interval's error as
+    QUADPACK's qk21 does. An interval of row r is accepted when that error
+    is at most ``atol[r] * width / (hi[r] - lo[r])``, so the accepted
+    errors sum to at most ``atol[r]``, or at most the rounding floor
+    ``50 * eps * integral of |f|``, which a tall, narrow peak cannot get
+    below; every other interval is split in two. ``IntegrationError`` is
+    raised when ``f`` is not finite at a node or when a row needs more
+    than ``_MAX_INTERVALS`` intervals.
+
+    A row's result does not depend on the other rows: its intervals are
+    kept in the order a one-row run keeps them, its Kronrod sums are one
+    matmul on its own block (``_blocked_matvec``) and each round's
+    accepted parts are summed by ``np.sum``'s rule (``_row_sums``).
+    """
+    lo, hi = np.atleast_1d(np.asarray(lo, dtype=float)), np.atleast_1d(np.asarray(hi, dtype=float))
+    nrows = lo.size
+    atol = np.broadcast_to(np.asarray(atol, dtype=float), (nrows,))
+    span = hi - lo
+    edges = [
+        np.array([l, *sorted(p for p in (pts or ()) if l < p < h), h])
+        for l, h, pts in zip(lo.tolist(), hi.tolist(), points or [None] * nrows)
+    ]
+    row = np.repeat(np.arange(nrows), [e.size - 1 for e in edges])
+    a = np.concatenate([e[:-1] for e in edges])
+    b = np.concatenate([e[1:] for e in edges])
+    total, used = np.zeros(nrows), np.zeros(nrows, dtype=np.int64)
     while a.size:
-        used += a.size
-        if used > _MAX_INTERVALS:
-            raise IntegrationError(f"quadrature did not reach atol={atol} "
+        count = np.bincount(row, minlength=nrows)
+        used += count
+        if used.max() > _MAX_INTERVALS:
+            over = int(np.argmax(used > _MAX_INTERVALS))
+            raise IntegrationError(f"quadrature did not reach atol={atol[over]} "
                                    f"within {_MAX_INTERVALS} intervals")
+        # each row's intervals contiguous, in their order; rows with the
+        # same interval count adjacent, so each count is one stacked matmul
+        order = np.argsort(count[row] * nrows + row, kind="stable")
+        a, b, row = a[order], b[order], row[order]
+        rows_with = np.bincount(count)
+        n = np.flatnonzero(rows_with[1:]) + 1
+        stops = np.cumsum(n * rows_with[n])
+        groups = list(zip([0, *stops[:-1].tolist()], stops.tolist(), n.tolist()))
         half, mid = 0.5 * (b - a), 0.5 * (a + b)
-        fx = f((mid[:, None] + half[:, None] * _NODES).ravel()).reshape(-1, 21)
+        # node-major, so each row's parameters broadcast along contiguous runs
+        fx = f(mid + half * _NODES[:, None], row)
         if not np.all(np.isfinite(fx)):
             raise IntegrationError("integrand is not finite on the integration range")
-        resk = fx @ _WK
-        resabs = np.abs(fx) @ _WK * half
-        resasc = np.abs(fx - 0.5 * resk[:, None]) @ _WK * half
-        err = np.abs((resk - fx @ _WG) * half)
+        fx = np.ascontiguousarray(fx.T)
+        resk = _blocked_matvec(fx, _WK, groups)
+        resabs = _blocked_matvec(np.abs(fx), _WK, groups) * half
+        resasc = _blocked_matvec(np.abs(fx - 0.5 * resk[:, None]), _WK, groups) * half
+        err = np.abs((resk - _blocked_matvec(fx, _WG, groups)) * half)
         with np.errstate(divide="ignore", invalid="ignore"):
             scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
         err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
-        done = err <= np.maximum(atol * (b - a) / (hi - lo), _ROUNDING * resabs)
-        total += float(np.sum(resk[done] * half[done]))
-        a, b, mid = a[~done], b[~done], mid[~done]
-        a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
+        done = err <= np.maximum(atol[row] * (b - a) / span[row], _ROUNDING * resabs)
+        total += _row_sums(resk[done] * half[done], row[done], nrows)
+        keep = ~done
+        a, b, mid, row = a[keep], b[keep], mid[keep], row[keep]
+        a, b, row = np.concatenate((a, mid)), np.concatenate((mid, b)), np.concatenate((row, row))
     return total
 
 
-def _probe(density: Callable, grid: np.ndarray, name: str) -> np.ndarray:
-    """One array call of ``density`` on the probe grid, checked for shape."""
-    try:
-        vals = density(grid)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must accept a numpy array: {exc}") from exc
-    if not isinstance(vals, np.ndarray) or vals.shape != grid.shape:
-        raise DomainError(f"{name} must return an array shaped like its argument")
-    return vals
+def _lift(fn: Callable | None, name: str) -> Callable | None:
+    """A one-argument density as a member of a one-row family: it is
+    called on the points flattened, and ``DomainError`` is raised unless
+    it accepts that array and returns one of its shape."""
+    if fn is None:
+        return None
+
+    def member(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        flat = x.ravel()
+        try:
+            vals = fn(flat)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"{name} must accept a numpy array: {exc}") from exc
+        if not isinstance(vals, np.ndarray) or vals.shape != flat.shape:
+            raise DomainError(f"{name} must return an array shaped like its argument")
+        return vals.reshape(x.shape)
+
+    return member
+
+
+# Rows probed together: 16 rows of the 4097-point probe are 2^16 points,
+# 0.5 MB per array. With 32-row blocks a verify run left the heap about
+# 3 MB larger, which the next run's oracle suite added to its peak.
+_PROBE_ROWS = 16
+
+
+def _numeric_kl_rows(
+    p: Callable,
+    q: Callable,
+    lo: Sequence[float],
+    hi: Sequence[float],
+    *,
+    atol: float,
+    points: Sequence[Sequence[float] | None] | None = None,
+    log_p: Callable | None = None,
+    log_q: Callable | None = None,
+) -> np.ndarray:
+    """KL(p_r || q_r) in nats for each row r of a family, as ``numeric_kl``.
+
+    The densities (and log densities) are family members ``f(x, rows)``,
+    as ``_integrate`` calls them; row r's support is [lo[r], hi[r]] and
+    its breakpoints ``points[r]``. Rows are worked in blocks of
+    ``_PROBE_ROWS``, each with one probe and one ``_integrate`` run for the
+    two masses and the divergence of every row, so a row's value is the
+    one ``numeric_kl`` gives it alone and the memory held stays a few MB.
+    A quadrature failure (``IntegrationError``) in any of a block's
+    integrals is raised before the mass checks.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    bad = ~(np.isfinite(lo) & np.isfinite(hi) & (hi > lo))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise DomainError(f"bad support interval: ({lo[i]}, {hi[i]})")
+    if (log_p is None) != (log_q is None):
+        raise DomainError("log_p and log_q must be supplied together")
+    points = list(points) if points is not None else [None] * lo.size
+    out = np.zeros(lo.size)
+    for start in range(0, lo.size, _PROBE_ROWS):
+        rows = np.arange(start, min(start + _PROBE_ROWS, lo.size))
+        grid = np.ascontiguousarray(np.linspace(lo[rows], hi[rows], 4097, axis=-1))
+        p_vals, q_vals = p(grid, rows[:, None]), q(grid, rows[:, None])
+        if not (np.all(p_vals >= 0.0) and np.all(q_vals >= 0.0)):  # NaN fails too
+            raise DomainError("densities must be nonnegative numbers")
+        live = p_vals >= _TINY
+        gone = live & (q_vals <= 0.0)
+        if log_q is not None and np.any(gone):
+            # q may underflow where log q is finite: only log q = -inf vanishes
+            spots = np.nonzero(gone)
+            gone[spots] = log_q(grid[spots], rows[spots[0]]) == -math.inf
+        if np.any(gone):
+            raise DomainError("q vanishes where p does not; KL is undefined")
+        # a row with no live point has KL 0 and skips the mass checks
+        has = np.any(live, axis=1)
+        rows, grid, live = rows[has], grid[has], live[has]
+        if not rows.size:
+            continue
+        step = grid[:, 1] - grid[:, 0]
+        first = np.argmax(live, axis=1)
+        last = live.shape[1] - 1 - np.argmax(live[:, ::-1], axis=1)
+        at = np.arange(rows.size)
+        lo_eff = np.maximum(lo[rows], grid[at, first] - step)
+        hi_eff = np.minimum(hi[rows], grid[at, last] + step)
+
+        def divergence(x: np.ndarray, r: np.ndarray) -> np.ndarray:
+            # p counts as 0 below 1e-300; the errstate covers the 0 * inf and
+            # log(0) discarded there, and an overflowing p / q, which
+            # _integrate reports as a non-finite integrand
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                if log_p is not None and log_q is not None:
+                    lp = log_p(x, r)
+                    p_x, log_ratio = np.exp(lp), lp - log_q(x, r)
+                else:
+                    p_x = p(x, r)
+                    log_ratio = np.log(p_x / np.maximum(q(x, r), 5e-324))
+                return np.where(p_x < _TINY, 0.0, p_x * log_ratio)
+
+        # one run for three integrals per row: p's mass, q's mass and the
+        # divergence over the truncated range (integral k of row i is
+        # family row k * n + i)
+        n = rows.size
+        parts = (p, q, divergence)
+
+        def family(x: np.ndarray, r: np.ndarray) -> np.ndarray:
+            kind, i = np.divmod(r, n)
+            vals = np.empty(x.shape)
+            for k, part in enumerate(parts):
+                sel = kind == k
+                if np.any(sel):
+                    vals[:, sel] = part(x[:, sel], rows[i[sel]])
+            return vals
+
+        res = _integrate(
+            family, np.concatenate((lo[rows], lo[rows], lo_eff)),
+            np.concatenate((hi[rows], hi[rows], hi_eff)), np.repeat([1e-9, 1e-9, atol], n),
+            [points[r] for r in rows.tolist()] * 3,
+        )
+        for name, mass in (("p", res[:n]), ("q", res[n:2 * n])):
+            off = np.flatnonzero(np.abs(mass - 1.0) > 1e-8)
+            if off.size:
+                raise DomainError(f"density {name} integrates to {mass[off[0]]}, not 1")
+        out[rows] = res[2 * n:]
+    return out
 
 
 def numeric_kl(
@@ -273,13 +451,13 @@ def numeric_kl(
     integrating, where a negative or NaN density raises ``DomainError``.
     The integration range is truncated to where p exceeds 1e-300.
 
-    Every density and log density must accept a numpy array: the probe
-    calls the densities and ``log_q`` once on the whole grid and raises
-    ``DomainError`` unless each returns an array of the grid's shape. The
-    integrals (the two masses and the divergence) are adaptive G10/K21
-    quadrature, which calls its integrand once per round on the nodes of
-    every pending interval; it raises ``IntegrationError`` when the
-    integrand is not finite or the interval budget runs out.
+    Every density and log density must accept a numpy array: each is
+    called on whole arrays of points, and ``DomainError`` is raised unless
+    it returns an array of their shape. The integrals (the two masses and
+    the divergence) are adaptive G10/K21 quadrature, which calls its
+    integrand once per round on the nodes of every pending interval; it
+    raises ``IntegrationError`` when the integrand is not finite or the
+    interval budget runs out.
 
     ``points`` may list known non-smooth spots (e.g. mixture component
     means); each integration range is split there first. When the
@@ -288,48 +466,12 @@ def numeric_kl(
     the divergence does), pass ``log_p`` and ``log_q``; the log-ratio is
     then evaluated directly and only a true ``log_q = -inf`` counts as
     vanishing support.
+
+    This is the one-row call of ``_numeric_kl_rows``, the kernel that
+    ``restoration.kl_of_gains`` runs over many gains at once.
     """
     lo, hi = support
-    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
-        raise DomainError(f"bad support interval: {support}")
-    if (log_p is None) != (log_q is None):
-        raise DomainError("log_p and log_q must be supplied together")
-
-    grid = np.linspace(lo, hi, 4097)
-    p_vals = _probe(density_p, grid, "density_p")
-    q_vals = _probe(density_q, grid, "density_q")
-    if not (np.all(p_vals >= 0.0) and np.all(q_vals >= 0.0)):  # NaN fails too
-        raise DomainError("densities must be nonnegative numbers")
-    live = p_vals >= _TINY
-    if not np.any(live):
-        return 0.0
-    if log_q is not None:
-        if np.any(_probe(log_q, grid, "log_q")[live] == -math.inf):
-            raise DomainError("q vanishes where p does not; KL is undefined")
-    elif np.any(q_vals[live] <= 0.0):
-        raise DomainError("q vanishes where p does not; KL is undefined")
-
-    for name, dens in (("p", density_p), ("q", density_q)):
-        mass = _integrate(dens, lo, hi, 1e-9, points)
-        if abs(mass - 1.0) > 1e-8:
-            raise DomainError(f"density {name} integrates to {mass}, not 1")
-
-    idx = np.nonzero(live)[0]
-    step = float(grid[1] - grid[0])
-    lo_eff = max(lo, float(grid[idx[0]]) - step)
-    hi_eff = min(hi, float(grid[idx[-1]]) + step)
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        # p counts as 0 below 1e-300; the errstate covers the 0 * inf and
-        # log(0) discarded there, and an overflowing p / q, which
-        # _integrate reports as a non-finite integrand
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if log_p is not None and log_q is not None:
-                lp = log_p(x)
-                p, log_ratio = np.exp(lp), lp - log_q(x)
-            else:
-                p = density_p(x)
-                log_ratio = np.log(p / np.maximum(density_q(x), 5e-324))
-            return np.where(p < _TINY, 0.0, p * log_ratio)
-
-    return _integrate(integrand, lo_eff, hi_eff, atol, points)
+    return float(_numeric_kl_rows(
+        _lift(density_p, "density_p"), _lift(density_q, "density_q"), [lo], [hi],
+        atol=atol, points=[points], log_p=_lift(log_p, "log_p"), log_q=_lift(log_q, "log_q"),
+    )[0])

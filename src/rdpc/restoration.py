@@ -24,10 +24,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .entropy import numeric_kl, std_normal_cdf
+from .entropy import _numeric_kl_rows, std_normal_cdf
 from .errors import DomainError, NoCrossingError
-from .optimize import bisect_predicate, bisect_root, golden_min
-from .sources import GaussianMixture2
+from .optimize import bisect_predicates, bisect_root, golden_mins
+from .sources import GaussianMixture2, _stacked, _Component, mixture_density
 
 _METRICS = ("mse", "kl", "error_rate")
 
@@ -172,49 +172,82 @@ def error_rate_reoptimized(model: RestorationModel, a: float) -> float:
     return error_rate_of_gain(model, a, threshold=c_star)
 
 
-def kl_of_gain(model: RestorationModel, a: float) -> float:
-    """KL(clean mixture || restored mixture) in nats, by quadrature."""
-    if a == 0.0:
-        raise DomainError("restored law at gain 0 is a point mass; KL diverges")
+def kl_of_gains(model: RestorationModel, gains: Sequence[float]) -> np.ndarray:
+    """KL(clean mixture || restored mixture) in nats at each gain.
+
+    One batched quadrature (``entropy._numeric_kl_rows``) over all gains:
+    row r integrates over the union of the clean and restored 12-sd
+    supports, split at the four component means, with the log densities
+    (a strongly contracting gain leaves the restored law so narrow that
+    its plain density underflows under the clean tails). A row's value
+    does not depend on the other gains in the batch. Every gain is
+    checked before any work: a zero, NaN or infinite gain anywhere raises
+    ``DomainError``.
+    """
+    gains = np.asarray(gains, dtype=float).reshape(-1)
+    restored = []
+    for a in gains.tolist():
+        if a == 0.0:
+            raise DomainError("restored law at gain 0 is a point mass; KL diverges")
+        restored.append(scaled_mixture(model, a))
     clean = model.mixture
-    restored = scaled_mixture(model, a)
     lo1, hi1 = clean.support_12sd()
-    lo2, hi2 = restored.support_12sd()
-    support = (min(lo1, lo2), max(hi1, hi2))
-    marks = sorted({clean.m1, clean.m2, restored.m1, restored.m2})
-    # log densities: a strongly contracting gain leaves the restored law
-    # so narrow that its plain density underflows under the clean tails
-    return numeric_kl(
-        clean.density, restored.density, support, atol=1e-7, points=marks,
-        log_p=clean.log_density, log_q=restored.log_density,
+    supports = [r.support_12sd() for r in restored]
+    marks = [sorted({clean.m1, clean.m2, r.m1, r.m2}) for r in restored]
+    comps = _stacked(restored)
+
+    def q(x: np.ndarray, rows: np.ndarray, log: bool = False) -> np.ndarray:
+        at = tuple(_Component(*(field[rows] for field in c)) for c in comps)
+        return mixture_density(x, at, log=log)
+
+    return _numeric_kl_rows(
+        lambda x, _: mixture_density(x, clean._comps), q,
+        [min(lo1, lo2) for lo2, _ in supports], [max(hi1, hi2) for _, hi2 in supports],
+        atol=1e-7, points=marks,
+        log_p=lambda x, _: mixture_density(x, clean._comps, log=True),
+        log_q=lambda x, rows: q(x, rows, log=True),
     )
 
 
+def kl_of_gain(model: RestorationModel, a: float) -> float:
+    """KL(clean mixture || restored mixture) in nats at one gain: the
+    one-gain call of ``kl_of_gains``."""
+    return float(kl_of_gains(model, [a])[0])
+
+
 def sweep(model: RestorationModel, a_grid: Sequence[float]) -> list[DenoiseCurvePoint]:
-    """All three metrics on a grid of gains; zero gains are rejected."""
+    """All three metrics on a grid of gains; zero gains are rejected.
+
+    The KL column is one ``kl_of_gains`` call over the whole grid; MSE
+    and error rate are closed forms per gain.
+    """
     gains = [float(a) for a in a_grid]
     if not gains:
         raise DomainError("empty gain grid")
     if any(abs(a) < 1e-12 for a in gains):
         raise DomainError("gain grid must exclude 0")
+    kls = kl_of_gains(model, gains).tolist()
     return [
         DenoiseCurvePoint(
             a=a,
             mse=mse_of_gain(model, a),
-            kl=kl_of_gain(model, a),
+            kl=kl,
             error_rate=error_rate_of_gain(model, a),
         )
-        for a in gains
+        for a, kl in zip(gains, kls)
     ]
 
 
-def _metric_fn(model: RestorationModel, name: str) -> Callable[[float], float]:
+def _metric_fn(model: RestorationModel, name: str) -> Callable[[np.ndarray], np.ndarray]:
+    """The metric on an array of gains: KL is one batched kernel call; MSE
+    and the error rate are ``math`` closed forms per gain (numpy has no
+    erfc)."""
     if name == "mse":
-        return lambda a: mse_of_gain(model, a)
+        return lambda a: np.array([mse_of_gain(model, x) for x in a.tolist()])
     if name == "kl":
-        return lambda a: kl_of_gain(model, a)
+        return lambda a: kl_of_gains(model, a)
     if name == "error_rate":
-        return lambda a: error_rate_of_gain(model, a)
+        return lambda a: np.array([error_rate_of_gain(model, x) for x in a.tolist()])
     raise DomainError(f"unknown metric {name!r}; expected one of {_METRICS}")
 
 
@@ -229,56 +262,84 @@ def frontier(
 ) -> list[FrontierPoint]:
     """Constrained frontier: min over a of one metric per bound on another.
 
-    For each bound the feasible gains are screened on a grid, the
-    contiguous feasible run around the best grid point is trimmed to the
-    exact constraint boundary by bisection, and a golden-section search
-    finishes the job. Metrics are unimodal in the gain on the ranges of
-    interest, which is what makes the interval-based refinement sound.
+    The gains are screened on a grid, with one call per metric for all
+    bounds. For each bound, the contiguous feasible run around the best
+    grid point is trimmed to the exact constraint boundary by bisection,
+    and a golden-section search finishes the job. The bisections of all
+    bounds run in lockstep, and then their golden-section searches, with
+    one batched metric call per step (``bisect_predicates``,
+    ``golden_mins``), so the number of calls does not grow with the number
+    of bounds; each bound gets the iterates of its own one-bracket search.
+    Metrics are unimodal in the gain on the ranges of interest, which is
+    what makes the interval-based refinement sound.
+
+    Non-finite bounds or gain-range ends, and ``grid_points < 2``, raise
+    ``DomainError`` before any work.
     """
     if minimize == subject_to:
         raise DomainError("objective and constraint metrics must differ")
     f_obj = _metric_fn(model, minimize)
     f_con = _metric_fn(model, subject_to)
+    for name, val in (("a_lo", a_lo), ("a_hi", a_hi)):
+        if not math.isfinite(val):
+            raise DomainError(f"{name} must be finite: {val}")
     if a_lo <= 0.0 or a_hi <= a_lo:
         raise DomainError(f"bad gain range [{a_lo}, {a_hi}]")
+    if not grid_points >= 2:
+        raise DomainError(f"grid_points must be at least 2: {grid_points}")
     bounds = [float(b) for b in bound_grid]
+    for b in bounds:
+        if not math.isfinite(b):
+            raise DomainError(f"bound must be finite: {b}")
     if bounds != sorted(bounds):
         raise DomainError("bound grid must be sorted ascending")
 
     grid = np.linspace(a_lo, a_hi, grid_points)
-    con_vals = np.array([f_con(float(a)) for a in grid])
-    obj_vals = np.array([f_obj(float(a)) for a in grid])
+    con_vals = f_con(grid)
+    obj_vals = f_obj(grid)
 
-    out: list[FrontierPoint] = []
-    for bound in bounds:
+    # per feasible bound, the feasible grid run around its best grid point
+    runs: dict[int, tuple[int, int]] = {}
+    for j, bound in enumerate(bounds):
         ok = con_vals <= bound + 1e-12
         if not np.any(ok):
-            out.append(FrontierPoint(bound, math.nan, math.nan, False))
             continue
-        masked = np.where(ok, obj_vals, np.inf)
-        idx = int(np.argmin(masked))
+        idx = int(np.argmin(np.where(ok, obj_vals, np.inf)))
         run_lo = idx
         while run_lo > 0 and ok[run_lo - 1]:
             run_lo -= 1
         run_hi = idx
         while run_hi < len(grid) - 1 and ok[run_hi + 1]:
             run_hi += 1
+        runs[j] = (run_lo, run_hi)
 
-        def feas(x: float) -> bool:
-            return f_con(x) <= bound + 1e-12
+    # a run's ends inside the grid are trimmed to the constraint boundary;
+    # an upper end is searched mirrored (sign -1), so that its predicate is
+    # monotone increasing
+    edges = {j: [float(grid[lo]), float(grid[hi])] for j, (lo, hi) in runs.items()}
+    trims = [(j, 0, 1.0, grid[lo - 1], grid[lo]) for j, (lo, _) in runs.items() if lo > 0]
+    trims += [(j, 1, -1.0, -grid[hi + 1], -grid[hi])
+              for j, (_, hi) in runs.items() if hi < len(grid) - 1]
+    if trims:
+        which, end, sign, lo, hi = (np.array(col) for col in zip(*trims))
+        cap = np.array(bounds)[which] + 1e-12
+        found = sign * bisect_predicates(
+            lambda u, i: f_con(sign[i] * u) <= cap[i], lo, hi, xtol=1e-10
+        )
+        for j, k, x in zip(which.tolist(), end.tolist(), found.tolist()):
+            edges[j][k] = x
 
-        lo_edge = float(grid[run_lo])
-        if run_lo > 0:
-            lo_edge = bisect_predicate(feas, float(grid[run_lo - 1]), lo_edge, xtol=1e-10)
-        hi_edge = float(grid[run_hi])
-        if run_hi < len(grid) - 1:
-            # mirror the bracket so the predicate is monotone increasing
-            hi_edge = -bisect_predicate(
-                lambda u: feas(-u), -float(grid[run_hi + 1]), -hi_edge, xtol=1e-10
-            )
-        gain, value = golden_min(f_obj, lo_edge, hi_edge, xtol=1e-8)
-        out.append(FrontierPoint(bound, value, gain, True))
-    return out
+    solved = list(edges)
+    gains, values = golden_mins(
+        lambda x, _: f_obj(x), [edges[j][0] for j in solved], [edges[j][1] for j in solved],
+        xtol=1e-8,
+    )
+    best = dict(zip(solved, zip(gains.tolist(), values.tolist())))
+    return [
+        FrontierPoint(bound, best[j][1], best[j][0], True) if j in best
+        else FrontierPoint(bound, math.nan, math.nan, False)
+        for j, bound in enumerate(bounds)
+    ]
 
 
 def monte_carlo_mse(

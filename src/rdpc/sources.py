@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -142,15 +143,62 @@ def gaussian_derived(src: GaussianPairSource) -> GaussianDerived:
     return GaussianDerived(rho=rho, h_s=src.h_s, feasibility_floor_c=floor)
 
 
+class _Component(NamedTuple):
+    """One weighted Gaussian term of a mixture, with its normalizers.
+
+    ``norm`` is sqrt(2 pi v), ``log_norm`` 0.5 log(2 pi v) and ``log_w``
+    log w (-inf for w = 0), all taken once with ``math``: numpy's log can
+    differ from it in the last bit, which would move the densities' last
+    bits. Fields are floats, or arrays that broadcast against the points
+    the mixture is evaluated at.
+    """
+
+    w: FloatOrArray
+    m: FloatOrArray
+    v: FloatOrArray
+    norm: FloatOrArray
+    log_norm: FloatOrArray
+    log_w: FloatOrArray
+
+
+def _component(w: float, m: float, v: float) -> _Component:
+    two_pi_v = 2.0 * math.pi * v
+    return _Component(w, m, v, math.sqrt(two_pi_v), 0.5 * math.log(two_pi_v),
+                      math.log(w) if w > 0.0 else -math.inf)
+
+
+def mixture_density(
+    x: FloatOrArray, comps: tuple[_Component, _Component], *, log: bool = False
+) -> FloatOrArray:
+    """Density of the two-component mixture ``comps`` elementwise at x, or
+    with ``log`` its log, which stays finite far into the tails where the
+    density underflows to zero.
+
+    A component whose squared distance from x overflows contributes 0 to
+    the density and a -inf term to the log (so does a zero weight); with
+    both terms -inf the log is -inf. This is the one formula behind
+    ``GaussianMixture2.density`` and ``log_density``; the restoration
+    kernel calls it with per-row parameter arrays.
+    """
+    c1, c2 = comps
+    with np.errstate(over="ignore"):
+        q1, q2 = np.square(x - c1.m), np.square(x - c2.m)
+    if log:
+        return np.logaddexp(c1.log_w - 0.5 * q1 / c1.v - c1.log_norm,
+                            c2.log_w - 0.5 * q2 / c2.v - c2.log_norm)
+    d1 = np.exp(-0.5 * q1 / c1.v) / c1.norm
+    d2 = np.exp(-0.5 * q2 / c2.v) / c2.norm
+    return c1.w * d1 + c2.w * d2
+
+
 @dataclass(frozen=True)
 class GaussianMixture2:
     """Two-component Gaussian mixture w1*N(m1,v1) + w2*N(m2,v2).
 
     Every field must be finite and both variances positive.
 
-    Each component's normalizer sqrt(2*pi*v), its log 0.5*log(2*pi*v) and
-    the log weight (-inf for a zero weight) are computed once, at
-    construction, not on every density call.
+    The components with their normalizers (``_component``) are built
+    once, at construction, not on every density call.
     """
 
     w1: float
@@ -169,38 +217,20 @@ class GaussianMixture2:
             raise DomainError(f"weights must sum to 1: {self.w1 + self.w2}")
         if not (0.0 < self.v1 < math.inf and 0.0 < self.v2 < math.inf):
             raise DomainError(f"variances must be positive and finite: ({self.v1}, {self.v2})")
-        # plain attributes, not fields: they stay out of eq, hash and repr
-        two_pi_v = (2.0 * math.pi * self.v1, 2.0 * math.pi * self.v2)
-        object.__setattr__(self, "_norm", tuple(math.sqrt(t) for t in two_pi_v))
-        object.__setattr__(self, "_log_norm", tuple(0.5 * math.log(t) for t in two_pi_v))
-        object.__setattr__(
-            self, "_log_w",
-            tuple(math.log(w) if w > 0.0 else -math.inf for w in (self.w1, self.w2)),
-        )
-
-    def _squares(self, x: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
-        """(x - m1) ** 2 and (x - m2) ** 2; +inf where a square overflows."""
-        with np.errstate(over="ignore"):
-            return np.square(x - self.m1), np.square(x - self.m2)
+        # a plain attribute, not a field: it stays out of eq, hash and repr
+        object.__setattr__(self, "_comps", (_component(self.w1, self.m1, self.v1),
+                                            _component(self.w2, self.m2, self.v2)))
 
     def density(self, x: FloatOrArray) -> FloatOrArray:
-        """Mixture density at a float or elementwise on a numpy array. A
-        component whose squared distance from x overflows contributes 0."""
-        q1, q2 = self._squares(x)
-        d1 = np.exp(-0.5 * q1 / self.v1) / self._norm[0]
-        d2 = np.exp(-0.5 * q2 / self.v2) / self._norm[1]
-        out = self.w1 * d1 + self.w2 * d2
+        """Mixture density at a float or elementwise on a numpy array
+        (``mixture_density``)."""
+        out = mixture_density(x, self._comps)
         return out if isinstance(x, np.ndarray) else float(out)
 
     def log_density(self, x: FloatOrArray) -> FloatOrArray:
         """Log of ``density``, stable far into the tails where the plain
-        density underflows to zero. A zero-weight component, or one whose
-        squared distance from x overflows, is a -inf term; with both terms
-        -inf the result is -inf."""
-        q1, q2 = self._squares(x)
-        (log_w1, log_w2), (log_n1, log_n2) = self._log_w, self._log_norm
-        out = np.logaddexp(log_w1 - 0.5 * q1 / self.v1 - log_n1,
-                           log_w2 - 0.5 * q2 / self.v2 - log_n2)
+        density underflows to zero (``mixture_density`` with ``log``)."""
+        out = mixture_density(x, self._comps, log=True)
         return out if isinstance(x, np.ndarray) else float(out)
 
     def second_moment(self) -> float:
@@ -214,3 +244,11 @@ class GaussianMixture2:
         standard deviations; the quadrature default."""
         spread = 12.0 * self.widest_sd()
         return (min(self.m1, self.m2) - spread, max(self.m1, self.m2) + spread)
+
+
+def _stacked(mixtures: Sequence[GaussianMixture2]) -> tuple[_Component, _Component]:
+    """The components of many mixtures, each field an array over them."""
+    return tuple(
+        _Component(*(np.array(field) for field in zip(*(mix._comps[k] for mix in mixtures))))
+        for k in (0, 1)
+    )

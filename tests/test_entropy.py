@@ -73,6 +73,15 @@ def test_inverse_is_bit_identical_to_bisect_root():
         assert binary_entropy_inv(h) == _bisect_root_inverse(h), h
 
 
+@pytest.mark.parametrize("h", [5e-324, 1e-320, 1e-310])
+def test_inverse_of_a_subnormal_entropy_is_near_zero(h):
+    # -h times a midpoint's entropy underflows to -0.0 here, so a product
+    # sign test would walk the bracket the wrong way
+    for p in (binary_entropy_inv(h), float(entropy._binary_entropy_inv_arr(np.array([h]))[0])):
+        assert 0.0 <= p <= 1e-14
+        assert binary_entropy(p) <= 1e-12
+
+
 @pytest.mark.parametrize("h", [math.nan, -0.01, 1.01, -math.inf, math.inf])
 def test_inverse_rejects_every_time_and_caches_no_error(h):
     before = binary_entropy_inv.cache_info().currsize
@@ -246,15 +255,49 @@ def test_kronrod_rule_constants():
             assert entropy._NODES**k @ entropy._WG == pytest.approx(exact, abs=1e-15)
 
 
+def _one_row(f, lo, hi, atol, points=None):
+    """A one-argument integrand integrated as a one-row family."""
+    return float(entropy._integrate(lambda x, _: f(x), [lo], [hi], atol, [points])[0])
+
+
 def test_integrate_reaches_atol_and_splits_at_points():
-    value = entropy._integrate(np.exp, 0.0, 1.0, 1e-12, None)
+    value = _one_row(np.exp, 0.0, 1.0, 1e-12)
     assert abs(value - math.expm1(1.0)) <= 1e-12
     # |x - 1/3| has a kink; a breakpoint there makes both pieces polynomial
     kink = lambda x: np.abs(x - 1.0 / 3.0)  # noqa: E731
-    assert entropy._integrate(kink, 0.0, 1.0, 1e-12, [1.0 / 3.0]) == pytest.approx(
+    assert _one_row(kink, 0.0, 1.0, 1e-12, [1.0 / 3.0]) == pytest.approx(
         5.0 / 18.0, abs=1e-15
     )
-    assert abs(entropy._integrate(kink, 0.0, 1.0, 1e-10, None) - 5.0 / 18.0) <= 1e-10
+    assert abs(_one_row(kink, 0.0, 1.0, 1e-10) - 5.0 / 18.0) <= 1e-10
+
+
+def test_integrate_rows_do_not_depend_on_their_batch():
+    # rows of unequal difficulty, so they need different interval counts
+    k = np.linspace(1.0, 80.0, 40)
+    marks = [[0.5] if i % 3 == 0 else None for i in range(k.size)]
+    batch = entropy._integrate(
+        lambda x, r: np.cos(k[r] * x) * np.exp(-x), np.zeros(k.size), np.ones(k.size), 1e-11,
+        marks,
+    )
+    for i, ki in enumerate(k.tolist()):
+        one = _one_row(lambda x: np.cos(ki * x) * np.exp(-x), 0.0, 1.0, 1e-11, marks[i])
+        assert batch[i] == one
+        exact = (math.exp(-1.0) * (ki * math.sin(ki) - math.cos(ki)) + 1.0) / (1.0 + ki * ki)
+        assert abs(one - exact) <= 1e-11
+
+
+def test_integrate_budget_is_per_row():
+    nodes = []
+
+    def f(x, r):
+        nodes.append(x.size)
+        return np.sin(400.0 * x)
+
+    rows = 60  # about 127 intervals each
+    got = entropy._integrate(f, np.zeros(rows), np.ones(rows), 1e-12, None)
+    # together the rows use more intervals than one row may
+    assert sum(nodes) // 21 > entropy._MAX_INTERVALS
+    assert np.all(np.abs(got - (1.0 - math.cos(400.0)) / 400.0) <= 1e-12)
 
 
 @pytest.mark.parametrize(
@@ -269,7 +312,7 @@ def test_integrate_reaches_atol_and_splits_at_points():
 def test_integrate_failures_raise_quickly(integrand):
     t0 = time.perf_counter()
     with pytest.raises(IntegrationError):
-        entropy._integrate(integrand, 0.0, 1.0, 1e-12, None)
+        _one_row(integrand, 0.0, 1.0, 1e-12)
     assert time.perf_counter() - t0 < 0.1
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import rdpc.restoration as restoration
 from rdpc import (
     DomainError,
     GaussianMixture2,
@@ -16,6 +17,7 @@ from rdpc import (
     error_rate_reoptimized,
     frontier,
     kl_of_gain,
+    kl_of_gains,
     monte_carlo_mse,
     mse_of_gain,
     scaled_mixture,
@@ -238,3 +240,90 @@ def test_monte_carlo_is_bit_identical_to_seed_formula(n):
     assert monte_carlo_mse(MODEL, 0.8, n, seed=5) == _seed_monte_carlo_mse(
         MODEL, 0.8, n, seed=5
     )
+
+
+GRID = np.linspace(0.05, 1.5, 146)
+
+
+@pytest.mark.parametrize("sigma_n", [0.0, 1.0])
+def test_kl_row_does_not_depend_on_its_batch(sigma_n):
+    model = default_model(sigma_n=sigma_n)
+    batch = kl_of_gains(model, GRID)
+    for i, a in enumerate(GRID.tolist()):
+        assert kl_of_gains(model, [a])[0] == batch[i]
+        assert kl_of_gain(model, a) == batch[i]
+    order = np.random.default_rng(7).permutation(GRID.size)
+    assert np.array_equal(kl_of_gains(model, GRID[order]), batch[order])
+
+
+@pytest.mark.parametrize("bad", [0.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, 70, 145])
+def test_kl_of_gains_refuses_a_bad_gain_anywhere(bad, at):
+    gains = GRID.copy()
+    gains[at] = bad
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError):
+        kl_of_gains(MODEL, gains)
+    assert time.perf_counter() - t0 < 0.05  # before any quadrature
+
+
+def test_kl_batch_of_146_gains_stays_within_each_rows_budget():
+    # the call integrates about 7,800 intervals in all, more than the 4,096
+    # one KL may use: every gain has its own budget
+    kl = kl_of_gains(default_model(sigma_n=5.0), GRID)
+    assert np.all(np.isfinite(kl)) and np.all(kl >= 0.0)
+
+
+def _counting_kernel(monkeypatch):
+    sizes = []
+    real = restoration.kl_of_gains
+
+    def counted(model, gains):
+        sizes.append(len(gains))
+        return real(model, gains)
+
+    monkeypatch.setattr(restoration, "kl_of_gains", counted)
+    return sizes
+
+
+def test_sweep_makes_one_kernel_call(monkeypatch):
+    sizes = _counting_kernel(monkeypatch)
+    sweep(MODEL, GRID)
+    assert sizes == [146]
+
+
+@pytest.mark.parametrize("bounds", [[0.8], [0.5, 0.7, 0.8, 1.0, 1.3], np.linspace(0.7, 1.6, 12)])
+def test_kl_frontier_calls_do_not_grow_with_bounds(monkeypatch, bounds):
+    sizes = _counting_kernel(monkeypatch)
+    frontier(MODEL, "kl", "mse", bounds, grid_points=73)
+    # the screen, then one call per golden-section step for all bounds
+    assert sizes[0] == 73
+    assert len(sizes) <= 1 + 45
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"bound_grid": [0.7, math.nan]},
+        {"bound_grid": [0.7, math.inf]},
+        {"bound_grid": [-math.inf, 0.7]},
+        {"a_lo": math.nan},
+        {"a_lo": -math.inf},
+        {"a_hi": math.inf},
+        {"a_hi": math.nan},
+        {"grid_points": 0},
+        {"grid_points": 1},
+    ],
+    ids=["nan-bound", "inf-bound", "minus-inf-bound", "nan-a_lo", "minus-inf-a_lo",
+         "inf-a_hi", "nan-a_hi", "no-grid", "one-point-grid"],
+)
+def test_frontier_refuses_bad_inputs_up_front(monkeypatch, kwargs):
+    sizes = _counting_kernel(monkeypatch)
+    args = {"bound_grid": [0.7, 1.0], **kwargs}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as info:
+            frontier(MODEL, "kl", "mse", **args)
+    assert sizes == []  # before any work
+    named = next(iter(kwargs))
+    assert ("bound" if named == "bound_grid" else named) in str(info.value)
