@@ -1,12 +1,14 @@
 """Small deterministic 1-D search routines.
 
-Nothing here is clever: a bracketing bisection and a golden-section
-minimizer, both with fixed iteration caps so callers get predictable
-runtimes, and a predicate bisection. The predicate bisection and the
-golden-section search also run on many brackets in lockstep
-(``bisect_predicates``, ``golden_mins``), one batched evaluation per
-step; their one-bracket calls are the scalar functions. All are safe to
-call from any number of threads.
+A bracketing bisection for roots, a predicate bisection for the edge of a
+monotone boolean test, and Brent's bounded minimizer for a unimodal
+function, all with fixed caps on their iterations or evaluations so
+callers get predictable runtimes. The predicate bisection also runs on
+many brackets in lockstep (``bisect_predicates``), one batched evaluation
+per step; its one-bracket call is ``bisect_predicate``. ``brent_min`` is a
+pure-Python port of SciPy's bounded ``minimize_scalar``, so numpy stays
+the only runtime dependency. All are safe to call from any number of
+threads.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import numpy as np
 
 from .errors import DomainError
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
 
 
 def bisect_root(
@@ -120,78 +123,84 @@ def bisect_predicate(
     )[0])
 
 
-def golden_mins(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    lo: Sequence[float],
-    hi: Sequence[float],
-    *,
-    xtol: float = 1e-10,
-    max_iter: int = 200,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``golden_min`` on many brackets in lockstep.
-
-    ``f(x, idx)`` gets points ``x`` of the brackets ``idx`` and returns
-    the values there, so a step is one call for all brackets: the two
-    interior points first, then one new point per open bracket, then both
-    ends. Every bracket takes the iterates of its one-bracket search, ends
-    at its own step, and picks its argmin by the same rule. With no
-    brackets there is no call.
-    """
-    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    empty = np.flatnonzero(b < a)
-    if empty.size:
-        raise DomainError(f"empty bracket [{a[empty[0]]}, {b[empty[0]]}]")
-    n = a.size
-    if not n:
-        return a, b
-    idx = np.arange(n)
-    x1 = b - _INV_GOLDEN * (b - a)
-    x2 = a + _INV_GOLDEN * (b - a)
-    f12 = np.asarray(f(np.concatenate((x1, x2)), np.concatenate((idx, idx))), dtype=float)
-    f1, f2 = f12[:n], f12[n:]
-    active = np.ones(n, dtype=bool)
-    for _ in range(max_iter):
-        active &= ~(b - a <= xtol)
-        i = np.flatnonzero(active)
-        if not i.size:
-            break
-        left = f1[i] <= f2[i]
-        # left: the minimum is in [a, x2]; x1 moves to x2 and a new x1 is
-        # taken. Right: the minimum is in [x1, b]; x2 moves to x1.
-        l, r = i[left], i[~left]
-        b[l], x2[l], f2[l] = x2[l], x1[l], f1[l]
-        x1[l] = b[l] - _INV_GOLDEN * (b[l] - a[l])
-        a[r], x1[r], f1[r] = x1[r], x2[r], f2[r]
-        x2[r] = a[r] + _INV_GOLDEN * (b[r] - a[r])
-        new = np.where(left, x1[i], x2[i])
-        vals = np.asarray(f(new, i), dtype=float)
-        f1[l], f2[r] = vals[left], vals[~left]
-    fab = np.asarray(f(np.concatenate((a, b)), np.concatenate((idx, idx))), dtype=float)
-    # include the endpoints: constrained minima often sit on the bracket edge
-    best = [
-        min(cands, key=lambda t: (t[0], t[1]))
-        for cands in zip(zip(fab[:n].tolist(), a.tolist()), zip(f1.tolist(), x1.tolist()),
-                         zip(f2.tolist(), x2.tolist()), zip(fab[n:].tolist(), b.tolist()))
-    ]
-    return np.array([x for _, x in best]), np.array([v for v, _ in best])
-
-
-def golden_min(
+def brent_min(
     f: Callable[[float], float],
     lo: float,
     hi: float,
     *,
-    xtol: float = 1e-10,
-    max_iter: int = 200,
+    xtol: float = 1e-5,
+    max_iter: int = 500,
 ) -> tuple[float, float]:
-    """Minimize a unimodal ``f`` on ``[lo, hi]`` by golden-section search.
+    """Minimize a unimodal ``f`` on ``[lo, hi]`` by Brent's method.
 
-    Returns ``(argmin, value)``. The interval shrinks by the inverse golden
-    ratio each step, reusing one interior evaluation, so the cost is one
-    call per iteration after the first two. The one-bracket call of
-    ``golden_mins``.
+    Returns ``(argmin, value)``. Parabolic interpolation through the three
+    best points so far, with a golden-section step whenever the parabola
+    is not trusted (Brent 1973, ch. 5); ``f`` is never called at the ends.
+    A port of SciPy's bounded ``minimize_scalar``: with ``xatol=xtol`` and
+    ``maxiter=max_iter`` it calls ``f`` at the same points, in the same
+    order and as often, and returns the same ``x`` and ``fun``. At most
+    ``max_iter`` calls. A non-finite or empty bracket raises
+    ``DomainError`` before any call.
     """
-    x, v = golden_mins(
-        lambda x, _: [f(t) for t in x.tolist()], [lo], [hi], xtol=xtol, max_iter=max_iter
-    )
-    return float(x[0]), float(v[0])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"bracket ends must be finite: [{lo}, {hi}]")
+    if hi < lo:
+        raise DomainError(f"empty bracket [{lo}, {hi}]")
+    a, b = lo, hi
+    # x is the best point so far, w the second best, v the previous w
+    x = w = v = a + _GOLDEN_MEAN * (b - a)
+    fx = fw = fv = float(f(x))
+    calls = 1
+    step = e = 0.0  # the last step, and the one before it
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(x) + xtol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(x - xm) > tol2 - 0.5 * (b - a):
+        parabolic = False
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, step
+            # take the parabola's vertex if it is inside the bracket and
+            # moves less than half the step before last
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                parabolic = True
+                step = p / q
+                u = x + step
+                if u - a < tol2 or b - u < tol2:
+                    step = tol1 if xm >= x else -tol1
+        if not parabolic:  # a golden-section step into the larger part
+            e = a - x if x >= xm else b - x
+            step = _GOLDEN_MEAN * e
+        u = x + (-1.0 if step < 0.0 else 1.0) * max(abs(step), tol1)
+        fu = float(f(u))
+        calls += 1
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv = w, fw
+            w, fw = x, fx
+            x, fx = u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv = w, fw
+                w, fw = u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + xtol / 3.0
+        tol2 = 2.0 * tol1
+        if calls >= max_iter:
+            break
+    return x, fx

@@ -14,6 +14,11 @@ re-derived per gain, scaling by a > 0 would be invertible and the error
 rate would be constant (that control is implemented too, as
 ``error_rate_reoptimized``). Only the fixed classifier exhibits a
 tradeoff against MSE and KL.
+
+A constrained frontier (``frontier``) minimizes one metric under bounds
+on another: a grid screen, a trim of each bound's feasible run, one
+Brent search for the objective's minimizer and a clip of it per bound.
+The objective must be unimodal in the gain on the searched range.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 
 from .entropy import _numeric_kl_rows, std_normal_cdf
 from .errors import DomainError, NoCrossingError
-from .optimize import bisect_predicates, bisect_root, golden_mins
+from .optimize import bisect_predicates, bisect_root, brent_min
 from .sources import GaussianMixture2, _stacked, _Component, mixture_density
 
 _METRICS = ("mse", "kl", "error_rate")
@@ -182,9 +187,12 @@ def kl_of_gains(model: RestorationModel, gains: Sequence[float]) -> np.ndarray:
     its plain density underflows under the clean tails). A row's value
     does not depend on the other gains in the batch. Every gain is
     checked before any work: a zero, NaN or infinite gain anywhere raises
-    ``DomainError``.
+    ``DomainError``. With no gains there is no call and the result is
+    empty.
     """
     gains = np.asarray(gains, dtype=float).reshape(-1)
+    if not gains.size:
+        return gains
     restored = []
     for a in gains.tolist():
         if a == 0.0:
@@ -262,18 +270,28 @@ def frontier(
 ) -> list[FrontierPoint]:
     """Constrained frontier: min over a of one metric per bound on another.
 
-    The gains are screened on a grid, with one call per metric for all
-    bounds. For each bound, the contiguous feasible run around the best
-    grid point is trimmed to the exact constraint boundary by bisection,
-    and a golden-section search finishes the job. The bisections of all
-    bounds run in lockstep, and then their golden-section searches, with
-    one batched metric call per step (``bisect_predicates``,
-    ``golden_mins``), so the number of calls does not grow with the number
-    of bounds; each bound gets the iterates of its own one-bracket search.
-    Metrics are unimodal in the gain on the ranges of interest, which is
-    what makes the interval-based refinement sound.
+    The objective must be unimodal in the gain on ``[a_lo, a_hi]``.
 
-    Non-finite bounds or gain-range ends, and ``grid_points < 2``, raise
+    1. Screen: both metrics on a grid of ``grid_points`` gains, one call
+       per metric for all bounds. A screened objective that rises before
+       its argmin or falls after it by more than 1e-12 breaks the
+       contract and raises ``DomainError``.
+    2. Trim: for each bound, the contiguous feasible run around the best
+       feasible grid point is trimmed to the exact constraint boundary;
+       the bisections of all bounds run in lockstep, one batched
+       constraint call per step (``bisect_predicates``).
+    3. Search: one Brent search (``brent_min``, xtol 1e-8) for the
+       unconstrained minimizer a* in the two grid cells around the
+       screen's argmin. The screen's values at the ends of those cells
+       are candidates too, so a minimum at the range's end is found.
+    4. Clip: by unimodality the minimum on a bound's trimmed interval
+       [l, h] is at clip(a*, l, h). Rows whose interval holds a* share
+       its (gain, value); the clipped edges of the others are evaluated
+       in one batched call.
+
+    So a frontier makes a fixed number of metric calls however many
+    bounds it has. Non-finite bounds or gain-range ends, and a
+    ``grid_points`` that is not an integer of at least 2, raise
     ``DomainError`` before any work.
     """
     if minimize == subject_to:
@@ -285,7 +303,9 @@ def frontier(
             raise DomainError(f"{name} must be finite: {val}")
     if a_lo <= 0.0 or a_hi <= a_lo:
         raise DomainError(f"bad gain range [{a_lo}, {a_hi}]")
-    if not grid_points >= 2:
+    if not isinstance(grid_points, (int, np.integer)):
+        raise DomainError(f"grid_points must be an integer: {grid_points!r}")
+    if grid_points < 2:
         raise DomainError(f"grid_points must be at least 2: {grid_points}")
     bounds = [float(b) for b in bound_grid]
     for b in bounds:
@@ -297,6 +317,12 @@ def frontier(
     grid = np.linspace(a_lo, a_hi, grid_points)
     con_vals = f_con(grid)
     obj_vals = f_obj(grid)
+    k = int(np.argmin(obj_vals))
+    steps = np.diff(obj_vals)
+    if np.any(steps[:k] > 1e-12) or np.any(steps[k:] < -1e-12):
+        raise DomainError(
+            f"{minimize} is not unimodal in the gain on [{a_lo}, {a_hi}]"
+        )
 
     # per feasible bound, the feasible grid run around its best grid point
     runs: dict[int, tuple[int, int]] = {}
@@ -312,6 +338,8 @@ def frontier(
         while run_hi < len(grid) - 1 and ok[run_hi + 1]:
             run_hi += 1
         runs[j] = (run_lo, run_hi)
+    if not runs:
+        return [FrontierPoint(b, math.nan, math.nan, False) for b in bounds]
 
     # a run's ends inside the grid are trimmed to the constraint boundary;
     # an upper end is searched mirrored (sign -1), so that its predicate is
@@ -326,15 +354,22 @@ def frontier(
         found = sign * bisect_predicates(
             lambda u, i: f_con(sign[i] * u) <= cap[i], lo, hi, xtol=1e-10
         )
-        for j, k, x in zip(which.tolist(), end.tolist(), found.tolist()):
-            edges[j][k] = x
+        for j, side, x in zip(which.tolist(), end.tolist(), found.tolist()):
+            edges[j][side] = x
 
-    solved = list(edges)
-    gains, values = golden_mins(
-        lambda x, _: f_obj(x), [edges[j][0] for j in solved], [edges[j][1] for j in solved],
-        xtol=1e-8,
-    )
-    best = dict(zip(solved, zip(gains.tolist(), values.tolist())))
+    # a*: Brent between the screen's neighbours of its argmin, which are
+    # candidates too (the search never evaluates its bracket's ends)
+    k_lo, k_hi = max(k - 1, 0), min(k + 1, len(grid) - 1)
+    x, v = brent_min(lambda a: f_obj(np.array([a]))[0],
+                     float(grid[k_lo]), float(grid[k_hi]), xtol=1e-8)
+    v_star, a_star = min([(v, x)] + [(float(obj_vals[i]), float(grid[i])) for i in (k_lo, k_hi)])
+
+    best = {j: (a_star, v_star) for j, (l, h) in edges.items() if l <= a_star <= h}
+    clipped = [j for j in edges if j not in best]
+    if clipped:
+        at = [min(max(a_star, edges[j][0]), edges[j][1]) for j in clipped]
+        for j, a, v in zip(clipped, at, f_obj(np.array(at)).tolist()):
+            best[j] = (a, v)
     return [
         FrontierPoint(bound, best[j][1], best[j][0], True) if j in best
         else FrontierPoint(bound, math.nan, math.nan, False)

@@ -1,5 +1,6 @@
-"""Lockstep searches: every bracket takes the iterates of its one-bracket
-search, checked against the scalar loops kept here as the reference."""
+"""Search routines: the lockstep bisection takes the iterates of its
+one-bracket search (checked against the scalar loop kept here as the
+reference), and ``brent_min`` is SciPy's bounded Brent bit for bit."""
 
 import math
 
@@ -7,17 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
-from rdpc import DomainError
-from rdpc.optimize import (
-    bisect_predicate,
-    bisect_predicates,
-    bisect_root,
-    golden_min,
-    golden_mins,
-)
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+from rdpc import DomainError, default_model, kl_of_gain, kl_of_gains
+from rdpc.optimize import bisect_predicate, bisect_predicates, bisect_root, brent_min
 
 
 def _loop_bisect_predicate(pred, lo, hi, xtol, max_iter=200):
@@ -36,27 +30,6 @@ def _loop_bisect_predicate(pred, lo, hi, xtol, max_iter=200):
     return hi
 
 
-def _loop_golden_min(f, lo, hi, xtol, max_iter=200):
-    a, b = lo, hi
-    x1 = b - _INV_GOLDEN * (b - a)
-    x2 = a + _INV_GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if b - a <= xtol:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_GOLDEN * (b - a)
-            f2 = f(x2)
-    candidates = [(f(a), a), (f1, x1), (f2, x2), (f(b), b)]
-    best = min(candidates, key=lambda t: (t[0], t[1]))
-    return best[1], best[0]
-
-
 brackets = st.lists(
     st.tuples(
         st.floats(-5.0, 5.0),  # lower end
@@ -67,30 +40,6 @@ brackets = st.lists(
     min_size=1,
     max_size=12,
 )
-
-
-@settings(derandomize=True, max_examples=80, deadline=None)
-@given(brackets, st.sampled_from([1e-12, 1e-10, 1e-6, 0.3]))
-def test_lockstep_golden_equals_one_bracket_searches(rows, xtol):
-    lo = [r[0] for r in rows]
-    hi = [r[0] + r[1] for r in rows]
-    m = np.array([r[0] + r[2] * r[1] for r in rows])
-    c = np.array([r[3] for r in rows])
-
-    def f_vec(x, i):
-        # a quadratic, flat when the curvature is 0: ties between iterates
-        return c[i] * ((x - m[i]) * (x - m[i]))
-
-    xs, vals = golden_mins(f_vec, lo, hi, xtol=xtol)
-    for k in range(len(rows)):
-        ck, mk = float(c[k]), float(m[k])
-
-        def f(x):
-            return ck * ((x - mk) * (x - mk))
-
-        want = _loop_golden_min(f, lo[k], hi[k], xtol)
-        assert (float(xs[k]), float(vals[k])) == want
-        assert golden_min(f, lo[k], hi[k], xtol=xtol) == want
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
@@ -112,24 +61,72 @@ def test_lockstep_bisection_equals_one_bracket_searches(rows, xtol):
 def test_lockstep_searches_call_once_per_step():
     sizes = []
 
-    def f_vec(x, i):
+    def pred(x, i):
         sizes.append(x.size)
-        return (x - 0.3 * i) ** 2
+        return x >= 0.3 * i
 
-    golden_mins(f_vec, [0.0, 0.0, -1.0], [1.0, 2.0, 1.0], xtol=1e-8)
-    # both interior points, one point per open bracket, both ends
-    assert sizes[0] == 6 and sizes[-1] == 6
-    assert max(sizes[1:-1]) <= 3
+    bisect_predicates(pred, [-1.0, -1.0, -1.0], [1.0, 2.0, 1.0], xtol=1e-8)
+    # both ends of every bracket, then one midpoint per open bracket
+    assert sizes[0] == 6 and max(sizes[1:]) <= 3
     scalar_calls = []
-    golden_min(lambda x: scalar_calls.append(x) or (x - 0.6) ** 2, 0.0, 2.0, xtol=1e-8)
-    assert len(sizes) == len(scalar_calls) - 2  # the widest bracket sets the steps
+    bisect_predicate(lambda x: scalar_calls.append(x) or x >= 0.6, -1.0, 2.0, xtol=1e-8)
+    assert len(sizes) == len(scalar_calls) - 1  # the widest bracket sets the steps
 
 
 def test_lockstep_searches_refuse_bad_brackets():
     with pytest.raises(DomainError):
-        golden_mins(lambda x, i: x, [0.0, 1.0], [1.0, 0.5])
-    with pytest.raises(DomainError):
         bisect_predicates(lambda x, i: x > 0.5, [0.0, 0.0], [1.0, 0.2])
+
+
+def _kl_case():
+    """The KL at sigma_n = 1 on the bracket a KL-MSE frontier searches: the
+    two grid cells around the screen's argmin."""
+    model = default_model()
+    grid = np.linspace(0.05, 1.5, 73)
+    k = int(np.argmin(kl_of_gains(model, grid)))
+    return (lambda x: kl_of_gain(model, x)), float(grid[k - 1]), float(grid[k + 1])
+
+
+_CASES = {
+    "quadratic": lambda: ((lambda x: (x - 0.3) * (x - 0.3) + 1.0), -1.0, 2.0),
+    "cos": lambda: (math.cos, 2.0, 4.0),
+    "increasing": lambda: ((lambda x: 2.0 * x - 1.0), 0.0, 1.0),
+    "decreasing": lambda: ((lambda x: 1.0 - 2.0 * x), 0.0, 1.0),
+    "kink": lambda: ((lambda x: abs(x - 0.5)), 0.0, 1.0),
+    "kl": _kl_case,
+}
+
+
+@pytest.mark.parametrize("case", list(_CASES))
+@pytest.mark.parametrize("xtol", [1e-8, 1e-5])
+def test_brent_min_matches_scipy_bounded(case, xtol):
+    f, lo, hi = _CASES[case]()
+    ours, theirs = [], []
+    x, fun = brent_min(lambda t: ours.append(t) or f(t), lo, hi, xtol=xtol)
+    ref = minimize_scalar(lambda t: theirs.append(t) or f(t), bounds=(lo, hi),
+                          method="bounded", options={"xatol": xtol})
+    assert (x, fun) == (ref.x, ref.fun)
+    assert ours == theirs and len(ours) == ref.nfev
+    assert lo < x < hi
+
+
+def test_brent_min_stops_at_max_iter_like_scipy():
+    calls = []
+    x, fun = brent_min(lambda t: calls.append(t) or math.cos(t), 2.0, 4.0,
+                       xtol=1e-12, max_iter=5)
+    ref = minimize_scalar(math.cos, bounds=(2.0, 4.0), method="bounded",
+                          options={"xatol": 1e-12, "maxiter": 5})
+    assert (x, fun, len(calls)) == (ref.x, ref.fun, ref.nfev) == (x, fun, 5)
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(1.0, 0.0), (math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0)]
+)
+def test_brent_min_refuses_bad_brackets(lo, hi):
+    calls = []
+    with pytest.raises(DomainError):
+        brent_min(lambda t: calls.append(t) or t * t, lo, hi)
+    assert calls == []
 
 
 def test_bisect_root_sign_test_survives_underflow():

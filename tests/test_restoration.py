@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,6 +290,16 @@ def _counting_kernel(monkeypatch):
     return sizes
 
 
+def test_kl_of_no_gains_is_empty_without_a_kernel_call(monkeypatch):
+    def kernel(*args, **kwargs):
+        raise AssertionError("kernel called")
+
+    monkeypatch.setattr(restoration, "_numeric_kl_rows", kernel)
+    for gains in ([], np.array([])):
+        kl = kl_of_gains(MODEL, gains)
+        assert kl.dtype == float and kl.shape == (0,)
+
+
 def test_sweep_makes_one_kernel_call(monkeypatch):
     sizes = _counting_kernel(monkeypatch)
     sweep(MODEL, GRID)
@@ -296,9 +310,9 @@ def test_sweep_makes_one_kernel_call(monkeypatch):
 def test_kl_frontier_calls_do_not_grow_with_bounds(monkeypatch, bounds):
     sizes = _counting_kernel(monkeypatch)
     frontier(MODEL, "kl", "mse", bounds, grid_points=73)
-    # the screen, then one call per golden-section step for all bounds
-    assert sizes[0] == 73
-    assert len(sizes) <= 1 + 45
+    # the screen, nine one-gain Brent steps, at most one batch of clipped edges
+    assert sizes[0] == 73 and sizes[1:10] == [1] * 9
+    assert len(sizes) <= 1 + 9 + 1
 
 
 @pytest.mark.parametrize(
@@ -313,9 +327,10 @@ def test_kl_frontier_calls_do_not_grow_with_bounds(monkeypatch, bounds):
         {"a_hi": math.nan},
         {"grid_points": 0},
         {"grid_points": 1},
+        {"grid_points": 2.5},
     ],
     ids=["nan-bound", "inf-bound", "minus-inf-bound", "nan-a_lo", "minus-inf-a_lo",
-         "inf-a_hi", "nan-a_hi", "no-grid", "one-point-grid"],
+         "inf-a_hi", "nan-a_hi", "no-grid", "one-point-grid", "fractional-grid"],
 )
 def test_frontier_refuses_bad_inputs_up_front(monkeypatch, kwargs):
     sizes = _counting_kernel(monkeypatch)
@@ -327,3 +342,58 @@ def test_frontier_refuses_bad_inputs_up_front(monkeypatch, kwargs):
     assert sizes == []  # before any work
     named = next(iter(kwargs))
     assert ("bound" if named == "bound_grid" else named) in str(info.value)
+
+
+def test_binding_rows_sit_on_their_edge_and_free_rows_share_the_minimizer():
+    pts = frontier(MODEL, "kl", "mse", [0.7, 0.8, 1.0, 1.3], grid_points=73)
+    # mse = 3a^2 - 4a + 2 <= 0.7 on [(4 - sqrt(0.4)) / 6, (4 + sqrt(0.4)) / 6],
+    # below the KL minimizer near 0.81: the bound binds at the upper edge
+    edge = (4.0 + math.sqrt(0.4)) / 6.0
+    bound = pts[0]
+    assert abs(bound.gain - edge) <= 1e-10 and mse_of_gain(MODEL, bound.gain) <= 0.7 + 1e-12
+    assert bound.value == kl_of_gain(MODEL, bound.gain)
+    free = {(p.gain, p.value) for p in pts[1:]}
+    assert len(free) == 1
+    (a_star, v_star), = free
+    assert v_star == kl_of_gain(MODEL, a_star) < bound.value
+
+
+def test_noise_free_kl_mse_frontier_collapses_exactly():
+    pts = frontier(default_model(sigma_n=0.0), "kl", "mse", [0.1, 0.5, 1.0], grid_points=73)
+    values = [p.value for p in pts]
+    assert all(p.feasible for p in pts)
+    assert max(values) - min(values) == 0.0
+    assert abs(pts[0].gain - 1.0) <= 1e-8 and values[0] <= 1e-12
+
+
+def test_frontier_refuses_an_objective_that_is_not_unimodal(monkeypatch):
+    real = restoration._metric_fn
+
+    def metric(model, name):
+        if name == "kl":
+            return lambda a: np.cos(8.0 * np.asarray(a))  # two minima on [0.05, 1.5]
+        return real(model, name)
+
+    monkeypatch.setattr(restoration, "_metric_fn", metric)
+    with pytest.raises(DomainError, match="unimodal"):
+        frontier(MODEL, "kl", "mse", [0.8, 1.0], grid_points=73)
+
+
+def test_frontier_loads_no_scipy():
+    code = (
+        "import sys, rdpc; "
+        "rdpc.frontier(rdpc.default_model(), 'kl', 'mse', [0.7, 1.0], grid_points=20); "
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(restoration.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.split() == ["False"]
+
+
+@pytest.mark.parametrize("a_lo, a_hi, end", [(1.0, 1.5, 1.0), (0.1, 0.5, 0.5)])
+def test_frontier_finds_a_minimum_on_the_range_end(a_lo, a_hi, end):
+    # MSE is least at a = 2/3, outside both ranges; the loose bound leaves
+    # the whole range feasible, so the row is the range's end itself
+    (row,) = frontier(MODEL, "mse", "error_rate", [0.5], a_lo=a_lo, a_hi=a_hi, grid_points=11)
+    assert (row.gain, row.value) == (end, mse_of_gain(MODEL, end))

@@ -19,7 +19,7 @@ from rdpc import (
     rdc_gaussian,
     rpc_given_d,
 )
-from rdpc.optimize import bisect_predicate, golden_min
+from rdpc.optimize import bisect_predicate
 from rdpc.results import GaussianReconstruction, TradeoffPoint, Unit
 
 SRC = GaussianPairSource(0.0, 0.0, 1.0, 0.49, 0.63)
@@ -181,10 +181,33 @@ def test_frontier_relaxes_with_c_and_marks_dead_rows():
 # off sigma_x at P = 0, so it agrees with the closed form within _REF_RATE_TOL
 # in rate; its frontier bisects P to 1e-10.
 _REF_SCAN_POINTS = 100_000
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REF_SLACK = 1e-12
 _REF_RATE_TIE = 1e-9
 _REF_RATE_TOL = 1e-6
 _REF_MIN_P_TOL = 1e-9
+
+
+def _golden_min(f, lo, hi, xtol):
+    """Golden-section search on [lo, hi]; returns (argmin, value), with the
+    bracket's ends among the candidates."""
+    a, b = lo, hi
+    x1 = b - _INV_GOLDEN * (b - a)
+    x2 = a + _INV_GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(200):
+        if b - a <= xtol:
+            break
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INV_GOLDEN * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INV_GOLDEN * (b - a)
+            f2 = f(x2)
+    best = min([(f(a), a), (f1, x1), (f2, x2), (f(b), b)], key=lambda t: (t[0], t[1]))
+    return best[1], best[0]
 
 
 def _ref_scan(src, d):
@@ -251,7 +274,7 @@ def _full_mask_rate(src, d, p, c):
                 hi = -bisect_predicate(
                     lambda u: feas(-u), -float(s[run[-1] + 1]), -hi, xtol=1e-10
                 )
-            s_star, _ = golden_min(lambda x: ev(src, d, x).rate, lo, hi, xtol=1e-10)
+            s_star, _ = _golden_min(lambda x: ev(src, d, x).rate, lo, hi, xtol=1e-10)
             options = [ev(src, d, float(s[i]))]
             refined = ev(src, d, s_star)
             if _ref_ok(refined, p, c):
