@@ -5,17 +5,16 @@ completed dataset, a clean verify run), 1 for usage or internal errors,
 2 for a well-posed but infeasible instance.
 
 Flag values win over config-file values, which win over built-in
-defaults; RDPC_WORKERS supplies only the default worker count, which is
-accepted and has no effect. All output is deterministic for a fixed
-(command, config, seed).
+defaults; --workers is accepted and has no effect. All output is
+deterministic for a fixed (command, config, seed).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
@@ -41,6 +40,16 @@ _EXIT_OK = 0
 _EXIT_USAGE = 1
 _EXIT_INFEASIBLE = 2
 
+# family -> (closed form, constrained axis, is_binary, help for the axis
+# bound). It drives the rdc/rpc point commands and `surface --family`; the
+# unit follows from the source kind.
+_FAMILIES: dict[str, tuple[Callable[[Any, float, float], TradeoffPoint], str, bool, str]] = {
+    "rdc-binary": (rdc_binary, "d", True, "Hamming distortion bound"),
+    "rdc-gaussian": (rdc_gaussian, "d", False, "mean squared error bound"),
+    "rpc-binary": (rpc_binary, "p", True, "total variation bound"),
+    "rpc-gaussian": (rpc_gaussian, "p", False, "KL divergence bound, nats"),
+}
+
 
 class _UsageError(Exception):
     pass
@@ -54,15 +63,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _fmt9(x: float) -> str:
-    return format(float(x), ".9g")
-
-
 def _csv_cell(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return _fmt9(value)
+        return format(float(value), ".9g")
     return str(value)
 
 
@@ -70,10 +75,6 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
-
-
-def _json_text(payload: Any) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _write(text: str, out: str | None) -> None:
@@ -117,17 +118,8 @@ def _load_config(path: str | None) -> dict[str, Any]:
     return raw
 
 
-def _default_workers(m: _Merged) -> int:
-    flag = m.get("workers")
-    if flag is not None:
-        return int(flag)
-    env = os.environ.get("RDPC_WORKERS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise _UsageError(f"RDPC_WORKERS must be an integer: {env!r}") from exc
-    return 1
+def _unit(is_binary: bool) -> str:
+    return "bits" if is_binary else "nats"
 
 
 def _check_units(m: _Merged, family_unit: str, what: str) -> None:
@@ -138,17 +130,32 @@ def _check_units(m: _Merged, family_unit: str, what: str) -> None:
         )
 
 
-def _binary_source(m: _Merged) -> BinaryPairSource:
-    return BinaryPairSource(float(m.require("a")), float(m.require("p1")))
-
-
-def _gaussian_source(m: _Merged) -> GaussianPairSource:
+def _source(
+    m: _Merged, is_binary: bool, what: str
+) -> BinaryPairSource | GaussianPairSource:
+    """The binary or Gaussian pair source the flags describe, in its unit."""
+    _check_units(m, _unit(is_binary), what)
+    if is_binary:
+        return BinaryPairSource(float(m.require("a")), float(m.require("p1")))
     sigma_x = float(m.get("sigma_x", 1.0))
     sigma_s = float(m.get("sigma_s", 0.7))
     theta1 = float(m.get("theta1", 0.63))
     mu_x = float(m.get("mu_x", 0.0))
     mu_s = float(m.get("mu_s", 0.0))
     return GaussianPairSource(mu_x, mu_s, sigma_x**2, sigma_s**2, theta1)
+
+
+def _source_inputs(src: BinaryPairSource | GaussianPairSource) -> dict[str, float]:
+    """The source's parameters as a point result echoes them, in flag units."""
+    if isinstance(src, BinaryPairSource):
+        return {"a": src.a, "p1": src.p1}
+    return {
+        "mu_x": src.mu_x,
+        "mu_s": src.mu_s,
+        "sigma_x": math.sqrt(src.var_x),
+        "sigma_s": math.sqrt(src.var_s),
+        "theta1": src.cov,
+    }
 
 
 def _linspace(prefix: str, lo: float, hi: float, steps: int) -> list[float]:
@@ -170,32 +177,8 @@ def _grid(m: _Merged, prefix: str) -> list[float]:
     )
 
 
-def _point_payload(pt: TradeoffPoint, inputs: dict[str, Any]) -> dict[str, Any]:
-    witness = None
-    if pt.witness is not None:
-        witness = pt.witness.to_dict()
-    return {
-        "inputs": inputs,
-        "rate": pt.rate if pt.feasible else None,
-        "unit": pt.unit.value,
-        "feasible": pt.feasible,
-        "region": pt.region.value,
-        "witness": witness,
-        "tool_version": __version__,
-    }
-
-
-def _emit_point(m: _Merged, pt: TradeoffPoint, inputs: dict[str, Any]) -> int:
-    if m.get("format", "json") != "json":
-        raise _UsageError("point results are JSON objects; CSV fits sweeps only")
-    if m.get("emit_plot_script"):
-        raise _UsageError("plot scripts accompany sweep datasets, not points")
-    _write(_json_text(_point_payload(pt, inputs)), m.get("out"))
-    return _EXIT_OK if pt.feasible else _EXIT_INFEASIBLE
-
-
 # ---------------------------------------------------------------------------
-# plot script emission
+# plot scripts
 # ---------------------------------------------------------------------------
 
 _SURFACE_PLOT = """#!/usr/bin/env python3
@@ -283,77 +266,117 @@ print("wrote", out)
 """
 
 
-def _emit_plot_script(
-    m: _Merged, template: str, sources: Any
-) -> None:
+# ---------------------------------------------------------------------------
+# emitters: a JSON object (points, oracle runs, verify reports) or a dataset
+# (surface, restore, rpc-given-d frontiers). A command refuses the output
+# flags its result cannot honour before it does any work.
+# ---------------------------------------------------------------------------
+
+def _refuse_object_flags(m: _Merged, what: str) -> None:
+    if m.get("format", "json") != "json":
+        raise _UsageError(f"{what} are JSON objects; CSV fits sweeps only")
+    if m.get("emit_plot_script"):
+        raise _UsageError(f"plot scripts accompany sweep datasets, not {what}")
+
+
+def _emit_object(m: _Merged, payload: dict[str, Any], code: int) -> int:
+    payload["tool_version"] = __version__
+    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", m.get("out"))
+    return code
+
+
+def _emit_point(m: _Merged, pt: TradeoffPoint, inputs: dict[str, Any]) -> int:
+    payload = {
+        "inputs": inputs,
+        "rate": pt.rate if pt.feasible else None,
+        "unit": pt.unit.value,
+        "feasible": pt.feasible,
+        "region": pt.region.value,
+        "witness": None if pt.witness is None else pt.witness.to_dict(),
+    }
+    return _emit_object(m, payload, _EXIT_OK if pt.feasible else _EXIT_INFEASIBLE)
+
+
+def _refuse_dataset_flags(m: _Merged) -> None:
     if not m.get("emit_plot_script"):
         return
-    out = m.get("out")
-    if out is None:
+    if m.get("out") is None:
         raise _UsageError("--emit-plot-script needs --out to name the dataset")
     if m.get("format", "csv") != "csv":
         raise _UsageError("plot scripts read the CSV format")
-    script = template.replace("@SOURCES@", repr(sources))
-    Path(f"{out}.plot.py").write_text(script)
+
+
+def _emit_dataset(
+    m: _Merged,
+    header: Sequence[str],
+    tables: Sequence[tuple[float | None, list[tuple]]],
+    plot: str,
+    meta: dict[str, Any],
+    json_only: Sequence[str] = (),
+) -> int:
+    """Write tables of rows as CSV (the default) or as one JSON document.
+
+    A JSON row is an object keyed by ``header`` and then ``json_only``
+    (trailing columns the CSV leaves out); NaN, an infeasible entry, is
+    written as null, and ``meta`` sits beside the rows. A table labelled
+    None is the whole dataset. Labelled tables are frontiers, one per D:
+    JSON lists them under "frontiers", and more than one goes to a CSV
+    file each, <stem>_d<D><suffix>, or to stdout under "# d=<D>" lines.
+    """
+    out = m.get("out")
+    if m.get("format", "csv") == "json":
+        keys = (*header, *json_only)
+
+        def objects(rows: list[tuple]) -> list[dict[str, Any]]:
+            return [
+                {k: None if isinstance(v, float) and math.isnan(v) else v
+                 for k, v in zip(keys, row)}
+                for row in rows
+            ]
+
+        if tables[0][0] is None:
+            payload = {"rows": objects(tables[0][1])}
+        else:
+            payload = {"frontiers": [{"d": d, "rows": objects(rows)} for d, rows in tables]}
+        return _emit_object(m, payload | meta, _EXIT_OK)
+
+    def csv(rows: list[tuple]) -> str:
+        return _csv_text(header, [row[:len(header)] for row in rows])
+
+    if len(tables) == 1:
+        label, rows = tables[0]
+        _write(csv(rows), out)
+        sources: Any = out if label is None else [(f"D={label:g}", out)]
+    elif out is None:
+        _write("\n".join(f"# d={d:g}\n{csv(rows)}" for d, rows in tables), None)
+        return _EXIT_OK
+    else:
+        base = Path(out)
+        sources = []
+        for d, rows in tables:
+            path = base.with_name(f"{base.stem}_d{d:g}{base.suffix}")
+            path.write_text(csv(rows))
+            sources.append((f"D={d:g}", str(path)))
+    if m.get("emit_plot_script"):
+        Path(f"{out}.plot.py").write_text(plot.replace("@SOURCES@", repr(sources)))
+    return _EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def _cmd_rdc_binary(m: _Merged) -> int:
-    _check_units(m, "bits", "a binary tradeoff")
-    src = _binary_source(m)
-    d = float(m.require("d"))
+def _cmd_point(family: str, m: _Merged) -> int:
+    closed, axis, is_binary, _ = _FAMILIES[family]
+    _refuse_object_flags(m, "point results")
+    src = _source(m, is_binary, "a binary tradeoff" if is_binary else "a Gaussian tradeoff")
+    x = float(m.require(axis))
     c = float(m.require("c"))
-    pt = rdc_binary(src, d, c)
-    inputs = {"a": src.a, "p1": src.p1, "d": d, "c": c}
-    return _emit_point(m, pt, inputs)
-
-
-def _cmd_rdc_gaussian(m: _Merged) -> int:
-    _check_units(m, "nats", "a Gaussian tradeoff")
-    src = _gaussian_source(m)
-    d = float(m.require("d"))
-    c = float(m.require("c"))
-    pt = rdc_gaussian(src, d, c)
-    inputs = _gaussian_inputs(src) | {"d": d, "c": c}
-    return _emit_point(m, pt, inputs)
-
-
-def _cmd_rpc_binary(m: _Merged) -> int:
-    _check_units(m, "bits", "a binary tradeoff")
-    src = _binary_source(m)
-    p = float(m.require("p"))
-    c = float(m.require("c"))
-    pt = rpc_binary(src, p, c)
-    inputs = {"a": src.a, "p1": src.p1, "p": p, "c": c}
-    return _emit_point(m, pt, inputs)
-
-
-def _cmd_rpc_gaussian(m: _Merged) -> int:
-    _check_units(m, "nats", "a Gaussian tradeoff")
-    src = _gaussian_source(m)
-    p = float(m.require("p"))
-    c = float(m.require("c"))
-    pt = rpc_gaussian(src, p, c)
-    inputs = _gaussian_inputs(src) | {"p": p, "c": c}
-    return _emit_point(m, pt, inputs)
-
-
-def _gaussian_inputs(src: GaussianPairSource) -> dict[str, float]:
-    return {
-        "mu_x": src.mu_x,
-        "mu_s": src.mu_s,
-        "sigma_x": math.sqrt(src.var_x),
-        "sigma_s": math.sqrt(src.var_s),
-        "theta1": src.cov,
-    }
+    return _emit_point(m, closed(src, x, c), _source_inputs(src) | {axis: x, "c": c})
 
 
 def _cmd_rpc_given_d(m: _Merged) -> int:
-    _check_units(m, "nats", "a Gaussian tradeoff")
-    src = _gaussian_source(m)
+    src = _source(m, False, "a Gaussian tradeoff")
     rate_level = m.get("rate")
     if rate_level is None:
         return _rpc_given_d_point(m, src)
@@ -361,6 +384,7 @@ def _cmd_rpc_given_d(m: _Merged) -> int:
 
 
 def _rpc_given_d_point(m: _Merged, src: GaussianPairSource) -> int:
+    _refuse_object_flags(m, "point results")
     d_values = m.get("d")
     if d_values is None:
         raise _UsageError("point query needs --d (one value)")
@@ -370,8 +394,7 @@ def _rpc_given_d_point(m: _Merged, src: GaussianPairSource) -> int:
     p = float(m.get("p", math.inf))
     c = float(m.require("c"))
     pt = rate_given_pcd(src, d, p, c)
-    inputs = _gaussian_inputs(src) | {"d": d, "p": p, "c": c}
-    return _emit_point(m, pt, inputs)
+    return _emit_point(m, pt, _source_inputs(src) | {"d": d, "p": p, "c": c})
 
 
 def _rpc_given_d_frontier(
@@ -379,132 +402,53 @@ def _rpc_given_d_frontier(
 ) -> int:
     if m.get("p") is not None:
         raise _UsageError("--p belongs to point queries; a frontier minimizes it")
+    if m.get("c") is not None:
+        raise _UsageError(
+            "--c belongs to point queries; a frontier sweeps --c-min/--c-max/--c-steps"
+        )
+    _refuse_dataset_flags(m)
     d_values = [float(v) for v in m.get("d") or (0.5, 0.6, 0.8)]
     c_grid = _linspace(
         "c", float(m.get("c_min", src.h_s - 0.7)), float(m.get("c_max", src.h_s + 0.1)),
         int(m.get("c_steps", 50)),
     )
-
-    header = ("C_nats", "min_P_nats", "rate_nats", "sigma_xh")
-    datasets = []
-    for d in d_values:
-        rows = pc_frontier_given_rd(src, d, rate_level, c_grid)
-        datasets.append((d, rows))
-
-    fmt = m.get("format", "csv")
-    out = m.get("out")
-    if fmt == "json":
-        payload = {
-            "frontiers": [
-                {
-                    "d": d,
-                    "rows": [
-                        {
-                            "C_nats": r.c,
-                            "min_P_nats": None if not r.feasible else r.min_p,
-                            "rate_nats": None if not r.feasible else r.rate,
-                            "sigma_xh": None if not r.feasible else r.sigma_xh,
-                            "feasible": r.feasible,
-                        }
-                        for r in rows
-                    ],
-                }
-                for d, rows in datasets
-            ],
-            "rate_level": rate_level,
-            "tool_version": __version__,
-        }
-        _write(_json_text(payload), out)
-        return _EXIT_OK
-
-    def table(rows) -> str:
-        return _csv_text(
-            header, [(r.c, r.min_p, r.rate, r.sigma_xh) for r in rows]
-        )
-
-    if len(datasets) == 1:
-        _write(table(datasets[0][1]), out)
-        _emit_plot_script(
-            m, _FRONTIER_PLOT,
-            [(f"D={datasets[0][0]:g}", out)] if out else None,
-        )
-        return _EXIT_OK
-
-    if out is None:
-        pieces = []
-        for d, rows in datasets:
-            pieces.append(f"# d={d:g}\n{table(rows)}")
-        _write("\n".join(pieces), None)
-        return _EXIT_OK
-
-    base = Path(out)
-    sources = []
-    for d, rows in datasets:
-        path = base.with_name(f"{base.stem}_d{d:g}{base.suffix}")
-        path.write_text(table(rows))
-        sources.append((f"D={d:g}", str(path)))
-    if m.get("emit_plot_script"):
-        script = _FRONTIER_PLOT.replace("@SOURCES@", repr(sources))
-        Path(f"{out}.plot.py").write_text(script)
-    return _EXIT_OK
-
-
-_SURFACE_FAMILIES: dict[str, tuple[str, str, bool]] = {
-    # family -> (constrained axis, unit, is_binary)
-    "rdc-binary": ("d", "bits", True),
-    "rdc-gaussian": ("d", "nats", False),
-    "rpc-binary": ("p", "bits", True),
-    "rpc-gaussian": ("p", "nats", False),
-}
+    tables = [
+        (d, [(r.c, r.min_p, r.rate, r.sigma_xh, r.feasible)
+             for r in pc_frontier_given_rd(src, d, rate_level, c_grid)])
+        for d in d_values
+    ]
+    return _emit_dataset(
+        m, ("C_nats", "min_P_nats", "rate_nats", "sigma_xh"), tables, _FRONTIER_PLOT,
+        {"rate_level": rate_level}, json_only=("feasible",),
+    )
 
 
 def _cmd_surface(m: _Merged) -> int:
     family = m.require("family")
-    if family not in _SURFACE_FAMILIES:
+    if family not in _FAMILIES:
         raise _UsageError(f"unknown surface family {family!r}")
-    axis, unit, is_binary = _SURFACE_FAMILIES[family]
-    _check_units(m, unit, f"the {family} surface")
-    src: Any = _binary_source(m) if is_binary else _gaussian_source(m)
+    closed, axis, is_binary, _ = _FAMILIES[family]
+    _refuse_dataset_flags(m)
+    src = _source(m, is_binary, f"the {family} surface")
     axis_grid = _grid(m, axis)
     c_grid = _grid(m, "c")
-
-    closed: Callable[[Any, float, float], TradeoffPoint] = {
-        "rdc-binary": rdc_binary,
-        "rdc-gaussian": rdc_gaussian,
-        "rpc-binary": rpc_binary,
-        "rpc-gaussian": rpc_gaussian,
-    }[family]
 
     rows = []
     for x in axis_grid:
         for c in c_grid:
             pt = closed(src, x, c)
             rows.append((x, c, pt.rate, pt.unit.value, pt.region.value, pt.feasible))
-
-    header = ("d_or_p", "c", "rate", "unit", "region", "feasible")
-    fmt = m.get("format", "csv")
-    out = m.get("out")
-    if fmt == "json":
-        payload = {
-            "rows": [
-                {
-                    "d_or_p": x, "c": c,
-                    "rate": rate if feasible else None,
-                    "unit": u, "region": region, "feasible": feasible,
-                }
-                for x, c, rate, u, region, feasible in rows
-            ],
-            "tool_version": __version__,
-        }
-        _write(_json_text(payload), out)
-    else:
-        _write(_csv_text(header, rows), out)
-        _emit_plot_script(m, _SURFACE_PLOT, out)
-    return _EXIT_OK
+    return _emit_dataset(
+        m, ("d_or_p", "c", "rate", "unit", "region", "feasible"), [(None, rows)],
+        _SURFACE_PLOT, {},
+    )
 
 
 def _cmd_oracle(m: _Merged) -> int:
+    _refuse_object_flags(m, "oracle results")
     family = m.require("family")
+    if family not in ("binary", "gaussian"):
+        raise _UsageError(f"unknown oracle family {family!r}")
     constraints: dict[str, float] = {}
     for key, name in (("d", "D"), ("p", "P"), ("c", "C")):
         value = m.get(key)
@@ -512,82 +456,47 @@ def _cmd_oracle(m: _Merged) -> int:
             constraints[name] = float(value)
     if not constraints:
         raise _UsageError("oracle needs at least one of --d, --p, --c")
-    workers = _default_workers(m)
     refine = not bool(m.get("no_refine", False))
 
     if family == "binary":
-        _check_units(m, "bits", "the binary oracle")
         result = binary_min_rate(
-            _binary_source(m), constraints,
-            resolution=float(m.get("resolution", 1e-3)),
-            refine=refine, workers=workers,
-        )
-    elif family == "gaussian":
-        _check_units(m, "nats", "the Gaussian oracle")
-        result = gaussian_min_rate(
-            _gaussian_source(m), constraints,
-            sigma_steps=int(m.get("sigma_steps", 801)),
-            theta_steps=int(m.get("theta_steps", 801)),
-            refine=refine, workers=workers,
+            _source(m, True, "the binary oracle"), constraints,
+            resolution=float(m.get("resolution", 1e-3)), refine=refine,
         )
     else:
-        raise _UsageError(f"unknown oracle family {family!r}")
-
-    if m.get("format", "json") != "json":
-        raise _UsageError("oracle results are JSON objects; CSV fits sweeps only")
-    if m.get("emit_plot_script"):
-        raise _UsageError("plot scripts accompany sweep datasets, not oracle runs")
+        result = gaussian_min_rate(
+            _source(m, False, "the Gaussian oracle"), constraints,
+            sigma_steps=int(m.get("sigma_steps", 801)),
+            theta_steps=int(m.get("theta_steps", 801)), refine=refine,
+        )
     payload = result.to_dict()
     if not result.feasible:
         payload["rate"] = None
-    payload["tool_version"] = __version__
-    _write(_json_text(payload), m.get("out"))
-    return _EXIT_OK if result.feasible else _EXIT_INFEASIBLE
+    return _emit_object(m, payload, _EXIT_OK if result.feasible else _EXIT_INFEASIBLE)
 
 
 def _cmd_restore(m: _Merged) -> int:
+    _refuse_dataset_flags(m)
     _check_units(m, "nats", "the restoration example")
     sigma_n = float(m.get("sigma_n", 1.0))
     grid = _linspace(
         "a", float(m.get("a_min", 0.05)), float(m.get("a_max", 1.5)), int(m.get("a_steps", 146)),
     )
     curve = sweep(default_model(sigma_n=sigma_n), grid)
-
-    header = ("a", "mse", "kl_nats", "error_rate")
     rows = [(q.a, q.mse, q.kl, q.error_rate) for q in curve]
-    fmt = m.get("format", "csv")
-    out = m.get("out")
-    if fmt == "json":
-        payload = {
-            "rows": [
-                {"a": a, "mse": mse, "kl_nats": kl, "error_rate": err}
-                for a, mse, kl, err in rows
-            ],
-            "sigma_n": sigma_n,
-            "tool_version": __version__,
-        }
-        _write(_json_text(payload), out)
-    else:
-        _write(_csv_text(header, rows), out)
-        _emit_plot_script(m, _RESTORE_PLOT, out)
-    return _EXIT_OK
+    return _emit_dataset(
+        m, ("a", "mse", "kl_nats", "error_rate"), [(None, rows)], _RESTORE_PLOT,
+        {"sigma_n": sigma_n},
+    )
 
 
 def _cmd_verify(m: _Merged) -> int:
-    if m.get("format", "json") != "json":
-        raise _UsageError("the verify report is a JSON object")
-    if m.get("emit_plot_script"):
-        raise _UsageError("plot scripts accompany sweep datasets, not reports")
+    _refuse_object_flags(m, "verify reports")
     suites = m.get("suite")
     if suites is not None:
         suites = list(dict.fromkeys(suites))
-    seed = int(m.get("seed", 0))
-    workers = _default_workers(m)
-    report = run_suites(suites, seed=seed, workers=workers)
-    payload = report.to_dict()
-    payload["tool_version"] = __version__
-    _write(_json_text(payload), m.get("out"))
-    return _EXIT_OK if report.all_passed else _EXIT_USAGE
+    report = run_suites(suites, seed=int(m.get("seed", 0)))
+    return _emit_object(m, report.to_dict(), _EXIT_OK if report.all_passed else _EXIT_USAGE)
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +511,7 @@ def _common_flags() -> argparse.ArgumentParser:
     par.add_argument("--units", choices=("bits", "nats"),
                      help="must match the source family; rejected otherwise")
     par.add_argument("--seed", type=int, help="seed for randomized suites")
-    par.add_argument("--workers", type=int,
-                     help="accepted and has no effect (default RDPC_WORKERS or 1)")
+    par.add_argument("--workers", type=int, help="accepted and has no effect")
     par.add_argument("--config", help="JSON file of defaults; flags win")
     par.add_argument("--emit-plot-script", action="store_true", default=None,
                      help="write a matplotlib script next to the CSV")
@@ -629,31 +537,21 @@ def build_parser() -> _Parser:
     common = _common_flags()
     sub = parser.add_subparsers(dest="command", required=True)
 
-    rdc = sub.add_parser("rdc", help="rate under distortion + classification")
-    rdc_sub = rdc.add_subparsers(dest="family", required=True)
-    pb = rdc_sub.add_parser("binary", parents=[common])
-    _add_binary_source(pb)
-    pb.add_argument("--d", type=float, help="Hamming distortion bound")
-    pb.add_argument("--c", type=float, help="conditional label entropy bound, bits")
-    pb.set_defaults(handler=_cmd_rdc_binary)
-    pg = rdc_sub.add_parser("gaussian", parents=[common])
-    _add_gaussian_source(pg)
-    pg.add_argument("--d", type=float, help="mean squared error bound")
-    pg.add_argument("--c", type=float, help="conditional label entropy bound, nats")
-    pg.set_defaults(handler=_cmd_rdc_gaussian)
-
-    rpc = sub.add_parser("rpc", help="rate under perception + classification")
-    rpc_sub = rpc.add_subparsers(dest="family", required=True)
-    pb = rpc_sub.add_parser("binary", parents=[common])
-    _add_binary_source(pb)
-    pb.add_argument("--p", type=float, help="total variation bound")
-    pb.add_argument("--c", type=float, help="conditional label entropy bound, bits")
-    pb.set_defaults(handler=_cmd_rpc_binary)
-    pg = rpc_sub.add_parser("gaussian", parents=[common])
-    _add_gaussian_source(pg)
-    pg.add_argument("--p", type=float, help="KL divergence bound, nats")
-    pg.add_argument("--c", type=float, help="conditional label entropy bound, nats")
-    pg.set_defaults(handler=_cmd_rpc_gaussian)
+    # `rdc binary` and the other point commands, one per family
+    kinds: dict[str, Any] = {}
+    for family, (_, axis, is_binary, bound_help) in _FAMILIES.items():
+        command, kind = family.split("-")
+        if command not in kinds:
+            bound = "distortion" if axis == "d" else "perception"
+            kinds[command] = sub.add_parser(
+                command, help=f"rate under {bound} + classification",
+            ).add_subparsers(dest="family", required=True)
+        point = kinds[command].add_parser(kind, parents=[common])
+        (_add_binary_source if is_binary else _add_gaussian_source)(point)
+        point.add_argument(f"--{axis}", type=float, help=bound_help)
+        point.add_argument("--c", type=float,
+                           help=f"conditional label entropy bound, {_unit(is_binary)}")
+        point.set_defaults(handler=functools.partial(_cmd_point, family))
 
     given = sub.add_parser(
         "rpc-given-d", parents=[common],
@@ -676,7 +574,7 @@ def build_parser() -> _Parser:
         help="closed-form rate over a (D or P) x C grid",
     )
     surface.add_argument(
-        "--family", choices=sorted(_SURFACE_FAMILIES),
+        "--family", choices=sorted(_FAMILIES),
         help="which tradeoff function to sweep",
     )
     _add_binary_source(surface)
@@ -735,14 +633,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = _load_config(ns.config)
         merged = _Merged(ns, config)
         return int(ns.handler(merged))
-    except _UsageError as exc:
-        print(f"rdpc: error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except (DomainError, IntegrationError, NoCrossingError,
-            WitnessUnavailableError) as exc:
-        print(f"rdpc: error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except OSError as exc:
+    except (_UsageError, DomainError, IntegrationError, NoCrossingError,
+            WitnessUnavailableError, OSError) as exc:
         print(f"rdpc: error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
 

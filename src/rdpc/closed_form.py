@@ -108,23 +108,6 @@ def _backward_witness(src: BinaryPairSource, eps: float) -> BinaryChannel:
     return BinaryChannel(p_a, p_b)
 
 
-def _classify_rdc_binary(
-    src: BinaryPairSource, d: float, c: float
-) -> tuple[float, Region, float | None]:
-    """Shared branch logic: returns (rate, region, eps-for-witness)."""
-    b = src.b
-    c1 = _c1(src, c)
-    if c1 <= b + _TOL and d >= c1 - _TOL:
-        eps = min(c1, b)
-        rate = max(0.0, binary_entropy(b) - binary_entropy(eps))
-        return rate, Region.CLASSIFICATION_LIMITED, eps
-    if d <= b + _TOL and d < c1:
-        eps = min(d, b)
-        rate = max(0.0, binary_entropy(b) - binary_entropy(eps))
-        return rate, Region.DISTORTION_LIMITED, eps
-    return 0.0, Region.ZERO_RATE, None
-
-
 def rdc_binary(src: BinaryPairSource, d: float, c: float) -> TradeoffPoint:
     """Minimal rate under Hamming distortion <= d and H(S|Xhat) <= c bits.
 
@@ -141,11 +124,19 @@ def rdc_binary(src: BinaryPairSource, d: float, c: float) -> TradeoffPoint:
             rate=math.nan, unit=Unit.BITS, feasible=False,
             region=Region.INFEASIBLE, c=c, d=d,
         )
-    rate, region, eps = _classify_rdc_binary(src, d, c)
-    if region is Region.ZERO_RATE:
-        witness = BinaryChannel(1.0, 1.0)
+    b = src.b
+    c1 = _c1(src, c)
+    if c1 <= b + _TOL and d >= c1 - _TOL:
+        region, eps = Region.CLASSIFICATION_LIMITED, min(c1, b)
+    elif d <= b + _TOL and d < c1:
+        region, eps = Region.DISTORTION_LIMITED, min(d, b)
     else:
-        witness = _backward_witness(src, eps if eps is not None else 0.0)
+        region, eps = Region.ZERO_RATE, None
+    if eps is None:
+        rate, witness = 0.0, BinaryChannel(1.0, 1.0)
+    else:
+        rate = max(0.0, binary_entropy(b) - binary_entropy(eps))
+        witness = _backward_witness(src, eps)
     return TradeoffPoint(
         rate=rate, unit=Unit.BITS, feasible=True, region=region,
         c=c, d=d, witness=witness,
@@ -155,9 +146,9 @@ def rdc_binary(src: BinaryPairSource, d: float, c: float) -> TradeoffPoint:
 def _rdc_binary_rates(src: BinaryPairSource, d, c) -> np.ndarray:
     """``rdc_binary(src, d, c).rate`` over d and c broadcast together.
 
-    The branches of ``_classify_rdc_binary`` with the same slack; an
-    infeasible entry is NaN. c1 comes from the array entropy inverse, so an
-    entry can differ from the scalar rate in its last bits.
+    The branches of ``rdc_binary`` with the same slack; an infeasible
+    entry is NaN. c1 comes from the array entropy inverse, so an entry can
+    differ from the scalar rate in its last bits.
     """
     d, c = _bound_arrays(d, c)
     b, p1 = src.b, src.p1
@@ -172,13 +163,10 @@ def _rdc_binary_rates(src: BinaryPairSource, d, c) -> np.ndarray:
 
 def rdc_binary_witness(src: BinaryPairSource, d: float, c: float) -> BinaryChannel:
     """Achievability channel for a feasible binary distortion instance."""
-    _check_bounds(c, d=d)
-    if c < binary_entropy(src.p1) - _TOL:
+    pt = rdc_binary(src, d, c)
+    if not pt.feasible:
         raise WitnessUnavailableError("instance is infeasible, no witness exists")
-    _, region, eps = _classify_rdc_binary(src, d, c)
-    if region is Region.ZERO_RATE:
-        return BinaryChannel(1.0, 1.0)
-    return _backward_witness(src, eps if eps is not None else 0.0)
+    return pt.witness
 
 
 def g_function(src: BinaryPairSource, p_a: float) -> float:

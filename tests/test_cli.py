@@ -77,6 +77,7 @@ def test_gaussian_point_matches_library(capsys):
         ["rpc-given-d", "--d", "0.5", "0.6", "--p", "1", "--c", "0.9"],
         ["oracle", "--family", "binary", "--a", "0.3", "--p1", "0.1"],
         ["verify", "--format", "csv"],
+        ["rpc-given-d", "--rate", "0.4", "--c", "0.9"],
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):
@@ -212,6 +213,100 @@ def test_plot_script_needs_out(capsys):
     assert "--out" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["restore", "--a-steps", "3", "--format", "json", "--out", "r.json",
+         "--emit-plot-script"],
+        ["surface", "--family", "rpc-gaussian", "--p-min", "0", "--p-max", "0.1",
+         "--p-steps", "2", "--c-min", "0.5", "--c-max", "1", "--c-steps", "2",
+         "--format", "json", "--out", "s.json", "--emit-plot-script"],
+        ["rpc-given-d", "--rate", "0.4", "--d", "0.5", "--c-steps", "3",
+         "--format", "json", "--out", "f.json", "--emit-plot-script"],
+        ["restore", "--a-steps", "3", "--emit-plot-script"],
+        ["rpc-given-d", "--rate", "0.4", "--d", "0.5", "0.6", "--c-steps", "3",
+         "--emit-plot-script"],
+    ],
+)
+def test_plot_script_refused_before_any_output(capsys, tmp_path, monkeypatch, argv):
+    # a plot script reads the CSV at --out; without one the command stops
+    # before it computes or writes anything
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "error" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _csv_tables(text):
+    """{label: (header, rows)} from CSV text, labels from "# d=" lines."""
+    tables, label = {}, None
+    for block in text.strip().split("\n\n"):
+        lines = block.split("\n")
+        if lines[0].startswith("# d="):
+            label = float(lines.pop(0)[len("# d="):])
+        header, *rows = lines
+        tables[label] = (header.split(","), [row.split(",") for row in rows])
+    return tables
+
+
+def _json_cell(value):
+    """A JSON value as the CSV writes it; null is an infeasible NaN."""
+    if value is None:
+        return "nan"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".9g")
+    return str(value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["surface", "--family", "rdc-binary", "--a", "0.3", "--p1", "0.1",
+         "--d-min", "0", "--d-max", "0.3", "--d-steps", "3",
+         "--c-min", "0.3", "--c-max", "1", "--c-steps", "4"],
+        ["surface", "--family", "rpc-gaussian", "--p-min", "0.001", "--p-max", "0.01",
+         "--p-steps", "2", "--c-min", "-1", "--c-max", "1.2", "--c-steps", "3"],
+        ["restore", "--a-min", "0.5", "--a-max", "1.0", "--a-steps", "4"],
+        ["rpc-given-d", "--rate", "0.4", "--d", "0.5", "--c-steps", "4"],
+        ["rpc-given-d", "--rate", "0.4", "--d", "0.5", "0.6", "--c-steps", "4"],
+    ],
+)
+def test_dataset_json_and_csv_carry_the_same_rows(capsys, argv):
+    code, csv_out, _ = run(capsys, *argv)
+    assert code == 0
+    code, json_out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(json_out)
+    if "frontiers" in payload:
+        tables = {f["d"]: f["rows"] for f in payload["frontiers"]}
+    else:
+        tables = {None: payload["rows"]}
+    csv_tables = _csv_tables(csv_out)
+    if len(csv_tables) == 1:
+        assert len(tables) == 1
+        csv_tables = dict(zip(tables, csv_tables.values()))
+    assert csv_tables.keys() == tables.keys()
+    nulls = 0
+    for label, rows in tables.items():
+        header, csv_rows = csv_tables[label]
+        assert len(rows) == len(csv_rows)
+        for row, csv_row in zip(rows, csv_rows):
+            assert [_json_cell(row[k]) for k in header] == csv_row
+            nulls += "nan" in csv_row
+            if label is None:
+                assert set(row) == set(header)
+            else:
+                # a frontier row's JSON-only key
+                assert set(row) == {*header, "feasible"}
+                assert row["feasible"] is (row["min_P_nats"] is not None)
+    # every argv but restore's has an infeasible entry
+    assert (nulls > 0) is (argv[0] != "restore")
+
+
 def test_out_writes_file_and_nothing_to_stdout(capsys, tmp_path):
     target = tmp_path / "pt.json"
     code, out, _ = run(capsys, *RDC_EXAMPLE, "--out", str(target))
@@ -243,15 +338,16 @@ def test_config_must_be_an_object(capsys, tmp_path):
 
 
 def test_workers_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("RDPC_WORKERS", "2")
-    code, out, _ = run(capsys, "oracle", "--family", "binary", "--a", "0.3",
-                       "--p1", "0.1", "--c", "0.99", "--resolution", "0.01")
+    # workers have no effect, so no environment variable selects them
+    argv = ["oracle", "--family", "binary", "--a", "0.3", "--p1", "0.1",
+            "--c", "0.99", "--resolution", "0.01"]
+    monkeypatch.delenv("RDPC_WORKERS", raising=False)
+    code, plain, _ = run(capsys, *argv)
     assert code == 0
     monkeypatch.setenv("RDPC_WORKERS", "many")
-    code, _, err = run(capsys, "oracle", "--family", "binary", "--a", "0.3",
-                       "--p1", "0.1", "--c", "0.99", "--resolution", "0.01")
-    assert code == 1
-    assert "RDPC_WORKERS" in err
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out == plain and err == ""
 
 
 def test_oracle_exit_codes(capsys):
