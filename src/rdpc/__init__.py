@@ -70,15 +70,7 @@ from .rpc_given_d import (
     pc_frontier_given_rd,
     rate_given_pcd,
 )
-from .sources import (
-    BinaryDerived,
-    BinaryPairSource,
-    GaussianDerived,
-    GaussianMixture2,
-    GaussianPairSource,
-    binary_derived,
-    gaussian_derived,
-)
+from .sources import BinaryPairSource, GaussianMixture2, GaussianPairSource
 from .verify import (
     SUITE_NAMES,
     GapProbe,

@@ -106,7 +106,28 @@ class _Merged:
         return value
 
 
-def _load_config(path: str | None) -> dict[str, Any]:
+def _flag_value(action: argparse.Action, value: Any) -> Any:
+    """A config value as ``action``'s flag parses its text: its ``type``,
+    ``nargs`` (a list for --d and the repeatable --suite, true or false
+    for a switch) and ``choices``. Raises ValueError."""
+    if action.nargs == 0:
+        if isinstance(value, bool):
+            return value
+        raise ValueError(f"must be true or false: {value!r}")
+    many = action.nargs == "+" or isinstance(action, argparse._AppendAction)
+    items = value if many else [value]
+    if not (isinstance(items, list) and items and all(type(v) in (str, int, float) for v in items)):
+        raise ValueError(f"must be {'a list of values' if many else 'one number or string'}: {value!r}")
+    parsed = [(action.type or str)(str(v)) for v in items]
+    for v in parsed:
+        if action.choices is not None and v not in action.choices:
+            raise ValueError(f"invalid choice {v!r} (choose from {', '.join(map(repr, action.choices))})")
+    return parsed if many else parsed[0]
+
+
+def _load_config(path: str | None, par: argparse.ArgumentParser) -> dict[str, Any]:
+    """The config file's values for the flags of the command ``par``
+    parses (``_flag_value``); keys that name none of them are dropped."""
     if path is None:
         return {}
     try:
@@ -115,7 +136,14 @@ def _load_config(path: str | None) -> dict[str, Any]:
         raise _UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise _UsageError(f"config {path} must hold a JSON object")
-    return raw
+    flags = {a.dest: a for a in par._actions if a.option_strings}
+    config: dict[str, Any] = {}
+    for key in (k for k in raw if k in flags):
+        try:
+            config[key] = _flag_value(flags[key], raw[key])
+        except ValueError as exc:
+            raise _UsageError(f"config key {key!r}: {exc}") from None
+    return config
 
 
 def _unit(is_binary: bool) -> str:
@@ -551,7 +579,7 @@ def build_parser() -> _Parser:
         point.add_argument(f"--{axis}", type=float, help=bound_help)
         point.add_argument("--c", type=float,
                            help=f"conditional label entropy bound, {_unit(is_binary)}")
-        point.set_defaults(handler=functools.partial(_cmd_point, family))
+        point.set_defaults(handler=functools.partial(_cmd_point, family), parser=point)
 
     given = sub.add_parser(
         "rpc-given-d", parents=[common],
@@ -567,7 +595,7 @@ def build_parser() -> _Parser:
     given.add_argument("--c-min", type=float, help="frontier C grid start")
     given.add_argument("--c-max", type=float, help="frontier C grid end")
     given.add_argument("--c-steps", type=int, help="frontier C grid size (50)")
-    given.set_defaults(handler=_cmd_rpc_given_d)
+    given.set_defaults(handler=_cmd_rpc_given_d, parser=given)
 
     surface = sub.add_parser(
         "surface", parents=[common],
@@ -583,7 +611,7 @@ def build_parser() -> _Parser:
         surface.add_argument(f"--{axis}-min", type=float)
         surface.add_argument(f"--{axis}-max", type=float)
         surface.add_argument(f"--{axis}-steps", type=int)
-    surface.set_defaults(handler=_cmd_surface)
+    surface.set_defaults(handler=_cmd_surface, parser=surface)
 
     oracle = sub.add_parser(
         "oracle", parents=[common],
@@ -601,7 +629,7 @@ def build_parser() -> _Parser:
     oracle.add_argument("--theta-steps", type=int, help="Gaussian grid (801)")
     oracle.add_argument("--no-refine", action="store_true", default=None,
                         help="report the raw grid optimum")
-    oracle.set_defaults(handler=_cmd_oracle)
+    oracle.set_defaults(handler=_cmd_oracle, parser=oracle)
 
     restore = sub.add_parser(
         "restore", parents=[common],
@@ -611,7 +639,7 @@ def build_parser() -> _Parser:
     restore.add_argument("--a-min", type=float, help="gain grid start (0.05)")
     restore.add_argument("--a-max", type=float, help="gain grid end (1.5)")
     restore.add_argument("--a-steps", type=int, help="gain grid size (146)")
-    restore.set_defaults(handler=_cmd_restore)
+    restore.set_defaults(handler=_cmd_restore, parser=restore)
 
     verify = sub.add_parser(
         "verify", parents=[common],
@@ -621,7 +649,7 @@ def build_parser() -> _Parser:
         "--suite", action="append", choices=SUITE_NAMES, default=None,
         help="restrict to one suite (repeatable; default all)",
     )
-    verify.set_defaults(handler=_cmd_verify)
+    verify.set_defaults(handler=_cmd_verify, parser=verify)
 
     return parser
 
@@ -630,9 +658,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        config = _load_config(ns.config)
-        merged = _Merged(ns, config)
-        return int(ns.handler(merged))
+        return int(ns.handler(_Merged(ns, _load_config(ns.config, ns.parser))))
     except (_UsageError, DomainError, IntegrationError, NoCrossingError,
             WitnessUnavailableError, OSError) as exc:
         print(f"rdpc: error: {exc}", file=sys.stderr)

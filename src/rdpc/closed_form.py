@@ -38,7 +38,7 @@ from .results import (
     TradeoffPoint,
     Unit,
 )
-from .sources import BinaryPairSource, GaussianPairSource, gaussian_derived
+from .sources import BinaryPairSource, GaussianPairSource
 
 _TOL = 1e-12
 
@@ -116,14 +116,12 @@ def rdc_binary(src: BinaryPairSource, d: float, c: float) -> TradeoffPoint:
     d == c1 are labelled classification-limited; the rates agree), the
     distortion bound dominates when d < c1, and the rate is zero once the
     looser of the two exceeds the source marginal b. Infeasible iff
-    c < H(p1).
+    c < H(p1), the source's ``floor_c``.
     """
     _check_bounds(c, d=d)
-    if c < binary_entropy(src.p1) - _TOL:
-        return TradeoffPoint(
-            rate=math.nan, unit=Unit.BITS, feasible=False,
-            region=Region.INFEASIBLE, c=c, d=d,
-        )
+    if c < src.floor_c - _TOL:
+        return TradeoffPoint(rate=math.nan, unit=Unit.BITS, feasible=False,
+                             region=Region.INFEASIBLE, c=c, d=d)
     b = src.b
     c1 = _c1(src, c)
     if c1 <= b + _TOL and d >= c1 - _TOL:
@@ -158,7 +156,7 @@ def _rdc_binary_rates(src: BinaryPairSource, d, c) -> np.ndarray:
     by_d = ~by_c & (d <= b + _TOL) & (d < c1)
     eps = np.where(by_c, np.minimum(c1, b), np.minimum(d, b))
     rate = np.where(by_c | by_d, np.maximum(0.0, binary_entropy(b) - _h2_bits_arr(eps)), 0.0)
-    return np.where(c >= binary_entropy(p1) - _TOL, rate, np.nan)
+    return np.where(c >= src.floor_c - _TOL, rate, np.nan)
 
 
 def rdc_binary_witness(src: BinaryPairSource, d: float, c: float) -> BinaryChannel:
@@ -206,16 +204,14 @@ def rpc_binary_witness(src: BinaryPairSource, c: float) -> BinaryChannel:
     in the verify suite), so callers must not assume rate equality.
     """
     _check_bounds(c)
+    if c < src.floor_c - _TOL or c > 1.0 + _TOL:
+        raise DomainError(f"no zero-divergence channel reaches c={c}")
     b = src.b
     if b < 1e-15:
         return BinaryChannel(1.0, 1.0)
-    h_a = binary_entropy(src.a)
-    h_p1 = binary_entropy(src.p1)
-    if c < h_p1 - _TOL or c > 1.0 + _TOL:
-        raise DomainError(f"no zero-divergence channel reaches c={c}")
-    if c >= h_a - _TOL:
+    if c >= binary_entropy(src.a) - _TOL:
         return BinaryChannel(1.0 - b, 1.0 - b)
-    if c <= h_p1 + _TOL:
+    if c <= src.floor_c + _TOL:
         return BinaryChannel(1.0, 0.0)
     p_a = bisect_root(
         lambda x: g_function(src, x) - c, 1.0 - b, 1.0, xtol=1e-13
@@ -232,14 +228,10 @@ def rpc_binary(src: BinaryPairSource, p: float, c: float) -> TradeoffPoint:
     binding constraint. Zero rate for c >= H(a); infeasible for c < H(p1).
     """
     _check_bounds(c, p=p)
-    h_p1 = binary_entropy(src.p1)
-    h_a = binary_entropy(src.a)
-    if c < h_p1 - _TOL:
-        return TradeoffPoint(
-            rate=math.nan, unit=Unit.BITS, feasible=False,
-            region=Region.INFEASIBLE, c=c, p=p,
-        )
-    if c >= h_a - _TOL:
+    if c < src.floor_c - _TOL:
+        return TradeoffPoint(rate=math.nan, unit=Unit.BITS, feasible=False,
+                             region=Region.INFEASIBLE, c=c, p=p)
+    if c >= binary_entropy(src.a) - _TOL:
         b = src.b
         witness = BinaryChannel(1.0 - b, 1.0 - b)
         return TradeoffPoint(
@@ -273,7 +265,11 @@ def _gaussian_k(src: GaussianPairSource, c: float) -> float:
 def _rdc_gaussian_core(
     src: GaussianPairSource, d: float, c: float
 ) -> tuple[float, Region, GaussianReconstruction | None, float]:
-    """Returns (rate, region, witness, d_star)."""
+    """Returns (rate, region, witness, d_star): NaN, INFEASIBLE, None and
+    NaN (no boundary exists) below the source's ``floor_c``."""
+    _check_bounds(c, d=d)
+    if c < src.floor_c - _TOL:
+        return math.nan, Region.INFEASIBLE, None, math.nan
     vx = src.var_x
     # at c >= h(S) the classification constraint is vacuous: k = 0, and
     # above d* = var_x the constant reconstruction costs nothing
@@ -317,8 +313,7 @@ def _rdc_gaussian_rates(src: GaussianPairSource, d, c) -> np.ndarray:
             by_d, np.maximum(0.0, 0.5 * np.log(vx / d)),
             np.where(vacuous, 0.0, -0.5 * np.log(1.0 - k)),
         )
-    floor = gaussian_derived(src).feasibility_floor_c
-    return np.where(c >= floor - _TOL, rate, np.nan)
+    return np.where(c >= src.floor_c - _TOL, rate, np.nan)
 
 
 def rdc_gaussian(src: GaussianPairSource, d: float, c: float) -> TradeoffPoint:
@@ -329,19 +324,12 @@ def rdc_gaussian(src: GaussianPairSource, d: float, c: float) -> TradeoffPoint:
     sentinel at d = 0), above it the classification bound pins the rate at
     -0.5 ln(1 - k) independent of d. Zero rate once both constraints are
     slack at the constant reconstruction. Infeasible below the floor
-    0.5 ln(1 - rho^2) + h(S).
+    0.5 ln(1 - rho^2) + h(S), the source's ``floor_c``.
     """
-    _check_bounds(c, d=d)
-    floor = gaussian_derived(src).feasibility_floor_c
-    if c < floor - _TOL:
-        return TradeoffPoint(
-            rate=math.nan, unit=Unit.NATS, feasible=False,
-            region=Region.INFEASIBLE, c=c, d=d,
-        )
     rate, region, wit, _ = _rdc_gaussian_core(src, d, c)
     return TradeoffPoint(
-        rate=rate, unit=Unit.NATS, feasible=True, region=region,
-        c=c, d=d, witness=wit,
+        rate=rate, unit=Unit.NATS, feasible=region is not Region.INFEASIBLE,
+        region=region, c=c, d=d, witness=wit,
     )
 
 
@@ -352,10 +340,6 @@ def rdc_gaussian_region(
 
     d* is reported as NaN for infeasible instances (no boundary exists).
     """
-    _check_bounds(c, d=d)
-    floor = gaussian_derived(src).feasibility_floor_c
-    if c < floor - _TOL:
-        return Region.INFEASIBLE, math.nan
     _, region, _, d_star = _rdc_gaussian_core(src, d, c)
     return region, d_star
 
@@ -368,9 +352,8 @@ def rpc_gaussian_witness(src: GaussianPairSource, c: float) -> GaussianReconstru
     saturates Cauchy-Schwarz and the rate diverges.
     """
     _check_bounds(c)
-    floor = gaussian_derived(src).feasibility_floor_c
-    if c < floor - _TOL:
-        raise DomainError(f"c={c} is below the feasibility floor {floor}")
+    if c < src.floor_c - _TOL:
+        raise DomainError(f"c={c} is below the feasibility floor {src.floor_c}")
     vx = src.var_x
     if src.cov == 0.0 or c >= src.h_s:
         return GaussianReconstruction(src.mu_x, vx, 0.0)
@@ -387,12 +370,9 @@ def rpc_gaussian(src: GaussianPairSource, p: float, c: float) -> TradeoffPoint:
     bound matters. Zero rate for c >= h(S); infeasible below the floor.
     """
     _check_bounds(c, p=p)
-    floor = gaussian_derived(src).feasibility_floor_c
-    if c < floor - _TOL:
-        return TradeoffPoint(
-            rate=math.nan, unit=Unit.NATS, feasible=False,
-            region=Region.INFEASIBLE, c=c, p=p,
-        )
+    if c < src.floor_c - _TOL:
+        return TradeoffPoint(rate=math.nan, unit=Unit.NATS, feasible=False,
+                             region=Region.INFEASIBLE, c=c, p=p)
     if c >= src.h_s - _TOL:
         return TradeoffPoint(
             rate=0.0, unit=Unit.NATS, feasible=True, region=Region.ZERO_RATE,

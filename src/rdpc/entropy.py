@@ -188,11 +188,12 @@ def gaussian_kl(mean1: float, var1: float, mean2: float, var2: float) -> float:
         shift2 = (mean1 - mean2) ** 2
     except OverflowError:  # a Python float raises where numpy gives inf
         raise DomainError(f"(mean1 - mean2)^2 overflows: ({mean1}, {mean2})") from None
-    return (
-        0.5 * math.log(var2 / var1)
-        + shift2 / (2.0 * var2)
-        + (var1 - var2) / (2.0 * var2)
-    )
+    return _gaussian_kl(var1, var2, shift2)
+
+
+def _gaussian_kl(var1: float, var2: float, shift2: float) -> float:
+    """``gaussian_kl`` from the squared mean difference, unchecked."""
+    return 0.5 * math.log(var2 / var1) + shift2 / (2.0 * var2) + (var1 - var2) / (2.0 * var2)
 
 
 def std_normal_cdf(x: float) -> float:

@@ -27,11 +27,11 @@ import numpy as np
 
 from .entropy import (
     _TINY,
+    _gaussian_kl,
     _h2_bits_arr,
     binary_convolution,
     binary_entropy,
     binary_entropy_inv,
-    gaussian_kl,
 )
 from .errors import DomainError
 from .results import (
@@ -432,6 +432,28 @@ def binary_min_rate(
 # Gaussian reconstructions
 # ---------------------------------------------------------------------------
 
+def _gaussian_stats(
+    src: GaussianPairSource, var_xh: float, cov: float, shift2: float
+) -> tuple[float, float, float, float]:
+    """(rate, mse, kl, cond_entropy_s) of a jointly Gaussian reconstruction
+    of variance ``var_xh`` > 0, covariance ``cov`` with the source and
+    squared mean shift ``shift2``: the one formula behind
+    ``gaussian_recon_stats`` and ``rpc_given_d.eval_at``, which own the
+    checks. The squared correlation is clamped at 1, where the rate is
+    +inf; a covariance whose square overflows is clamped too.
+    """
+    vx = src.var_x
+    try:
+        ratio = min(cov**2 / (vx * var_xh), 1.0)
+    except OverflowError:  # a Python float raises where numpy gives inf
+        ratio = 1.0
+    rate = math.inf if ratio >= 1.0 else -0.5 * math.log1p(-ratio)
+    label = min(src.rho**2 * ratio, 1.0)
+    info_s = math.inf if label >= 1.0 else -0.5 * math.log1p(-label)
+    mse = shift2 + vx + var_xh - 2.0 * cov
+    return rate, mse, _gaussian_kl(vx, var_xh, shift2), src.h_s - info_s
+
+
 def gaussian_recon_stats(
     src: GaussianPairSource, rec: GaussianReconstruction
 ) -> ChannelStats:
@@ -440,8 +462,8 @@ def gaussian_recon_stats(
     Sentinels at the degenerate corners: an exact copy (correlation 1)
     reports infinite rate; a constant reconstruction reports infinite KL
     and the unconditional label entropy. A mean difference or covariance
-    whose square overflows, or a covariance that breaks Cauchy-Schwarz,
-    raises ``DomainError``.
+    whose square overflows, or a covariance that breaks Cauchy-Schwarz
+    (any nonzero one at var_xh = 0), raises ``DomainError``.
     """
     vx = src.var_x
     try:
@@ -451,25 +473,11 @@ def gaussian_recon_stats(
         raise DomainError(
             f"a square overflows at mu_xh={rec.mu_xh}, cov_xxh={rec.cov_xxh}"
         ) from None
-    if rec.var_xh == 0.0:
-        mse = shift2 + vx
-        return ChannelStats(
-            mutual_info=0.0, distortion=mse, perception=math.inf,
-            cond_entropy_s=src.h_s, unit=Unit.NATS,
-        )
-    ratio = cov2 / (vx * rec.var_xh)
-    if ratio > 1.0 + 1e-12:
+    if rec.var_xh == 0.0 and rec.cov_xxh == 0.0:
+        return ChannelStats(0.0, shift2 + vx, math.inf, src.h_s, Unit.NATS)
+    if rec.var_xh == 0.0 or cov2 / (vx * rec.var_xh) > 1.0 + 1e-12:
         raise DomainError(f"cov^2={cov2} exceeds var_x*var_xh={vx * rec.var_xh}")
-    ratio = min(ratio, 1.0)
-    info = math.inf if ratio >= 1.0 else -0.5 * math.log1p(-ratio)
-    mse = shift2 + vx + rec.var_xh - 2.0 * rec.cov_xxh
-    kl = gaussian_kl(src.mu_x, vx, rec.mu_xh, rec.var_xh)
-    label_ratio = min(src.rho**2 * ratio, 1.0)
-    info_s = math.inf if label_ratio >= 1.0 else -0.5 * math.log1p(-label_ratio)
-    return ChannelStats(
-        mutual_info=info, distortion=mse, perception=kl,
-        cond_entropy_s=src.h_s - info_s, unit=Unit.NATS,
-    )
+    return ChannelStats(*_gaussian_stats(src, rec.var_xh, rec.cov_xxh, shift2), Unit.NATS)
 
 
 def _gauss_point(

@@ -8,6 +8,7 @@ into plain dicts for the JSON/CSV layer. Infeasible results carry
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Union
@@ -51,13 +52,17 @@ class BinaryChannel:
 @dataclass(frozen=True)
 class GaussianReconstruction:
     """Jointly Gaussian reconstruction: mean, variance, and covariance
-    with the source. ``var_xh`` may be zero (constant reconstruction)."""
+    with the source, all finite. ``var_xh`` may be zero (constant
+    reconstruction)."""
 
     mu_xh: float
     var_xh: float
     cov_xxh: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.mu_xh) and math.isfinite(self.var_xh)
+                and math.isfinite(self.cov_xxh)):
+            raise DomainError(f"reconstruction parameters must be finite: {self}")
         if self.var_xh < 0.0:
             raise DomainError(f"variance must be nonnegative: {self.var_xh}")
 

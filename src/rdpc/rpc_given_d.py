@@ -17,6 +17,7 @@ from typing import Sequence
 
 from .closed_form import _gaussian_k
 from .errors import DomainError
+from .oracle import _gaussian_stats
 from .results import GaussianReconstruction, Region, TradeoffPoint, Unit
 from .sources import GaussianPairSource
 
@@ -43,24 +44,20 @@ class PCFrontierPoint:
 
 
 def eval_at(src: GaussianPairSource, d: float, s: float) -> ScanPoint:
-    """Rate, perception, and conditional label entropy at spread ``s``;
-    infinite off the arc ratio < 1 (s = 0 is on it only at D = var_x).
-    The arithmetic is ``gaussian_recon_stats``' on the witness of variance
-    s * s, so both give the witness the same rate to the bit."""
+    """Rate, perception, and conditional label entropy at spread ``s``,
+    from the oracle's ``_gaussian_stats`` on the witness of variance
+    s * s; rate and label entropy are infinite off the arc ratio < 1
+    (s = 0 is on it only at D = var_x, and an s * s that overflows is
+    off it). A NaN s, or a d that is NaN or not positive, raises."""
+    if not d > 0.0 or math.isnan(s):
+        raise DomainError(f"need d > 0 and a spread that is a number: d={d}, s={s}")
     u = s * s
-    if s <= 0.0:
-        if s == 0.0 and d == src.var_x:
+    if s <= 0.0 or not 0.0 < u < math.inf:  # s * s under- or overflows
+        if u == 0.0 and s >= 0.0 and d == src.var_x:
             return ScanPoint(s, 0.0, math.inf, src.h_s)
         return ScanPoint(s, math.inf, math.inf, math.inf)
-    try:
-        ratio = (0.5 * (src.var_x + u - d)) ** 2 / (src.var_x * u)
-    except OverflowError:  # the covariance squared passes 1.8e308: off the arc
-        ratio = math.inf
-    kl = 0.5 * math.log(u / src.var_x) + (src.var_x - u) / (2.0 * u)
-    if ratio >= 1.0:
-        return ScanPoint(s, math.inf, kl, math.inf)
-    hs = src.h_s + 0.5 * math.log1p(-src.rho * src.rho * ratio)
-    return ScanPoint(s, -0.5 * math.log1p(-ratio), kl, hs)
+    rate, _, kl, hs = _gaussian_stats(src, u, 0.5 * (src.var_x + u - d), 0.0)
+    return ScanPoint(s, rate, kl, math.inf if rate == math.inf else hs)
 
 
 def _roots(vx: float, a: float, q: float) -> tuple[float, float]:

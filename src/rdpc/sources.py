@@ -29,6 +29,10 @@ class BinaryPairSource:
     strictly. ``a > 1/2`` is rejected rather than folded: the closed forms
     below assume the stated regime and silently folding the label marginal
     would change the meaning of the inputs.
+
+    The classification floor ``floor_c`` = H(p1) (bits) is computed once,
+    at construction: by data processing no reconstruction drives H(S|Xhat)
+    below the label-channel noise entropy.
     """
 
     a: float
@@ -49,6 +53,8 @@ class BinaryPairSource:
             raise DomainError(
                 f"need p1 <= a <= 1/2, got a={self.a}, p1={self.p1}"
             )
+        # a plain attribute, not a field: it stays out of eq, hash and repr
+        object.__setattr__(self, "floor_c", binary_entropy(self.p1))
 
     @property
     def marginal_x1(self) -> float:
@@ -63,29 +69,6 @@ class BinaryPairSource:
 
 
 @dataclass(frozen=True)
-class BinaryDerived:
-    b: float
-    h_a: float
-    h_p1: float
-    feasibility_floor_c: float
-
-
-def binary_derived(src: BinaryPairSource) -> BinaryDerived:
-    """Marginal and entropy summary of a binary pair source (bits).
-
-    The feasibility floor is H(p1): by data processing no reconstruction
-    can drive H(S|Xhat) below the label-channel noise entropy.
-    """
-    h_p1 = binary_entropy(src.p1)
-    return BinaryDerived(
-        b=src.b,
-        h_a=binary_entropy(src.a),
-        h_p1=h_p1,
-        feasibility_floor_c=h_p1,
-    )
-
-
-@dataclass(frozen=True)
 class GaussianPairSource:
     """Jointly Gaussian (X, S) with covariance ``cov`` between them.
 
@@ -93,9 +76,11 @@ class GaussianPairSource:
     Cauchy-Schwarz bound is allowed, with the fully correlated case
     reported through a -inf feasibility floor rather than rejected.
 
-    The correlation ``rho`` (clamped to [-1, 1]) and the label's
-    differential entropy ``h_s`` (nats) are computed once, at
-    construction, not on every access.
+    The correlation ``rho`` (clamped to [-1, 1]), the label's
+    differential entropy ``h_s`` and the classification floor ``floor_c``
+    = h(S) + 0.5 ln(1 - rho^2) (nats; -inf when |rho| = 1, where the label
+    is a function of the source and any C is reachable) are computed once,
+    at construction, not on every access.
     """
 
     mu_x: float
@@ -116,31 +101,13 @@ class GaussianPairSource:
                 f"|cov|={abs(self.cov)} exceeds Cauchy-Schwarz bound {bound}"
             )
         # plain attributes, not fields: they stay out of eq, hash and repr
-        r = self.cov / math.sqrt(self.var_s * self.var_x)
-        object.__setattr__(self, "rho", max(-1.0, min(1.0, r)))
-        object.__setattr__(self, "h_s", gaussian_diff_entropy(self.var_s))
-
-
-@dataclass(frozen=True)
-class GaussianDerived:
-    rho: float
-    h_s: float
-    feasibility_floor_c: float
-
-
-def gaussian_derived(src: GaussianPairSource) -> GaussianDerived:
-    """Correlation, label entropy, and the classification feasibility floor.
-
-    Floor = 0.5*ln(1-rho^2) + h(S) in nats; -inf when |rho| = 1 (the label
-    is a deterministic function of the source, so any C is reachable).
-    """
-    rho = src.rho
-    one_minus = 1.0 - rho * rho
-    if one_minus <= 0.0:
-        floor = -math.inf
-    else:
-        floor = 0.5 * math.log(one_minus) + src.h_s
-    return GaussianDerived(rho=rho, h_s=src.h_s, feasibility_floor_c=floor)
+        rho = max(-1.0, min(1.0, self.cov / bound))
+        h_s = gaussian_diff_entropy(self.var_s)
+        one_minus = 1.0 - rho * rho
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "h_s", h_s)
+        object.__setattr__(self, "floor_c", 0.5 * math.log(one_minus) + h_s
+                           if one_minus > 0.0 else -math.inf)
 
 
 class _Component(NamedTuple):

@@ -31,7 +31,6 @@ from .closed_form import (
     rpc_binary,
     rpc_binary_witness,
     rpc_gaussian,
-    rpc_gaussian_witness,
 )
 from .entropy import (
     _binary_entropy_inv_arr,
@@ -59,7 +58,6 @@ from .restoration import (
     error_rate_of_gain,
     error_rate_reoptimized,
     frontier,
-    kl_of_gain,
     monte_carlo_mse,
     mse_of_gain,
     sweep,
@@ -291,13 +289,11 @@ def _suite_convexity(seed: int) -> SuiteResult:
             rec.worst(f"{tag}_scalar_array_mismatch", abs(got - float(rm[i])), 1e-9)
 
     bsrc = BinaryPairSource(0.3, 0.1)
-    floor_b = binary_entropy(bsrc.p1)
-    convexity("binary", bsrc, _rdc_binary_rates, rdc_binary, 0.0, 0.6, floor_b + 1e-6, 1.0)
+    convexity("binary", bsrc, _rdc_binary_rates, rdc_binary, 0.0, 0.6, bsrc.floor_c + 1e-6, 1.0)
     gsrc = GaussianPairSource(0.0, 0.0, 1.0, 0.49, 0.63)
-    floor_g = 0.5 * math.log(1.0 - gsrc.rho**2) + gsrc.h_s
     convexity(
         "gaussian", gsrc, _rdc_gaussian_rates, rdc_gaussian,
-        0.05, 2.5, floor_g + 1e-6, gsrc.h_s + 0.4,
+        0.05, 2.5, gsrc.floor_c + 1e-6, gsrc.h_s + 0.4,
     )
 
     def monotone_increase(rates: np.ndarray) -> float:
@@ -305,12 +301,12 @@ def _suite_convexity(seed: int) -> SuiteResult:
 
     m = 200
     dgrid = np.linspace(0.0, 0.6, m)
-    cgrid = np.linspace(floor_b + 1e-9, 1.05, m)
+    cgrid = np.linspace(bsrc.floor_c + 1e-9, 1.05, m)
     rates = _rdc_binary_rates(bsrc, dgrid[:, None], cgrid)
     rec.worst("binary_monotonicity_increase", monotone_increase(rates), 1e-12)
 
     dgrid = np.linspace(0.01, 2.5, m)
-    cgrid = np.linspace(floor_g + 1e-9, gsrc.h_s + 0.4, m)
+    cgrid = np.linspace(gsrc.floor_c + 1e-9, gsrc.h_s + 0.4, m)
     rates = _rdc_gaussian_rates(gsrc, dgrid[:, None], cgrid)
     rec.worst("gaussian_monotonicity_increase", monotone_increase(rates), 1e-12)
     return rec.result("convexity")

@@ -1,0 +1,47 @@
+"""The package surface the benchmark harness under ``perfbench/`` relies
+on. The harness files are read as syntax trees, never imported, so a
+change that drops a name they use fails here rather than in a benchmark
+run."""
+
+import ast
+import inspect
+from pathlib import Path
+
+import pytest
+
+import rdpc
+from rdpc import cli
+
+HARNESS = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
+
+
+def _trees():
+    return [(path.name, ast.parse(path.read_text())) for path in HARNESS]
+
+
+def test_the_harness_is_present():
+    assert {"run.py", "workloads.py", "tracer.py"} <= {path.name for path in HARNESS}
+
+
+@pytest.mark.parametrize("name, tree", _trees())
+def test_every_rdpc_name_the_harness_uses_exists(name, tree):
+    modules = {"rdpc": rdpc, "cli": cli}
+    used = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            used.add((node.value.id, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "rdpc":
+            used.update(("rdpc", alias.name) for alias in node.names)
+        elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+              and getattr(node.targets[0], "id", None) == "CURVE_FAMILIES"):
+            # the closed forms a workload looks up by name on the package
+            used.update(("rdpc", elt.value) for elt in node.value.elts)
+    missing = sorted(f"{mod}.{attr}" for mod, attr in used
+                     if not hasattr(modules[mod], attr))
+    assert not missing, f"{name} uses names the package no longer has: {missing}"
+
+
+@pytest.mark.parametrize("fn", [rdpc.binary_min_rate, rdpc.gaussian_min_rate, rdpc.run_suites])
+def test_harness_entry_points_accept_workers(fn):
+    assert "workers" in inspect.signature(fn).parameters

@@ -337,6 +337,20 @@ def test_config_must_be_an_object(capsys, tmp_path):
     assert "object" in err
 
 
+@pytest.mark.parametrize("argv, config, key", [
+    (["rpc-given-d", "--c", "0.9"], {"d": 0.5}, "d"),
+    (["restore"], {"a_steps": "x"}, "a_steps"),
+    (["verify"], {"seed": "zero"}, "seed"),
+    (["restore", "--a-steps", "3"], {"format": "xml"}, "format"),
+])
+def test_config_values_are_parsed_like_their_flags(capsys, tmp_path, argv, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith("rdpc: error: ") and repr(key) in err
+
+
 def test_workers_env_default(capsys, monkeypatch):
     # workers have no effect, so no environment variable selects them
     argv = ["oracle", "--family", "binary", "--a", "0.3", "--p1", "0.1",

@@ -30,7 +30,6 @@ from rdpc import (
 )
 from rdpc.closed_form import _rdc_binary_rates, _rdc_gaussian_rates
 from rdpc.entropy import binary_entropy
-from rdpc.sources import gaussian_derived
 
 SRC = BinaryPairSource(a=0.3, p1=0.1)
 GSRC = GaussianPairSource(0.0, 0.0, 1.0, 0.49, 0.63)
@@ -323,10 +322,53 @@ def test_rdc_binary_rates_match_the_scalar_entry_point(a, share, ds, cs):
 )
 def test_rdc_gaussian_rates_match_the_scalar_entry_point(var_x, var_s, rho, ds, cs):
     src = GaussianPairSource(0.0, 0.0, var_x, var_s, rho * math.sqrt(var_x * var_s))
-    floor = gaussian_derived(src).feasibility_floor_c
+    floor = src.floor_c
     # d = 0 (the +inf sentinel), var_x and beyond; C at the floor, inside its
     # slack, below it, at h(S) and above it (with d = 2 var_x, zero rate)
     ds = [0.0, var_x, 2.0 * var_x, *(5.0 * d for d in ds)]
     cs = [floor, floor - 5e-13, floor - 0.05, src.h_s, src.h_s + 0.5,
           *(floor - 0.2 + 2.0 * c for c in cs)]
     _assert_kernel_matches(_rdc_gaussian_rates, rdc_gaussian, src, ds, cs)
+
+
+# ---------------------------------------------------------------------------
+# every closed form switches feasibility at the source's floor_c
+# ---------------------------------------------------------------------------
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(a=st.floats(0.0, 0.5), share=st.floats(0.0, 0.98),
+       d=st.floats(0.0, 1.0), p=st.floats(0.0, 1.0))
+def test_binary_forms_switch_feasibility_at_floor_c(a, share, d, p):
+    src = BinaryPairSource(a, a * share)
+    assert src.floor_c == binary_entropy(src.p1)
+    for c, feasible in ((src.floor_c, True), (src.floor_c - 1e-9, False)):
+        assert rdc_binary(src, d, c).feasible is feasible
+        assert rpc_binary(src, p, c).feasible is feasible
+        assert math.isnan(_rdc_binary_rates(src, [d], [c])[0]) is not feasible
+    rpc_binary_witness(src, src.floor_c)
+    with pytest.raises(DomainError):
+        rpc_binary_witness(src, src.floor_c - 1e-9)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(var_x=st.floats(0.05, 4.0), var_s=st.floats(0.05, 4.0),
+       rho=st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0)),
+       d=st.floats(0.0, 5.0), p=st.floats(0.0, 2.0))
+def test_gaussian_forms_switch_feasibility_at_floor_c(var_x, var_s, rho, d, p):
+    src = GaussianPairSource(0.0, 0.0, var_x, var_s, rho * math.sqrt(var_x * var_s))
+    if abs(rho) == 1.0:
+        # the label is a function of the source: every C is reachable
+        assert src.floor_c == -math.inf
+    cases = [(src.floor_c, True)]
+    if src.floor_c > -math.inf:
+        cases.append((src.floor_c - 1e-9, False))
+        with pytest.raises(DomainError):
+            rpc_gaussian_witness(src, src.floor_c - 1e-9)
+    rpc_gaussian_witness(src, src.floor_c)
+    for c, feasible in cases:
+        assert rdc_gaussian(src, d, c).feasible is feasible
+        assert rpc_gaussian(src, p, c).feasible is feasible
+        region, d_star = rdc_gaussian_region(src, d, c)
+        assert (region is not Region.INFEASIBLE) is feasible
+        assert math.isnan(d_star) is not feasible
+        assert math.isnan(_rdc_gaussian_rates(src, [d], [c])[0]) is not feasible

@@ -236,6 +236,26 @@ def test_recon_stats_refuse_an_overflowing_mean_shift(var_xh):
         assert stats.distortion == (0.0 - mu_xh) ** 2 + 1.0 + var_xh - 2.0 * 0.0
 
 
+@pytest.mark.parametrize("fields", [
+    (0.0, math.nan, 0.0), (math.nan, 1.0, 0.5), (0.0, 1.0, math.nan),
+    (math.inf, 1.0, 0.0), (0.0, math.inf, 0.0), (0.0, 1.0, -math.inf),
+])
+def test_recon_stats_refuse_non_finite_reconstructions(fields):
+    # such a reconstruction is refused before it has statistics at all
+    with pytest.raises(DomainError):
+        GaussianReconstruction(*fields)
+
+
+@pytest.mark.parametrize("cov", [0.5, -0.5, 1e-200])
+def test_recon_stats_refuse_a_covariance_at_zero_variance(cov):
+    # a constant reconstruction has no covariance with the source
+    with pytest.raises(DomainError):
+        gaussian_recon_stats(GSRC, GaussianReconstruction(0.0, 0.0, cov))
+    stats = gaussian_recon_stats(GSRC, GaussianReconstruction(0.0, 0.0, 0.0))
+    assert stats.mutual_info == 0.0 and stats.perception == math.inf
+    assert stats.cond_entropy_s == GSRC.h_s
+
+
 # ---------------------------------------------------------------------------
 # array kernels and the screen against the formulas they replace
 # ---------------------------------------------------------------------------

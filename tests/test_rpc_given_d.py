@@ -465,6 +465,36 @@ def test_frontier_rows_far_beyond_the_source_variance_meet_the_budget(share):
         pc_frontier_given_rd(SRC, math.inf, 0.5, [H_S])
 
 
+@pytest.mark.parametrize("s", [1e160, 1e300, math.inf])
+def test_eval_at_overflowing_spread_is_off_the_arc(s):
+    # s * s overflows: the off-arc sentinel, not NaN
+    q = eval_at(SRC, 0.5, s)
+    assert (q.rate, q.perception_kl, q.cond_entropy_s) == (math.inf, math.inf, math.inf)
+
+
+def test_eval_at_overflowing_covariance_is_off_the_arc():
+    # s * s is finite but the pinned covariance's square is not; the KL is
+    # still the spread's own
+    q = eval_at(SRC, 0.5, 1e154)
+    assert q.rate == math.inf and q.cond_entropy_s == math.inf
+    assert q.perception_kl == _kl_of_spread(1e154) < math.inf
+
+
+def test_eval_at_underflowing_spread_is_the_constant_reconstruction():
+    # s * s underflows to 0: off the arc, except at D = var_x, where the
+    # constant reconstruction meets D
+    q = eval_at(SRC, 0.5, 1e-200)
+    assert q.rate == math.inf and q.cond_entropy_s == math.inf
+    q = eval_at(SRC, SRC.var_x, 1e-200)
+    assert (q.rate, q.perception_kl, q.cond_entropy_s) == (0.0, math.inf, H_S)
+
+
+@pytest.mark.parametrize("d, s", [(0.5, math.nan), (math.nan, 0.7), (0.0, 0.7), (-0.5, 0.7)])
+def test_eval_at_refuses_nan_and_nonpositive_inputs(d, s):
+    with pytest.raises(DomainError):
+        eval_at(SRC, d, s)
+
+
 def test_distortion_at_the_source_variance():
     # at D = var_x the arc reaches s = 0: with P and C slack the constant
     # reconstruction meets D exactly at zero rate

@@ -11,20 +11,18 @@ from rdpc import (
     DomainError,
     GaussianMixture2,
     GaussianPairSource,
-    binary_derived,
-    gaussian_derived,
 )
-from rdpc.entropy import gaussian_diff_entropy
+from rdpc.entropy import binary_entropy, gaussian_diff_entropy
 
 
 def test_binary_marginal_and_entropies():
     src = BinaryPairSource(a=0.3, p1=0.1)
     assert src.marginal_x1 == pytest.approx(0.25, abs=1e-15)
     assert src.b == pytest.approx(0.25, abs=1e-15)
-    derived = binary_derived(src)
-    assert derived.h_a == pytest.approx(0.881290899230693, abs=1e-12)
-    assert derived.h_p1 == pytest.approx(0.468995593589281, abs=1e-12)
-    assert derived.feasibility_floor_c == derived.h_p1
+    assert binary_entropy(src.a) == pytest.approx(0.881290899230693, abs=1e-12)
+    # the classification floor is H(p1)
+    assert src.floor_c == pytest.approx(0.468995593589281, abs=1e-12)
+    assert src.floor_c == binary_entropy(src.p1)
 
 
 def test_binary_marginal_folding():
@@ -49,18 +47,15 @@ def test_gaussian_derived_quantities():
     src = GaussianPairSource(0.0, 0.0, 1.0, 0.49, 0.63)
     assert src.rho == pytest.approx(0.9, abs=1e-15)
     assert src.h_s == pytest.approx(1.06226358926594, abs=1e-12)
-    derived = gaussian_derived(src)
-    assert derived.feasibility_floor_c == pytest.approx(
-        0.231897985855115, abs=1e-12
-    )
+    assert src.floor_c == pytest.approx(0.231897985855115, abs=1e-12)
     # floor = h(S) + half the log residual variance share
     expected = src.h_s + 0.5 * math.log(1.0 - 0.81)
-    assert derived.feasibility_floor_c == pytest.approx(expected, abs=1e-14)
+    assert src.floor_c == pytest.approx(expected, abs=1e-14)
 
 
 def test_gaussian_fully_correlated_floor_is_minus_inf():
     src = GaussianPairSource(0.0, 0.0, 1.0, 1.0, 1.0)
-    assert gaussian_derived(src).feasibility_floor_c == -math.inf
+    assert src.floor_c == -math.inf
 
 
 def test_gaussian_rejections():
@@ -177,6 +172,12 @@ def _old_rho(src):
     return max(-1.0, min(1.0, r))
 
 
+def _old_floor(src):
+    """h(S) + 0.5 ln(1 - rho^2), -inf at |rho| = 1."""
+    one_minus = 1.0 - src.rho * src.rho
+    return 0.5 * math.log(one_minus) + src.h_s if one_minus > 0.0 else -math.inf
+
+
 def _gaussian_sources(seed):
     rng = np.random.default_rng(seed)
     out = []
@@ -197,8 +198,14 @@ def test_gaussian_constants_equal_the_property_formulas():
     for src in _gaussian_sources(seed=5):
         assert src.rho == _old_rho(src)
         assert src.h_s == gaussian_diff_entropy(src.var_s)
+        assert src.floor_c == _old_floor(src)
         clamped += abs(src.cov / math.sqrt(src.var_s * src.var_x)) > 1.0
     assert clamped > 0
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        a = float(rng.uniform(0.0, 0.5))
+        src = BinaryPairSource(a, a * float(rng.uniform(0.0, 1.0)))
+        assert src.floor_c == binary_entropy(src.p1)
 
 
 def test_gaussian_constants_follow_replace_and_stay_frozen():
@@ -206,7 +213,8 @@ def test_gaussian_constants_follow_replace_and_stay_frozen():
     moved = dataclasses.replace(src, var_s=2.0, cov=-0.5)
     assert moved.rho == _old_rho(moved) and moved.rho != src.rho
     assert moved.h_s == gaussian_diff_entropy(2.0)
-    for name in ("rho", "h_s"):
+    assert moved.floor_c == _old_floor(moved) and moved.floor_c != src.floor_c
+    for name in ("rho", "h_s", "floor_c"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(src, name, 0.5)
     # not fields: equality, hashing and repr see only the five parameters
@@ -216,6 +224,15 @@ def test_gaussian_constants_follow_replace_and_stay_frozen():
     assert repr(src) == (
         "GaussianPairSource(mu_x=0.0, mu_s=0.0, var_x=1.0, var_s=0.49, cov=0.63)"
     )
+    # the binary source's floor likewise
+    bsrc = BinaryPairSource(0.3, 0.1)
+    moved = dataclasses.replace(bsrc, p1=0.2)
+    assert moved.floor_c == binary_entropy(0.2) != bsrc.floor_c
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bsrc.floor_c = 0.5
+    assert [f.name for f in dataclasses.fields(bsrc)] == ["a", "p1"]
+    assert BinaryPairSource(0.3, 0.1) == bsrc and hash(BinaryPairSource(0.3, 0.1)) == hash(bsrc)
+    assert repr(bsrc) == "BinaryPairSource(a=0.3, p1=0.1)"
 
 
 HALVES = GaussianMixture2(0.5, 0.5, 0.0, 1.0, 1.0, 1.0)
