@@ -201,36 +201,6 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def _blocked_matvec(m: np.ndarray, w: np.ndarray, groups: list[tuple[int, int, int]]) -> np.ndarray:
-    """``m @ w`` computed as one matmul per row's block of ``m``.
-
-    A BLAS matrix-vector product rounds a row differently depending on the
-    row's position and the number of rows (its kernels work in blocks of
-    rows), so each row's intervals are multiplied as one block, as a
-    one-row run multiplies them. ``groups`` lists ``(start, stop, n)``
-    runs of blocks that all have ``n`` rows; each run is one stacked
-    matmul.
-    """
-    out = np.empty(m.shape[0])
-    for start, stop, n in groups:
-        np.matmul(m[start:stop].reshape(-1, n, 21), w, out=out[start:stop].reshape(-1, n))
-    return out
-
-
-def _row_sums(values: np.ndarray, rows: np.ndarray, nrows: int) -> np.ndarray:
-    """``np.sum`` of each row's values, the rows' values being contiguous.
-
-    ``np.bincount`` adds in order from 0, which is what ``np.sum`` does
-    below 8 terms; a row with more is summed by ``np.sum`` itself, whose
-    pairwise order differs.
-    """
-    counts = np.bincount(rows, minlength=nrows)
-    sums = np.bincount(rows, weights=values, minlength=nrows)
-    for r in np.flatnonzero(counts >= 8).tolist():
-        sums[r] = np.sum(values[rows == r])
-    return sums
-
-
 def _integrate(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     lo: np.ndarray,
@@ -257,10 +227,11 @@ def _integrate(
     raised when ``f`` is not finite at a node or when a row needs more
     than ``_MAX_INTERVALS`` intervals.
 
-    A row's result does not depend on the other rows: its intervals are
-    kept in the order a one-row run keeps them, its Kronrod sums are one
-    matmul on its own block (``_blocked_matvec``) and each round's
-    accepted parts are summed by ``np.sum``'s rule (``_row_sums``).
+    A row's result does not depend on the other rows: each interval's
+    qk21 sums are reductions over its own 21 nodes alone, and a row's
+    intervals keep the order a one-row run gives them (the kept ones,
+    then the new halves), in which ``np.bincount`` adds its accepted
+    parts.
     """
     lo, hi = np.atleast_1d(np.asarray(lo, dtype=float)), np.atleast_1d(np.asarray(hi, dtype=float))
     nrows = lo.size
@@ -275,35 +246,28 @@ def _integrate(
     b = np.concatenate([e[1:] for e in edges])
     total, used = np.zeros(nrows), np.zeros(nrows, dtype=np.int64)
     while a.size:
-        count = np.bincount(row, minlength=nrows)
-        used += count
+        used += np.bincount(row, minlength=nrows)
         if used.max() > _MAX_INTERVALS:
             over = int(np.argmax(used > _MAX_INTERVALS))
             raise IntegrationError(f"quadrature did not reach atol={atol[over]} "
                                    f"within {_MAX_INTERVALS} intervals")
-        # each row's intervals contiguous, in their order; rows with the
-        # same interval count adjacent, so each count is one stacked matmul
-        order = np.argsort(count[row] * nrows + row, kind="stable")
-        a, b, row = a[order], b[order], row[order]
-        rows_with = np.bincount(count)
-        n = np.flatnonzero(rows_with[1:]) + 1
-        stops = np.cumsum(n * rows_with[n])
-        groups = list(zip([0, *stops[:-1].tolist()], stops.tolist(), n.tolist()))
         half, mid = 0.5 * (b - a), 0.5 * (a + b)
-        # node-major, so each row's parameters broadcast along contiguous runs
+        # node-major, so the intervals' rows broadcast along the last axis
         fx = f(mid + half * _NODES[:, None], row)
         if not np.all(np.isfinite(fx)):
             raise IntegrationError("integrand is not finite on the integration range")
+        # interval-major; einsum (unlike a BLAS matvec) reduces each
+        # interval's 21 nodes on their own, whatever the other intervals
         fx = np.ascontiguousarray(fx.T)
-        resk = _blocked_matvec(fx, _WK, groups)
-        resabs = _blocked_matvec(np.abs(fx), _WK, groups) * half
-        resasc = _blocked_matvec(np.abs(fx - 0.5 * resk[:, None]), _WK, groups) * half
-        err = np.abs((resk - _blocked_matvec(fx, _WG, groups)) * half)
+        resk = np.einsum("ij,j->i", fx, _WK)
+        resabs = np.einsum("ij,j->i", np.abs(fx), _WK) * half
+        resasc = np.einsum("ij,j->i", np.abs(fx - 0.5 * resk[:, None]), _WK) * half
+        err = np.abs((resk - np.einsum("ij,j->i", fx, _WG)) * half)
         with np.errstate(divide="ignore", invalid="ignore"):
             scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
         err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
         done = err <= np.maximum(atol[row] * (b - a) / span[row], _ROUNDING * resabs)
-        total += _row_sums(resk[done] * half[done], row[done], nrows)
+        total += np.bincount(row[done], weights=resk[done] * half[done], minlength=nrows)
         keep = ~done
         a, b, mid, row = a[keep], b[keep], mid[keep], row[keep]
         a, b, row = np.concatenate((a, mid)), np.concatenate((mid, b)), np.concatenate((row, row))

@@ -432,6 +432,19 @@ def binary_min_rate(
 # Gaussian reconstructions
 # ---------------------------------------------------------------------------
 
+def _corr2(vx: float, var_xh: float, cov: float) -> float:
+    """The squared correlation cov^2 / (vx * var_xh) of variances > 0,
+    unclamped: +inf when cov^2 overflows. When vx * var_xh underflows to
+    0, cov is divided by both deviations before it is squared."""
+    denom = vx * var_xh
+    try:
+        if denom == 0.0:
+            return (cov / math.sqrt(vx) / math.sqrt(var_xh)) ** 2
+        return cov**2 / denom
+    except OverflowError:  # a Python float raises where numpy gives inf
+        return math.inf
+
+
 def _gaussian_stats(
     src: GaussianPairSource, var_xh: float, cov: float, shift2: float
 ) -> tuple[float, float, float, float]:
@@ -439,14 +452,11 @@ def _gaussian_stats(
     of variance ``var_xh`` > 0, covariance ``cov`` with the source and
     squared mean shift ``shift2``: the one formula behind
     ``gaussian_recon_stats`` and ``rpc_given_d.eval_at``, which own the
-    checks. The squared correlation is clamped at 1, where the rate is
-    +inf; a covariance whose square overflows is clamped too.
+    checks. The squared correlation (``_corr2``) is clamped at 1, where
+    the rate is +inf.
     """
     vx = src.var_x
-    try:
-        ratio = min(cov**2 / (vx * var_xh), 1.0)
-    except OverflowError:  # a Python float raises where numpy gives inf
-        ratio = 1.0
+    ratio = min(_corr2(vx, var_xh, cov), 1.0)
     rate = math.inf if ratio >= 1.0 else -0.5 * math.log1p(-ratio)
     label = min(src.rho**2 * ratio, 1.0)
     info_s = math.inf if label >= 1.0 else -0.5 * math.log1p(-label)
@@ -475,7 +485,7 @@ def gaussian_recon_stats(
         ) from None
     if rec.var_xh == 0.0 and rec.cov_xxh == 0.0:
         return ChannelStats(0.0, shift2 + vx, math.inf, src.h_s, Unit.NATS)
-    if rec.var_xh == 0.0 or cov2 / (vx * rec.var_xh) > 1.0 + 1e-12:
+    if rec.var_xh == 0.0 or _corr2(vx, rec.var_xh, rec.cov_xxh) > 1.0 + 1e-12:
         raise DomainError(f"cov^2={cov2} exceeds var_x*var_xh={vx * rec.var_xh}")
     return ChannelStats(*_gaussian_stats(src, rec.var_xh, rec.cov_xxh, shift2), Unit.NATS)
 

@@ -91,12 +91,7 @@ def bayes_threshold_clean(mixture: GaussianMixture2) -> float:
         )
 
     def diff(x: float) -> float:
-        d1 = mixture.w1 * math.exp(-0.5 * (x - m1) ** 2 / mixture.v1) / math.sqrt(
-            2.0 * math.pi * mixture.v1
-        )
-        d2 = mixture.w2 * math.exp(-0.5 * (x - m2) ** 2 / mixture.v2) / math.sqrt(
-            2.0 * math.pi * mixture.v2
-        )
+        d1, d2 = (c.w * math.exp(-0.5 * (x - c.m) ** 2 / c.v) / c.norm for c in mixture._comps)
         return d1 - d2
 
     lo, hi = min(m1, m2), max(m1, m2)

@@ -122,12 +122,14 @@ class _Recorder:
 
     ``worst(name, value, tol)`` keeps the largest value seen per name and
     fails the suite if it ever exceeds the tolerance; ``flag`` records a
-    boolean condition as 0/1 with tolerance 0.
+    boolean condition as 0/1 with tolerance 0. Every suite returns its
+    recorder; ``run_suites`` names the result and collects ``probes``.
     """
 
     def __init__(self) -> None:
         self.measured: dict[str, float] = {}
         self.tolerances: dict[str, float] = {}
+        self.probes: list[GapProbe] = []
         self.ok = True
 
     def worst(self, name: str, value: float, tol: float) -> None:
@@ -168,7 +170,7 @@ def _max_increase(values: Sequence[float]) -> float:
 # suites
 # ---------------------------------------------------------------------------
 
-def _suite_entropy(seed: int) -> SuiteResult:
+def _suite_entropy(seed: int) -> _Recorder:
     rec = _Recorder()
     rng = _rng_for(seed, 0)
 
@@ -210,7 +212,7 @@ def _suite_entropy(seed: int) -> SuiteResult:
     rec.worst(
         "numeric_kl_vs_closed", abs(got - gaussian_kl(0, 1, 0.3, 1.21)), 1e-6
     )
-    return rec.result("entropy")
+    return rec
 
 
 def _mgl_margins(
@@ -229,7 +231,7 @@ def _mgl_margins(
     return lhs, rhs
 
 
-def _suite_mgl(seed: int) -> SuiteResult:
+def _suite_mgl(seed: int) -> _Recorder:
     rec = _Recorder()
     rng = _rng_for(seed, 1)
     n = 100_000
@@ -261,10 +263,10 @@ def _suite_mgl(seed: int) -> SuiteResult:
         wit = rdc_binary_witness(src, d, c)
         chk = mrs_gerber_check(src, wit)
         rec.worst("equality_gap", abs(chk.lhs - chk.rhs), 1e-10)
-    return rec.result("mgl")
+    return rec
 
 
-def _suite_convexity(seed: int) -> SuiteResult:
+def _suite_convexity(seed: int) -> _Recorder:
     rec = _Recorder()
     rng = _rng_for(seed, 2)
     n = 10_000
@@ -309,14 +311,14 @@ def _suite_convexity(seed: int) -> SuiteResult:
     cgrid = np.linspace(gsrc.floor_c + 1e-9, gsrc.h_s + 0.4, m)
     rates = _rdc_gaussian_rates(gsrc, dgrid[:, None], cgrid)
     rec.worst("gaussian_monotonicity_increase", monotone_increase(rates), 1e-12)
-    return rec.result("convexity")
+    return rec
 
 
 _BINARY_ORACLE_SOURCES = (BinaryPairSource(0.3, 0.1), BinaryPairSource(0.45, 0.2))
 _BINARY_ORACLE_DC = ((0.1, 0.85), (0.3, 0.6), (0.3, 1.0), (0.02, 0.95), (0.25, 0.5))
 
 
-def _suite_oracle_rdc_binary(seed: int) -> SuiteResult:
+def _suite_oracle_rdc_binary(seed: int) -> _Recorder:
     rec = _Recorder()
     for src in _BINARY_ORACLE_SOURCES:
         for d, c in _BINARY_ORACLE_DC:
@@ -332,10 +334,10 @@ def _suite_oracle_rdc_binary(seed: int) -> SuiteResult:
                 rec.worst(
                     "argmin_cond_entropy_excess", stats.cond_entropy_s - c, 1e-9
                 )
-    return rec.result("oracle-rdc-binary")
+    return rec
 
 
-def _suite_oracle_rdc_gaussian(seed: int) -> SuiteResult:
+def _suite_oracle_rdc_gaussian(seed: int) -> _Recorder:
     rec = _Recorder()
     src = GaussianPairSource(0.0, 0.0, 1.0, 0.49, 0.63)
     h = src.h_s
@@ -352,10 +354,10 @@ def _suite_oracle_rdc_gaussian(seed: int) -> SuiteResult:
             stats = gaussian_recon_stats(src, got.argmin)
             rec.worst("argmin_mse_excess", stats.distortion - d, 1e-9)
             rec.worst("argmin_cond_entropy_excess", stats.cond_entropy_s - c, 1e-9)
-    return rec.result("oracle-rdc-gaussian")
+    return rec
 
 
-def _suite_oracle_rpc_gaussian(seed: int) -> SuiteResult:
+def _suite_oracle_rpc_gaussian(seed: int) -> _Recorder:
     rec = _Recorder()
     src = GaussianPairSource(0.0, 0.0, 1.0, 0.49, 0.63)
     h = src.h_s
@@ -376,10 +378,10 @@ def _suite_oracle_rpc_gaussian(seed: int) -> SuiteResult:
             if p < 1e-3:
                 rec.worst("tight_p_argmin_kl", stats.perception, 1e-3)
             rec.worst("argmin_cond_entropy_excess", stats.cond_entropy_s - c, 1e-9)
-    return rec.result("oracle-rpc-gaussian")
+    return rec
 
 
-def _suite_rpc_binary_gap_probe(seed: int) -> tuple[SuiteResult, list[GapProbe]]:
+def _suite_rpc_binary_gap_probe(seed: int) -> _Recorder:
     rec = _Recorder()
     src = BinaryPairSource(0.3, 0.1)
     c = 0.6
@@ -402,16 +404,16 @@ def _suite_rpc_binary_gap_probe(seed: int) -> tuple[SuiteResult, list[GapProbe]]
     probe_tv = binary_channel_stats(src, probe.argmin).perception
     rec.worst("probe_argmin_tv", probe_tv, 1e-6 + 1e-9)
 
-    gap = GapProbe(
+    rec.probes.append(GapProbe(
         instance="binary a=0.3 p1=0.1 C=0.6, perception 0.05 vs <=1e-6",
         closed_form=closed_rate,
         oracle=probe.rate,
         gap=probe.rate - closed_rate,
-    )
-    return rec.result("rpc-binary-gap-probe"), [gap]
+    ))
+    return rec
 
 
-def _suite_restoration(seed: int) -> SuiteResult:
+def _suite_restoration(seed: int) -> _Recorder:
     rec = _Recorder()
     rng = _rng_for(seed, 7)
     model = default_model()
@@ -479,10 +481,10 @@ def _suite_restoration(seed: int) -> SuiteResult:
     rec.worst("clean_kl_argmin_err", abs(min(curve0, key=lambda q: q.kl).a - 1.0), 0.011)
     dp0 = frontier(clean, "kl", "mse", [0.1, 0.5, 1.0], grid_points=73)
     shape_checks("clean_dp", dp0, expect_tradeoff=False)
-    return rec.result("restoration")
+    return rec
 
 
-def _suite_rpc_given_d(seed: int) -> SuiteResult:
+def _suite_rpc_given_d(seed: int) -> _Recorder:
     rec = _Recorder()
     src = GaussianPairSource(0.0, 0.0, 1.0, 0.49, 0.63)
     h = src.h_s
@@ -564,31 +566,23 @@ def _suite_rpc_given_d(seed: int) -> SuiteResult:
         rec.worst("witness_kl_excess", stats.perception - p, 1e-9)
         rec.worst("witness_cond_entropy_excess", stats.cond_entropy_s - c, 1e-7)
         rec.worst("witness_rate_err", abs(stats.mutual_info - tp.rate), 1e-9)
-    return rec.result("rpc-given-d")
+    return rec
 
 
-_PLAIN_SUITES: dict[str, Callable[[int], SuiteResult]] = {
+# the suites in report order
+_SUITES: dict[str, Callable[[int], _Recorder]] = {
     "entropy": _suite_entropy,
     "mgl": _suite_mgl,
     "convexity": _suite_convexity,
     "oracle-rdc-binary": _suite_oracle_rdc_binary,
     "oracle-rdc-gaussian": _suite_oracle_rdc_gaussian,
     "oracle-rpc-gaussian": _suite_oracle_rpc_gaussian,
+    "rpc-binary-gap-probe": _suite_rpc_binary_gap_probe,
     "restoration": _suite_restoration,
     "rpc-given-d": _suite_rpc_given_d,
 }
 
-SUITE_NAMES = (
-    "entropy",
-    "mgl",
-    "convexity",
-    "oracle-rdc-binary",
-    "oracle-rdc-gaussian",
-    "oracle-rpc-gaussian",
-    "rpc-binary-gap-probe",
-    "restoration",
-    "rpc-given-d",
-)
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suites(
@@ -611,10 +605,7 @@ def run_suites(
     suites: list[SuiteResult] = []
     probes: list[GapProbe] = []
     for name in selected:
-        if name == "rpc-binary-gap-probe":
-            result, found = _suite_rpc_binary_gap_probe(seed)
-            suites.append(result)
-            probes.extend(found)
-        else:
-            suites.append(_PLAIN_SUITES[name](seed))
+        rec = _SUITES[name](seed)
+        suites.append(rec.result(name))
+        probes.extend(rec.probes)
     return VerifyReport(seed=seed, suites=suites, gap_probes=probes)

@@ -275,13 +275,22 @@ def test_integrate_rows_do_not_depend_on_their_batch():
     # rows of unequal difficulty, so they need different interval counts
     k = np.linspace(1.0, 80.0, 40)
     marks = [[0.5] if i % 3 == 0 else None for i in range(k.size)]
-    batch = entropy._integrate(
-        lambda x, r: np.cos(k[r] * x) * np.exp(-x), np.zeros(k.size), np.ones(k.size), 1e-11,
-        marks,
-    )
+
+    def batch(rows):
+        return entropy._integrate(
+            lambda x, r: np.cos(k[rows][r] * x) * np.exp(-x), np.zeros(rows.size),
+            np.ones(rows.size), 1e-11, [marks[i] for i in rows.tolist()],
+        )
+
+    # every row alone, all rows in order and reversed, and consecutive rows
+    # in batches of 2, 4 (a BLAS matvec rounds 4-row blocks differently) and 5
+    rows = np.arange(k.size)
+    got = {"all": batch(rows), "reversed": batch(rows[::-1])[::-1]}
+    for n in (2, 4, 5):
+        got[n] = np.concatenate([batch(part) for part in np.split(rows, k.size // n)])
     for i, ki in enumerate(k.tolist()):
         one = _one_row(lambda x: np.cos(ki * x) * np.exp(-x), 0.0, 1.0, 1e-11, marks[i])
-        assert batch[i] == one
+        assert all(vals[i] == one for vals in got.values())
         exact = (math.exp(-1.0) * (ki * math.sin(ki) - math.cos(ki)) + 1.0) / (1.0 + ki * ki)
         assert abs(one - exact) <= 1e-11
 

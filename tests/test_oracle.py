@@ -254,6 +254,14 @@ def test_recon_stats_refuse_a_covariance_at_zero_variance(cov):
     stats = gaussian_recon_stats(GSRC, GaussianReconstruction(0.0, 0.0, 0.0))
     assert stats.mutual_info == 0.0 and stats.perception == math.inf
     assert stats.cond_entropy_s == GSRC.h_s
+    # a subnormal var_xh, where var_x * var_xh underflows to 0 at var_x = 0.5:
+    # Cauchy-Schwarz is still decided, without dividing by that 0
+    half = GaussianPairSource(0.0, 0.0, 0.5, 1.0, 0.3)
+    with pytest.raises(DomainError):
+        gaussian_recon_stats(half, GaussianReconstruction(0.0, 5e-324, 1e-160))
+    tiny = gaussian_recon_stats(half, GaussianReconstruction(0.0, 5e-324, 0.0))
+    assert tiny.mutual_info == 0.0 and tiny.distortion == 0.5
+    assert tiny.cond_entropy_s == half.h_s
 
 
 # ---------------------------------------------------------------------------

@@ -487,6 +487,12 @@ def test_eval_at_underflowing_spread_is_the_constant_reconstruction():
     assert q.rate == math.inf and q.cond_entropy_s == math.inf
     q = eval_at(SRC, SRC.var_x, 1e-200)
     assert (q.rate, q.perception_kl, q.cond_entropy_s) == (0.0, math.inf, H_S)
+    # s * s is normal but var_x * s * s underflows: the statistics of the
+    # same correlation at unit scale
+    tiny = GaussianPairSource(0.0, 0.0, 1e-200, 1.0, 0.0)
+    q = eval_at(tiny, 1e-200, 1e-100)
+    assert q.rate == pytest.approx(-0.5 * math.log1p(-0.25), rel=1e-12)
+    assert q.perception_kl == 0.0 and q.cond_entropy_s == tiny.h_s
 
 
 @pytest.mark.parametrize("d, s", [(0.5, math.nan), (math.nan, 0.7), (0.0, 0.7), (-0.5, 0.7)])
