@@ -8,11 +8,17 @@ feasible cell (with a half-step slack so optima between grid points are
 not screened out), then a pattern search tightens the best candidates to
 constraint tolerance 1e-9 with steps shrinking to 1e-7.
 
-Determinism contract: grids are evaluated as whole arrays in one thread,
-and each argmin is a single pass over the masked grid whose ties resolve
-to the lexicographically first cell (smallest row, then column). The
+Determinism contract: each screen walks its grid in one thread, in blocks
+of ``_BLOCK_ROWS`` rows, with the same per-element arithmetic whatever the
+block size. A block replaces the running best cell only when its value is
+strictly less, so ties resolve to the lexicographically first cell
+(smallest row, then column), as in one pass over the whole grid. The
 ``workers`` argument is accepted for compatibility and has no effect, so
 results never depend on it.
+
+Memory: a binary source caches its two logarithmic n x n fields, I(X;
+Xhat) and H(S | Xhat), for the two most recent (source, resolution)
+pairs; everything else, and every Gaussian field, is computed per block.
 """
 
 from __future__ import annotations
@@ -49,8 +55,12 @@ _EVAL_BUDGET = 60_000
 # a requested P = 0 is executed as this tolerance; exact equality is
 # measure-zero on a continuous parameter grid
 _P_ZERO_TOL = 1e-6
+# rows per block of a grid screen (and of the binary lattice build)
+_BLOCK_ROWS = 64
 
 Cell = tuple[float, int, int]  # (objective value, row, col) of a grid cell
+# (tight, slack) pass masks of one constraint over a block of grid rows
+Passes = tuple[np.ndarray, np.ndarray]
 
 
 def _binary_joint_arr(
@@ -145,35 +155,63 @@ def binary_channel_stats(src: BinaryPairSource, ch: BinaryChannel) -> ChannelSta
 
 @lru_cache(maxsize=2)
 def _binary_grid(a: float, p1: float, n: int) -> dict:
-    """Channel statistics over the full (p_a, p_b) lattice, cached.
+    """I(X; Xhat) (``info``) and H(S | Xhat) (``hs``) in bits over the
+    (p_a, p_b) lattice, built block by block and cached.
 
     Caching is per source and resolution so a sweep over many (D, P, C)
-    instances of the same source pays the array cost once.
+    instances of the same source pays the logarithms once. Distortion and
+    total variation are affine in the channel, so the screen recomputes
+    them per block instead of caching them.
     """
-    src = BinaryPairSource(a, p1)
-    b1 = src.marginal_x1
+    b1 = BinaryPairSource(a, p1).marginal_x1
     axis = np.linspace(0.0, 1.0, n)
-    pa = axis[:, None]
-    pb = axis[None, :]
-    tv, info, hs = _binary_joint_arr(b1, p1, pa, pb)
-    dist = (1.0 - b1) * (1.0 - pa) + b1 * pb
-    tv -= 1.0 - b1  # q0 becomes |q0 - (1 - b1)| in place
-    np.abs(tv, out=tv)
-    return {"info": info, "dist": dist, "tv": tv, "hs": hs}
+    info, hs = np.empty((n, n)), np.empty((n, n))
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        _, info[lo:hi], hs[lo:hi] = _binary_joint_arr(b1, p1, axis[lo:hi, None], axis)
+    return {"info": info, "hs": hs}
 
 
-def _masked_argmin(obj: np.ndarray, mask: np.ndarray) -> Cell | None:
-    """(value, row, col) of the smallest ``obj`` over the 2-D ``mask``.
+def _blocked_screen(
+    shape: tuple[int, int],
+    fields: Callable[[int, int], list[Passes]],
+    objective: Callable[[int, int], np.ndarray],
+) -> tuple[int, Cell | None, Cell | None]:
+    """(slack-feasible count, best tight cell, best slack cell) of a grid.
 
-    ``obj`` broadcasts against ``mask``. Ties go to the lexicographically
-    first cell; None when no masked value is finite.
+    The grid is walked in blocks of ``_BLOCK_ROWS`` rows. For rows lo..hi,
+    ``fields(lo, hi)`` gives the ``Passes`` of every constraint and
+    ``objective(lo, hi)`` the values to minimize, all broadcasting to the
+    block; a cell is tight (slack) feasible when it passes every tight
+    (slack) screen. A best cell is None when no such cell has a finite
+    objective; ties go to the lexicographically first cell.
     """
-    sub = np.where(mask, obj, np.inf)
-    flat = int(np.argmin(sub))
-    val = float(sub.flat[flat])
-    if not math.isfinite(val):
-        return None
-    return (val, *divmod(flat, sub.shape[1]))
+    rows, cols = shape
+    tight_buf = np.empty((_BLOCK_ROWS, cols), dtype=bool)
+    slack_buf = np.empty_like(tight_buf)
+    value_buf = np.empty((_BLOCK_ROWS, cols))
+    count, best = 0, [None, None]
+    for lo in range(0, rows, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, rows)
+        tight, slack, value = tight_buf[: hi - lo], slack_buf[: hi - lo], value_buf[: hi - lo]
+        tight.fill(True)
+        slack.fill(True)
+        for tight_pass, slack_pass in fields(lo, hi):
+            tight &= tight_pass
+            slack &= slack_pass
+        count += int(np.count_nonzero(slack))
+        obj = objective(lo, hi)
+        for k, mask in enumerate((tight, slack)):
+            if not mask.any():
+                continue
+            value.fill(np.inf)
+            np.copyto(value, obj, where=mask)
+            flat = int(np.argmin(value))
+            val = float(value.flat[flat])
+            if math.isfinite(val) and (best[k] is None or val < best[k][0]):
+                row, col = divmod(flat, cols)
+                best[k] = (val, lo + row, col)
+    return count, best[0], best[1]
 
 
 def _normalize_constraints(constraints: Mapping[str, float]) -> dict[str, float]:
@@ -189,11 +227,11 @@ def _normalize_constraints(constraints: Mapping[str, float]) -> dict[str, float]
             raise DomainError(f"constraint {k} must be nonnegative: {v}")
         if k == "P" and v == 0.0:
             v = _P_ZERO_TOL
-        if math.isinf(v):
-            continue  # an infinite bound is no constraint at all
+        if v == math.inf:
+            continue  # a +inf bound is no constraint at all; -inf is one
         out[k] = v
     if not out:
-        raise DomainError("at least one finite constraint is required")
+        raise DomainError("at least one constraint below +inf is required")
     return out
 
 
@@ -282,14 +320,12 @@ def _pattern_search(
 
 def _screened_min(
     result: Callable[..., OracleResult],
-    tight: np.ndarray,
-    slack: np.ndarray,
-    best_of: Callable[[np.ndarray], Cell | None],
+    screen: tuple[int, Cell | None, Cell | None],
     axes: tuple[np.ndarray, np.ndarray],
     search: Callable[[tuple[float, float]], tuple[float, float, float] | None] | None,
     witness: Callable[[float, float], tuple[BinaryChannel | GaussianReconstruction, float]],
 ) -> OracleResult:
-    """The oracle's answer from its tight and slack-widened screens.
+    """The oracle's answer from its ``_blocked_screen`` result.
 
     The candidates are the best tight cell (the best slack cell when there
     is no refinement, i.e. ``search`` is None) and the end of every
@@ -301,11 +337,10 @@ def _screened_min(
     def point(cell: Cell) -> tuple[float, float]:
         return float(axes[0][cell[1]]), float(axes[1][cell[2]])
 
-    feasible_points = int(np.count_nonzero(slack))
+    feasible_points, best_tight, best_slack = screen
     if feasible_points == 0:
         return result(rate=math.nan, argmin=None, refined=False, feasible=False,
                       feasible_points=0)
-    best_tight, best_slack = best_of(tight), best_of(slack)
     candidates: list[tuple[float, float, float]] = []
     if best_tight is not None:
         candidates.append((best_tight[0], *point(best_tight)))
@@ -370,16 +405,21 @@ def binary_min_rate(
         # between neighboring cells (two atoms, hence the factor 2)
         "C": 2.0 * binary_entropy(min(half, 0.5)) + _TIGHT,
     }
-    field = {"D": "dist", "P": "tv", "C": "hs"}
-
-    tight_mask = np.ones_like(grid["info"], dtype=bool)
-    slack_mask = np.ones_like(grid["info"], dtype=bool)
-    for key, bound in cons.items():
-        values = grid[field[key]]
-        tight_mask &= values <= bound + _TIGHT
-        slack_mask &= values <= bound + slack[key]
-
     axis = np.linspace(0.0, 1.0, n)
+
+    def fields(lo: int, hi: int) -> list[Passes]:
+        pa = axis[lo:hi, None]
+        block = {}
+        if "D" in cons:
+            block["D"] = (1.0 - b1) * (1.0 - pa) + b1 * axis
+        if "P" in cons:
+            tv = np.add((1.0 - b1) * pa, b1 * axis)  # q0, then |q0 - (1 - b1)|
+            tv -= 1.0 - b1
+            block["P"] = np.abs(tv, out=tv)
+        if "C" in cons:
+            block["C"] = grid["hs"][lo:hi]
+        return [(block[k] <= bound + _TIGHT, block[k] <= bound + slack[k])
+                for k, bound in cons.items()]
 
     def witness(pa: float, pb: float) -> tuple[BinaryChannel, float]:
         ch = BinaryChannel(pa, pb)
@@ -422,10 +462,8 @@ def binary_min_rate(
             return _pattern_search(pt, stats_at, cons, box, fixed, c_tangent, step)
 
     result = partial(OracleResult, unit=Unit.BITS, grid_resolution=step, constraints=cons)
-    return _screened_min(
-        result, tight_mask, slack_mask,
-        lambda mask: _masked_argmin(grid["info"], mask), (axis, axis), search, witness,
-    )
+    screen = _blocked_screen((n, n), fields, lambda lo, hi: grid["info"][lo:hi])
+    return _screened_min(result, screen, (axis, axis), search, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -510,21 +548,20 @@ def _gauss_point(
     return rate, mse, kl, hs
 
 
-@lru_cache(maxsize=4)
 def _gaussian_grid(
     vx: float, rho2: float, h_s: float, s_hi: float, ns: int, nt: int
 ) -> dict:
-    """Screen values over the (s, t) lattice with their half-step slacks
-    (analytic derivative bounds). MSE is 2-D, KL depends on s alone, rate
-    and label entropy on t alone except in row 0: s = 0 is a constant
-    reconstruction whatever t, with rate 0, label entropy h(S) (``hs_0``)
-    and entropy slack 0 (``slack_hs_0``).
+    """The 1-D screen fields over the (s, t) lattice with their half-step
+    slacks (analytic derivative bounds): KL depends on s alone, rate and
+    label entropy on t alone except in row 0, where s = 0 is a constant
+    reconstruction whatever t (rate 0, label entropy h(S), entropy slack
+    0). The MSE depends on both and is computed per block of rows by
+    ``gaussian_min_rate``.
     """
     s = np.linspace(0.0, s_hi, ns)
     t = np.linspace(-1.0, 1.0, nt)
     ds = s[1] - s[0]
     dt = t[1] - t[0]
-    sx = math.sqrt(vx)
 
     t2 = np.minimum(t * t, 1.0)
     with np.errstate(divide="ignore"):
@@ -537,36 +574,15 @@ def _gaussian_grid(
             + (vx - s * s) / np.where(s > 0, 2.0 * s * s, 1.0),
             np.inf,
         )
-    # vx + s^2 - 2 sx s t, built in one array
-    mse = np.outer(s, t)
-    mse *= 2.0 * sx
-    np.subtract(vx + (s * s)[:, None], mse, out=mse)
-
-    # half-step movement bounds for the screen: |d mse| <= ds|2s-2 sx t| + dt 2 sx s,
     # |d kl/ds| = |1/s - vx/s^3|, |d hs/dt| = rho^2 |t| / (1 - rho^2 t^2)
-    slack_mse = np.subtract(2.0 * s[:, None], 2.0 * sx * t[None, :])
-    np.abs(slack_mse, out=slack_mse)
-    slack_mse *= ds
-    slack_mse += dt * 2.0 * sx * s[:, None]
-    slack_mse *= 0.5
     with np.errstate(divide="ignore", invalid="ignore"):
         slack_kl = 0.5 * ds * np.where(s > 0.0, np.abs(1.0 / s - vx / s**3), np.inf)
         slack_hs_t = 0.5 * dt * np.where(arg > 0.0, rho2 * np.abs(t) / arg, np.inf)
 
     return {
-        "s": s, "t": t, "ds": float(ds), "dt": float(dt),
-        "rate_t": rate_t, "mse": mse, "kl_s": kl_s, "hs_t": hs_t, "hs_0": h_s,
-        "slack_mse": slack_mse, "slack_kl": slack_kl,
-        "slack_hs_t": slack_hs_t, "slack_hs_0": 0.0,
+        "s": s, "t": t, "ds": float(ds), "dt": float(dt), "rate_t": rate_t,
+        "kl_s": kl_s, "hs_t": hs_t, "slack_kl": slack_kl, "slack_hs_t": slack_hs_t,
     }
-
-
-def _gaussian_argmin(grid: dict, mask: np.ndarray) -> Cell | None:
-    """``_masked_argmin`` of the rate over the (s, t) lattice. Row 0 (rate
-    0, which no rate_t undercuts) comes first, so a masked cell there wins."""
-    if mask[0].any():
-        return 0.0, 0, int(np.argmax(mask[0]))
-    return _masked_argmin(grid["rate_t"], mask)
 
 
 def gaussian_min_rate(
@@ -596,35 +612,55 @@ def gaussian_min_rate(
     s_hi = sx * (1.0 + max(3.0, 2.0 * math.sqrt(d_for_span)))
     grid = _gaussian_grid(vx, src.rho**2, src.h_s, s_hi, sigma_steps, theta_steps)
     ns, nt = sigma_steps, theta_steps
-    step = max(grid["ds"], grid["dt"])
+    s, t, ds, dt = grid["s"], grid["t"], grid["ds"], grid["dt"]
+    step = max(ds, dt)
 
     def cap(arr: np.ndarray, bound: float) -> np.ndarray:
         return np.minimum(arr, 0.5 * (1.0 + abs(bound)))
 
-    # only the D screen is 2-D; the P screen is per row and the C screen
-    # per column (row 0 apart), and both broadcast into it
-    if "D" in cons:
-        d = cons["D"]
-        tight = grid["mse"] <= d + _TIGHT
-        widened = cap(grid["slack_mse"], d)
-        widened += d
-        widened += _TIGHT
-        slackm = grid["mse"] <= widened
-    else:
-        tight = np.ones((ns, nt), dtype=bool)
-        slackm = np.ones((ns, nt), dtype=bool)
+    def by_row(first: float | bool, rest: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi of a field that is ``first`` in row 0, ``rest`` after."""
+        if lo > 0:
+            return rest
+        out = np.broadcast_to(rest, (hi - lo, nt)).copy()
+        out[0] = first
+        return out
+
+    # the MSE is 2-D and screened per block; the KL screen is per row and
+    # the h(S|Xhat) screen per column, both screened once and broadcast
     if "P" in cons:
-        p = cons["P"]
-        finite = np.isfinite(grid["kl_s"])
-        tight &= (finite & (grid["kl_s"] <= p + _TIGHT))[:, None]
-        widened_p = p + cap(grid["slack_kl"], p) + _TIGHT
-        slackm &= (finite & (grid["kl_s"] <= widened_p))[:, None]
+        p, kl = cons["P"], grid["kl_s"][:, None]
+        # kl_s is +inf only in row 0, which no finite bound admits
+        p_passes = (kl <= p + _TIGHT, kl <= p + cap(grid["slack_kl"], p)[:, None] + _TIGHT)
     if "C" in cons:
-        c = cons["C"]
-        for row, hs, slack in ((slice(0, 1), "hs_0", "slack_hs_0"),
-                               (slice(1, None), "hs_t", "slack_hs_t")):
-            tight[row] &= grid[hs] <= c + _TIGHT
-            slackm[row] &= grid[hs] <= c + cap(grid[slack], c) + _TIGHT
+        c, hs = cons["C"], grid["hs_t"]
+        with np.errstate(invalid="ignore"):  # C = -inf meets an inf slack at |rho| = 1
+            c_passes = (hs <= c + _TIGHT, hs <= c + cap(grid["slack_hs_t"], c) + _TIGHT)
+        row0_pass = src.h_s <= c + _TIGHT  # row 0 has slack 0
+
+    def fields(lo: int, hi: int) -> list[Passes]:
+        out = []
+        if "D" in cons:
+            d, rows = cons["D"], s[lo:hi, None]
+            # vx + s^2 - 2 sx s t, and its half-step movement bound
+            # |d mse| <= ds |2s - 2 sx t| + dt 2 sx s
+            mse = np.outer(rows, t)
+            mse *= 2.0 * sx
+            np.subtract(vx + rows * rows, mse, out=mse)
+            widened = np.subtract(2.0 * rows, 2.0 * sx * t)
+            np.abs(widened, out=widened)
+            widened *= ds
+            widened += dt * 2.0 * sx * rows
+            widened *= 0.5
+            np.minimum(widened, 0.5 * (1.0 + abs(d)), out=widened)
+            widened += d
+            widened += _TIGHT
+            out.append((mse <= d + _TIGHT, mse <= widened))
+        if "P" in cons:
+            out.append((p_passes[0][lo:hi], p_passes[1][lo:hi]))
+        if "C" in cons:
+            out.append(tuple(by_row(row0_pass, passes, lo, hi) for passes in c_passes))
+        return out
 
     def witness(s: float, t: float) -> tuple[GaussianReconstruction, float]:
         rec = GaussianReconstruction(src.mu_x, s**2, sx * s * t)
@@ -653,10 +689,9 @@ def gaussian_min_rate(
             return _pattern_search(pt, stats_at, cons, box, fixed, tangent, step)
 
     result = partial(OracleResult, unit=Unit.NATS, grid_resolution=step, constraints=cons)
-    return _screened_min(
-        result, tight, slackm, lambda mask: _gaussian_argmin(grid, mask),
-        (grid["s"], grid["t"]), search, witness,
-    )
+    screen = _blocked_screen(
+        (ns, nt), fields, lambda lo, hi: by_row(0.0, grid["rate_t"], lo, hi))
+    return _screened_min(result, screen, (s, t), search, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -371,6 +371,19 @@ def test_oracle_exit_codes(capsys):
     assert json.loads(out)["rate"] is None
 
 
+@pytest.mark.parametrize("family, bounds", [
+    ("binary", ["--a", "0.3", "--p1", "0.1", "--d", "0.2", "--resolution", "0.01"]),
+    ("gaussian", ["--p", "0.1", "--sigma-steps", "201", "--theta-steps", "201"]),
+])
+def test_oracle_minus_inf_bound_is_infeasible(capsys, family, bounds):
+    code, out, _ = run(capsys, "oracle", "--family", family, *bounds, "--c=-inf")
+    assert code == 2
+    assert json.loads(out)["feasible"] is False
+    code, out, _ = run(capsys, "oracle", "--family", family, *bounds, "--c=inf")
+    assert code == 0
+    assert "C" not in json.loads(out)["constraints"]
+
+
 def test_verify_subcommand(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "entropy", "--seed", "0")
     assert code == 0

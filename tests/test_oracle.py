@@ -1,6 +1,8 @@
+import functools
 import math
 import os
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -179,14 +181,15 @@ def test_gaussian_oracle_worker_count_is_invisible():
 
 @pytest.mark.parametrize("cpus, pools", [(2, []), (None, [])])
 def test_argmin_threads_capped_at_cpu_count(monkeypatch, cpus, pools):
-    """The masked argmin is one numpy pass: whatever ``os.cpu_count()``
-    reports, it starts no thread, so it never exceeds the CPU count."""
+    """The blocked screen is a loop of numpy passes: whatever
+    ``os.cpu_count()`` reports, it starts no thread, so it never exceeds
+    the CPU count."""
     started = []
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(threading.Thread, "start", started.append)
     obj = np.arange(12.0).reshape(6, 2)[::-1]
-    mask = np.ones_like(obj, dtype=bool)
-    assert oracle._masked_argmin(obj, mask) == (0.0, 5, 0)
+    screen = oracle._blocked_screen(obj.shape, lambda lo, hi: [], lambda lo, hi: obj[lo:hi])
+    assert screen == (12, (0.0, 5, 0), (0.0, 5, 0))
     assert started == pools
 
 
@@ -199,6 +202,48 @@ def test_oracles_start_no_thread(monkeypatch):
     lone = binary_min_rate(SRC, {"D": 0.2, "C": 0.7}, resolution=2e-3, workers=8)
     team = gaussian_min_rate(GSRC, {"D": 0.5, "C": H_S - 0.3}, workers=8)
     assert lone.feasible and team.feasible
+
+
+def test_a_minus_inf_bound_is_a_constraint():
+    # only +inf means "no constraint"; C = -inf admits nothing, as in the
+    # closed forms
+    for oracle_min_rate, src, cons, closed in (
+        (binary_min_rate, SRC, {"D": 0.2}, rdc_binary(SRC, 0.2, -math.inf)),
+        (gaussian_min_rate, GSRC, {"P": 0.1}, rpc_gaussian(GSRC, 0.1, -math.inf)),
+    ):
+        dead = oracle_min_rate(src, {**cons, "C": -math.inf})
+        assert not dead.feasible and not closed.feasible
+        assert math.isnan(dead.rate) and dead.argmin is None
+        assert dead.constraints == {**cons, "C": -math.inf}
+        free = oracle_min_rate(src, {**cons, "C": math.inf})
+        assert free.feasible and free.constraints == cons
+    assert not rdc_gaussian(GSRC, 0.5, -math.inf).feasible
+    assert not binary_min_rate(SRC, {"C": -math.inf}).feasible
+    with pytest.raises(DomainError):
+        binary_min_rate(SRC, {"C": math.inf})
+
+
+def _traced_peak(query):
+    tracemalloc.start()
+    try:
+        query()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_queries_hold_no_full_size_temporary():
+    # one 1001 x 1001 float64 array is 7.6 MiB; a binary source caches two
+    mib = 2**20
+    lattice = 1001 * 1001 * 8
+    oracle._binary_grid.cache_clear()
+    cold = _traced_peak(lambda: binary_min_rate(SRC, {"D": 0.2, "C": 0.7}))
+    warm = _traced_peak(lambda: binary_min_rate(SRC, {"P": 0.05, "C": 0.6}))
+    gauss = _traced_peak(lambda: gaussian_min_rate(
+        GSRC, {"D": 0.5, "P": 0.1, "C": H_S - 0.3}, sigma_steps=1001, theta_steps=1001))
+    assert cold < 2 * lattice + 6 * mib
+    assert warm < 6 * mib
+    assert gauss < 6 * mib
 
 
 @pytest.mark.parametrize(
@@ -381,15 +426,28 @@ def _tiled_gaussian_screen(src, cons, ns, nt):
     return int(slackm.sum()), argmin(tight), argmin(slackm)
 
 
-def test_gaussian_screen_equals_the_tiled_screen(monkeypatch):
-    cells = []
+@functools.cache
+def _tiled_gaussian_reference(src, cons_items, ns, nt):
+    """``_tiled_gaussian_screen``, computed once per case for every block size."""
+    return _tiled_gaussian_screen(src, dict(cons_items), ns, nt)
 
-    def recording_argmin(grid, mask):
-        cells.append(real_argmin(grid, mask))
-        return cells[-1]
 
-    real_argmin = oracle._gaussian_argmin
-    monkeypatch.setattr(oracle, "_gaussian_argmin", recording_argmin)
+def _recording_screen(monkeypatch):
+    """Patch ``_blocked_screen`` to record what it returns; the list it
+    records into."""
+    screens = []
+    real_screen = oracle._blocked_screen
+
+    def recording_screen(*args):
+        screens.append(real_screen(*args))
+        return screens[-1]
+
+    monkeypatch.setattr(oracle, "_blocked_screen", recording_screen)
+    return screens
+
+
+def _check_gaussian_screens(monkeypatch):
+    screens = _recording_screen(monkeypatch)
     rng = np.random.default_rng(13)
     row0_cases = 0
     for _ in range(6):
@@ -406,11 +464,97 @@ def test_gaussian_screen_equals_the_tiled_screen(monkeypatch):
             {"P": 0.5, "C": h - 0.6},
         ):
             for ns, nt in ((801, 801), (301, 241)):
-                cells.clear()
+                screens.clear()
                 got = gaussian_min_rate(src, cons, sigma_steps=ns, theta_steps=nt,
                                         refine=False)
-                want = _tiled_gaussian_screen(src, cons, ns, nt)
+                want = _tiled_gaussian_reference(src, tuple(cons.items()), ns, nt)
                 assert got.feasible_points == want[0]
-                assert cells == ([] if want[0] == 0 else [want[1], want[2]])
-                row0_cases += any(c is not None and c[1] == 0 for c in cells)
+                assert screens == [want]
+                row0_cases += any(c is not None and c[1] == 0 for c in want[1:])
     assert row0_cases > 0
+
+
+def test_gaussian_screen_equals_the_tiled_screen(monkeypatch):
+    _check_gaussian_screens(monkeypatch)
+
+
+def _whole_binary_fields(src, n):
+    """(info, {"D": dist, "P": tv, "C": hs}) over the whole (p_a, p_b)
+    lattice, each field one n x n array."""
+    b1 = src.marginal_x1
+    axis = np.linspace(0.0, 1.0, n)
+    pa, pb = axis[:, None], axis[None, :]
+    q0, info, hs = oracle._binary_joint_arr(b1, src.p1, pa, pb)
+    dist = (1.0 - b1) * (1.0 - pa) + b1 * pb
+    return info, {"D": dist, "P": np.abs(q0 - (1.0 - b1)), "C": hs}
+
+
+def _whole_binary_screen(info, fields, cons, n):
+    """(feasible_points, best tight cell, best slack cell) from the binary
+    screen as first written: one whole-lattice mask per screen and one
+    masked argmin over each."""
+    half = 0.5 * (1.0 / (n - 1))
+    slack = {"D": half + 1e-9, "P": half + 1e-9,
+             "C": 2.0 * binary_entropy(min(half, 0.5)) + 1e-9}
+    tight = np.ones((n, n), dtype=bool)
+    slackm = np.ones((n, n), dtype=bool)
+    for key, bound in cons.items():
+        tight &= fields[key] <= bound + 1e-9
+        slackm &= fields[key] <= bound + slack[key]
+
+    def argmin(mask):
+        sub = np.where(mask, info, np.inf)
+        flat = int(np.argmin(sub))
+        val = float(sub.flat[flat])
+        return (val, *divmod(flat, n)) if math.isfinite(val) else None
+
+    return int(slackm.sum()), argmin(tight), argmin(slackm)
+
+
+@functools.cache
+def _whole_binary_screens(src, n, conses):
+    """``_whole_binary_screen`` of each of ``conses`` (tuples of items),
+    computed once per case for every block size."""
+    info, fields = _whole_binary_fields(src, n)
+    return [_whole_binary_screen(info, fields, dict(cons), n) for cons in conses]
+
+
+def _check_binary_screens(monkeypatch):
+    oracle._binary_grid.cache_clear()  # the lattices are built at this block size
+    screens = _recording_screen(monkeypatch)
+    rng = np.random.default_rng(14)
+    kinds = set()
+    for _ in range(3):
+        a = rng.uniform(0.1, 0.5)
+        src = BinaryPairSource(a, a * rng.uniform(0.0, 0.9))
+        floor, top = binary_entropy(src.p1), binary_entropy(a)
+        for n in (1001, 501, 1251):
+            conses = (
+                (("D", rng.uniform(0.02, 0.4)), ("C", rng.uniform(floor, top))),
+                (("P", rng.uniform(0.005, 0.2)), ("C", rng.uniform(floor - 0.05, top))),
+                (("D", rng.uniform(0.02, 0.4)), ("P", rng.uniform(0.0, 0.1))),
+            )
+            for cons, want in zip(conses, _whole_binary_screens(src, n, conses)):
+                screens.clear()
+                got = binary_min_rate(src, dict(cons), resolution=1.0 / (n - 1),
+                                      refine=False)
+                assert got.feasible_points == want[0]
+                assert screens == [want]
+                kinds.add(want[1] is not None)
+    assert kinds == {True, False}  # feasible and infeasible tight screens both ran
+
+
+def test_binary_screen_equals_the_whole_array_screen(monkeypatch):
+    _check_binary_screens(monkeypatch)
+
+
+@pytest.mark.parametrize("block_rows", [1, 7])
+def test_screens_are_independent_of_the_block_size(monkeypatch, block_rows):
+    # every row (or every seventh) is a block edge, so edges and ties across
+    # blocks fall inside the feasible regions
+    monkeypatch.setattr(oracle, "_BLOCK_ROWS", block_rows)
+    try:
+        _check_gaussian_screens(monkeypatch)
+        _check_binary_screens(monkeypatch)
+    finally:
+        oracle._binary_grid.cache_clear()
