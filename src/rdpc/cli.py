@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import astuple
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -441,8 +442,7 @@ def _rpc_given_d_frontier(
         int(m.get("c_steps", 50)),
     )
     tables = [
-        (d, [(r.c, r.min_p, r.rate, r.sigma_xh, r.feasible)
-             for r in pc_frontier_given_rd(src, d, rate_level, c_grid)])
+        (d, [astuple(r) for r in pc_frontier_given_rd(src, d, rate_level, c_grid)])
         for d in d_values
     ]
     return _emit_dataset(
@@ -511,7 +511,7 @@ def _cmd_restore(m: _Merged) -> int:
         "a", float(m.get("a_min", 0.05)), float(m.get("a_max", 1.5)), int(m.get("a_steps", 146)),
     )
     curve = sweep(default_model(sigma_n=sigma_n), grid)
-    rows = [(q.a, q.mse, q.kl, q.error_rate) for q in curve]
+    rows = [astuple(q) for q in curve]
     return _emit_dataset(
         m, ("a", "mse", "kl_nats", "error_rate"), [(None, rows)], _RESTORE_PLOT,
         {"sigma_n": sigma_n},

@@ -89,7 +89,7 @@ def _backward_witness(src: BinaryPairSource, eps: float) -> BinaryChannel:
     complementary (eps, 1-eps), which is what makes the label-entropy
     bound tight.
     """
-    b1 = src.marginal_x1
+    b1 = src.b
     if b1 < 1e-15:
         # degenerate source: X is constant, the constant channel is exact
         return BinaryChannel(1.0, 1.0)
@@ -120,7 +120,7 @@ def rdc_binary(src: BinaryPairSource, d: float, c: float) -> TradeoffPoint:
     """
     _check_bounds(c, d=d)
     if c < src.floor_c - _TOL:
-        return TradeoffPoint(rate=math.nan, unit=Unit.BITS, feasible=False,
+        return TradeoffPoint(rate=math.nan, unit=Unit.BITS,
                              region=Region.INFEASIBLE, c=c, d=d)
     b = src.b
     c1 = _c1(src, c)
@@ -136,7 +136,7 @@ def rdc_binary(src: BinaryPairSource, d: float, c: float) -> TradeoffPoint:
         rate = max(0.0, binary_entropy(b) - binary_entropy(eps))
         witness = _backward_witness(src, eps)
     return TradeoffPoint(
-        rate=rate, unit=Unit.BITS, feasible=True, region=region,
+        rate=rate, unit=Unit.BITS, region=region,
         c=c, d=d, witness=witness,
     )
 
@@ -229,19 +229,18 @@ def rpc_binary(src: BinaryPairSource, p: float, c: float) -> TradeoffPoint:
     """
     _check_bounds(c, p=p)
     if c < src.floor_c - _TOL:
-        return TradeoffPoint(rate=math.nan, unit=Unit.BITS, feasible=False,
+        return TradeoffPoint(rate=math.nan, unit=Unit.BITS,
                              region=Region.INFEASIBLE, c=c, p=p)
     if c >= binary_entropy(src.a) - _TOL:
         b = src.b
         witness = BinaryChannel(1.0 - b, 1.0 - b)
         return TradeoffPoint(
-            rate=0.0, unit=Unit.BITS, feasible=True, region=Region.ZERO_RATE,
+            rate=0.0, unit=Unit.BITS, region=Region.ZERO_RATE,
             c=c, p=p, witness=witness,
         )
     rate = max(0.0, binary_entropy(src.b) - binary_entropy(_c1(src, c)))
     return TradeoffPoint(
-        rate=rate, unit=Unit.BITS, feasible=True,
-        region=Region.CLASSIFICATION_LIMITED, c=c, p=p,
+        rate=rate, unit=Unit.BITS, region=Region.CLASSIFICATION_LIMITED, c=c, p=p,
         witness=rpc_binary_witness(src, c),
     )
 
@@ -327,10 +326,7 @@ def rdc_gaussian(src: GaussianPairSource, d: float, c: float) -> TradeoffPoint:
     0.5 ln(1 - rho^2) + h(S), the source's ``floor_c``.
     """
     rate, region, wit, _ = _rdc_gaussian_core(src, d, c)
-    return TradeoffPoint(
-        rate=rate, unit=Unit.NATS, feasible=region is not Region.INFEASIBLE,
-        region=region, c=c, d=d, witness=wit,
-    )
+    return TradeoffPoint(rate=rate, unit=Unit.NATS, region=region, c=c, d=d, witness=wit)
 
 
 def rdc_gaussian_region(
@@ -366,22 +362,16 @@ def rpc_gaussian(src: GaussianPairSource, p: float, c: float) -> TradeoffPoint:
     """Minimal rate under KL(p_X || p_Xhat) <= p and H(S|Xhat) <= c nats.
 
     Like the binary case the answer ignores p: matching the source
-    distribution costs nothing in rate here, so only the classification
-    bound matters. Zero rate for c >= h(S); infeasible below the floor.
+    distribution costs nothing in rate here, so the rate and region are
+    those of ``rdc_gaussian`` with no distortion bound. Zero rate for
+    c >= h(S); infeasible below the floor.
     """
     _check_bounds(c, p=p)
-    if c < src.floor_c - _TOL:
-        return TradeoffPoint(rate=math.nan, unit=Unit.NATS, feasible=False,
-                             region=Region.INFEASIBLE, c=c, p=p)
-    if c >= src.h_s - _TOL:
-        return TradeoffPoint(
-            rate=0.0, unit=Unit.NATS, feasible=True, region=Region.ZERO_RATE,
-            c=c, p=p, witness=GaussianReconstruction(src.mu_x, src.var_x, 0.0),
-        )
-    k = _gaussian_k(src, c)
-    rate = math.inf if k >= 1.0 else -0.5 * math.log(1.0 - k)
-    return TradeoffPoint(
-        rate=rate, unit=Unit.NATS, feasible=True,
-        region=Region.CLASSIFICATION_LIMITED, c=c, p=p,
-        witness=rpc_gaussian_witness(src, c),
-    )
+    rate, region, _, _ = _rdc_gaussian_core(src, math.inf, c)
+    if region is Region.INFEASIBLE:
+        wit = None
+    elif region is Region.ZERO_RATE:
+        wit = GaussianReconstruction(src.mu_x, src.var_x, 0.0)
+    else:
+        wit = rpc_gaussian_witness(src, c)
+    return TradeoffPoint(rate=rate, unit=Unit.NATS, region=region, c=c, p=p, witness=wit)

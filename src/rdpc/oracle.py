@@ -19,6 +19,12 @@ results never depend on it.
 Memory: a binary source caches its two logarithmic n x n fields, I(X;
 Xhat) and H(S | Xhat), for the two most recent (source, resolution)
 pairs; everything else, and every Gaussian field, is computed per block.
+
+Infinite rates: where only the exact copy of the source meets the bounds
+(D = 0, or C = -inf at |rho| = 1) the closed forms report a feasible
+point of rate +inf, and the oracles on the same bounds report infeasible,
+because a best cell must have a finite objective. ``rate_given_pcd`` at
+C = -inf is infeasible too: a pinned D > 0 excludes the exact copy.
 """
 
 from __future__ import annotations
@@ -65,12 +71,13 @@ Passes = tuple[np.ndarray, np.ndarray]
 
 def _binary_joint_arr(
     b1, p1, pa: np.ndarray, pb: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(q0, I(X; Xhat), H(S | Xhat)) in bits of binary channels, elementwise.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(I(X; Xhat), H(S | Xhat)) in bits of binary channels, elementwise.
 
     The formulas of ``_binary_point`` on broadcast arrays: ``b1`` is
-    P(X = 1), ``p1`` the label flip probability, (pa, pb) the channel and
-    q0 = P(Xhat = 0). Besides its results it allocates two scratch arrays.
+    P(X = 1), ``p1`` the label flip probability and (pa, pb) the channel.
+    Besides its results it allocates q0 = P(Xhat = 0) and two scratch
+    arrays.
     """
     shape = np.broadcast_shapes(*(np.shape(v) for v in (b1, p1, pa, pb)))
     q0 = np.add((1.0 - b1) * pa, b1 * pb, out=np.empty(shape))
@@ -92,7 +99,7 @@ def _binary_joint_arr(
     np.add((1.0 - b1) * _h2_bits_arr(pa), b1 * _h2_bits_arr(pb), out=term)
     info -= term
     np.clip(info, 0.0, None, out=info)
-    return q0, info, hs
+    return info, hs
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +153,7 @@ def binary_channel_stats(src: BinaryPairSource, ch: BinaryChannel) -> ChannelSta
     (S, X, Xhat); distortion is Hamming, perception is total variation
     between the X and Xhat marginals, everything entropic is in bits.
     """
-    info, dist, tv, hs = _binary_point(src.marginal_x1, src.p1, ch.p_a, ch.p_b)
+    info, dist, tv, hs = _binary_point(src.b, src.p1, ch.p_a, ch.p_b)
     return ChannelStats(
         mutual_info=info, distortion=dist, perception=tv,
         cond_entropy_s=hs, unit=Unit.BITS,
@@ -163,12 +170,12 @@ def _binary_grid(a: float, p1: float, n: int) -> dict:
     total variation are affine in the channel, so the screen recomputes
     them per block instead of caching them.
     """
-    b1 = BinaryPairSource(a, p1).marginal_x1
+    b1 = BinaryPairSource(a, p1).b
     axis = np.linspace(0.0, 1.0, n)
     info, hs = np.empty((n, n)), np.empty((n, n))
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
-        _, info[lo:hi], hs[lo:hi] = _binary_joint_arr(b1, p1, axis[lo:hi, None], axis)
+        info[lo:hi], hs[lo:hi] = _binary_joint_arr(b1, p1, axis[lo:hi, None], axis)
     return {"info": info, "hs": hs}
 
 
@@ -339,8 +346,7 @@ def _screened_min(
 
     feasible_points, best_tight, best_slack = screen
     if feasible_points == 0:
-        return result(rate=math.nan, argmin=None, refined=False, feasible=False,
-                      feasible_points=0)
+        return result(rate=math.nan, argmin=None, refined=False, feasible_points=0)
     candidates: list[tuple[float, float, float]] = []
     if best_tight is not None:
         candidates.append((best_tight[0], *point(best_tight)))
@@ -361,11 +367,11 @@ def _screened_min(
                 refined = True
 
     if not candidates:
-        return result(rate=math.nan, argmin=None, refined=refined, feasible=False,
+        return result(rate=math.nan, argmin=None, refined=refined,
                       feasible_points=feasible_points)
     _, x, y = min(candidates)
     argmin, rate = witness(x, y)
-    return result(rate=rate, argmin=argmin, refined=refined, feasible=True,
+    return result(rate=rate, argmin=argmin, refined=refined,
                   feasible_points=feasible_points)
 
 
@@ -393,7 +399,7 @@ def binary_min_rate(
     n = int(round(1.0 / resolution)) + 1
     step = 1.0 / (n - 1)
     grid = _binary_grid(src.a, src.p1, n)
-    b1 = src.marginal_x1
+    b1 = src.b
     p1 = src.p1
 
     half = 0.5 * step
@@ -712,7 +718,7 @@ def mrs_gerber_check(src: BinaryPairSource, ch: BinaryChannel) -> MglCheck:
     complementary; everything else should be strictly above the bound.
     """
     stats = binary_channel_stats(src, ch)
-    h_x = binary_entropy(src.marginal_x1)
+    h_x = binary_entropy(src.b)
     h_x_given = min(max(h_x - stats.mutual_info, 0.0), 1.0)
     rhs = binary_entropy(
         binary_convolution(src.p1, binary_entropy_inv(h_x_given))

@@ -1,15 +1,17 @@
 """Shared result and carrier types.
 
 These are deliberately dumb containers: construction validates cheap
-structural invariants only, and every type knows how to serialize itself
-into plain dicts for the JSON/CSV layer. Infeasible results carry
-``rate=nan`` (there is no minimum over an empty set), never an exception.
+structural invariants only. Each type serializes from its fields
+(``dataclasses.asdict``), with enums as their string values and derived
+facts such as ``feasible`` added as properties, into plain dicts for the
+JSON/CSV layer. Infeasible results carry ``rate=nan`` (there is no
+minimum over an empty set), never an exception.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Any, Union
 
@@ -46,7 +48,7 @@ class BinaryChannel:
             raise DomainError(f"channel probabilities out of range: {self}")
 
     def to_dict(self) -> dict[str, float]:
-        return {"p_a": self.p_a, "p_b": self.p_b}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ class GaussianReconstruction:
             raise DomainError(f"variance must be nonnegative: {self.var_xh}")
 
     def to_dict(self) -> dict[str, float]:
-        return {"mu_xh": self.mu_xh, "var_xh": self.var_xh, "cov_xxh": self.cov_xxh}
+        return asdict(self)
 
 
 Witness = Union[BinaryChannel, GaussianReconstruction]
@@ -80,12 +82,11 @@ class TradeoffPoint:
     ``d`` / ``p`` are None for programs without that constraint. ``rate``
     is NaN when infeasible and may be ``inf`` at degenerate boundaries
     (exact reconstruction demanded); a feasible point with a NaN or
-    negative rate is refused.
+    negative rate is refused. ``feasible`` follows from ``region``.
     """
 
     rate: float
     unit: Unit
-    feasible: bool
     region: Region
     c: float
     d: float | None = None
@@ -95,20 +96,14 @@ class TradeoffPoint:
     def __post_init__(self) -> None:
         if self.feasible and not self.rate >= 0.0:
             raise DomainError(f"feasible point needs a rate >= 0: {self.rate}")
-        if (self.region is Region.INFEASIBLE) == self.feasible:
-            raise DomainError("region/feasibility flags disagree")
+
+    @property
+    def feasible(self) -> bool:
+        return self.region is not Region.INFEASIBLE
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "d": self.d,
-            "p": self.p,
-            "c": self.c,
-            "rate": self.rate,
-            "unit": self.unit.value,
-            "feasible": self.feasible,
-            "region": self.region.value,
-            "witness": self.witness.to_dict() if self.witness else None,
-        }
+        return asdict(self) | {"unit": self.unit.value, "region": self.region.value,
+                               "feasible": self.feasible}
 
 
 @dataclass(frozen=True)
@@ -127,13 +122,7 @@ class ChannelStats:
     unit: Unit
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "mutual_info": self.mutual_info,
-            "distortion": self.distortion,
-            "perception": self.perception,
-            "cond_entropy_s": self.cond_entropy_s,
-            "unit": self.unit.value,
-        }
+        return asdict(self) | {"unit": self.unit.value}
 
 
 @dataclass(frozen=True)
@@ -143,7 +132,8 @@ class OracleResult:
     ``rate`` is recomputed from ``argmin`` after the search so the two
     always agree; ``feasible_points`` counts grid cells that passed the
     slack-widened feasibility screen. ``constraints`` echoes the effective
-    bounds used (a requested P=0 is executed as P<=1e-6).
+    bounds used (a requested P=0 is executed as P<=1e-6). ``feasible``
+    follows from ``argmin``.
     """
 
     rate: float
@@ -151,18 +141,12 @@ class OracleResult:
     argmin: Witness | None
     grid_resolution: float
     refined: bool
-    feasible: bool
     feasible_points: int
     constraints: dict[str, float]
 
+    @property
+    def feasible(self) -> bool:
+        return self.argmin is not None
+
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "rate": self.rate,
-            "unit": self.unit.value,
-            "argmin": self.argmin.to_dict() if self.argmin else None,
-            "grid_resolution": self.grid_resolution,
-            "refined": self.refined,
-            "feasible": self.feasible,
-            "feasible_points": self.feasible_points,
-            "constraints": dict(self.constraints),
-        }
+        return asdict(self) | {"unit": self.unit.value, "feasible": self.feasible}

@@ -21,6 +21,9 @@ from .oracle import _gaussian_stats
 from .results import GaussianReconstruction, Region, TradeoffPoint, Unit
 from .sources import GaussianPairSource
 
+# a frontier row is live while its rate is within this of the budget
+_RATE_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class ScanPoint:
@@ -138,24 +141,22 @@ def rate_given_pcd(src: GaussianPairSource, d: float, p: float,
     lo, hi = max(arc_lo, vx * t_lo), min(arc_hi, vx * t_hi)
     best = _witness(src, d, k, abs(a), lo, hi) if lo <= hi and k < 1.0 else None
     if best is None or not math.isfinite(best.rate):
-        return TradeoffPoint(rate=math.nan, unit=Unit.NATS, feasible=False,
+        return TradeoffPoint(rate=math.nan, unit=Unit.NATS,
                              region=Region.INFEASIBLE, c=c, d=d, p=p)
     var_xh = best.sigma_xh * best.sigma_xh
     return TradeoffPoint(
-        rate=best.rate, unit=Unit.NATS, feasible=True,
-        region=_classify(src, d, p, c, best), c=c, d=d, p=p,
+        rate=best.rate, unit=Unit.NATS, region=_classify(src, d, p, c, best), c=c, d=d, p=p,
         witness=GaussianReconstruction(src.mu_x, var_xh, 0.5 * (vx + var_xh - d)),
     )
 
 
 def pc_frontier_given_rd(
-    src: GaussianPairSource, d: float, rate_level: float,
-    c_grid: Sequence[float], *, rate_slack: float = 1e-9,
+    src: GaussianPairSource, d: float, rate_level: float, c_grid: Sequence[float],
 ) -> list[PCFrontierPoint]:
     """Minimal perception per classification bound at a fixed rate budget.
 
     A row is dead (NaN) if its P = +inf ratio max(max(a, 0) / var_x, k)
-    exceeds 1 - e^{-2(rate_level + rate_slack)}. Otherwise its witness is
+    exceeds 1 - e^{-2(rate_level + _RATE_SLACK)}. Otherwise its witness is
     the point nearest var_x of {k <= ratio <= q}, q = 1 - e^{-2 rate_level}
     or the P = +inf ratio if larger; min P is the KL there, floored at 0.
     """
@@ -163,7 +164,7 @@ def pc_frontier_given_rd(
         raise DomainError(f"rate level must be >= 0: {rate_level}")
     vx, a = src.var_x, src.var_x - d
     budget = -math.expm1(-2.0 * rate_level)
-    live = -math.expm1(-2.0 * (rate_level + rate_slack))
+    live = -math.expm1(-2.0 * (rate_level + _RATE_SLACK))
     out: list[PCFrontierPoint] = []
     for c in map(float, c_grid):
         k, floor = _k(src, d, math.inf, c), max(a, 0.0) / vx
@@ -171,7 +172,7 @@ def pc_frontier_given_rd(
         if max(floor, k) <= live:
             best = _witness(src, d, k, vx, *_roots(vx, a, max(budget, floor, k)))
         # a witness that misses the budget (round-off at D >> var_x) is none
-        if best is None or not best.rate <= rate_level + rate_slack:
+        if best is None or not best.rate <= rate_level + _RATE_SLACK:
             out.append(PCFrontierPoint(c, math.nan, math.nan, math.nan, False))
             continue
         kl = max(best.perception_kl, 0.0)

@@ -23,16 +23,19 @@ FloatOrArray = float | np.ndarray
 
 @dataclass(frozen=True)
 class BinaryPairSource:
-    """X ~ Bern(marginal) observed through S = X xor Bern(p1), S ~ Bern(a).
+    """X ~ Bern(b) observed through S = X xor Bern(p1), S ~ Bern(a).
 
     The admissible regime is ``0 <= p1 <= a <= 1/2`` with ``p1 < 1/2``
     strictly. ``a > 1/2`` is rejected rather than folded: the closed forms
     below assume the stated regime and silently folding the label marginal
     would change the meaning of the inputs.
 
-    The classification floor ``floor_c`` = H(p1) (bits) is computed once,
-    at construction: by data processing no reconstruction drives H(S|Xhat)
-    below the label-channel noise entropy.
+    The source marginal ``b`` = P(X=1) = (a - p1) / (1 - 2 p1) and the
+    classification floor ``floor_c`` = H(p1) (bits) are computed once, at
+    construction. The regime keeps b in [0, 1/2], in floats too (1 - 2 p1
+    rounds to twice 1/2 - p1, so a = 1/2 gives exactly 1/2); by data
+    processing no reconstruction drives H(S|Xhat) below the label-channel
+    noise entropy.
     """
 
     a: float
@@ -53,19 +56,9 @@ class BinaryPairSource:
             raise DomainError(
                 f"need p1 <= a <= 1/2, got a={self.a}, p1={self.p1}"
             )
-        # a plain attribute, not a field: it stays out of eq, hash and repr
+        # plain attributes, not fields: they stay out of eq, hash and repr
+        object.__setattr__(self, "b", (self.a - self.p1) / (1.0 - 2.0 * self.p1))
         object.__setattr__(self, "floor_c", binary_entropy(self.p1))
-
-    @property
-    def marginal_x1(self) -> float:
-        """Raw P(X=1) implied by (a, p1), before any folding."""
-        return (self.a - self.p1) / (1.0 - 2.0 * self.p1)
-
-    @property
-    def b(self) -> float:
-        """Folded source marginal min{P(X=1), 1-P(X=1)}, in [0, 1/2]."""
-        raw = self.marginal_x1
-        return min(raw, 1.0 - raw)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ a defect, so it is reported as a gap probe and never fails the run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -74,12 +74,7 @@ class SuiteResult:
     tolerances: dict[str, float]
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "measured": dict(self.measured),
-            "tolerances": dict(self.tolerances),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -90,12 +85,7 @@ class GapProbe:
     gap: float
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "instance": self.instance,
-            "closed_form": self.closed_form,
-            "oracle": self.oracle,
-            "gap": self.gap,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -109,12 +99,7 @@ class VerifyReport:
         return all(s.passed for s in self.suites)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "all_passed": self.all_passed,
-            "suites": [s.to_dict() for s in self.suites],
-            "gap_probes": [g.to_dict() for g in self.gap_probes],
-        }
+        return asdict(self) | {"all_passed": self.all_passed}
 
 
 class _Recorder:
@@ -224,7 +209,7 @@ def _mgl_margins(
     scalar checker's formulas, so a hundred thousand draws stay affordable.
     """
     b1 = (a - p1) / (1.0 - 2.0 * p1)
-    _, info, lhs = _binary_joint_arr(b1, p1, pa, pb)
+    info, lhs = _binary_joint_arr(b1, p1, pa, pb)
     h_x_given = np.clip(_h2_bits_arr(b1) - info, 0.0, 1.0)
     eps = _binary_entropy_inv_arr(h_x_given)
     rhs = _h2_bits_arr(p1 * (1.0 - eps) + eps * (1.0 - p1))

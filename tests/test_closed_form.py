@@ -277,7 +277,7 @@ def test_nan_bounds_are_refused(solve, args):
 def test_feasible_point_refuses_a_nan_rate():
     with pytest.raises(DomainError):
         TradeoffPoint(
-            rate=math.nan, unit=Unit.NATS, feasible=True,
+            rate=math.nan, unit=Unit.NATS,
             region=Region.ZERO_RATE, c=0.1,
         )
     # exact reconstruction (D = 0) keeps its +inf sentinel

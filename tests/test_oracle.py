@@ -28,6 +28,7 @@ from rdpc import (
 )
 from rdpc import oracle
 from rdpc.entropy import _h2_bits_arr, binary_convolution, binary_entropy
+from rdpc.rpc_given_d import rate_given_pcd
 
 SRC = BinaryPairSource(a=0.3, p1=0.1)
 GSRC = GaussianPairSource(0.0, 0.0, 1.0, 0.49, 0.63)
@@ -170,6 +171,26 @@ def test_gaussian_oracle_zero_rate_and_infeasible():
     dead = gaussian_min_rate(GSRC, {"D": 0.5, "C": 0.2})
     assert not dead.feasible
     assert dead.argmin is None
+
+
+def test_infinite_rate_is_a_closed_form_answer_and_an_oracle_infeasibility():
+    """Where only the exact copy of the source meets the bounds (D = 0, or
+    C = -inf at |rho| = 1) the closed forms report a feasible +inf rate
+    and the oracles, whose best cell must have a finite rate, infeasible.
+    A pinned D > 0 excludes the exact copy, so C = -inf is infeasible there."""
+    grid = {"sigma_steps": 101, "theta_steps": 101}
+    exact = rdc_gaussian(GSRC, 0.0, H_S)
+    assert exact.feasible and exact.rate == math.inf
+    assert not gaussian_min_rate(GSRC, {"D": 0.0, "C": H_S}, **grid).feasible
+
+    copy = GaussianPairSource(0.0, 0.0, 1.0, 1.0, 1.0)
+    assert copy.floor_c == -math.inf
+    for closed, bounds in ((rdc_gaussian(copy, 0.5, -math.inf), {"D": 0.5}),
+                           (rpc_gaussian(copy, 0.2, -math.inf), {"P": 0.2})):
+        assert closed.feasible and closed.rate == math.inf
+        assert not gaussian_min_rate(copy, bounds | {"C": -math.inf}, **grid).feasible
+    for p in (0.2, math.inf):
+        assert not rate_given_pcd(copy, 0.5, p, -math.inf).feasible
 
 
 def test_gaussian_oracle_worker_count_is_invisible():
@@ -352,7 +373,7 @@ def test_binary_point_is_the_scalar_formula_bit_for_bit():
     corners = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (1e-300, 5e-324)]
     for a, frac in ((0.3, 1 / 3), (0.45, 0.44), (0.2, 0.0)):
         src = BinaryPairSource(a, a * frac)
-        b1 = src.marginal_x1
+        b1 = src.b
         points = corners + [tuple(v) for v in rng.uniform(0.0, 1.0, (2_000, 2))]
         for p_a, p_b in points:
             want = _scalar_binary_point(b1, src.p1, p_a, p_b)
@@ -481,10 +502,11 @@ def test_gaussian_screen_equals_the_tiled_screen(monkeypatch):
 def _whole_binary_fields(src, n):
     """(info, {"D": dist, "P": tv, "C": hs}) over the whole (p_a, p_b)
     lattice, each field one n x n array."""
-    b1 = src.marginal_x1
+    b1 = src.b
     axis = np.linspace(0.0, 1.0, n)
     pa, pb = axis[:, None], axis[None, :]
-    q0, info, hs = oracle._binary_joint_arr(b1, src.p1, pa, pb)
+    info, hs = oracle._binary_joint_arr(b1, src.p1, pa, pb)
+    q0 = (1.0 - b1) * pa + b1 * pb
     dist = (1.0 - b1) * (1.0 - pa) + b1 * pb
     return info, {"D": dist, "P": np.abs(q0 - (1.0 - b1)), "C": hs}
 

@@ -286,7 +286,7 @@ def _full_mask_rate(src, d, p, c):
             candidates.append(q)
     if not candidates:
         return TradeoffPoint(
-            rate=math.nan, unit=Unit.NATS, feasible=False,
+            rate=math.nan, unit=Unit.NATS,
             region=Region.INFEASIBLE, c=c, d=d, p=p,
         )
     best_rate = min(q.rate for q in candidates)
@@ -295,7 +295,7 @@ def _full_mask_rate(src, d, p, c):
         key=lambda q: (q.perception_kl, q.sigma_xh),
     )
     return TradeoffPoint(
-        rate=best.rate, unit=Unit.NATS, feasible=True,
+        rate=best.rate, unit=Unit.NATS,
         region=rpc_given_d._classify(src, d, p, c, best), c=c, d=d, p=p,
         witness=GaussianReconstruction(
             src.mu_x, best.sigma_xh**2, 0.5 * (src.var_x + best.sigma_xh**2 - d)

@@ -17,7 +17,6 @@ from rdpc.entropy import binary_entropy, gaussian_diff_entropy
 
 def test_binary_marginal_and_entropies():
     src = BinaryPairSource(a=0.3, p1=0.1)
-    assert src.marginal_x1 == pytest.approx(0.25, abs=1e-15)
     assert src.b == pytest.approx(0.25, abs=1e-15)
     assert binary_entropy(src.a) == pytest.approx(0.881290899230693, abs=1e-12)
     # the classification floor is H(p1)
@@ -26,10 +25,18 @@ def test_binary_marginal_and_entropies():
 
 
 def test_binary_marginal_folding():
-    # raw P(X=1) above 1/2 folds onto the lower symmetric value
+    # b = (a - p1) / (1 - 2 p1) never exceeds 1/2 in the admissible
+    # regime, so no fold is needed: exactly 1/2 at a = 1/2, 0 at a = p1
     src = BinaryPairSource(a=0.5, p1=0.05)
-    assert src.marginal_x1 == pytest.approx(0.5, abs=1e-15)
+    assert src.b == pytest.approx(0.5, abs=1e-15)
     assert src.b <= 0.5
+    rng = np.random.default_rng(4)
+    edges = [0.0, 0.05, 1 / 3, 0.49, math.nextafter(0.5, 0.0) - 1e-12]
+    for p1 in [*edges, *rng.uniform(0.0, 0.5, 200)]:
+        assert BinaryPairSource(0.5, p1).b == 0.5
+        assert BinaryPairSource(p1, p1).b == 0.0
+        for a in (math.nextafter(0.5, 0.0), *rng.uniform(p1, 0.5, 20)):
+            assert 0.0 <= BinaryPairSource(a, p1).b <= 0.5
 
 
 def test_binary_rejections():
