@@ -16,9 +16,19 @@ strictly less, so ties resolve to the lexicographically first cell
 ``workers`` argument is accepted for compatibility and has no effect, so
 results never depend on it.
 
+Window contract: each block is screened only on its window, the
+sub-rectangle of rows and columns that its D and P bounds can admit. A
+window may leave out only cells that a 1-D evaluation of the same float
+expression proves to fail the slack screen: IEEE rounding is monotone, so
+a field that is monotone along a row or column stays so once computed,
+and its extreme over the block lies on a known row or column. Tight
+passes are a subset of slack passes, so every cell a screen could count
+or pick lies inside the window, and no comparison changes.
+
 Memory: a binary source caches its two logarithmic n x n fields, I(X;
 Xhat) and H(S | Xhat), for the two most recent (source, resolution)
-pairs; everything else, and every Gaussian field, is computed per block.
+pairs; everything else, and every Gaussian field, is computed per
+window.
 
 Infinite rates: where only the exact copy of the source meets the bounds
 (D = 0, or C = -inf at |rho| = 1) the closed forms report a feasible
@@ -65,8 +75,10 @@ _P_ZERO_TOL = 1e-6
 _BLOCK_ROWS = 64
 
 Cell = tuple[float, int, int]  # (objective value, row, col) of a grid cell
-# (tight, slack) pass masks of one constraint over a block of grid rows
+# (tight, slack) pass masks of one constraint over the window of a block
 Passes = tuple[np.ndarray, np.ndarray]
+# (r0, r1, c0, c1): rows r0..r1 and columns c0..c1 of a grid, ends exclusive
+Window = tuple[int, int, int, int]
 
 
 def _binary_joint_arr(
@@ -179,35 +191,53 @@ def _binary_grid(a: float, p1: float, n: int) -> dict:
     return {"info": info, "hs": hs}
 
 
+def _window(lo: int, keep_rows: np.ndarray, keep_cols: np.ndarray) -> Window | None:
+    """The window spanning the kept rows lo + i and the kept columns of a
+    block, or None when either mask keeps nothing."""
+    r, c = np.flatnonzero(keep_rows), np.flatnonzero(keep_cols)
+    if not (r.size and c.size):
+        return None
+    return lo + int(r[0]), lo + int(r[-1]) + 1, int(c[0]), int(c[-1]) + 1
+
+
 def _blocked_screen(
     shape: tuple[int, int],
-    fields: Callable[[int, int], list[Passes]],
-    objective: Callable[[int, int], np.ndarray],
+    window: Callable[[int, int], Window | None],
+    fields: Callable[[slice, slice], list[Passes]],
+    objective: Callable[[slice, slice], np.ndarray],
 ) -> tuple[int, Cell | None, Cell | None]:
     """(slack-feasible count, best tight cell, best slack cell) of a grid.
 
     The grid is walked in blocks of ``_BLOCK_ROWS`` rows. For rows lo..hi,
-    ``fields(lo, hi)`` gives the ``Passes`` of every constraint and
-    ``objective(lo, hi)`` the values to minimize, all broadcasting to the
-    block; a cell is tight (slack) feasible when it passes every tight
-    (slack) screen. A best cell is None when no such cell has a finite
-    objective; ties go to the lexicographically first cell.
+    ``window(lo, hi)`` gives the sub-rectangle (r0, r1, c0, c1) of the
+    block outside which no cell is slack feasible, or None when no cell
+    is. Over its rows r0..r1 and columns c0..c1, ``fields(rows, cols)``
+    gives the ``Passes`` of every constraint and ``objective(rows, cols)``
+    the values to minimize, all broadcasting to the window; a cell is
+    tight (slack) feasible when it passes every tight (slack) screen. A
+    best cell is None when no such cell has a finite objective; ties go to
+    the lexicographically first cell.
     """
     rows, cols = shape
-    tight_buf = np.empty((_BLOCK_ROWS, cols), dtype=bool)
+    tight_buf = np.empty(_BLOCK_ROWS * cols, dtype=bool)
     slack_buf = np.empty_like(tight_buf)
-    value_buf = np.empty((_BLOCK_ROWS, cols))
+    value_buf = np.empty(_BLOCK_ROWS * cols)
     count, best = 0, [None, None]
     for lo in range(0, rows, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, rows)
-        tight, slack, value = tight_buf[: hi - lo], slack_buf[: hi - lo], value_buf[: hi - lo]
+        win = window(lo, min(lo + _BLOCK_ROWS, rows))
+        if win is None:
+            continue
+        r0, r1, c0, c1 = win
+        height, width = r1 - r0, c1 - c0
+        tight, slack, value = (buf[: height * width].reshape(height, width)
+                               for buf in (tight_buf, slack_buf, value_buf))
         tight.fill(True)
         slack.fill(True)
-        for tight_pass, slack_pass in fields(lo, hi):
+        for tight_pass, slack_pass in fields(slice(r0, r1), slice(c0, c1)):
             tight &= tight_pass
             slack &= slack_pass
         count += int(np.count_nonzero(slack))
-        obj = objective(lo, hi)
+        obj = objective(slice(r0, r1), slice(c0, c1))
         for k, mask in enumerate((tight, slack)):
             if not mask.any():
                 continue
@@ -216,8 +246,8 @@ def _blocked_screen(
             flat = int(np.argmin(value))
             val = float(value.flat[flat])
             if math.isfinite(val) and (best[k] is None or val < best[k][0]):
-                row, col = divmod(flat, cols)
-                best[k] = (val, lo + row, col)
+                row, col = divmod(flat, width)
+                best[k] = (val, r0 + row, c0 + col)
     return count, best[0], best[1]
 
 
@@ -292,9 +322,10 @@ def _pattern_search(
 
     def walk(x, objective, current) -> tuple[tuple[float, float], float]:
         step = step0
+        dirs = directions(x)  # recomputed only when x moves
         while step > _MIN_STEP and budget[0] > 0:
             best_y, best_val = None, current
-            for d in directions(x):
+            for d in dirs:
                 y = clamp((x[0] + step * d[0], x[1] + step * d[1]))
                 if y == x:
                     continue
@@ -307,6 +338,7 @@ def _pattern_search(
                 step *= 0.5
             else:
                 x, current = best_y, best_val
+                dirs = directions(x)
         return x, current
 
     x = x0
@@ -411,20 +443,44 @@ def binary_min_rate(
         # between neighboring cells (two atoms, hence the factor 2)
         "C": 2.0 * binary_entropy(min(half, 0.5)) + _TIGHT,
     }
+    widened = {k: bound + slack[k] for k, bound in cons.items()}
     axis = np.linspace(0.0, 1.0, n)
 
-    def fields(lo: int, hi: int) -> list[Passes]:
+    def dist(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+        return (1.0 - b1) * (1.0 - pa) + b1 * pb
+
+    def shift(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+        """q0 - (1 - b1), whose magnitude is the total variation."""
+        out = np.add((1.0 - b1) * pa, b1 * pb)
+        out -= 1.0 - b1
+        return out
+
+    def window(lo: int, hi: int) -> Window | None:
+        # rounding keeps these monotone: D falls in p_a and rises in p_b, so
+        # a row's least value is in column 0 and a column's in the last row;
+        # q0 - (1 - b1) rises in both, so a column's values lie between its
+        # first and last rows
         pa = axis[lo:hi, None]
+        keep_rows, keep_cols = np.ones(hi - lo, dtype=bool), np.ones(n, dtype=bool)
+        if "D" in cons:
+            keep_rows &= dist(pa, axis[:1])[:, 0] <= widened["D"]
+            keep_cols &= dist(axis[hi - 1], axis) <= widened["D"]
+        if "P" in cons:
+            keep_cols &= shift(axis[hi - 1], axis) >= -widened["P"]
+            keep_cols &= shift(axis[lo], axis) <= widened["P"]
+        return _window(lo, keep_rows, keep_cols)
+
+    def fields(rows: slice, cols: slice) -> list[Passes]:
+        pa, pb = axis[rows, None], axis[cols]
         block = {}
         if "D" in cons:
-            block["D"] = (1.0 - b1) * (1.0 - pa) + b1 * axis
+            block["D"] = dist(pa, pb)
         if "P" in cons:
-            tv = np.add((1.0 - b1) * pa, b1 * axis)  # q0, then |q0 - (1 - b1)|
-            tv -= 1.0 - b1
+            tv = shift(pa, pb)
             block["P"] = np.abs(tv, out=tv)
         if "C" in cons:
-            block["C"] = grid["hs"][lo:hi]
-        return [(block[k] <= bound + _TIGHT, block[k] <= bound + slack[k])
+            block["C"] = grid["hs"][rows, cols]
+        return [(block[k] <= bound + _TIGHT, block[k] <= widened[k])
                 for k, bound in cons.items()]
 
     def witness(pa: float, pb: float) -> tuple[BinaryChannel, float]:
@@ -468,7 +524,8 @@ def binary_min_rate(
             return _pattern_search(pt, stats_at, cons, box, fixed, c_tangent, step)
 
     result = partial(OracleResult, unit=Unit.BITS, grid_resolution=step, constraints=cons)
-    screen = _blocked_screen((n, n), fields, lambda lo, hi: grid["info"][lo:hi])
+    screen = _blocked_screen(
+        (n, n), window, fields, lambda rows, cols: grid["info"][rows, cols])
     return _screened_min(result, screen, (axis, axis), search, witness)
 
 
@@ -606,9 +663,12 @@ def gaussian_min_rate(
     given) times normalized correlation in [-1, 1]; the covariance is
     their product scaled by sigma_x, which spans every admissible value.
     Restricting to jointly Gaussian reconstructions is an assumption the
-    search cannot test, and results should be read under it. A NaN bound
-    raises ``DomainError``; ``workers`` is accepted and has no effect.
+    search cannot test, and results should be read under it. A NaN bound,
+    or a step count that is not an integer of at least 2, raises
+    ``DomainError``; ``workers`` is accepted and has no effect.
     """
+    if not all(isinstance(k, (int, np.integer)) for k in (sigma_steps, theta_steps)):
+        raise DomainError(f"grid steps must be integers: {sigma_steps!r}, {theta_steps!r}")
     if sigma_steps < 2 or theta_steps < 2:
         raise DomainError("need at least 2 grid steps per axis")
     cons = _normalize_constraints(constraints)
@@ -624,11 +684,12 @@ def gaussian_min_rate(
     def cap(arr: np.ndarray, bound: float) -> np.ndarray:
         return np.minimum(arr, 0.5 * (1.0 + abs(bound)))
 
-    def by_row(first: float | bool, rest: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Rows lo..hi of a field that is ``first`` in row 0, ``rest`` after."""
-        if lo > 0:
+    def by_row(first: float | bool, rest: np.ndarray, rows: slice) -> np.ndarray:
+        """Rows ``rows`` of a field that is ``first`` in row 0, the row
+        ``rest`` after."""
+        if rows.start > 0:
             return rest
-        out = np.broadcast_to(rest, (hi - lo, nt)).copy()
+        out = np.broadcast_to(rest, (rows.stop - rows.start, rest.shape[-1])).copy()
         out[0] = first
         return out
 
@@ -644,28 +705,46 @@ def gaussian_min_rate(
             c_passes = (hs <= c + _TIGHT, hs <= c + cap(grid["slack_hs_t"], c) + _TIGHT)
         row0_pass = src.h_s <= c + _TIGHT  # row 0 has slack 0
 
-    def fields(lo: int, hi: int) -> list[Passes]:
+    def mse_fields(rows: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The MSE vx + s^2 - 2 sx s t at rows (a column of s) times ts,
+        and the D bound widened by its half-step movement bound
+        |d mse| <= ds |2s - 2 sx t| + dt 2 sx s."""
+        d = cons["D"]
+        mse = np.outer(rows, ts)
+        mse *= 2.0 * sx
+        np.subtract(vx + rows * rows, mse, out=mse)
+        widened = np.subtract(2.0 * rows, 2.0 * sx * ts)
+        np.abs(widened, out=widened)
+        widened *= ds
+        widened += dt * 2.0 * sx * rows
+        widened *= 0.5
+        np.minimum(widened, 0.5 * (1.0 + abs(d)), out=widened)
+        widened += d
+        widened += _TIGHT
+        return mse, widened
+
+    every_col = np.ones(nt, dtype=bool)
+
+    def window(lo: int, hi: int) -> Window | None:
+        keep = np.ones(hi - lo, dtype=bool)
+        if "D" in cons:
+            # rounding keeps these monotone: on each row the MSE falls in t
+            # and its widened bound is largest at t = -1 (|t| <= 1, s >= 0)
+            mse, widened = mse_fields(s[lo:hi, None], t[[0, -1]])
+            keep &= mse[:, 1] <= widened[:, 0]
+        if "P" in cons:
+            keep &= p_passes[1][lo:hi, 0]
+        return _window(lo, keep, every_col)
+
+    def fields(rows: slice, cols: slice) -> list[Passes]:
         out = []
         if "D" in cons:
-            d, rows = cons["D"], s[lo:hi, None]
-            # vx + s^2 - 2 sx s t, and its half-step movement bound
-            # |d mse| <= ds |2s - 2 sx t| + dt 2 sx s
-            mse = np.outer(rows, t)
-            mse *= 2.0 * sx
-            np.subtract(vx + rows * rows, mse, out=mse)
-            widened = np.subtract(2.0 * rows, 2.0 * sx * t)
-            np.abs(widened, out=widened)
-            widened *= ds
-            widened += dt * 2.0 * sx * rows
-            widened *= 0.5
-            np.minimum(widened, 0.5 * (1.0 + abs(d)), out=widened)
-            widened += d
-            widened += _TIGHT
-            out.append((mse <= d + _TIGHT, mse <= widened))
+            mse, widened = mse_fields(s[rows, None], t[cols])
+            out.append((mse <= cons["D"] + _TIGHT, mse <= widened))
         if "P" in cons:
-            out.append((p_passes[0][lo:hi], p_passes[1][lo:hi]))
+            out.append((p_passes[0][rows], p_passes[1][rows]))
         if "C" in cons:
-            out.append(tuple(by_row(row0_pass, passes, lo, hi) for passes in c_passes))
+            out.append(tuple(by_row(row0_pass, passes[cols], rows) for passes in c_passes))
         return out
 
     def witness(s: float, t: float) -> tuple[GaussianReconstruction, float]:
@@ -696,7 +775,7 @@ def gaussian_min_rate(
 
     result = partial(OracleResult, unit=Unit.NATS, grid_resolution=step, constraints=cons)
     screen = _blocked_screen(
-        (ns, nt), fields, lambda lo, hi: by_row(0.0, grid["rate_t"], lo, hi))
+        (ns, nt), window, fields, lambda rows, cols: by_row(0.0, grid["rate_t"][cols], rows))
     return _screened_min(result, screen, (s, t), search, witness)
 
 

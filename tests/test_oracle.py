@@ -173,6 +173,19 @@ def test_gaussian_oracle_zero_rate_and_infeasible():
     assert dead.argmin is None
 
 
+@pytest.mark.parametrize("steps", [
+    {"sigma_steps": 2.5}, {"theta_steps": math.nan}, {"sigma_steps": 801.0},
+    {"theta_steps": "801"}, {"sigma_steps": 1},
+])
+def test_gaussian_oracle_refuses_bad_step_counts(monkeypatch, steps):
+    def no_grid(*args):
+        raise AssertionError("a grid was built for a refused step count")
+
+    monkeypatch.setattr(oracle, "_gaussian_grid", no_grid)
+    with pytest.raises(DomainError):
+        gaussian_min_rate(GSRC, {"D": 0.5}, **steps)
+
+
 def test_infinite_rate_is_a_closed_form_answer_and_an_oracle_infeasibility():
     """Where only the exact copy of the source meets the bounds (D = 0, or
     C = -inf at |rho| = 1) the closed forms report a feasible +inf rate
@@ -200,18 +213,31 @@ def test_gaussian_oracle_worker_count_is_invisible():
     assert lone.argmin == team.argmin
 
 
-@pytest.mark.parametrize("cpus, pools", [(2, []), (None, [])])
-def test_argmin_threads_capped_at_cpu_count(monkeypatch, cpus, pools):
-    """The blocked screen is a loop of numpy passes: whatever
-    ``os.cpu_count()`` reports, it starts no thread, so it never exceeds
-    the CPU count."""
-    started = []
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(threading.Thread, "start", started.append)
-    obj = np.arange(12.0).reshape(6, 2)[::-1]
-    screen = oracle._blocked_screen(obj.shape, lambda lo, hi: [], lambda lo, hi: obj[lo:hi])
-    assert screen == (12, (0.0, 5, 0), (0.0, 5, 0))
-    assert started == pools
+def test_a_window_leaves_the_screen_unchanged(monkeypatch):
+    """Windows that skip a block, rows and columns, holding none of the
+    slack-feasible cells they skip, give the screen of the whole grid,
+    with the best cells' offsets added back and ties on the window edges
+    resolved to the first cell."""
+    monkeypatch.setattr(oracle, "_BLOCK_ROWS", 3)
+    obj = np.full((9, 5), 5.0)
+    slack = np.zeros((9, 5), dtype=bool)
+    slack[4:6, 1:3] = slack[6:9, 2:5] = True
+    tight = np.zeros_like(slack)
+    tight[5, 2] = tight[6, 2] = tight[8, 4] = True
+    obj[0, 0], obj[3, 0] = -1.0, 0.0  # skipped, and slack infeasible
+    obj[4, 1] = obj[5, 1] = 0.0  # a tie in a window's first column
+    obj[5, 2] = obj[6, 2] = 1.0  # a tie across two windows' edges
+
+    def fields(rows, cols):
+        return [(tight[rows, cols], slack[rows, cols])]
+
+    def objective(rows, cols):
+        return obj[rows, cols]
+
+    windows = {0: None, 3: (4, 6, 1, 3), 6: (6, 9, 2, 5)}
+    whole = oracle._blocked_screen(obj.shape, lambda lo, hi: (lo, hi, 0, 5), fields, objective)
+    got = oracle._blocked_screen(obj.shape, lambda lo, hi: windows[lo], fields, objective)
+    assert got == whole == (13, (1.0, 5, 2), (0.0, 4, 1))
 
 
 def test_oracles_start_no_thread(monkeypatch):
@@ -467,6 +493,17 @@ def _recording_screen(monkeypatch):
     return screens
 
 
+def _check_gaussian_screen(screens, src, cons, ns, nt):
+    """Check one Gaussian screen against the tiled screen; the latter's
+    result."""
+    screens.clear()
+    got = gaussian_min_rate(src, cons, sigma_steps=ns, theta_steps=nt, refine=False)
+    want = _tiled_gaussian_reference(src, tuple(cons.items()), ns, nt)
+    assert got.feasible_points == want[0]
+    assert screens == [want]
+    return want
+
+
 def _check_gaussian_screens(monkeypatch):
     screens = _recording_screen(monkeypatch)
     rng = np.random.default_rng(13)
@@ -485,14 +522,13 @@ def _check_gaussian_screens(monkeypatch):
             {"P": 0.5, "C": h - 0.6},
         ):
             for ns, nt in ((801, 801), (301, 241)):
-                screens.clear()
-                got = gaussian_min_rate(src, cons, sigma_steps=ns, theta_steps=nt,
-                                        refine=False)
-                want = _tiled_gaussian_reference(src, tuple(cons.items()), ns, nt)
-                assert got.feasible_points == want[0]
-                assert screens == [want]
+                want = _check_gaussian_screen(screens, src, cons, ns, nt)
                 row0_cases += any(c is not None and c[1] == 0 for c in want[1:])
     assert row0_cases > 0
+    # D = 0 admits a sliver; on two s rows, 0 and 4 sigma_x, no P below
+    # 0.45 admits a row (KL 0.92 against a slack of 0.47)
+    assert _check_gaussian_screen(screens, GSRC, {"D": 0.0, "C": H_S}, 301, 241)[0] > 0
+    assert _check_gaussian_screen(screens, GSRC, {"P": 0.1, "C": H_S}, 2, 41)[0] == 0
 
 
 def test_gaussian_screen_equals_the_tiled_screen(monkeypatch):
@@ -564,6 +600,53 @@ def _check_binary_screens(monkeypatch):
                 assert screens == [want]
                 kinds.add(want[1] is not None)
     assert kinds == {True, False}  # feasible and infeasible tight screens both ran
+    # b = 0 (p1 = a), where D and P are constant in p_b; a = 1/2; D = 0
+    for src, conses in (
+        (BinaryPairSource(0.3, 0.3), ((("D", 0.2), ("C", 0.9)), (("P", 0.05), ("C", 0.9)),
+                                      (("D", 0.3), ("P", 0.02)))),
+        (BinaryPairSource(0.5, 0.2), ((("D", 0.2), ("C", 0.85)), (("P", 0.05), ("C", 0.9)),
+                                      (("D", 0.1), ("P", 0.03)))),
+        (SRC, ((("D", 0.0), ("C", 0.9)), (("D", 0.0), ("P", 0.05)))),
+    ):
+        for cons, want in zip(conses, _whole_binary_screens(src, 501, conses)):
+            screens.clear()
+            got = binary_min_rate(src, dict(cons), resolution=1.0 / 500, refine=False)
+            assert got.feasible_points == want[0] > 0
+            assert screens == [want]
+
+
+def test_pattern_search_asks_each_point_for_its_tangent_once():
+    asked = []
+
+    def tangent(x):
+        asked.append(x)
+        return (0.6, 0.8)
+
+    def stats_at(a, b):
+        return ((a - 0.3) ** 2 + (b - 0.7) ** 2, a + b, 0.0, 0.0)
+
+    box = ((0.0, 1.0), (0.0, 1.0))
+    fixed = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
+    rate, a, b = oracle._pattern_search((0.0, 0.0), stats_at, {"D": 1.5}, box, fixed,
+                                        tangent, 0.25)
+    assert rate < 1e-12 and len(asked) > 1
+    assert all(x != y for x, y in zip(asked, asked[1:]))  # step halvings ask none
+
+
+def test_binary_d_screen_skips_most_cells(monkeypatch):
+    screened = []
+    real_screen = oracle._blocked_screen
+
+    def counting_screen(shape, window, fields, objective):
+        def counted(rows, cols):
+            screened.append((rows.stop - rows.start) * (cols.stop - cols.start))
+            return fields(rows, cols)
+
+        return real_screen(shape, window, counted, objective)
+
+    monkeypatch.setattr(oracle, "_blocked_screen", counting_screen)
+    assert binary_min_rate(SRC, {"D": 0.2, "C": 0.7}, resolution=1e-3, refine=False).feasible
+    assert 0 < sum(screened) < 1001**2 / 2
 
 
 def test_binary_screen_equals_the_whole_array_screen(monkeypatch):
