@@ -308,22 +308,28 @@ def _refuse_object_flags(m: _Merged, what: str) -> None:
         raise _UsageError(f"plot scripts accompany sweep datasets, not {what}")
 
 
+def _null_nan(value: Any) -> Any:
+    """``value`` with every NaN, an infeasible entry, as None (JSON null)."""
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _null_nan(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_nan(v) for v in value]
+    return value
+
+
 def _emit_object(m: _Merged, payload: dict[str, Any], code: int) -> int:
-    payload["tool_version"] = __version__
+    payload = _null_nan(payload) | {"tool_version": __version__}
     _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", m.get("out"))
     return code
 
 
 def _emit_point(m: _Merged, pt: TradeoffPoint, inputs: dict[str, Any]) -> int:
-    payload = {
-        "inputs": inputs,
-        "rate": pt.rate if pt.feasible else None,
-        "unit": pt.unit.value,
-        "feasible": pt.feasible,
-        "region": pt.region.value,
-        "witness": None if pt.witness is None else pt.witness.to_dict(),
-    }
-    return _emit_object(m, payload, _EXIT_OK if pt.feasible else _EXIT_INFEASIBLE)
+    """The point's ``to_dict`` beside its ``inputs``, which echo its bounds."""
+    payload = {k: v for k, v in pt.to_dict().items() if k not in ("c", "d", "p")}
+    return _emit_object(m, payload | {"inputs": inputs},
+                        _EXIT_OK if pt.feasible else _EXIT_INFEASIBLE)
 
 
 def _refuse_dataset_flags(m: _Merged) -> None:
@@ -346,22 +352,18 @@ def _emit_dataset(
     """Write tables of rows as CSV (the default) or as one JSON document.
 
     A JSON row is an object keyed by ``header`` and then ``json_only``
-    (trailing columns the CSV leaves out); NaN, an infeasible entry, is
-    written as null, and ``meta`` sits beside the rows. A table labelled
-    None is the whole dataset. Labelled tables are frontiers, one per D:
-    JSON lists them under "frontiers", and more than one goes to a CSV
-    file each, <stem>_d<D><suffix>, or to stdout under "# d=<D>" lines.
+    (trailing columns the CSV leaves out), and ``meta`` sits beside the
+    rows. A table labelled None is the whole dataset. Labelled tables are
+    frontiers, one per D: JSON lists them under "frontiers", and more than
+    one goes to a CSV file each, <stem>_d<D><suffix>, or to stdout under
+    "# d=<D>" lines.
     """
     out = m.get("out")
     if m.get("format", "csv") == "json":
         keys = (*header, *json_only)
 
         def objects(rows: list[tuple]) -> list[dict[str, Any]]:
-            return [
-                {k: None if isinstance(v, float) and math.isnan(v) else v
-                 for k, v in zip(keys, row)}
-                for row in rows
-            ]
+            return [dict(zip(keys, row)) for row in rows]
 
         if tables[0][0] is None:
             payload = {"rows": objects(tables[0][1])}
@@ -497,10 +499,7 @@ def _cmd_oracle(m: _Merged) -> int:
             sigma_steps=int(m.get("sigma_steps", 801)),
             theta_steps=int(m.get("theta_steps", 801)), refine=refine,
         )
-    payload = result.to_dict()
-    if not result.feasible:
-        payload["rate"] = None
-    return _emit_object(m, payload, _EXIT_OK if result.feasible else _EXIT_INFEASIBLE)
+    return _emit_object(m, result.to_dict(), _EXIT_OK if result.feasible else _EXIT_INFEASIBLE)
 
 
 def _cmd_restore(m: _Merged) -> int:

@@ -27,8 +27,9 @@ or pick lies inside the window, and no comparison changes.
 
 Memory: a binary source caches its two logarithmic n x n fields, I(X;
 Xhat) and H(S | Xhat), for the two most recent (source, resolution)
-pairs; everything else, and every Gaussian field, is computed per
-window.
+pairs, and computes D and P per window. A Gaussian query builds its
+rate, KL and label-entropy fields in 1-D, the last two only for their
+own bounds, and computes only D, the MSE, per window.
 
 Infinite rates: where only the exact copy of the source meets the bounds
 (D = 0, or C = -inf at |rho| = 1) the closed forms report a feasible
@@ -173,9 +174,9 @@ def binary_channel_stats(src: BinaryPairSource, ch: BinaryChannel) -> ChannelSta
 
 
 @lru_cache(maxsize=2)
-def _binary_grid(a: float, p1: float, n: int) -> dict:
-    """I(X; Xhat) (``info``) and H(S | Xhat) (``hs``) in bits over the
-    (p_a, p_b) lattice, built block by block and cached.
+def _binary_grid(a: float, p1: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(I(X; Xhat), H(S | Xhat)) in bits over the (p_a, p_b) lattice,
+    built block by block and cached.
 
     Caching is per source and resolution so a sweep over many (D, P, C)
     instances of the same source pays the logarithms once. Distortion and
@@ -188,7 +189,7 @@ def _binary_grid(a: float, p1: float, n: int) -> dict:
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
         info[lo:hi], hs[lo:hi] = _binary_joint_arr(b1, p1, axis[lo:hi, None], axis)
-    return {"info": info, "hs": hs}
+    return info, hs
 
 
 def _window(lo: int, keep_rows: np.ndarray, keep_cols: np.ndarray) -> Window | None:
@@ -430,9 +431,8 @@ def binary_min_rate(
     cons = _normalize_constraints(constraints)
     n = int(round(1.0 / resolution)) + 1
     step = 1.0 / (n - 1)
-    grid = _binary_grid(src.a, src.p1, n)
-    b1 = src.b
-    p1 = src.p1
+    info, hs = _binary_grid(src.a, src.p1, n)
+    b1, p1 = src.b, src.p1
 
     half = 0.5 * step
     slack = {
@@ -479,7 +479,7 @@ def binary_min_rate(
             tv = shift(pa, pb)
             block["P"] = np.abs(tv, out=tv)
         if "C" in cons:
-            block["C"] = grid["hs"][rows, cols]
+            block["C"] = hs[rows, cols]
         return [(block[k] <= bound + _TIGHT, block[k] <= widened[k])
                 for k, bound in cons.items()]
 
@@ -487,46 +487,37 @@ def binary_min_rate(
         ch = BinaryChannel(pa, pb)
         return ch, binary_channel_stats(src, ch).mutual_info
 
-    search = None
-    if refine:
-        norm = math.hypot(b1, 1.0 - b1)
-        fixed = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
-        if "D" in cons:
-            fixed += [(b1 / norm, (1.0 - b1) / norm), (-b1 / norm, -(1.0 - b1) / norm)]
-        if "P" in cons:
-            fixed += [(b1 / norm, -(1.0 - b1) / norm), (-b1 / norm, (1.0 - b1) / norm)]
+    norm = math.hypot(b1, 1.0 - b1)
+    fixed = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
+    if "D" in cons:
+        fixed += [(b1 / norm, (1.0 - b1) / norm), (-b1 / norm, -(1.0 - b1) / norm)]
+    if "P" in cons:
+        fixed += [(b1 / norm, -(1.0 - b1) / norm), (-b1 / norm, (1.0 - b1) / norm)]
 
-        def stats_at(pa: float, pb: float) -> tuple[float, float, float, float]:
-            return _binary_point(b1, p1, pa, pb)
+    def hs_at(pa: float, pb: float) -> float:
+        return _binary_hs(b1, p1, (1.0 - b1) * pa + b1 * pb, pb)
 
-        c_tangent = None
-        if "C" in cons:
+    def c_tangent(x: tuple[float, float]) -> tuple[float, float] | None:
+        h = 1e-6
+        pa, pb = x
+        ga = (
+            hs_at(min(pa + h, 1.0), pb) - hs_at(max(pa - h, 0.0), pb)
+        ) / (min(pa + h, 1.0) - max(pa - h, 0.0))
+        gb = (
+            hs_at(pa, min(pb + h, 1.0)) - hs_at(pa, max(pb - h, 0.0))
+        ) / (min(pb + h, 1.0) - max(pb - h, 0.0))
+        nrm = math.hypot(ga, gb)
+        if nrm < 1e-14:
+            return None
+        return (-gb / nrm, ga / nrm)
 
-            def hs_at(pa: float, pb: float) -> float:
-                return _binary_hs(b1, p1, (1.0 - b1) * pa + b1 * pb, pb)
-
-            def c_tangent(x: tuple[float, float]) -> tuple[float, float] | None:
-                h = 1e-6
-                pa, pb = x
-                ga = (
-                    hs_at(min(pa + h, 1.0), pb) - hs_at(max(pa - h, 0.0), pb)
-                ) / (min(pa + h, 1.0) - max(pa - h, 0.0))
-                gb = (
-                    hs_at(pa, min(pb + h, 1.0)) - hs_at(pa, max(pb - h, 0.0))
-                ) / (min(pb + h, 1.0) - max(pb - h, 0.0))
-                nrm = math.hypot(ga, gb)
-                if nrm < 1e-14:
-                    return None
-                return (-gb / nrm, ga / nrm)
-
-        def search(pt: tuple[float, float]) -> tuple[float, float, float] | None:
-            box = ((0.0, 1.0), (0.0, 1.0))
-            return _pattern_search(pt, stats_at, cons, box, fixed, c_tangent, step)
-
+    search = partial(
+        _pattern_search, stats_at=partial(_binary_point, b1, p1), bounds=cons,
+        box=((0.0, 1.0), (0.0, 1.0)), fixed_dirs=fixed,
+        moving_tangent=c_tangent if "C" in cons else None, step0=step)
     result = partial(OracleResult, unit=Unit.BITS, grid_resolution=step, constraints=cons)
-    screen = _blocked_screen(
-        (n, n), window, fields, lambda rows, cols: grid["info"][rows, cols])
-    return _screened_min(result, screen, (axis, axis), search, witness)
+    screen = _blocked_screen((n, n), window, fields, lambda rows, cols: info[rows, cols])
+    return _screened_min(result, screen, (axis, axis), search if refine else None, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -611,43 +602,6 @@ def _gauss_point(
     return rate, mse, kl, hs
 
 
-def _gaussian_grid(
-    vx: float, rho2: float, h_s: float, s_hi: float, ns: int, nt: int
-) -> dict:
-    """The 1-D screen fields over the (s, t) lattice with their half-step
-    slacks (analytic derivative bounds): KL depends on s alone, rate and
-    label entropy on t alone except in row 0, where s = 0 is a constant
-    reconstruction whatever t (rate 0, label entropy h(S), entropy slack
-    0). The MSE depends on both and is computed per block of rows by
-    ``gaussian_min_rate``.
-    """
-    s = np.linspace(0.0, s_hi, ns)
-    t = np.linspace(-1.0, 1.0, nt)
-    ds = s[1] - s[0]
-    dt = t[1] - t[0]
-
-    t2 = np.minimum(t * t, 1.0)
-    with np.errstate(divide="ignore"):
-        rate_t = -0.5 * np.log1p(-t2)
-        arg = 1.0 - rho2 * t2
-        hs_t = h_s + 0.5 * np.where(arg > 0.0, np.log(np.where(arg > 0, arg, 1.0)), -np.inf)
-        kl_s = np.where(
-            s > 0.0,
-            0.5 * np.log(np.where(s > 0, s * s / vx, 1.0))
-            + (vx - s * s) / np.where(s > 0, 2.0 * s * s, 1.0),
-            np.inf,
-        )
-    # |d kl/ds| = |1/s - vx/s^3|, |d hs/dt| = rho^2 |t| / (1 - rho^2 t^2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slack_kl = 0.5 * ds * np.where(s > 0.0, np.abs(1.0 / s - vx / s**3), np.inf)
-        slack_hs_t = 0.5 * dt * np.where(arg > 0.0, rho2 * np.abs(t) / arg, np.inf)
-
-    return {
-        "s": s, "t": t, "ds": float(ds), "dt": float(dt), "rate_t": rate_t,
-        "kl_s": kl_s, "hs_t": hs_t, "slack_kl": slack_kl, "slack_hs_t": slack_hs_t,
-    }
-
-
 def gaussian_min_rate(
     src: GaussianPairSource,
     constraints: Mapping[str, float],
@@ -676,10 +630,13 @@ def gaussian_min_rate(
     sx = math.sqrt(vx)
     d_for_span = cons.get("D", vx)
     s_hi = sx * (1.0 + max(3.0, 2.0 * math.sqrt(d_for_span)))
-    grid = _gaussian_grid(vx, src.rho**2, src.h_s, s_hi, sigma_steps, theta_steps)
-    ns, nt = sigma_steps, theta_steps
-    s, t, ds, dt = grid["s"], grid["t"], grid["ds"], grid["dt"]
+    s = np.linspace(0.0, s_hi, sigma_steps)
+    t = np.linspace(-1.0, 1.0, theta_steps)
+    ds, dt = float(s[1] - s[0]), float(t[1] - t[0])
     step = max(ds, dt)
+    t2 = np.minimum(t * t, 1.0)
+    with np.errstate(divide="ignore"):
+        rate_t = -0.5 * np.log1p(-t2)
 
     def cap(arr: np.ndarray, bound: float) -> np.ndarray:
         return np.minimum(arr, 0.5 * (1.0 + abs(bound)))
@@ -693,16 +650,32 @@ def gaussian_min_rate(
         out[0] = first
         return out
 
-    # the MSE is 2-D and screened per block; the KL screen is per row and
-    # the h(S|Xhat) screen per column, both screened once and broadcast
+    # Row 0 (s = 0) is a constant reconstruction whatever t: rate 0, label
+    # entropy h(S), entropy slack 0. Elsewhere the rate and label entropy
+    # depend on t alone and the KL on s alone: 1-D screens, built once with
+    # half-step slacks (analytic derivative bounds) and broadcast.
     if "P" in cons:
-        p, kl = cons["P"], grid["kl_s"][:, None]
-        # kl_s is +inf only in row 0, which no finite bound admits
-        p_passes = (kl <= p + _TIGHT, kl <= p + cap(grid["slack_kl"], p)[:, None] + _TIGHT)
+        p = cons["P"]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kl = np.where(
+                s > 0.0,
+                0.5 * np.log(np.where(s > 0, s * s / vx, 1.0))
+                + (vx - s * s) / np.where(s > 0, 2.0 * s * s, 1.0),
+                np.inf,
+            )[:, None]
+            # |d kl/ds| = |1/s - vx/s^3|
+            slack = 0.5 * ds * np.where(s > 0.0, np.abs(1.0 / s - vx / s**3), np.inf)
+        # kl is +inf only in row 0, which no finite bound admits
+        p_passes = (kl <= p + _TIGHT, kl <= p + cap(slack, p)[:, None] + _TIGHT)
     if "C" in cons:
-        c, hs = cons["C"], grid["hs_t"]
-        with np.errstate(invalid="ignore"):  # C = -inf meets an inf slack at |rho| = 1
-            c_passes = (hs <= c + _TIGHT, hs <= c + cap(grid["slack_hs_t"], c) + _TIGHT)
+        c, rho2 = cons["C"], src.rho**2
+        arg = 1.0 - rho2 * t2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hs = src.h_s + 0.5 * np.where(arg > 0.0, np.log(np.where(arg > 0, arg, 1.0)), -np.inf)
+            # |d hs/dt| = rho^2 |t| / (1 - rho^2 t^2)
+            slack = 0.5 * dt * np.where(arg > 0.0, rho2 * np.abs(t) / arg, np.inf)
+            # C = -inf meets an inf slack at |rho| = 1
+            c_passes = (hs <= c + _TIGHT, hs <= c + cap(slack, c) + _TIGHT)
         row0_pass = src.h_s <= c + _TIGHT  # row 0 has slack 0
 
     def mse_fields(rows: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -723,7 +696,7 @@ def gaussian_min_rate(
         widened += _TIGHT
         return mse, widened
 
-    every_col = np.ones(nt, dtype=bool)
+    every_col = np.ones(theta_steps, dtype=bool)
 
     def window(lo: int, hi: int) -> Window | None:
         keep = np.ones(hi - lo, dtype=bool)
@@ -751,32 +724,24 @@ def gaussian_min_rate(
         rec = GaussianReconstruction(src.mu_x, s**2, sx * s * t)
         return rec, gaussian_recon_stats(src, rec).mutual_info
 
-    search = None
-    if refine:
-        fixed = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
+    def mse_tangent(x: tuple[float, float]) -> tuple[float, float] | None:
+        s, t = x
+        gs = 2.0 * s - 2.0 * sx * t
+        gt = -2.0 * sx * s
+        nrm = math.hypot(gs, gt)
+        if nrm < 1e-14:
+            return None
+        return (-gt / nrm, gs / nrm)
 
-        def stats_at(s: float, t: float) -> tuple[float, float, float, float]:
-            return _gauss_point(src, s, t)
-
-        def mse_tangent(x: tuple[float, float]) -> tuple[float, float] | None:
-            s, t = x
-            gs = 2.0 * s - 2.0 * sx * t
-            gt = -2.0 * sx * s
-            nrm = math.hypot(gs, gt)
-            if nrm < 1e-14:
-                return None
-            return (-gt / nrm, gs / nrm)
-
-        tangent = mse_tangent if "D" in cons else None
-
-        def search(pt: tuple[float, float]) -> tuple[float, float, float] | None:
-            box = ((0.0, s_hi), (-1.0, 1.0))
-            return _pattern_search(pt, stats_at, cons, box, fixed, tangent, step)
-
+    search = partial(
+        _pattern_search, stats_at=partial(_gauss_point, src), bounds=cons,
+        box=((0.0, s_hi), (-1.0, 1.0)),
+        fixed_dirs=[(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)],
+        moving_tangent=mse_tangent if "D" in cons else None, step0=step)
     result = partial(OracleResult, unit=Unit.NATS, grid_resolution=step, constraints=cons)
-    screen = _blocked_screen(
-        (ns, nt), window, fields, lambda rows, cols: by_row(0.0, grid["rate_t"][cols], rows))
-    return _screened_min(result, screen, (s, t), search, witness)
+    screen = _blocked_screen((sigma_steps, theta_steps), window, fields,
+                             lambda rows, cols: by_row(0.0, rate_t[cols], rows))
+    return _screened_min(result, screen, (s, t), search if refine else None, witness)
 
 
 # ---------------------------------------------------------------------------

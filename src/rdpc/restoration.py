@@ -136,12 +136,15 @@ def error_rate_of_gain(
 
     The rule declares the component with the larger clean mean whenever
     the restored value exceeds the threshold; each term is a normal tail
-    of the corresponding restored component law.
+    of the corresponding restored component law. A non-finite threshold
+    raises ``DomainError``, as it does in ``RestorationModel``.
     """
     _check_gain(a)
     if a == 0.0:
         raise DomainError("classifier is undefined at gain 0")
     c0 = model.threshold_c0 if threshold is None else threshold
+    if not math.isfinite(c0):
+        raise DomainError(f"threshold must be finite: {c0}")
     mix = model.mixture
     if mix.m1 == mix.m2:
         raise DomainError("equal component means; classes are indistinguishable")
@@ -382,9 +385,14 @@ def monte_carlo_mse(
     buffers, in the same draw and operation order as the expression
     ``(x - a*(x + noise))**2`` with ``x = where(pick1, m1 + s1*z, m2 + s2*z)``
     and ``noise = sigma_n * normal``, so the result is that expression's.
+    A non-finite gain, a sample count that is not an integer of at least 2
+    and a seed that is not a nonnegative integer raise ``DomainError``.
     """
-    if n <= 1:
-        raise DomainError(f"need at least 2 samples: {n}")
+    _check_gain(a)
+    if not isinstance(n, (int, np.integer)) or n <= 1:
+        raise DomainError(f"need an integer number of at least 2 samples: {n!r}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer: {seed!r}")
     mix = model.mixture
     s1, s2 = math.sqrt(mix.v1), math.sqrt(mix.v2)
     rng = np.random.default_rng(seed)

@@ -4,6 +4,7 @@ change that drops a name they use fails here rather than in a benchmark
 run."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -45,3 +46,26 @@ def test_every_rdpc_name_the_harness_uses_exists(name, tree):
 @pytest.mark.parametrize("fn", [rdpc.binary_min_rate, rdpc.gaussian_min_rate, rdpc.run_suites])
 def test_harness_entry_points_accept_workers(fn):
     assert "workers" in inspect.signature(fn).parameters
+
+
+def test_every_path_the_tracer_patches_resolves():
+    """``Tracer.__enter__`` imports each owner of ``SPANS`` and ``COUNTS``,
+    a module or a class inside one, so a renamed module would crash every
+    traced run."""
+    tree = ast.parse(next(p for p in HARNESS if p.name == "tracer.py").read_text())
+    tables = {node.target.id: ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.AnnAssign)
+              and getattr(node.target, "id", "") in ("SPANS", "COUNTS")}
+    paths = {path for owners in tables["SPANS"].values() for path in owners}
+    paths |= {path for sites in tables["COUNTS"].values() for path, _ in sites}
+
+    def resolves(path):
+        try:
+            importlib.import_module(path)
+        except ModuleNotFoundError:
+            module, _, name = path.rpartition(".")
+            return hasattr(importlib.import_module(module), name)
+        return True
+
+    assert len(paths) >= 10
+    assert not sorted(p for p in paths if not resolves(p))

@@ -393,6 +393,12 @@ def test_verify_subcommand(capsys):
     assert "tool_version" in payload
 
 
+def test_verify_refuses_a_negative_seed(capsys):
+    code, out, err = run(capsys, "verify", "--seed", "-1", "--suite", "entropy")
+    assert code == 1 and out == ""
+    assert err.startswith("rdpc: error: ") and "Traceback" not in err
+
+
 def test_repeated_runs_are_byte_identical(capsys):
     argv = ["surface", "--family", "rdc-gaussian", "--d-min", "0.1",
             "--d-max", "1.0", "--d-steps", "4", "--c-min", "0.4",

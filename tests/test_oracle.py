@@ -178,10 +178,10 @@ def test_gaussian_oracle_zero_rate_and_infeasible():
     {"theta_steps": "801"}, {"sigma_steps": 1},
 ])
 def test_gaussian_oracle_refuses_bad_step_counts(monkeypatch, steps):
-    def no_grid(*args):
-        raise AssertionError("a grid was built for a refused step count")
+    def no_work(*args):
+        raise AssertionError("a refused step count reached the constraints")
 
-    monkeypatch.setattr(oracle, "_gaussian_grid", no_grid)
+    monkeypatch.setattr(oracle, "_normalize_constraints", no_work)
     with pytest.raises(DomainError):
         gaussian_min_rate(GSRC, {"D": 0.5}, **steps)
 
@@ -520,6 +520,12 @@ def _check_gaussian_screens(monkeypatch):
             {"P": 1e-6, "C": h - 0.3},
             {"P": 0.05, "C": h + 0.1},
             {"P": 0.5, "C": h - 0.6},
+            # each 1-D field is built only for its own bound
+            {"D": 0.5 * var_x},
+            {"P": 0.05},
+            {"C": h - 0.1},
+            {"D": 0.7 * var_x, "P": 0.1},
+            {"D": 0.9 * var_x, "P": 0.2, "C": h - 0.05},
         ):
             for ns, nt in ((801, 801), (301, 241)):
                 want = _check_gaussian_screen(screens, src, cons, ns, nt)

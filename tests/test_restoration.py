@@ -206,6 +206,25 @@ def test_non_finite_gain_is_refused(entry, a):
     assert time.perf_counter() - t0 < 0.1
 
 
+@pytest.mark.parametrize("call", [
+    lambda: monte_carlo_mse(MODEL, math.nan, 100),
+    lambda: monte_carlo_mse(MODEL, math.inf, 100),
+    lambda: monte_carlo_mse(MODEL, 0.7, 1e7),
+    lambda: monte_carlo_mse(MODEL, 0.7, 2.5),
+    lambda: monte_carlo_mse(MODEL, 0.7, 100, seed=-1),
+    lambda: monte_carlo_mse(MODEL, 0.7, 100, seed=0.5),
+    lambda: error_rate_of_gain(MODEL, 0.7, threshold=math.nan),
+], ids=["mc-nan-gain", "mc-inf-gain", "mc-float-n", "mc-fractional-n", "mc-negative-seed",
+        "mc-fractional-seed", "nan-threshold"])
+def test_restoration_inputs_are_refused_up_front(monkeypatch, call):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a refused input reached the generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(DomainError):
+        call()
+
+
 @pytest.mark.parametrize("sigma_n", [math.nan, math.inf])
 def test_non_finite_noise_is_refused(sigma_n):
     with pytest.raises(DomainError):

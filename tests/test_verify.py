@@ -25,6 +25,14 @@ def test_unknown_suite_is_rejected():
         run_suites(["entropy", "nope"])
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "0", None])
+def test_a_seed_that_is_not_a_nonnegative_integer_is_refused_first(monkeypatch, seed):
+    # the oracle-only suites ignore the seed, so the check cannot wait for a draw
+    monkeypatch.setattr(verify, "_SUITES", {})
+    with pytest.raises(DomainError, match="seed"):
+        run_suites(["entropy"], seed=seed)
+
+
 def test_entropy_suite_report_shape():
     report = run_suites(["entropy"], seed=0)
     assert report.all_passed
