@@ -308,20 +308,22 @@ def _refuse_object_flags(m: _Merged, what: str) -> None:
         raise _UsageError(f"plot scripts accompany sweep datasets, not {what}")
 
 
-def _null_nan(value: Any) -> Any:
-    """``value`` with every NaN, an infeasible entry, as None (JSON null)."""
-    if isinstance(value, float) and math.isnan(value):
-        return None
+def _strict_json(value: Any) -> Any:
+    """``value`` with every NaN, an infeasible entry, as None (JSON null)
+    and every infinity as the string "Infinity" or "-Infinity", which
+    Python's ``float`` and JavaScript's ``Number`` both read."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
     if isinstance(value, dict):
-        return {k: _null_nan(v) for k, v in value.items()}
+        return {k: _strict_json(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_null_nan(v) for v in value]
+        return [_strict_json(v) for v in value]
     return value
 
 
 def _emit_object(m: _Merged, payload: dict[str, Any], code: int) -> int:
-    payload = _null_nan(payload) | {"tool_version": __version__}
-    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", m.get("out"))
+    payload = _strict_json(payload) | {"tool_version": __version__}
+    _write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n", m.get("out"))
     return code
 
 
@@ -624,10 +626,13 @@ def build_parser() -> _Parser:
     oracle.add_argument("--c", type=float, help="classification bound")
     oracle.add_argument("--resolution", type=float,
                         help="binary grid step (default 1e-3)")
-    oracle.add_argument("--sigma-steps", type=int, help="Gaussian grid (801)")
-    oracle.add_argument("--theta-steps", type=int, help="Gaussian grid (801)")
+    for axis in ("sigma", "theta"):
+        oracle.add_argument(f"--{axis}-steps", type=int,
+                            help="accepted (an integer >= 2) and has no effect: "
+                                 "the Gaussian oracle bisects on the correlation")
     oracle.add_argument("--no-refine", action="store_true", default=None,
-                        help="report the raw grid optimum")
+                        help="report the raw binary grid optimum (no effect on "
+                             "the Gaussian oracle)")
     oracle.set_defaults(handler=_cmd_oracle, parser=oracle)
 
     restore = sub.add_parser(

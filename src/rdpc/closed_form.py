@@ -263,12 +263,13 @@ def _gaussian_k(src: GaussianPairSource, c: float) -> float:
 
 def _rdc_gaussian_core(
     src: GaussianPairSource, d: float, c: float
-) -> tuple[float, Region, GaussianReconstruction | None, float]:
-    """Returns (rate, region, witness, d_star): NaN, INFEASIBLE, None and
-    NaN (no boundary exists) below the source's ``floor_c``."""
+) -> tuple[float, Region, float, float]:
+    """Returns (rate, region, v, d_star), where the witness is
+    (mu_x, v, v), a variance equal to the covariance; NaN, INFEASIBLE,
+    NaN and NaN (no boundary exists) below the source's ``floor_c``."""
     _check_bounds(c, d=d)
     if c < src.floor_c - _TOL:
-        return math.nan, Region.INFEASIBLE, None, math.nan
+        return math.nan, Region.INFEASIBLE, math.nan, math.nan
     vx = src.var_x
     # at c >= h(S) the classification constraint is vacuous: k = 0, and
     # above d* = var_x the constant reconstruction costs nothing
@@ -277,14 +278,12 @@ def _rdc_gaussian_core(
     d_star = vx * (1.0 - k)
     if d <= d_star + _TOL:
         rate = math.inf if d == 0.0 else max(0.0, 0.5 * math.log(vx / d))
-        v = max(vx - d, 0.0)
-        return rate, Region.DISTORTION_LIMITED, GaussianReconstruction(src.mu_x, v, v), d_star
+        return rate, Region.DISTORTION_LIMITED, max(vx - d, 0.0), d_star
     if vacuous:
-        return 0.0, Region.ZERO_RATE, GaussianReconstruction(src.mu_x, 0.0, 0.0), d_star
+        return 0.0, Region.ZERO_RATE, 0.0, d_star
     one_minus_k = 1.0 - k
     rate = math.inf if one_minus_k <= 0.0 else -0.5 * math.log(one_minus_k)
-    wit = GaussianReconstruction(src.mu_x, vx * k, vx * k)
-    return rate, Region.CLASSIFICATION_LIMITED, wit, d_star
+    return rate, Region.CLASSIFICATION_LIMITED, vx * k, d_star
 
 
 def _rdc_gaussian_rates(src: GaussianPairSource, d, c) -> np.ndarray:
@@ -325,7 +324,8 @@ def rdc_gaussian(src: GaussianPairSource, d: float, c: float) -> TradeoffPoint:
     slack at the constant reconstruction. Infeasible below the floor
     0.5 ln(1 - rho^2) + h(S), the source's ``floor_c``.
     """
-    rate, region, wit, _ = _rdc_gaussian_core(src, d, c)
+    rate, region, v, _ = _rdc_gaussian_core(src, d, c)
+    wit = None if region is Region.INFEASIBLE else GaussianReconstruction(src.mu_x, v, v)
     return TradeoffPoint(rate=rate, unit=Unit.NATS, region=region, c=c, d=d, witness=wit)
 
 

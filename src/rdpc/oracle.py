@@ -1,40 +1,41 @@
-"""Brute-force constrained rate minimization on parameter grids.
+"""Brute-force constrained rate minimization.
 
 This module is the package's independent check on the closed forms: it
 never calls them. Binary channels are exhausted over the conditional
-square (p_a, p_b) in [0,1]^2; Gaussian reconstructions over standard
-deviation and normalized correlation (s, t). Grid search keeps every
-feasible cell (with a half-step slack so optima between grid points are
-not screened out), then a pattern search tightens the best candidates to
-constraint tolerance 1e-9 with steps shrinking to 1e-7.
+square (p_a, p_b) in [0,1]^2: a grid search keeps every feasible cell
+(with a half-step slack so optima between grid points are not screened
+out), then a pattern search tightens the best candidates to constraint
+tolerance 1e-9 with steps shrinking to 1e-7. A Gaussian reconstruction
+reduces to its correlation with the source, set by a bisection whose
+witness meets every bound with no slack (``gaussian_min_rate`` gives
+the argument). Neither oracle starts a thread: the ``workers`` argument
+is accepted for compatibility and has no effect.
 
-Determinism contract: each screen walks its grid in one thread, in blocks
-of ``_BLOCK_ROWS`` rows, with the same per-element arithmetic whatever the
-block size. A block replaces the running best cell only when its value is
-strictly less, so ties resolve to the lexicographically first cell
-(smallest row, then column), as in one pass over the whole grid. The
-``workers`` argument is accepted for compatibility and has no effect, so
-results never depend on it.
+The contracts below are the binary oracle's. Determinism: each screen
+walks its grid in one thread, in blocks of ``_BLOCK_ROWS`` rows, with
+the same per-element arithmetic whatever the block size. A block
+replaces the running best cell only when its value is strictly less, so
+ties resolve to the lexicographically first cell (smallest row, then
+column), as in one pass over the whole grid.
 
-Window contract: each block is screened only on its window, the
-sub-rectangle of rows and columns that its D and P bounds can admit. A
-window may leave out only cells that a 1-D evaluation of the same float
-expression proves to fail the slack screen: IEEE rounding is monotone, so
-a field that is monotone along a row or column stays so once computed,
-and its extreme over the block lies on a known row or column. Tight
-passes are a subset of slack passes, so every cell a screen could count
-or pick lies inside the window, and no comparison changes.
+Windows: each block is screened only on its window, the sub-rectangle
+of rows and columns that its D and P bounds can admit. A window may
+leave out only cells that a 1-D evaluation of the same float expression
+proves to fail the slack screen: IEEE rounding is monotone, so a field
+that is monotone along a row or column stays so once computed, and its
+extreme over the block lies on a known row or column. Tight passes are
+a subset of slack passes, so every cell a screen could count or pick
+lies inside the window, and no comparison changes.
 
 Memory: a binary source caches its two logarithmic n x n fields, I(X;
 Xhat) and H(S | Xhat), for the two most recent (source, resolution)
-pairs, and computes D and P per window. A Gaussian query builds its
-rate, KL and label-entropy fields in 1-D, the last two only for their
-own bounds, and computes only D, the MSE, per window.
+pairs, and computes D and P per window.
 
 Infinite rates: where only the exact copy of the source meets the bounds
 (D = 0, or C = -inf at |rho| = 1) the closed forms report a feasible
-point of rate +inf, and the oracles on the same bounds report infeasible,
-because a best cell must have a finite objective. ``rate_given_pcd`` at
+point of rate +inf, and the Gaussian oracle on the same bounds reports
+infeasible: it takes correlation 1 for infeasible, as the binary oracle
+takes a best cell to need a finite objective. ``rate_given_pcd`` at
 C = -inf is infeasible too: a pinned D > 0 excludes the exact copy.
 """
 
@@ -57,6 +58,7 @@ from .entropy import (
     binary_entropy_inv,
 )
 from .errors import DomainError
+from .optimize import bisect_predicate
 from .results import (
     BinaryChannel,
     ChannelStats,
@@ -363,7 +365,7 @@ def _screened_min(
     screen: tuple[int, Cell | None, Cell | None],
     axes: tuple[np.ndarray, np.ndarray],
     search: Callable[[tuple[float, float]], tuple[float, float, float] | None] | None,
-    witness: Callable[[float, float], tuple[BinaryChannel | GaussianReconstruction, float]],
+    witness: Callable[[float, float], tuple[BinaryChannel, float]],
 ) -> OracleResult:
     """The oracle's answer from its ``_blocked_screen`` result.
 
@@ -582,26 +584,6 @@ def gaussian_recon_stats(
     return ChannelStats(*_gaussian_stats(src, rec.var_xh, rec.cov_xxh, shift2), Unit.NATS)
 
 
-def _gauss_point(
-    src: GaussianPairSource, s: float, t: float
-) -> tuple[float, float, float, float]:
-    """(rate, mse, kl, cond_entropy_S) at sigma_xh = s, correlation t."""
-    vx = src.var_x
-    sx = math.sqrt(vx)
-    t2 = min(t * t, 1.0)
-    rate = math.inf if t2 >= 1.0 - 1e-15 else -0.5 * math.log1p(-t2)
-    mse = vx + s * s - 2.0 * sx * s * t
-    if s == 0.0:
-        kl = math.inf
-        hs = src.h_s
-        rate = 0.0  # zero-variance reconstruction carries no information
-    else:
-        kl = 0.5 * math.log(s * s / vx) + (vx - s * s) / (2.0 * s * s)
-        arg = 1.0 - src.rho**2 * t2
-        hs = src.h_s + (0.5 * math.log(arg) if arg > 0.0 else -math.inf)
-    return rate, mse, kl, hs
-
-
 def gaussian_min_rate(
     src: GaussianPairSource,
     constraints: Mapping[str, float],
@@ -610,138 +592,71 @@ def gaussian_min_rate(
     refine: bool = True,
     workers: int = 1,
 ) -> OracleResult:
-    """Minimal rate over jointly Gaussian reconstructions.
+    """Minimal rate over jointly Gaussian reconstructions, by bisection.
 
-    The search space is sigma_xh in [0, sigma_x (1 + max(3, 2 sqrt(D)))]
-    (sqrt(var_x) standing in for sqrt(D) when no distortion bound is
-    given) times normalized correlation in [-1, 1]; the covariance is
-    their product scaled by sigma_x, which spans every admissible value.
-    Restricting to jointly Gaussian reconstructions is an assumption the
-    search cannot test, and results should be read under it. A NaN bound,
-    or a step count that is not an integer of at least 2, raises
-    ``DomainError``; ``workers`` is accepted and has no effect.
+    A reconstruction with the source's mean, standard deviation s and
+    correlation t with the source has rate -0.5 ln(1 - t^2), MSE var_x +
+    s^2 - 2 sigma_x s t, a KL that depends on s alone (0 at s = sigma_x,
+    rising away from it) and H(S | Xhat) = h(S) + 0.5 ln(1 - rho^2 t^2).
+    A mean shift only adds to the MSE and the KL, and a negative t only to
+    the MSE, so t ranges over [0, 1], where the rate rises and H(S | Xhat)
+    falls. A P bound admits the s of an interval around sigma_x, whose
+    lower end s_lo a bisection finds; its upper end never binds, as the
+    MSE is convex in s and least at sigma_x t <= sigma_x. So the least MSE
+    at t, at s = max(sigma_x t, s_lo), falls in t as the MSE at each s
+    does, the feasible t form an interval [t*, 1], and a bisection on
+    [0, 1] finds t* to a bracket 2^-50 wide. Without a D bound a P bound
+    takes s = sigma_x, so the KL is 0. Bounds are checked through
+    ``_gaussian_stats`` with no slack: the witness meets each of them in
+    the arithmetic of ``gaussian_recon_stats``.
+
+    Where t = 0 is feasible the rate is 0, and without a P bound the
+    witness is the constant (mu_x, 0, 0). Where only t = 1 is, the exact
+    copy at rate +inf or a rate above about 17 nats (1 - t below 2^-50),
+    the result is infeasible. Restricting to jointly Gaussian
+    reconstructions is an assumption the search cannot test, and results
+    should be read under it. A NaN bound, or a step count that is not an
+    integer of at least 2, raises ``DomainError``; the step counts,
+    ``refine`` and ``workers`` are accepted and have no effect.
     """
     if not all(isinstance(k, (int, np.integer)) for k in (sigma_steps, theta_steps)):
         raise DomainError(f"grid steps must be integers: {sigma_steps!r}, {theta_steps!r}")
     if sigma_steps < 2 or theta_steps < 2:
         raise DomainError("need at least 2 grid steps per axis")
     cons = _normalize_constraints(constraints)
-    vx = src.var_x
-    sx = math.sqrt(vx)
-    d_for_span = cons.get("D", vx)
-    s_hi = sx * (1.0 + max(3.0, 2.0 * math.sqrt(d_for_span)))
-    s = np.linspace(0.0, s_hi, sigma_steps)
-    t = np.linspace(-1.0, 1.0, theta_steps)
-    ds, dt = float(s[1] - s[0]), float(t[1] - t[0])
-    step = max(ds, dt)
-    t2 = np.minimum(t * t, 1.0)
-    with np.errstate(divide="ignore"):
-        rate_t = -0.5 * np.log1p(-t2)
+    vx, sx = src.var_x, math.sqrt(src.var_x)
+    # (position in the values of _gaussian_stats, bound) of each constraint
+    checks = [(i, cons[k]) for i, k in enumerate("DPC", 1) if k in cons]
 
-    def cap(arr: np.ndarray, bound: float) -> np.ndarray:
-        return np.minimum(arr, 0.5 * (1.0 + abs(bound)))
+    def kl_met(s: float) -> bool:
+        var = s * s
+        return var > 0.0 and _gaussian_kl(vx, var, 0.0) <= cons["P"]
 
-    def by_row(first: float | bool, rest: np.ndarray, rows: slice) -> np.ndarray:
-        """Rows ``rows`` of a field that is ``first`` in row 0, the row
-        ``rest`` after."""
-        if rows.start > 0:
-            return rest
-        out = np.broadcast_to(rest, (rows.stop - rows.start, rest.shape[-1])).copy()
-        out[0] = first
-        return out
+    s_lo = 0.0
+    if "P" in cons and kl_met(sx):  # the KL falls on (0, sigma_x]
+        s_lo = bisect_predicate(kl_met, 0.0, sx, xtol=1e-15 * sx)
 
-    # Row 0 (s = 0) is a constant reconstruction whatever t: rate 0, label
-    # entropy h(S), entropy slack 0. Elsewhere the rate and label entropy
-    # depend on t alone and the KL on s alone: 1-D screens, built once with
-    # half-step slacks (analytic derivative bounds) and broadcast.
-    if "P" in cons:
-        p = cons["P"]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kl = np.where(
-                s > 0.0,
-                0.5 * np.log(np.where(s > 0, s * s / vx, 1.0))
-                + (vx - s * s) / np.where(s > 0, 2.0 * s * s, 1.0),
-                np.inf,
-            )[:, None]
-            # |d kl/ds| = |1/s - vx/s^3|
-            slack = 0.5 * ds * np.where(s > 0.0, np.abs(1.0 / s - vx / s**3), np.inf)
-        # kl is +inf only in row 0, which no finite bound admits
-        p_passes = (kl <= p + _TIGHT, kl <= p + cap(slack, p)[:, None] + _TIGHT)
-    if "C" in cons:
-        c, rho2 = cons["C"], src.rho**2
-        arg = 1.0 - rho2 * t2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            hs = src.h_s + 0.5 * np.where(arg > 0.0, np.log(np.where(arg > 0, arg, 1.0)), -np.inf)
-            # |d hs/dt| = rho^2 |t| / (1 - rho^2 t^2)
-            slack = 0.5 * dt * np.where(arg > 0.0, rho2 * np.abs(t) / arg, np.inf)
-            # C = -inf meets an inf slack at |rho| = 1
-            c_passes = (hs <= c + _TIGHT, hs <= c + cap(slack, c) + _TIGHT)
-        row0_pass = src.h_s <= c + _TIGHT  # row 0 has slack 0
+    def deviation(t: float) -> float:
+        return sx if "P" in cons and "D" not in cons else max(sx * t, s_lo)
 
-    def mse_fields(rows: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The MSE vx + s^2 - 2 sx s t at rows (a column of s) times ts,
-        and the D bound widened by its half-step movement bound
-        |d mse| <= ds |2s - 2 sx t| + dt 2 sx s."""
-        d = cons["D"]
-        mse = np.outer(rows, ts)
-        mse *= 2.0 * sx
-        np.subtract(vx + rows * rows, mse, out=mse)
-        widened = np.subtract(2.0 * rows, 2.0 * sx * ts)
-        np.abs(widened, out=widened)
-        widened *= ds
-        widened += dt * 2.0 * sx * rows
-        widened *= 0.5
-        np.minimum(widened, 0.5 * (1.0 + abs(d)), out=widened)
-        widened += d
-        widened += _TIGHT
-        return mse, widened
+    def met(t: float) -> bool:
+        s = deviation(t)
+        var = s * s
+        # a constant reconstruction has the values gaussian_recon_stats gives it
+        values = (_gaussian_stats(src, var, sx * s * t, 0.0) if var > 0.0
+                  else (0.0, vx, math.inf, src.h_s))
+        return all(values[i] <= bound for i, bound in checks)
 
-    every_col = np.ones(theta_steps, dtype=bool)
-
-    def window(lo: int, hi: int) -> Window | None:
-        keep = np.ones(hi - lo, dtype=bool)
-        if "D" in cons:
-            # rounding keeps these monotone: on each row the MSE falls in t
-            # and its widened bound is largest at t = -1 (|t| <= 1, s >= 0)
-            mse, widened = mse_fields(s[lo:hi, None], t[[0, -1]])
-            keep &= mse[:, 1] <= widened[:, 0]
-        if "P" in cons:
-            keep &= p_passes[1][lo:hi, 0]
-        return _window(lo, keep, every_col)
-
-    def fields(rows: slice, cols: slice) -> list[Passes]:
-        out = []
-        if "D" in cons:
-            mse, widened = mse_fields(s[rows, None], t[cols])
-            out.append((mse <= cons["D"] + _TIGHT, mse <= widened))
-        if "P" in cons:
-            out.append((p_passes[0][rows], p_passes[1][rows]))
-        if "C" in cons:
-            out.append(tuple(by_row(row0_pass, passes[cols], rows) for passes in c_passes))
-        return out
-
-    def witness(s: float, t: float) -> tuple[GaussianReconstruction, float]:
-        rec = GaussianReconstruction(src.mu_x, s**2, sx * s * t)
-        return rec, gaussian_recon_stats(src, rec).mutual_info
-
-    def mse_tangent(x: tuple[float, float]) -> tuple[float, float] | None:
-        s, t = x
-        gs = 2.0 * s - 2.0 * sx * t
-        gt = -2.0 * sx * s
-        nrm = math.hypot(gs, gt)
-        if nrm < 1e-14:
-            return None
-        return (-gt / nrm, gs / nrm)
-
-    search = partial(
-        _pattern_search, stats_at=partial(_gauss_point, src), bounds=cons,
-        box=((0.0, s_hi), (-1.0, 1.0)),
-        fixed_dirs=[(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)],
-        moving_tangent=mse_tangent if "D" in cons else None, step0=step)
-    result = partial(OracleResult, unit=Unit.NATS, grid_resolution=step, constraints=cons)
-    screen = _blocked_screen((sigma_steps, theta_steps), window, fields,
-                             lambda rows, cols: by_row(0.0, rate_t[cols], rows))
-    return _screened_min(result, screen, (s, t), search if refine else None, witness)
+    result = partial(OracleResult, unit=Unit.NATS, grid_resolution=2.0**-50,
+                     refined=False, constraints=cons)
+    # [0, 1] halves until the bracket is narrower than 1e-15, i.e. 2^-50 wide
+    t = bisect_predicate(met, 0.0, 1.0, xtol=1e-15) if met(1.0) else 1.0
+    if t == 1.0:  # nothing meets the bounds, or only t within 2^-50 of 1
+        return result(rate=math.nan, argmin=None, feasible_points=0)
+    s = deviation(t)
+    rec = GaussianReconstruction(src.mu_x, s * s, sx * s * t)
+    return result(rate=gaussian_recon_stats(src, rec).mutual_info, argmin=rec,
+                  feasible_points=1)
 
 
 # ---------------------------------------------------------------------------

@@ -386,12 +386,13 @@ def monte_carlo_mse(
     ``(x - a*(x + noise))**2`` with ``x = where(pick1, m1 + s1*z, m2 + s2*z)``
     and ``noise = sigma_n * normal``, so the result is that expression's.
     A non-finite gain, a sample count that is not an integer of at least 2
-    and a seed that is not a nonnegative integer raise ``DomainError``.
+    and a seed that is not a nonnegative integer (a bool included) raise
+    ``DomainError``.
     """
     _check_gain(a)
     if not isinstance(n, (int, np.integer)) or n <= 1:
         raise DomainError(f"need an integer number of at least 2 samples: {n!r}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DomainError(f"seed must be a nonnegative integer: {seed!r}")
     mix = model.mixture
     s1, s2 = math.sqrt(mix.v1), math.sqrt(mix.v2)

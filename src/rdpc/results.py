@@ -130,10 +130,15 @@ class OracleResult:
     """Outcome of a brute-force constrained minimization.
 
     ``rate`` is recomputed from ``argmin`` after the search so the two
-    always agree; ``feasible_points`` counts grid cells that passed the
-    slack-widened feasibility screen. ``constraints`` echoes the effective
-    bounds used (a requested P=0 is executed as P<=1e-6). ``feasible``
-    follows from ``argmin``.
+    always agree. ``constraints`` echoes the effective bounds used (a
+    requested P=0 is executed as P<=1e-6). ``feasible`` follows from
+    ``argmin``. For the binary family ``grid_resolution`` is the grid
+    step, ``feasible_points`` counts grid cells that passed the
+    slack-widened feasibility screen, and ``refined`` tells whether a
+    pattern search ended at a feasible point. For the Gaussian family
+    ``grid_resolution`` is the width of the final bracket on the
+    correlation, ``refined`` is False, and ``feasible_points`` is 1, or 0
+    exactly when the query is infeasible.
     """
 
     rate: float

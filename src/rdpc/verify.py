@@ -580,11 +580,11 @@ def run_suites(
 
     ``workers`` is accepted and has no effect; the report captures the
     seed and not the worker count, so identical (suite selection, seed)
-    yields identical reports. A seed that is not a nonnegative integer
-    raises ``DomainError`` before any suite runs, whether or not the
-    selected suites draw from it.
+    yields identical reports. A seed that is not a nonnegative integer (a
+    bool included) raises ``DomainError`` before any suite runs, whether
+    or not the selected suites draw from it.
     """
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DomainError(f"seed must be a nonnegative integer: {seed!r}")
     selected = list(names) if names is not None else list(SUITE_NAMES)
     unknown = [n for n in selected if n not in SUITE_NAMES]

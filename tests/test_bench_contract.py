@@ -48,6 +48,20 @@ def test_harness_entry_points_accept_workers(fn):
     assert "workers" in inspect.signature(fn).parameters
 
 
+def test_every_oracle_keyword_the_harness_passes_is_accepted():
+    """``workloads.call_oracle`` calls ``<kind>_min_rate(src, cons,
+    refine=..., workers=..., **GRIDS[(kind, grid)])``, so an oracle that
+    drops one of those keywords fails here rather than in a benchmark run."""
+    tree = ast.parse(next(p for p in HARNESS if p.name == "workloads.py").read_text())
+    grids = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign) and len(node.targets) == 1
+                 and getattr(node.targets[0], "id", None) == "GRIDS")
+    assert {kind for kind, _ in grids} == {"binary", "gaussian"}
+    for (kind, _), grid in grids.items():
+        oracle = inspect.signature(getattr(rdpc, f"{kind}_min_rate"))
+        oracle.bind(None, {}, refine=False, workers=1, **grid)  # TypeError if refused
+
+
 def test_every_path_the_tracer_patches_resolves():
     """``Tracer.__enter__`` imports each owner of ``SPANS`` and ``COUNTS``,
     a module or a class inside one, so a renamed module would crash every

@@ -43,6 +43,25 @@ def test_point_json_round_trips(capsys):
     assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out
 
 
+def _refuse_constant(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
+@pytest.mark.parametrize("argv, path, text", [
+    (["rdc", "gaussian", "--d", "0.0", "--c", "0.9"], ("rate",), "Infinity"),
+    (["rpc-given-d", "--d", "0.5", "--c", "0.9"], ("inputs", "p"), "Infinity"),
+    (["oracle", "--family", "gaussian", "--p", "0.1", "--c=-inf"], ("constraints", "C"),
+     "-Infinity"),
+])
+def test_infinities_are_strict_json_strings(capsys, argv, path, text):
+    # RFC 8259 has no Infinity token; the string is what float() reads back
+    _, out, _ = run(capsys, *argv)
+    value = json.loads(out, parse_constant=_refuse_constant)
+    for key in path:
+        value = value[key]
+    assert value == text and float(value) == float(text)
+
+
 def test_infeasible_point_exits_two(capsys):
     code, out, _ = run(capsys, "rdc", "binary", "--a", "0.3", "--p1", "0.1",
                        "--d", "0.3", "--c", "0.4")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rdpc import DomainError, verify
+from rdpc import DomainError, default_model, monte_carlo_mse, verify
 from rdpc.verify import SUITE_NAMES, run_suites
 
 
@@ -31,6 +31,17 @@ def test_a_seed_that_is_not_a_nonnegative_integer_is_refused_first(monkeypatch, 
     monkeypatch.setattr(verify, "_SUITES", {})
     with pytest.raises(DomainError, match="seed"):
         run_suites(["entropy"], seed=seed)
+
+
+@pytest.mark.parametrize("seeded", [
+    lambda seed: run_suites(["entropy"], seed=seed),
+    lambda seed: monte_carlo_mse(default_model(), 0.7, 100, seed=seed),
+], ids=["run_suites", "monte_carlo_mse"])
+@pytest.mark.parametrize("seed", [True, False])
+def test_a_bool_seed_is_refused(seeded, seed):
+    # bool is an int subclass, but a report recording "seed": true is no seed
+    with pytest.raises(DomainError, match="seed"):
+        seeded(seed)
 
 
 def test_entropy_suite_report_shape():
