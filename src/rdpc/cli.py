@@ -625,14 +625,14 @@ def build_parser() -> _Parser:
     oracle.add_argument("--p", type=float, help="perception bound")
     oracle.add_argument("--c", type=float, help="classification bound")
     oracle.add_argument("--resolution", type=float,
-                        help="binary grid step (default 1e-3)")
+                        help="accepted (in [1e-4, 1e-1]) and has no effect: the binary "
+                             "oracle bounds its own bracket, within 1e-5 bits")
     for axis in ("sigma", "theta"):
         oracle.add_argument(f"--{axis}-steps", type=int,
                             help="accepted (an integer >= 2) and has no effect: "
                                  "the Gaussian oracle bisects on the correlation")
     oracle.add_argument("--no-refine", action="store_true", default=None,
-                        help="report the raw binary grid optimum (no effect on "
-                             "the Gaussian oracle)")
+                        help="accepted and has no effect")
     oracle.set_defaults(handler=_cmd_oracle, parser=oracle)
 
     restore = sub.add_parser(

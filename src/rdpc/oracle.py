@@ -1,56 +1,43 @@
 """Brute-force constrained rate minimization.
 
 This module is the package's independent check on the closed forms: it
-never calls them. Binary channels are exhausted over the conditional
-square (p_a, p_b) in [0,1]^2: a grid search keeps every feasible cell
-(with a half-step slack so optima between grid points are not screened
-out), then a pattern search tightens the best candidates to constraint
-tolerance 1e-9 with steps shrinking to 1e-7. A Gaussian reconstruction
-reduces to its correlation with the source, set by a bisection whose
-witness meets every bound with no slack (``gaussian_min_rate`` gives
-the argument). Neither oracle starts a thread: the ``workers`` argument
-is accepted for compatibility and has no effect.
+never calls them. Neither oracle starts a thread: the ``workers``
+argument is accepted for compatibility and has no effect.
 
-The contracts below are the binary oracle's. Determinism: each screen
-walks its grid in one thread, in blocks of ``_BLOCK_ROWS`` rows, with
-the same per-element arithmetic whatever the block size. A block
-replaces the running best cell only when its value is strictly less, so
-ties resolve to the lexicographically first cell (smallest row, then
-column), as in one pass over the whole grid.
+Binary channels are searched over the whole square (p_a, p_b) in
+[0,1]^2 by a branch-and-bound (Horst & Tuy, *Global Optimization*,
+1996) that rests on two facts: I(X; Xhat) is convex in the channel, and
+H(S | Xhat) is concave in it (the fact behind Mrs. Gerber's lemma). On a
+cell, a tangent plane of I and a secant plane of H(S | Xhat) give a
+lower bound on the rate, or prove that nothing there meets the bounds;
+cells whose bound cannot beat the best witness by 1e-5 bits are closed,
+the rest are split. The answer's witness meets each bound within
+``_TIGHT`` (1e-9), and [rate - grid_resolution, rate] is a certified
+bracket on the minimum of the problem with every bound loosened by
+``_TIGHT``, up to float rounding, which that loosening dominates.
 
-Windows: each block is screened only on its window, the sub-rectangle
-of rows and columns that its D and P bounds can admit. A window may
-leave out only cells that a 1-D evaluation of the same float expression
-proves to fail the slack screen: IEEE rounding is monotone, so a field
-that is monotone along a row or column stays so once computed, and its
-extreme over the block lies on a known row or column. Tight passes are
-a subset of slack passes, so every cell a screen could count or pick
-lies inside the window, and no comparison changes.
-
-Memory: a binary source caches its two logarithmic n x n fields, I(X;
-Xhat) and H(S | Xhat), for the two most recent (source, resolution)
-pairs, and computes D and P per window.
+A Gaussian reconstruction reduces to its correlation with the source,
+set by a bisection whose witness meets every bound with no slack
+(``gaussian_min_rate`` gives the argument).
 
 Infinite rates: where only the exact copy of the source meets the bounds
 (D = 0, or C = -inf at |rho| = 1) the closed forms report a feasible
 point of rate +inf, and the Gaussian oracle on the same bounds reports
-infeasible: it takes correlation 1 for infeasible, as the binary oracle
-takes a best cell to need a finite objective. ``rate_given_pcd`` at
+infeasible: it takes correlation 1 for infeasible. ``rate_given_pcd`` at
 C = -inf is infeasible too: a pinned D > 0 excludes the exact copy.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from math import log2
-from typing import Callable, Mapping
+from functools import partial
+from typing import Mapping
 
 import numpy as np
 
 from .entropy import (
-    _TINY,
     _gaussian_kl,
     _h2_bits_arr,
     binary_convolution,
@@ -69,19 +56,22 @@ from .results import (
 from .sources import BinaryPairSource, GaussianPairSource
 
 _TIGHT = 1e-9
-_MIN_STEP = 1e-7
-_EVAL_BUDGET = 60_000
 # a requested P = 0 is executed as this tolerance; exact equality is
 # measure-zero on a continuous parameter grid
 _P_ZERO_TOL = 1e-6
-# rows per block of a grid screen (and of the binary lattice build)
-_BLOCK_ROWS = 64
-
-Cell = tuple[float, int, int]  # (objective value, row, col) of a grid cell
-# (tight, slack) pass masks of one constraint over the window of a block
-Passes = tuple[np.ndarray, np.ndarray]
-# (r0, r1, c0, c1): rows r0..r1 and columns c0..c1 of a grid, ends exclusive
-Window = tuple[int, int, int, int]
+# the binary search closes a cell whose bound is within _GAP bits of the
+# best witness, and stops after evaluating _CELL_BUDGET cells
+_GAP = 1e-5
+_CELL_BUDGET = 40_000
+# a cell's corners A, B, C, B' in cell widths from A = (p_a, p_b) = (x0, y0)
+_CORNERS = np.array([[0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+# the edges a u + b v <= r of a cell's triangles A B C and A B' C, in
+# (u, v) = (p_a, p_b) - A, indexed [a, b or r / h][edge][triangle]
+_EDGES = np.array([[[0.0, -1.0], [1.0, 0.0], [-1.0, 1.0]],
+                   [[-1.0, 0.0], [0.0, 1.0], [1.0, -1.0]],
+                   [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]]])
+# how far a vertex may lie outside a line and still count as on it
+_VERTEX_TOL = 1e-12
 
 
 def _binary_joint_arr(
@@ -121,42 +111,20 @@ def _binary_joint_arr(
 # binary channels
 # ---------------------------------------------------------------------------
 
-def _binary_hs(b1: float, p1: float, q0: float, p_b: float) -> float:
-    """H(S | Xhat) in bits of the channel with P(Xhat = 0) = q0.
-
-    Here and in ``_binary_point``, ``binary_entropy`` (0 log 0 guard
-    included) and ``binary_convolution`` are written out with the same float
-    operations: the pattern search calls them 10^5 times per query.
-    """
-    if not 0.0 <= q0 <= 1.0:
-        raise DomainError(f"probability out of range: {q0}")
-    hs = 0.0
-    if q0 > 0.0:
-        c = min(max(b1 * p_b / q0, 0.0), 1.0)
-        x = p1 * (1.0 - c) + c * (1.0 - p1)
-        r = 1.0 - x
-        h = -(0.0 if x < _TINY else x * log2(x)) - (0.0 if r < _TINY else r * log2(r))
-        hs += q0 * h
-    if q0 < 1.0:
-        c = min(max(b1 * (1.0 - p_b) / (1.0 - q0), 0.0), 1.0)
-        x = p1 * (1.0 - c) + c * (1.0 - p1)
-        r = 1.0 - x
-        h = -(0.0 if x < _TINY else x * log2(x)) - (0.0 if r < _TINY else r * log2(r))
-        hs += (1.0 - q0) * h
-    return hs
-
-
 def _binary_point(
     b1: float, p1: float, p_a: float, p_b: float
 ) -> tuple[float, float, float, float]:
     """(mutual_info, distortion, tv, cond_entropy_S) for one channel."""
     q0 = (1.0 - b1) * p_a + b1 * p_b
-    hs = _binary_hs(b1, p1, q0, p_b)
-    r, ra, rb = 1.0 - q0, 1.0 - p_a, 1.0 - p_b
-    h_q0 = -(0.0 if q0 < _TINY else q0 * log2(q0)) - (0.0 if r < _TINY else r * log2(r))
-    h_a = -(0.0 if p_a < _TINY else p_a * log2(p_a)) - (0.0 if ra < _TINY else ra * log2(ra))
-    h_b = -(0.0 if p_b < _TINY else p_b * log2(p_b)) - (0.0 if rb < _TINY else rb * log2(rb))
-    info = h_q0 - ((1.0 - b1) * h_a + b1 * h_b)
+    info = binary_entropy(q0) - ((1.0 - b1) * binary_entropy(p_a) + b1 * binary_entropy(p_b))
+    hs = 0.0
+    # each value of Xhat adds its probability times h(p1 * P(X=1 | Xhat))
+    if q0 > 0.0:
+        x1_given_0 = min(max(b1 * p_b / q0, 0.0), 1.0)
+        hs += q0 * binary_entropy(binary_convolution(p1, x1_given_0))
+    if q0 < 1.0:
+        x1_given_1 = min(max(b1 * (1.0 - p_b) / (1.0 - q0), 0.0), 1.0)
+        hs += (1.0 - q0) * binary_entropy(binary_convolution(p1, x1_given_1))
     dist = (1.0 - b1) * (1.0 - p_a) + b1 * p_b
     return max(info, 0.0), dist, abs(q0 - (1.0 - b1)), hs
 
@@ -175,92 +143,26 @@ def binary_channel_stats(src: BinaryPairSource, ch: BinaryChannel) -> ChannelSta
     )
 
 
-@lru_cache(maxsize=2)
-def _binary_grid(a: float, p1: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(I(X; Xhat), H(S | Xhat)) in bits over the (p_a, p_b) lattice,
-    built block by block and cached.
-
-    Caching is per source and resolution so a sweep over many (D, P, C)
-    instances of the same source pays the logarithms once. Distortion and
-    total variation are affine in the channel, so the screen recomputes
-    them per block instead of caching them.
-    """
-    b1 = BinaryPairSource(a, p1).b
-    axis = np.linspace(0.0, 1.0, n)
-    info, hs = np.empty((n, n)), np.empty((n, n))
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n)
-        info[lo:hi], hs[lo:hi] = _binary_joint_arr(b1, p1, axis[lo:hi, None], axis)
-    return info, hs
-
-
-def _window(lo: int, keep_rows: np.ndarray, keep_cols: np.ndarray) -> Window | None:
-    """The window spanning the kept rows lo + i and the kept columns of a
-    block, or None when either mask keeps nothing."""
-    r, c = np.flatnonzero(keep_rows), np.flatnonzero(keep_cols)
-    if not (r.size and c.size):
-        return None
-    return lo + int(r[0]), lo + int(r[-1]) + 1, int(c[0]), int(c[-1]) + 1
-
-
-def _blocked_screen(
-    shape: tuple[int, int],
-    window: Callable[[int, int], Window | None],
-    fields: Callable[[slice, slice], list[Passes]],
-    objective: Callable[[slice, slice], np.ndarray],
-) -> tuple[int, Cell | None, Cell | None]:
-    """(slack-feasible count, best tight cell, best slack cell) of a grid.
-
-    The grid is walked in blocks of ``_BLOCK_ROWS`` rows. For rows lo..hi,
-    ``window(lo, hi)`` gives the sub-rectangle (r0, r1, c0, c1) of the
-    block outside which no cell is slack feasible, or None when no cell
-    is. Over its rows r0..r1 and columns c0..c1, ``fields(rows, cols)``
-    gives the ``Passes`` of every constraint and ``objective(rows, cols)``
-    the values to minimize, all broadcasting to the window; a cell is
-    tight (slack) feasible when it passes every tight (slack) screen. A
-    best cell is None when no such cell has a finite objective; ties go to
-    the lexicographically first cell.
-    """
-    rows, cols = shape
-    tight_buf = np.empty(_BLOCK_ROWS * cols, dtype=bool)
-    slack_buf = np.empty_like(tight_buf)
-    value_buf = np.empty(_BLOCK_ROWS * cols)
-    count, best = 0, [None, None]
-    for lo in range(0, rows, _BLOCK_ROWS):
-        win = window(lo, min(lo + _BLOCK_ROWS, rows))
-        if win is None:
-            continue
-        r0, r1, c0, c1 = win
-        height, width = r1 - r0, c1 - c0
-        tight, slack, value = (buf[: height * width].reshape(height, width)
-                               for buf in (tight_buf, slack_buf, value_buf))
-        tight.fill(True)
-        slack.fill(True)
-        for tight_pass, slack_pass in fields(slice(r0, r1), slice(c0, c1)):
-            tight &= tight_pass
-            slack &= slack_pass
-        count += int(np.count_nonzero(slack))
-        obj = objective(slice(r0, r1), slice(c0, c1))
-        for k, mask in enumerate((tight, slack)):
-            if not mask.any():
-                continue
-            value.fill(np.inf)
-            np.copyto(value, obj, where=mask)
-            flat = int(np.argmin(value))
-            val = float(value.flat[flat])
-            if math.isfinite(val) and (best[k] is None or val < best[k][0]):
-                row, col = divmod(flat, width)
-                best[k] = (val, r0 + row, c0 + col)
-    return count, best[0], best[1]
-
-
 def _normalize_constraints(constraints: Mapping[str, float]) -> dict[str, float]:
+    """The bounds by upper-case key, each a float: a +inf bound is dropped
+    and P = 0 runs as ``_P_ZERO_TOL``. A key other than D, P or C, a key
+    given twice, a value that is not a real number (bools included), a
+    NaN bound and a negative D or P raise ``DomainError``."""
     out: dict[str, float] = {}
+    seen = set()
     for key, value in constraints.items():
-        k = key.upper()
+        k = key.upper() if isinstance(key, str) else None
         if k not in ("D", "P", "C"):
             raise DomainError(f"unknown constraint {key!r}; use D, P, or C")
-        v = float(value)
+        if k in seen:
+            raise DomainError(f"constraint {k} is given twice")
+        seen.add(k)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise DomainError(f"constraint {k} must be a real number, not {value!r}")
+        try:
+            v = float(value)
+        except OverflowError:
+            raise DomainError(f"constraint {k} overflows a float: {value!r}") from None
         if math.isnan(v):
             raise DomainError(f"constraint {k} is NaN")
         if k in ("D", "P") and v < 0.0:
@@ -275,139 +177,72 @@ def _normalize_constraints(constraints: Mapping[str, float]) -> dict[str, float]
     return out
 
 
-def _pattern_search(
-    x0: tuple[float, float],
-    stats_at: Callable[[float, float], tuple[float, float, float, float]],
-    bounds: Mapping[str, float],
-    box: tuple[tuple[float, float], tuple[float, float]],
-    fixed_dirs: list[tuple[float, float]],
-    moving_tangent: Callable[[tuple[float, float]], tuple[float, float] | None] | None,
-    step0: float,
-) -> tuple[float, float, float] | None:
-    """Constrained coordinate/tangent descent on the rate.
+def _cell_bounds(
+    b1: float, cons: Mapping[str, float], x0: np.ndarray, y0: np.ndarray, h: float,
+    hs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower bounds on I(X; Xhat) over square cells, and where they sit.
 
-    stats_at returns (rate, D-value, P-value, C-value); bounds maps the
-    constraint letters to their limits. If the start is infeasible (it may
-    come from the slack-widened grid screen) a restoration phase first
-    walks down the total violation; descent then only ever accepts
-    feasible strictly-improving moves, so the refined point can never be
-    worse than a feasible start.
+    Cell i has width ``h`` and corner A = (x0[i], y0[i]); ``hs[:, i]`` is
+    H(S | Xhat) at its corners A, B, C, B' (``_CORNERS``). The diagonal
+    A C splits it into the triangles A B C and A B' C. On each, the
+    concave H(S | Xhat) lies above its secant plane through the corners,
+    so every point that meets each bound within ``_TIGHT`` lies in the
+    polygon cut from the triangle by D, both sides of |q0 - (1 - b1)| and
+    the secant. The convex I lies above its tangent plane at the cell
+    centre, and the least value of that plane over the polygon, at one of
+    the pairwise intersections of its at most 7 lines, is the triangle's
+    bound; an empty polygon, which no such point can lie in, gives +inf.
+    Returns each cell's bound, the lesser of its two, and the two
+    triangles' minimizing vertices (p_a, p_b), each of shape (2, n); an
+    empty polygon's is A.
     """
-    (lo0, hi0), (lo1, hi1) = box
-    budget = [_EVAL_BUDGET]
+    n, w = x0.size, 1.0 - b1
+    # the lines a u + b v <= r in (u, v) = (p_a - x0, p_b - y0), shape
+    # (lines, 2, n): on axis 1, 0 is the triangle A B C and 1 is A B' C
+    lines = np.empty((3, 3 + ("D" in cons) + 2 * ("P" in cons) + ("C" in cons), 2, n))
+    lines[:, :3] = _EDGES[..., None]
+    lines[2, :3] *= h
+    a, b, r = lines
+    k = 3
+    if "D" in cons:  # D = (w - w x0 + b1 y0) - w u + b1 v
+        a[k], b[k], r[k] = -w, b1, cons["D"] + _TIGHT - (w - w * x0 + b1 * y0)
+        k += 1
+    if "P" in cons:  # q0 - (1 - b1) = shift + w u + b1 v
+        shift = w * x0 + b1 * y0 - w
+        a[k], b[k], r[k] = w, b1, cons["P"] + _TIGHT - shift
+        a[k + 1], b[k + 1], r[k + 1] = -w, -b1, cons["P"] + _TIGHT + shift
+        k += 2
+    if "C" in cons:
+        ha, hb, hc, hb2 = hs
+        a[k], b[k] = ((hb - ha) / h, (hc - hb2) / h), ((hc - hb) / h, (hb2 - ha) / h)
+        r[k] = cons["C"] + _TIGHT - ha
 
-    def clamp(y: tuple[float, float]) -> tuple[float, float]:
-        return (min(max(y[0], lo0), hi0), min(max(y[1], lo1), hi1))
+    # I at the centre and its gradient, w (h'(q0) - h'(p_a)) and
+    # b1 (h'(q0) - h'(p_b)), with h'(p) = log2((1 - p) / p)
+    centre = np.stack([w * x0 + b1 * y0, x0, y0]) + 0.5 * h
+    ent, slope = _h2_bits_arr(centre), np.log2(1.0 - centre) - np.log2(centre)
+    info_c = ent[0] - (w * ent[1] + b1 * ent[2])
+    ga, gb = w * (slope[0] - slope[1]), b1 * (slope[0] - slope[2])
 
-    def violation(vals: tuple[float, float, float, float]) -> float:
-        _, dv, pv, cv = vals
-        total = 0.0
-        if "D" in bounds:
-            total += max(0.0, dv - bounds["D"] - _TIGHT)
-        if "P" in bounds:
-            total += max(0.0, pv - bounds["P"] - _TIGHT)
-        if "C" in bounds:
-            total += max(0.0, cv - bounds["C"] - _TIGHT)
-        return total
-
-    def evaluate(y: tuple[float, float]) -> tuple[float, float, float, float]:
-        budget[0] -= 1
-        return stats_at(y[0], y[1])
-
-    def directions(x: tuple[float, float]) -> list[tuple[float, float]]:
-        dirs = list(fixed_dirs)
-        if moving_tangent is not None:
-            tangent = moving_tangent(x)
-            if tangent is not None:
-                dirs.append(tangent)
-                dirs.append((-tangent[0], -tangent[1]))
-        return dirs
-
-    def walk(x, objective, current) -> tuple[tuple[float, float], float]:
-        step = step0
-        dirs = directions(x)  # recomputed only when x moves
-        while step > _MIN_STEP and budget[0] > 0:
-            best_y, best_val = None, current
-            for d in dirs:
-                y = clamp((x[0] + step * d[0], x[1] + step * d[1]))
-                if y == x:
-                    continue
-                val = objective(y)
-                if val < best_val - 1e-15:
-                    best_y, best_val = y, val
-                if budget[0] <= 0:
-                    break
-            if best_y is None:
-                step *= 0.5
-            else:
-                x, current = best_y, best_val
-                dirs = directions(x)
-        return x, current
-
-    x = x0
-    vals = evaluate(x)
-    if violation(vals) > 0.0:
-        x, remaining = walk(x, lambda y: violation(evaluate(y)), violation(vals))
-        if remaining > 0.0:
-            return None
-        vals = evaluate(x)
-
-    def rate_or_inf(y: tuple[float, float]) -> float:
-        v = evaluate(y)
-        return v[0] if violation(v) == 0.0 else math.inf
-
-    x, rate = walk(x, rate_or_inf, vals[0])
-    return rate, x[0], x[1]
-
-
-def _screened_min(
-    result: Callable[..., OracleResult],
-    screen: tuple[int, Cell | None, Cell | None],
-    axes: tuple[np.ndarray, np.ndarray],
-    search: Callable[[tuple[float, float]], tuple[float, float, float] | None] | None,
-    witness: Callable[[float, float], tuple[BinaryChannel, float]],
-) -> OracleResult:
-    """The oracle's answer from its ``_blocked_screen`` result.
-
-    The candidates are the best tight cell (the best slack cell when there
-    is no refinement, i.e. ``search`` is None) and the end of every
-    feasible pattern search started from either; the least (rate, x, y)
-    wins and ``witness`` turns it into the argmin and its exact rate;
-    ``axes`` are the grid coordinates of the rows and the columns.
-    """
-
-    def point(cell: Cell) -> tuple[float, float]:
-        return float(axes[0][cell[1]]), float(axes[1][cell[2]])
-
-    feasible_points, best_tight, best_slack = screen
-    if feasible_points == 0:
-        return result(rate=math.nan, argmin=None, refined=False, feasible_points=0)
-    candidates: list[tuple[float, float, float]] = []
-    if best_tight is not None:
-        candidates.append((best_tight[0], *point(best_tight)))
-    elif search is None and best_slack is not None:
-        # without refinement the half-step screen is the declared tolerance
-        candidates.append((best_slack[0], *point(best_slack)))
-
-    refined = False
-    if search is not None:
-        starts: list[tuple[float, float]] = []
-        for cell in (best_tight, best_slack):
-            if cell is not None and point(cell) not in starts:
-                starts.append(point(cell))
-        for pt in starts:
-            out = search(pt)
-            if out is not None:
-                candidates.append(out)
-                refined = True
-
-    if not candidates:
-        return result(rate=math.nan, argmin=None, refined=refined,
-                      feasible_points=feasible_points)
-    _, x, y = min(candidates)
-    argmin, rate = witness(x, y)
-    return result(rate=rate, argmin=argmin, refined=refined,
-                  feasible_points=feasible_points)
+    i, j = np.triu_indices(len(a), 1)
+    # parallel lines meet nowhere, and a line at C = -inf nowhere finite
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = a[i] * b[j] - a[j] * b[i]
+        u = (r[i] * b[j] - r[j] * b[i]) / det
+        v = (a[i] * r[j] - a[j] * r[i]) / det
+        inside = np.isfinite(u) & np.isfinite(v)
+        r += _VERTEX_TOL
+        for ak, bk, rk in zip(a, b, r):
+            inside &= ak * u + bk * v <= rk
+        plane = np.where(inside, ga * u + gb * v, np.inf).reshape(len(i), 2 * n)
+    best, cols = np.argmin(plane, axis=0), np.arange(2 * n)
+    least = plane[best, cols].reshape(2, n)
+    found = np.isfinite(least)
+    pa = x0 + np.where(found, u.reshape(len(i), -1)[best, cols].reshape(2, n), 0.0)
+    pb = y0 + np.where(found, v.reshape(len(i), -1)[best, cols].reshape(2, n), 0.0)
+    bound = (info_c - 0.5 * h * (ga + gb)) + least
+    return bound.min(axis=0), np.clip(pa, 0.0, 1.0), np.clip(pb, 0.0, 1.0)
 
 
 def binary_min_rate(
@@ -421,105 +256,69 @@ def binary_min_rate(
 
     ``constraints`` maps any non-empty subset of {"D", "P", "C"} to bounds
     (Hamming distortion, total variation, label conditional entropy in
-    bits). The grid covers all of [0,1]^2 at the requested resolution; the
-    feasibility screen widens distortion/perception bounds by half a grid
-    step and the entropy bound by a matching continuity modulus, and
-    refinement re-checks everything at 1e-9. Returns an infeasible result
-    (rate NaN, no argmin) rather than raising when nothing qualifies; a NaN
-    bound raises ``DomainError``. ``workers`` is accepted and has no effect.
+    bits). A branch-and-bound covers all of [0,1]^2: it starts from an
+    8 x 8 grid of cells and, level by level, splits each open cell into
+    four. ``_cell_bounds`` bounds the rate on a cell from below, or proves
+    that no point of it meets the bounds within ``_TIGHT``; the corners
+    and each triangle's minimizing vertex that meet every bound within
+    ``_TIGHT`` are the witnesses, the least I winning and ties going to
+    the first found. A cell closes once its bound is at least the best
+    witness's rate less ``_GAP``.
+
+    The witness's exact I is the rate, and ``grid_resolution`` is rate -
+    lower, where lower, the least bound of the closed cells, is at most
+    the minimum of the problem with each bound loosened by ``_TIGHT``. It
+    is at most ``_GAP`` (1e-5 bits) unless the search stopped after
+    ``_CELL_BUDGET`` cells, when lower also takes the open cells' bounds.
+    Where no witness is found the result is infeasible (rate NaN, no
+    argmin): ``grid_resolution`` is 0 when every cell was excluded, and
+    +inf when the budget ran out first. A bad bound raises
+    ``DomainError``, as does a ``resolution`` outside [1e-4, 1e-1];
+    ``resolution``, ``refine`` and ``workers`` are accepted and have no
+    effect.
     """
     if not 1e-4 <= resolution <= 1e-1:
         raise DomainError(f"resolution {resolution} outside [1e-4, 1e-1]")
     cons = _normalize_constraints(constraints)
-    n = int(round(1.0 / resolution)) + 1
-    step = 1.0 / (n - 1)
-    info, hs = _binary_grid(src.a, src.p1, n)
-    b1, p1 = src.b, src.p1
-
-    half = 0.5 * step
-    slack = {
-        "D": half + _TIGHT,
-        "P": half + _TIGHT,
-        # entropy is not Lipschitz at the simplex boundary; a binary
-        # entropy of the half-step bounds how far H(S|Xhat) can move
-        # between neighboring cells (two atoms, hence the factor 2)
-        "C": 2.0 * binary_entropy(min(half, 0.5)) + _TIGHT,
-    }
-    widened = {k: bound + slack[k] for k, bound in cons.items()}
-    axis = np.linspace(0.0, 1.0, n)
-
-    def dist(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-        return (1.0 - b1) * (1.0 - pa) + b1 * pb
-
-    def shift(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-        """q0 - (1 - b1), whose magnitude is the total variation."""
-        out = np.add((1.0 - b1) * pa, b1 * pb)
-        out -= 1.0 - b1
-        return out
-
-    def window(lo: int, hi: int) -> Window | None:
-        # rounding keeps these monotone: D falls in p_a and rises in p_b, so
-        # a row's least value is in column 0 and a column's in the last row;
-        # q0 - (1 - b1) rises in both, so a column's values lie between its
-        # first and last rows
-        pa = axis[lo:hi, None]
-        keep_rows, keep_cols = np.ones(hi - lo, dtype=bool), np.ones(n, dtype=bool)
+    b1, p1, w = src.b, src.p1, 1.0 - src.b
+    h = 1.0 / 8.0
+    x0, y0 = np.repeat(np.arange(8.0) * h, 8), np.tile(np.arange(8.0) * h, 8)
+    parent = np.full(x0.size, -np.inf)  # a bound on each open cell, from its parent
+    best, argmin, lower, cells = math.inf, None, math.inf, 0
+    while x0.size and cells + x0.size <= _CELL_BUDGET:
+        cells += x0.size
+        corner_a, corner_b = x0 + h * _CORNERS[0][:, None], y0 + h * _CORNERS[1][:, None]
+        info, hs = _binary_joint_arr(b1, p1, corner_a, corner_b)
+        bound, va, vb = _cell_bounds(b1, cons, x0, y0, h, hs)
+        vinfo, vhs = _binary_joint_arr(b1, p1, va, vb)
+        pa, pb, info, hs = (np.concatenate([c.ravel(), v.ravel()]) for c, v in
+                            ((corner_a, va), (corner_b, vb), (info, vinfo), (hs, vhs)))
+        # each bound met within _TIGHT, in the arithmetic of _binary_point
+        met = np.ones(pa.size, dtype=bool)
         if "D" in cons:
-            keep_rows &= dist(pa, axis[:1])[:, 0] <= widened["D"]
-            keep_cols &= dist(axis[hi - 1], axis) <= widened["D"]
+            met &= (w * (1.0 - pa) + b1 * pb) - cons["D"] <= _TIGHT
         if "P" in cons:
-            keep_cols &= shift(axis[hi - 1], axis) >= -widened["P"]
-            keep_cols &= shift(axis[lo], axis) <= widened["P"]
-        return _window(lo, keep_rows, keep_cols)
-
-    def fields(rows: slice, cols: slice) -> list[Passes]:
-        pa, pb = axis[rows, None], axis[cols]
-        block = {}
-        if "D" in cons:
-            block["D"] = dist(pa, pb)
-        if "P" in cons:
-            tv = shift(pa, pb)
-            block["P"] = np.abs(tv, out=tv)
+            met &= np.abs((w * pa + b1 * pb) - w) - cons["P"] <= _TIGHT
         if "C" in cons:
-            block["C"] = hs[rows, cols]
-        return [(block[k] <= bound + _TIGHT, block[k] <= widened[k])
-                for k, bound in cons.items()]
-
-    def witness(pa: float, pb: float) -> tuple[BinaryChannel, float]:
-        ch = BinaryChannel(pa, pb)
-        return ch, binary_channel_stats(src, ch).mutual_info
-
-    norm = math.hypot(b1, 1.0 - b1)
-    fixed = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
-    if "D" in cons:
-        fixed += [(b1 / norm, (1.0 - b1) / norm), (-b1 / norm, -(1.0 - b1) / norm)]
-    if "P" in cons:
-        fixed += [(b1 / norm, -(1.0 - b1) / norm), (-b1 / norm, (1.0 - b1) / norm)]
-
-    def hs_at(pa: float, pb: float) -> float:
-        return _binary_hs(b1, p1, (1.0 - b1) * pa + b1 * pb, pb)
-
-    def c_tangent(x: tuple[float, float]) -> tuple[float, float] | None:
-        h = 1e-6
-        pa, pb = x
-        ga = (
-            hs_at(min(pa + h, 1.0), pb) - hs_at(max(pa - h, 0.0), pb)
-        ) / (min(pa + h, 1.0) - max(pa - h, 0.0))
-        gb = (
-            hs_at(pa, min(pb + h, 1.0)) - hs_at(pa, max(pb - h, 0.0))
-        ) / (min(pb + h, 1.0) - max(pb - h, 0.0))
-        nrm = math.hypot(ga, gb)
-        if nrm < 1e-14:
-            return None
-        return (-gb / nrm, ga / nrm)
-
-    search = partial(
-        _pattern_search, stats_at=partial(_binary_point, b1, p1), bounds=cons,
-        box=((0.0, 1.0), (0.0, 1.0)), fixed_dirs=fixed,
-        moving_tangent=c_tangent if "C" in cons else None, step0=step)
-    result = partial(OracleResult, unit=Unit.BITS, grid_resolution=step, constraints=cons)
-    screen = _blocked_screen((n, n), window, fields, lambda rows, cols: info[rows, cols])
-    return _screened_min(result, screen, (axis, axis), search if refine else None, witness)
+            met &= hs - cons["C"] <= _TIGHT
+        value = np.where(met, info, np.inf)
+        k = int(np.argmin(value))
+        if value[k] < best:
+            best, argmin = float(value[k]), (float(pa[k]), float(pb[k]))
+        closed = bound >= best - _GAP
+        lower = min(lower, float(bound[closed].min(initial=np.inf)))
+        h *= 0.5
+        x0, y0, parent = x0[~closed], y0[~closed], bound[~closed]
+        x0, y0 = (x0 + h * _CORNERS[0][:, None]).ravel(), (y0 + h * _CORNERS[1][:, None]).ravel()
+        parent = np.tile(parent, 4)
+    lower = min(lower, float(parent.min(initial=np.inf)))  # cells left open by the budget
+    result = partial(OracleResult, unit=Unit.BITS, refined=False, constraints=cons)
+    if argmin is None:
+        return result(rate=math.nan, argmin=None, feasible_points=0,
+                      grid_resolution=0.0 if x0.size == 0 else math.inf)
+    ch = BinaryChannel(*argmin)
+    rate = binary_channel_stats(src, ch).mutual_info
+    return result(rate=rate, argmin=ch, grid_resolution=rate - lower, feasible_points=1)
 
 
 # ---------------------------------------------------------------------------

@@ -132,13 +132,10 @@ class OracleResult:
     ``rate`` is recomputed from ``argmin`` after the search so the two
     always agree. ``constraints`` echoes the effective bounds used (a
     requested P=0 is executed as P<=1e-6). ``feasible`` follows from
-    ``argmin``. For the binary family ``grid_resolution`` is the grid
-    step, ``feasible_points`` counts grid cells that passed the
-    slack-widened feasibility screen, and ``refined`` tells whether a
-    pattern search ended at a feasible point. For the Gaussian family
-    ``grid_resolution`` is the width of the final bracket on the
-    correlation, ``refined`` is False, and ``feasible_points`` is 1, or 0
-    exactly when the query is infeasible.
+    ``argmin``. For both families ``grid_resolution`` is the width of the
+    final bracket, on the rate for the binary family and on the
+    correlation t for the Gaussian; ``refined`` is False; and
+    ``feasible_points`` is 1, or 0 when there is no argmin.
     """
 
     rate: float

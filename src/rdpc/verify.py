@@ -308,7 +308,7 @@ def _suite_oracle_rdc_binary(seed: int) -> _Recorder:
     for src in _BINARY_ORACLE_SOURCES:
         for d, c in _BINARY_ORACLE_DC:
             closed = rdc_binary(src, d, c)
-            got = binary_min_rate(src, {"D": d, "C": c}, resolution=1e-3, refine=True)
+            got = binary_min_rate(src, {"D": d, "C": c})
             rec.flag("feasibility_agreement", closed.feasible == got.feasible)
             if closed.feasible and got.feasible:
                 rec.worst("max_rate_diff", abs(closed.rate - got.rate), 1e-3)
@@ -372,7 +372,7 @@ def _suite_rpc_binary_gap_probe(seed: int) -> _Recorder:
     c = 0.6
 
     closed_rate = rpc_binary(src, 0.05, c).rate
-    relaxed = binary_min_rate(src, {"C": c, "P": 0.05}, resolution=1e-3)
+    relaxed = binary_min_rate(src, {"C": c, "P": 0.05})
     rec.worst("oracle_vs_closed_form_p0.05", abs(relaxed.rate - closed_rate), 1e-3)
     tv_at_relaxed = binary_channel_stats(src, relaxed.argmin).perception
     rec.worst("relaxed_argmin_tv", tv_at_relaxed, 0.05 + 1e-9)
@@ -382,7 +382,7 @@ def _suite_rpc_binary_gap_probe(seed: int) -> _Recorder:
     rec.worst("line_witness_tv", abs(line_stats.perception), 1e-12)
     rec.worst("line_witness_cond_entropy_err", abs(line_stats.cond_entropy_s - c), 1e-9)
 
-    probe = binary_min_rate(src, {"C": c, "P": 0.0}, resolution=1e-3)
+    probe = binary_min_rate(src, {"C": c, "P": 0.0})
     rec.worst(
         "probe_vs_line_witness", abs(probe.rate - line_stats.mutual_info), 1e-3
     )

@@ -1,4 +1,3 @@
-import functools
 import math
 import os
 import threading
@@ -24,15 +23,22 @@ from rdpc import (
     rdc_binary,
     rdc_binary_witness,
     rdc_gaussian,
+    rpc_binary,
     rpc_gaussian,
 )
 from rdpc import oracle
-from rdpc.entropy import _h2_bits_arr, binary_convolution, binary_entropy
+from rdpc.entropy import (
+    _h2_bits_arr,
+    binary_convolution,
+    binary_entropy,
+    binary_entropy_inv,
+)
 from rdpc.rpc_given_d import rate_given_pcd
 
 SRC = BinaryPairSource(a=0.3, p1=0.1)
 GSRC = GaussianPairSource(0.0, 0.0, 1.0, 0.49, 0.63)
 H_S = 1.06226358926594
+BOUND_SETS = (("D", "C"), ("P", "C"), ("D", "P", "C"), ("D",), ("P",), ("C",))
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +121,7 @@ def test_binary_oracle_infeasible_instance():
     assert math.isnan(got.rate)
     assert got.argmin is None
     assert got.feasible_points == 0
+    assert got.grid_resolution == 0.0  # every cell was excluded
 
 
 def test_binary_oracle_worker_count_is_invisible():
@@ -138,6 +145,90 @@ def test_binary_oracle_validates_inputs():
         binary_min_rate(SRC, {"D": 0.2}, resolution=0.5)
     with pytest.raises(DomainError):
         binary_min_rate(SRC, {"Q": 0.2}, resolution=2e-3)
+
+
+TIGHT = 1e-9  # the oracles' constraint tolerance
+
+
+@st.composite
+def binary_sources(draw):
+    a = draw(st.floats(1e-3, 0.5))
+    return BinaryPairSource(a, a * draw(st.floats(0.0, 0.999)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(binary_sources(), st.integers(3, 14), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+       st.sampled_from(BOUND_SETS), st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_cell_bound_is_below_every_point_that_meets_the_bounds(src, depth, fx, fy, keys,
+                                                               shares, seed):
+    """Each bound is a quantile of its values over the cell, so the polygon
+    is cut by every line the draw names."""
+    h = 2.0**-depth
+    x0, y0 = (np.array([min(math.floor(f / h), 2**depth - 1) * h]) for f in (fx, fy))
+    b1, p1 = src.b, src.p1
+    corners = oracle._binary_joint_arr(b1, p1, x0 + h * oracle._CORNERS[0][:, None],
+                                       y0 + h * oracle._CORNERS[1][:, None])[1]
+    rng = np.random.default_rng(seed)
+    points = np.array([x0[0], y0[0]]) + h * rng.uniform(0.0, 1.0, (300, 2))
+    stats = np.array([oracle._binary_point(b1, p1, pa, pb) for pa, pb in points])
+    column = {"D": 1, "P": 2, "C": 3}
+    cons = {k: float(np.quantile(stats[:, column[k]], share))
+            for k, share in zip(keys, shares)}
+    bound = oracle._cell_bounds(b1, cons, x0, y0, h, corners)[0][0]
+    met = np.logical_and.reduce([stats[:, column[k]] - v <= TIGHT for k, v in cons.items()])
+    assert (stats[met, 0] >= bound - 1e-12).all()
+
+
+def _backward_tv(src, c):
+    """TV*(c), the total variation of the backward witness at C = c: from
+    there up ``rpc_binary`` is exact."""
+    if c >= binary_entropy(src.a):
+        return 0.0
+    eps = max((binary_entropy_inv(c) - src.p1) / (1.0 - 2.0 * src.p1), 0.0)
+    return eps * (1.0 - 2.0 * src.b) / (1.0 - 2.0 * eps)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(binary_sources(), st.booleans(), st.floats(0.0, 1.0), st.floats(0.0, 0.5),
+       st.floats(0.0, 0.3))
+def test_binary_bracket_holds_the_closed_form_at_the_loosened_bounds(src, rdc, share, d,
+                                                                    p_over):
+    """[rate - grid_resolution, rate] brackets the minimum with every bound
+    loosened by 1e-9. RPC is checked only from TV*(C) up, where
+    ``rpc_binary`` is right."""
+    c = src.floor_c + share * (1.0 - src.floor_c)
+    if rdc:
+        cons = {"D": d, "C": c}
+        closed = rdc_binary(src, d + TIGHT, c + TIGHT)
+    else:
+        cons = {"P": min(_backward_tv(src, min(c + TIGHT, 1.0)) + p_over, 1.0), "C": c}
+        closed = rpc_binary(src, cons["P"] + TIGHT, c + TIGHT)
+    got = binary_min_rate(src, cons)
+    assert got.feasible and closed.feasible
+    stats = binary_channel_stats(src, got.argmin)
+    assert stats.mutual_info == got.rate
+    values = {"D": stats.distortion, "P": stats.perception, "C": stats.cond_entropy_s}
+    assert all(values[k] - bound <= TIGHT for k, bound in got.constraints.items())
+    assert -1e-12 <= got.grid_resolution <= 1e-5
+    assert got.rate - got.grid_resolution - 1e-12 <= closed.rate <= got.rate + 1e-12
+
+
+def test_a_search_cut_short_by_its_budget_says_so(monkeypatch):
+    # the first two levels, 64 and 256 cells, leave this query open
+    monkeypatch.setattr(oracle, "_CELL_BUDGET", 64 + 256)
+    got = binary_min_rate(SRC, {"D": 0.3, "C": 0.6})
+    stats = binary_channel_stats(SRC, got.argmin)
+    assert stats.mutual_info == got.rate
+    assert stats.distortion - 0.3 <= TIGHT and stats.cond_entropy_s - 0.6 <= TIGHT
+    assert got.grid_resolution > 1e-5
+    # rate - grid_resolution still bounds the loosened minimum from below
+    closed = rdc_binary(SRC, 0.3 + TIGHT, 0.6 + TIGHT).rate
+    assert got.rate - got.grid_resolution <= closed + 1e-12
+    monkeypatch.setattr(oracle, "_CELL_BUDGET", 63)  # not even the first level
+    dead = binary_min_rate(SRC, {"D": 0.3, "C": 0.6})
+    assert not dead.feasible and dead.feasible_points == 0
+    assert dead.grid_resolution == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +308,6 @@ def test_gaussian_oracle_worker_count_is_invisible():
 T_BRACKET = 2.0**-50
 # a rate the oracle reaches: its t stops 2^-50 short of 1, about 17 nats
 REACHED = 16.0
-BOUND_SETS = (("D", "C"), ("P", "C"), ("D", "P", "C"), ("D",), ("P",), ("C",))
 
 
 @st.composite
@@ -306,33 +396,6 @@ def test_gaussian_oracle_meets_its_bounds_and_the_closed_forms(query, loosen, pi
         assert relaxed.rate <= got.rate + 2.0 * _bracket_tol(got.rate)
 
 
-def test_a_window_leaves_the_screen_unchanged(monkeypatch):
-    """Windows that skip a block, rows and columns, holding none of the
-    slack-feasible cells they skip, give the screen of the whole grid,
-    with the best cells' offsets added back and ties on the window edges
-    resolved to the first cell."""
-    monkeypatch.setattr(oracle, "_BLOCK_ROWS", 3)
-    obj = np.full((9, 5), 5.0)
-    slack = np.zeros((9, 5), dtype=bool)
-    slack[4:6, 1:3] = slack[6:9, 2:5] = True
-    tight = np.zeros_like(slack)
-    tight[5, 2] = tight[6, 2] = tight[8, 4] = True
-    obj[0, 0], obj[3, 0] = -1.0, 0.0  # skipped, and slack infeasible
-    obj[4, 1] = obj[5, 1] = 0.0  # a tie in a window's first column
-    obj[5, 2] = obj[6, 2] = 1.0  # a tie across two windows' edges
-
-    def fields(rows, cols):
-        return [(tight[rows, cols], slack[rows, cols])]
-
-    def objective(rows, cols):
-        return obj[rows, cols]
-
-    windows = {0: None, 3: (4, 6, 1, 3), 6: (6, 9, 2, 5)}
-    whole = oracle._blocked_screen(obj.shape, lambda lo, hi: (lo, hi, 0, 5), fields, objective)
-    got = oracle._blocked_screen(obj.shape, lambda lo, hi: windows[lo], fields, objective)
-    assert got == whole == (13, (1.0, 5, 2), (0.0, 4, 1))
-
-
 def test_oracles_start_no_thread(monkeypatch):
     def refuse(thread):
         raise AssertionError(f"the oracle started a thread: {thread}")
@@ -373,15 +436,14 @@ def _traced_peak(query):
 
 
 def test_oracle_queries_hold_no_full_size_temporary():
-    # one 1001 x 1001 float64 array is 7.6 MiB; a binary source caches two
+    # one 1001 x 1001 float64 array is 7.6 MiB; the binary search holds
+    # arrays over one level of cells, and no lattice
     mib = 2**20
-    lattice = 1001 * 1001 * 8
-    oracle._binary_grid.cache_clear()
     cold = _traced_peak(lambda: binary_min_rate(SRC, {"D": 0.2, "C": 0.7}))
     warm = _traced_peak(lambda: binary_min_rate(SRC, {"P": 0.05, "C": 0.6}))
     gauss = _traced_peak(lambda: gaussian_min_rate(
         GSRC, {"D": 0.5, "P": 0.1, "C": H_S - 0.3}, sigma_steps=1001, theta_steps=1001))
-    assert cold < 2 * lattice + 6 * mib
+    assert cold < 12 * mib
     assert warm < 6 * mib
     assert gauss < 64 * 2**10  # a Gaussian query holds no array at all
 
@@ -398,6 +460,24 @@ def test_oracle_queries_hold_no_full_size_temporary():
     ],
 )
 def test_nan_constraints_are_refused(oracle_min_rate, src, cons):
+    with pytest.raises(DomainError):
+        oracle_min_rate(src, cons)
+
+
+@pytest.mark.parametrize("oracle_min_rate, src", [(binary_min_rate, SRC),
+                                                  (gaussian_min_rate, GSRC)])
+@pytest.mark.parametrize("cons", [
+    {"D": 0.2, "d": 0.1}, {"C": math.inf, "c": 0.8}, {1: 0.2}, {None: 0.2},
+    {"D": "abc"}, {"D": "0.2"}, {"D": None}, {"P": True}, {"C": False}, {"D": 10**400},
+])
+def test_malformed_constraints_are_refused(monkeypatch, oracle_min_rate, src, cons):
+    """A key given twice, up to case, a key that is not a string and a
+    value that is not a real number are refused before any search."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("a malformed constraint reached the search")
+
+    monkeypatch.setattr(oracle, "_binary_joint_arr", no_work)
+    monkeypatch.setattr(oracle, "bisect_predicate", no_work)
     with pytest.raises(DomainError):
         oracle_min_rate(src, cons)
 
@@ -469,7 +549,7 @@ def test_h2_kernel_matches_scalar_binary_entropy():
 
 def _scalar_binary_point(b1, p1, p_a, p_b):
     """The channel statistics as first written, with the entropy module's
-    scalar functions (reference for the written-out fast path)."""
+    scalar functions: the reference ``_binary_point`` must match."""
     q0 = (1.0 - b1) * p_a + b1 * p_b
     dist = (1.0 - b1) * (1.0 - p_a) + b1 * p_b
     tv = abs(q0 - (1.0 - b1))
@@ -497,150 +577,5 @@ def test_binary_point_is_the_scalar_formula_bit_for_bit():
         for p_a, p_b in points:
             want = _scalar_binary_point(b1, src.p1, p_a, p_b)
             assert oracle._binary_point(b1, src.p1, p_a, p_b) == want
-            q0 = (1.0 - b1) * p_a + b1 * p_b
-            assert oracle._binary_hs(b1, src.p1, q0, p_b) == want[3]
     with pytest.raises(DomainError):
         oracle._binary_point(0.5, 0.1, 1.0 + 1e-9, 1.0)
-
-
-def _recording_screen(monkeypatch):
-    """Patch ``_blocked_screen`` to record what it returns; the list it
-    records into."""
-    screens = []
-    real_screen = oracle._blocked_screen
-
-    def recording_screen(*args):
-        screens.append(real_screen(*args))
-        return screens[-1]
-
-    monkeypatch.setattr(oracle, "_blocked_screen", recording_screen)
-    return screens
-
-
-def _whole_binary_fields(src, n):
-    """(info, {"D": dist, "P": tv, "C": hs}) over the whole (p_a, p_b)
-    lattice, each field one n x n array."""
-    b1 = src.b
-    axis = np.linspace(0.0, 1.0, n)
-    pa, pb = axis[:, None], axis[None, :]
-    info, hs = oracle._binary_joint_arr(b1, src.p1, pa, pb)
-    q0 = (1.0 - b1) * pa + b1 * pb
-    dist = (1.0 - b1) * (1.0 - pa) + b1 * pb
-    return info, {"D": dist, "P": np.abs(q0 - (1.0 - b1)), "C": hs}
-
-
-def _whole_binary_screen(info, fields, cons, n):
-    """(feasible_points, best tight cell, best slack cell) from the binary
-    screen as first written: one whole-lattice mask per screen and one
-    masked argmin over each."""
-    half = 0.5 * (1.0 / (n - 1))
-    slack = {"D": half + 1e-9, "P": half + 1e-9,
-             "C": 2.0 * binary_entropy(min(half, 0.5)) + 1e-9}
-    tight = np.ones((n, n), dtype=bool)
-    slackm = np.ones((n, n), dtype=bool)
-    for key, bound in cons.items():
-        tight &= fields[key] <= bound + 1e-9
-        slackm &= fields[key] <= bound + slack[key]
-
-    def argmin(mask):
-        sub = np.where(mask, info, np.inf)
-        flat = int(np.argmin(sub))
-        val = float(sub.flat[flat])
-        return (val, *divmod(flat, n)) if math.isfinite(val) else None
-
-    return int(slackm.sum()), argmin(tight), argmin(slackm)
-
-
-@functools.cache
-def _whole_binary_screens(src, n, conses):
-    """``_whole_binary_screen`` of each of ``conses`` (tuples of items),
-    computed once per case for every block size."""
-    info, fields = _whole_binary_fields(src, n)
-    return [_whole_binary_screen(info, fields, dict(cons), n) for cons in conses]
-
-
-def _check_binary_screens(monkeypatch):
-    oracle._binary_grid.cache_clear()  # the lattices are built at this block size
-    screens = _recording_screen(monkeypatch)
-    rng = np.random.default_rng(14)
-    kinds = set()
-    for _ in range(3):
-        a = rng.uniform(0.1, 0.5)
-        src = BinaryPairSource(a, a * rng.uniform(0.0, 0.9))
-        floor, top = binary_entropy(src.p1), binary_entropy(a)
-        for n in (1001, 501, 1251):
-            conses = (
-                (("D", rng.uniform(0.02, 0.4)), ("C", rng.uniform(floor, top))),
-                (("P", rng.uniform(0.005, 0.2)), ("C", rng.uniform(floor - 0.05, top))),
-                (("D", rng.uniform(0.02, 0.4)), ("P", rng.uniform(0.0, 0.1))),
-            )
-            for cons, want in zip(conses, _whole_binary_screens(src, n, conses)):
-                screens.clear()
-                got = binary_min_rate(src, dict(cons), resolution=1.0 / (n - 1),
-                                      refine=False)
-                assert got.feasible_points == want[0]
-                assert screens == [want]
-                kinds.add(want[1] is not None)
-    assert kinds == {True, False}  # feasible and infeasible tight screens both ran
-    # b = 0 (p1 = a), where D and P are constant in p_b; a = 1/2; D = 0
-    for src, conses in (
-        (BinaryPairSource(0.3, 0.3), ((("D", 0.2), ("C", 0.9)), (("P", 0.05), ("C", 0.9)),
-                                      (("D", 0.3), ("P", 0.02)))),
-        (BinaryPairSource(0.5, 0.2), ((("D", 0.2), ("C", 0.85)), (("P", 0.05), ("C", 0.9)),
-                                      (("D", 0.1), ("P", 0.03)))),
-        (SRC, ((("D", 0.0), ("C", 0.9)), (("D", 0.0), ("P", 0.05)))),
-    ):
-        for cons, want in zip(conses, _whole_binary_screens(src, 501, conses)):
-            screens.clear()
-            got = binary_min_rate(src, dict(cons), resolution=1.0 / 500, refine=False)
-            assert got.feasible_points == want[0] > 0
-            assert screens == [want]
-
-
-def test_pattern_search_asks_each_point_for_its_tangent_once():
-    asked = []
-
-    def tangent(x):
-        asked.append(x)
-        return (0.6, 0.8)
-
-    def stats_at(a, b):
-        return ((a - 0.3) ** 2 + (b - 0.7) ** 2, a + b, 0.0, 0.0)
-
-    box = ((0.0, 1.0), (0.0, 1.0))
-    fixed = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
-    rate, a, b = oracle._pattern_search((0.0, 0.0), stats_at, {"D": 1.5}, box, fixed,
-                                        tangent, 0.25)
-    assert rate < 1e-12 and len(asked) > 1
-    assert all(x != y for x, y in zip(asked, asked[1:]))  # step halvings ask none
-
-
-def test_binary_d_screen_skips_most_cells(monkeypatch):
-    screened = []
-    real_screen = oracle._blocked_screen
-
-    def counting_screen(shape, window, fields, objective):
-        def counted(rows, cols):
-            screened.append((rows.stop - rows.start) * (cols.stop - cols.start))
-            return fields(rows, cols)
-
-        return real_screen(shape, window, counted, objective)
-
-    monkeypatch.setattr(oracle, "_blocked_screen", counting_screen)
-    assert binary_min_rate(SRC, {"D": 0.2, "C": 0.7}, resolution=1e-3, refine=False).feasible
-    assert 0 < sum(screened) < 1001**2 / 2
-
-
-def test_binary_screen_equals_the_whole_array_screen(monkeypatch):
-    _check_binary_screens(monkeypatch)
-
-
-@pytest.mark.parametrize("block_rows", [1, 7])
-def test_screens_are_independent_of_the_block_size(monkeypatch, block_rows):
-    # every row (or every seventh) is a block edge, so edges and ties across
-    # blocks fall inside the feasible regions
-    monkeypatch.setattr(oracle, "_BLOCK_ROWS", block_rows)
-    try:
-        _check_binary_screens(monkeypatch)
-    finally:
-        oracle._binary_grid.cache_clear()
