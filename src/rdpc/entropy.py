@@ -69,18 +69,22 @@ def _h2_bits_arr(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
     The formula of the scalar ``binary_entropy``, with its guard: a term
     whose argument is below 1e-300 is 0, so 0 log 0 = 0 without NaN or
-    warnings. ``out``, if given, receives the result and must not be ``x``.
+    warnings. Each logarithm is taken only where its argument clears the
+    guard, so no warning state is switched per call. A NaN gives NaN, and
+    an infinite ``x`` gives NaN with numpy's invalid-value warning.
+    ``out``, if given, receives the result and must not be ``x``.
     """
     x = np.asarray(x, dtype=float)
     rest = 1.0 - x
-    out = np.empty_like(rest) if out is None else out
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0 * log2(0), zeroed below
-        np.log2(rest, out=out)
-        out *= rest
-        np.copyto(out, 0.0, where=rest < _TINY)
-        np.log2(x, out=rest)
-        rest *= x
-    np.copyto(rest, 0.0, where=x < _TINY)
+    if out is None:
+        out = np.zeros(rest.shape)
+    else:
+        out.fill(0.0)
+    np.log2(rest, out=out, where=rest >= _TINY)
+    out *= rest
+    rest.fill(0.0)
+    np.log2(x, out=rest, where=x >= _TINY)
+    rest *= x
     out += rest
     return np.negative(out, out=out)
 

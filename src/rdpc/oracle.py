@@ -14,7 +14,8 @@ cells whose bound cannot beat the best witness by 1e-5 bits are closed,
 the rest are split. The answer's witness meets each bound within
 ``_TIGHT`` (1e-9), and [rate - grid_resolution, rate] is a certified
 bracket on the minimum of the problem with every bound loosened by
-``_TIGHT``, up to float rounding, which that loosening dominates.
+``_TIGHT``, up to float rounding, which that loosening dominates. A level
+costs numpy call overhead, not arithmetic, so keep its call count low.
 
 A Gaussian reconstruction reduces to its correlation with the source,
 set by a bisection whose witness meets every bound with no slack
@@ -37,22 +38,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .entropy import (
-    _gaussian_kl,
-    _h2_bits_arr,
-    binary_convolution,
-    binary_entropy,
-    binary_entropy_inv,
-)
+from .entropy import (_gaussian_kl, _h2_bits_arr, binary_convolution, binary_entropy,
+                      binary_entropy_inv)
 from .errors import DomainError
 from .optimize import bisect_predicate
-from .results import (
-    BinaryChannel,
-    ChannelStats,
-    GaussianReconstruction,
-    OracleResult,
-    Unit,
-)
+from .results import BinaryChannel, ChannelStats, GaussianReconstruction, OracleResult, Unit
 from .sources import BinaryPairSource, GaussianPairSource
 
 _TIGHT = 1e-9
@@ -72,39 +62,49 @@ _EDGES = np.array([[[0.0, -1.0], [1.0, 0.0], [-1.0, 1.0]],
                    [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]]])
 # how far a vertex may lie outside a line and still count as on it
 _VERTEX_TOL = 1e-12
+# for the pairs i < j of 4 to 7 lines, the rows of lines.reshape(3 * count, 2, n)
+# (row c * count + l is a, b or r of line l) whose products are Cramer's terms
+# (a_i b_j, r_i b_j, a_i r_j) and (a_j b_i, r_j b_i, a_j r_i)
+_PAIR_ROWS = {
+    count: (np.stack([i, 2 * count + i, i, j, 2 * count + j, j]),
+            np.stack([count + j, count + j, 2 * count + j, count + i, count + i, 2 * count + i]))
+    for count in range(4, 8) for i, j in [np.triu_indices(count, 1)]
+}
+# _binary_joint_arr works in slices of _SLICE elements and _cell_bounds in
+# slices of _CELL_SLICE cells, which bounds their temporaries
+_SLICE, _CELL_SLICE = 2**12, 2**8
 
 
-def _binary_joint_arr(
-    b1, p1, pa: np.ndarray, pb: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _binary_joint_arr(b1, p1, pa, pb) -> tuple[np.ndarray, np.ndarray]:
     """(I(X; Xhat), H(S | Xhat)) in bits of binary channels, elementwise.
 
     The formulas of ``_binary_point`` on broadcast arrays: ``b1`` is
     P(X = 1), ``p1`` the label flip probability and (pa, pb) the channel.
-    Besides its results it allocates q0 = P(Xhat = 0) and two scratch
-    arrays.
     """
-    shape = np.broadcast_shapes(*(np.shape(v) for v in (b1, p1, pa, pb)))
-    q0 = np.add((1.0 - b1) * pa, b1 * pb, out=np.empty(shape))
+    shape = np.broadcast(b1, p1, pa, pb).shape
+    if math.prod(shape) > _SLICE:
+        flat = [np.broadcast_to(v, shape).reshape(-1) for v in (b1, p1, pa, pb)]
+        parts = zip(*(_binary_joint_arr(*(v[lo:lo + _SLICE] for v in flat))
+                      for lo in range(0, flat[0].size, _SLICE)))
+        return tuple(np.concatenate(part).reshape(shape) for part in parts)
+    # rows: the two label conditionals, q0, pa, pb and 1 - q0; one call
+    # takes the entropies of the first five
+    rows = np.empty((6, *shape))
+    rows[3], rows[4], w = pa, pb, 1.0 - b1
+    np.multiply(b1, rows[4], out=rows[0])
+    np.add(np.multiply(w, rows[3], out=rows[2]), rows[0], out=rows[2])
+    np.subtract(1.0, rows[2], out=rows[5])
+    np.multiply(np.subtract(1.0, rows[4], out=rows[1]), b1, out=rows[1])
     # each value of Xhat adds its probability times h(p1 * P(X=1 | Xhat)),
     # the backward conditional clipped to [0, 1]; (1 - q0) > 0 iff q0 < 1
-    hs, cond, term = np.zeros(shape), np.empty(shape), np.empty(shape)
-    for num, weight in ((b1 * pb, q0), (b1 * (1.0 - pb), 1.0 - q0)):
-        cond.fill(0.0)
-        np.divide(num, weight, out=cond, where=weight > 0.0)
-        np.clip(cond, 0.0, 1.0, out=cond)
-        np.subtract(1.0, cond, out=term)
-        term *= p1
-        cond *= 1.0 - p1
-        cond += term
-        _h2_bits_arr(cond, out=term)
-        term *= weight
-        hs += term
-    info = _h2_bits_arr(q0, out=cond)
-    np.add((1.0 - b1) * _h2_bits_arr(pa), b1 * _h2_bits_arr(pb), out=term)
-    info -= term
-    np.clip(info, 0.0, None, out=info)
-    return info, hs
+    weight, cond = rows[2::3], np.zeros((2, *shape))
+    np.divide(rows[:2], weight, out=cond, where=weight > 0.0)
+    np.minimum(np.maximum(cond, 0.0, out=cond), 1.0, out=cond)
+    np.add(cond * (1.0 - p1), (1.0 - cond) * p1, out=rows[:2])
+    ent = _h2_bits_arr(rows[:5])
+    ent[:2] *= weight
+    hs = (ent[0] + ent[1]) + 0.0  # as a sum from 0.0: a -0.0 becomes 0.0
+    return np.maximum(ent[2] - (w * ent[3] + b1 * ent[4]), 0.0), hs
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +137,8 @@ def binary_channel_stats(src: BinaryPairSource, ch: BinaryChannel) -> ChannelSta
     between the X and Xhat marginals, everything entropic is in bits.
     """
     info, dist, tv, hs = _binary_point(src.b, src.p1, ch.p_a, ch.p_b)
-    return ChannelStats(
-        mutual_info=info, distortion=dist, perception=tv,
-        cond_entropy_s=hs, unit=Unit.BITS,
-    )
+    return ChannelStats(mutual_info=info, distortion=dist, perception=tv, cond_entropy_s=hs,
+                        unit=Unit.BITS)
 
 
 def _normalize_constraints(constraints: Mapping[str, float]) -> dict[str, float]:
@@ -178,71 +176,82 @@ def _normalize_constraints(constraints: Mapping[str, float]) -> dict[str, float]
 
 
 def _cell_bounds(
-    b1: float, cons: Mapping[str, float], x0: np.ndarray, y0: np.ndarray, h: float,
-    hs: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    b1: float, cons: Mapping[str, float], xy: np.ndarray, h: float, hs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
     """Lower bounds on I(X; Xhat) over square cells, and where they sit.
 
-    Cell i has width ``h`` and corner A = (x0[i], y0[i]); ``hs[:, i]`` is
-    H(S | Xhat) at its corners A, B, C, B' (``_CORNERS``). The diagonal
-    A C splits it into the triangles A B C and A B' C. On each, the
-    concave H(S | Xhat) lies above its secant plane through the corners,
-    so every point that meets each bound within ``_TIGHT`` lies in the
-    polygon cut from the triangle by D, both sides of |q0 - (1 - b1)| and
-    the secant. The convex I lies above its tangent plane at the cell
+    Cell i has width ``h`` and corner A = (x0, y0) = ``xy[:, i]``;
+    ``hs[:, i]`` is H(S | Xhat) at its corners A, B, C, B' (``_CORNERS``).
+    The diagonal A C splits it into the triangles A B C and A B' C. On
+    each, the concave H(S | Xhat) lies above its secant plane through the
+    corners, so every point that meets each bound within ``_TIGHT`` lies in
+    the polygon cut from the triangle by D, both sides of |q0 - (1 - b1)|
+    and the secant. The convex I lies above its tangent plane at the cell
     centre, and the least value of that plane over the polygon, at one of
     the pairwise intersections of its at most 7 lines, is the triangle's
     bound; an empty polygon, which no such point can lie in, gives +inf.
     Returns each cell's bound, the lesser of its two, and the two
-    triangles' minimizing vertices (p_a, p_b), each of shape (2, n); an
-    empty polygon's is A.
+    triangles' minimizing vertices, indexed [p_a or p_b][triangle][cell];
+    an empty polygon's is A.
     """
-    n, w = x0.size, 1.0 - b1
+    n, w = xy.shape[1], 1.0 - b1
+    if n > _CELL_SLICE:
+        parts = [_cell_bounds(b1, cons, xy[:, lo:lo + _CELL_SLICE], h, hs[:, lo:lo + _CELL_SLICE])
+                 for lo in range(0, n, _CELL_SLICE)]
+        return tuple(np.concatenate(part, axis=-1) for part in zip(*parts))
+    count = 3 + ("D" in cons) + 2 * ("P" in cons) + ("C" in cons)
     # the lines a u + b v <= r in (u, v) = (p_a - x0, p_b - y0), shape
-    # (lines, 2, n): on axis 1, 0 is the triangle A B C and 1 is A B' C
-    lines = np.empty((3, 3 + ("D" in cons) + 2 * ("P" in cons) + ("C" in cons), 2, n))
+    # (3, lines, 2, n): on axis 2, 0 is the triangle A B C and 1 is A B' C
+    lines = np.empty((3, count, 2, n))
     lines[:, :3] = _EDGES[..., None]
     lines[2, :3] *= h
     a, b, r = lines
+    wx, by = w * xy[0], b1 * xy[1]
+    centre = np.concatenate(((wx + by)[None], xy))  # (q0, p_a, p_b) at A, then mid-cell
     k = 3
     if "D" in cons:  # D = (w - w x0 + b1 y0) - w u + b1 v
-        a[k], b[k], r[k] = -w, b1, cons["D"] + _TIGHT - (w - w * x0 + b1 * y0)
+        a[k], b[k], r[k] = -w, b1, cons["D"] + _TIGHT - ((w - wx) + by)
         k += 1
     if "P" in cons:  # q0 - (1 - b1) = shift + w u + b1 v
-        shift = w * x0 + b1 * y0 - w
+        shift = centre[0] - w
         a[k], b[k], r[k] = w, b1, cons["P"] + _TIGHT - shift
         a[k + 1], b[k + 1], r[k + 1] = -w, -b1, cons["P"] + _TIGHT + shift
         k += 2
-    if "C" in cons:
-        ha, hb, hc, hb2 = hs
-        a[k], b[k] = ((hb - ha) / h, (hc - hb2) / h), ((hc - hb) / h, (hb2 - ha) / h)
-        r[k] = cons["C"] + _TIGHT - ha
-
-    # I at the centre and its gradient, w (h'(q0) - h'(p_a)) and
-    # b1 (h'(q0) - h'(p_b)), with h'(p) = log2((1 - p) / p)
-    centre = np.stack([w * x0 + b1 * y0, x0, y0]) + 0.5 * h
+    if "C" in cons:  # a = (hb - ha, hc - hb2) / h and b = (hc - hb, hb2 - ha) / h
+        lines[:2, k] = (hs[[[1, 2], [2, 3]]] - hs[[[0, 3], [1, 0]]]) / h
+        r[k] = cons["C"] + _TIGHT - hs[0]
+    centre += 0.5 * h
+    # I at the centre and its gradient g = (w (h'(q0) - h'(p_a)),
+    # b1 (h'(q0) - h'(p_b))), with h'(p) = log2((1 - p) / p)
     ent, slope = _h2_bits_arr(centre), np.log2(1.0 - centre) - np.log2(centre)
-    info_c = ent[0] - (w * ent[1] + b1 * ent[2])
-    ga, gb = w * (slope[0] - slope[1]), b1 * (slope[0] - slope[2])
-
-    i, j = np.triu_indices(len(a), 1)
+    g = (slope[0] - slope[1:]) * np.array([[w], [b1]])
+    base = (ent[0] - (w * ent[1] + b1 * ent[2])) - 0.5 * h * (g[0] + g[1])
     # parallel lines meet nowhere, and a line at C = -inf nowhere finite
     with np.errstate(divide="ignore", invalid="ignore"):
-        det = a[i] * b[j] - a[j] * b[i]
-        u = (r[i] * b[j] - r[j] * b[i]) / det
-        v = (a[i] * r[j] - a[j] * r[i]) / det
-        inside = np.isfinite(u) & np.isfinite(v)
-        r += _VERTEX_TOL
-        for ak, bk, rk in zip(a, b, r):
-            inside &= ak * u + bk * v <= rk
-        plane = np.where(inside, ga * u + gb * v, np.inf).reshape(len(i), 2 * n)
-    best, cols = np.argmin(plane, axis=0), np.arange(2 * n)
-    least = plane[best, cols].reshape(2, n)
-    found = np.isfinite(least)
-    pa = x0 + np.where(found, u.reshape(len(i), -1)[best, cols].reshape(2, n), 0.0)
-    pb = y0 + np.where(found, v.reshape(len(i), -1)[best, cols].reshape(2, n), 0.0)
-    bound = (info_c - 0.5 * h * (ga + gb)) + least
-    return bound.min(axis=0), np.clip(pa, 0.0, 1.0), np.clip(pb, 0.0, 1.0)
+        flat = lines.reshape(3 * count, 2, n)
+        prod = flat[_PAIR_ROWS[count][0]]
+        prod *= flat[_PAIR_ROWS[count][1]]
+        # (det, u det, v det) by Cramer's rule, then (det, u, v)
+        np.subtract(prod[:3], prod[3:], out=prod[:3])
+        uv, term = prod[1:3], prod[3:5]
+        np.divide(uv, prod[0], out=uv)
+        # a u + b v <= r + _VERTEX_TOL, indexed [line][pair][triangle][cell]
+        side = lines[:2, :, None] * uv[:, None]
+        np.add(side[0], side[1], out=side[0])
+        inside = np.logical_and.reduce(np.concatenate(
+            (np.isfinite(uv), side[0] <= r[:, None] + _VERTEX_TOL)))
+        # in the place of det, g . (u, v) at the vertices inside, else +inf
+        plane = prod[0]
+        plane.fill(np.inf)
+        np.multiply(g[:, None, None], uv, out=term)
+        np.add(term[0], term[1], out=plane, where=inside)
+    # the least plane value, with its vertex (u, v), by triangle and cell
+    picked = prod[:3].reshape(3, -1, 2 * n)[:, plane.reshape(-1, 2 * n).argmin(axis=0),
+                                            np.arange(2 * n)]
+    vert = np.where(np.isfinite(picked[0]), picked[1:], 0.0).reshape(2, 2, n) + xy[:, None]
+    bound = base + picked[0].reshape(2, n)
+    return (np.minimum(bound[0], bound[1]),
+            np.minimum(np.maximum(vert, 0.0, out=vert), 1.0, out=vert))
 
 
 def binary_min_rate(
@@ -273,49 +282,52 @@ def binary_min_rate(
     Where no witness is found the result is infeasible (rate NaN, no
     argmin): ``grid_resolution`` is 0 when every cell was excluded, and
     +inf when the budget ran out first. A bad bound raises
-    ``DomainError``, as does a ``resolution`` outside [1e-4, 1e-1];
-    ``resolution``, ``refine`` and ``workers`` are accepted and have no
-    effect.
+    ``DomainError``, as does a ``resolution`` that is not a real number in
+    [1e-4, 1e-1]; ``resolution``, ``refine`` and ``workers`` are accepted
+    and have no effect.
     """
-    if not 1e-4 <= resolution <= 1e-1:
-        raise DomainError(f"resolution {resolution} outside [1e-4, 1e-1]")
+    # a bool is a real number, but neither True nor False is in range
+    if not isinstance(resolution, numbers.Real) or not 1e-4 <= resolution <= 1e-1:
+        raise DomainError(f"resolution {resolution!r} is not a real number in [1e-4, 1e-1]")
     cons = _normalize_constraints(constraints)
     b1, p1, w = src.b, src.p1, 1.0 - src.b
     h = 1.0 / 8.0
-    x0, y0 = np.repeat(np.arange(8.0) * h, 8), np.tile(np.arange(8.0) * h, 8)
-    parent = np.full(x0.size, -np.inf)  # a bound on each open cell, from its parent
-    best, argmin, lower, cells = math.inf, None, math.inf, 0
-    while x0.size and cells + x0.size <= _CELL_BUDGET:
-        cells += x0.size
-        corner_a, corner_b = x0 + h * _CORNERS[0][:, None], y0 + h * _CORNERS[1][:, None]
-        info, hs = _binary_joint_arr(b1, p1, corner_a, corner_b)
-        bound, va, vb = _cell_bounds(b1, cons, x0, y0, h, hs)
-        vinfo, vhs = _binary_joint_arr(b1, p1, va, vb)
-        pa, pb, info, hs = (np.concatenate([c.ravel(), v.ravel()]) for c, v in
-                            ((corner_a, va), (corner_b, vb), (info, vinfo), (hs, vhs)))
+    # the cells' corners A, as rows x0 and y0
+    xy = np.array([np.repeat(np.arange(8.0) * h, 8), np.tile(np.arange(8.0) * h, 8)])
+    offset = h * _CORNERS[..., None]
+    # parent is the least bound among the open cells
+    best, argmin, lower, parent, cells = math.inf, None, math.inf, -math.inf, 0
+    while xy.shape[1] and cells + xy.shape[1] <= _CELL_BUDGET:
+        cells += xy.shape[1]
+        corners = xy[:, None] + offset
+        info, hs = _binary_joint_arr(b1, p1, corners[0], corners[1])
+        bound, vert = _cell_bounds(b1, cons, xy, h, hs)
+        vinfo, vhs = _binary_joint_arr(b1, p1, vert[0], vert[1])
+        pa, pb = np.concatenate((corners, vert), axis=1).reshape(2, -1)
+        info, hs = np.concatenate((info, vinfo)).ravel(), np.concatenate((hs, vhs)).ravel()
         # each bound met within _TIGHT, in the arithmetic of _binary_point
-        met = np.ones(pa.size, dtype=bool)
+        met, bpb = np.ones(pa.size, dtype=bool), b1 * pb
         if "D" in cons:
-            met &= (w * (1.0 - pa) + b1 * pb) - cons["D"] <= _TIGHT
+            met &= (w * (1.0 - pa) + bpb) - cons["D"] <= _TIGHT
         if "P" in cons:
-            met &= np.abs((w * pa + b1 * pb) - w) - cons["P"] <= _TIGHT
+            met &= np.abs((w * pa + bpb) - w) - cons["P"] <= _TIGHT
         if "C" in cons:
             met &= hs - cons["C"] <= _TIGHT
         value = np.where(met, info, np.inf)
-        k = int(np.argmin(value))
+        k = value.argmin()
         if value[k] < best:
             best, argmin = float(value[k]), (float(pa[k]), float(pb[k]))
         closed = bound >= best - _GAP
-        lower = min(lower, float(bound[closed].min(initial=np.inf)))
-        h *= 0.5
-        x0, y0, parent = x0[~closed], y0[~closed], bound[~closed]
-        x0, y0 = (x0 + h * _CORNERS[0][:, None]).ravel(), (y0 + h * _CORNERS[1][:, None]).ravel()
-        parent = np.tile(parent, 4)
-    lower = min(lower, float(parent.min(initial=np.inf)))  # cells left open by the budget
+        lower = min(lower, float(np.minimum.reduce(bound, where=closed, initial=np.inf)))
+        h, kept = 0.5 * h, ~closed
+        parent = float(np.minimum.reduce(bound, where=kept, initial=np.inf))
+        offset = h * _CORNERS[..., None]
+        xy = (xy[:, None, kept] + offset).reshape(2, -1)
+    lower = min(lower, parent)  # cells left open by the budget
     result = partial(OracleResult, unit=Unit.BITS, refined=False, constraints=cons)
     if argmin is None:
         return result(rate=math.nan, argmin=None, feasible_points=0,
-                      grid_resolution=0.0 if x0.size == 0 else math.inf)
+                      grid_resolution=0.0 if xy.shape[1] == 0 else math.inf)
     ch = BinaryChannel(*argmin)
     rate = binary_channel_stats(src, ch).mutual_info
     return result(rate=rate, argmin=ch, grid_resolution=rate - lower, feasible_points=1)

@@ -147,6 +147,20 @@ def test_binary_oracle_validates_inputs():
         binary_min_rate(SRC, {"Q": 0.2}, resolution=2e-3)
 
 
+@pytest.mark.parametrize("resolution", [
+    0.5, 1e-5, math.nan, math.inf, "x", None, True, False, "1e-3", 1e-3 + 0j,
+])
+def test_binary_oracle_refuses_a_bad_resolution(monkeypatch, resolution):
+    """A resolution outside [1e-4, 1e-1], or one that is not a real number
+    (bools included), is refused before any search."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("a bad resolution reached the search")
+
+    monkeypatch.setattr(oracle, "_binary_joint_arr", no_work)
+    with pytest.raises(DomainError):
+        binary_min_rate(SRC, {"D": 0.2}, resolution=resolution)
+
+
 TIGHT = 1e-9  # the oracles' constraint tolerance
 
 
@@ -175,7 +189,7 @@ def test_cell_bound_is_below_every_point_that_meets_the_bounds(src, depth, fx, f
     column = {"D": 1, "P": 2, "C": 3}
     cons = {k: float(np.quantile(stats[:, column[k]], share))
             for k, share in zip(keys, shares)}
-    bound = oracle._cell_bounds(b1, cons, x0, y0, h, corners)[0][0]
+    bound = oracle._cell_bounds(b1, cons, np.array([x0, y0]), h, corners)[0][0]
     met = np.logical_and.reduce([stats[:, column[k]] - v <= TIGHT for k, v in cons.items()])
     assert (stats[met, 0] >= bound - 1e-12).all()
 
@@ -229,6 +243,54 @@ def test_a_search_cut_short_by_its_budget_says_so(monkeypatch):
     dead = binary_min_rate(SRC, {"D": 0.3, "C": 0.6})
     assert not dead.feasible and dead.feasible_points == 0
     assert dead.grid_resolution == math.inf
+
+
+SKEW = BinaryPairSource(a=0.45, p1=0.2)
+
+
+# float.hex of rate, argmin (p_a, p_b) and grid_resolution, and
+# feasible_points, as the search at commit 56f7862 gave them; a faster
+# search must give the same bits
+@pytest.mark.parametrize("src, cons, budget, want", [
+    (SRC, {"D": 0.3, "C": 0.6}, None,
+     ("0x1.f929f2ea35a56p-2", "0x1.f7a2000000000p-1", "0x1.73b0000000000p-3",
+      "0x1.173a1ed760000p-19", 1)),
+    (SRC, {"P": 0.01, "C": 0.65}, None,
+     ("0x1.9afa2ecb2eee6p-2", "0x1.e604000000000p-1", "0x1.89ac000000000p-3",
+      "0x1.ffc0aea9c0000p-18", 1)),
+    (SRC, {"D": 0.25, "P": 0.02, "C": 0.65}, None,
+     ("0x1.996d8096d3c5bp-2", "0x1.e9d4000000000p-1", "0x1.adb8000000000p-3",
+      "0x1.aae13b7970000p-18", 1)),
+    (SRC, {"D": 0.2}, None,
+     ("0x1.6dfa95ae3ac74p-4", "0x1.f4b3332205274p-1", "0x1.77b3332205274p-1",
+      "0x1.006f59baac000p-18", 1)),
+    (SRC, {"C": 0.7}, None,
+     ("0x1.39d85f3cb7fcap-2", "0x1.b280000000000p-6", "0x1.4422000000000p-1",
+      "0x1.bbb0d66180000p-21", 1)),
+    (SRC, {"P": 0.0, "C": 0.6}, None,
+     ("0x1.fe6eecc8c6161p-2", "0x1.eba2800000000p-1", "0x1.e8c8000000000p-4",
+      "0x1.10619df480000p-20", 1)),
+    (SKEW, {"D": 0.1, "C": 0.9}, None,
+     ("0x1.05914623a1ddcp-1", "0x1.dd15f1505c305p-1", "0x1.2800000000000p-3",
+      "0x1.4efc23da00000p-17", 1)),
+    (SKEW, {"P": 0.02, "C": 0.88}, None,
+     ("0x1.563ab43ebcfa8p-2", "0x1.c038000000000p-1", "0x1.c720000000000p-3",
+      "0x1.bd41fd0390000p-18", 1)),
+    (SRC, {"D": 0.2, "C": -math.inf}, None, ("nan", None, None, "0x0.0p+0", 0)),
+    (SRC, {"C": 0.4}, None, ("nan", None, None, "0x0.0p+0", 0)),  # every cell excluded
+    (SRC, {"D": 0.3, "C": 0.6}, 64 + 256,
+     ("0x1.f93b9e4f11c43p-2", "0x1.f700000000000p-1", "0x1.6c00000000000p-3",
+      "0x1.70021e18a2000p-14", 1)),
+    (SRC, {"D": 0.3, "C": 0.6}, 63, ("nan", None, None, "inf", 0)),
+])
+def test_binary_oracle_answers_keep_their_bits(monkeypatch, src, cons, budget, want):
+    if budget is not None:
+        monkeypatch.setattr(oracle, "_CELL_BUDGET", budget)
+    got = binary_min_rate(src, cons)
+    p_a, p_b = (None, None) if got.argmin is None else (
+        float.hex(got.argmin.p_a), float.hex(got.argmin.p_b))
+    assert (float.hex(got.rate), p_a, p_b, float.hex(got.grid_resolution),
+            got.feasible_points) == want
 
 
 # ---------------------------------------------------------------------------
@@ -579,3 +641,52 @@ def test_binary_point_is_the_scalar_formula_bit_for_bit():
             assert oracle._binary_point(b1, src.p1, p_a, p_b) == want
     with pytest.raises(DomainError):
         oracle._binary_point(0.5, 0.1, 1.0 + 1e-9, 1.0)
+
+
+def _sources_and_channels(rng, n, scalar_source):
+    """(b1, p1, pa, pb) for n channels, the first four the corners of the
+    square; one source for all of them, or one source each."""
+    pa, pb = rng.uniform(0.0, 1.0, (2, n))
+    pa[:4], pb[:4] = (0.0, 1.0, 0.0, 1.0), (0.0, 0.0, 1.0, 1.0)
+    if scalar_source:
+        return SRC.b, SRC.p1, pa, pb
+    a = rng.uniform(0.02, 0.5, n)
+    p1 = a * rng.uniform(0.0, 0.95, n)
+    return (a - p1) / (1.0 - 2.0 * p1), p1, pa, pb
+
+
+@pytest.mark.parametrize("scalar_source", [True, False])
+def test_joint_kernel_gives_the_same_bits_whole_and_sliced(scalar_source):
+    """Just above the slice length the kernel works in two slices: their
+    bits are those of pieces that each fit in one, and of a 2-D call."""
+    n = oracle._SLICE + 4
+    b1, p1, pa, pb = _sources_and_channels(np.random.default_rng(21), n, scalar_source)
+    info, hs = oracle._binary_joint_arr(b1, p1, pa, pb)
+    assert info.shape == hs.shape == (n,)
+    cuts = [0, 5, oracle._SLICE - 1, n]
+    part = (lambda v, lo, hi: v) if scalar_source else (lambda v, lo, hi: v[lo:hi])
+    pieces = [oracle._binary_joint_arr(part(b1, lo, hi), part(p1, lo, hi), pa[lo:hi], pb[lo:hi])
+              for lo, hi in zip(cuts, cuts[1:])]
+    for whole, cut in zip((info, hs), zip(*pieces)):
+        assert whole.tobytes() == np.concatenate(cut).tobytes()
+    shaped = (lambda v: v) if scalar_source else (lambda v: v.reshape(2, -1))
+    grid = oracle._binary_joint_arr(shaped(b1), shaped(p1), pa.reshape(2, -1), pb.reshape(2, -1))
+    assert grid[0].shape == (2, n // 2)
+    assert grid[0].tobytes() == info.tobytes() and grid[1].tobytes() == hs.tobytes()
+    # the scalar formula, within the tolerance of verify's mgl suite
+    for i in list(range(8)) + list(range(8, n, 61)):
+        src = (b1, p1) if scalar_source else (b1[i], p1[i])
+        want = oracle._binary_point(*src, pa[i], pb[i])
+        assert abs(info[i] - want[0]) <= 1e-12 and abs(hs[i] - want[3]) <= 1e-12
+    # where both terms of H(S | Xhat) are -0.0, their sum from 0.0 is +0.0
+    clean = BinaryPairSource(0.3, 0.0)
+    corners = oracle._binary_joint_arr(clean.b, 0.0, pa[:4], pb[:4])[1]
+    want = [oracle._binary_point(clean.b, 0.0, *ch)[3] for ch in zip(pa[:4], pb[:4])]
+    assert corners.tobytes() == np.array(want).tobytes()
+
+
+def test_joint_kernel_temporaries_stay_small():
+    # verify's mgl suite passes 100,000 channels: the 0.8 MB results and
+    # the slices' temporaries, not a dozen full-size scratch arrays
+    args = _sources_and_channels(np.random.default_rng(22), 100_000, False)
+    assert _traced_peak(lambda: oracle._binary_joint_arr(*args)) <= 8 * 2**20
