@@ -35,10 +35,11 @@ def bisect_root(
     """Root of ``f`` on ``[lo, hi]`` by bisection.
 
     Requires a sign change (an endpoint value of exactly 0 is accepted).
-    Bisection is deliberately preferred over faster derivative-based
-    methods: several of our targets (binary entropy near 0, the conditional
-    entropy along a zero-divergence line) have unbounded slope at one end
-    of the bracket.
+    Bisection needs no derivative, which suits targets whose slope is
+    unbounded at one end of the bracket, such as the conditional entropy
+    along a zero-divergence line. The binary entropy near 0 is another,
+    but ``entropy.binary_entropy_inv`` does not bisect it: it gets this
+    bisection's answer from a Newton estimate and a certificate.
     """
     flo = f(lo)
     fhi = f(hi)

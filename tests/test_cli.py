@@ -156,6 +156,14 @@ def test_import_loads_no_scipy_integrate_or_special():
     assert out.split() == ["[]", "False", "False"]
 
 
+def test_python_m_rdpc_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(rdpc.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-m", "rdpc", "--version"], capture_output=True,
+                         text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == rdpc.__version__
+
+
 def test_surface_csv_schema_and_order(capsys):
     code, out, _ = run(capsys, "surface", "--family", "rdc-binary",
                        "--a", "0.3", "--p1", "0.1",

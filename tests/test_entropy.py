@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,30 @@ def _bisect_root_inverse(h):
     return bisect_root(lambda p: binary_entropy(p) - h, 0.0, 0.5, xtol=1e-14)
 
 
+def _grid_and_half_entropies(rng, entropy_of):
+    """Entropies that test the certificate and its fallback, by the array
+    entropy ``entropy_of``: H at random multiples k 2**-46 of the
+    bisection's last bracket width (there F is 0 or within rounding of it)
+    with their float neighbours, and H of points near 1/2, where H is too
+    flat to certify."""
+    grid = entropy_of(rng.integers(1, 2**45, 700) * 2.0**-46)
+    half = entropy_of(0.5 - 10.0 ** -rng.uniform(1.0, 8.0, 300))
+    return np.concatenate([grid, np.nextafter(grid, 0.0), np.nextafter(grid, 1.0), half])
+
+
+def _margin_refused_entropies(rng, entropy_of):
+    """Entropies whose roots only the certificate's margin refuses, by the
+    array entropy ``entropy_of``: where two steps of W = 2**-46 move H by
+    less than the margin, and, a little steeper, where one step does and
+    the root sits a float away from a multiple of W, on either side."""
+    on_grid = entropy_of(rng.integers(0.46 / 2**-46, 0.47 / 2**-46, 500) * 2.0**-46)
+    return {
+        "too flat": entropy_of(rng.uniform(0.48, 0.49, 500)),
+        "below a grid point": np.nextafter(on_grid, 0.0),
+        "above a grid point": np.nextafter(on_grid, 1.0),
+    }
+
+
 def test_inverse_is_bit_identical_to_bisect_root():
     rng = np.random.default_rng(20261018)
     hs = np.concatenate([
@@ -68,9 +93,21 @@ def test_inverse_is_bit_identical_to_bisect_root():
         10.0 ** rng.uniform(-300.0, 0.0, 2000),
         1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 2000),
         [0.0, 1.0, 5e-324, 1.0 - 1e-16],
+        _grid_and_half_entropies(rng, np.vectorize(binary_entropy)),
     ])
     for h in hs.tolist():
         assert binary_entropy_inv(h) == _bisect_root_inverse(h), h
+
+
+def test_inverse_certificate_refuses_what_only_its_margin_can(monkeypatch):
+    fallback, calls = entropy._bisect_inv, []
+    monkeypatch.setattr(entropy, "_bisect_inv", lambda h: calls.append(h) or fallback(h))
+    rng = np.random.default_rng(20261021)
+    for kind, hs in _margin_refused_entropies(rng, np.vectorize(binary_entropy)).items():
+        del calls[:]
+        for h in hs.tolist():
+            assert binary_entropy_inv.__wrapped__(h) == _bisect_root_inverse(h), h
+        assert len(calls) == hs.size, kind
 
 
 @pytest.mark.parametrize("h", [5e-324, 1e-320, 1e-310])
@@ -108,6 +145,73 @@ def test_array_inverse_follows_the_scalar_bisection():
     got = entropy._binary_entropy_inv_arr(near_one)
     want = np.array([binary_entropy_inv(h) for h in near_one.tolist()])
     assert np.max(np.abs(entropy._h2_bits_arr(got) - entropy._h2_bits_arr(want))) <= 1e-15
+
+
+def _lockstep_bisection(h):
+    """The array inverse as the 46-step bisection in lockstep that it
+    replaces, with numpy's log2: the reference its answers must equal."""
+    lo, hi = np.zeros_like(h), np.full_like(h, 0.5)
+    for step in range(200):
+        mid = 0.5 * (lo + hi)
+        if 0.5 ** (step + 2) < 1e-14:
+            break
+        rest = 1.0 - mid
+        fmid = -(mid * np.log2(mid)) - rest * np.log2(rest) - h
+        up = fmid > 0.0
+        hi = np.where(up | (fmid == 0.0), mid, hi)
+        lo = np.where(up, lo, mid)
+    return np.where(h == 0.0, 0.0, np.where(h == 1.0, 0.5, mid))
+
+
+def test_array_inverse_is_bit_identical_to_the_lockstep_bisection(monkeypatch):
+    fallback = entropy._bisect_inv_arr
+    sizes = []
+
+    def counted(h):
+        sizes.append(h.size)
+        return fallback(h)
+
+    monkeypatch.setattr(entropy, "_bisect_inv_arr", counted)
+    rng = np.random.default_rng(20261020)
+    kinds = {
+        "uniform": rng.uniform(0.0, 1.0, 30_000),
+        "log-uniform": 10.0 ** rng.uniform(-300.0, 0.0, 10_000),
+        "near 1": 1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 2000),
+        "subnormal": rng.uniform(0.0, 2.0**-1022, 1000),
+        "grid and near 1/2": _grid_and_half_entropies(rng, entropy._h2_bits_arr),
+    }
+    refused = _margin_refused_entropies(rng, entropy._h2_bits_arr)
+    kinds |= refused
+    fell_back = {}
+    for kind, hs in kinds.items():
+        del sizes[:]
+        got = entropy._binary_entropy_inv_arr(hs.reshape(2, -1))
+        assert got.shape == (2, hs.size // 2)
+        assert np.array_equal(got.ravel(), _lockstep_bisection(hs)), kind
+        fell_back[kind] = sum(sizes)
+    total = sum(hs.size for hs in kinds.values())
+    assert 0 < sum(fell_back.values()) < total / 2, fell_back
+    assert fell_back["uniform"] < 0.02 * kinds["uniform"].size
+    assert fell_back["log-uniform"] < 0.02 * kinds["log-uniform"].size
+    assert all(fell_back[kind] == hs.size for kind, hs in refused.items()), fell_back
+    for h in (0.0, 1.0, 5e-324, 0.3, 1.0 - 1e-16):
+        got = entropy._binary_entropy_inv_arr(np.float64(h))
+        assert got.shape == () and got == _lockstep_bisection(np.array(h)), h
+    for empty in (np.zeros(0), np.zeros((0, 3))):
+        assert entropy._binary_entropy_inv_arr(empty).shape == empty.shape
+
+
+def test_array_inverse_memory_stays_flat():
+    # the 46-step bisection held about 5.6 MiB for 100k elements; the
+    # certified inverse works in slices and must not need more than 6 MiB
+    hs = np.random.default_rng(3).uniform(0.0, 1.0, 100_000)
+    tracemalloc.start()
+    try:
+        entropy._binary_entropy_inv_arr(hs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
 
 
 @pytest.mark.parametrize("h", [math.nan, -0.01, 1.01, -math.inf, math.inf])
