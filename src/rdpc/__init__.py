@@ -50,6 +50,7 @@ from .restoration import (
     kl_of_gain,
     kl_of_gains,
     monte_carlo_mse,
+    monte_carlo_mses,
     mse_of_gain,
     scaled_mixture,
     sweep,

@@ -459,6 +459,21 @@ def _lift(fn: Callable | None, name: str) -> Callable | None:
 _PROBE_ROWS = 16
 
 
+def _probe_grid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Row r holds 4097 points from lo[r] to hi[r], with the bits of
+    ``np.ascontiguousarray(np.linspace(lo, hi, 4097, axis=-1))``: linspace's
+    own arithmetic, arange(4097) * step + lo with the last point set to hi,
+    built row-major instead of moved and copied. Where a step is 0,
+    linspace divides before it scales, so that case is linspace itself."""
+    step = (hi - lo) / 4096
+    if np.any(step == 0):
+        return np.ascontiguousarray(np.linspace(lo, hi, 4097, axis=-1))
+    grid = np.arange(4097.0) * step[:, None]
+    grid += lo[:, None]
+    grid[:, -1] = hi
+    return grid
+
+
 def _numeric_kl_rows(
     p: Callable,
     q: Callable,
@@ -492,7 +507,7 @@ def _numeric_kl_rows(
     out = np.zeros(lo.size)
     for start in range(0, lo.size, _PROBE_ROWS):
         rows = np.arange(start, min(start + _PROBE_ROWS, lo.size))
-        grid = np.ascontiguousarray(np.linspace(lo[rows], hi[rows], 4097, axis=-1))
+        grid = _probe_grid(lo[rows], hi[rows])
         p_vals, q_vals = p(grid, rows[:, None]), q(grid, rows[:, None])
         if not (np.all(p_vals >= 0.0) and np.all(q_vals >= 0.0)):  # NaN fails too
             raise DomainError("densities must be nonnegative numbers")
@@ -519,15 +534,20 @@ def _numeric_kl_rows(
         def divergence(x: np.ndarray, r: np.ndarray) -> np.ndarray:
             # p counts as 0 below 1e-300; the errstate covers the 0 * inf and
             # log(0) discarded there, and an overflowing p / q, which
-            # _integrate reports as a non-finite integrand
+            # _integrate reports as a non-finite integrand. log_ratio is an
+            # array made here, so it is worked in place; what the densities
+            # return is never written.
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 if log_p is not None and log_q is not None:
                     lp = log_p(x, r)
                     p_x, log_ratio = np.exp(lp), lp - log_q(x, r)
                 else:
                     p_x = p(x, r)
-                    log_ratio = np.log(p_x / np.maximum(q(x, r), 5e-324))
-                return np.where(p_x < _TINY, 0.0, p_x * log_ratio)
+                    log_ratio = np.maximum(q(x, r), 5e-324)
+                    np.log(np.divide(p_x, log_ratio, out=log_ratio), out=log_ratio)
+                log_ratio *= p_x
+                log_ratio[p_x < _TINY] = 0.0
+                return log_ratio
 
         # one run for three integrals per row: p's mass, q's mass and the
         # divergence over the truncated range (integral k of row i is

@@ -79,12 +79,15 @@ def bayes_threshold_clean(mixture: GaussianMixture2) -> float:
 
     Closed form for equal variances, otherwise a bisection on the density
     difference over the segment between the means. Components with equal
-    means have no threshold (domain error); unequal-variance pairs whose
-    densities do not cross between the means raise ``NoCrossingError``.
+    means have no threshold, nor has a component with zero weight (domain
+    errors); unequal-variance pairs whose densities do not cross between
+    the means raise ``NoCrossingError``.
     """
     m1, m2 = mixture.m1, mixture.m2
     if m1 == m2:
         raise DomainError("components share a mean; no threshold between them")
+    if mixture.w1 == 0.0 or mixture.w2 == 0.0:
+        raise DomainError("a component has zero weight; no threshold between them")
     if mixture.v1 == mixture.v2:
         return 0.5 * (m1 + m2) + mixture.v1 * math.log(mixture.w1 / mixture.w2) / (
             m2 - m1
@@ -375,32 +378,45 @@ def frontier(
     ]
 
 
-def monte_carlo_mse(
-    model: RestorationModel, a: float, n: int, seed: int = 0
-) -> tuple[float, float]:
-    """Sample estimate of the restoration MSE and its standard error.
+def monte_carlo_mses(
+    model: RestorationModel, gains: Sequence[float], n: int, seed: int = 0
+) -> list[tuple[float, float]]:
+    """Sample estimates of the restoration MSE and their standard errors,
+    one (estimate, standard error) pair per gain, all from one draw.
 
-    Chunked so 10^7 samples stay inside a modest memory budget; fully
-    determined by the seed. Each chunk is computed in two reused float
-    buffers, in the same draw and operation order as the expression
-    ``(x - a*(x + noise))**2`` with ``x = where(pick1, m1 + s1*z, m2 + s2*z)``
-    and ``noise = sigma_n * normal``, so the result is that expression's.
-    A non-finite gain, a sample count that is not an integer of at least 2
-    and a seed that is not a nonnegative integer (a bool included) raise
-    ``DomainError``.
+    Each gain's pair is the one ``monte_carlo_mse`` gives it alone: the
+    sample is chunked (10^6 per chunk) so 10^7 samples stay inside a
+    modest memory budget, and is fully determined by the seed. Per chunk
+    the labels and the clean signal x = where(pick1, m1 + s1*z, m2 + s2*z)
+    are drawn once; each gain then restores the generator's state after
+    that draw and replays the noise draw, so every gain sees the noise
+    ``sigma_n * normal`` that a draw of its own would have given. The
+    chunk lives in two reused float buffers and one bool buffer whatever
+    the number of gains, and each gain's error is worked in place in the
+    same operation order as ``(x - a*(x + noise))**2``, so its result is
+    that expression's.
+
+    Every argument is checked before any draw: a non-finite gain anywhere,
+    a sample count that is not an integer of at least 2 and a seed that is
+    not a nonnegative integer (a bool included) raise ``DomainError``.
+    With no gains nothing is drawn and the result is empty.
     """
-    _check_gain(a)
+    gains = list(gains)
+    for a in gains:
+        _check_gain(a)
     if not isinstance(n, (int, np.integer)) or n <= 1:
         raise DomainError(f"need an integer number of at least 2 samples: {n!r}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DomainError(f"seed must be a nonnegative integer: {seed!r}")
+    if not gains:
+        return []
     mix = model.mixture
     s1, s2 = math.sqrt(mix.v1), math.sqrt(mix.v2)
     rng = np.random.default_rng(seed)
     size = min(n, 1_000_000)
     buf_u, buf_x, buf_pick = np.empty(size), np.empty(size), np.empty(size, bool)
-    total = 0.0
-    total_sq = 0.0
+    total = [0.0] * len(gains)
+    total_sq = [0.0] * len(gains)
     remaining = n
     while remaining > 0:
         m = min(remaining, size)
@@ -412,15 +428,31 @@ def monte_carlo_mse(
         x *= s2
         x += mix.m2
         np.copyto(x, u, where=pick1)
-        rng.standard_normal(out=u)
-        u *= model.sigma_n  # noise
-        u += x
-        u *= a
-        np.subtract(x, u, out=u)
-        u *= u  # err
-        total += float(u.sum())
-        total_sq += float(np.multiply(u, u, out=x).sum())
+        drawn = rng.bit_generator.state
+        for k, a in enumerate(gains):
+            if k:
+                rng.bit_generator.state = drawn
+            rng.standard_normal(out=u)
+            u *= model.sigma_n  # noise
+            u += x
+            u *= a
+            np.subtract(x, u, out=u)
+            u *= u  # err
+            total[k] += float(u.sum())
+            u *= u  # err * err
+            total_sq[k] += float(u.sum())
         remaining -= m
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0)
-    return mean, math.sqrt(var / n)
+    out = []
+    for t, t_sq in zip(total, total_sq):
+        mean = t / n
+        var = max(t_sq / n - mean * mean, 0.0)
+        out.append((mean, math.sqrt(var / n)))
+    return out
+
+
+def monte_carlo_mse(
+    model: RestorationModel, a: float, n: int, seed: int = 0
+) -> tuple[float, float]:
+    """Sample estimate of the restoration MSE at one gain and its standard
+    error: the one-gain call of ``monte_carlo_mses``, with its checks."""
+    return monte_carlo_mses(model, [a], n, seed)[0]

@@ -58,7 +58,7 @@ from .restoration import (
     error_rate_of_gain,
     error_rate_reoptimized,
     frontier,
-    monte_carlo_mse,
+    monte_carlo_mses,
     mse_of_gain,
     sweep,
 )
@@ -433,8 +433,8 @@ def _suite_restoration(seed: int) -> _Recorder:
     control = [error_rate_reoptimized(model, a) for a in grid]
     rec.worst("reoptimized_control_spread", max(control) - min(control), 1e-9)
 
-    for a in (0.5, float(rng.uniform(0.3, 1.2))):
-        est, se = monte_carlo_mse(model, a, 1_000_000, seed=seed)
+    gains = (0.5, float(rng.uniform(0.3, 1.2)))
+    for a, (est, se) in zip(gains, monte_carlo_mses(model, gains, 1_000_000, seed=seed)):
         rec.worst(
             "monte_carlo_sigmas",
             abs(est - mse_of_gain(model, a)) / se, 4.0,

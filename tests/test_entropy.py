@@ -460,3 +460,16 @@ def test_domain_rejections():
         gaussian_diff_entropy(0.0)
     with pytest.raises(DomainError):
         gaussian_kl(0.0, -1.0, 0.0, 1.0)
+
+
+def test_probe_grid_has_the_bits_of_linspace():
+    rng = np.random.default_rng(23)
+    lo = rng.normal(0.0, 50.0, 40) * 10.0 ** rng.integers(-3, 4, 40)
+    hi = lo + rng.uniform(1e-9, 200.0, 40)
+    # the second pair's step underflows to 0, where linspace divides first
+    for lo_r, hi_r in ((lo, hi), (np.array([0.0, 1.0]), np.array([1e-320, 2.0]))):
+        got = entropy._probe_grid(lo_r, hi_r)
+        want = np.ascontiguousarray(np.linspace(lo_r, hi_r, 4097, axis=-1))
+        assert got.flags.c_contiguous and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert (1e-320 - 0.0) / 4096 == 0.0

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from rdpc import (
     kl_of_gain,
     kl_of_gains,
     monte_carlo_mse,
+    monte_carlo_mses,
     mse_of_gain,
     scaled_mixture,
     sweep,
@@ -40,6 +42,17 @@ def test_clean_bayes_threshold():
 def test_symmetric_mixture_threshold_is_zero():
     mix = GaussianMixture2(w1=0.5, w2=0.5, m1=-1.0, m2=1.0, v1=1.0, v2=1.0)
     assert bayes_threshold_clean(mix) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("v2", [1.0, 2.0])
+@pytest.mark.parametrize("w1", [0.0, 1.0])
+def test_zero_weight_component_has_no_threshold(w1, v2):
+    # a component with no weight has no density to cross, whatever the variances
+    mix = GaussianMixture2(w1, 1.0 - w1, -1.0, 1.0, 1.0, v2)
+    with pytest.raises(DomainError, match="zero weight"):
+        bayes_threshold_clean(mix)
+    with pytest.raises(DomainError, match="zero weight"):
+        error_rate_reoptimized(RestorationModel(mix, 1.0, 0.0), 0.7)
 
 
 def test_mse_formula():
@@ -213,9 +226,13 @@ def test_non_finite_gain_is_refused(entry, a):
     lambda: monte_carlo_mse(MODEL, 0.7, 2.5),
     lambda: monte_carlo_mse(MODEL, 0.7, 100, seed=-1),
     lambda: monte_carlo_mse(MODEL, 0.7, 100, seed=0.5),
+    lambda: monte_carlo_mses(MODEL, [math.nan, 0.5, 0.8], 100),
+    lambda: monte_carlo_mses(MODEL, [0.5, math.inf, 0.8], 100),
+    lambda: monte_carlo_mses(MODEL, [0.5, 0.8, -math.inf], 100),
     lambda: error_rate_of_gain(MODEL, 0.7, threshold=math.nan),
 ], ids=["mc-nan-gain", "mc-inf-gain", "mc-float-n", "mc-fractional-n", "mc-negative-seed",
-        "mc-fractional-seed", "nan-threshold"])
+        "mc-fractional-seed", "mcs-nan-first-gain", "mcs-inf-middle-gain",
+        "mcs-minus-inf-last-gain", "nan-threshold"])
 def test_restoration_inputs_are_refused_up_front(monkeypatch, call):
     def no_draws(*args, **kwargs):
         raise AssertionError("a refused input reached the generator")
@@ -263,9 +280,37 @@ def test_monte_carlo_is_bit_identical_to_seed_formula(n):
     assert monte_carlo_mse(MODEL, 0.8, n, seed=5) == _seed_monte_carlo_mse(
         MODEL, 0.8, n, seed=5
     )
+    # one draw of labels and clean signal per chunk, the noise replayed per
+    # gain: each pair keeps the bits of a draw of its own, a repeat too
+    gains = (0.5, 0.8, 0.5)
+    assert monte_carlo_mses(MODEL, gains, n, seed=5) == [
+        _seed_monte_carlo_mse(MODEL, a, n, seed=5) for a in gains
+    ]
 
 
 GRID = np.linspace(0.05, 1.5, 146)
+
+
+def test_monte_carlo_mses_of_no_gains_is_empty_without_a_draw(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew for no gains")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    assert monte_carlo_mses(MODEL, [], 1_000_000, seed=0) == []
+
+
+def test_monte_carlo_mses_hold_one_chunk_whatever_the_gains():
+    # two float buffers and one bool buffer however many gains share them
+    peaks = []
+    for gains in ([0.8], [0.5, 0.8]):
+        tracemalloc.start()
+        try:
+            monte_carlo_mses(MODEL, gains, 1_000_003, seed=5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] >= 17_000_000
+    assert peaks[1] <= peaks[0] + 2**20
 
 
 @pytest.mark.parametrize("sigma_n", [0.0, 1.0])

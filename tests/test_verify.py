@@ -93,3 +93,47 @@ def test_convexity_suite_spot_checks_without_scalar_loops(monkeypatch):
     measured = report.suites[0].measured
     assert measured["binary_scalar_array_mismatch"] <= 1e-9
     assert measured["gaussian_scalar_array_mismatch"] <= 1e-9
+
+
+# float.hex of every measured value of the restoration suite, recorded
+# before its two Monte Carlo gains shared one draw; only the Monte Carlo
+# column depends on the seed
+_RESTORATION_BITS = {
+    "bayes_threshold_err": "0x1.8000000000000p-53",
+    "symmetric_threshold": "0x0.0p+0",
+    "mse_argmin_err": "0x1.b4e81b4e81c00p-9",
+    "error_rate_argmin_err": "0x0.0p+0",
+    "error_rate_min_err": "0x1.ec21d9e4a4800p-14",
+    "kl_argmin_err": "0x0.0p+0",
+    "threshold_homogeneity": "0x0.0p+0",
+    "reoptimized_control_spread": "0x1.8000000000000p-54",
+    "monte_carlo_sigmas": None,
+    "dp_infeasible_below_mse_min": "0x0.0p+0",
+    "dp_has_feasible": "0x0.0p+0",
+    "dp_monotone_increase": "0x0.0p+0",
+    "dp_non_constant": "0x0.0p+0",
+    "dc_has_feasible": "0x0.0p+0",
+    "dc_monotone_increase": "0x0.0p+0",
+    "dc_non_constant": "0x0.0p+0",
+    "pc_has_feasible": "0x0.0p+0",
+    "pc_monotone_increase": "0x0.0p+0",
+    "pc_non_constant": "0x0.0p+0",
+    "clean_mse_argmin_err": "0x0.0p+0",
+    "clean_eps_argmin_err": "0x0.0p+0",
+    "clean_kl_argmin_err": "0x0.0p+0",
+    "clean_dp_has_feasible": "0x0.0p+0",
+    "clean_dp_monotone_increase": "0x0.0p+0",
+    "clean_dp_collapse_spread": "0x0.0p+0",
+}
+
+
+@pytest.mark.parametrize("seed, sigmas", [
+    (0, "0x1.7ee1bd3b640a2p+0"),
+    (3, "0x1.69e9a2a98b038p+0"),
+])
+def test_restoration_suite_keeps_its_bits(seed, sigmas):
+    suite = run_suites(["restoration"], seed=seed).suites[0]
+    assert suite.passed
+    got = {name: float.hex(float(v)) for name, v in suite.measured.items()}
+    assert got == _RESTORATION_BITS | {"monte_carlo_sigmas": sigmas}
+    assert list(got) == list(_RESTORATION_BITS)  # the report's order too
