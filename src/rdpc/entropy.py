@@ -360,6 +360,75 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
+def _gauss_rule(b: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights (summing to 1) of the Gauss rule of a symmetric
+    weight whose orthonormal polynomials obey p_0 = 1 and
+    sqrt(b[k+1]) p_{k+1} = x p_k - sqrt(b[k]) p_{k-1}: Newton on p_n,
+    n = len(b) - 1 even, from the guesses ``x`` of the n/2 positive nodes,
+    and the Christoffel weights 1 / (sqrt(b[n]) p_{n-1} p_n')."""
+    r, n = np.sqrt(b), b.size - 1
+    for _ in range(100):
+        prev, cur = np.zeros_like(x), np.ones_like(x)
+        dprev, dcur = np.zeros_like(x), np.zeros_like(x)
+        for k in range(n):
+            prev, cur = cur, (x * cur - r[k] * prev) / r[k + 1]
+            dprev, dcur = dcur, (prev + x * dcur - r[k] * dprev) / r[k + 1]
+        step = cur / dcur
+        x = x - step
+        if np.max(np.abs(step)) < 1e-15 * np.max(np.abs(x)):
+            break
+    w = 1.0 / (r[n] * prev * dcur)
+    return np.concatenate((-x, x)), np.concatenate((w, w))
+
+
+@lru_cache(maxsize=1)
+def _softplus_rules() -> tuple[np.ndarray, ...]:
+    """The rules of ``_mean_softplus``, built on first use without LAPACK
+    or numpy.polynomial (either adds about 1 MB to the process): the
+    48-node Gauss-Hermite rule of N(0, 1), its guesses from the WKB phase
+    theta - sin(2 theta) / 2 = (4k - 1) pi / (4n + 2), n = 48, and the 96-node
+    Gauss-Legendre rule on [0, 40] with log1p(e^-t) in its weights."""
+    c = (4.0 * np.arange(1, 25) - 1.0) * math.pi / 194.0
+    theta = np.full(24, 0.5 * math.pi)
+    for _ in range(12):  # increasing and convex below pi/2: monotone from above
+        theta -= (theta - 0.5 * np.sin(2.0 * theta) - c) / (2.0 * np.sin(theta) ** 2)
+    h_x, h_w = _gauss_rule(np.arange(49.0), math.sqrt(194.0) * np.cos(theta))
+    b = np.arange(97.0) ** 2
+    l_x, l_w = _gauss_rule(b / (4.0 * b - 1.0), np.cos(math.pi * (np.arange(1, 49) - 0.25) / 96.5))
+    t = 20.0 * (l_x + 1.0)
+    rules = (h_x, h_w, t, 40.0 * l_w * np.log1p(np.exp(-t)))
+    for arr in rules:
+        arr.flags.writeable = False
+    return rules
+
+
+def _mean_softplus(mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """E log(1 + e^z) for z ~ N(mu, sd^2), elementwise (sd >= 0).
+
+    For sd <= 1, Gauss-Hermite: softplus is analytic in |Im z| < pi. A
+    wider law is split at the kink, as max(z, 0) + log1p(e^-|z|): E max(z, 0)
+    = mu Phi(mu/sd) + sd phi(mu/sd), and E log1p(e^-|z|) is the integral of
+    log1p(e^-t) (phi_sd(t - mu) + phi_sd(t + mu)) over [0, 40] (the rest
+    is below 1e-17), by Gauss-Legendre. Each element is reduced over its
+    own nodes by ``einsum`` (a BLAS matvec is not), so it does not depend
+    on the other elements."""
+    h_x, h_w, t, l_w = _softplus_rules()
+    out = np.empty(mu.shape)
+    narrow = sd <= 1.0
+    m, s = mu[narrow, None], sd[narrow, None]
+    out[narrow] = np.einsum("ij,j->i", np.logaddexp(0.0, m + s * h_x), h_w)
+    wide = ~narrow
+    m, s = mu[wide], sd[wide]
+    r = m / s
+    ramp = m * np.array([std_normal_cdf(u) for u in r.tolist()])
+    ramp += s * np.exp(-0.5 * r * r) / math.sqrt(2.0 * math.pi)
+    m, s = m[:, None], s[:, None]
+    bumps = np.exp(-0.5 * ((t - m) / s) ** 2) + np.exp(-0.5 * ((t + m) / s) ** 2)
+    bumps /= s * math.sqrt(2.0 * math.pi)
+    out[wide] = ramp + np.einsum("ij,j->i", bumps, l_w)
+    return out
+
+
 def _integrate(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     lo: np.ndarray,
@@ -434,13 +503,12 @@ def _integrate(
 
 
 def _lift(fn: Callable | None, name: str) -> Callable | None:
-    """A one-argument density as a member of a one-row family: it is
-    called on the points flattened, and ``DomainError`` is raised unless
-    it accepts that array and returns one of its shape."""
+    """A one-argument density called on its points flattened: ``DomainError``
+    is raised unless it accepts that array and returns one of its shape."""
     if fn is None:
         return None
 
-    def member(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def lifted(x: np.ndarray) -> np.ndarray:
         flat = x.ravel()
         try:
             vals = fn(flat)
@@ -450,131 +518,7 @@ def _lift(fn: Callable | None, name: str) -> Callable | None:
             raise DomainError(f"{name} must return an array shaped like its argument")
         return vals.reshape(x.shape)
 
-    return member
-
-
-# Rows probed together: 16 rows of the 4097-point probe are 2^16 points,
-# 0.5 MB per array. With 32-row blocks a verify run left the heap about
-# 3 MB larger, which the next run's oracle suite added to its peak.
-_PROBE_ROWS = 16
-
-
-def _probe_grid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Row r holds 4097 points from lo[r] to hi[r], with the bits of
-    ``np.ascontiguousarray(np.linspace(lo, hi, 4097, axis=-1))``: linspace's
-    own arithmetic, arange(4097) * step + lo with the last point set to hi,
-    built row-major instead of moved and copied. Where a step is 0,
-    linspace divides before it scales, so that case is linspace itself."""
-    step = (hi - lo) / 4096
-    if np.any(step == 0):
-        return np.ascontiguousarray(np.linspace(lo, hi, 4097, axis=-1))
-    grid = np.arange(4097.0) * step[:, None]
-    grid += lo[:, None]
-    grid[:, -1] = hi
-    return grid
-
-
-def _numeric_kl_rows(
-    p: Callable,
-    q: Callable,
-    lo: Sequence[float],
-    hi: Sequence[float],
-    *,
-    atol: float,
-    points: Sequence[Sequence[float] | None] | None = None,
-    log_p: Callable | None = None,
-    log_q: Callable | None = None,
-) -> np.ndarray:
-    """KL(p_r || q_r) in nats for each row r of a family, as ``numeric_kl``.
-
-    The densities (and log densities) are family members ``f(x, rows)``,
-    as ``_integrate`` calls them; row r's support is [lo[r], hi[r]] and
-    its breakpoints ``points[r]``. Rows are worked in blocks of
-    ``_PROBE_ROWS``, each with one probe and one ``_integrate`` run for the
-    two masses and the divergence of every row, so a row's value is the
-    one ``numeric_kl`` gives it alone and the memory held stays a few MB.
-    A quadrature failure (``IntegrationError``) in any of a block's
-    integrals is raised before the mass checks.
-    """
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    bad = ~(np.isfinite(lo) & np.isfinite(hi) & (hi > lo))
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise DomainError(f"bad support interval: ({lo[i]}, {hi[i]})")
-    if (log_p is None) != (log_q is None):
-        raise DomainError("log_p and log_q must be supplied together")
-    points = list(points) if points is not None else [None] * lo.size
-    out = np.zeros(lo.size)
-    for start in range(0, lo.size, _PROBE_ROWS):
-        rows = np.arange(start, min(start + _PROBE_ROWS, lo.size))
-        grid = _probe_grid(lo[rows], hi[rows])
-        p_vals, q_vals = p(grid, rows[:, None]), q(grid, rows[:, None])
-        if not (np.all(p_vals >= 0.0) and np.all(q_vals >= 0.0)):  # NaN fails too
-            raise DomainError("densities must be nonnegative numbers")
-        live = p_vals >= _TINY
-        gone = live & (q_vals <= 0.0)
-        if log_q is not None and np.any(gone):
-            # q may underflow where log q is finite: only log q = -inf vanishes
-            spots = np.nonzero(gone)
-            gone[spots] = log_q(grid[spots], rows[spots[0]]) == -math.inf
-        if np.any(gone):
-            raise DomainError("q vanishes where p does not; KL is undefined")
-        # a row with no live point has KL 0 and skips the mass checks
-        has = np.any(live, axis=1)
-        rows, grid, live = rows[has], grid[has], live[has]
-        if not rows.size:
-            continue
-        step = grid[:, 1] - grid[:, 0]
-        first = np.argmax(live, axis=1)
-        last = live.shape[1] - 1 - np.argmax(live[:, ::-1], axis=1)
-        at = np.arange(rows.size)
-        lo_eff = np.maximum(lo[rows], grid[at, first] - step)
-        hi_eff = np.minimum(hi[rows], grid[at, last] + step)
-
-        def divergence(x: np.ndarray, r: np.ndarray) -> np.ndarray:
-            # p counts as 0 below 1e-300; the errstate covers the 0 * inf and
-            # log(0) discarded there, and an overflowing p / q, which
-            # _integrate reports as a non-finite integrand. log_ratio is an
-            # array made here, so it is worked in place; what the densities
-            # return is never written.
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                if log_p is not None and log_q is not None:
-                    lp = log_p(x, r)
-                    p_x, log_ratio = np.exp(lp), lp - log_q(x, r)
-                else:
-                    p_x = p(x, r)
-                    log_ratio = np.maximum(q(x, r), 5e-324)
-                    np.log(np.divide(p_x, log_ratio, out=log_ratio), out=log_ratio)
-                log_ratio *= p_x
-                log_ratio[p_x < _TINY] = 0.0
-                return log_ratio
-
-        # one run for three integrals per row: p's mass, q's mass and the
-        # divergence over the truncated range (integral k of row i is
-        # family row k * n + i)
-        n = rows.size
-        parts = (p, q, divergence)
-
-        def family(x: np.ndarray, r: np.ndarray) -> np.ndarray:
-            kind, i = np.divmod(r, n)
-            vals = np.empty(x.shape)
-            for k, part in enumerate(parts):
-                sel = kind == k
-                if np.any(sel):
-                    vals[:, sel] = part(x[:, sel], rows[i[sel]])
-            return vals
-
-        res = _integrate(
-            family, np.concatenate((lo[rows], lo[rows], lo_eff)),
-            np.concatenate((hi[rows], hi[rows], hi_eff)), np.repeat([1e-9, 1e-9, atol], n),
-            [points[r] for r in rows.tolist()] * 3,
-        )
-        for name, mass in (("p", res[:n]), ("q", res[n:2 * n])):
-            off = np.flatnonzero(np.abs(mass - 1.0) > 1e-8)
-            if off.size:
-                raise DomainError(f"density {name} integrates to {mass[off[0]]}, not 1")
-        out[rows] = res[2 * n:]
-    return out
+    return lifted
 
 
 def numeric_kl(
@@ -598,10 +542,11 @@ def numeric_kl(
     Every density and log density must accept a numpy array: each is
     called on whole arrays of points, and ``DomainError`` is raised unless
     it returns an array of their shape. The integrals (the two masses and
-    the divergence) are adaptive G10/K21 quadrature, which calls its
-    integrand once per round on the nodes of every pending interval; it
-    raises ``IntegrationError`` when the integrand is not finite or the
-    interval budget runs out.
+    the divergence) are one adaptive G10/K21 quadrature run of three rows,
+    which calls its integrand once per round on the nodes of every pending
+    interval; it raises ``IntegrationError`` when the integrand is not
+    finite or an integral's interval budget runs out, before the mass
+    checks.
 
     ``points`` may list known non-smooth spots (e.g. mixture component
     means); each integration range is split there first. When the
@@ -610,12 +555,63 @@ def numeric_kl(
     the divergence does), pass ``log_p`` and ``log_q``; the log-ratio is
     then evaluated directly and only a true ``log_q = -inf`` counts as
     vanishing support.
-
-    This is the one-row call of ``_numeric_kl_rows``, the kernel that
-    ``restoration.kl_of_gains`` runs over many gains at once.
     """
     lo, hi = support
-    return float(_numeric_kl_rows(
-        _lift(density_p, "density_p"), _lift(density_q, "density_q"), [lo], [hi],
-        atol=atol, points=[points], log_p=_lift(log_p, "log_p"), log_q=_lift(log_q, "log_q"),
-    )[0])
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise DomainError(f"bad support interval: ({lo}, {hi})")
+    if (log_p is None) != (log_q is None):
+        raise DomainError("log_p and log_q must be supplied together")
+    p, q = _lift(density_p, "density_p"), _lift(density_q, "density_q")
+    log_p, log_q = _lift(log_p, "log_p"), _lift(log_q, "log_q")
+    grid = np.linspace(lo, hi, 4097)
+    p_vals, q_vals = p(grid), q(grid)
+    if not (np.all(p_vals >= 0.0) and np.all(q_vals >= 0.0)):  # NaN fails too
+        raise DomainError("densities must be nonnegative numbers")
+    live = p_vals >= _TINY
+    gone = live & (q_vals <= 0.0)
+    if log_q is not None and np.any(gone):
+        # q may underflow where log q is finite: only log q = -inf vanishes
+        gone[gone] = log_q(grid[gone]) == -math.inf
+    if np.any(gone):
+        raise DomainError("q vanishes where p does not; KL is undefined")
+    if not np.any(live):
+        return 0.0
+    step = grid[1] - grid[0]
+    live = np.flatnonzero(live)
+    lo_eff = max(lo, grid[live[0]] - step)
+    hi_eff = min(hi, grid[live[-1]] + step)
+
+    def divergence(x: np.ndarray) -> np.ndarray:
+        # p counts as 0 below 1e-300; the errstate covers the 0 * inf and
+        # log(0) discarded there, and an overflowing p / q, which _integrate
+        # reports as a non-finite integrand. log_ratio is an array made
+        # here, so it is worked in place; what the densities return is
+        # never written.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if log_p is not None and log_q is not None:
+                lp = log_p(x)
+                p_x, log_ratio = np.exp(lp), lp - log_q(x)
+            else:
+                p_x = p(x)
+                log_ratio = np.maximum(q(x), 5e-324)
+                np.log(np.divide(p_x, log_ratio, out=log_ratio), out=log_ratio)
+            log_ratio *= p_x
+            log_ratio[p_x < _TINY] = 0.0
+            return log_ratio
+
+    # rows 0, 1 and 2: p's mass, q's mass and the divergence over the
+    # truncated range
+    def family(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        vals = np.empty(x.shape)
+        for k, part in enumerate((p, q, divergence)):
+            sel = rows == k
+            if np.any(sel):
+                vals[:, sel] = part(x[:, sel])
+        return vals
+
+    mass_p, mass_q, kl = _integrate(family, [lo, lo, lo_eff], [hi, hi, hi_eff],
+                                    [1e-9, 1e-9, atol], [points] * 3).tolist()
+    for name, mass in (("p", mass_p), ("q", mass_q)):
+        if abs(mass - 1.0) > 1e-8:
+            raise DomainError(f"density {name} integrates to {mass}, not 1")
+    return kl

@@ -5,7 +5,8 @@ family is Xhat = a*Y for a scalar gain a. Three figures of merit are
 tracked as functions of the gain:
 
 * mean-squared error E[(X - aY)^2] (closed form),
-* KL divergence between the clean and restored densities (quadrature),
+* KL divergence between the clean and restored densities (closed form
+  but for one Gaussian expectation of softplus),
 * misclassification rate of a threshold classifier whose threshold is
   frozen at the clean-source Bayes plane.
 
@@ -29,10 +30,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .entropy import _numeric_kl_rows, std_normal_cdf
+from .entropy import _mean_softplus, numeric_kl, std_normal_cdf
 from .errors import DomainError, NoCrossingError
 from .optimize import bisect_predicates, bisect_root, brent_min
-from .sources import GaussianMixture2, _stacked, _Component, mixture_density
+from .sources import GaussianMixture2
 
 _METRICS = ("mse", "kl", "error_rate")
 
@@ -178,43 +179,74 @@ def error_rate_reoptimized(model: RestorationModel, a: float) -> float:
     return error_rate_of_gain(model, a, threshold=c_star)
 
 
+def _mean_log_mixture(
+    w: tuple, mu: tuple, var: float | np.ndarray, m: np.ndarray, v: float
+) -> np.ndarray:
+    """E log(w[0] N(mu[0], var) + w[1] N(mu[1], var))(x) for x ~ N(m, v),
+    elementwise over the broadcast of ``mu``, ``var`` and ``m``; w[0] > 0.
+
+    The log density is l(x) + softplus(alpha (x - (mu[0] + mu[1]) / 2)
+    + log(w[1] / w[0])), l the log of the first term and
+    alpha = (mu[1] - mu[0]) / var: E l is closed form, and the softplus
+    argument is Gaussian (``_mean_softplus``). With w[1] = 0 only l is left.
+    """
+    (w_b, w_o), (mu_b, mu_o) = w, mu
+    out = math.log(w_b) - 0.5 * np.log(2.0 * math.pi * var)
+    out = out - ((m - mu_b) ** 2 + v) / (2.0 * var)
+    if w_o > 0.0:
+        alpha = (mu_o - mu_b) / var
+        z_mean = alpha * (m - 0.5 * (mu_b + mu_o)) + math.log(w_o / w_b)
+        out = out + _mean_softplus(*np.broadcast_arrays(z_mean, np.abs(alpha) * math.sqrt(v)))
+    return out
+
+
 def kl_of_gains(model: RestorationModel, gains: Sequence[float]) -> np.ndarray:
     """KL(clean mixture || restored mixture) in nats at each gain.
 
-    One batched quadrature (``entropy._numeric_kl_rows``) over all gains:
-    row r integrates over the union of the clean and restored 12-sd
-    supports, split at the four component means, with the log densities
-    (a strongly contracting gain leaves the restored law so narrow that
-    its plain density underflows under the clean tails). A row's value
-    does not depend on the other gains in the batch. Every gain is
-    checked before any work: a zero, NaN or infinite gain anywhere raises
-    ``DomainError``. With no gains there is no call and the result is
-    empty.
+    With equal clean variances v (so equal restored ones), KL is
+    sum_i w_i (E log p - E log q) over x ~ N(m_i, v), each expectation a
+    ``_mean_log_mixture`` expanded about the heavier component (so a zero
+    weight leaves one Gaussian). A gain's value is worked elementwise, so
+    it does not depend on the other gains. Unequal variances take one
+    ``numeric_kl`` per gain, with the log densities (a strongly contracting
+    gain leaves the restored law so narrow that its density underflows
+    under the clean tails), over the union of the clean and restored 12-sd
+    supports split at the four component means.
+
+    Every gain is checked before any work: a zero, NaN or infinite gain
+    anywhere raises ``DomainError``, as does one whose restored variance
+    or means leave the float range. With no gains the result is empty.
     """
     gains = np.asarray(gains, dtype=float).reshape(-1)
-    if not gains.size:
-        return gains
-    restored = []
     for a in gains.tolist():
+        _check_gain(a)
         if a == 0.0:
             raise DomainError("restored law at gain 0 is a point mass; KL diverges")
-        restored.append(scaled_mixture(model, a))
-    clean = model.mixture
-    lo1, hi1 = clean.support_12sd()
-    supports = [r.support_12sd() for r in restored]
-    marks = [sorted({clean.m1, clean.m2, r.m1, r.m2}) for r in restored]
-    comps = _stacked(restored)
+    if not gains.size:
+        return gains
+    mix = model.mixture
+    if mix.v1 != mix.v2:
+        return np.array([_numeric_kl_of_gain(model, a) for a in gains.tolist()])
+    w, mu = (mix.w1, mix.w2), (mix.m1, mix.m2)
+    if w[1] > w[0]:
+        w, mu = w[::-1], mu[::-1]
+    # the restored means and variance grow with |a|: if the laws of the
+    # smallest and largest |a| are in float range, all are
+    for k in {int(np.argmin(np.abs(gains))), int(np.argmax(np.abs(gains)))}:
+        scaled_mixture(model, float(gains[k]))
+    m, v = np.array([[mix.m1], [mix.m2]]), mix.v1
+    diff = _mean_log_mixture(w, mu, v, m, v) - _mean_log_mixture(
+        w, (gains * mu[0], gains * mu[1]), gains * gains * (v + model.sigma_n**2), m, v)
+    return mix.w1 * diff[0] + mix.w2 * diff[1]
 
-    def q(x: np.ndarray, rows: np.ndarray, log: bool = False) -> np.ndarray:
-        at = tuple(_Component(*(field[rows] for field in c)) for c in comps)
-        return mixture_density(x, at, log=log)
 
-    return _numeric_kl_rows(
-        lambda x, _: mixture_density(x, clean._comps), q,
-        [min(lo1, lo2) for lo2, _ in supports], [max(hi1, hi2) for _, hi2 in supports],
-        atol=1e-7, points=marks,
-        log_p=lambda x, _: mixture_density(x, clean._comps, log=True),
-        log_q=lambda x, rows: q(x, rows, log=True),
+def _numeric_kl_of_gain(model: RestorationModel, a: float) -> float:
+    clean, restored = model.mixture, scaled_mixture(model, a)
+    (lo1, hi1), (lo2, hi2) = clean.support_12sd(), restored.support_12sd()
+    return numeric_kl(
+        clean.density, restored.density, (min(lo1, lo2), max(hi1, hi2)), atol=1e-7,
+        points=sorted({clean.m1, clean.m2, restored.m1, restored.m2}),
+        log_p=clean.log_density, log_q=restored.log_density,
     )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,18 +109,15 @@ class _Component(NamedTuple):
     ``norm`` is sqrt(2 pi v), ``log_norm`` 0.5 log(2 pi v) and ``log_w``
     log w (-inf for w = 0), all taken once with ``math``: numpy's log can
     differ from it in the last bit, which would move the densities' last
-    bits. Fields are floats, or arrays that broadcast against the points
-    the mixture is evaluated at; the fields of a mixture's two components
-    share one shape (``mixture_density`` works each term in the array
-    that x - m allocates).
+    bits.
     """
 
-    w: FloatOrArray
-    m: FloatOrArray
-    v: FloatOrArray
-    norm: FloatOrArray
-    log_norm: FloatOrArray
-    log_w: FloatOrArray
+    w: float
+    m: float
+    v: float
+    norm: float
+    log_norm: float
+    log_w: float
 
 
 def _component(w: float, m: float, v: float) -> _Component:
@@ -139,44 +136,17 @@ def mixture_density(
     A component whose squared distance from x overflows contributes 0 to
     the density and a -inf term to the log (so does a zero weight); with
     both terms -inf the log is -inf. This is the one formula behind
-    ``GaussianMixture2.density`` and ``log_density``; the restoration
-    kernel calls it with per-row parameter arrays.
-
-    For an array x of at least one dimension each component's term is
-    worked in place in the one array that x - m allocates, with the
-    operations of the float formula in its order, so the result has its
-    bits. Neither x nor the component arrays are ever written.
+    ``GaussianMixture2.density`` and ``log_density``.
     """
     c1, c2 = comps
-    if not isinstance(x, np.ndarray) or not x.ndim:
-        with np.errstate(over="ignore"):
-            q1, q2 = np.square(x - c1.m), np.square(x - c2.m)
-        if log:
-            return np.logaddexp(c1.log_w - 0.5 * q1 / c1.v - c1.log_norm,
-                                c2.log_w - 0.5 * q2 / c2.v - c2.log_norm)
-        d1 = np.exp(-0.5 * q1 / c1.v) / c1.norm
-        d2 = np.exp(-0.5 * q2 / c2.v) / c2.norm
-        return c1.w * d1 + c2.w * d2
     with np.errstate(over="ignore"):
-        t1, t2 = np.subtract(x, c1.m), np.subtract(x, c2.m)
-        np.square(t1, out=t1)
-        np.square(t2, out=t2)
-    for t, c in ((t1, c1), (t2, c2)):
-        if log:  # log_w - 0.5 q / v - log_norm
-            t *= 0.5
-            t /= c.v
-            np.subtract(c.log_w, t, out=t)
-            t -= c.log_norm
-        else:  # w * (exp(-0.5 q / v) / norm)
-            t *= -0.5
-            t /= c.v
-            np.exp(t, out=t)
-            t /= c.norm
-            t *= c.w
+        q1, q2 = np.square(x - c1.m), np.square(x - c2.m)
     if log:
-        return np.logaddexp(t1, t2, out=t1)
-    t1 += t2
-    return t1
+        return np.logaddexp(c1.log_w - 0.5 * q1 / c1.v - c1.log_norm,
+                            c2.log_w - 0.5 * q2 / c2.v - c2.log_norm)
+    d1 = np.exp(-0.5 * q1 / c1.v) / c1.norm
+    d2 = np.exp(-0.5 * q2 / c2.v) / c2.norm
+    return c1.w * d1 + c2.w * d2
 
 
 @dataclass(frozen=True)
@@ -233,10 +203,3 @@ class GaussianMixture2:
         spread = 12.0 * self.widest_sd()
         return (min(self.m1, self.m2) - spread, max(self.m1, self.m2) + spread)
 
-
-def _stacked(mixtures: Sequence[GaussianMixture2]) -> tuple[_Component, _Component]:
-    """The components of many mixtures, each field an array over them."""
-    return tuple(
-        _Component(*(np.array(field) for field in zip(*(mix._comps[k] for mix in mixtures))))
-        for k in (0, 1)
-    )

@@ -140,6 +140,8 @@ def test_import_loads_no_scipy_integrate_or_special():
     # every CLI command pays the import. The oracle grids compute their
     # entropies with numpy and need no scipy.special, and numeric_kl
     # integrates with its own numpy quadrature, so no scipy module loads.
+    # The KL builds its Gauss rules itself: numpy.polynomial's import and
+    # its first LAPACK call would each add about 1 MB to the process.
     code = (
         "import sys, rdpc; "
         "print(sorted(m for m in ('scipy.integrate', 'scipy.special') "
@@ -148,12 +150,13 @@ def test_import_loads_no_scipy_integrate_or_special():
         "resolution=1e-2); "
         "print('scipy.special' in sys.modules); "
         "rdpc.kl_of_gain(rdpc.default_model(), 0.5); "
-        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules)); "
+        "print('numpy.polynomial' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(rdpc.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
-    assert out.split() == ["[]", "False", "False"]
+    assert out.split() == ["[]", "False", "False", "False"]
 
 
 def test_python_m_rdpc_runs_the_cli():

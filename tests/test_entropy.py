@@ -462,14 +462,18 @@ def test_domain_rejections():
         gaussian_kl(0.0, -1.0, 0.0, 1.0)
 
 
-def test_probe_grid_has_the_bits_of_linspace():
-    rng = np.random.default_rng(23)
-    lo = rng.normal(0.0, 50.0, 40) * 10.0 ** rng.integers(-3, 4, 40)
-    hi = lo + rng.uniform(1e-9, 200.0, 40)
-    # the second pair's step underflows to 0, where linspace divides first
-    for lo_r, hi_r in ((lo, hi), (np.array([0.0, 1.0]), np.array([1e-320, 2.0]))):
-        got = entropy._probe_grid(lo_r, hi_r)
-        want = np.ascontiguousarray(np.linspace(lo_r, hi_r, 4097, axis=-1))
-        assert got.flags.c_contiguous and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-    assert (1e-320 - 0.0) / 4096 == 0.0
+def test_softplus_rules_are_the_gauss_rules():
+    # built by Newton on the recurrences; numpy.polynomial solves eigenproblems
+    from numpy.polynomial.hermite_e import hermegauss
+    from numpy.polynomial.legendre import leggauss
+
+    h_x, h_w, t, l_w = entropy._softplus_rules()
+    x, w = hermegauss(48)
+    order = np.argsort(h_x)
+    assert np.max(np.abs(h_x[order] - x)) <= 1e-13
+    assert np.max(np.abs(h_w[order] / (w / w.sum()) - 1.0)) <= 1e-12
+    x, w = leggauss(96)
+    order = np.argsort(t)
+    assert np.max(np.abs(t[order] - 20.0 * (x + 1.0))) <= 1e-13
+    want = 20.0 * w * np.log1p(np.exp(-t[order]))
+    assert np.max(np.abs(l_w[order] / want - 1.0)) <= 1e-11

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import rdpc.restoration as restoration
@@ -21,11 +23,13 @@ from rdpc import (
     error_rate_of_gain,
     error_rate_reoptimized,
     frontier,
+    gaussian_kl,
     kl_of_gain,
     kl_of_gains,
     monte_carlo_mse,
     monte_carlo_mses,
     mse_of_gain,
+    numeric_kl,
     scaled_mixture,
     sweep,
 )
@@ -181,9 +185,9 @@ def _log_mixture(mix, x):
     return top + math.log1p(math.exp(min(terms) - top))
 
 
-def _quad_kl(model, a):
+def _quad_kl(model, a, epsrel=0.0):
     """Reference: KL(clean || restored) by scipy's quad on scalar log
-    densities, over the support and breakpoints kl_of_gain uses."""
+    densities, over the support and breakpoints of the numeric_kl path."""
     clean, restored = model.mixture, scaled_mixture(model, a)
     lo = min(clean.support_12sd()[0], restored.support_12sd()[0])
     hi = max(clean.support_12sd()[1], restored.support_12sd()[1])
@@ -195,7 +199,7 @@ def _quad_kl(model, a):
     marks = sorted({clean.m1, clean.m2, restored.m1, restored.m2})
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # an IntegrationWarning fails the test
-        value, _ = quad(integrand, lo, hi, points=marks, epsabs=1e-10, epsrel=0.0,
+        value, _ = quad(integrand, lo, hi, points=marks, epsabs=1e-10, epsrel=epsrel,
                         limit=200)
     return value
 
@@ -205,6 +209,60 @@ def test_sweep_kl_agrees_with_scipy_quad(sigma_n):
     model = default_model(sigma_n=sigma_n)
     for row in sweep(model, np.linspace(0.05, 1.5, 146)):
         assert abs(row.kl - _quad_kl(model, row.a)) <= 1e-9
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    w1=st.floats(0.01, 0.99),
+    means=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+    v=st.floats(0.05, 5.0),
+    sigma_n=st.floats(0.0, 5.0),
+    gains=st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 0.2)),
+                   min_size=1, max_size=3),
+)
+def test_equal_variance_kl_agrees_with_scipy_quad(w1, means, v, sigma_n, gains):
+    # gains down to |a| = 1e-3, where the KL reaches about 1e8 nats and
+    # float64 holds it only to relative precision; quad is then also
+    # asked for 1e-12 relative
+    model = RestorationModel(GaussianMixture2(w1, 1.0 - w1, *means, v, v), sigma_n, 0.0)
+    gains = [sign * 10.0**e for sign, e in gains]
+    for a, kl in zip(gains, kl_of_gains(model, gains).tolist()):
+        ref = _quad_kl(model, a, epsrel=1e-12)
+        assert abs(kl - ref) <= 1e-9 * max(1.0, ref)
+
+
+def test_unequal_variance_kl_is_numeric_kl_per_gain():
+    model = RestorationModel(GaussianMixture2(0.4, 0.6, -1.0, 2.0, 0.5, 1.5), 0.7, 0.0)
+    gains = [-1.2, -0.3, 0.05, 0.8, 1.4]
+    clean = model.mixture
+    for a, kl in zip(gains, kl_of_gains(model, gains).tolist()):
+        restored = scaled_mixture(model, a)
+        lo = min(clean.support_12sd()[0], restored.support_12sd()[0])
+        hi = max(clean.support_12sd()[1], restored.support_12sd()[1])
+        assert kl == numeric_kl(
+            clean.density, restored.density, (lo, hi), atol=1e-7,
+            points=sorted({clean.m1, clean.m2, restored.m1, restored.m2}),
+            log_p=clean.log_density, log_q=restored.log_density,
+        )
+
+
+@pytest.mark.parametrize("sigma_n", [0.0, 0.7])
+@pytest.mark.parametrize("w1", [0.0, 1.0])
+def test_kl_with_one_live_component_is_the_gaussian_kl(w1, sigma_n):
+    # a zero weight makes the log weight ratio infinite: the expansion is
+    # taken about the other component
+    gains = [-1.3, -0.6, -0.2, 0.2, 0.6, 1.3]
+    mix = GaussianMixture2(w1, 1.0 - w1, -1.5, 2.0, 0.8, 0.8)
+    m = mix.m1 if w1 else mix.m2
+    got = kl_of_gains(RestorationModel(mix, sigma_n, 0.0), gains)
+    for a, kl in zip(gains, got.tolist()):
+        assert abs(kl - gaussian_kl(m, 0.8, a * m, a * a * (0.8 + sigma_n**2))) <= 1e-12
+    # equal means: one Gaussian again, with finite values
+    same = RestorationModel(GaussianMixture2(0.3, 0.7, 1.2, 1.2, 0.8, 0.8), 0.5, 0.0)
+    got = kl_of_gains(same, gains)
+    assert np.all(np.isfinite(got))
+    for a, kl in zip(gains, got.tolist()):
+        assert abs(kl - gaussian_kl(1.2, 0.8, 1.2 * a, a * a * 1.05)) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -324,9 +382,10 @@ def test_kl_row_does_not_depend_on_its_batch(sigma_n):
     assert np.array_equal(kl_of_gains(model, GRID[order]), batch[order])
 
 
-@pytest.mark.parametrize("bad", [0.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [0.0, math.nan, math.inf, -math.inf, 1e-170, -1e160])
 @pytest.mark.parametrize("at", [0, 70, 145])
 def test_kl_of_gains_refuses_a_bad_gain_anywhere(bad, at):
+    # 1e-170 and -1e160 square to a restored variance of 0 and inf
     gains = GRID.copy()
     gains[at] = bad
     t0 = time.perf_counter()
@@ -335,9 +394,7 @@ def test_kl_of_gains_refuses_a_bad_gain_anywhere(bad, at):
     assert time.perf_counter() - t0 < 0.05  # before any quadrature
 
 
-def test_kl_batch_of_146_gains_stays_within_each_rows_budget():
-    # the call integrates about 7,800 intervals in all, more than the 4,096
-    # one KL may use: every gain has its own budget
+def test_kl_of_146_gains_at_high_noise_is_finite_and_nonnegative():
     kl = kl_of_gains(default_model(sigma_n=5.0), GRID)
     assert np.all(np.isfinite(kl)) and np.all(kl >= 0.0)
 
@@ -358,10 +415,13 @@ def test_kl_of_no_gains_is_empty_without_a_kernel_call(monkeypatch):
     def kernel(*args, **kwargs):
         raise AssertionError("kernel called")
 
-    monkeypatch.setattr(restoration, "_numeric_kl_rows", kernel)
-    for gains in ([], np.array([])):
-        kl = kl_of_gains(MODEL, gains)
-        assert kl.dtype == float and kl.shape == (0,)
+    monkeypatch.setattr(restoration, "_mean_softplus", kernel)
+    monkeypatch.setattr(restoration, "numeric_kl", kernel)
+    unequal = RestorationModel(GaussianMixture2(0.4, 0.6, -1.0, 2.0, 0.5, 1.5), 0.7, 0.0)
+    for model in (MODEL, unequal):
+        for gains in ([], np.array([])):
+            kl = kl_of_gains(model, gains)
+            assert kl.dtype == float and kl.shape == (0,)
 
 
 def test_sweep_makes_one_kernel_call(monkeypatch):
