@@ -246,6 +246,39 @@ def test_unequal_variance_kl_is_numeric_kl_per_gain():
         )
 
 
+# float.hex of kl_of_gains at gains -0.8, 0.3, 0.81 and 1.4 for the clean
+# mixture GaussianMixture2(0.7, 0.3, -1, 1, 1, v2), by (v2, sigma_n): the
+# unequal-variance (numeric_kl) path, recorded before its quadrature lost
+# its row batching
+_UNEQUAL_KL_BITS = {
+    (0.5, 0.0): ["0x1.daec7c2004dbcp-2", "0x1.c227c07c23765p+2",
+                 "0x1.52cc856ca2b02p-4", "0x1.122be08aa5c25p-3"],
+    (0.5, 0.3): ["0x1.86fb14e033625p-2", "0x1.9012bd0955206p+2",
+                 "0x1.dc829a90a6912p-5", "0x1.2e75074fc66dap-3"],
+    (0.5, 1.0): ["0x1.4d33819e41836p-3", "0x1.586e7ebaf9b26p+1",
+                 "0x1.9f8481c1afbd8p-7", "0x1.133c950ed3095p-2"],
+    (2.0, 0.0): ["0x1.7340b12c72281p-2", "0x1.585153dabbaa2p+2",
+                 "0x1.1c2b04fdbb93ep-4", "0x1.d77be703ac5ecp-4"],
+    (2.0, 0.3): ["0x1.59dfddbadd739p-2", "0x1.41ecdcb8ff174p+2",
+                 "0x1.b6f41f4932f62p-5", "0x1.02b4a1d7c785cp-3"],
+    (2.0, 1.0): ["0x1.b33c89f12ec5cp-3", "0x1.67b7bc3f48aa4p+1",
+                 "0x1.56276316f440cp-7", "0x1.de5f03a349143p-3"],
+    (4.0, 0.0): ["0x1.0bc584bb80151p-1", "0x1.c15d6c2a30962p+1",
+                 "0x1.f84ec09f083b6p-5", "0x1.c37e373dbe61bp-4"],
+    (4.0, 0.3): ["0x1.fe7e1efdb9f7ap-2", "0x1.b279b461fb2fcp+1",
+                 "0x1.96611d22cafccp-5", "0x1.edfbd9748d2e0p-4"],
+    (4.0, 1.0): ["0x1.56da5c889c6d9p-2", "0x1.3b0965747eb75p+1",
+                 "0x1.0732c25644663p-6", "0x1.c6bad93409fb7p-3"],
+}
+
+
+@pytest.mark.parametrize("v2, sigma_n", list(_UNEQUAL_KL_BITS))
+def test_unequal_variance_kl_keeps_its_bits(v2, sigma_n):
+    model = RestorationModel(GaussianMixture2(0.7, 0.3, -1.0, 1.0, 1.0, v2), sigma_n, 0.0)
+    got = kl_of_gains(model, [-0.8, 0.3, 0.81, 1.4])
+    assert [float.hex(x) for x in got.tolist()] == _UNEQUAL_KL_BITS[(v2, sigma_n)]
+
+
 @pytest.mark.parametrize("sigma_n", [0.0, 0.7])
 @pytest.mark.parametrize("w1", [0.0, 1.0])
 def test_kl_with_one_live_component_is_the_gaussian_kl(w1, sigma_n):
@@ -480,6 +513,40 @@ def test_binding_rows_sit_on_their_edge_and_free_rows_share_the_minimizer():
     assert len(free) == 1
     (a_star, v_star), = free
     assert v_star == kl_of_gain(MODEL, a_star) < bound.value
+
+
+# float.hex of (gain, value) of each row of a frontier constrained by KL, at
+# bounds 0.005 (below the least KL, so infeasible), 0.02, 0.05, 0.1, 0.3
+# and 1.0 on a 73-point screen, recorded before the trims lost their
+# lockstep bisection
+_KL_BOUNDS = [0.005, 0.02, 0.05, 0.1, 0.3, 1.0]
+_KL_FRONTIER_BITS = {
+    "mse": [
+        None,
+        ("0x1.7519885eb60b6p-1", "0x1.5b3efd6d0644cp-1"),
+        ("0x1.599f1d3ed27d1p-1", "0x1.5570ea99b61c8p-1"),
+        ("0x1.5555555555540p-1", "0x1.5555555555556p-1"),
+        ("0x1.5555555555540p-1", "0x1.5555555555556p-1"),
+        ("0x1.5555555555540p-1", "0x1.5555555555556p-1"),
+    ],
+    "error_rate": [
+        None,
+        ("0x1.7519885eb60b6p-1", "0x1.a88dc4a0a5a48p-3"),
+        ("0x1.599f1d3ed27d1p-1", "0x1.a66fa1f8c9848p-3"),
+        ("0x1.40510c02c71c8p-1", "0x1.a4a423dc08af3p-3"),
+        ("0x1.0f01f06fc16c1p-1", "0x1.a239767e3ff6cp-3"),
+        ("0x1.ffffffece86a7p-2", "0x1.a20844be4f032p-3"),
+    ],
+}
+
+
+@pytest.mark.parametrize("objective", list(_KL_FRONTIER_BITS))
+def test_kl_constrained_frontier_keeps_its_bits(objective):
+    pts = frontier(MODEL, objective, "kl", _KL_BOUNDS, grid_points=73)
+    got = [(float.hex(p.gain), float.hex(p.value)) if p.feasible else None for p in pts]
+    assert got == _KL_FRONTIER_BITS[objective]
+    for p in pts[1:]:
+        assert kl_of_gain(MODEL, p.gain) <= p.bound + 1e-12
 
 
 def test_noise_free_kl_mse_frontier_collapses_exactly():
