@@ -488,19 +488,10 @@ def _cmd_oracle(m: _Merged) -> int:
             constraints[name] = float(value)
     if not constraints:
         raise _UsageError("oracle needs at least one of --d, --p, --c")
-    refine = not bool(m.get("no_refine", False))
-
     if family == "binary":
-        result = binary_min_rate(
-            _source(m, True, "the binary oracle"), constraints,
-            resolution=float(m.get("resolution", 1e-3)), refine=refine,
-        )
+        result = binary_min_rate(_source(m, True, "the binary oracle"), constraints)
     else:
-        result = gaussian_min_rate(
-            _source(m, False, "the Gaussian oracle"), constraints,
-            sigma_steps=int(m.get("sigma_steps", 801)),
-            theta_steps=int(m.get("theta_steps", 801)), refine=refine,
-        )
+        result = gaussian_min_rate(_source(m, False, "the Gaussian oracle"), constraints)
     return _emit_object(m, result.to_dict(), _EXIT_OK if result.feasible else _EXIT_INFEASIBLE)
 
 
@@ -624,15 +615,6 @@ def build_parser() -> _Parser:
     oracle.add_argument("--d", type=float, help="distortion bound")
     oracle.add_argument("--p", type=float, help="perception bound")
     oracle.add_argument("--c", type=float, help="classification bound")
-    oracle.add_argument("--resolution", type=float,
-                        help="accepted (in [1e-4, 1e-1]) and has no effect: the binary "
-                             "oracle bounds its own bracket, within 1e-5 bits")
-    for axis in ("sigma", "theta"):
-        oracle.add_argument(f"--{axis}-steps", type=int,
-                            help="accepted (an integer >= 2) and has no effect: "
-                                 "the Gaussian oracle bisects on the correlation")
-    oracle.add_argument("--no-refine", action="store_true", default=None,
-                        help="accepted and has no effect")
     oracle.set_defaults(handler=_cmd_oracle, parser=oracle)
 
     restore = sub.add_parser(

@@ -69,7 +69,7 @@ def binary_entropy(p: float) -> float:
     return -_xlog2x(p) - _xlog2x(1.0 - p)
 
 
-def _h2_bits_arr(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _h2_bits_arr(x: np.ndarray) -> np.ndarray:
     """Binary entropy in bits, elementwise: -(x log2 x + (1-x) log2(1-x)).
 
     The formula of the scalar ``binary_entropy``, with its guard: a term
@@ -77,14 +77,10 @@ def _h2_bits_arr(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     warnings. Each logarithm is taken only where its argument clears the
     guard, so no warning state is switched per call. A NaN gives NaN, and
     an infinite ``x`` gives NaN with numpy's invalid-value warning.
-    ``out``, if given, receives the result and must not be ``x``.
     """
     x = np.asarray(x, dtype=float)
     rest = 1.0 - x
-    if out is None:
-        out = np.zeros(rest.shape)
-    else:
-        out.fill(0.0)
+    out = np.zeros(rest.shape)
     np.log2(rest, out=out, where=rest >= _TINY)
     out *= rest
     rest.fill(0.0)
@@ -430,58 +426,38 @@ def _mean_softplus(mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
 
 
 def _integrate(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-    atol: float | np.ndarray,
-    points: Sequence[Sequence[float] | None] | None,
-) -> np.ndarray:
-    """Integrals of a family of integrands by adaptive G10/K21 quadrature.
+    f: Callable[[np.ndarray], np.ndarray],
+    lo: float,
+    hi: float,
+    atol: float,
+    points: Sequence[float] | None,
+) -> float:
+    """Integral of ``f`` over [lo, hi] by adaptive G10/K21 quadrature.
 
-    Row r of the family is the integral of ``f(., r)`` over
-    [lo[r], hi[r]], with tolerance ``atol`` (a float or one per row); its
-    initial intervals end at the ``points[r]`` inside (lo[r], hi[r]).
-    ``f(x, rows)`` gets the nodes ``x`` and the row of each, as an array
-    that broadcasts against ``x``, and returns the integrand there; ``x``
-    is (21, intervals) and ``rows`` (intervals,).
-
-    Each round evaluates ``f`` once, on the 21 nodes of every pending
-    interval of every row, and estimates each interval's error as
-    QUADPACK's qk21 does. An interval of row r is accepted when that error
-    is at most ``atol[r] * width / (hi[r] - lo[r])``, so the accepted
-    errors sum to at most ``atol[r]``, or at most the rounding floor
-    ``50 * eps * integral of |f|``, which a tall, narrow peak cannot get
-    below; every other interval is split in two. ``IntegrationError`` is
-    raised when ``f`` is not finite at a node or when a row needs more
-    than ``_MAX_INTERVALS`` intervals.
-
-    A row's result does not depend on the other rows: each interval's
-    qk21 sums are reductions over its own 21 nodes alone, and a row's
-    intervals keep the order a one-row run gives them (the kept ones,
-    then the new halves), in which ``np.bincount`` adds its accepted
-    parts.
+    The initial intervals end at the ``points`` inside (lo, hi). Each
+    round evaluates ``f`` once, on the 21 nodes of every pending interval
+    (``x`` is (21, intervals)), and estimates each interval's error as
+    QUADPACK's qk21 does. An interval is accepted when that error is at
+    most ``atol * width / (hi - lo)``, so the accepted errors sum to at
+    most ``atol``, or at most the rounding floor ``50 * eps * integral of
+    |f|``, which a tall, narrow peak cannot get below; every other
+    interval is split in two, and the pending intervals are the kept ones
+    followed by the new halves. A round adds its accepted parts one by
+    one, in interval order, to a sum from 0.0, and that sum to the total.
+    ``IntegrationError`` is raised when ``f`` is not finite at a node or
+    when more than ``_MAX_INTERVALS`` intervals are needed.
     """
-    lo, hi = np.atleast_1d(np.asarray(lo, dtype=float)), np.atleast_1d(np.asarray(hi, dtype=float))
-    nrows = lo.size
-    atol = np.broadcast_to(np.asarray(atol, dtype=float), (nrows,))
     span = hi - lo
-    edges = [
-        np.array([l, *sorted(p for p in (pts or ()) if l < p < h), h])
-        for l, h, pts in zip(lo.tolist(), hi.tolist(), points or [None] * nrows)
-    ]
-    row = np.repeat(np.arange(nrows), [e.size - 1 for e in edges])
-    a = np.concatenate([e[:-1] for e in edges])
-    b = np.concatenate([e[1:] for e in edges])
-    total, used = np.zeros(nrows), np.zeros(nrows, dtype=np.int64)
+    edges = np.array([lo, *sorted(p for p in (points or ()) if lo < p < hi), hi], dtype=float)
+    a, b = edges[:-1], edges[1:]
+    total, used = 0.0, 0
     while a.size:
-        used += np.bincount(row, minlength=nrows)
-        if used.max() > _MAX_INTERVALS:
-            over = int(np.argmax(used > _MAX_INTERVALS))
-            raise IntegrationError(f"quadrature did not reach atol={atol[over]} "
+        used += a.size
+        if used > _MAX_INTERVALS:
+            raise IntegrationError(f"quadrature did not reach atol={atol} "
                                    f"within {_MAX_INTERVALS} intervals")
         half, mid = 0.5 * (b - a), 0.5 * (a + b)
-        # node-major, so the intervals' rows broadcast along the last axis
-        fx = f(mid + half * _NODES[:, None], row)
+        fx = f(mid + half * _NODES[:, None])
         if not np.all(np.isfinite(fx)):
             raise IntegrationError("integrand is not finite on the integration range")
         # interval-major; einsum (unlike a BLAS matvec) reduces each
@@ -494,11 +470,12 @@ def _integrate(
         with np.errstate(divide="ignore", invalid="ignore"):
             scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
         err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
-        done = err <= np.maximum(atol[row] * (b - a) / span[row], _ROUNDING * resabs)
-        total += np.bincount(row[done], weights=resk[done] * half[done], minlength=nrows)
+        done = err <= np.maximum(atol * (b - a) / span, _ROUNDING * resabs)
+        if np.any(done):  # cumsum adds in order; np.sum's pairwise order moves bits
+            total += float(np.cumsum(resk[done] * half[done])[-1])
         keep = ~done
-        a, b, mid, row = a[keep], b[keep], mid[keep], row[keep]
-        a, b, row = np.concatenate((a, mid)), np.concatenate((mid, b)), np.concatenate((row, row))
+        a, b, mid = a[keep], b[keep], mid[keep]
+        a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
     return total
 
 
@@ -541,10 +518,10 @@ def numeric_kl(
 
     Every density and log density must accept a numpy array: each is
     called on whole arrays of points, and ``DomainError`` is raised unless
-    it returns an array of their shape. The integrals (the two masses and
-    the divergence) are one adaptive G10/K21 quadrature run of three rows,
+    it returns an array of their shape. The three integrals (p's mass, q's
+    mass and the divergence) are adaptive G10/K21 quadratures, each of
     which calls its integrand once per round on the nodes of every pending
-    interval; it raises ``IntegrationError`` when the integrand is not
+    interval; ``IntegrationError`` is raised when an integrand is not
     finite or an integral's interval budget runs out, before the mass
     checks.
 
@@ -599,18 +576,9 @@ def numeric_kl(
             log_ratio[p_x < _TINY] = 0.0
             return log_ratio
 
-    # rows 0, 1 and 2: p's mass, q's mass and the divergence over the
-    # truncated range
-    def family(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        vals = np.empty(x.shape)
-        for k, part in enumerate((p, q, divergence)):
-            sel = rows == k
-            if np.any(sel):
-                vals[:, sel] = part(x[:, sel])
-        return vals
-
-    mass_p, mass_q, kl = _integrate(family, [lo, lo, lo_eff], [hi, hi, hi_eff],
-                                    [1e-9, 1e-9, atol], [points] * 3).tolist()
+    mass_p = _integrate(p, lo, hi, 1e-9, points)
+    mass_q = _integrate(q, lo, hi, 1e-9, points)
+    kl = _integrate(divergence, lo_eff, hi_eff, atol, points)
     for name, mass in (("p", mass_p), ("q", mass_q)):
         if abs(mass - 1.0) > 1e-8:
             raise DomainError(f"density {name} integrates to {mass}, not 1")

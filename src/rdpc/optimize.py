@@ -3,20 +3,15 @@
 A bracketing bisection for roots, a predicate bisection for the edge of a
 monotone boolean test, and Brent's bounded minimizer for a unimodal
 function, all with fixed caps on their iterations or evaluations so
-callers get predictable runtimes. The predicate bisection also runs on
-many brackets in lockstep (``bisect_predicates``), one batched evaluation
-per step; its one-bracket form, ``bisect_predicate``, is a scalar loop.
-``brent_min`` is a pure-Python port of SciPy's bounded
-``minimize_scalar``, so numpy stays the only runtime dependency. All are
-safe to call from any number of threads.
+callers get predictable runtimes. ``brent_min`` is a pure-Python port
+of SciPy's bounded ``minimize_scalar``, so numpy stays the only runtime
+dependency. All are safe to call from any number of threads.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Callable
 
 from .errors import DomainError
 
@@ -63,45 +58,6 @@ def bisect_root(
     return 0.5 * (lo + hi)
 
 
-def bisect_predicates(
-    pred: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    lo: Sequence[float],
-    hi: Sequence[float],
-    *,
-    xtol: float = 1e-12,
-    max_iter: int = 200,
-) -> np.ndarray:
-    """``bisect_predicate`` on many brackets in lockstep.
-
-    ``pred(x, idx)`` gets points ``x`` of the brackets ``idx`` and returns
-    the predicate at each, so a step is one call for all brackets. Every
-    bracket takes the midpoints and the stopping rule of its one-bracket
-    search, which ends it at its own step; the search stops when all have
-    ended. The first call checks all upper ends and then all lower ends;
-    with no brackets there is no call.
-    """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    n = lo.size
-    if not n:
-        return hi
-    idx = np.arange(n)
-    ends = np.asarray(pred(np.concatenate((hi, lo)), np.concatenate((idx, idx))), dtype=bool)
-    if not np.all(ends[:n]):
-        raise DomainError("predicate must hold at the upper end of the bracket")
-    at_lo = ends[n:]
-    active = ~at_lo
-    for _ in range(max_iter):
-        i = np.flatnonzero(active)
-        if not i.size:
-            break
-        mid = 0.5 * (lo[i] + hi[i])
-        holds = np.asarray(pred(mid, i), dtype=bool)
-        hi[i] = np.where(holds, mid, hi[i])
-        lo[i] = np.where(holds, lo[i], mid)
-        active[i] = ~(hi[i] - lo[i] < xtol)
-    return np.where(at_lo, lo, hi)
-
-
 def bisect_predicate(
     pred: Callable[[float], bool],
     lo: float,
@@ -115,10 +71,9 @@ def bisect_predicate(
     ``pred(hi)`` must be True and ``pred(lo)`` False; returns a point where
     the predicate holds, within ``xtol`` of the switch. Used to trim
     feasible intervals whose edge is defined by a constraint rather than
-    by a smooth function value. The one-bracket form of
-    ``bisect_predicates``, with its midpoints, stopping rule and result:
-    ``pred`` sees ``hi``, then ``lo``, then the midpoints. It is a scalar
-    loop because a lockstep step on one bracket costs about 13 us.
+    by a smooth function value. ``pred`` sees ``hi``, then ``lo`` (which
+    is returned if it holds), then the midpoints, until the bracket is
+    narrower than ``xtol`` or ``max_iter`` midpoints have been tried.
     """
     lo, hi = float(lo), float(hi)
     if not pred(hi):

@@ -32,7 +32,7 @@ import numpy as np
 
 from .entropy import _mean_softplus, numeric_kl, std_normal_cdf
 from .errors import DomainError, NoCrossingError
-from .optimize import bisect_predicates, bisect_root, brent_min
+from .optimize import bisect_predicate, bisect_root, brent_min
 from .sources import GaussianMixture2
 
 _METRICS = ("mse", "kl", "error_rate")
@@ -310,9 +310,9 @@ def frontier(
        its argmin or falls after it by more than 1e-12 breaks the
        contract and raises ``DomainError``.
     2. Trim: for each bound, the contiguous feasible run around the best
-       feasible grid point is trimmed to the exact constraint boundary;
-       the bisections of all bounds run in lockstep, one batched
-       constraint call per step (``bisect_predicates``).
+       feasible grid point is trimmed to the exact constraint boundary,
+       each end inside the grid by one ``bisect_predicate`` (xtol 1e-10),
+       one constraint call per step.
     3. Search: one Brent search (``brent_min``, xtol 1e-8) for the
        unconstrained minimizer a* in the two grid cells around the
        screen's argmin. The screen's values at the ends of those cells
@@ -322,8 +322,9 @@ def frontier(
        its (gain, value); the clipped edges of the others are evaluated
        in one batched call.
 
-    So a frontier makes a fixed number of metric calls however many
-    bounds it has. Non-finite bounds or gain-range ends, and a
+    So a frontier makes a fixed number of objective calls however many
+    bounds it has, and two constraint bisections per feasible bound at
+    most. Non-finite bounds or gain-range ends, and a
     ``grid_points`` that is not an integer of at least 2, raise
     ``DomainError`` before any work.
     """
@@ -375,20 +376,19 @@ def frontier(
         return [FrontierPoint(b, math.nan, math.nan, False) for b in bounds]
 
     # a run's ends inside the grid are trimmed to the constraint boundary;
-    # an upper end is searched mirrored (sign -1), so that its predicate is
-    # monotone increasing
-    edges = {j: [float(grid[lo]), float(grid[hi])] for j, (lo, hi) in runs.items()}
-    trims = [(j, 0, 1.0, grid[lo - 1], grid[lo]) for j, (lo, _) in runs.items() if lo > 0]
-    trims += [(j, 1, -1.0, -grid[hi + 1], -grid[hi])
-              for j, (_, hi) in runs.items() if hi < len(grid) - 1]
-    if trims:
-        which, end, sign, lo, hi = (np.array(col) for col in zip(*trims))
-        cap = np.array(bounds)[which] + 1e-12
-        found = sign * bisect_predicates(
-            lambda u, i: f_con(sign[i] * u) <= cap[i], lo, hi, xtol=1e-10
-        )
-        for j, side, x in zip(which.tolist(), end.tolist(), found.tolist()):
-            edges[j][side] = x
+    # an upper end is searched mirrored, so that its predicate is monotone
+    # increasing
+    edges = {}
+    for j, (lo, hi) in runs.items():
+        cap = bounds[j] + 1e-12
+        ends = [float(grid[lo]), float(grid[hi])]
+        if lo > 0:
+            ends[0] = bisect_predicate(lambda u: f_con(np.array([u]))[0] <= cap,
+                                       grid[lo - 1], grid[lo], xtol=1e-10)
+        if hi < len(grid) - 1:
+            ends[1] = -bisect_predicate(lambda u: f_con(np.array([-u]))[0] <= cap,
+                                        -grid[hi + 1], -grid[hi], xtol=1e-10)
+        edges[j] = ends
 
     # a*: Brent between the screen's neighbours of its argmin, which are
     # candidates too (the search never evaluates its bracket's ends)

@@ -332,7 +332,7 @@ def _suite_oracle_rdc_gaussian(seed: int) -> _Recorder:
     ]
     for d, c in cases:
         closed = rdc_gaussian(src, d, c)
-        got = gaussian_min_rate(src, {"D": d, "C": c}, refine=True)
+        got = gaussian_min_rate(src, {"D": d, "C": c})
         rec.flag("feasibility_agreement", closed.feasible == got.feasible)
         if closed.feasible and got.feasible:
             rec.worst("max_rate_diff", abs(closed.rate - got.rate), 1e-3)
@@ -354,7 +354,7 @@ def _suite_oracle_rpc_gaussian(seed: int) -> _Recorder:
     ]
     for p, c in cases:
         closed = rpc_gaussian(src, p, c)
-        got = gaussian_min_rate(src, {"P": p, "C": c}, refine=True)
+        got = gaussian_min_rate(src, {"P": p, "C": c})
         rec.flag("feasibility_agreement", closed.feasible == got.feasible)
         if closed.feasible and got.feasible:
             rec.worst("max_rate_diff", abs(closed.rate - got.rate), 1e-3)

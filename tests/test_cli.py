@@ -119,8 +119,14 @@ def test_restore_refuses_non_finite_inputs(capsys, flag):
             assert f"{flag} must be finite: {value}" in err
 
 
+_ORACLE = ["oracle", "--family", "binary", "--a", "0.3", "--p1", "0.1", "--c", "0.99"]
+
+
 def test_bad_flags_exit_one(capsys):
-    for argv in (["bogus"], [], ["rdc"], ["verify", "--suite", "nope"]):
+    # the oracle's grid flags had no effect and are gone
+    gone = [_ORACLE + flag for flag in (["--resolution", "0.01"], ["--sigma-steps", "201"],
+                                        ["--theta-steps", "201"], ["--no-refine"])]
+    for argv in (["bogus"], [], ["rdc"], ["verify", "--suite", "nope"], *gone):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         capsys.readouterr()
@@ -383,8 +389,7 @@ def test_config_values_are_parsed_like_their_flags(capsys, tmp_path, argv, confi
 
 def test_workers_env_default(capsys, monkeypatch):
     # workers have no effect, so no environment variable selects them
-    argv = ["oracle", "--family", "binary", "--a", "0.3", "--p1", "0.1",
-            "--c", "0.99", "--resolution", "0.01"]
+    argv = _ORACLE
     monkeypatch.delenv("RDPC_WORKERS", raising=False)
     code, plain, _ = run(capsys, *argv)
     assert code == 0
@@ -396,14 +401,14 @@ def test_workers_env_default(capsys, monkeypatch):
 
 def test_oracle_exit_codes(capsys):
     code, out, _ = run(capsys, "oracle", "--family", "binary", "--a", "0.3",
-                       "--p1", "0.1", "--c", "0.4", "--resolution", "0.01")
+                       "--p1", "0.1", "--c", "0.4")
     assert code == 2
     assert json.loads(out)["rate"] is None
 
 
 @pytest.mark.parametrize("family, bounds", [
-    ("binary", ["--a", "0.3", "--p1", "0.1", "--d", "0.2", "--resolution", "0.01"]),
-    ("gaussian", ["--p", "0.1", "--sigma-steps", "201", "--theta-steps", "201"]),
+    ("binary", ["--a", "0.3", "--p1", "0.1", "--d", "0.2"]),
+    ("gaussian", ["--p", "0.1"]),
 ])
 def test_oracle_minus_inf_bound_is_infeasible(capsys, family, bounds):
     code, out, _ = run(capsys, "oracle", "--family", family, *bounds, "--c=-inf")

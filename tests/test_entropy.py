@@ -359,58 +359,25 @@ def test_kronrod_rule_constants():
             assert entropy._NODES**k @ entropy._WG == pytest.approx(exact, abs=1e-15)
 
 
-def _one_row(f, lo, hi, atol, points=None):
-    """A one-argument integrand integrated as a one-row family."""
-    return float(entropy._integrate(lambda x, _: f(x), [lo], [hi], atol, [points])[0])
-
-
 def test_integrate_reaches_atol_and_splits_at_points():
-    value = _one_row(np.exp, 0.0, 1.0, 1e-12)
+    value = entropy._integrate(np.exp, 0.0, 1.0, 1e-12, None)
     assert abs(value - math.expm1(1.0)) <= 1e-12
     # |x - 1/3| has a kink; a breakpoint there makes both pieces polynomial
     kink = lambda x: np.abs(x - 1.0 / 3.0)  # noqa: E731
-    assert _one_row(kink, 0.0, 1.0, 1e-12, [1.0 / 3.0]) == pytest.approx(
+    assert entropy._integrate(kink, 0.0, 1.0, 1e-12, [1.0 / 3.0]) == pytest.approx(
         5.0 / 18.0, abs=1e-15
     )
-    assert abs(_one_row(kink, 0.0, 1.0, 1e-10) - 5.0 / 18.0) <= 1e-10
+    assert abs(entropy._integrate(kink, 0.0, 1.0, 1e-10, None) - 5.0 / 18.0) <= 1e-10
 
 
-def test_integrate_rows_do_not_depend_on_their_batch():
-    # rows of unequal difficulty, so they need different interval counts
-    k = np.linspace(1.0, 80.0, 40)
-    marks = [[0.5] if i % 3 == 0 else None for i in range(k.size)]
-
-    def batch(rows):
-        return entropy._integrate(
-            lambda x, r: np.cos(k[rows][r] * x) * np.exp(-x), np.zeros(rows.size),
-            np.ones(rows.size), 1e-11, [marks[i] for i in rows.tolist()],
-        )
-
-    # every row alone, all rows in order and reversed, and consecutive rows
-    # in batches of 2, 4 (a BLAS matvec rounds 4-row blocks differently) and 5
-    rows = np.arange(k.size)
-    got = {"all": batch(rows), "reversed": batch(rows[::-1])[::-1]}
-    for n in (2, 4, 5):
-        got[n] = np.concatenate([batch(part) for part in np.split(rows, k.size // n)])
-    for i, ki in enumerate(k.tolist()):
-        one = _one_row(lambda x: np.cos(ki * x) * np.exp(-x), 0.0, 1.0, 1e-11, marks[i])
-        assert all(vals[i] == one for vals in got.values())
-        exact = (math.exp(-1.0) * (ki * math.sin(ki) - math.cos(ki)) + 1.0) / (1.0 + ki * ki)
-        assert abs(one - exact) <= 1e-11
-
-
-def test_integrate_budget_is_per_row():
-    nodes = []
-
-    def f(x, r):
-        nodes.append(x.size)
-        return np.sin(400.0 * x)
-
-    rows = 60  # about 127 intervals each
-    got = entropy._integrate(f, np.zeros(rows), np.ones(rows), 1e-12, None)
-    # together the rows use more intervals than one row may
-    assert sum(nodes) // 21 > entropy._MAX_INTERVALS
-    assert np.all(np.abs(got - (1.0 - math.cos(400.0)) / 400.0) <= 1e-12)
+def test_integrate_reaches_atol_on_oscillatory_integrands():
+    # integrands of unequal difficulty, so they need different interval
+    # counts; every third starts split at 1/2
+    for i, k in enumerate(np.linspace(1.0, 80.0, 40).tolist()):
+        got = entropy._integrate(lambda x: np.cos(k * x) * np.exp(-x), 0.0, 1.0, 1e-11,
+                                 [0.5] if i % 3 == 0 else None)
+        exact = (math.exp(-1.0) * (k * math.sin(k) - math.cos(k)) + 1.0) / (1.0 + k * k)
+        assert abs(got - exact) <= 1e-11
 
 
 @pytest.mark.parametrize(
@@ -425,7 +392,7 @@ def test_integrate_budget_is_per_row():
 def test_integrate_failures_raise_quickly(integrand):
     t0 = time.perf_counter()
     with pytest.raises(IntegrationError):
-        _one_row(integrand, 0.0, 1.0, 1e-12)
+        entropy._integrate(integrand, 0.0, 1.0, 1e-12, None)
     assert time.perf_counter() - t0 < 0.1
 
 

@@ -1,6 +1,6 @@
-"""Search routines: the lockstep bisection takes the iterates of its
-one-bracket search (checked against the scalar loop kept here as the
-reference), and ``brent_min`` is SciPy's bounded Brent bit for bit."""
+"""Search routines: the predicate bisection returns what the scalar loop
+kept here as the reference returns, and ``brent_min`` is SciPy's bounded
+Brent bit for bit."""
 
 import math
 
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from rdpc import DomainError, default_model, kl_of_gain, kl_of_gains
-from rdpc.optimize import bisect_predicate, bisect_predicates, bisect_root, brent_min
+from rdpc.optimize import bisect_predicate, bisect_root, brent_min
 
 
 def _loop_bisect_predicate(pred, lo, hi, xtol, max_iter=200):
@@ -35,7 +35,6 @@ brackets = st.lists(
         st.floats(-5.0, 5.0),  # lower end
         st.floats(0.0, 3.0),  # width
         st.floats(-0.5, 1.5),  # where the target sits, as a share of the width
-        st.floats(0.0, 4.0),  # curvature
     ),
     min_size=1,
     max_size=12,
@@ -44,38 +43,17 @@ brackets = st.lists(
 
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(brackets, st.sampled_from([1e-12, 1e-10, 1e-6, 0.3]))
-def test_lockstep_bisection_equals_one_bracket_searches(rows, xtol):
-    lo = [r[0] for r in rows]
-    hi = [r[0] + r[1] for r in rows]
-    # the switch point; a share below 0 makes the predicate hold at lo
-    t = np.array([r[0] + min(r[2], 1.0) * r[1] for r in rows])
-
-    found = bisect_predicates(lambda x, i: x >= t[i], lo, hi, xtol=xtol)
-    for k in range(len(rows)):
-        tk = float(t[k])
-        want = _loop_bisect_predicate(lambda x: x >= tk, lo[k], hi[k], xtol)
-        assert float(found[k]) == want
-        assert bisect_predicate(lambda x: x >= tk, lo[k], hi[k], xtol=xtol) == want
+def test_bisect_predicate_equals_the_reference_loop(cases, xtol):
+    for lo, width, share in cases:
+        # the switch point; a share below 0 makes the predicate hold at lo
+        t = lo + min(share, 1.0) * width
+        want = _loop_bisect_predicate(lambda x: x >= t, lo, lo + width, xtol)
+        assert bisect_predicate(lambda x: x >= t, lo, lo + width, xtol=xtol) == want
 
 
-def test_lockstep_searches_call_once_per_step():
-    sizes = []
-
-    def pred(x, i):
-        sizes.append(x.size)
-        return x >= 0.3 * i
-
-    bisect_predicates(pred, [-1.0, -1.0, -1.0], [1.0, 2.0, 1.0], xtol=1e-8)
-    # both ends of every bracket, then one midpoint per open bracket
-    assert sizes[0] == 6 and max(sizes[1:]) <= 3
-    scalar_calls = []
-    bisect_predicate(lambda x: scalar_calls.append(x) or x >= 0.6, -1.0, 2.0, xtol=1e-8)
-    assert len(sizes) == len(scalar_calls) - 1  # the widest bracket sets the steps
-
-
-def test_lockstep_searches_refuse_bad_brackets():
+def test_bisect_predicate_refuses_a_bracket_whose_upper_end_fails():
     with pytest.raises(DomainError):
-        bisect_predicates(lambda x, i: x > 0.5, [0.0, 0.0], [1.0, 0.2])
+        bisect_predicate(lambda x: x > 0.5, 0.0, 0.2)
 
 
 def _kl_case():
