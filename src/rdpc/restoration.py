@@ -17,8 +17,9 @@ rate would be constant (that control is implemented too, as
 tradeoff against MSE and KL.
 
 A constrained frontier (``frontier``) minimizes one metric under bounds
-on another: a grid screen, a trim of each bound's feasible run, one
-Brent search for the objective's minimizer and a clip of it per bound.
+on another: a grid screen, one Brent search for the objective's
+minimizer, and per bound a clip of it to the bound's feasible run, the
+run's end that a* lies beyond (if any) trimmed to the constraint boundary.
 The objective must be unimodal in the gain on the searched range.
 """
 
@@ -309,21 +310,22 @@ def frontier(
        per metric for all bounds. A screened objective that rises before
        its argmin or falls after it by more than 1e-12 breaks the
        contract and raises ``DomainError``.
-    2. Trim: for each bound, the contiguous feasible run around the best
-       feasible grid point is trimmed to the exact constraint boundary,
-       each end inside the grid by one ``bisect_predicate`` (xtol 1e-10),
-       one constraint call per step.
-    3. Search: one Brent search (``brent_min``, xtol 1e-8) for the
+    2. Search: one Brent search (``brent_min``, xtol 1e-8) for the
        unconstrained minimizer a* in the two grid cells around the
        screen's argmin. The screen's values at the ends of those cells
        are candidates too, so a minimum at the range's end is found.
-    4. Clip: by unimodality the minimum on a bound's trimmed interval
-       [l, h] is at clip(a*, l, h). Rows whose interval holds a* share
-       its (gain, value); the clipped edges of the others are evaluated
-       in one batched call.
+    3. Trim: for each bound, take the contiguous feasible run [l, h]
+       around the best feasible grid point. By unimodality the minimum
+       on the run is at clip(a*, l, h), so an end can set the row only
+       when a* lies beyond it: that one end, if inside the grid, is
+       trimmed to the exact constraint boundary by one
+       ``bisect_predicate`` (xtol 1e-10), one constraint call per step.
+       A run that holds a* is not trimmed at all.
+    4. Clip: rows whose interval holds a* share its (gain, value); the
+       clipped edges of the others are evaluated in one batched call.
 
     So a frontier makes a fixed number of objective calls however many
-    bounds it has, and two constraint bisections per feasible bound at
+    bounds it has, and one constraint bisection per feasible bound at
     most. Non-finite bounds or gain-range ends, and a
     ``grid_points`` that is not an integer of at least 2, raise
     ``DomainError`` before any work.
@@ -375,27 +377,28 @@ def frontier(
     if not runs:
         return [FrontierPoint(b, math.nan, math.nan, False) for b in bounds]
 
-    # a run's ends inside the grid are trimmed to the constraint boundary;
-    # an upper end is searched mirrored, so that its predicate is monotone
-    # increasing
-    edges = {}
-    for j, (lo, hi) in runs.items():
-        cap = bounds[j] + 1e-12
-        ends = [float(grid[lo]), float(grid[hi])]
-        if lo > 0:
-            ends[0] = bisect_predicate(lambda u: f_con(np.array([u]))[0] <= cap,
-                                       grid[lo - 1], grid[lo], xtol=1e-10)
-        if hi < len(grid) - 1:
-            ends[1] = -bisect_predicate(lambda u: f_con(np.array([-u]))[0] <= cap,
-                                        -grid[hi + 1], -grid[hi], xtol=1e-10)
-        edges[j] = ends
-
     # a*: Brent between the screen's neighbours of its argmin, which are
     # candidates too (the search never evaluates its bracket's ends)
     k_lo, k_hi = max(k - 1, 0), min(k + 1, len(grid) - 1)
     x, v = brent_min(lambda a: f_obj(np.array([a]))[0],
                      float(grid[k_lo]), float(grid[k_hi]), xtol=1e-8)
     v_star, a_star = min([(v, x)] + [(float(obj_vals[i]), float(grid[i])) for i in (k_lo, k_hi)])
+
+    # a row is clip(a*, l, h), so only a run's end that a* lies beyond can
+    # set it: that end, if inside the grid, is trimmed to the constraint
+    # boundary; an upper end is searched mirrored, so that its predicate
+    # is monotone increasing
+    edges = {}
+    for j, (lo, hi) in runs.items():
+        cap = bounds[j] + 1e-12
+        ends = [float(grid[lo]), float(grid[hi])]
+        if a_star < ends[0] and lo > 0:
+            ends[0] = bisect_predicate(lambda u: f_con(np.array([u]))[0] <= cap,
+                                       grid[lo - 1], grid[lo], xtol=1e-10)
+        elif a_star > ends[1] and hi < len(grid) - 1:
+            ends[1] = -bisect_predicate(lambda u: f_con(np.array([-u]))[0] <= cap,
+                                        -grid[hi + 1], -grid[hi], xtol=1e-10)
+        edges[j] = ends
 
     best = {j: (a_star, v_star) for j, (l, h) in edges.items() if l <= a_star <= h}
     clipped = [j for j in edges if j not in best]
@@ -410,6 +413,27 @@ def frontier(
     ]
 
 
+_LEAF = 1 << 16  # numpy's pairwise sum splits a longer run in two
+
+
+def _pairwise_sums(leaf: Callable[[int, int], list[float]], lo: int, hi: int) -> list[float]:
+    """Sums over [lo, hi) added up numpy's pairwise-summation tree.
+
+    ``arr.sum()`` of a contiguous float64 run of n > 2^16 elements is the
+    sum of its first n2 = n//2 - (n//2) % 8 elements plus the sum of the
+    rest. This splits [lo, hi) the same way down to runs of at most 2^16,
+    calls ``leaf(i, j)`` on them in order for a list of sums (of one
+    length), and adds the lists back up the tree: so a leaf that returns
+    ``float(arr[i:j].sum())`` gives ``arr[lo:hi].sum()`` bit for bit.
+    """
+    if hi - lo <= _LEAF:
+        return leaf(lo, hi)
+    half = (hi - lo) // 2
+    mid = lo + half - half % 8
+    left = _pairwise_sums(leaf, lo, mid)
+    return [l + r for l, r in zip(left, _pairwise_sums(leaf, mid, hi))]
+
+
 def monte_carlo_mses(
     model: RestorationModel, gains: Sequence[float], n: int, seed: int = 0
 ) -> list[tuple[float, float]]:
@@ -419,14 +443,20 @@ def monte_carlo_mses(
     Each gain's pair is the one ``monte_carlo_mse`` gives it alone: the
     sample is chunked (10^6 per chunk) so 10^7 samples stay inside a
     modest memory budget, and is fully determined by the seed. Per chunk
-    the labels and the clean signal x = where(pick1, m1 + s1*z, m2 + s2*z)
-    are drawn once; each gain then restores the generator's state after
-    that draw and replays the noise draw, so every gain sees the noise
-    ``sigma_n * normal`` that a draw of its own would have given. The
-    chunk lives in two reused float buffers and one bool buffer whatever
-    the number of gains, and each gain's error is worked in place in the
-    same operation order as ``(x - a*(x + noise))**2``, so its result is
-    that expression's.
+    of m samples the generator is read once, in the order a one-gain draw
+    reads it: m uniforms for the labels, m normals z for the clean signal
+    x = where(pick1, m1 + s1*z, m2 + s2*z), m normals for the noise. Split
+    ``random``/``standard_normal`` calls give the doubles of one call, so
+    the labels go into an int8 array 2^16 at a time and the noise is
+    drawn leaf by leaf, never held whole and never replayed per gain.
+
+    The noise leaves are those of numpy's pairwise summation
+    (``_pairwise_sums``). In each leaf every gain works
+    ``(x - a*(x + noise))**2`` and its square in that expression's
+    operation order, and the leaf sums are added up the tree that
+    ``err.sum()`` adds, so each pair keeps its one-gain bits. The call
+    holds one float64 and one int8 array of a chunk (9 MB at 10^6) and
+    two leaf buffers of 2^16 doubles, whatever the number of gains.
 
     Every argument is checked before any draw: a non-finite gain anywhere,
     a sample count that is not an integer of at least 2 and a seed that is
@@ -443,39 +473,49 @@ def monte_carlo_mses(
     if not gains:
         return []
     mix = model.mixture
-    s1, s2 = math.sqrt(mix.v1), math.sqrt(mix.v2)
+    s1, s2, sigma = math.sqrt(mix.v1), math.sqrt(mix.v2), model.sigma_n
     rng = np.random.default_rng(seed)
     size = min(n, 1_000_000)
-    buf_u, buf_x, buf_pick = np.empty(size), np.empty(size), np.empty(size, bool)
-    total = [0.0] * len(gains)
-    total_sq = [0.0] * len(gains)
+    buf_x, buf_pick = np.empty(size), np.empty(size, np.int8)
+    work, noisy = np.empty(min(size, _LEAF)), np.empty(min(size, _LEAF))
+
+    def leaf(i: int, j: int) -> list[float]:
+        x, t, y = buf_x[i:j], work[: j - i], noisy[: j - i]
+        # x = where(pick1, m1 + s1*z, m2 + s2*z) bit for bit, pick 0 or -1
+        np.multiply(x, s1, out=t)
+        t += mix.m1
+        x *= s2
+        x += mix.m2
+        ti, xi = t.view(np.int64), x.view(np.int64)
+        ti ^= xi
+        ti &= buf_pick[i:j]
+        xi ^= ti
+        rng.standard_normal(out=y)
+        y *= sigma  # noise
+        y += x
+        sums = []
+        for a in gains:
+            np.multiply(y, a, out=t)
+            np.subtract(x, t, out=t)
+            t *= t  # err
+            sums.append(float(t.sum()))
+            t *= t  # err * err
+            sums.append(float(t.sum()))
+        return sums
+
+    totals = [0.0] * (2 * len(gains))
     remaining = n
     while remaining > 0:
         m = min(remaining, size)
-        u, x, pick1 = buf_u[:m], buf_x[:m], buf_pick[:m]
-        np.less(rng.random(out=u), mix.w1, out=pick1)
-        rng.standard_normal(out=x)
-        np.multiply(x, s1, out=u)
-        u += mix.m1
-        x *= s2
-        x += mix.m2
-        np.copyto(x, u, where=pick1)
-        drawn = rng.bit_generator.state
-        for k, a in enumerate(gains):
-            if k:
-                rng.bit_generator.state = drawn
-            rng.standard_normal(out=u)
-            u *= model.sigma_n  # noise
-            u += x
-            u *= a
-            np.subtract(x, u, out=u)
-            u *= u  # err
-            total[k] += float(u.sum())
-            u *= u  # err * err
-            total_sq[k] += float(u.sum())
+        for i in range(0, m, _LEAF):
+            u = work[: min(m - i, _LEAF)]
+            np.less(rng.random(out=u), mix.w1, out=buf_pick[i : i + len(u)])
+        np.negative(buf_pick[:m], out=buf_pick[:m])
+        rng.standard_normal(out=buf_x[:m])
+        totals = [t + c for t, c in zip(totals, _pairwise_sums(leaf, 0, m))]
         remaining -= m
     out = []
-    for t, t_sq in zip(total, total_sq):
+    for t, t_sq in zip(totals[::2], totals[1::2]):
         mean = t / n
         var = max(t_sq / n - mean * mean, 0.0)
         out.append((mean, math.sqrt(var / n)))

@@ -366,17 +366,38 @@ def _seed_monte_carlo_mse(model, a, n, seed):
     return mean, math.sqrt(var / n)
 
 
-@pytest.mark.parametrize("n", [1_000_003, 10])
+_MC_MODELS = {
+    "default": MODEL,
+    "noise-free": default_model(sigma_n=0.0),
+    "unequal-variance": RestorationModel(GaussianMixture2(0.4, 0.6, -1.0, 2.0, 0.5, 1.5), 0.7, 0.0),
+    "zero-weight": RestorationModel(GaussianMixture2(0.0, 1.0, -1.0, 2.0, 0.5, 1.5), 1.0, 0.0),
+}
+
+
+# one leaf, the leaf's edge, one chunk of two leaves, two chunks, three
+@pytest.mark.parametrize("n", [2, 10, 65_536, 65_537, 1_000_003, 2_000_001])
 def test_monte_carlo_is_bit_identical_to_seed_formula(n):
-    assert monte_carlo_mse(MODEL, 0.8, n, seed=5) == _seed_monte_carlo_mse(
-        MODEL, 0.8, n, seed=5
-    )
-    # one draw of labels and clean signal per chunk, the noise replayed per
-    # gain: each pair keeps the bits of a draw of its own, a repeat too
-    gains = (0.5, 0.8, 0.5)
-    assert monte_carlo_mses(MODEL, gains, n, seed=5) == [
-        _seed_monte_carlo_mse(MODEL, a, n, seed=5) for a in gains
-    ]
+    # one draw for all gains, the noise drawn leaf by leaf: each pair keeps
+    # the bits of a draw of its own, a repeated or negative gain too
+    gains = (0.8, -0.3, 0.8)
+    for model in _MC_MODELS.values():
+        seed = {a: _seed_monte_carlo_mse(model, a, n, seed=5) for a in gains}
+        assert monte_carlo_mses(model, gains, n, seed=5) == [seed[a] for a in gains]
+        assert monte_carlo_mse(model, 0.8, n, seed=5) == seed[0.8]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 129, 65_536, 65_537, 131_080, 262_151, 1_000_000, 2_000_001])
+def test_pairwise_tree_sum_is_numpys_sum(n):
+    # a numpy whose summation order differs fails here, not only in a hash
+    arr = np.random.default_rng(n).standard_normal(n) ** 2 * 1e3
+    leaves = []
+
+    def leaf(i, j):
+        leaves.append(j - i)
+        return [float(arr[i:j].sum()), float(-arr[i:j].sum())]
+
+    assert restoration._pairwise_sums(leaf, 0, n) == [float(arr.sum()), float(-arr.sum())]
+    assert sum(leaves) == n and max(leaves) <= 2**16
 
 
 GRID = np.linspace(0.05, 1.5, 146)
@@ -391,7 +412,9 @@ def test_monte_carlo_mses_of_no_gains_is_empty_without_a_draw(monkeypatch):
 
 
 def test_monte_carlo_mses_hold_one_chunk_whatever_the_gains():
-    # two float buffers and one bool buffer however many gains share them
+    # one float64 and one int8 array of a chunk and two leaf buffers
+    # (three allowed) however many gains share them
+    chunk, leaf = 1_000_000, 2**16
     peaks = []
     for gains in ([0.8], [0.5, 0.8]):
         tracemalloc.start()
@@ -400,8 +423,8 @@ def test_monte_carlo_mses_hold_one_chunk_whatever_the_gains():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[0] >= 17_000_000
-    assert peaks[1] <= peaks[0] + 2**20
+    assert 9_000_000 <= peaks[0] <= 8 * chunk + chunk + 3 * 8 * leaf + 2**18
+    assert peaks[1] <= peaks[0] + 2**16
 
 
 @pytest.mark.parametrize("sigma_n", [0.0, 1.0])
@@ -547,6 +570,22 @@ def test_kl_constrained_frontier_keeps_its_bits(objective):
     assert got == _KL_FRONTIER_BITS[objective]
     for p in pts[1:]:
         assert kl_of_gain(MODEL, p.gain) <= p.bound + 1e-12
+
+
+def test_kl_constrained_frontier_bisects_only_ends_beyond_the_minimizer(monkeypatch):
+    # a row is clip(a*, l, h): only the runs of the two lowest feasible
+    # bounds start above a* = 2/3, and each is trimmed at its lower end alone
+    calls = []
+    real = restoration.bisect_predicate
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(restoration, "bisect_predicate", counted)
+    pts = frontier(MODEL, "mse", "kl", _KL_BOUNDS, grid_points=146)
+    assert len(calls) <= 2 and all(lo > 0.0 for lo, _ in calls)  # not mirrored
+    assert [p.feasible for p in pts] == [False] + [True] * 5
 
 
 def test_noise_free_kl_mse_frontier_collapses_exactly():

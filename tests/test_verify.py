@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from rdpc import DomainError, default_model, monte_carlo_mse, verify
+from rdpc import DomainError, cli, default_model, monte_carlo_mse, verify
 from rdpc.verify import SUITE_NAMES, run_suites
 
 
@@ -137,3 +138,15 @@ def test_restoration_suite_keeps_its_bits(seed, sigmas):
     got = {name: float.hex(float(v)) for name, v in suite.measured.items()}
     assert got == _RESTORATION_BITS | {"monte_carlo_sigmas": sigmas}
     assert list(got) == list(_RESTORATION_BITS)  # the report's order too
+
+
+# sha256 of the `rdpc verify` report file; a change that means to move a
+# report byte declares it and re-pins these in its own commit
+@pytest.mark.parametrize("seed, digest", [
+    (0, "130af4e147174fa107ef881831962037115f32a8cb0ffea5f33d8e876f75cfa2"),
+    (3, "b25cd863284ac22d3f51b1877825f564d84cbae655170652b09971ab8113e286"),
+])
+def test_verify_report_keeps_its_bytes(tmp_path, seed, digest):
+    out = tmp_path / "verify.json"
+    assert cli.main(["verify", "--seed", str(seed), "--workers", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
