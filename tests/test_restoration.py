@@ -386,6 +386,15 @@ def test_monte_carlo_is_bit_identical_to_seed_formula(n):
         assert monte_carlo_mse(model, 0.8, n, seed=5) == seed[0.8]
 
 
+def test_monte_carlo_keeps_its_bits_within_one_chunk():
+    # recorded with 10**6-sample chunks: a draw that fits one chunk keeps them
+    got = monte_carlo_mses(default_model(), (0.8, -0.3), 262_144, seed=5)
+    assert [tuple(map(float.hex, pair)) for pair in got] == [
+        ("0x1.723e53a7e7962p-1", "0x1.0573ba7218fbep-9"),
+        ("0x1.baec32c7fa34ep+1", "0x1.11d17cb16532ap-7"),
+    ]
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 129, 65_536, 65_537, 131_080, 262_151, 1_000_000, 2_000_001])
 def test_pairwise_tree_sum_is_numpys_sum(n):
     # a numpy whose summation order differs fails here, not only in a hash
