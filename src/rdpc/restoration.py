@@ -413,25 +413,11 @@ def frontier(
     ]
 
 
-_LEAF = 1 << 16  # numpy's pairwise sum splits a longer run in two
-
-
-def _pairwise_sums(leaf: Callable[[int, int], list[float]], lo: int, hi: int) -> list[float]:
-    """Sums over [lo, hi) added up numpy's pairwise-summation tree.
-
-    ``arr.sum()`` of a contiguous float64 run of n > 2^16 elements is the
-    sum of its first n2 = n//2 - (n//2) % 8 elements plus the sum of the
-    rest. This splits [lo, hi) the same way down to runs of at most 2^16,
-    calls ``leaf(i, j)`` on them in order for a list of sums (of one
-    length), and adds the lists back up the tree: so a leaf that returns
-    ``float(arr[i:j].sum())`` gives ``arr[lo:hi].sum()`` bit for bit.
-    """
-    if hi - lo <= _LEAF:
-        return leaf(lo, hi)
-    half = (hi - lo) // 2
-    mid = lo + half - half % 8
-    left = _pairwise_sums(leaf, lo, mid)
-    return [l + r for l, r in zip(left, _pairwise_sums(leaf, mid, hi))]
+# Samples per chunk: the call holds three float64 rows of a chunk in one
+# 6 MB block. Freeing a block this large raises glibc's mmap threshold, so
+# the mgl suite's 800 kB arrays in a later `verify` of the same process reuse
+# heap pages; chunks of 2**16 made repeated verify runs about 6% slower.
+_CHUNK = 1 << 18
 
 
 def monte_carlo_mses(
@@ -440,23 +426,16 @@ def monte_carlo_mses(
     """Sample estimates of the restoration MSE and their standard errors,
     one (estimate, standard error) pair per gain, all from one draw.
 
-    Each gain's pair is the one ``monte_carlo_mse`` gives it alone: the
-    sample is chunked (10^6 per chunk) so 10^7 samples stay inside a
+    The sample is drawn in chunks of 2^18, so 10^7 samples stay inside a
     modest memory budget, and is fully determined by the seed. Per chunk
-    of m samples the generator is read once, in the order a one-gain draw
-    reads it: m uniforms for the labels, m normals z for the clean signal
-    x = where(pick1, m1 + s1*z, m2 + s2*z), m normals for the noise. Split
-    ``random``/``standard_normal`` calls give the doubles of one call, so
-    the labels go into an int8 array 2^16 at a time and the noise is
-    drawn leaf by leaf, never held whole and never replayed per gain.
-
-    The noise leaves are those of numpy's pairwise summation
-    (``_pairwise_sums``). In each leaf every gain works
-    ``(x - a*(x + noise))**2`` and its square in that expression's
-    operation order, and the leaf sums are added up the tree that
-    ``err.sum()`` adds, so each pair keeps its one-gain bits. The call
-    holds one float64 and one int8 array of a chunk (9 MB at 10^6) and
-    two leaf buffers of 2^16 doubles, whatever the number of gains.
+    of m samples the generator gives m uniforms for the labels, m normals
+    z for the clean signal x = where(pick1, m1 + s1*z, m2 + s2*z) and m
+    normals for the noise; every gain then sums ``(x - a*(x + noise))**2``
+    and its square over the chunk. So each gain's pair is the one
+    ``monte_carlo_mse`` gives it alone, and a draw of at most one chunk
+    (n <= 2^18) has the bits it had with 10^6-sample chunks. The call
+    holds three float64 and one int8 array of a chunk (6.5 MB), whatever
+    the number of gains.
 
     Every argument is checked before any draw: a non-finite gain anywhere,
     a sample count that is not an integer of at least 2 and a seed that is
@@ -475,12 +454,15 @@ def monte_carlo_mses(
     mix = model.mixture
     s1, s2, sigma = math.sqrt(mix.v1), math.sqrt(mix.v2), model.sigma_n
     rng = np.random.default_rng(seed)
-    size = min(n, 1_000_000)
-    buf_x, buf_pick = np.empty(size), np.empty(size, np.int8)
-    work, noisy = np.empty(min(size, _LEAF)), np.empty(min(size, _LEAF))
-
-    def leaf(i: int, j: int) -> list[float]:
-        x, t, y = buf_x[i:j], work[: j - i], noisy[: j - i]
+    size = min(n, _CHUNK)
+    block, buf_pick = np.empty((3, size)), np.empty(size, np.int8)
+    totals = [0.0] * (2 * len(gains))
+    for start in range(0, n, size):
+        m = min(n - start, size)
+        (x, y, t), pick = block[:, :m], buf_pick[:m]
+        np.less(rng.random(out=t), mix.w1, out=pick)
+        np.negative(pick, out=pick)
+        rng.standard_normal(out=x)
         # x = where(pick1, m1 + s1*z, m2 + s2*z) bit for bit, pick 0 or -1
         np.multiply(x, s1, out=t)
         t += mix.m1
@@ -488,32 +470,18 @@ def monte_carlo_mses(
         x += mix.m2
         ti, xi = t.view(np.int64), x.view(np.int64)
         ti ^= xi
-        ti &= buf_pick[i:j]
+        ti &= pick
         xi ^= ti
         rng.standard_normal(out=y)
         y *= sigma  # noise
         y += x
-        sums = []
-        for a in gains:
+        for k, a in enumerate(gains):
             np.multiply(y, a, out=t)
             np.subtract(x, t, out=t)
             t *= t  # err
-            sums.append(float(t.sum()))
+            totals[2 * k] += float(t.sum())
             t *= t  # err * err
-            sums.append(float(t.sum()))
-        return sums
-
-    totals = [0.0] * (2 * len(gains))
-    remaining = n
-    while remaining > 0:
-        m = min(remaining, size)
-        for i in range(0, m, _LEAF):
-            u = work[: min(m - i, _LEAF)]
-            np.less(rng.random(out=u), mix.w1, out=buf_pick[i : i + len(u)])
-        np.negative(buf_pick[:m], out=buf_pick[:m])
-        rng.standard_normal(out=buf_x[:m])
-        totals = [t + c for t, c in zip(totals, _pairwise_sums(leaf, 0, m))]
-        remaining -= m
+            totals[2 * k + 1] += float(t.sum())
     out = []
     for t, t_sq in zip(totals[::2], totals[1::2]):
         mean = t / n

@@ -348,7 +348,7 @@ def _seed_monte_carlo_mse(model, a, n, seed):
     total_sq = 0.0
     remaining = n
     while remaining > 0:
-        m = min(remaining, 1_000_000)
+        m = min(remaining, 2**18)
         pick1 = rng.random(m) < mix.w1
         z = rng.standard_normal(m)
         x = np.where(
@@ -374,11 +374,11 @@ _MC_MODELS = {
 }
 
 
-# one leaf, the leaf's edge, one chunk of two leaves, two chunks, three
-@pytest.mark.parametrize("n", [2, 10, 65_536, 65_537, 1_000_003, 2_000_001])
+# inside one chunk (at 2**16 too), the chunk's edge, two chunks, four
+@pytest.mark.parametrize("n", [2, 10, 65_536, 65_537, 262_144, 262_145, 1_000_003])
 def test_monte_carlo_is_bit_identical_to_seed_formula(n):
-    # one draw for all gains, the noise drawn leaf by leaf: each pair keeps
-    # the bits of a draw of its own, a repeated or negative gain too
+    # one draw for all gains: each pair keeps the bits of a draw of its
+    # own, a repeated or negative gain too
     gains = (0.8, -0.3, 0.8)
     for model in _MC_MODELS.values():
         seed = {a: _seed_monte_carlo_mse(model, a, n, seed=5) for a in gains}
@@ -395,20 +395,6 @@ def test_monte_carlo_keeps_its_bits_within_one_chunk():
     ]
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 8, 129, 65_536, 65_537, 131_080, 262_151, 1_000_000, 2_000_001])
-def test_pairwise_tree_sum_is_numpys_sum(n):
-    # a numpy whose summation order differs fails here, not only in a hash
-    arr = np.random.default_rng(n).standard_normal(n) ** 2 * 1e3
-    leaves = []
-
-    def leaf(i, j):
-        leaves.append(j - i)
-        return [float(arr[i:j].sum()), float(-arr[i:j].sum())]
-
-    assert restoration._pairwise_sums(leaf, 0, n) == [float(arr.sum()), float(-arr.sum())]
-    assert sum(leaves) == n and max(leaves) <= 2**16
-
-
 GRID = np.linspace(0.05, 1.5, 146)
 
 
@@ -421,9 +407,9 @@ def test_monte_carlo_mses_of_no_gains_is_empty_without_a_draw(monkeypatch):
 
 
 def test_monte_carlo_mses_hold_one_chunk_whatever_the_gains():
-    # one float64 and one int8 array of a chunk and two leaf buffers
-    # (three allowed) however many gains share them
-    chunk, leaf = 1_000_000, 2**16
+    # three float64 rows and one int8 array of a chunk, plus the generator's
+    # and the buffered ufunc loops' small change, however many gains share them
+    chunk = 2**18
     peaks = []
     for gains in ([0.8], [0.5, 0.8]):
         tracemalloc.start()
@@ -432,8 +418,8 @@ def test_monte_carlo_mses_hold_one_chunk_whatever_the_gains():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert 9_000_000 <= peaks[0] <= 8 * chunk + chunk + 3 * 8 * leaf + 2**18
-    assert peaks[1] <= peaks[0] + 2**16
+    assert 3 * 8 * chunk <= peaks[0] <= 3 * 8 * chunk + chunk + 2**17
+    assert peaks[1] <= peaks[0] + 4096
 
 
 @pytest.mark.parametrize("sigma_n", [0.0, 1.0])
