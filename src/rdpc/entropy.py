@@ -26,6 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, IntegrationError
+from .optimize import bisect_root
 
 _TINY = 1e-300
 
@@ -119,7 +120,7 @@ def binary_entropy_inv(h: float) -> float:
     """The unique p in [0, 1/2] with ``binary_entropy(p) == h``.
 
     The result is that of a bisection on the increasing branch of
-    F(p) = binary_entropy(p) - h over [0, 1/2] (``_bisect_inv``): it
+    F(p) = binary_entropy(p) - h over [0, 1/2] (``bisect_root``): it
     returns the midpoint at which F is exactly 0 or the half-width of the
     bracket falls below 1e-14, so the result is within 1e-14 of the root.
     That bisection takes 46 steps; most h get its answer without it:
@@ -182,27 +183,7 @@ def binary_entropy_inv(h: float) -> float:
         and _entropy_gap(lo + 2.0 * _W, h) > _MARGIN
     ):
         return lo + 0.5 * _W
-    return _bisect_inv(h)
-
-
-def _bisect_inv(h: float) -> float:
-    """``binary_entropy_inv`` by its bisection, for 0 < h < 1."""
-    # optimize.bisect_root(lambda p: binary_entropy(p) - h, 0, 1/2,
-    # xtol=1e-14) written out with the same float operations: f(0) is -h,
-    # and mid stays above 2**-47, so the 0 log 0 guard never applies. f
-    # increases on [0, 1/2], so f(lo) < 0 throughout and bisect_root's sign
-    # test (f(lo) and f(mid) of opposite signs) is f(mid) > 0.
-    lo, hi = 0.0, 0.5
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = _entropy_gap(mid, h)
-        if fmid == 0.0 or (hi - lo) * 0.5 < 1e-14:
-            return mid
-        if fmid > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return bisect_root(lambda p: binary_entropy(p) - h, 0.0, 0.5, xtol=1e-14)
 
 
 def _binary_entropy_inv_arr(h) -> np.ndarray:
@@ -284,7 +265,8 @@ def _certified_inv(h: np.ndarray, out: np.ndarray, failed: np.ndarray) -> None:
 
 
 def _bisect_inv_arr(h: np.ndarray) -> np.ndarray:
-    """``_bisect_inv`` elementwise with numpy's log2, in lockstep.
+    """``binary_entropy_inv``'s fallback bisection elementwise with numpy's
+    log2, in lockstep.
 
     Every element takes the scalar's midpoints and sign test and stops
     under its rule: at fmid == 0 it stays at that midpoint, and the

@@ -32,9 +32,9 @@ def bisect_root(
     Requires a sign change (an endpoint value of exactly 0 is accepted).
     Bisection needs no derivative, which suits targets whose slope is
     unbounded at one end of the bracket, such as the conditional entropy
-    along a zero-divergence line. The binary entropy near 0 is another,
-    but ``entropy.binary_entropy_inv`` does not bisect it: it gets this
-    bisection's answer from a Newton estimate and a certificate.
+    along a zero-divergence line. The binary entropy near 0 is another:
+    ``entropy.binary_entropy_inv`` gets this bisection's answer from a
+    Newton estimate and a certificate, and bisects only where that fails.
     """
     flo = f(lo)
     fhi = f(hi)

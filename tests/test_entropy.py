@@ -54,7 +54,7 @@ def test_inverse_roundtrip(p):
 
 
 def _bisect_root_inverse(h):
-    # the bisect_root formulation the inlined loop must reproduce bit for bit
+    # the bisection whose answer the Newton estimate and certificate give
     if h == 0.0:
         return 0.0
     if h == 1.0:
@@ -100,8 +100,8 @@ def test_inverse_is_bit_identical_to_bisect_root():
 
 
 def test_inverse_certificate_refuses_what_only_its_margin_can(monkeypatch):
-    fallback, calls = entropy._bisect_inv, []
-    monkeypatch.setattr(entropy, "_bisect_inv", lambda h: calls.append(h) or fallback(h))
+    fallback, calls = entropy.bisect_root, []
+    monkeypatch.setattr(entropy, "bisect_root", lambda *a, **k: calls.append(a) or fallback(*a, **k))
     rng = np.random.default_rng(20261021)
     for kind, hs in _margin_refused_entropies(rng, np.vectorize(binary_entropy)).items():
         del calls[:]
