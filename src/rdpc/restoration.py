@@ -413,10 +413,11 @@ def frontier(
     ]
 
 
-# Samples per chunk: the call holds three float64 rows of a chunk in one
-# 6 MB block. Freeing a block this large raises glibc's mmap threshold, so
-# the mgl suite's 800 kB arrays in a later `verify` of the same process reuse
-# heap pages; chunks of 2**16 made repeated verify runs about 6% slower.
+# Samples per chunk. The three float64 rows of a chunk share one block:
+# freeing a block larger than the mgl suite's 800 kB arrays raises glibc's
+# mmap threshold, so a later `verify` in the same process takes those arrays
+# from reused heap pages. Separate 512 kB rows (chunks of 2**16) made
+# repeated verify runs 3-6% slower; one block of 2**16 rows did not.
 _CHUNK = 1 << 18
 
 

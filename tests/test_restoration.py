@@ -408,7 +408,7 @@ def test_monte_carlo_mses_of_no_gains_is_empty_without_a_draw(monkeypatch):
 
 def test_monte_carlo_mses_hold_one_chunk_whatever_the_gains():
     # three float64 rows and one int8 array of a chunk, plus the generator's
-    # and the buffered ufunc loops' small change, however many gains share them
+    # and numpy's small working buffers, however many gains share them
     chunk = 2**18
     peaks = []
     for gains in ([0.8], [0.5, 0.8]):

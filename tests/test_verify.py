@@ -97,8 +97,8 @@ def test_convexity_suite_spot_checks_without_scalar_loops(monkeypatch):
 
 
 # float.hex of every measured value of the restoration suite; only the
-# Monte Carlo column depends on the seed, and it moved when the Monte Carlo
-# chunk became 2**18 samples (a new sample of its 10**6 draw)
+# Monte Carlo column depends on the seed, and on the 2**18-sample chunks
+# its 10**6-sample draw is taken in
 _RESTORATION_BITS = {
     "bayes_threshold_err": "0x1.8000000000000p-53",
     "symmetric_threshold": "0x0.0p+0",
