@@ -154,6 +154,47 @@ def test_g_function_anchor():
     assert g_function(SRC, 0.96) == pytest.approx(0.600637242235634, abs=1e-12)
 
 
+def _four_atom_g(src, p_a):
+    """H(S|Xhat) on the zero-divergence line as first written: the entropy
+    of the four-atom joint of (S, Xhat) less H(b)."""
+    b, p1 = src.b, src.p1
+    one_b = 1.0 - b
+    s = (1.0 - 2.0 * p1) * one_b * p_a
+    atoms = [s + p1 * one_b, -s + p1 * b + one_b * (1.0 - 2.0 * p1),
+             -s + (1.0 - p1) * one_b, s + (1.0 - p1) * b - one_b * (1.0 - 2.0 * p1)]
+    total = 0.0
+    for w in atoms:
+        if w >= 1e-300:
+            total -= w * math.log2(w)
+    return total - binary_entropy(b)
+
+
+def test_g_function_is_the_four_atom_formula():
+    rng = np.random.default_rng(31)
+    for a, frac in ((0.3, 1 / 3), (0.45, 0.44), (0.2, 0.0)):
+        src = BinaryPairSource(a, a * frac)
+        start = (1.0 - 2.0 * src.b) / (1.0 - src.b)
+        for p_a in [start, 1.0, *rng.uniform(start, 1.0, 2_000).tolist()]:
+            assert abs(g_function(src, p_a) - _four_atom_g(src, p_a)) <= 4e-15
+
+
+# float.hex of (p_a, p_b) of rpc_binary_witness, by ((a, p1), C)
+_RPC_WITNESS_BITS = [
+    ((0.3, 0.1), 0.6, ("0x1.eba2621e4ba00p-1", "0x1.e8c6cd28e9001p-4")),
+    ((0.3, 0.1), 0.75, ("0x1.ca63189df3e00p-1", "0x1.41ad6c4c48c01p-2")),
+    ((0.45, 0.2), 0.8, ("0x1.e073f57e9a200p-1", "0x1.6153a8dc74fffp-4")),
+    ((0.2, 0.05), 0.5, ("0x1.e918d0e07d2aap-1", "0x1.ca0fae7638ab6p-3")),
+    ((0.5, 0.3), 0.95, ("0x1.a784381e53a00p-1", "0x1.61ef1f86b1800p-3")),
+    ((0.1, 0.01), 0.3, ("0x1.f07f2cb877924p-1", "0x1.329e8b86c3253p-2")),
+]
+
+
+@pytest.mark.parametrize("source, c, bits", _RPC_WITNESS_BITS)
+def test_rpc_binary_witness_keeps_its_bits(source, c, bits):
+    ch = rpc_binary_witness(BinaryPairSource(*source), c)
+    assert (float.hex(ch.p_a), float.hex(ch.p_b)) == bits
+
+
 # ---------------------------------------------------------------------------
 # Gaussian, distortion + classification
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from rdpc import (
     rpc_binary,
     rpc_gaussian,
 )
-from rdpc import oracle
+from rdpc import oracle, verify
 from rdpc.entropy import (
     _h2_bits_arr,
     binary_convolution,
@@ -93,6 +93,29 @@ def test_mgl_strict_on_generic_channel():
 )
 def test_mgl_holds_everywhere(pa, pb):
     assert mrs_gerber_check(SRC, BinaryChannel(pa, pb)).holds
+
+
+def _scalar_mgl(src, ch):
+    """(lhs, rhs) of Mrs. Gerber's lemma as first written, with the scalar
+    entropy functions: the reference ``mrs_gerber_check`` must match."""
+    stats = binary_channel_stats(src, ch)
+    h_x_given = min(max(binary_entropy(src.b) - stats.mutual_info, 0.0), 1.0)
+    rhs = binary_entropy(binary_convolution(src.p1, binary_entropy_inv(h_x_given)))
+    return stats.cond_entropy_s, rhs
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_mgl_check_is_the_scalar_formula_on_the_verify_draws(seed):
+    # every 1000th of the mgl suite's 100,000 draws
+    rng, n = verify._rng_for(seed, 1), 100_000
+    a = rng.uniform(0.02, 0.5, size=n)
+    p1 = a * rng.uniform(0.1, 0.95, size=n)
+    pa, pb = rng.uniform(0.0, 1.0, size=n), rng.uniform(0.0, 1.0, size=n)
+    for i in range(0, n, 1000):
+        src = BinaryPairSource(float(a[i]), float(p1[i]))
+        ch = BinaryChannel(float(pa[i]), float(pb[i]))
+        got, (lhs, rhs) = mrs_gerber_check(src, ch), _scalar_mgl(src, ch)
+        assert abs(got.lhs - lhs) <= 1e-12 and abs(got.rhs - rhs) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
