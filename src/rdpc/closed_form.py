@@ -22,15 +22,10 @@ import math
 
 import numpy as np
 
-from .entropy import (
-    _binary_entropy_inv_arr,
-    _h2_bits_arr,
-    binary_entropy,
-    binary_entropy_inv,
-    discrete_entropy_bits,
-)
+from .entropy import _binary_entropy_inv_arr, _h2_bits_arr, binary_entropy, binary_entropy_inv
 from .errors import DomainError, WitnessUnavailableError
 from .optimize import bisect_root
+from .oracle import _binary_point
 from .results import (
     BinaryChannel,
     GaussianReconstruction,
@@ -171,9 +166,10 @@ def g_function(src: BinaryPairSource, p_a: float) -> float:
     """Label conditional entropy H(S|Xhat) along the zero-divergence line.
 
     On the line the reconstruction marginal matches the source, forcing
-    p_b = (1-b)(1-p_a)/b. The value is computed as the entropy of the
-    four-atom joint of (S, Xhat) minus H(b); it decreases from H(a) at
-    p_a = 1-b down to H(p1) at p_a = 1.
+    p_b = (1-b)(1-p_a)/b, clamped to [0, 1]. The value is the H(S|Xhat)
+    of the oracle's ``_binary_point`` at that channel; it decreases from
+    H(a) at p_a = 1-b down to H(p1) at p_a = 1. A p_b more than 1e-12
+    outside [0, 1], and a p_a outside [0, 1], raise ``DomainError``.
     """
     b = src.b
     if b < 1e-15:
@@ -184,15 +180,7 @@ def g_function(src: BinaryPairSource, p_a: float) -> float:
             f"p_a={p_a} implies p_b={p_b} outside [0,1]; "
             f"the line only exists for p_a in [{(1 - 2 * b) / (1 - b)}, 1]"
         )
-    p1 = src.p1
-    one_b = 1.0 - b
-    s = (1.0 - 2.0 * p1) * one_b * p_a
-    atom_s0_x0 = s + p1 * one_b
-    atom_s1_x0 = -s + (1.0 - p1) * one_b
-    atom_s0_x1 = -s + p1 * b + one_b * (1.0 - 2.0 * p1)
-    atom_s1_x1 = s + (1.0 - p1) * b - one_b * (1.0 - 2.0 * p1)
-    joint = [atom_s0_x0, atom_s0_x1, atom_s1_x0, atom_s1_x1]
-    return discrete_entropy_bits(joint) - binary_entropy(b)
+    return _binary_point(b, src.p1, p_a, min(max(p_b, 0.0), 1.0))[3]
 
 
 def rpc_binary_witness(src: BinaryPairSource, c: float) -> BinaryChannel:

@@ -294,21 +294,6 @@ def binary_convolution(p: float, q: float) -> float:
     return p * (1.0 - q) + q * (1.0 - p)
 
 
-def discrete_entropy_bits(probs: Sequence[float]) -> float:
-    """Shannon entropy of a small probability vector, in bits.
-
-    Only used internally for the four-atom joint distribution that appears
-    in the zero-divergence channel analysis; tolerates tiny negative
-    entries from float cancellation.
-    """
-    total = 0.0
-    for w in probs:
-        if w < -1e-12:
-            raise DomainError(f"negative probability: {w}")
-        total -= _xlog2x(max(w, 0.0))
-    return total
-
-
 def gaussian_diff_entropy(variance: float) -> float:
     """Differential entropy of a Gaussian with the given variance, in nats."""
     if variance <= 0.0:

@@ -38,8 +38,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .entropy import (_gaussian_kl, _h2_bits_arr, binary_convolution, binary_entropy,
-                      binary_entropy_inv)
+from .entropy import _binary_entropy_inv_arr, _gaussian_kl, _h2_bits_arr, binary_entropy
 from .errors import DomainError
 from .optimize import bisect_predicate
 from .results import BinaryChannel, ChannelStats, GaussianReconstruction, OracleResult, Unit
@@ -78,8 +77,9 @@ _SLICE, _CELL_SLICE = 2**12, 2**8
 def _binary_joint_arr(b1, p1, pa, pb) -> tuple[np.ndarray, np.ndarray]:
     """(I(X; Xhat), H(S | Xhat)) in bits of binary channels, elementwise.
 
-    The formulas of ``_binary_point`` on broadcast arrays: ``b1`` is
-    P(X = 1), ``p1`` the label flip probability and (pa, pb) the channel.
+    The formulas of ``_binary_point`` on broadcast arrays, for callers
+    that need many channels at once: ``b1`` is P(X = 1), ``p1`` the label
+    flip probability and (pa, pb) the channel.
     """
     shape = np.broadcast(b1, p1, pa, pb).shape
     if math.prod(shape) > _SLICE:
@@ -121,10 +121,10 @@ def _binary_point(
     # each value of Xhat adds its probability times h(p1 * P(X=1 | Xhat))
     if q0 > 0.0:
         x1_given_0 = min(max(b1 * p_b / q0, 0.0), 1.0)
-        hs += q0 * binary_entropy(binary_convolution(p1, x1_given_0))
+        hs += q0 * binary_entropy(p1 * (1.0 - x1_given_0) + x1_given_0 * (1.0 - p1))
     if q0 < 1.0:
         x1_given_1 = min(max(b1 * (1.0 - p_b) / (1.0 - q0), 0.0), 1.0)
-        hs += (1.0 - q0) * binary_entropy(binary_convolution(p1, x1_given_1))
+        hs += (1.0 - q0) * binary_entropy(p1 * (1.0 - x1_given_1) + x1_given_1 * (1.0 - p1))
     dist = (1.0 - b1) * (1.0 - p_a) + b1 * p_b
     return max(info, 0.0), dist, abs(q0 - (1.0 - b1)), hs
 
@@ -481,20 +481,26 @@ class MglCheck:
     holds: bool
 
 
+def _mgl_margins(a, p1, pa, pb) -> tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs) of Mrs. Gerber's lemma, H(S | Xhat) >= h(p1 * Hinv(H(X | Xhat))),
+    elementwise over broadcast arrays of label marginals ``a``, label flip
+    probabilities ``p1`` and channels (pa, pb), from ``_binary_joint_arr``
+    and the array entropy inverse."""
+    b1 = (a - p1) / (1.0 - 2.0 * p1)
+    info, lhs = _binary_joint_arr(b1, p1, pa, pb)
+    h_x_given = np.clip(_h2_bits_arr(b1) - info, 0.0, 1.0)
+    eps = _binary_entropy_inv_arr(h_x_given)
+    rhs = _h2_bits_arr(p1 * (1.0 - eps) + eps * (1.0 - p1))
+    return lhs, rhs
+
+
 def mrs_gerber_check(src: BinaryPairSource, ch: BinaryChannel) -> MglCheck:
-    """Mrs. Gerber's lemma instance: H(S|Xhat) vs H(p1 * Hinv(H(X|Xhat))).
+    """Mrs. Gerber's lemma instance: H(S|Xhat) vs H(p1 * Hinv(H(X|Xhat))),
+    the one-channel call of ``_mgl_margins``.
 
     Equality requires the backward conditionals of the channel to be
     complementary; everything else should be strictly above the bound.
     """
-    stats = binary_channel_stats(src, ch)
-    h_x = binary_entropy(src.b)
-    h_x_given = min(max(h_x - stats.mutual_info, 0.0), 1.0)
-    rhs = binary_entropy(
-        binary_convolution(src.p1, binary_entropy_inv(h_x_given))
-    )
-    return MglCheck(
-        lhs=stats.cond_entropy_s,
-        rhs=rhs,
-        holds=stats.cond_entropy_s >= rhs - 1e-10,
-    )
+    lhs, rhs = _mgl_margins(np.array([src.a]), src.p1, ch.p_a, ch.p_b)
+    lhs, rhs = float(lhs[0]), float(rhs[0])
+    return MglCheck(lhs=lhs, rhs=rhs, holds=lhs >= rhs - 1e-10)
