@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .closed_form import _gaussian_k
+from .closed_form import _check_bounds, _gaussian_k
 from .errors import DomainError
 from .oracle import _gaussian_stats
 from .results import GaussianReconstruction, Region, TradeoffPoint, Unit
@@ -91,10 +91,7 @@ def _k(src: GaussianPairSource, d: float, p: float, c: float) -> float:
     (-inf or +inf if it is vacuous or unmeetable at rho^2 = 0)."""
     if not 0.0 < d < math.inf:
         raise DomainError(f"pinned distortion must be positive and finite: {d}")
-    if not p >= 0.0:
-        raise DomainError(f"perception bound must be >= 0 (inf allowed): {p}")
-    if math.isnan(c):
-        raise DomainError("classification bound is NaN")
+    _check_bounds(c, p=p)
     if src.rho**2 == 0.0:
         return -math.inf if c >= src.h_s else math.inf
     return _gaussian_k(src, c)
