@@ -212,7 +212,9 @@ def kl_of_gains(model: RestorationModel, gains: Sequence[float]) -> np.ndarray:
     ``numeric_kl`` per gain, with the log densities (a strongly contracting
     gain leaves the restored law so narrow that its density underflows
     under the clean tails), over the union of the clean and restored 12-sd
-    supports split at the four component means.
+    supports split at the four component means and at the restored
+    support's ends, so a restored law far narrower than the range is not
+    missed.
 
     Every gain is checked before any work: a zero, NaN or infinite gain
     anywhere raises ``DomainError``, as does one whose restored variance
@@ -246,7 +248,7 @@ def _numeric_kl_of_gain(model: RestorationModel, a: float) -> float:
     (lo1, hi1), (lo2, hi2) = clean.support_12sd(), restored.support_12sd()
     return numeric_kl(
         clean.density, restored.density, (min(lo1, lo2), max(hi1, hi2)), atol=1e-7,
-        points=sorted({clean.m1, clean.m2, restored.m1, restored.m2}),
+        points=sorted({clean.m1, clean.m2, restored.m1, restored.m2, lo2, hi2}),
         log_p=clean.log_density, log_q=restored.log_density,
     )
 

@@ -246,6 +246,15 @@ def test_unequal_variance_kl_is_numeric_kl_per_gain():
         )
 
 
+def test_unequal_variance_kl_at_a_tiny_gain():
+    # the restored law is about 4e-4 wide on a range about 43 wide: unless
+    # the range is split at its 12-sd ends, the quadrature misses most of q
+    mix = GaussianMixture2(0.50196, 0.49804, 0.34314, 0.63670, 2.31200, 3.23738)
+    kl = kl_of_gain(RestorationModel(mix, 2.0, 0.0), -2.07e-4)
+    # scipy's quad, with the same split, gives 4891745.881354319
+    assert kl == pytest.approx(4891745.881354319, rel=1e-12)
+
+
 # float.hex of kl_of_gains at gains -0.8, 0.3, 0.81 and 1.4 for the clean
 # mixture GaussianMixture2(0.7, 0.3, -1, 1, 1, v2), by (v2, sigma_n): the
 # unequal-variance (numeric_kl) path, recorded before its quadrature lost
