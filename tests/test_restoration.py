@@ -241,7 +241,8 @@ def test_unequal_variance_kl_is_numeric_kl_per_gain():
         hi = max(clean.support_12sd()[1], restored.support_12sd()[1])
         assert kl == numeric_kl(
             clean.density, restored.density, (lo, hi), atol=1e-7,
-            points=sorted({clean.m1, clean.m2, restored.m1, restored.m2}),
+            points=sorted({clean.m1, clean.m2, restored.m1, restored.m2,
+                           *restored.support_12sd()}),
             log_p=clean.log_density, log_q=restored.log_density,
         )
 
@@ -257,27 +258,27 @@ def test_unequal_variance_kl_at_a_tiny_gain():
 
 # float.hex of kl_of_gains at gains -0.8, 0.3, 0.81 and 1.4 for the clean
 # mixture GaussianMixture2(0.7, 0.3, -1, 1, 1, v2), by (v2, sigma_n): the
-# unequal-variance (numeric_kl) path, recorded before its quadrature lost
-# its row batching
+# unequal-variance (numeric_kl) path, recorded once its range was also
+# split at the restored law's 12-sd ends
 _UNEQUAL_KL_BITS = {
-    (0.5, 0.0): ["0x1.daec7c2004dbcp-2", "0x1.c227c07c23765p+2",
-                 "0x1.52cc856ca2b02p-4", "0x1.122be08aa5c25p-3"],
-    (0.5, 0.3): ["0x1.86fb14e033625p-2", "0x1.9012bd0955206p+2",
-                 "0x1.dc829a90a6912p-5", "0x1.2e75074fc66dap-3"],
-    (0.5, 1.0): ["0x1.4d33819e41836p-3", "0x1.586e7ebaf9b26p+1",
+    (0.5, 0.0): ["0x1.daec7c201b13bp-2", "0x1.c227c07c23765p+2",
+                 "0x1.52cc856ca2b06p-4", "0x1.122be08aa5c25p-3"],
+    (0.5, 0.3): ["0x1.86fb14e033717p-2", "0x1.9012bd0955206p+2",
+                 "0x1.dc829a90a690fp-5", "0x1.2e75074fc66dap-3"],
+    (0.5, 1.0): ["0x1.4d33819e41836p-3", "0x1.586e7ebaf9b27p+1",
                  "0x1.9f8481c1afbd8p-7", "0x1.133c950ed3095p-2"],
-    (2.0, 0.0): ["0x1.7340b12c72281p-2", "0x1.585153dabbaa2p+2",
-                 "0x1.1c2b04fdbb93ep-4", "0x1.d77be703ac5ecp-4"],
-    (2.0, 0.3): ["0x1.59dfddbadd739p-2", "0x1.41ecdcb8ff174p+2",
-                 "0x1.b6f41f4932f62p-5", "0x1.02b4a1d7c785cp-3"],
-    (2.0, 1.0): ["0x1.b33c89f12ec5cp-3", "0x1.67b7bc3f48aa4p+1",
-                 "0x1.56276316f440cp-7", "0x1.de5f03a349143p-3"],
-    (4.0, 0.0): ["0x1.0bc584bb80151p-1", "0x1.c15d6c2a30962p+1",
-                 "0x1.f84ec09f083b6p-5", "0x1.c37e373dbe61bp-4"],
-    (4.0, 0.3): ["0x1.fe7e1efdb9f7ap-2", "0x1.b279b461fb2fcp+1",
-                 "0x1.96611d22cafccp-5", "0x1.edfbd9748d2e0p-4"],
-    (4.0, 1.0): ["0x1.56da5c889c6d9p-2", "0x1.3b0965747eb75p+1",
-                 "0x1.0732c25644663p-6", "0x1.c6bad93409fb7p-3"],
+    (2.0, 0.0): ["0x1.7340b12c7228cp-2", "0x1.585153dabb9e4p+2",
+                 "0x1.1c2b04fdba089p-4", "0x1.d77be703ac5ecp-4"],
+    (2.0, 0.3): ["0x1.59dfddbadd745p-2", "0x1.41ecdcb8ff176p+2",
+                 "0x1.b6f41f494ac6ap-5", "0x1.02b4a1d7c785cp-3"],
+    (2.0, 1.0): ["0x1.b33c89f12bd43p-3", "0x1.67b7bc3f48aa9p+1",
+                 "0x1.56276316f43d4p-7", "0x1.de5f03a349143p-3"],
+    (4.0, 0.0): ["0x1.0bc584bb80153p-1", "0x1.c15d6c2a30963p+1",
+                 "0x1.f84ec09f0869ep-5", "0x1.c37e373dbe61bp-4"],
+    (4.0, 0.3): ["0x1.fe7e1efdb9f79p-2", "0x1.b279b461fb2fdp+1",
+                 "0x1.96611d22caef6p-5", "0x1.edfbd9748d2e0p-4"],
+    (4.0, 1.0): ["0x1.56da5c889c700p-2", "0x1.3b0965747eb76p+1",
+                 "0x1.0732c25644662p-6", "0x1.c6bad93409fb7p-3"],
 }
 
 
