@@ -12,8 +12,9 @@ inputs classify as feasible.
 
 The private ``_rdc_*_rates`` kernels give the RDC rates alone over numpy
 arrays of bounds, for callers that need thousands of them at once; the
-scalar entry points stay plain Python, which is several times faster per
-point than a numpy call on one element.
+scalar entry points stay plain Python: on Python 3.11 they take 2.3-3.9 us
+per point, result objects included, where a kernel call on one-element
+arrays takes 20 us (Gaussian) to 90 us (binary).
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ from .results import (
 from .sources import BinaryPairSource, GaussianPairSource
 
 _TOL = 1e-12
+# Each Region.X or Unit.X lookup costs 80-90 ns on Python 3.11 (14 ns on
+# 3.13) against 6 ns for a module global, and a call makes 3-4 of them.
+_BITS, _NATS = Unit.BITS, Unit.NATS
+_DISTORTION, _CLASSIFICATION = Region.DISTORTION_LIMITED, Region.CLASSIFICATION_LIMITED
+_ZERO_RATE, _INFEASIBLE = Region.ZERO_RATE, Region.INFEASIBLE
 
 
 def _check_bounds(c: float, d: float = 0.0, p: float = 0.0) -> None:
@@ -115,25 +121,21 @@ def rdc_binary(src: BinaryPairSource, d: float, c: float) -> TradeoffPoint:
     """
     _check_bounds(c, d=d)
     if c < src.floor_c - _TOL:
-        return TradeoffPoint(rate=math.nan, unit=Unit.BITS,
-                             region=Region.INFEASIBLE, c=c, d=d)
+        return TradeoffPoint(rate=math.nan, unit=_BITS, region=_INFEASIBLE, c=c, d=d)
     b = src.b
     c1 = _c1(src, c)
     if c1 <= b + _TOL and d >= c1 - _TOL:
-        region, eps = Region.CLASSIFICATION_LIMITED, min(c1, b)
+        region, eps = _CLASSIFICATION, min(c1, b)
     elif d <= b + _TOL and d < c1:
-        region, eps = Region.DISTORTION_LIMITED, min(d, b)
+        region, eps = _DISTORTION, min(d, b)
     else:
-        region, eps = Region.ZERO_RATE, None
+        region, eps = _ZERO_RATE, None
     if eps is None:
         rate, witness = 0.0, BinaryChannel(1.0, 1.0)
     else:
         rate = max(0.0, binary_entropy(b) - binary_entropy(eps))
         witness = _backward_witness(src, eps)
-    return TradeoffPoint(
-        rate=rate, unit=Unit.BITS, region=region,
-        c=c, d=d, witness=witness,
-    )
+    return TradeoffPoint(rate=rate, unit=_BITS, region=region, c=c, d=d, witness=witness)
 
 
 def _rdc_binary_rates(src: BinaryPairSource, d, c) -> np.ndarray:
@@ -217,18 +219,14 @@ def rpc_binary(src: BinaryPairSource, p: float, c: float) -> TradeoffPoint:
     """
     _check_bounds(c, p=p)
     if c < src.floor_c - _TOL:
-        return TradeoffPoint(rate=math.nan, unit=Unit.BITS,
-                             region=Region.INFEASIBLE, c=c, p=p)
+        return TradeoffPoint(rate=math.nan, unit=_BITS, region=_INFEASIBLE, c=c, p=p)
     if c >= binary_entropy(src.a) - _TOL:
         b = src.b
         witness = BinaryChannel(1.0 - b, 1.0 - b)
-        return TradeoffPoint(
-            rate=0.0, unit=Unit.BITS, region=Region.ZERO_RATE,
-            c=c, p=p, witness=witness,
-        )
+        return TradeoffPoint(rate=0.0, unit=_BITS, region=_ZERO_RATE, c=c, p=p, witness=witness)
     rate = max(0.0, binary_entropy(src.b) - binary_entropy(_c1(src, c)))
     return TradeoffPoint(
-        rate=rate, unit=Unit.BITS, region=Region.CLASSIFICATION_LIMITED, c=c, p=p,
+        rate=rate, unit=_BITS, region=_CLASSIFICATION, c=c, p=p,
         witness=rpc_binary_witness(src, c),
     )
 
@@ -257,7 +255,7 @@ def _rdc_gaussian_core(
     NaN and NaN (no boundary exists) below the source's ``floor_c``."""
     _check_bounds(c, d=d)
     if c < src.floor_c - _TOL:
-        return math.nan, Region.INFEASIBLE, math.nan, math.nan
+        return math.nan, _INFEASIBLE, math.nan, math.nan
     vx = src.var_x
     # at c >= h(S) the classification constraint is vacuous: k = 0, and
     # above d* = var_x the constant reconstruction costs nothing
@@ -266,12 +264,12 @@ def _rdc_gaussian_core(
     d_star = vx * (1.0 - k)
     if d <= d_star + _TOL:
         rate = math.inf if d == 0.0 else max(0.0, 0.5 * math.log(vx / d))
-        return rate, Region.DISTORTION_LIMITED, max(vx - d, 0.0), d_star
+        return rate, _DISTORTION, max(vx - d, 0.0), d_star
     if vacuous:
-        return 0.0, Region.ZERO_RATE, 0.0, d_star
+        return 0.0, _ZERO_RATE, 0.0, d_star
     one_minus_k = 1.0 - k
     rate = math.inf if one_minus_k <= 0.0 else -0.5 * math.log(one_minus_k)
-    return rate, Region.CLASSIFICATION_LIMITED, vx * k, d_star
+    return rate, _CLASSIFICATION, vx * k, d_star
 
 
 def _rdc_gaussian_rates(src: GaussianPairSource, d, c) -> np.ndarray:
@@ -313,8 +311,8 @@ def rdc_gaussian(src: GaussianPairSource, d: float, c: float) -> TradeoffPoint:
     0.5 ln(1 - rho^2) + h(S), the source's ``floor_c``.
     """
     rate, region, v, _ = _rdc_gaussian_core(src, d, c)
-    wit = None if region is Region.INFEASIBLE else GaussianReconstruction(src.mu_x, v, v)
-    return TradeoffPoint(rate=rate, unit=Unit.NATS, region=region, c=c, d=d, witness=wit)
+    wit = None if region is _INFEASIBLE else GaussianReconstruction(src.mu_x, v, v)
+    return TradeoffPoint(rate=rate, unit=_NATS, region=region, c=c, d=d, witness=wit)
 
 
 def rdc_gaussian_region(
@@ -356,10 +354,10 @@ def rpc_gaussian(src: GaussianPairSource, p: float, c: float) -> TradeoffPoint:
     """
     _check_bounds(c, p=p)
     rate, region, _, _ = _rdc_gaussian_core(src, math.inf, c)
-    if region is Region.INFEASIBLE:
+    if region is _INFEASIBLE:
         wit = None
-    elif region is Region.ZERO_RATE:
+    elif region is _ZERO_RATE:
         wit = GaussianReconstruction(src.mu_x, src.var_x, 0.0)
     else:
         wit = rpc_gaussian_witness(src, c)
-    return TradeoffPoint(rate=rate, unit=Unit.NATS, region=region, c=c, p=p, witness=wit)
+    return TradeoffPoint(rate=rate, unit=_NATS, region=region, c=c, p=p, witness=wit)

@@ -326,11 +326,11 @@ def binary_min_rate(
     lower = min(lower, parent)  # cells left open by the budget
     result = partial(OracleResult, unit=Unit.BITS, refined=False, constraints=cons)
     if argmin is None:
-        return result(rate=math.nan, argmin=None, feasible_points=0,
+        return result(rate=math.nan, argmin=None,
                       grid_resolution=0.0 if xy.shape[1] == 0 else math.inf)
     ch = BinaryChannel(*argmin)
     rate = binary_channel_stats(src, ch).mutual_info
-    return result(rate=rate, argmin=ch, grid_resolution=rate - lower, feasible_points=1)
+    return result(rate=rate, argmin=ch, grid_resolution=rate - lower)
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +463,10 @@ def gaussian_min_rate(
     # [0, 1] halves until the bracket is narrower than 1e-15, i.e. 2^-50 wide
     t = bisect_predicate(met, 0.0, 1.0, xtol=1e-15) if met(1.0) else 1.0
     if t == 1.0:  # nothing meets the bounds, or only t within 2^-50 of 1
-        return result(rate=math.nan, argmin=None, feasible_points=0)
+        return result(rate=math.nan, argmin=None)
     s = deviation(t)
     rec = GaussianReconstruction(src.mu_x, s * s, sx * s * t)
-    return result(rate=gaussian_recon_stats(src, rec).mutual_info, argmin=rec,
-                  feasible_points=1)
+    return result(rate=gaussian_recon_stats(src, rec).mutual_info, argmin=rec)
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,6 @@ def test_binary_oracle_infeasible_instance():
     assert not got.feasible
     assert math.isnan(got.rate)
     assert got.argmin is None
-    assert got.feasible_points == 0
     assert got.grid_resolution == 0.0  # every cell was excluded
 
 
@@ -264,47 +263,46 @@ def test_a_search_cut_short_by_its_budget_says_so(monkeypatch):
     assert got.rate - got.grid_resolution <= closed + 1e-12
     monkeypatch.setattr(oracle, "_CELL_BUDGET", 63)  # not even the first level
     dead = binary_min_rate(SRC, {"D": 0.3, "C": 0.6})
-    assert not dead.feasible and dead.feasible_points == 0
+    assert not dead.feasible
     assert dead.grid_resolution == math.inf
 
 
 SKEW = BinaryPairSource(a=0.45, p1=0.2)
 
 
-# float.hex of rate, argmin (p_a, p_b) and grid_resolution, and
-# feasible_points, as the search at commit 56f7862 gave them; a faster
-# search must give the same bits
+# float.hex of rate, argmin (p_a, p_b) and grid_resolution, as the search
+# at commit 56f7862 gave them; a faster search must give the same bits
 @pytest.mark.parametrize("src, cons, budget, want", [
     (SRC, {"D": 0.3, "C": 0.6}, None,
      ("0x1.f929f2ea35a56p-2", "0x1.f7a2000000000p-1", "0x1.73b0000000000p-3",
-      "0x1.173a1ed760000p-19", 1)),
+      "0x1.173a1ed760000p-19")),
     (SRC, {"P": 0.01, "C": 0.65}, None,
      ("0x1.9afa2ecb2eee6p-2", "0x1.e604000000000p-1", "0x1.89ac000000000p-3",
-      "0x1.ffc0aea9c0000p-18", 1)),
+      "0x1.ffc0aea9c0000p-18")),
     (SRC, {"D": 0.25, "P": 0.02, "C": 0.65}, None,
      ("0x1.996d8096d3c5bp-2", "0x1.e9d4000000000p-1", "0x1.adb8000000000p-3",
-      "0x1.aae13b7970000p-18", 1)),
+      "0x1.aae13b7970000p-18")),
     (SRC, {"D": 0.2}, None,
      ("0x1.6dfa95ae3ac74p-4", "0x1.f4b3332205274p-1", "0x1.77b3332205274p-1",
-      "0x1.006f59baac000p-18", 1)),
+      "0x1.006f59baac000p-18")),
     (SRC, {"C": 0.7}, None,
      ("0x1.39d85f3cb7fcap-2", "0x1.b280000000000p-6", "0x1.4422000000000p-1",
-      "0x1.bbb0d66180000p-21", 1)),
+      "0x1.bbb0d66180000p-21")),
     (SRC, {"P": 0.0, "C": 0.6}, None,
      ("0x1.fe6eecc8c6161p-2", "0x1.eba2800000000p-1", "0x1.e8c8000000000p-4",
-      "0x1.10619df480000p-20", 1)),
+      "0x1.10619df480000p-20")),
     (SKEW, {"D": 0.1, "C": 0.9}, None,
      ("0x1.05914623a1ddcp-1", "0x1.dd15f1505c305p-1", "0x1.2800000000000p-3",
-      "0x1.4efc23da00000p-17", 1)),
+      "0x1.4efc23da00000p-17")),
     (SKEW, {"P": 0.02, "C": 0.88}, None,
      ("0x1.563ab43ebcfa8p-2", "0x1.c038000000000p-1", "0x1.c720000000000p-3",
-      "0x1.bd41fd0390000p-18", 1)),
-    (SRC, {"D": 0.2, "C": -math.inf}, None, ("nan", None, None, "0x0.0p+0", 0)),
-    (SRC, {"C": 0.4}, None, ("nan", None, None, "0x0.0p+0", 0)),  # every cell excluded
+      "0x1.bd41fd0390000p-18")),
+    (SRC, {"D": 0.2, "C": -math.inf}, None, ("nan", None, None, "0x0.0p+0")),
+    (SRC, {"C": 0.4}, None, ("nan", None, None, "0x0.0p+0")),  # every cell excluded
     (SRC, {"D": 0.3, "C": 0.6}, 64 + 256,
      ("0x1.f93b9e4f11c43p-2", "0x1.f700000000000p-1", "0x1.6c00000000000p-3",
-      "0x1.70021e18a2000p-14", 1)),
-    (SRC, {"D": 0.3, "C": 0.6}, 63, ("nan", None, None, "inf", 0)),
+      "0x1.70021e18a2000p-14")),
+    (SRC, {"D": 0.3, "C": 0.6}, 63, ("nan", None, None, "inf")),
 ])
 def test_binary_oracle_answers_keep_their_bits(monkeypatch, src, cons, budget, want):
     if budget is not None:
@@ -312,8 +310,7 @@ def test_binary_oracle_answers_keep_their_bits(monkeypatch, src, cons, budget, w
     got = binary_min_rate(src, cons)
     p_a, p_b = (None, None) if got.argmin is None else (
         float.hex(got.argmin.p_a), float.hex(got.argmin.p_b))
-    assert (float.hex(got.rate), p_a, p_b, float.hex(got.grid_resolution),
-            got.feasible_points) == want
+    assert (float.hex(got.rate), p_a, p_b, float.hex(got.grid_resolution)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +450,6 @@ def _cheaper_grid_points(src, cons, rate):
 def test_gaussian_oracle_meets_its_bounds_and_the_closed_forms(query, loosen, pick):
     src, cons = query
     got = gaussian_min_rate(src, cons)
-    assert got.feasible_points == int(got.feasible)
     if got.feasible:
         stats = gaussian_recon_stats(src, got.argmin)
         assert stats.mutual_info == got.rate
