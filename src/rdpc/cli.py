@@ -7,11 +7,16 @@ completed dataset, a clean verify run), 1 for usage or internal errors,
 Flag values win over config-file values, which win over built-in
 defaults; --workers is accepted and has no effect. All output is
 deterministic for a fixed (command, config, seed).
+
+Only the closed-form layer loads with this module: each command imports
+the oracle, the restoration model, the pinned-distortion solver or the
+verify suites in its own handler, so a point query does not pay for them.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections.abc
 import functools
 import json
 import math
@@ -30,12 +35,8 @@ from .errors import (
     NoCrossingError,
     WitnessUnavailableError,
 )
-from .oracle import binary_min_rate, gaussian_min_rate
-from .restoration import default_model, sweep
 from .results import TradeoffPoint
-from .rpc_given_d import pc_frontier_given_rd, rate_given_pcd
 from .sources import BinaryPairSource, GaussianPairSource
-from .verify import SUITE_NAMES, run_suites
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
@@ -417,6 +418,8 @@ def _cmd_rpc_given_d(m: _Merged) -> int:
 
 
 def _rpc_given_d_point(m: _Merged, src: GaussianPairSource) -> int:
+    from .rpc_given_d import rate_given_pcd
+
     _refuse_object_flags(m, "point results")
     d_values = m.get("d")
     if d_values is None:
@@ -433,6 +436,8 @@ def _rpc_given_d_point(m: _Merged, src: GaussianPairSource) -> int:
 def _rpc_given_d_frontier(
     m: _Merged, src: GaussianPairSource, rate_level: float
 ) -> int:
+    from .rpc_given_d import pc_frontier_given_rd
+
     if m.get("p") is not None:
         raise _UsageError("--p belongs to point queries; a frontier minimizes it")
     if m.get("c") is not None:
@@ -477,6 +482,8 @@ def _cmd_surface(m: _Merged) -> int:
 
 
 def _cmd_oracle(m: _Merged) -> int:
+    from .oracle import binary_min_rate, gaussian_min_rate
+
     _refuse_object_flags(m, "oracle results")
     family = m.require("family")
     if family not in ("binary", "gaussian"):
@@ -496,6 +503,8 @@ def _cmd_oracle(m: _Merged) -> int:
 
 
 def _cmd_restore(m: _Merged) -> int:
+    from .restoration import default_model, sweep
+
     _refuse_dataset_flags(m)
     _check_units(m, "nats", "the restoration example")
     sigma_n = float(m.get("sigma_n", 1.0))
@@ -511,6 +520,8 @@ def _cmd_restore(m: _Merged) -> int:
 
 
 def _cmd_verify(m: _Merged) -> int:
+    from .verify import run_suites
+
     _refuse_object_flags(m, "verify reports")
     suites = m.get("suite")
     if suites is not None:
@@ -522,6 +533,21 @@ def _cmd_verify(m: _Merged) -> int:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+class _SuiteNames(collections.abc.Sequence):
+    """verify's ``SUITE_NAMES``, looked up when argparse checks or lists
+    the ``--suite`` choices, so building the parser imports no suite."""
+
+    def __getitem__(self, index):
+        from .verify import SUITE_NAMES
+
+        return SUITE_NAMES[index]
+
+    def __len__(self) -> int:
+        from .verify import SUITE_NAMES
+
+        return len(SUITE_NAMES)
+
 
 def _common_flags() -> argparse.ArgumentParser:
     par = argparse.ArgumentParser(add_help=False)
@@ -631,10 +657,12 @@ def build_parser() -> _Parser:
         "verify", parents=[common],
         help="run the self-check suites and write a JSON report",
     )
-    verify.add_argument(
-        "--suite", action="append", choices=SUITE_NAMES, default=None,
+    suite = verify.add_argument(
+        "--suite", action="append", default=None,
         help="restrict to one suite (repeatable; default all)",
     )
+    # set after add_argument, whose metavar check would list the choices
+    suite.choices = _SuiteNames()
     verify.set_defaults(handler=_cmd_verify, parser=verify)
 
     return parser

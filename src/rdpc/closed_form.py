@@ -23,10 +23,15 @@ import math
 
 import numpy as np
 
-from .entropy import _binary_entropy_inv_arr, _h2_bits_arr, binary_entropy, binary_entropy_inv
+from .entropy import (
+    _binary_entropy_inv_arr,
+    _binary_point,
+    _h2_bits_arr,
+    binary_entropy,
+    binary_entropy_inv,
+)
 from .errors import DomainError, WitnessUnavailableError
 from .optimize import bisect_root
-from .oracle import _binary_point
 from .results import (
     BinaryChannel,
     GaussianReconstruction,
@@ -169,7 +174,8 @@ def g_function(src: BinaryPairSource, p_a: float) -> float:
 
     On the line the reconstruction marginal matches the source, forcing
     p_b = (1-b)(1-p_a)/b, clamped to [0, 1]. The value is the H(S|Xhat)
-    of the oracle's ``_binary_point`` at that channel; it decreases from
+    of ``entropy._binary_point`` at that channel, the formula the oracle's
+    channel statistics use; it decreases from
     H(a) at p_a = 1-b down to H(p1) at p_a = 1. A p_b more than 1e-12
     outside [0, 1], and a p_a outside [0, 1], raise ``DomainError``.
     """

@@ -77,10 +77,13 @@ def _h2_bits_arr(x: np.ndarray) -> np.ndarray:
     whose argument is below 1e-300 is 0, so 0 log 0 = 0 without NaN or
     warnings. Each logarithm is taken only where its argument clears the
     guard, so no warning state is switched per call. A NaN gives NaN, and
-    an infinite ``x`` gives NaN with numpy's invalid-value warning.
+    an infinite ``x`` gives NaN with numpy's invalid-value warning. A 0-d
+    ``x`` gives a 0-d array.
     """
     x = np.asarray(x, dtype=float)
-    rest = 1.0 - x
+    # into an array of its own: ``1.0 - x`` of a 0-d x is a numpy scalar,
+    # which cannot take the second logarithm's ``out``
+    rest = np.subtract(1.0, x, out=np.empty(x.shape))
     out = np.zeros(rest.shape)
     np.log2(rest, out=out, where=rest >= _TINY)
     out *= rest
@@ -292,6 +295,28 @@ def binary_convolution(p: float, q: float) -> float:
     if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
         raise DomainError(f"probabilities out of range: ({p}, {q})")
     return p * (1.0 - q) + q * (1.0 - p)
+
+
+def _binary_point(
+    b1: float, p1: float, p_a: float, p_b: float
+) -> tuple[float, float, float, float]:
+    """(mutual_info, distortion, tv, cond_entropy_S) in bits of one binary
+    channel: ``b1`` is P(X = 1), ``p1`` the label flip probability and
+    (p_a, p_b) the channel. The closed forms' ``g_function`` and the
+    oracle's channel statistics both evaluate it; ``oracle._binary_joint_arr``
+    is its array form."""
+    q0 = (1.0 - b1) * p_a + b1 * p_b
+    info = binary_entropy(q0) - ((1.0 - b1) * binary_entropy(p_a) + b1 * binary_entropy(p_b))
+    hs = 0.0
+    # each value of Xhat adds its probability times h(p1 * P(X=1 | Xhat))
+    if q0 > 0.0:
+        x1_given_0 = min(max(b1 * p_b / q0, 0.0), 1.0)
+        hs += q0 * binary_entropy(p1 * (1.0 - x1_given_0) + x1_given_0 * (1.0 - p1))
+    if q0 < 1.0:
+        x1_given_1 = min(max(b1 * (1.0 - p_b) / (1.0 - q0), 0.0), 1.0)
+        hs += (1.0 - q0) * binary_entropy(p1 * (1.0 - x1_given_1) + x1_given_1 * (1.0 - p1))
+    dist = (1.0 - b1) * (1.0 - p_a) + b1 * p_b
+    return max(info, 0.0), dist, abs(q0 - (1.0 - b1)), hs
 
 
 def gaussian_diff_entropy(variance: float) -> float:

@@ -38,11 +38,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .entropy import _binary_entropy_inv_arr, _gaussian_kl, _h2_bits_arr, binary_entropy
+from .entropy import _binary_entropy_inv_arr, _binary_point, _gaussian_kl, _h2_bits_arr
 from .errors import DomainError
 from .optimize import bisect_predicate
 from .results import BinaryChannel, ChannelStats, GaussianReconstruction, OracleResult, Unit
-from .sources import BinaryPairSource, GaussianPairSource
+from .sources import BinaryPairSource, GaussianPairSource, _corr2, _gaussian_stats
 
 _TIGHT = 1e-9
 # a requested P = 0 is executed as this tolerance; exact equality is
@@ -110,24 +110,6 @@ def _binary_joint_arr(b1, p1, pa, pb) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # binary channels
 # ---------------------------------------------------------------------------
-
-def _binary_point(
-    b1: float, p1: float, p_a: float, p_b: float
-) -> tuple[float, float, float, float]:
-    """(mutual_info, distortion, tv, cond_entropy_S) for one channel."""
-    q0 = (1.0 - b1) * p_a + b1 * p_b
-    info = binary_entropy(q0) - ((1.0 - b1) * binary_entropy(p_a) + b1 * binary_entropy(p_b))
-    hs = 0.0
-    # each value of Xhat adds its probability times h(p1 * P(X=1 | Xhat))
-    if q0 > 0.0:
-        x1_given_0 = min(max(b1 * p_b / q0, 0.0), 1.0)
-        hs += q0 * binary_entropy(p1 * (1.0 - x1_given_0) + x1_given_0 * (1.0 - p1))
-    if q0 < 1.0:
-        x1_given_1 = min(max(b1 * (1.0 - p_b) / (1.0 - q0), 0.0), 1.0)
-        hs += (1.0 - q0) * binary_entropy(p1 * (1.0 - x1_given_1) + x1_given_1 * (1.0 - p1))
-    dist = (1.0 - b1) * (1.0 - p_a) + b1 * p_b
-    return max(info, 0.0), dist, abs(q0 - (1.0 - b1)), hs
-
 
 def binary_channel_stats(src: BinaryPairSource, ch: BinaryChannel) -> ChannelStats:
     """Exact rate/distortion/perception/classification of one channel.
@@ -336,38 +318,6 @@ def binary_min_rate(
 # ---------------------------------------------------------------------------
 # Gaussian reconstructions
 # ---------------------------------------------------------------------------
-
-def _corr2(vx: float, var_xh: float, cov: float) -> float:
-    """The squared correlation cov^2 / (vx * var_xh) of variances > 0,
-    unclamped: +inf when cov^2 overflows. When vx * var_xh underflows to
-    0, cov is divided by both deviations before it is squared."""
-    denom = vx * var_xh
-    try:
-        if denom == 0.0:
-            return (cov / math.sqrt(vx) / math.sqrt(var_xh)) ** 2
-        return cov**2 / denom
-    except OverflowError:  # a Python float raises where numpy gives inf
-        return math.inf
-
-
-def _gaussian_stats(
-    src: GaussianPairSource, var_xh: float, cov: float, shift2: float
-) -> tuple[float, float, float, float]:
-    """(rate, mse, kl, cond_entropy_s) of a jointly Gaussian reconstruction
-    of variance ``var_xh`` > 0, covariance ``cov`` with the source and
-    squared mean shift ``shift2``: the one formula behind
-    ``gaussian_recon_stats`` and ``rpc_given_d.eval_at``, which own the
-    checks. The squared correlation (``_corr2``) is clamped at 1, where
-    the rate is +inf.
-    """
-    vx = src.var_x
-    ratio = min(_corr2(vx, var_xh, cov), 1.0)
-    rate = math.inf if ratio >= 1.0 else -0.5 * math.log1p(-ratio)
-    label = min(src.rho**2 * ratio, 1.0)
-    info_s = math.inf if label >= 1.0 else -0.5 * math.log1p(-label)
-    mse = shift2 + vx + var_xh - 2.0 * cov
-    return rate, mse, _gaussian_kl(vx, var_xh, shift2), src.h_s - info_s
-
 
 def gaussian_recon_stats(
     src: GaussianPairSource, rec: GaussianReconstruction

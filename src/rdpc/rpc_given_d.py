@@ -17,9 +17,8 @@ from typing import Sequence
 
 from .closed_form import _check_bounds, _gaussian_k
 from .errors import DomainError
-from .oracle import _gaussian_stats
 from .results import GaussianReconstruction, Region, TradeoffPoint, Unit
-from .sources import GaussianPairSource
+from .sources import GaussianPairSource, _gaussian_stats
 
 # a frontier row is live while its rate is within this of the budget
 _RATE_SLACK = 1e-9
@@ -48,10 +47,10 @@ class PCFrontierPoint:
 
 def eval_at(src: GaussianPairSource, d: float, s: float) -> ScanPoint:
     """Rate, perception, and conditional label entropy at spread ``s``,
-    from the oracle's ``_gaussian_stats`` on the witness of variance
-    s * s; rate and label entropy are infinite off the arc ratio < 1
-    (s = 0 is on it only at D = var_x, and an s * s that overflows is
-    off it). A NaN s, or a d that is NaN or not positive, raises."""
+    from ``sources._gaussian_stats`` (the oracle's formula) on the witness
+    of variance s * s; rate and label entropy are infinite off the arc
+    ratio < 1 (s = 0 is on it only at D = var_x, and an s * s that
+    overflows is off it). A NaN s, or a d that is NaN or not positive, raises."""
     if not d > 0.0 or math.isnan(s):
         raise DomainError(f"need d > 0 and a spread that is a number: d={d}, s={s}")
     u = s * s

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .entropy import binary_entropy, gaussian_diff_entropy
+from .entropy import _gaussian_kl, binary_entropy, gaussian_diff_entropy
 from .errors import DegenerateSourceError, DomainError
 
 _DEGENERATE_EPS = 1e-12
@@ -101,6 +101,38 @@ class GaussianPairSource:
         object.__setattr__(self, "h_s", h_s)
         object.__setattr__(self, "floor_c", 0.5 * math.log(one_minus) + h_s
                            if one_minus > 0.0 else -math.inf)
+
+
+def _corr2(vx: float, var_xh: float, cov: float) -> float:
+    """The squared correlation cov^2 / (vx * var_xh) of variances > 0,
+    unclamped: +inf when cov^2 overflows. When vx * var_xh underflows to
+    0, cov is divided by both deviations before it is squared."""
+    denom = vx * var_xh
+    try:
+        if denom == 0.0:
+            return (cov / math.sqrt(vx) / math.sqrt(var_xh)) ** 2
+        return cov**2 / denom
+    except OverflowError:  # a Python float raises where numpy gives inf
+        return math.inf
+
+
+def _gaussian_stats(
+    src: GaussianPairSource, var_xh: float, cov: float, shift2: float
+) -> tuple[float, float, float, float]:
+    """(rate, mse, kl, cond_entropy_s) of a jointly Gaussian reconstruction
+    of variance ``var_xh`` > 0, covariance ``cov`` with the source and
+    squared mean shift ``shift2``: the one formula behind
+    ``gaussian_recon_stats`` and ``rpc_given_d.eval_at``, which own the
+    checks. The squared correlation (``_corr2``) is clamped at 1, where
+    the rate is +inf.
+    """
+    vx = src.var_x
+    ratio = min(_corr2(vx, var_xh, cov), 1.0)
+    rate = math.inf if ratio >= 1.0 else -0.5 * math.log1p(-ratio)
+    label = min(src.rho**2 * ratio, 1.0)
+    info_s = math.inf if label >= 1.0 else -0.5 * math.log1p(-label)
+    mse = shift2 + vx + var_xh - 2.0 * cov
+    return rate, mse, _gaussian_kl(vx, var_xh, shift2), src.h_s - info_s
 
 
 class _Component(NamedTuple):

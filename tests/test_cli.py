@@ -133,6 +133,31 @@ def test_bad_flags_exit_one(capsys):
         assert exc.value.code == 1
 
 
+def test_suite_choices_are_the_verify_suites(capsys, tmp_path):
+    # --suite reads its choices from verify when argparse checks or lists
+    # them: the help lists all nine, and an unknown suite exits 1 whether
+    # it comes from argv or from --config
+    names = rdpc.SUITE_NAMES
+    assert len(names) == 9
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--suite {" + ",".join(names) + "}" in " ".join(capsys.readouterr().out.split())
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "nope"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 1 and "invalid choice" in err and all(n in err for n in names)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suite": ["entropy", "nope"]}))
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err == ("rdpc: error: config key 'suite': invalid choice 'nope' (choose from "
+                   + ", ".join(map(repr, names)) + ")\n")
+    cfg.write_text(json.dumps({"suite": ["entropy"]}))
+    code, out, _ = run(capsys, "verify", "--config", str(cfg))
+    assert code == 0 and [s["name"] for s in json.loads(out)["suites"]] == ["entropy"]
+
+
 def test_binary_source_help_states_the_accepted_ranges(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rdc", "binary", "--help"])
@@ -163,6 +188,40 @@ def test_import_loads_no_scipy_integrate_or_special():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
     assert out.split() == ["[]", "False", "False", "False"]
+
+
+_CLOSED_FORM_LAYER = ["rdpc", "rdpc.closed_form", "rdpc.entropy", "rdpc.errors",
+                      "rdpc.optimize", "rdpc.results", "rdpc.sources"]
+_LAZY = ("rdpc.oracle", "rdpc.restoration", "rdpc.rpc_given_d", "rdpc.verify")
+
+
+def _fresh(code):
+    env = dict(os.environ, PYTHONPATH=str(Path(rdpc.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env).stdout.split("\n")
+
+
+@pytest.mark.parametrize("module, extra", [("rdpc", []), ("rdpc.cli", ["rdpc.cli"])])
+def test_import_loads_only_the_closed_form_layer(module, extra):
+    out = _fresh(f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('rdpc')))")
+    assert out[0] == repr(sorted(_CLOSED_FORM_LAYER + extra))
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (RDC_EXAMPLE, []),
+    (["rpc", "gaussian", "--p", "0.2", "--c", "0.562264"], []),
+    (_ORACLE, ["rdpc.oracle"]),
+    (["rpc-given-d", "--d", "0.5", "--c", "0.762264"], ["rdpc.rpc_given_d"]),
+    (["restore", "--a-steps", "3"], ["rdpc.restoration"]),
+    (["verify", "--suite", "entropy"], list(_LAZY)),
+])
+def test_a_command_loads_only_the_modules_it_uses(tmp_path, argv, loaded):
+    # each command imports its own module in its handler; building the
+    # parser imports none of them, not even for --suite's choices
+    argv = [*argv, "--out", str(tmp_path / "out.json")]
+    out = _fresh(f"import sys; from rdpc.cli import main; print(main({argv!r})); "
+                 f"print([m for m in {_LAZY!r} if m in sys.modules])")
+    assert out[:2] == ["0", repr(loaded)]
 
 
 def test_python_m_rdpc_runs_the_cli():

@@ -341,6 +341,24 @@ def _assert_kernel_matches(kernel, scalar, src, ds, cs):
                 assert abs(rate - want) <= 1e-9, (d, c, rate, want)
 
 
+def test_rate_kernels_take_scalar_bounds():
+    """A scalar d and c broadcast like one-element arrays, to a 0-d
+    result with the same bits; array results keep their bits (pinned)."""
+    for kernel, src, d, c in ((_rdc_binary_rates, SRC, 0.2, 0.6),
+                              (_rdc_binary_rates, SRC, 0.0, 0.85),
+                              (_rdc_gaussian_rates, GSRC, 0.3, H_S - 0.05)):
+        got = kernel(src, d, c)
+        assert got.shape == ()
+        assert float(got).hex() == float(kernel(src, [d], [c])[0]).hex()
+    got = _rdc_binary_rates(SRC, np.array([0.0, 0.05, 0.2, 0.4]),
+                            np.array([[0.6], [0.85]]))
+    assert [v.hex() for v in got.ravel().tolist()] == [
+        "0x1.9f5fd8a9063e2p-1", "0x1.0cbd39700ced1p-1", "0x1.f929678eecfbcp-2",
+        "0x1.f929678eecfbcp-2", "0x1.9f5fd8a9063e2p-1", "0x1.0cbd39700ced1p-1",
+        "0x1.6dfa4bee84a80p-4", "0x1.a1ef077f4a580p-5",
+    ]
+
+
 _BOUNDS = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5)
 
 

@@ -99,6 +99,21 @@ def test_inverse_is_bit_identical_to_bisect_root():
         assert binary_entropy_inv(h) == _bisect_root_inverse(h), h
 
 
+def test_array_entropy_takes_a_0d_input():
+    """A 0-d x gives a 0-d result with the bits of the one-element call;
+    array results keep their bits (pinned)."""
+    x = np.array([0.0, 1e-300, 1e-12, 0.1, 0.3, 0.5, 0.9, 1.0])
+    for v in (*x.tolist(), np.float64(0.3), np.array(0.7)):
+        got = entropy._h2_bits_arr(v)
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        assert float(got).hex() == float(entropy._h2_bits_arr([v])[0]).hex()
+    assert [v.hex() for v in entropy._h2_bits_arr(x).tolist()] == [
+        "-0x0.0p+0", "0x1.4db3639c84769p-987", "0x1.6b5464b1eec73p-35",
+        "0x1.e0406181bc7cep-2", "0x1.c3388f8ceaa0ap-1", "0x1.0000000000000p+0",
+        "0x1.e0406181bc7ccp-2", "-0x0.0p+0",
+    ]
+
+
 def test_inverse_certificate_refuses_what_only_its_margin_can(monkeypatch):
     fallback, calls = entropy.bisect_root, []
     monkeypatch.setattr(entropy, "bisect_root", lambda *a, **k: calls.append(a) or fallback(*a, **k))
