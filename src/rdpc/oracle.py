@@ -11,11 +11,17 @@ H(S | Xhat) is concave in it (the fact behind Mrs. Gerber's lemma). On a
 cell, a tangent plane of I and a secant plane of H(S | Xhat) give a
 lower bound on the rate, or prove that nothing there meets the bounds;
 cells whose bound cannot beat the best witness by 1e-5 bits are closed,
-the rest are split. The answer's witness meets each bound within
-``_TIGHT`` (1e-9), and [rate - grid_resolution, rate] is a certified
-bracket on the minimum of the problem with every bound loosened by
-``_TIGHT``, up to float rounding, which that loosening dominates. A level
-costs numpy call overhead, not arithmetic, so keep its call count low.
+the rest are split. Concavity also yields witnesses: a point moved along
+the gradient of H(S | Xhat) onto the level C of its tangent plane meets
+C, so the best witness nears the C boundary at O(h^2) in the cell width
+h, as fast as the bounds tighten. The answer's witness meets each bound
+within ``_TIGHT`` (1e-9), and [rate - grid_resolution, rate] is a
+certified bracket on the minimum of the problem with every bound
+loosened by ``_TIGHT``, up to float rounding, which that loosening
+dominates. A level costs numpy call overhead, not arithmetic, so the
+search takes few, wide levels: an open cell splits into up to 8 x 8
+children at once, its corners settle the children that no bound line
+crosses, and only the rest go through the LP.
 
 A Gaussian reconstruction reduces to its correlation with the source,
 set by a bisection whose witness meets every bound with no slack
@@ -69,7 +75,7 @@ _PAIR_ROWS = {
             np.stack([count + j, count + j, 2 * count + j, count + i, count + i, 2 * count + i]))
     for count in range(4, 8) for i, j in [np.triu_indices(count, 1)]
 }
-# _binary_joint_arr works in slices of _SLICE elements and _cell_bounds in
+# _binary_joint_arr works in slices of _SLICE elements and _lp_bounds in
 # slices of _CELL_SLICE cells, which bounds their temporaries
 _SLICE, _CELL_SLICE = 2**12, 2**8
 
@@ -157,28 +163,87 @@ def _normalize_constraints(constraints: Mapping[str, float]) -> dict[str, float]
     return out
 
 
-def _cell_bounds(
+def _met(b1: float, cons: Mapping[str, float], pa, pb, hs) -> np.ndarray:
+    """Whether each side of each bound is met within ``_TIGHT`` at the
+    channels (pa, pb) whose H(S | Xhat) is ``hs``, in the arithmetic of
+    ``_binary_point``: one row per side, D, then P above and below the
+    band, then C."""
+    w, bpb = 1.0 - b1, b1 * pb
+    rows = []
+    if "D" in cons:
+        rows.append((w * (1.0 - pa) + bpb) - cons["D"] <= _TIGHT)
+    if "P" in cons:
+        tv = (w * pa + bpb) - w
+        rows += [tv - cons["P"] <= _TIGHT, -tv - cons["P"] <= _TIGHT]
+    if "C" in cons:
+        rows.append(hs - cons["C"] <= _TIGHT)
+    return np.array(rows)
+
+
+def _centre_terms(b1: float, p1: float, c: np.ndarray) -> np.ndarray:
+    """I = I(X; Xhat) and H = H(S | Xhat) in bits at the channels ``c`` =
+    (p_a, p_b) inside the square, shape (2, n), with their gradients: rows
+    I, H, dI/dp_a, dI/dp_b, dH/dp_a, dH/dp_b.
+
+    I = h(q0) - (1 - b1) h(p_a) - b1 h(p_b), with q0 = P(Xhat = 0) and
+    h'(x) = log2((1 - x) / x). H = f(m, q0) + f(b1 - m, 1 - q0) with m =
+    b1 p_b = P(X = 1, Xhat = 0) and f(m, q) = q h(s), s = p1 + (1 - 2 p1)
+    m / q the label posterior. The partials of f are -(p1 log2(1 - s) +
+    (1 - p1) log2(s)) in m and -((1 - p1) log2(1 - s) + p1 log2(s)) in q,
+    so both gradients are linear in the logarithms. Arguments below 1e-300
+    are taken as 1e-300 (only a posterior of a source with b1 = p1 = 0).
+    """
+    w, k = 1.0 - b1, 1.0 - 2.0 * p1
+    # rows q0, p_a, p_b, s given Xhat = 0 and 1, then one minus each
+    x = np.empty((10, c.shape[1]))
+    x[1:3] = c
+    np.subtract(1.0, c, out=x[6:8])
+    np.dot((w, b1), c, out=x[0])
+    np.subtract(1.0, x[0], out=x[5])
+    # (1 - 2 p1) times P(X = 1 | Xhat) is m / q0 and (b1 - m) / (1 - q0)
+    np.multiply(k * b1, x[2:8:5], out=x[3:5])
+    np.divide(x[3:5], x[0:6:5], out=x[3:5])
+    x[3:5] += p1
+    np.subtract(1.0, x[3:5], out=x[8:10])
+    logs = np.log2(np.maximum(x, 1e-300, out=x))
+    neg = x * logs
+    neg = neg[:5] + neg[5:]  # minus the binary entropy of each row
+    out = np.empty((6, c.shape[1]))
+    np.dot((-1.0, w, b1), neg[:3], out=out[0])
+    np.negative((x[0:6:5] * neg[3:5]).sum(axis=0), out=out[1])
+    np.dot(np.array([
+        [-w, w, 0.0, 0.0, 0.0, w, -w, 0.0, 0.0, 0.0],
+        [-b1, 0.0, b1, 0.0, 0.0, b1, 0.0, -b1, 0.0, 0.0],
+        [0.0, 0.0, 0.0, -w * p1, w * p1, 0.0, 0.0, 0.0, -w * (1.0 - p1), w * (1.0 - p1)],
+        [0.0, 0.0, 0.0, -b1 * (1.0 - p1), b1 * (1.0 - p1), 0.0, 0.0, 0.0, -b1 * p1, b1 * p1],
+    ]), logs, out=out[2:])
+    return out
+
+
+def _lp_bounds(
     b1: float, cons: Mapping[str, float], xy: np.ndarray, h: float, hs: np.ndarray,
+    g: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lower bounds on I(X; Xhat) over square cells, and where they sit.
+    """The least value of the plane g . (p - A) over the part of each cell
+    that can meet the bounds, and where it sits.
 
     Cell i has width ``h`` and corner A = (x0, y0) = ``xy[:, i]``;
-    ``hs[:, i]`` is H(S | Xhat) at its corners A, B, C, B' (``_CORNERS``).
-    The diagonal A C splits it into the triangles A B C and A B' C. On
-    each, the concave H(S | Xhat) lies above its secant plane through the
-    corners, so every point that meets each bound within ``_TIGHT`` lies in
-    the polygon cut from the triangle by D, both sides of |q0 - (1 - b1)|
-    and the secant. The convex I lies above its tangent plane at the cell
-    centre, and the least value of that plane over the polygon, at one of
-    the pairwise intersections of its at most 7 lines, is the triangle's
-    bound; an empty polygon, which no such point can lie in, gives +inf.
-    Returns each cell's bound, the lesser of its two, and the two
-    triangles' minimizing vertices, indexed [p_a or p_b][triangle][cell];
-    an empty polygon's is A.
+    ``hs[:, i]`` is H(S | Xhat) at its corners A, B, C, B' (``_CORNERS``)
+    and ``g[:, i]`` the plane's slope. The diagonal A C splits the cell
+    into the triangles A B C and A B' C. On each, the concave H(S | Xhat)
+    lies above its secant plane through the corners, so every point that
+    meets each bound within ``_TIGHT`` lies in the polygon cut from the
+    triangle by D, both sides of |q0 - (1 - b1)| and the secant. The least
+    value of the plane over the polygon lies at one of the pairwise
+    intersections of its at most 7 lines; an empty polygon, which no such
+    point can lie in, gives +inf. Returns the lesser of the two triangles'
+    values and their minimizing vertices, indexed [p_a or p_b][triangle]
+    [cell]; an empty polygon's is A.
     """
     n, w = xy.shape[1], 1.0 - b1
     if n > _CELL_SLICE:
-        parts = [_cell_bounds(b1, cons, xy[:, lo:lo + _CELL_SLICE], h, hs[:, lo:lo + _CELL_SLICE])
+        parts = [_lp_bounds(b1, cons, xy[:, lo:lo + _CELL_SLICE], h, hs[:, lo:lo + _CELL_SLICE],
+                            g[:, lo:lo + _CELL_SLICE])
                  for lo in range(0, n, _CELL_SLICE)]
         return tuple(np.concatenate(part, axis=-1) for part in zip(*parts))
     count = 3 + ("D" in cons) + 2 * ("P" in cons) + ("C" in cons)
@@ -189,25 +254,18 @@ def _cell_bounds(
     lines[2, :3] *= h
     a, b, r = lines
     wx, by = w * xy[0], b1 * xy[1]
-    centre = np.concatenate(((wx + by)[None], xy))  # (q0, p_a, p_b) at A, then mid-cell
     k = 3
     if "D" in cons:  # D = (w - w x0 + b1 y0) - w u + b1 v
         a[k], b[k], r[k] = -w, b1, cons["D"] + _TIGHT - ((w - wx) + by)
         k += 1
     if "P" in cons:  # q0 - (1 - b1) = shift + w u + b1 v
-        shift = centre[0] - w
+        shift = (wx + by) - w
         a[k], b[k], r[k] = w, b1, cons["P"] + _TIGHT - shift
         a[k + 1], b[k + 1], r[k + 1] = -w, -b1, cons["P"] + _TIGHT + shift
         k += 2
     if "C" in cons:  # a = (hb - ha, hc - hb2) / h and b = (hc - hb, hb2 - ha) / h
         lines[:2, k] = (hs[[[1, 2], [2, 3]]] - hs[[[0, 3], [1, 0]]]) / h
         r[k] = cons["C"] + _TIGHT - hs[0]
-    centre += 0.5 * h
-    # I at the centre and its gradient g = (w (h'(q0) - h'(p_a)),
-    # b1 (h'(q0) - h'(p_b))), with h'(p) = log2((1 - p) / p)
-    ent, slope = _h2_bits_arr(centre), np.log2(1.0 - centre) - np.log2(centre)
-    g = (slope[0] - slope[1:]) * np.array([[w], [b1]])
-    base = (ent[0] - (w * ent[1] + b1 * ent[2])) - 0.5 * h * (g[0] + g[1])
     # parallel lines meet nowhere, and a line at C = -inf nowhere finite
     with np.errstate(divide="ignore", invalid="ignore"):
         flat = lines.reshape(3 * count, 2, n)
@@ -231,9 +289,74 @@ def _cell_bounds(
     picked = prod[:3].reshape(3, -1, 2 * n)[:, plane.reshape(-1, 2 * n).argmin(axis=0),
                                             np.arange(2 * n)]
     vert = np.where(np.isfinite(picked[0]), picked[1:], 0.0).reshape(2, 2, n) + xy[:, None]
-    bound = base + picked[0].reshape(2, n)
-    return (np.minimum(bound[0], bound[1]),
+    low = picked[0].reshape(2, n)
+    return (np.minimum(low[0], low[1]),
             np.minimum(np.maximum(vert, 0.0, out=vert), 1.0, out=vert))
+
+
+def _cell_bounds(
+    b1: float, p1: float, cons: Mapping[str, float], xy: np.ndarray, h: float,
+    hs: np.ndarray, met: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lower bounds on I(X; Xhat) over square cells, and witness candidates.
+
+    Cell i has width ``h`` and corner A = ``xy[:, i]``; ``hs[:, i]`` is
+    H(S | Xhat) at its corners A, B, C, B' (``_CORNERS``) and ``met[:, :,
+    i]`` the ``_met`` rows there. The convex I lies above its tangent plane
+    at the cell centre. D and both sides of the P band are linear in the
+    channel and H(S | Xhat) is concave, so each takes its least value over
+    a cell at a corner, and the corners screen the cells:
+    - a side broken at all four corners is broken on the whole cell, which
+      holds no point that meets the bounds: its bound is +inf;
+    - where every side is met at every corner no bound line crosses the
+      cell, and its bound is the least corner value of the tangent plane;
+    - every other cell goes through the pairwise LP of ``_lp_bounds``.
+    Each LP cell adds its two triangles' minimizing vertices to the
+    candidates and, under a C bound, those vertices moved along the
+    gradient of H(S | Xhat) onto the level C of its tangent plane T at the
+    cell centre: H <= T by concavity, so a moved point meets C, and it lies
+    within O(h^2) of the C boundary. Returns each cell's bound and the
+    candidates, shape (2, k), clipped to the square.
+    """
+    live = met.any(axis=1).all(axis=0)
+    cross = np.flatnonzero(live & ~met.all(axis=(0, 1)))
+    centre = xy + 0.5 * h
+    terms = _centre_terms(b1, p1, centre)
+    # the least corner value of I's tangent plane is I - h (|dI/dp_a| + |dI/dp_b|) / 2
+    bound = np.where(live, terms[0] - 0.5 * h * np.abs(terms[2:4]).sum(axis=0), np.inf)
+    if not cross.size:
+        return bound, np.empty((2, 0))
+    terms, centre = terms.take(cross, axis=1), centre.take(cross, axis=1)
+    low, vert = _lp_bounds(b1, cons, xy.take(cross, axis=1), h, hs.take(cross, axis=1),
+                           terms[2:4])
+    # the LP's plane is I's tangent plane less its value at A
+    bound[cross] = (terms[0] - 0.5 * h * terms[2:4].sum(axis=0)) + low
+    if "C" in cons:
+        # T(v) - C over |grad H|^2 is the step back along grad H; where the
+        # gradient vanishes the step is not finite, and _met drops the point
+        grad = terms[4:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lift = (terms[1] - cons["C"]) + (grad * (vert - centre[:, None])).sum(axis=0)
+            moved = vert - lift / (grad * grad).sum(axis=0) * grad
+        np.minimum(np.maximum(moved, 0.0, out=moved), 1.0, out=moved)
+        vert = np.concatenate((vert, moved), axis=1)
+    return bound, vert.reshape(2, -1)
+
+
+def _split_tables(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """For a split of a cell into s x s children: the (s + 1)^2 lattice
+    points (i, j) in child widths, row by row, and the lattice index of
+    each child's corners A, B, C, B', shape (4, s^2)."""
+    i, j = np.divmod(np.arange((s + 1) ** 2), s + 1)
+    ci, cj = np.divmod(np.arange(s * s), s)
+    di, dj = _CORNERS.astype(int)[..., None]
+    return np.stack((i, j)).astype(float), (ci + di) * (s + 1) + (cj + dj)
+
+
+# a level splits each open cell into s x s children, the widest s that
+# keeps the level at most _LEVEL_CELLS cells (s = 2 once none does)
+_SPLITS = {s: _split_tables(s) for s in (8, 4, 2)}
+_LEVEL_CELLS = 256
 
 
 def binary_min_rate(
@@ -247,11 +370,14 @@ def binary_min_rate(
 
     ``constraints`` maps any non-empty subset of {"D", "P", "C"} to bounds
     (Hamming distortion, total variation, label conditional entropy in
-    bits). A branch-and-bound covers all of [0,1]^2: it starts from an
-    8 x 8 grid of cells and, level by level, splits each open cell into
-    four. ``_cell_bounds`` bounds the rate on a cell from below, or proves
-    that no point of it meets the bounds within ``_TIGHT``; the corners
-    and each triangle's minimizing vertex that meet every bound within
+    bits). A branch-and-bound covers all of [0,1]^2: it splits the square
+    into an 8 x 8 grid of cells and, level by level, splits each open cell
+    into s x s children, s in {2, 4, 8} the widest that keeps a level at
+    most 256 cells. A level evaluates each open cell's (s + 1)^2 lattice
+    points once; ``_cell_bounds`` screens the cells by their corners and
+    bounds the rate on each from below, or proves that no point of it
+    meets the bounds within ``_TIGHT``. The lattice points and the LP
+    cells' vertices and pulled-back vertices that meet every bound within
     ``_TIGHT`` are the witnesses, the least I winning and ties going to
     the first found. A cell closes once its bound is at least the best
     witness's rate less ``_GAP``.
@@ -272,39 +398,38 @@ def binary_min_rate(
     if not isinstance(resolution, numbers.Real) or not 1e-4 <= resolution <= 1e-1:
         raise DomainError(f"resolution {resolution!r} is not a real number in [1e-4, 1e-1]")
     cons = _normalize_constraints(constraints)
-    b1, p1, w = src.b, src.p1, 1.0 - src.b
-    h = 1.0 / 8.0
-    # the cells' corners A, as rows x0 and y0
-    xy = np.array([np.repeat(np.arange(8.0) * h, 8), np.tile(np.arange(8.0) * h, 8)])
-    offset = h * _CORNERS[..., None]
+    b1, p1 = src.b, src.p1
+    # the open cells' corners A, their width and the next level's split:
+    # first the whole square, split 8 x 8
+    xy, h, s = np.zeros((2, 1)), 1.0, 8
     # parent is the least bound among the open cells
     best, argmin, lower, parent, cells = math.inf, None, math.inf, -math.inf, 0
-    while xy.shape[1] and cells + xy.shape[1] <= _CELL_BUDGET:
-        cells += xy.shape[1]
-        corners = xy[:, None] + offset
-        info, hs = _binary_joint_arr(b1, p1, corners[0], corners[1])
-        bound, vert = _cell_bounds(b1, cons, xy, h, hs)
-        vinfo, vhs = _binary_joint_arr(b1, p1, vert[0], vert[1])
-        pa, pb = np.concatenate((corners, vert), axis=1).reshape(2, -1)
-        info, hs = np.concatenate((info, vinfo)).ravel(), np.concatenate((hs, vhs)).ravel()
-        # each bound met within _TIGHT, in the arithmetic of _binary_point
-        met, bpb = np.ones(pa.size, dtype=bool), b1 * pb
-        if "D" in cons:
-            met &= (w * (1.0 - pa) + bpb) - cons["D"] <= _TIGHT
-        if "P" in cons:
-            met &= np.abs((w * pa + bpb) - w) - cons["P"] <= _TIGHT
-        if "C" in cons:
-            met &= hs - cons["C"] <= _TIGHT
-        value = np.where(met, info, np.inf)
+    while xy.shape[1] and cells + xy.shape[1] * s * s <= _CELL_BUDGET:
+        # the open cells' lattices, and each child's corners in them
+        grid, local = _SPLITS[s]
+        h /= s
+        points = (xy[:, :, None] + h * grid[:, None]).reshape(2, -1)
+        corners = (local[:, None] + grid.shape[1] * np.arange(xy.shape[1])[:, None]).reshape(4, -1)
+        cells += corners.shape[1]
+        info, hs = _binary_joint_arr(b1, p1, points[0], points[1])
+        met = _met(b1, cons, points[0], points[1], hs)
+        xy = points.take(corners[0], axis=1)
+        bound, cand = _cell_bounds(b1, p1, cons, xy, h, hs.take(corners),
+                                   met.take(corners, axis=1))
+        cinfo, chs = _binary_joint_arr(b1, p1, cand[0], cand[1])
+        pa, pb = np.concatenate((points, cand), axis=1)
+        value = np.where(np.concatenate((met.all(axis=0),
+                                         _met(b1, cons, cand[0], cand[1], chs).all(axis=0))),
+                         np.concatenate((info, cinfo)), np.inf)
         k = value.argmin()
         if value[k] < best:
             best, argmin = float(value[k]), (float(pa[k]), float(pb[k]))
         closed = bound >= best - _GAP
         lower = min(lower, float(np.minimum.reduce(bound, where=closed, initial=np.inf)))
-        h, kept = 0.5 * h, ~closed
+        kept = ~closed
         parent = float(np.minimum.reduce(bound, where=kept, initial=np.inf))
-        offset = h * _CORNERS[..., None]
-        xy = (xy[:, None, kept] + offset).reshape(2, -1)
+        xy = xy[:, kept]
+        s = next((s for s in _SPLITS if xy.shape[1] * s * s <= _LEVEL_CELLS), 2)
     lower = min(lower, parent)  # cells left open by the budget
     result = partial(OracleResult, unit=Unit.BITS, refined=False, constraints=cons)
     if argmin is None:

@@ -194,26 +194,51 @@ def binary_sources(draw):
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(binary_sources(), st.integers(3, 14), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
-       st.sampled_from(BOUND_SETS), st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+       st.sampled_from(BOUND_SETS), st.lists(st.floats(-0.5, 1.5), min_size=3, max_size=3),
        st.integers(0, 2**32 - 1))
 def test_cell_bound_is_below_every_point_that_meets_the_bounds(src, depth, fx, fy, keys,
                                                                shares, seed):
-    """Each bound is a quantile of its values over the cell, so the polygon
-    is cut by every line the draw names."""
+    """A share in [0, 1] makes its bound a quantile of its values over the
+    cell, so the polygon is cut by that line. A share outside it puts the
+    bound beyond every value of the cell's corners and samples, by the
+    share's excess times their spread: below them the bound excludes the
+    cell at every corner, above them it is met at every corner, and a draw
+    whose bounds all lie above reaches the corner screen's tangent bound."""
     h = 2.0**-depth
     x0, y0 = (np.array([min(math.floor(f / h), 2**depth - 1) * h]) for f in (fx, fy))
     b1, p1 = src.b, src.p1
-    corners = oracle._binary_joint_arr(b1, p1, x0 + h * oracle._CORNERS[0][:, None],
-                                       y0 + h * oracle._CORNERS[1][:, None])[1]
+    cx, cy = x0 + h * oracle._CORNERS[0][:, None], y0 + h * oracle._CORNERS[1][:, None]
+    corners = oracle._binary_joint_arr(b1, p1, cx, cy)[1]
     rng = np.random.default_rng(seed)
     points = np.array([x0[0], y0[0]]) + h * rng.uniform(0.0, 1.0, (300, 2))
+    points = np.concatenate((points, np.column_stack((cx[:, 0], cy[:, 0]))))
     stats = np.array([oracle._binary_point(b1, p1, pa, pb) for pa, pb in points])
     column = {"D": 1, "P": 2, "C": 3}
-    cons = {k: float(np.quantile(stats[:, column[k]], share))
-            for k, share in zip(keys, shares)}
-    bound = oracle._cell_bounds(b1, cons, np.array([x0, y0]), h, corners)[0][0]
+    cons = {}
+    for k, share in zip(keys, shares):
+        values, inner = stats[:, column[k]], min(max(share, 0.0), 1.0)
+        spread = values.max() - values.min()
+        cons[k] = float(np.quantile(values, inner) + (share - inner) * spread)
+    met = oracle._met(b1, cons, cx, cy, corners)
+    bound = oracle._cell_bounds(b1, p1, cons, np.array([x0, y0]), h, corners, met)[0][0]
     met = np.logical_and.reduce([stats[:, column[k]] - v <= TIGHT for k, v in cons.items()])
     assert (stats[met, 0] >= bound - 1e-12).all()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(binary_sources(), st.floats(1e-12, 1.0 - 1e-12), st.floats(1e-12, 1.0 - 1e-12),
+       st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=20))
+def test_label_entropy_lies_below_its_tangent_planes(src, ca, cb, channels):
+    """H(S | Xhat) is concave in the channel, so it lies at or below its
+    tangent plane at any interior point, the plane the search pulls its
+    witnesses back onto, built here by the search's own gradient code. The
+    points keep 1e-12 from the edges; the search's cell centres keep far
+    more."""
+    terms = oracle._centre_terms(src.b, src.p1, np.array([[ca], [cb]]))[:, 0]
+    pa, pb = np.array(channels + [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]).T
+    hs = oracle._binary_joint_arr(src.b, src.p1, pa, pb)[1]
+    plane = terms[1] + terms[4] * (pa - ca) + terms[5] * (pb - cb)
+    assert (hs <= plane + 1e-12).all()
 
 
 def _backward_tv(src, c):
@@ -272,7 +297,7 @@ SKEW = BinaryPairSource(a=0.45, p1=0.2)
 
 # float.hex of rate, argmin (p_a, p_b) and grid_resolution, as the search
 # at commit 56f7862 gave them; a faster search must give the same bits
-@pytest.mark.parametrize("src, cons, budget, want", [
+_PINNED = [
     (SRC, {"D": 0.3, "C": 0.6}, None,
      ("0x1.f929f2ea35a56p-2", "0x1.f7a2000000000p-1", "0x1.73b0000000000p-3",
       "0x1.173a1ed760000p-19")),
@@ -303,7 +328,10 @@ SKEW = BinaryPairSource(a=0.45, p1=0.2)
      ("0x1.f93b9e4f11c43p-2", "0x1.f700000000000p-1", "0x1.6c00000000000p-3",
       "0x1.70021e18a2000p-14")),
     (SRC, {"D": 0.3, "C": 0.6}, 63, ("nan", None, None, "inf")),
-])
+]
+
+
+@pytest.mark.parametrize("src, cons, budget, want", _PINNED)
 def test_binary_oracle_answers_keep_their_bits(monkeypatch, src, cons, budget, want):
     if budget is not None:
         monkeypatch.setattr(oracle, "_CELL_BUDGET", budget)
@@ -311,6 +339,59 @@ def test_binary_oracle_answers_keep_their_bits(monkeypatch, src, cons, budget, w
     p_a, p_b = (None, None) if got.argmin is None else (
         float.hex(got.argmin.p_a), float.hex(got.argmin.p_b))
     assert (float.hex(got.rate), p_a, p_b, float.hex(got.grid_resolution)) == want
+
+
+def _count_cells(monkeypatch) -> list[int]:
+    """The cell count of each level: the search calls ``_cell_bounds``
+    once per level, with all of that level's cells."""
+    levels, bounds = [], oracle._cell_bounds
+
+    def counted(b1, p1, cons, xy, *rest):
+        levels.append(xy.shape[1])
+        return bounds(b1, p1, cons, xy, *rest)
+
+    monkeypatch.setattr(oracle, "_cell_bounds", counted)
+    return levels
+
+
+# (levels, cells) of the search on each query above; the search is
+# deterministic, so a return to many narrow levels fails here
+@pytest.mark.parametrize("src, cons, budget, effort", [
+    (src, cons, budget, effort) for (src, cons, budget, _), effort in zip(_PINNED, [
+        (4, 384), (4, 384), (5, 448), (4, 560), (6, 784), (6, 848), (3, 448), (3, 512),
+        (1, 64), (1, 64), (3, 288), (0, 0)])
+])
+def test_binary_oracle_search_effort_is_pinned(monkeypatch, src, cons, budget, effort):
+    if budget is not None:
+        monkeypatch.setattr(oracle, "_CELL_BUDGET", budget)
+    levels = _count_cells(monkeypatch)
+    binary_min_rate(src, cons)
+    assert (len(levels), sum(levels)) == effort
+
+
+@pytest.mark.parametrize("budget", [oracle._CELL_BUDGET, 60_000])
+def test_a_zero_perception_query_near_b_zero_says_when_its_budget_ran_out(monkeypatch,
+                                                                          budget):
+    """A natural input that uses up the default budget: at P = 0 on a source
+    with b near 1e-5, lattice points seldom fall in the TV band, which is
+    2e-6 wide. At either budget the witness meets its bounds and its I is
+    the rate, and grid_resolution exceeds 1e-5 exactly when the search
+    stopped with cells open, so that a larger budget evaluates more cells."""
+    src, cons = BinaryPairSource(0.01, 0.00999), {"P": 0.0, "C": 0.0807467}
+    levels = _count_cells(monkeypatch)
+
+    def search(limit):
+        monkeypatch.setattr(oracle, "_CELL_BUDGET", limit)
+        levels.clear()
+        return binary_min_rate(src, cons), sum(levels)
+
+    got, used = search(budget)
+    stopped = used < search(10**6)[1]
+    stats = binary_channel_stats(src, got.argmin)
+    assert stats.mutual_info == got.rate
+    values = {"P": stats.perception, "C": stats.cond_entropy_s}
+    assert all(values[k] - bound <= TIGHT for k, bound in got.constraints.items())
+    assert (got.grid_resolution > 1e-5) == stopped
 
 
 # ---------------------------------------------------------------------------
