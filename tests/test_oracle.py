@@ -276,8 +276,9 @@ def test_binary_bracket_holds_the_closed_form_at_the_loosened_bounds(src, rdc, s
 
 
 def test_a_search_cut_short_by_its_budget_says_so(monkeypatch):
-    # the first two levels, 64 and 256 cells, leave this query open
-    monkeypatch.setattr(oracle, "_CELL_BUDGET", 64 + 256)
+    # the first two levels, 64 and 128 cells, leave this query open with
+    # 96 cells to go, so this budget stops the search before its third
+    monkeypatch.setattr(oracle, "_CELL_BUDGET", 64 + 128)
     got = binary_min_rate(SRC, {"D": 0.3, "C": 0.6})
     stats = binary_channel_stats(SRC, got.argmin)
     assert stats.mutual_info == got.rate
