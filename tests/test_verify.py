@@ -143,8 +143,8 @@ def test_restoration_suite_keeps_its_bits(seed, sigmas):
 # sha256 of the `rdpc verify` report file; a change that means to move a
 # report byte declares it and re-pins these in its own commit
 @pytest.mark.parametrize("seed, digest", [
-    (0, "def1e38163e01506bc712925b15f4fd9715c14575ad6f14d3f9899cc9724d390"),
-    (3, "5f61e49dfab0b22ddc5928df26a97b449f7362ce932393caf7dee0ab937d6b40"),
+    (0, "b12099c656d62305a246711d91957e55fe3b1eaa0129d019cdbd07cd79f845bb"),
+    (3, "8cb8bd4176c2e77f1ddb37d294864ba9ece64be987ee56edb992a2f6e0ea4fd2"),
 ])
 def test_verify_report_keeps_its_bytes(tmp_path, seed, digest):
     out = tmp_path / "verify.json"
