@@ -373,7 +373,7 @@ def binary_min_rate(
     bits). A branch-and-bound covers all of [0,1]^2: it splits the square
     into an 8 x 8 grid of cells and, level by level, splits each open cell
     into s x s children, s in {2, 4, 8} the widest that keeps a level at
-    most 256 cells. A level evaluates each open cell's (s + 1)^2 lattice
+    most 256 cells (2 when none does). A level evaluates each open cell's (s + 1)^2 lattice
     points once; ``_cell_bounds`` screens the cells by their corners and
     bounds the rate on each from below, or proves that no point of it
     meets the bounds within ``_TIGHT``. The lattice points and the LP
