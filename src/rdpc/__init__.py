@@ -20,10 +20,10 @@ _NAMES = {
     ),
     "entropy": (
         "binary_convolution", "binary_entropy", "binary_entropy_inv",
-        "gaussian_diff_entropy", "gaussian_kl", "numeric_kl", "std_normal_cdf",
+        "gaussian_diff_entropy", "gaussian_kl", "std_normal_cdf",
     ),
     "errors": (
-        "DegenerateSourceError", "DomainError", "IntegrationError", "NoCrossingError",
+        "DegenerateSourceError", "DomainError", "NoCrossingError",
         "WitnessUnavailableError",
     ),
     "oracle": (

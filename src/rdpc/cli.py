@@ -29,12 +29,7 @@ import numpy as np
 
 from . import __version__
 from .closed_form import rdc_binary, rdc_gaussian, rpc_binary, rpc_gaussian
-from .errors import (
-    DomainError,
-    IntegrationError,
-    NoCrossingError,
-    WitnessUnavailableError,
-)
+from .errors import DomainError, NoCrossingError, WitnessUnavailableError
 from .results import TradeoffPoint
 from .sources import BinaryPairSource, GaussianPairSource
 
@@ -673,8 +668,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     try:
         return int(ns.handler(_Merged(ns, _load_config(ns.config, ns.parser))))
-    except (_UsageError, DomainError, IntegrationError, NoCrossingError,
-            WitnessUnavailableError, OSError) as exc:
+    except (_UsageError, DomainError, NoCrossingError, WitnessUnavailableError,
+            OSError) as exc:
         print(f"rdpc: error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
 

@@ -21,40 +21,13 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError
+from .errors import DomainError
 from .optimize import bisect_root
 
 _TINY = 1e-300
-
-# Gauss-Kronrod G10/K21 pair (QUADPACK qk21; Piessens et al., 1983): the
-# Kronrod abscissae on [0, 1] from the outermost in, their weights, and the
-# 10-point Gauss weights of the odd-indexed abscissae, rounded to float64.
-_K21_X = (
-    0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
-    0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
-    0.2943928627014602, 0.14887433898163122, 0.0,
-)
-_K21_W = (
-    0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
-    0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
-    0.14277593857706009, 0.14773910490133849, 0.1494455540029169,
-)
-_G10_W = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
-          0.26926671930999635, 0.29552422471475287)
-# the 21 nodes on [-1, 1] in ascending order, with both weight vectors
-_NODES = np.array([-x for x in _K21_X[:-1]] + list(reversed(_K21_X)))
-_WK = np.array(list(_K21_W[:-1]) + list(reversed(_K21_W)))
-_WG = np.zeros(21)
-_WG[1::2] = _G10_W + _G10_W[::-1]
-_ROUNDING = 50.0 * float(np.finfo(float).eps)  # qk21's rounding floor, per |f|
-
-# Intervals one integral may evaluate. It also bounds a round's arrays:
-# 4096 intervals of 21 nodes are 0.7 MB of float64 each.
-_MAX_INTERVALS = 4096
 
 
 def _xlog2x(x: float) -> float:
@@ -417,161 +390,78 @@ def _mean_softplus(mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
     return out
 
 
-def _integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    atol: float,
-    points: Sequence[float] | None,
-) -> float:
-    """Integral of ``f`` over [lo, hi] by adaptive G10/K21 quadrature.
+# The panels of ``_mean_softplus_quadratic``: edges every 0.25 on [-12, 12]
+# (N(0, 1) puts 4e-33 outside), and offsets 0.25 * 2^-k, k < 48, for the
+# ladders toward its breakpoints; 2^-49 is float64's spacing at 12.
+_PANEL_EDGES = np.linspace(-12.0, 12.0, 97)
+_LADDER = 0.25 * 0.5 ** np.arange(48)
 
-    The initial intervals end at the ``points`` inside (lo, hi). Each
-    round evaluates ``f`` once, on the 21 nodes of every pending interval
-    (``x`` is (21, intervals)), and estimates each interval's error as
-    QUADPACK's qk21 does. An interval is accepted when that error is at
-    most ``atol * width / (hi - lo)``, so the accepted errors sum to at
-    most ``atol``, or at most the rounding floor ``50 * eps * integral of
-    |f|``, which a tall, narrow peak cannot get below; every other
-    interval is split in two, and the pending intervals are the kept ones
-    followed by the new halves. A round adds its accepted parts one by
-    one, in interval order, to a sum from 0.0, and that sum to the total.
-    ``IntegrationError`` is raised when ``f`` is not finite at a node or
-    when more than ``_MAX_INTERVALS`` intervals are needed.
+
+@lru_cache(maxsize=1)
+def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 12-node Gauss-Legendre rule on [-1, 1], weights summing to 1."""
+    b = np.arange(13.0) ** 2
+    rule = _gauss_rule(b / (4.0 * b - 1.0), np.cos(math.pi * (np.arange(1, 7) - 0.25) / 12.5))
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
+def _mean_softplus_quadratic(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """E log(1 + e^r(u)) for u ~ N(0, 1), r(u) = a u^2 + b u + c with
+    a <= 0, elementwise over arrays of one shape.
+
+    A graded composite rule (Davis & Rabinowitz, Methods of Numerical
+    Integration, 2nd ed., 1984, ch. 2) on u in [-12, 12], with no error
+    estimate and no adaptivity: the 12-node Gauss-Legendre rule on panels
+    at most 0.25 wide, graded geometrically toward the breakpoints where
+    softplus(r) bends sharply. These are r's real roots, down to a quarter
+    of 1 / |r'| there, and its vertex, down to a quarter of 1 / sqrt(-a).
+    Every element has the same number of edges: the uniform ones and a
+    +- ladder about each breakpoint, whose offsets are raised to that
+    breakpoint's floor. Repeated edges make panels of zero width, so one
+    pass serves all elements, and each element is reduced over its own
+    panels by ``einsum``, so it does not depend on the others.
     """
-    span = hi - lo
-    edges = np.array([lo, *sorted(p for p in (points or ()) if lo < p < hi), hi], dtype=float)
-    a, b = edges[:-1], edges[1:]
-    total, used = 0.0, 0
-    while a.size:
-        used += a.size
-        if used > _MAX_INTERVALS:
-            raise IntegrationError(f"quadrature did not reach atol={atol} "
-                                   f"within {_MAX_INTERVALS} intervals")
-        half, mid = 0.5 * (b - a), 0.5 * (a + b)
-        fx = f(mid + half * _NODES[:, None])
-        if not np.all(np.isfinite(fx)):
-            raise IntegrationError("integrand is not finite on the integration range")
-        # interval-major; einsum (unlike a BLAS matvec) reduces each
-        # interval's 21 nodes on their own, whatever the other intervals
-        fx = np.ascontiguousarray(fx.T)
-        resk = np.einsum("ij,j->i", fx, _WK)
-        resabs = np.einsum("ij,j->i", np.abs(fx), _WK) * half
-        resasc = np.einsum("ij,j->i", np.abs(fx - 0.5 * resk[:, None]), _WK) * half
-        err = np.abs((resk - np.einsum("ij,j->i", fx, _WG)) * half)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
-        err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
-        done = err <= np.maximum(atol * (b - a) / span, _ROUNDING * resabs)
-        if np.any(done):  # cumsum adds in order; np.sum's pairwise order moves bits
-            total += float(np.cumsum(resk[done] * half[done])[-1])
-        keep = ~done
-        a, b, mid = a[keep], b[keep], mid[keep]
-        a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
-    return total
-
-
-def _lift(fn: Callable | None, name: str) -> Callable | None:
-    """A one-argument density called on its points flattened: ``DomainError``
-    is raised unless it accepts that array and returns one of its shape."""
-    if fn is None:
-        return None
-
-    def lifted(x: np.ndarray) -> np.ndarray:
-        flat = x.ravel()
-        try:
-            vals = fn(flat)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"{name} must accept a numpy array: {exc}") from exc
-        if not isinstance(vals, np.ndarray) or vals.shape != flat.shape:
-            raise DomainError(f"{name} must return an array shaped like its argument")
-        return vals.reshape(x.shape)
-
-    return lifted
-
-
-def numeric_kl(
-    density_p: Callable,
-    density_q: Callable,
-    support: tuple[float, float],
-    *,
-    atol: float = 1e-8,
-    points: Sequence[float] | None = None,
-    log_p: Callable | None = None,
-    log_q: Callable | None = None,
-) -> float:
-    """KL divergence between two densities by adaptive quadrature, in nats.
-
-    Both densities must integrate to 1 over ``support`` (checked to 1e-8),
-    and ``density_q`` must be strictly positive wherever ``density_p`` is
-    nonnegligible; that is probed on a fixed 4097-point grid before
-    integrating, where a negative or NaN density raises ``DomainError``.
-    The integration range is truncated to where p exceeds 1e-300.
-
-    Every density and log density must accept a numpy array: each is
-    called on whole arrays of points, and ``DomainError`` is raised unless
-    it returns an array of their shape. The three integrals (p's mass, q's
-    mass and the divergence) are adaptive G10/K21 quadratures, each of
-    which calls its integrand once per round on the nodes of every pending
-    interval; ``IntegrationError`` is raised when an integrand is not
-    finite or an integral's interval budget runs out, before the mass
-    checks.
-
-    ``points`` may list known non-smooth spots (e.g. mixture component
-    means); each integration range is split there first. When the
-    densities span more dynamic range than float64 (a sharply
-    concentrated q under a broad p makes the ratio overflow long before
-    the divergence does), pass ``log_p`` and ``log_q``; the log-ratio is
-    then evaluated directly and only a true ``log_q = -inf`` counts as
-    vanishing support.
-    """
-    lo, hi = support
-    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-        raise DomainError(f"bad support interval: ({lo}, {hi})")
-    if (log_p is None) != (log_q is None):
-        raise DomainError("log_p and log_q must be supplied together")
-    p, q = _lift(density_p, "density_p"), _lift(density_q, "density_q")
-    log_p, log_q = _lift(log_p, "log_p"), _lift(log_q, "log_q")
-    grid = np.linspace(lo, hi, 4097)
-    p_vals, q_vals = p(grid), q(grid)
-    if not (np.all(p_vals >= 0.0) and np.all(q_vals >= 0.0)):  # NaN fails too
-        raise DomainError("densities must be nonnegative numbers")
-    live = p_vals >= _TINY
-    gone = live & (q_vals <= 0.0)
-    if log_q is not None and np.any(gone):
-        # q may underflow where log q is finite: only log q = -inf vanishes
-        gone[gone] = log_q(grid[gone]) == -math.inf
-    if np.any(gone):
-        raise DomainError("q vanishes where p does not; KL is undefined")
-    if not np.any(live):
-        return 0.0
-    step = grid[1] - grid[0]
-    live = np.flatnonzero(live)
-    lo_eff = max(lo, grid[live[0]] - step)
-    hi_eff = min(hi, grid[live[-1]] + step)
-
-    def divergence(x: np.ndarray) -> np.ndarray:
-        # p counts as 0 below 1e-300; the errstate covers the 0 * inf and
-        # log(0) discarded there, and an overflowing p / q, which _integrate
-        # reports as a non-finite integrand. log_ratio is an array made
-        # here, so it is worked in place; what the densities return is
-        # never written.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if log_p is not None and log_q is not None:
-                lp = log_p(x)
-                p_x, log_ratio = np.exp(lp), lp - log_q(x)
-            else:
-                p_x = p(x)
-                log_ratio = np.maximum(q(x), 5e-324)
-                np.log(np.divide(p_x, log_ratio, out=log_ratio), out=log_ratio)
-            log_ratio *= p_x
-            log_ratio[p_x < _TINY] = 0.0
-            return log_ratio
-
-    mass_p = _integrate(p, lo, hi, 1e-9, points)
-    mass_q = _integrate(q, lo, hi, 1e-9, points)
-    kl = _integrate(divergence, lo_eff, hi_eff, atol, points)
-    for name, mass in (("p", mass_p), ("q", mass_q)):
-        if abs(mass - 1.0) > 1e-8:
-            raise DomainError(f"density {name} integrates to {mass}, not 1")
-    return kl
+    shape = np.shape(a)
+    a, b, c = (np.ravel(t) for t in (a, b, c))
+    n = a.size
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vertex = np.where(a < 0.0, -0.5 * b / a, 0.0)
+        # the roots from the coefficients scaled to at most 1, so b^2 cannot
+        # overflow, as the pair q / a, c / q, which does not cancel
+        size = np.max(np.abs((a, b, c)), axis=0)
+        size[size == 0.0] = 1.0
+        qa, qb, qc = a / size, b / size, c / size
+        disc = qb * qb - 4.0 * qa * qc
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        q = -0.5 * (qb + np.copysign(sq, qb))
+        marks = np.stack((vertex, q / qa, qc / q), axis=1)
+        floors = 0.25 / np.stack((np.sqrt(-a), size * sq, size * sq), axis=1)
+    # a root that is not real, or not there (a = 0), takes the vertex's place
+    lost = ~((disc >= 0.0)[:, None] & np.isfinite(marks))
+    marks = np.where(lost, vertex[:, None], marks)
+    floors = np.where(lost, floors[:, :1], floors)
+    np.clip(marks, -12.0, 12.0, out=marks)
+    steps = np.maximum(_LADDER, floors[..., None])
+    edges = np.concatenate((
+        np.broadcast_to(_PANEL_EDGES, (n, _PANEL_EDGES.size)), marks,
+        (marks[..., None] - steps).reshape(n, -1), (marks[..., None] + steps).reshape(n, -1),
+    ), axis=1)
+    np.clip(edges, -12.0, 12.0, out=edges)
+    edges.sort(axis=1)
+    x, w = _panel_rule()
+    half = np.diff(edges, axis=1)
+    half *= 0.5
+    u = (edges[:, :-1] + half)[..., None] + half[..., None] * x
+    r = u * a[:, None, None]
+    r += b[:, None, None]
+    r *= u
+    r += c[:, None, None]
+    np.logaddexp(0.0, r, out=r)
+    np.square(u, out=u)
+    u *= -0.5
+    r *= np.exp(u, out=u)
+    out = np.einsum("ijk,ij,k->i", r, half, w)
+    out *= 2.0 / math.sqrt(2.0 * math.pi)
+    return out.reshape(shape)

@@ -16,10 +16,6 @@ class DegenerateSourceError(DomainError):
     with crossover 1/2, which carries no information about the input)."""
 
 
-class IntegrationError(RuntimeError):
-    """Adaptive quadrature ran out of intervals or met a non-finite integrand."""
-
-
 class WitnessUnavailableError(RuntimeError):
     """An achievability construction has no valid channel for this instance."""
 

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .entropy import _mean_softplus, numeric_kl, std_normal_cdf
+from .entropy import _mean_softplus, _mean_softplus_quadratic, std_normal_cdf
 from .errors import DomainError, NoCrossingError
 from .optimize import bisect_predicate, bisect_root, brent_min
 from .sources import GaussianMixture2
@@ -181,40 +181,49 @@ def error_rate_reoptimized(model: RestorationModel, a: float) -> float:
 
 
 def _mean_log_mixture(
-    w: tuple, mu: tuple, var: float | np.ndarray, m: np.ndarray, v: float
+    w: tuple, mu: tuple, var: float | np.ndarray | tuple, m: np.ndarray, v: float | np.ndarray
 ) -> np.ndarray:
-    """E log(w[0] N(mu[0], var) + w[1] N(mu[1], var))(x) for x ~ N(m, v),
-    elementwise over the broadcast of ``mu``, ``var`` and ``m``; w[0] > 0.
+    """E log(w[0] N(mu[0], var[0]) + w[1] N(mu[1], var[1]))(x) for x ~ N(m, v),
+    elementwise over the broadcast of ``mu``, ``var``, ``m`` and ``v``;
+    w[0] > 0. ``var`` is one variance shared by both terms, or a pair with
+    var[0] >= var[1] unless w[1] = 0.
 
-    The log density is l(x) + softplus(alpha (x - (mu[0] + mu[1]) / 2)
-    + log(w[1] / w[0])), l the log of the first term and
-    alpha = (mu[1] - mu[0]) / var: E l is closed form, and the softplus
-    argument is Gaussian (``_mean_softplus``). With w[1] = 0 only l is left.
+    The log density is l(x) + softplus(r(x)), l the log of the first term
+    and r the log of the second over the first: E l is closed form. With
+    one variance r is alpha (x - (mu[0] + mu[1]) / 2) + log(w[1] / w[0]),
+    alpha = (mu[1] - mu[0]) / var, whose argument is Gaussian
+    (``_mean_softplus``). With a pair, r(m + sqrt(v) u) is a quadratic in
+    u that opens downward (``_mean_softplus_quadratic``). With w[1] = 0
+    only l is left.
     """
     (w_b, w_o), (mu_b, mu_o) = w, mu
-    out = math.log(w_b) - 0.5 * np.log(2.0 * math.pi * var)
-    out = out - ((m - mu_b) ** 2 + v) / (2.0 * var)
-    if w_o > 0.0:
+    var_b, var_o = var if isinstance(var, tuple) else (var, var)
+    out = math.log(w_b) - 0.5 * np.log(2.0 * math.pi * var_b)
+    out = out - ((m - mu_b) ** 2 + v) / (2.0 * var_b)
+    if w_o == 0.0:
+        return out
+    if not isinstance(var, tuple):
         alpha = (mu_o - mu_b) / var
         z_mean = alpha * (m - 0.5 * (mu_b + mu_o)) + math.log(w_o / w_b)
-        out = out + _mean_softplus(*np.broadcast_arrays(z_mean, np.abs(alpha) * math.sqrt(v)))
-    return out
+        return out + _mean_softplus(*np.broadcast_arrays(z_mean, np.abs(alpha) * math.sqrt(v)))
+    d_b, d_o = m - mu_b, m - mu_o
+    quad = 0.5 * v * (1.0 / var_b - 1.0 / var_o)
+    lin = np.sqrt(v) * (d_b / var_b - d_o / var_o)
+    const = (math.log(w_o / w_b) + 0.5 * np.log(var_b / var_o)
+             + d_b * d_b / (2.0 * var_b) - d_o * d_o / (2.0 * var_o))
+    return out + _mean_softplus_quadratic(*np.broadcast_arrays(quad, lin, const))
 
 
 def kl_of_gains(model: RestorationModel, gains: Sequence[float]) -> np.ndarray:
     """KL(clean mixture || restored mixture) in nats at each gain.
 
-    With equal clean variances v (so equal restored ones), KL is
-    sum_i w_i (E log p - E log q) over x ~ N(m_i, v), each expectation a
-    ``_mean_log_mixture`` expanded about the heavier component (so a zero
-    weight leaves one Gaussian). A gain's value is worked elementwise, so
-    it does not depend on the other gains. Unequal variances take one
-    ``numeric_kl`` per gain, with the log densities (a strongly contracting
-    gain leaves the restored law so narrow that its density underflows
-    under the clean tails), over the union of the clean and restored 12-sd
-    supports split at the four component means and at the restored
-    support's ends, so a restored law far narrower than the range is not
-    missed.
+    KL is sum_i w_i (E log p - E log q) over x ~ N(m_i, v_i), each
+    expectation a ``_mean_log_mixture``. With equal clean variances (so
+    equal restored ones) it is expanded about the heavier component, and
+    otherwise about the wider one, so that the log ratio of the other to
+    it opens downward; a zero weight leaves the other component alone.
+    A gain's value is worked elementwise, so it does not depend on the
+    other gains.
 
     Every gain is checked before any work: a zero, NaN or infinite gain
     anywhere raises ``DomainError``, as does one whose restored variance
@@ -227,30 +236,26 @@ def kl_of_gains(model: RestorationModel, gains: Sequence[float]) -> np.ndarray:
             raise DomainError("restored law at gain 0 is a point mass; KL diverges")
     if not gains.size:
         return gains
-    mix = model.mixture
-    if mix.v1 != mix.v2:
-        return np.array([_numeric_kl_of_gain(model, a) for a in gains.tolist()])
-    w, mu = (mix.w1, mix.w2), (mix.m1, mix.m2)
-    if w[1] > w[0]:
-        w, mu = w[::-1], mu[::-1]
-    # the restored means and variance grow with |a|: if the laws of the
+    # the restored means and variances grow with |a|: if the laws of the
     # smallest and largest |a| are in float range, all are
     for k in {int(np.argmin(np.abs(gains))), int(np.argmax(np.abs(gains)))}:
         scaled_mixture(model, float(gains[k]))
-    m, v = np.array([[mix.m1], [mix.m2]]), mix.v1
-    diff = _mean_log_mixture(w, mu, v, m, v) - _mean_log_mixture(
-        w, (gains * mu[0], gains * mu[1]), gains * gains * (v + model.sigma_n**2), m, v)
+    mix, bump, g2 = model.mixture, model.sigma_n**2, gains * gains
+    w, mu, m = (mix.w1, mix.w2), (mix.m1, mix.m2), np.array([[mix.m1], [mix.m2]])
+    if mix.v1 == mix.v2:
+        if w[1] > w[0]:
+            w, mu = w[::-1], mu[::-1]
+        v = var = mix.v1
+        restored = g2 * (v + bump)
+    else:
+        var = (mix.v1, mix.v2)
+        if w[0] == 0.0 or (w[1] > 0.0 and var[1] > var[0]):
+            w, mu, var = w[::-1], mu[::-1], var[::-1]
+        v = np.array([[mix.v1], [mix.v2]])
+        restored = (g2 * (var[0] + bump), g2 * (var[1] + bump))
+    diff = _mean_log_mixture(w, mu, var, m, v) - _mean_log_mixture(
+        w, (gains * mu[0], gains * mu[1]), restored, m, v)
     return mix.w1 * diff[0] + mix.w2 * diff[1]
-
-
-def _numeric_kl_of_gain(model: RestorationModel, a: float) -> float:
-    clean, restored = model.mixture, scaled_mixture(model, a)
-    (lo1, hi1), (lo2, hi2) = clean.support_12sd(), restored.support_12sd()
-    return numeric_kl(
-        clean.density, restored.density, (min(lo1, lo2), max(hi1, hi2)), atol=1e-7,
-        points=sorted({clean.m1, clean.m2, restored.m1, restored.m2, lo2, hi2}),
-        log_p=clean.log_density, log_q=restored.log_density,
-    )
 
 
 def kl_of_gain(model: RestorationModel, a: float) -> float:

@@ -39,7 +39,6 @@ from .entropy import (
     binary_entropy_inv,
     gaussian_diff_entropy,
     gaussian_kl,
-    numeric_kl,
 )
 from .errors import DomainError
 from .oracle import (
@@ -185,17 +184,6 @@ def _suite_entropy(seed: int) -> _Recorder:
         1e-12,
     )
     rec.worst("gauss_kl_self", abs(gaussian_kl(0.3, 1.2, 0.3, 1.2)), 0.0)
-
-    def norm_pdf(mu: float, var: float) -> Callable:
-        z = 1.0 / math.sqrt(2.0 * math.pi * var)
-        return lambda x: z * np.exp(-0.5 * (x - mu) ** 2 / var)
-
-    same = numeric_kl(norm_pdf(0, 1), norm_pdf(0, 1), (-14.0, 14.0))
-    rec.worst("numeric_kl_self", abs(same), 1e-8)
-    got = numeric_kl(norm_pdf(0, 1), norm_pdf(0.3, 1.21), (-16.0, 16.0))
-    rec.worst(
-        "numeric_kl_vs_closed", abs(got - gaussian_kl(0, 1, 0.3, 1.21)), 1e-6
-    )
     return rec
 
 

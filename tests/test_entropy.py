@@ -1,5 +1,4 @@
 import math
-import time
 import tracemalloc
 
 import numpy as np
@@ -10,13 +9,11 @@ from hypothesis import strategies as st
 from rdpc import (
     BinaryPairSource,
     DomainError,
-    IntegrationError,
     binary_convolution,
     binary_entropy,
     binary_entropy_inv,
     gaussian_diff_entropy,
     gaussian_kl,
-    numeric_kl,
     rdc_binary,
     std_normal_cdf,
 )
@@ -282,135 +279,6 @@ def test_gaussian_kl_matches_formula():
     assert gaussian_kl(0.0, 1.0, 0.3, 1.21) == pytest.approx(expected, rel=1e-14)
 
 
-def _normal_density(mean, var):
-    def dens(x):
-        exp = np.exp if isinstance(x, np.ndarray) else math.exp
-        return exp(-0.5 * (x - mean) ** 2 / var) / math.sqrt(2 * math.pi * var)
-
-    return dens
-
-
-def test_numeric_kl_agrees_with_closed_form():
-    got = numeric_kl(
-        _normal_density(0.0, 1.0), _normal_density(0.3, 1.21), (-12.0, 12.0)
-    )
-    assert got == pytest.approx(gaussian_kl(0.0, 1.0, 0.3, 1.21), abs=1e-6)
-
-
-def test_numeric_kl_self_is_zero():
-    dens = _normal_density(0.0, 1.0)
-    assert numeric_kl(dens, dens, (-12.0, 12.0)) == pytest.approx(0.0, abs=1e-8)
-
-
-def test_numeric_kl_rejects_vanishing_q():
-    boxcar = lambda x: np.where(np.abs(x) <= 2.0, 0.25, 0.0)  # noqa: E731
-    with pytest.raises(DomainError):
-        numeric_kl(_normal_density(0.0, 1.0), boxcar, (-12.0, 12.0))
-
-
-@pytest.mark.parametrize(
-    "scalar_only",
-    [
-        lambda x: math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi),
-        lambda x: 1.0 / 24.0,
-    ],
-    ids=["math-only", "returns-a-float"],
-)
-def test_numeric_kl_requires_array_densities(scalar_only):
-    dens = _normal_density(0.0, 1.0)
-    for p, q in ((scalar_only, dens), (dens, scalar_only)):
-        with pytest.raises(DomainError):
-            numeric_kl(p, q, (-12.0, 12.0))
-    with pytest.raises(DomainError):
-        numeric_kl(dens, dens, (-12.0, 12.0), log_p=np.log, log_q=scalar_only)
-
-
-@pytest.mark.parametrize("side", ["p", "q"])
-def test_numeric_kl_refuses_nan_densities(side):
-    nan = lambda x: np.full_like(x, np.nan)  # noqa: E731
-    dens = _normal_density(0.0, 1.0)
-    p, q = (nan, dens) if side == "p" else (dens, nan)
-    with pytest.raises(DomainError):
-        numeric_kl(p, q, (-12.0, 12.0))
-
-
-def test_numeric_kl_log_arguments_must_pair():
-    dens = _normal_density(0.0, 1.0)
-    with pytest.raises(DomainError):
-        numeric_kl(dens, dens, (-12.0, 12.0), log_p=lambda x: 0.0)
-
-
-def _normal_log_density(mean, var):
-    return lambda x: -0.5 * (x - mean) ** 2 / var - 0.5 * math.log(2 * math.pi * var)
-
-
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(
-    st.floats(min_value=-5.0, max_value=5.0),
-    st.floats(min_value=0.05, max_value=20.0),
-    st.floats(min_value=-5.0, max_value=5.0),
-    st.floats(min_value=0.05, max_value=20.0),
-)
-def test_numeric_kl_matches_gaussian_kl(m1, v1, m2, v2):
-    spread1, spread2 = 12.0 * math.sqrt(v1), 12.0 * math.sqrt(v2)
-    support = (min(m1 - spread1, m2 - spread2), max(m1 + spread1, m2 + spread2))
-    got = numeric_kl(
-        _normal_density(m1, v1), _normal_density(m2, v2), support, points=[m1, m2],
-        log_p=_normal_log_density(m1, v1), log_q=_normal_log_density(m2, v2),
-    )
-    assert abs(got - gaussian_kl(m1, v1, m2, v2)) <= 1e-8
-
-
-def test_kronrod_rule_constants():
-    gauss_x, gauss_w = np.polynomial.legendre.leggauss(10)
-    is_gauss = entropy._WG != 0.0
-    np.testing.assert_allclose(entropy._NODES[is_gauss], gauss_x, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(entropy._WG[is_gauss], gauss_w, rtol=0, atol=1e-15)
-    # K21 integrates x^k exactly up to degree 31, G10 up to degree 19
-    for k in range(32):
-        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-        assert entropy._NODES**k @ entropy._WK == pytest.approx(exact, abs=1e-15)
-        if k < 20:
-            assert entropy._NODES**k @ entropy._WG == pytest.approx(exact, abs=1e-15)
-
-
-def test_integrate_reaches_atol_and_splits_at_points():
-    value = entropy._integrate(np.exp, 0.0, 1.0, 1e-12, None)
-    assert abs(value - math.expm1(1.0)) <= 1e-12
-    # |x - 1/3| has a kink; a breakpoint there makes both pieces polynomial
-    kink = lambda x: np.abs(x - 1.0 / 3.0)  # noqa: E731
-    assert entropy._integrate(kink, 0.0, 1.0, 1e-12, [1.0 / 3.0]) == pytest.approx(
-        5.0 / 18.0, abs=1e-15
-    )
-    assert abs(entropy._integrate(kink, 0.0, 1.0, 1e-10, None) - 5.0 / 18.0) <= 1e-10
-
-
-def test_integrate_reaches_atol_on_oscillatory_integrands():
-    # integrands of unequal difficulty, so they need different interval
-    # counts; every third starts split at 1/2
-    for i, k in enumerate(np.linspace(1.0, 80.0, 40).tolist()):
-        got = entropy._integrate(lambda x: np.cos(k * x) * np.exp(-x), 0.0, 1.0, 1e-11,
-                                 [0.5] if i % 3 == 0 else None)
-        exact = (math.exp(-1.0) * (k * math.sin(k) - math.cos(k)) + 1.0) / (1.0 + k * k)
-        assert abs(got - exact) <= 1e-11
-
-
-@pytest.mark.parametrize(
-    "integrand",
-    [
-        lambda x: np.full_like(x, np.nan),  # not finite
-        lambda x: np.where(x < 0.5, 1.0, np.nan),  # not finite on part of the range
-        lambda x: np.sin(1e6 * x),  # needs more intervals than the budget
-    ],
-    ids=["nan", "part-nan", "budget"],
-)
-def test_integrate_failures_raise_quickly(integrand):
-    t0 = time.perf_counter()
-    with pytest.raises(IntegrationError):
-        entropy._integrate(integrand, 0.0, 1.0, 1e-12, None)
-    assert time.perf_counter() - t0 < 0.1
-
-
 def test_gaussian_kl_refuses_an_overflowing_mean_shift():
     with pytest.raises(DomainError):
         gaussian_kl(0.0, 1.0, 1e200, 1.0)
@@ -459,3 +327,8 @@ def test_softplus_rules_are_the_gauss_rules():
     assert np.max(np.abs(t[order] - 20.0 * (x + 1.0))) <= 1e-13
     want = 20.0 * w * np.log1p(np.exp(-t[order]))
     assert np.max(np.abs(l_w[order] / want - 1.0)) <= 1e-11
+    x, w = leggauss(12)
+    p_x, p_w = entropy._panel_rule()
+    order = np.argsort(p_x)
+    assert np.max(np.abs(p_x[order] - x)) <= 1e-15
+    assert np.max(np.abs(p_w[order] / (w / 2.0) - 1.0)) <= 1e-12

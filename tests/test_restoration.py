@@ -29,7 +29,6 @@ from rdpc import (
     monte_carlo_mse,
     monte_carlo_mses,
     mse_of_gain,
-    numeric_kl,
     scaled_mixture,
     sweep,
 )
@@ -187,7 +186,9 @@ def _log_mixture(mix, x):
 
 def _quad_kl(model, a, epsrel=0.0):
     """Reference: KL(clean || restored) by scipy's quad on scalar log
-    densities, over the support and breakpoints of the numeric_kl path."""
+    densities, over the union of both laws' 12-sd supports, split at the
+    four component means and at the restored support's ends, so a
+    restored law far narrower than the range is not missed."""
     clean, restored = model.mixture, scaled_mixture(model, a)
     lo = min(clean.support_12sd()[0], restored.support_12sd()[0])
     hi = max(clean.support_12sd()[1], restored.support_12sd()[1])
@@ -196,7 +197,8 @@ def _quad_kl(model, a, epsrel=0.0):
         lp = _log_mixture(clean, x)
         return math.exp(lp) * (lp - _log_mixture(restored, x))
 
-    marks = sorted({clean.m1, clean.m2, restored.m1, restored.m2})
+    marks = sorted({clean.m1, clean.m2, restored.m1, restored.m2, *restored.support_12sd()}
+                   - {lo, hi})
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # an IntegrationWarning fails the test
         value, _ = quad(integrand, lo, hi, points=marks, epsabs=1e-10, epsrel=epsrel,
@@ -215,51 +217,38 @@ def test_sweep_kl_agrees_with_scipy_quad(sigma_n):
 @given(
     w1=st.floats(0.01, 0.99),
     means=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
-    v=st.floats(0.05, 5.0),
+    v1=st.floats(0.05, 5.0),
+    v2=st.one_of(st.none(), st.floats(0.05, 5.0)),
     sigma_n=st.floats(0.0, 5.0),
     gains=st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 0.2)),
                    min_size=1, max_size=3),
 )
-def test_equal_variance_kl_agrees_with_scipy_quad(w1, means, v, sigma_n, gains):
-    # gains down to |a| = 1e-3, where the KL reaches about 1e8 nats and
-    # float64 holds it only to relative precision; quad is then also
-    # asked for 1e-12 relative
-    model = RestorationModel(GaussianMixture2(w1, 1.0 - w1, *means, v, v), sigma_n, 0.0)
+def test_kl_agrees_with_scipy_quad(w1, means, v1, v2, sigma_n, gains):
+    # equal (v2 None) and unequal variances, and gains down to |a| = 1e-3,
+    # where the KL reaches about 1e8 nats and float64 holds it only to
+    # relative precision; quad is then also asked for 1e-12 relative
+    mix = GaussianMixture2(w1, 1.0 - w1, *means, v1, v1 if v2 is None else v2)
+    model = RestorationModel(mix, sigma_n, 0.0)
     gains = [sign * 10.0**e for sign, e in gains]
     for a, kl in zip(gains, kl_of_gains(model, gains).tolist()):
         ref = _quad_kl(model, a, epsrel=1e-12)
         assert abs(kl - ref) <= 1e-9 * max(1.0, ref)
 
 
-def test_unequal_variance_kl_is_numeric_kl_per_gain():
-    model = RestorationModel(GaussianMixture2(0.4, 0.6, -1.0, 2.0, 0.5, 1.5), 0.7, 0.0)
-    gains = [-1.2, -0.3, 0.05, 0.8, 1.4]
-    clean = model.mixture
-    for a, kl in zip(gains, kl_of_gains(model, gains).tolist()):
-        restored = scaled_mixture(model, a)
-        lo = min(clean.support_12sd()[0], restored.support_12sd()[0])
-        hi = max(clean.support_12sd()[1], restored.support_12sd()[1])
-        assert kl == numeric_kl(
-            clean.density, restored.density, (lo, hi), atol=1e-7,
-            points=sorted({clean.m1, clean.m2, restored.m1, restored.m2,
-                           *restored.support_12sd()}),
-            log_p=clean.log_density, log_q=restored.log_density,
-        )
-
-
 def test_unequal_variance_kl_at_a_tiny_gain():
-    # the restored law is about 4e-4 wide on a range about 43 wide: unless
-    # the range is split at its 12-sd ends, the quadrature misses most of q
+    # the restored law is about 4e-4 wide on a range about 43 wide: it sits
+    # far inside one 0.25-wide panel of the clean laws' u range, where the
+    # breakpoint ladders of the softplus rule resolve it
     mix = GaussianMixture2(0.50196, 0.49804, 0.34314, 0.63670, 2.31200, 3.23738)
     kl = kl_of_gain(RestorationModel(mix, 2.0, 0.0), -2.07e-4)
-    # scipy's quad, with the same split, gives 4891745.881354319
+    # scipy's quad, split at the restored law's 12-sd ends, gives 4891745.881354319
     assert kl == pytest.approx(4891745.881354319, rel=1e-12)
 
 
 # float.hex of kl_of_gains at gains -0.8, 0.3, 0.81 and 1.4 for the clean
 # mixture GaussianMixture2(0.7, 0.3, -1, 1, 1, v2), by (v2, sigma_n): the
-# unequal-variance (numeric_kl) path, recorded once its range was also
-# split at the restored law's 12-sd ends
+# unequal-variance path, the graded composite rule of
+# _mean_softplus_quadratic
 _UNEQUAL_KL_BITS = {
     (0.5, 0.0): ["0x1.daec7c201b13bp-2", "0x1.c227c07c23765p+2",
                  "0x1.52cc856ca2b06p-4", "0x1.122be08aa5c25p-3"],
@@ -293,13 +282,14 @@ def test_unequal_variance_kl_keeps_its_bits(v2, sigma_n):
 @pytest.mark.parametrize("w1", [0.0, 1.0])
 def test_kl_with_one_live_component_is_the_gaussian_kl(w1, sigma_n):
     # a zero weight makes the log weight ratio infinite: the expansion is
-    # taken about the other component
+    # taken about the other component, also when the dead one is the wider
     gains = [-1.3, -0.6, -0.2, 0.2, 0.6, 1.3]
-    mix = GaussianMixture2(w1, 1.0 - w1, -1.5, 2.0, 0.8, 0.8)
-    m = mix.m1 if w1 else mix.m2
-    got = kl_of_gains(RestorationModel(mix, sigma_n, 0.0), gains)
-    for a, kl in zip(gains, got.tolist()):
-        assert abs(kl - gaussian_kl(m, 0.8, a * m, a * a * (0.8 + sigma_n**2))) <= 1e-12
+    for v1, v2 in ((0.8, 0.8), (0.8, 2.5), (2.5, 0.8)):
+        mix = GaussianMixture2(w1, 1.0 - w1, -1.5, 2.0, v1, v2)
+        m, v = (mix.m1, v1) if w1 else (mix.m2, v2)
+        got = kl_of_gains(RestorationModel(mix, sigma_n, 0.0), gains)
+        for a, kl in zip(gains, got.tolist()):
+            assert abs(kl - gaussian_kl(m, v, a * m, a * a * (v + sigma_n**2))) <= 1e-12
     # equal means: one Gaussian again, with finite values
     same = RestorationModel(GaussianMixture2(0.3, 0.7, 1.2, 1.2, 0.8, 0.8), 0.5, 0.0)
     got = kl_of_gains(same, gains)
@@ -477,7 +467,7 @@ def test_kl_of_no_gains_is_empty_without_a_kernel_call(monkeypatch):
         raise AssertionError("kernel called")
 
     monkeypatch.setattr(restoration, "_mean_softplus", kernel)
-    monkeypatch.setattr(restoration, "numeric_kl", kernel)
+    monkeypatch.setattr(restoration, "_mean_softplus_quadratic", kernel)
     unequal = RestorationModel(GaussianMixture2(0.4, 0.6, -1.0, 2.0, 0.5, 1.5), 0.7, 0.0)
     for model in (MODEL, unequal):
         for gains in ([], np.array([])):
