@@ -143,8 +143,8 @@ def test_restoration_suite_keeps_its_bits(seed, sigmas):
 # sha256 of the `rdpc verify` report file; a change that means to move a
 # report byte declares it and re-pins these in its own commit
 @pytest.mark.parametrize("seed, digest", [
-    (0, "b12099c656d62305a246711d91957e55fe3b1eaa0129d019cdbd07cd79f845bb"),
-    (3, "8cb8bd4176c2e77f1ddb37d294864ba9ece64be987ee56edb992a2f6e0ea4fd2"),
+    (0, "45b426c29610b0bd6d86b7f36d1509acd5c8f6d94f98cf0355a731dec2b506f0"),
+    (3, "2e1149ea541675a7cd7eec13d787bcf5b80c6367cf94be1b4377d17a1fbc2308"),
 ])
 def test_verify_report_keeps_its_bytes(tmp_path, seed, digest):
     out = tmp_path / "verify.json"
