@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import inspect
 import json
 import math
@@ -197,9 +198,16 @@ class _Point:
 
 def _retained_bytes(build, n=2000):
     """tracemalloc bytes per result of ``build(i)``, with all n kept alive;
-    the lesser of two runs, since a first run reads up to 2 bytes high."""
+    the lesser of two runs, since a first run reads up to 2 bytes high.
+
+    The collector is off in the window. A collection there runs the
+    ``gc.callbacks``, and hypothesis registers one that allocates as it
+    times the collection; whether a collection fell in the window
+    depended on the allocations before the test and moved a run by up to
+    88 bytes."""
     sizes = []
     for _ in range(2):
+        gc.disable()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -207,6 +215,7 @@ def _retained_bytes(build, n=2000):
             sizes.append(tracemalloc.get_traced_memory()[0] - before)
         finally:
             tracemalloc.stop()
+            gc.enable()
         assert len(kept) == n
         del kept
     return min(sizes) / n
