@@ -266,8 +266,10 @@ def _lp_bounds(
     if "C" in cons:  # a = (hb - ha, hc - hb2) / h and b = (hc - hb, hb2 - ha) / h
         lines[:2, k] = (hs[[[1, 2], [2, 3]]] - hs[[[0, 3], [1, 0]]]) / h
         r[k] = cons["C"] + _TIGHT - hs[0]
-    # parallel lines meet nowhere, and a line at C = -inf nowhere finite
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # parallel lines meet nowhere, and a line at C = -inf nowhere finite; a
+    # subnormal b1 makes a determinant so small that a quotient overflows,
+    # and an infinite vertex fails the finiteness test like a missing one
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         flat = lines.reshape(3 * count, 2, n)
         prod = flat[_PAIR_ROWS[count][0]]
         prod *= flat[_PAIR_ROWS[count][1]]

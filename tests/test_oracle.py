@@ -396,6 +396,15 @@ def test_a_zero_perception_query_near_b_zero_says_when_its_budget_ran_out(monkey
     assert (got.grid_resolution > 1e-5) == stopped
 
 
+def test_a_subnormal_source_solves_without_warnings():
+    # at b = 5e-324 the LP's determinants are so small that a vertex
+    # overflows; it is dropped as not finite, and nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = binary_min_rate(BinaryPairSource(5e-324, 0.0), {"D": 0.1, "C": 0.5})
+    assert got.feasible and got.rate == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Gaussian oracle
 # ---------------------------------------------------------------------------
