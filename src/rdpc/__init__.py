@@ -26,10 +26,7 @@ _NAMES = {
         "DegenerateSourceError", "DomainError", "NoCrossingError",
         "WitnessUnavailableError",
     ),
-    "oracle": (
-        "MglCheck", "binary_channel_stats", "binary_min_rate", "gaussian_min_rate",
-        "gaussian_recon_stats", "mrs_gerber_check",
-    ),
+    "oracle": ("MglCheck", "binary_min_rate", "gaussian_min_rate", "mrs_gerber_check"),
     "restoration": (
         "DenoiseCurvePoint", "FrontierPoint", "RestorationModel", "bayes_threshold_clean",
         "default_model", "error_rate_of_gain", "error_rate_reoptimized", "frontier",
@@ -43,7 +40,10 @@ _NAMES = {
     "rpc_given_d": (
         "PCFrontierPoint", "ScanPoint", "eval_at", "pc_frontier_given_rd", "rate_given_pcd",
     ),
-    "sources": ("BinaryPairSource", "GaussianMixture2", "GaussianPairSource"),
+    "sources": (
+        "BinaryPairSource", "GaussianMixture2", "GaussianPairSource", "binary_channel_stats",
+        "gaussian_recon_stats",
+    ),
     "verify": ("SUITE_NAMES", "GapProbe", "SuiteResult", "VerifyReport", "run_suites"),
 }
 _LAZY = ("oracle", "restoration", "rpc_given_d", "verify")

@@ -275,9 +275,9 @@ def _binary_point(
 ) -> tuple[float, float, float, float]:
     """(mutual_info, distortion, tv, cond_entropy_S) in bits of one binary
     channel: ``b1`` is P(X = 1), ``p1`` the label flip probability and
-    (p_a, p_b) the channel. The closed forms' ``g_function`` and the
-    oracle's channel statistics both evaluate it; ``oracle._binary_joint_arr``
-    is its array form."""
+    (p_a, p_b) the channel. The closed forms' ``g_function`` and
+    ``sources.binary_channel_stats`` both evaluate it;
+    ``oracle._binary_joint_arr`` is its array form."""
     q0 = (1.0 - b1) * p_a + b1 * p_b
     info = binary_entropy(q0) - ((1.0 - b1) * binary_entropy(p_a) + b1 * binary_entropy(p_b))
     hs = 0.0

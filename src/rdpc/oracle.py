@@ -47,8 +47,14 @@ import numpy as np
 from .entropy import _binary_entropy_inv_arr, _binary_point, _gaussian_kl, _h2_bits_arr
 from .errors import DomainError
 from .optimize import bisect_predicate
-from .results import BinaryChannel, ChannelStats, GaussianReconstruction, OracleResult, Unit
-from .sources import BinaryPairSource, GaussianPairSource, _corr2, _gaussian_stats
+from .results import BinaryChannel, GaussianReconstruction, OracleResult, Unit
+from .sources import (
+    BinaryPairSource,
+    GaussianPairSource,
+    _gaussian_stats,
+    binary_channel_stats,
+    gaussian_recon_stats,
+)
 
 _TIGHT = 1e-9
 # a requested P = 0 is executed as this tolerance; exact equality is
@@ -116,18 +122,6 @@ def _binary_joint_arr(b1, p1, pa, pb) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # binary channels
 # ---------------------------------------------------------------------------
-
-def binary_channel_stats(src: BinaryPairSource, ch: BinaryChannel) -> ChannelStats:
-    """Exact rate/distortion/perception/classification of one channel.
-
-    All four quantities come from the explicit joint distribution of
-    (S, X, Xhat); distortion is Hamming, perception is total variation
-    between the X and Xhat marginals, everything entropic is in bits.
-    """
-    info, dist, tv, hs = _binary_point(src.b, src.p1, ch.p_a, ch.p_b)
-    return ChannelStats(mutual_info=info, distortion=dist, perception=tv, cond_entropy_s=hs,
-                        unit=Unit.BITS)
-
 
 def _normalize_constraints(constraints: Mapping[str, float]) -> dict[str, float]:
     """The bounds by upper-case key, each a float: a +inf bound is dropped
@@ -445,32 +439,6 @@ def binary_min_rate(
 # ---------------------------------------------------------------------------
 # Gaussian reconstructions
 # ---------------------------------------------------------------------------
-
-def gaussian_recon_stats(
-    src: GaussianPairSource, rec: GaussianReconstruction
-) -> ChannelStats:
-    """Rate/MSE/KL/classification of a jointly Gaussian reconstruction.
-
-    Sentinels at the degenerate corners: an exact copy (correlation 1)
-    reports infinite rate; a constant reconstruction reports infinite KL
-    and the unconditional label entropy. A mean difference or covariance
-    whose square overflows, or a covariance that breaks Cauchy-Schwarz
-    (any nonzero one at var_xh = 0), raises ``DomainError``.
-    """
-    vx = src.var_x
-    try:
-        shift2 = (src.mu_x - rec.mu_xh) ** 2
-        cov2 = rec.cov_xxh**2
-    except OverflowError:  # a Python float raises where numpy gives inf
-        raise DomainError(
-            f"a square overflows at mu_xh={rec.mu_xh}, cov_xxh={rec.cov_xxh}"
-        ) from None
-    if rec.var_xh == 0.0 and rec.cov_xxh == 0.0:
-        return ChannelStats(0.0, shift2 + vx, math.inf, src.h_s, Unit.NATS)
-    if rec.var_xh == 0.0 or _corr2(vx, rec.var_xh, rec.cov_xxh) > 1.0 + 1e-12:
-        raise DomainError(f"cov^2={cov2} exceeds var_x*var_xh={vx * rec.var_xh}")
-    return ChannelStats(*_gaussian_stats(src, rec.var_xh, rec.cov_xxh, shift2), Unit.NATS)
-
 
 def gaussian_min_rate(
     src: GaussianPairSource,

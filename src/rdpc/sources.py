@@ -14,8 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .entropy import _gaussian_kl, binary_entropy, gaussian_diff_entropy
+from .entropy import _binary_point, _gaussian_kl, binary_entropy, gaussian_diff_entropy
 from .errors import DegenerateSourceError, DomainError
+from .results import BinaryChannel, ChannelStats, GaussianReconstruction, Unit
 
 _DEGENERATE_EPS = 1e-12
 
@@ -133,6 +134,44 @@ def _gaussian_stats(
     info_s = math.inf if label >= 1.0 else -0.5 * math.log1p(-label)
     mse = shift2 + vx + var_xh - 2.0 * cov
     return rate, mse, _gaussian_kl(vx, var_xh, shift2), src.h_s - info_s
+
+
+def binary_channel_stats(src: BinaryPairSource, ch: BinaryChannel) -> ChannelStats:
+    """Exact rate/distortion/perception/classification of one channel.
+
+    All four quantities come from the explicit joint distribution of
+    (S, X, Xhat); distortion is Hamming, perception is total variation
+    between the X and Xhat marginals, everything entropic is in bits.
+    """
+    info, dist, tv, hs = _binary_point(src.b, src.p1, ch.p_a, ch.p_b)
+    return ChannelStats(mutual_info=info, distortion=dist, perception=tv, cond_entropy_s=hs,
+                        unit=Unit.BITS)
+
+
+def gaussian_recon_stats(
+    src: GaussianPairSource, rec: GaussianReconstruction
+) -> ChannelStats:
+    """Rate/MSE/KL/classification of a jointly Gaussian reconstruction.
+
+    Sentinels at the degenerate corners: an exact copy (correlation 1)
+    reports infinite rate; a constant reconstruction reports infinite KL
+    and the unconditional label entropy. A mean difference or covariance
+    whose square overflows, or a covariance that breaks Cauchy-Schwarz
+    (any nonzero one at var_xh = 0), raises ``DomainError``.
+    """
+    vx = src.var_x
+    try:
+        shift2 = (src.mu_x - rec.mu_xh) ** 2
+        cov2 = rec.cov_xxh**2
+    except OverflowError:  # a Python float raises where numpy gives inf
+        raise DomainError(
+            f"a square overflows at mu_xh={rec.mu_xh}, cov_xxh={rec.cov_xxh}"
+        ) from None
+    if rec.var_xh == 0.0 and rec.cov_xxh == 0.0:
+        return ChannelStats(0.0, shift2 + vx, math.inf, src.h_s, Unit.NATS)
+    if rec.var_xh == 0.0 or _corr2(vx, rec.var_xh, rec.cov_xxh) > 1.0 + 1e-12:
+        raise DomainError(f"cov^2={cov2} exceeds var_x*var_xh={vx * rec.var_xh}")
+    return ChannelStats(*_gaussian_stats(src, rec.var_xh, rec.cov_xxh, shift2), Unit.NATS)
 
 
 class _Component(NamedTuple):

@@ -41,14 +41,7 @@ from .entropy import (
     gaussian_kl,
 )
 from .errors import DomainError
-from .oracle import (
-    _mgl_margins,
-    binary_channel_stats,
-    binary_min_rate,
-    gaussian_min_rate,
-    gaussian_recon_stats,
-    mrs_gerber_check,
-)
+from .oracle import _mgl_margins, binary_min_rate, gaussian_min_rate, mrs_gerber_check
 from .results import Region
 from .restoration import (
     bayes_threshold_clean,
@@ -61,7 +54,13 @@ from .restoration import (
     sweep,
 )
 from .rpc_given_d import eval_at, pc_frontier_given_rd, rate_given_pcd
-from .sources import BinaryPairSource, GaussianMixture2, GaussianPairSource
+from .sources import (
+    BinaryPairSource,
+    GaussianMixture2,
+    GaussianPairSource,
+    binary_channel_stats,
+    gaussian_recon_stats,
+)
 
 
 @dataclass(frozen=True)

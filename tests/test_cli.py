@@ -207,6 +207,19 @@ def test_import_loads_only_the_closed_form_layer(module, extra):
     assert out[0] == repr(sorted(_CLOSED_FORM_LAYER + extra))
 
 
+def test_channel_statistics_load_no_lazy_module():
+    # they live with the sources, so checking a closed form's witness
+    # neither loads nor compiles the oracle
+    out = _fresh(
+        "import sys, rdpc; "
+        "rdpc.binary_channel_stats(rdpc.BinaryPairSource(0.3, 0.1), rdpc.BinaryChannel(0.9, 0.2)); "
+        "rdpc.gaussian_recon_stats(rdpc.GaussianPairSource(0.0, 0.0, 1.0, 1.0, 0.5), "
+        "rdpc.GaussianReconstruction(0.0, 0.5, 0.4)); "
+        f"print([m for m in {_LAZY!r} if m in sys.modules])"
+    )
+    assert out[0] == "[]"
+
+
 @pytest.mark.parametrize("argv, loaded", [
     (RDC_EXAMPLE, []),
     (["rpc", "gaussian", "--p", "0.2", "--c", "0.562264"], []),
