@@ -169,10 +169,10 @@ def test_binary_source_help_states_the_accepted_ranges(capsys):
 
 def test_import_loads_no_scipy_integrate_or_special():
     # every CLI command pays the import. The oracle grids compute their
-    # entropies with numpy and need no scipy.special, and numeric_kl
-    # integrates with its own numpy quadrature, so no scipy module loads.
-    # The KL builds its Gauss rules itself: numpy.polynomial's import and
-    # its first LAPACK call would each add about 1 MB to the process.
+    # entropies with numpy and need no scipy.special, so no scipy module
+    # loads. The KL builds its Gauss rules itself: numpy.polynomial's
+    # import and its first LAPACK call would each add about 1 MB to the
+    # process.
     code = (
         "import sys, rdpc; "
         "print(sorted(m for m in ('scipy.integrate', 'scipy.special') "
@@ -181,6 +181,8 @@ def test_import_loads_no_scipy_integrate_or_special():
         "resolution=1e-2); "
         "print('scipy.special' in sys.modules); "
         "rdpc.kl_of_gain(rdpc.default_model(), 0.5); "
+        "rdpc.kl_of_gain(rdpc.RestorationModel(rdpc.GaussianMixture2(0.4, 0.6, -1.0, 2.0, 0.5, "
+        "1.5), 0.7, 0.0), 0.5); "
         "print(any(m.split('.')[0] == 'scipy' for m in sys.modules)); "
         "print('numpy.polynomial' in sys.modules)"
     )
