@@ -197,12 +197,13 @@ def _mean_log_mixture(
     only l is left.
     """
     (w_b, w_o), (mu_b, mu_o) = w, mu
-    var_b, var_o = var if isinstance(var, tuple) else (var, var)
+    pair = isinstance(var, tuple)
+    var_b, var_o = var if pair else (var, var)
     out = math.log(w_b) - 0.5 * np.log(2.0 * math.pi * var_b)
     out = out - ((m - mu_b) ** 2 + v) / (2.0 * var_b)
     if w_o == 0.0:
         return out
-    if not isinstance(var, tuple):
+    if not pair:
         alpha = (mu_o - mu_b) / var
         z_mean = alpha * (m - 0.5 * (mu_b + mu_o)) + math.log(w_o / w_b)
         return out + _mean_softplus(*np.broadcast_arrays(z_mean, np.abs(alpha) * math.sqrt(v)))
