@@ -17,6 +17,7 @@ import rdpc.restoration as restoration
 from rdpc import (
     DomainError,
     GaussianMixture2,
+    NoCrossingError,
     RestorationModel,
     bayes_threshold_clean,
     default_model,
@@ -45,6 +46,32 @@ def test_clean_bayes_threshold():
 def test_symmetric_mixture_threshold_is_zero():
     mix = GaussianMixture2(w1=0.5, w2=0.5, m1=-1.0, m2=1.0, v1=1.0, v2=1.0)
     assert bayes_threshold_clean(mix) == pytest.approx(0.0, abs=1e-12)
+
+
+_UNEQUAL_THRESHOLD_BITS = {
+    (0.7, 0.3, -1.0, 1.0, 1.0, 2.0): "0x1.26082e1821600p-1",
+    (0.4, 0.6, -1.0, 2.0, 0.5, 1.5): "0x1.1d3b1f19a1400p-3",
+    (0.5, 0.5, 0.0, 1.0, 0.01, 100.0): "0x1.36d9d40894c00p-2",
+}
+
+
+@pytest.mark.parametrize("params", list(_UNEQUAL_THRESHOLD_BITS))
+def test_unequal_variance_threshold_keeps_its_bits(params):
+    # the bisection root of the weighted density difference, where the two
+    # weighted log densities meet
+    mix = GaussianMixture2(*params)
+    t = bayes_threshold_clean(mix)
+    assert float.hex(t) == _UNEQUAL_THRESHOLD_BITS[params]
+    w1, w2, m1, m2, v1, v2 = params
+    logs = [math.log(w) - 0.5 * (t - m) ** 2 / v - 0.5 * math.log(2.0 * math.pi * v)
+            for w, m, v in ((w1, m1, v1), (w2, m2, v2))]
+    assert abs(logs[0] - logs[1]) <= 1e-11
+
+
+def test_unequal_variance_densities_that_do_not_cross_have_no_threshold():
+    # the narrow light component stays under the wide heavy one between the means
+    with pytest.raises(NoCrossingError):
+        bayes_threshold_clean(GaussianMixture2(0.9, 0.1, 0.0, 1.0, 1.0, 0.05))
 
 
 @pytest.mark.parametrize("v2", [1.0, 2.0])
