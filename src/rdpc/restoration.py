@@ -96,7 +96,8 @@ def bayes_threshold_clean(mixture: GaussianMixture2) -> float:
         )
 
     def diff(x: float) -> float:
-        d1, d2 = (c.w * math.exp(-0.5 * (x - c.m) ** 2 / c.v) / c.norm for c in mixture._comps)
+        d1, d2 = (w * math.exp(-0.5 * (x - m) ** 2 / v) / math.sqrt(2.0 * math.pi * v)
+                  for w, m, v in ((mixture.w1, m1, mixture.v1), (mixture.w2, m2, mixture.v2)))
         return d1 - d2
 
     lo, hi = min(m1, m2), max(m1, m2)

@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
 
 from .entropy import _binary_point, _gaussian_kl, binary_entropy, gaussian_diff_entropy
 from .errors import DegenerateSourceError, DomainError
@@ -20,7 +17,6 @@ from .results import BinaryChannel, ChannelStats, GaussianReconstruction, Unit
 
 _DEGENERATE_EPS = 1e-12
 
-FloatOrArray = float | np.ndarray
 
 @dataclass(frozen=True)
 class BinaryPairSource:
@@ -174,60 +170,11 @@ def gaussian_recon_stats(
     return ChannelStats(*_gaussian_stats(src, rec.var_xh, rec.cov_xxh, shift2), Unit.NATS)
 
 
-class _Component(NamedTuple):
-    """One weighted Gaussian term of a mixture, with its normalizers.
-
-    ``norm`` is sqrt(2 pi v), ``log_norm`` 0.5 log(2 pi v) and ``log_w``
-    log w (-inf for w = 0), all taken once with ``math``: numpy's log can
-    differ from it in the last bit, which would move the densities' last
-    bits.
-    """
-
-    w: float
-    m: float
-    v: float
-    norm: float
-    log_norm: float
-    log_w: float
-
-
-def _component(w: float, m: float, v: float) -> _Component:
-    two_pi_v = 2.0 * math.pi * v
-    return _Component(w, m, v, math.sqrt(two_pi_v), 0.5 * math.log(two_pi_v),
-                      math.log(w) if w > 0.0 else -math.inf)
-
-
-def mixture_density(
-    x: FloatOrArray, comps: tuple[_Component, _Component], *, log: bool = False
-) -> FloatOrArray:
-    """Density of the two-component mixture ``comps`` elementwise at x, or
-    with ``log`` its log, which stays finite far into the tails where the
-    density underflows to zero.
-
-    A component whose squared distance from x overflows contributes 0 to
-    the density and a -inf term to the log (so does a zero weight); with
-    both terms -inf the log is -inf. This is the one formula behind
-    ``GaussianMixture2.density`` and ``log_density``.
-    """
-    c1, c2 = comps
-    with np.errstate(over="ignore"):
-        q1, q2 = np.square(x - c1.m), np.square(x - c2.m)
-    if log:
-        return np.logaddexp(c1.log_w - 0.5 * q1 / c1.v - c1.log_norm,
-                            c2.log_w - 0.5 * q2 / c2.v - c2.log_norm)
-    d1 = np.exp(-0.5 * q1 / c1.v) / c1.norm
-    d2 = np.exp(-0.5 * q2 / c2.v) / c2.norm
-    return c1.w * d1 + c2.w * d2
-
-
 @dataclass(frozen=True)
 class GaussianMixture2:
     """Two-component Gaussian mixture w1*N(m1,v1) + w2*N(m2,v2).
 
     Every field must be finite and both variances positive.
-
-    The components with their normalizers (``_component``) are built
-    once, at construction, not on every density call.
     """
 
     w1: float
@@ -246,31 +193,6 @@ class GaussianMixture2:
             raise DomainError(f"weights must sum to 1: {self.w1 + self.w2}")
         if not (0.0 < self.v1 < math.inf and 0.0 < self.v2 < math.inf):
             raise DomainError(f"variances must be positive and finite: ({self.v1}, {self.v2})")
-        # a plain attribute, not a field: it stays out of eq, hash and repr
-        object.__setattr__(self, "_comps", (_component(self.w1, self.m1, self.v1),
-                                            _component(self.w2, self.m2, self.v2)))
-
-    def density(self, x: FloatOrArray) -> FloatOrArray:
-        """Mixture density at a float or elementwise on a numpy array
-        (``mixture_density``)."""
-        out = mixture_density(x, self._comps)
-        return out if isinstance(x, np.ndarray) else float(out)
-
-    def log_density(self, x: FloatOrArray) -> FloatOrArray:
-        """Log of ``density``, stable far into the tails where the plain
-        density underflows to zero (``mixture_density`` with ``log``)."""
-        out = mixture_density(x, self._comps, log=True)
-        return out if isinstance(x, np.ndarray) else float(out)
 
     def second_moment(self) -> float:
         return self.w1 * (self.m1**2 + self.v1) + self.w2 * (self.m2**2 + self.v2)
-
-    def widest_sd(self) -> float:
-        return math.sqrt(max(self.v1, self.v2))
-
-    def support_12sd(self) -> tuple[float, float]:
-        """Interval covering both components out to 12 widest-component
-        standard deviations; the quadrature default."""
-        spread = 12.0 * self.widest_sd()
-        return (min(self.m1, self.m2) - spread, max(self.m1, self.m2) + spread)
-

@@ -211,20 +211,26 @@ def _log_mixture(mix, x):
     return top + math.log1p(math.exp(min(terms) - top))
 
 
+def _support_12sd(mix):
+    """Both components out to 12 standard deviations of the wider one."""
+    spread = 12.0 * math.sqrt(max(mix.v1, mix.v2))
+    return min(mix.m1, mix.m2) - spread, max(mix.m1, mix.m2) + spread
+
+
 def _quad_kl(model, a, epsrel=0.0):
     """Reference: KL(clean || restored) by scipy's quad on scalar log
     densities, over the union of both laws' 12-sd supports, split at the
     four component means and at the restored support's ends, so a
     restored law far narrower than the range is not missed."""
     clean, restored = model.mixture, scaled_mixture(model, a)
-    lo = min(clean.support_12sd()[0], restored.support_12sd()[0])
-    hi = max(clean.support_12sd()[1], restored.support_12sd()[1])
+    (c_lo, c_hi), (r_lo, r_hi) = _support_12sd(clean), _support_12sd(restored)
+    lo, hi = min(c_lo, r_lo), max(c_hi, r_hi)
 
     def integrand(x):
         lp = _log_mixture(clean, x)
         return math.exp(lp) * (lp - _log_mixture(restored, x))
 
-    marks = sorted({clean.m1, clean.m2, restored.m1, restored.m2, *restored.support_12sd()}
+    marks = sorted({clean.m1, clean.m2, restored.m1, restored.m2, r_lo, r_hi}
                    - {lo, hi})
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # an IntegrationWarning fails the test

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from rdpc import (
     GaussianPairSource,
 )
 from rdpc.entropy import binary_entropy, gaussian_diff_entropy
-from rdpc.sources import mixture_density
 
 
 def test_binary_marginal_and_entropies():
@@ -73,82 +71,9 @@ def test_gaussian_rejections():
         GaussianPairSource(0.0, 0.0, 1.0, 1.0, 1.5)
 
 
-def test_mixture_density_normalizes_and_logs_agree():
-    mix = GaussianMixture2(w1=0.7, m1=-1.0, v1=1.0, w2=0.3, m2=1.0, v2=1.0)
-    xs = [-3.0, -1.0, 0.0, 0.5, 2.0]
-    for x in xs:
-        dens = mix.density(x)
-        assert dens > 0.0
-        assert math.log(dens) == pytest.approx(mix.log_density(x), abs=1e-12)
-    # trapezoid mass over a wide window
-    lo, hi, n = -14.0, 14.0, 20001
-    step = (hi - lo) / (n - 1)
-    mass = sum(mix.density(lo + i * step) for i in range(n)) * step
-    assert mass == pytest.approx(1.0, abs=1e-9)
-
-
 def test_mixture_weight_validation():
     with pytest.raises(DomainError):
         GaussianMixture2(w1=0.8, m1=-1.0, v1=1.0, w2=0.3, m2=1.0, v2=1.0)
-
-
-MIXTURES = [
-    GaussianMixture2(w1=0.7, m1=-1.0, v1=1.0, w2=0.3, m2=1.0, v2=1.0),
-    GaussianMixture2(w1=0.2, m1=0.5, v1=3.5, w2=0.8, m2=-2.0, v2=1.3),
-    GaussianMixture2(w1=1.0, m1=0.3, v1=2.0, w2=0.0, m2=4.0, v2=1.0),
-]
-
-
-def _seed_density(mix, x):
-    d1 = math.exp(-0.5 * (x - mix.m1) ** 2 / mix.v1) / math.sqrt(
-        2.0 * math.pi * mix.v1
-    )
-    d2 = math.exp(-0.5 * (x - mix.m2) ** 2 / mix.v2) / math.sqrt(
-        2.0 * math.pi * mix.v2
-    )
-    return mix.w1 * d1 + mix.w2 * d2
-
-
-def _seed_log_density(mix, x):
-    parts = []
-    for w, m, v in ((mix.w1, mix.m1, mix.v1), (mix.w2, mix.m2, mix.v2)):
-        if w > 0.0:
-            parts.append(
-                math.log(w) - 0.5 * (x - m) ** 2 / v - 0.5 * math.log(2.0 * math.pi * v)
-            )
-    top = max(parts)
-    i_top = parts.index(top)
-    rest = sum(math.exp(t - top) for j, t in enumerate(parts) if j != i_top)
-    return top + math.log1p(rest)
-
-
-@pytest.mark.parametrize("mix", MIXTURES)
-def test_mixture_float_equals_the_array_element(mix):
-    xs = np.concatenate([np.linspace(-40.0, 40.0, 4001), [-0.75, 0.0, 1e-9]])
-    dens, logs = mix.density(xs), mix.log_density(xs)
-    for x, d, log_d in zip(xs, dens, logs):
-        for arg in (float(x), x):  # a Python float and an np.float64
-            assert type(mix.density(arg)) is float
-            assert type(mix.log_density(arg)) is float
-            assert mix.density(arg) == d
-            assert mix.log_density(arg) == log_d
-
-
-@pytest.mark.parametrize("mix", MIXTURES)
-def test_mixture_array_path_matches_float_path(mix):
-    # densities stay above 1e-300 here, so relative error is meaningful
-    xs = np.linspace(-20.0, 20.0, 4097)
-    logs = np.array([_seed_log_density(mix, float(x)) for x in xs])
-    np.testing.assert_allclose(mix.log_density(xs), logs, rtol=1e-15, atol=0.0)
-    # The float formula squares with libm pow, which is one ulp off d*d on
-    # about 0.1% of inputs; up to 2 ulps of the exponent t after the
-    # division become a relative 2^-51 |t| after exp, on top of exp's own
-    # last-bit disagreement, so the bound widens in the far tails.
-    dens = np.array([_seed_density(mix, float(x)) for x in xs])
-    t = np.maximum((xs - mix.m1) ** 2 / mix.v1, (xs - mix.m2) ** 2 / mix.v2) / 2
-    gap = np.abs(mix.density(xs) - dens)
-    assert np.all(gap <= (1e-15 + 2.0**-51 * t) * dens)
-    assert np.all(gap[t <= 1.0] <= 1e-15 * dens[t <= 1.0])
 
 
 MIX_FIELDS = ("w1", "w2", "m1", "m2", "v1", "v2")
@@ -241,53 +166,3 @@ def test_gaussian_constants_follow_replace_and_stay_frozen():
     assert [f.name for f in dataclasses.fields(bsrc)] == ["a", "p1"]
     assert BinaryPairSource(0.3, 0.1) == bsrc and hash(BinaryPairSource(0.3, 0.1)) == hash(bsrc)
     assert repr(bsrc) == "BinaryPairSource(a=0.3, p1=0.1)"
-
-
-HALVES = GaussianMixture2(0.5, 0.5, 0.0, 1.0, 1.0, 1.0)
-
-
-def test_mixture_far_from_both_means_is_zero_density():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for x in (1e200, -1e200, math.inf):
-            assert HALVES.density(x) == 0.0
-            assert HALVES.log_density(x) == -math.inf
-        xs = np.array([1e200, -1e200, 0.3])
-        dens, logs = HALVES.density(xs), HALVES.log_density(xs)
-    assert dens[:2].tolist() == [0.0, 0.0]
-    assert logs[:2].tolist() == [-math.inf, -math.inf]
-    # in range, the array path keeps its bits
-    assert dens[2] == HALVES.density(np.array([0.3]))[0]
-    assert logs[2] == HALVES.log_density(np.array([0.3]))[0]
-
-
-def test_mixture_far_component_is_a_zero_term():
-    # a zero-weight component and a weighted one, each 1e200 from x
-    for w2 in (0.0, 0.5):
-        mix = GaussianMixture2(1.0 - w2, w2, 0.0, 1e200, 1.0, 1.0)
-        for x in (0.0, 0.3, -2.0):
-            near = float(np.exp(-0.5 * x**2)) / math.sqrt(2.0 * math.pi)
-            assert mix.density(x) == (1.0 - w2) * near
-            assert mix.log_density(x) == (
-                math.log(1.0 - w2) - 0.5 * x**2 - 0.5 * math.log(2.0 * math.pi)
-            )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert np.all(np.isfinite(mix.log_density(np.array([0.0, 0.3]))))
-
-
-def test_mixture_density_never_writes_its_inputs():
-    # zero weights in each component, and points that reach overflow
-    rng = np.random.default_rng(17)
-    w1 = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 10)])
-    x = rng.normal(0.0, 20.0, (w1.size, 301))
-    x[:, :4] = [1e200, -1e200, math.inf, -math.inf]
-    x.flags.writeable = False
-    before = x.copy()
-    for w in w1.tolist():
-        mix = GaussianMixture2(w, 1.0 - w, *rng.normal(0.0, 3.0, 2), *rng.uniform(0.05, 4.0, 2))
-        for log in (False, True):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                mixture_density(x, mix._comps, log=log)
-    assert x.tobytes() == before.tobytes()
