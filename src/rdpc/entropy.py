@@ -326,18 +326,20 @@ def _gauss_rule(b: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     weight whose orthonormal polynomials obey p_0 = 1 and
     sqrt(b[k+1]) p_{k+1} = x p_k - sqrt(b[k]) p_{k-1}: Newton on p_n,
     n = len(b) - 1 even, from the guesses ``x`` of the n/2 positive nodes,
-    and the Christoffel weights 1 / (sqrt(b[n]) p_{n-1} p_n')."""
+    and the Christoffel weights 1 / (sqrt(b[n]) p_{n-1} p_n') from the
+    recurrence at the final nodes, not at the iterate before them."""
     r, n = np.sqrt(b), b.size - 1
-    for _ in range(100):
+    step = np.inf
+    for _ in range(101):
         prev, cur = np.zeros_like(x), np.ones_like(x)
         dprev, dcur = np.zeros_like(x), np.zeros_like(x)
         for k in range(n):
             prev, cur = cur, (x * cur - r[k] * prev) / r[k + 1]
             dprev, dcur = dcur, (prev + x * dcur - r[k] * dprev) / r[k + 1]
-        step = cur / dcur
-        x = x - step
         if np.max(np.abs(step)) < 1e-15 * np.max(np.abs(x)):
             break
+        step = cur / dcur
+        x = x - step
     w = 1.0 / (r[n] * prev * dcur)
     return np.concatenate((-x, x)), np.concatenate((w, w))
 
