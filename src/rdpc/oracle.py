@@ -182,10 +182,12 @@ def _centre_terms(b1: float, p1: float, c: np.ndarray) -> np.ndarray:
     I = h(q0) - (1 - b1) h(p_a) - b1 h(p_b), with q0 = P(Xhat = 0) and
     h'(x) = log2((1 - x) / x). H = f(m, q0) + f(b1 - m, 1 - q0) with m =
     b1 p_b = P(X = 1, Xhat = 0) and f(m, q) = q h(s), s = p1 + (1 - 2 p1)
-    m / q the label posterior. The partials of f are -(p1 log2(1 - s) +
-    (1 - p1) log2(s)) in m and -((1 - p1) log2(1 - s) + p1 log2(s)) in q,
-    so both gradients are linear in the logarithms. Arguments below 1e-300
-    are taken as 1e-300 (only a posterior of a source with b1 = p1 = 0).
+    m / q the label posterior. The partials of f are (1 - 2 p1)
+    log2((1 - s) / s) in m and -((1 - p1) log2(1 - s) + p1 log2(s)) in q.
+    Along p_b, m and q0 move together, so f moves by the sum of its
+    partials, -(p1 log2(1 - s) + (1 - p1) log2(s)). Both gradients are thus
+    linear in the logarithms. Arguments below 1e-300 are taken as 1e-300
+    (only a posterior of a source with b1 = p1 = 0).
     """
     w, k = 1.0 - b1, 1.0 - 2.0 * p1
     # rows q0, p_a, p_b, s given Xhat = 0 and 1, then one minus each
