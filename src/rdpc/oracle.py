@@ -44,7 +44,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .entropy import _binary_entropy_inv_arr, _binary_point, _gaussian_kl, _h2_bits_arr
+from .entropy import _binary_entropy_inv_arr, _gaussian_kl, _h2_bits_arr
 from .errors import DomainError
 from .optimize import bisect_predicate
 from .results import BinaryChannel, GaussianReconstruction, OracleResult, Unit

@@ -26,7 +26,7 @@ from rdpc import (
     rpc_binary,
     rpc_gaussian,
 )
-from rdpc import oracle, verify
+from rdpc import entropy, oracle, verify
 from rdpc.entropy import (
     _h2_bits_arr,
     binary_convolution,
@@ -212,7 +212,7 @@ def test_cell_bound_is_below_every_point_that_meets_the_bounds(src, depth, fx, f
     rng = np.random.default_rng(seed)
     points = np.array([x0[0], y0[0]]) + h * rng.uniform(0.0, 1.0, (300, 2))
     points = np.concatenate((points, np.column_stack((cx[:, 0], cy[:, 0]))))
-    stats = np.array([oracle._binary_point(b1, p1, pa, pb) for pa, pb in points])
+    stats = np.array([entropy._binary_point(b1, p1, pa, pb) for pa, pb in points])
     column = {"D": 1, "P": 2, "C": 3}
     cons = {}
     for k, share in zip(keys, shares):
@@ -747,9 +747,9 @@ def test_binary_point_is_the_scalar_formula_bit_for_bit():
         points = corners + [tuple(v) for v in rng.uniform(0.0, 1.0, (2_000, 2))]
         for p_a, p_b in points:
             want = _scalar_binary_point(b1, src.p1, p_a, p_b)
-            assert oracle._binary_point(b1, src.p1, p_a, p_b) == want
+            assert entropy._binary_point(b1, src.p1, p_a, p_b) == want
     with pytest.raises(DomainError):
-        oracle._binary_point(0.5, 0.1, 1.0 + 1e-9, 1.0)
+        entropy._binary_point(0.5, 0.1, 1.0 + 1e-9, 1.0)
 
 
 def _sources_and_channels(rng, n, scalar_source):
@@ -785,12 +785,12 @@ def test_joint_kernel_gives_the_same_bits_whole_and_sliced(scalar_source):
     # the scalar formula, within the tolerance of verify's mgl suite
     for i in list(range(8)) + list(range(8, n, 61)):
         src = (b1, p1) if scalar_source else (b1[i], p1[i])
-        want = oracle._binary_point(*src, pa[i], pb[i])
+        want = entropy._binary_point(*src, pa[i], pb[i])
         assert abs(info[i] - want[0]) <= 1e-12 and abs(hs[i] - want[3]) <= 1e-12
     # where both terms of H(S | Xhat) are -0.0, their sum from 0.0 is +0.0
     clean = BinaryPairSource(0.3, 0.0)
     corners = oracle._binary_joint_arr(clean.b, 0.0, pa[:4], pb[:4])[1]
-    want = [oracle._binary_point(clean.b, 0.0, *ch)[3] for ch in zip(pa[:4], pb[:4])]
+    want = [entropy._binary_point(clean.b, 0.0, *ch)[3] for ch in zip(pa[:4], pb[:4])]
     assert corners.tobytes() == np.array(want).tobytes()
 
 

@@ -1,11 +1,15 @@
 """The package namespace: ``import rdpc`` loads the closed-form layer, and
 every other public name is imported and bound on first use (PEP 562)."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
 import rdpc
+
+SRC = Path(rdpc.__file__).parent
 
 
 def test_every_public_name_is_its_home_modules_object():
@@ -43,4 +47,18 @@ def test_a_lazy_name_is_bound_on_first_access(monkeypatch, name):
 def test_a_submodule_resolves_as_an_attribute(monkeypatch):
     monkeypatch.delitem(vars(rdpc), "verify")
     assert rdpc.verify is importlib.import_module("rdpc.verify")
-    assert rdpc.oracle._binary_point is rdpc.entropy._binary_point
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_module_level_import_is_read(path):
+    # a name a module imports but never reads is dead weight at import time
+    tree = ast.parse(path.read_text())
+    bound = {
+        (alias.asname or alias.name).partition(".")[0]
+        for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert sorted(bound - read) == []
