@@ -327,7 +327,7 @@ def _gauss_rule(b: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sqrt(b[k+1]) p_{k+1} = x p_k - sqrt(b[k]) p_{k-1}: Newton on p_n,
     n = len(b) - 1 even, from the guesses ``x`` of the n/2 positive nodes,
     and the Christoffel weights 1 / (sqrt(b[n]) p_{n-1} p_n') from the
-    recurrence at the final nodes, not at the iterate before them."""
+    recurrence at the final nodes."""
     r, n = np.sqrt(b), b.size - 1
     step = np.inf
     for _ in range(101):
