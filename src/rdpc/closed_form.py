@@ -81,9 +81,9 @@ def _c1(src: BinaryPairSource, c: float) -> float:
     inside the feasibility slack below a floor of 0 is negative), and c1
     clamped at 0 for C within rounding of the floor H(p1). Always <= 1/2.
     """
-    c_eff = min(max(c, 0.0), 1.0)
+    c_eff = 0.0 if 0.0 > c else 1.0 if 1.0 < c else c
     raw = (binary_entropy_inv(c_eff) - src.p1) / (1.0 - 2.0 * src.p1)
-    return max(raw, 0.0)
+    return 0.0 if 0.0 > raw else raw
 
 
 def _backward_witness(src: BinaryPairSource, eps: float) -> BinaryChannel:
@@ -108,10 +108,11 @@ def _backward_witness(src: BinaryPairSource, eps: float) -> BinaryChannel:
         raise WitnessUnavailableError(
             f"reconstruction weight {w} outside [0,1] for eps={eps}"
         )
-    w = min(max(w, 0.0), 1.0)
-    p_a = min(max(w * (1.0 - eps) / (1.0 - b1), 0.0), 1.0)
-    p_b = min(max(w * eps / b1, 0.0), 1.0)
-    return BinaryChannel(p_a, p_b)
+    w = 0.0 if 0.0 > w else 1.0 if 1.0 < w else w
+    p_a = w * (1.0 - eps) / (1.0 - b1)
+    p_b = w * eps / b1
+    return BinaryChannel(0.0 if 0.0 > p_a else 1.0 if 1.0 < p_a else p_a,
+                         0.0 if 0.0 > p_b else 1.0 if 1.0 < p_b else p_b)
 
 
 def rdc_binary(src: BinaryPairSource, d: float, c: float) -> TradeoffPoint:
@@ -124,23 +125,20 @@ def rdc_binary(src: BinaryPairSource, d: float, c: float) -> TradeoffPoint:
     looser of the two exceeds the source marginal b. Infeasible iff
     c < H(p1), the source's ``floor_c``.
     """
-    _check_bounds(c, d=d)
+    _check_bounds(c, d)
     if c < src.floor_c - _TOL:
-        return TradeoffPoint(rate=math.nan, unit=_BITS, region=_INFEASIBLE, c=c, d=d)
+        return TradeoffPoint(math.nan, _BITS, _INFEASIBLE, c, d)
     b = src.b
     c1 = _c1(src, c)
     if c1 <= b + _TOL and d >= c1 - _TOL:
-        region, eps = _CLASSIFICATION, min(c1, b)
+        region, eps = _CLASSIFICATION, b if b < c1 else c1
     elif d <= b + _TOL and d < c1:
-        region, eps = _DISTORTION, min(d, b)
+        region, eps = _DISTORTION, b if b < d else d
     else:
-        region, eps = _ZERO_RATE, None
-    if eps is None:
-        rate, witness = 0.0, BinaryChannel(1.0, 1.0)
-    else:
-        rate = max(0.0, binary_entropy(b) - binary_entropy(eps))
-        witness = _backward_witness(src, eps)
-    return TradeoffPoint(rate=rate, unit=_BITS, region=region, c=c, d=d, witness=witness)
+        return TradeoffPoint(0.0, _BITS, _ZERO_RATE, c, d, None, BinaryChannel(1.0, 1.0))
+    rate = src.h_b - binary_entropy(eps)
+    return TradeoffPoint(rate if rate > 0.0 else 0.0, _BITS, region, c, d, None,
+                         _backward_witness(src, eps))
 
 
 def _rdc_binary_rates(src: BinaryPairSource, d, c) -> np.ndarray:
@@ -157,7 +155,7 @@ def _rdc_binary_rates(src: BinaryPairSource, d, c) -> np.ndarray:
     by_c = (c1 <= b + _TOL) & (d >= c1 - _TOL)
     by_d = ~by_c & (d <= b + _TOL) & (d < c1)
     eps = np.where(by_c, np.minimum(c1, b), np.minimum(d, b))
-    rate = np.where(by_c | by_d, np.maximum(0.0, binary_entropy(b) - _h2_bits_arr(eps)), 0.0)
+    rate = np.where(by_c | by_d, np.maximum(0.0, src.h_b - _h2_bits_arr(eps)), 0.0)
     return np.where(c >= src.floor_c - _TOL, rate, np.nan)
 
 
@@ -188,7 +186,7 @@ def g_function(src: BinaryPairSource, p_a: float) -> float:
             f"p_a={p_a} implies p_b={p_b} outside [0,1]; "
             f"the line only exists for p_a in [{(1 - 2 * b) / (1 - b)}, 1]"
         )
-    return _binary_point(b, src.p1, p_a, min(max(p_b, 0.0), 1.0))[3]
+    return _binary_point(b, src.p1, p_a, 0.0 if 0.0 > p_b else 1.0 if 1.0 < p_b else p_b)[3]
 
 
 def rpc_binary_witness(src: BinaryPairSource, c: float) -> BinaryChannel:
@@ -205,15 +203,15 @@ def rpc_binary_witness(src: BinaryPairSource, c: float) -> BinaryChannel:
     b = src.b
     if b < 1e-15:
         return BinaryChannel(1.0, 1.0)
-    if c >= binary_entropy(src.a) - _TOL:
+    if c >= src.h_a - _TOL:
         return BinaryChannel(1.0 - b, 1.0 - b)
     if c <= src.floor_c + _TOL:
         return BinaryChannel(1.0, 0.0)
     p_a = bisect_root(
         lambda x: g_function(src, x) - c, 1.0 - b, 1.0, xtol=1e-13
     )
-    p_b = min(max((1.0 - b) * (1.0 - p_a) / b, 0.0), 1.0)
-    return BinaryChannel(p_a, p_b)
+    p_b = (1.0 - b) * (1.0 - p_a) / b
+    return BinaryChannel(p_a, 0.0 if 0.0 > p_b else 1.0 if 1.0 < p_b else p_b)
 
 
 def rpc_binary(src: BinaryPairSource, p: float, c: float) -> TradeoffPoint:
@@ -223,18 +221,15 @@ def rpc_binary(src: BinaryPairSource, p: float, c: float) -> TradeoffPoint:
     feasible classification level, so the perception bound is never the
     binding constraint. Zero rate for c >= H(a); infeasible for c < H(p1).
     """
-    _check_bounds(c, p=p)
+    _check_bounds(c, 0.0, p)
     if c < src.floor_c - _TOL:
-        return TradeoffPoint(rate=math.nan, unit=_BITS, region=_INFEASIBLE, c=c, p=p)
-    if c >= binary_entropy(src.a) - _TOL:
+        return TradeoffPoint(math.nan, _BITS, _INFEASIBLE, c, None, p)
+    if c >= src.h_a - _TOL:
         b = src.b
-        witness = BinaryChannel(1.0 - b, 1.0 - b)
-        return TradeoffPoint(rate=0.0, unit=_BITS, region=_ZERO_RATE, c=c, p=p, witness=witness)
-    rate = max(0.0, binary_entropy(src.b) - binary_entropy(_c1(src, c)))
-    return TradeoffPoint(
-        rate=rate, unit=_BITS, region=_CLASSIFICATION, c=c, p=p,
-        witness=rpc_binary_witness(src, c),
-    )
+        return TradeoffPoint(0.0, _BITS, _ZERO_RATE, c, None, p, BinaryChannel(1.0 - b, 1.0 - b))
+    rate = src.h_b - binary_entropy(_c1(src, c))
+    return TradeoffPoint(rate if rate > 0.0 else 0.0, _BITS, _CLASSIFICATION, c, None, p,
+                         rpc_binary_witness(src, c))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +245,7 @@ def _gaussian_k(src: GaussianPairSource, c: float) -> float:
     """
     rho2 = src.rho**2
     k = (1.0 - math.exp(2.0 * (c - src.h_s))) / rho2
-    return min(k, 1.0)
+    return 1.0 if 1.0 < k else k
 
 
 def _rdc_gaussian_core(
@@ -258,8 +253,8 @@ def _rdc_gaussian_core(
 ) -> tuple[float, Region, float, float]:
     """Returns (rate, region, v, d_star), where the witness is
     (mu_x, v, v), a variance equal to the covariance; NaN, INFEASIBLE,
-    NaN and NaN (no boundary exists) below the source's ``floor_c``."""
-    _check_bounds(c, d=d)
+    NaN and NaN (no boundary exists) below the source's ``floor_c``. The
+    callers check the bounds."""
     if c < src.floor_c - _TOL:
         return math.nan, _INFEASIBLE, math.nan, math.nan
     vx = src.var_x
@@ -269,8 +264,13 @@ def _rdc_gaussian_core(
     k = 0.0 if vacuous else _gaussian_k(src, c)
     d_star = vx * (1.0 - k)
     if d <= d_star + _TOL:
-        rate = math.inf if d == 0.0 else max(0.0, 0.5 * math.log(vx / d))
-        return rate, _DISTORTION, max(vx - d, 0.0), d_star
+        if d == 0.0:
+            rate = math.inf
+        else:
+            rate = 0.5 * math.log(vx / d)
+            rate = rate if rate > 0.0 else 0.0
+        v = vx - d
+        return rate, _DISTORTION, 0.0 if 0.0 > v else v, d_star
     if vacuous:
         return 0.0, _ZERO_RATE, 0.0, d_star
     one_minus_k = 1.0 - k
@@ -316,9 +316,10 @@ def rdc_gaussian(src: GaussianPairSource, d: float, c: float) -> TradeoffPoint:
     slack at the constant reconstruction. Infeasible below the floor
     0.5 ln(1 - rho^2) + h(S), the source's ``floor_c``.
     """
+    _check_bounds(c, d)
     rate, region, v, _ = _rdc_gaussian_core(src, d, c)
     wit = None if region is _INFEASIBLE else GaussianReconstruction(src.mu_x, v, v)
-    return TradeoffPoint(rate=rate, unit=_NATS, region=region, c=c, d=d, witness=wit)
+    return TradeoffPoint(rate, _NATS, region, c, d, None, wit)
 
 
 def rdc_gaussian_region(
@@ -328,6 +329,7 @@ def rdc_gaussian_region(
 
     d* is reported as NaN for infeasible instances (no boundary exists).
     """
+    _check_bounds(c, d)
     _, region, _, d_star = _rdc_gaussian_core(src, d, c)
     return region, d_star
 
@@ -342,12 +344,17 @@ def rpc_gaussian_witness(src: GaussianPairSource, c: float) -> GaussianReconstru
     _check_bounds(c)
     if c < src.floor_c - _TOL:
         raise DomainError(f"c={c} is below the feasibility floor {src.floor_c}")
+    return _tilt(src, c)
+
+
+def _tilt(src: GaussianPairSource, c: float) -> GaussianReconstruction:
+    """``rpc_gaussian_witness`` at a c its caller has checked."""
     vx = src.var_x
     if src.cov == 0.0 or c >= src.h_s:
         return GaussianReconstruction(src.mu_x, vx, 0.0)
-    inner = max(0.0, 1.0 - math.exp(2.0 * (c - src.h_s)))
-    theta2 = math.sqrt(src.var_s * vx**3 * inner) / abs(src.cov)
-    return GaussianReconstruction(src.mu_x, vx, min(theta2, vx))
+    inner = 1.0 - math.exp(2.0 * (c - src.h_s))
+    theta2 = math.sqrt(src.var_s * vx**3 * (inner if inner > 0.0 else 0.0)) / abs(src.cov)
+    return GaussianReconstruction(src.mu_x, vx, vx if vx < theta2 else theta2)
 
 
 def rpc_gaussian(src: GaussianPairSource, p: float, c: float) -> TradeoffPoint:
@@ -358,12 +365,12 @@ def rpc_gaussian(src: GaussianPairSource, p: float, c: float) -> TradeoffPoint:
     those of ``rdc_gaussian`` with no distortion bound. Zero rate for
     c >= h(S); infeasible below the floor.
     """
-    _check_bounds(c, p=p)
+    _check_bounds(c, 0.0, p)
     rate, region, _, _ = _rdc_gaussian_core(src, math.inf, c)
     if region is _INFEASIBLE:
         wit = None
     elif region is _ZERO_RATE:
         wit = GaussianReconstruction(src.mu_x, src.var_x, 0.0)
     else:
-        wit = rpc_gaussian_witness(src, c)
-    return TradeoffPoint(rate=rate, unit=_NATS, region=region, c=c, p=p, witness=wit)
+        wit = _tilt(src, c)
+    return TradeoffPoint(rate, _NATS, region, c, None, p, wit)

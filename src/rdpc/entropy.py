@@ -30,17 +30,12 @@ from .optimize import bisect_root
 _TINY = 1e-300
 
 
-def _xlog2x(x: float) -> float:
-    if x < _TINY:
-        return 0.0
-    return x * math.log2(x)
-
-
 def binary_entropy(p: float) -> float:
     """Entropy of a Bernoulli(p) variable, in bits."""
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"probability out of range: {p}")
-    return -_xlog2x(p) - _xlog2x(1.0 - p)
+    q = 1.0 - p
+    return -(p * math.log2(p) if p >= _TINY else 0.0) - (q * math.log2(q) if q >= _TINY else 0.0)
 
 
 def _h2_bits_arr(x: np.ndarray) -> np.ndarray:
@@ -147,11 +142,11 @@ def binary_entropy_inv(h: float) -> float:
     x = h ** _LN4
     p = x / (2.0 * (1.0 + math.sqrt(1.0 - x)))
     for _ in range(_NEWTON_STEPS):
-        p = min(max(p, 5e-324), _P_MAX)
+        p = 5e-324 if 5e-324 > p else _P_MAX if _P_MAX < p else p
         rest = 1.0 - p
         lp, lr = math.log2(p), math.log2(rest)
         p += (p * lp + rest * lr + h) / (lr - lp)
-    lo = math.floor(min(max(p, 5e-324), _P_MAX) / _W) * _W
+    lo = math.floor((5e-324 if 5e-324 > p else _P_MAX if _P_MAX < p else p) / _W) * _W
     if (
         (lo == 0.0 or _entropy_gap(lo, h) < 0.0)
         and _entropy_gap(lo + _W, h) > 0.0
@@ -283,13 +278,15 @@ def _binary_point(
     hs = 0.0
     # each value of Xhat adds its probability times h(p1 * P(X=1 | Xhat))
     if q0 > 0.0:
-        x1_given_0 = min(max(b1 * p_b / q0, 0.0), 1.0)
+        x1_given_0 = b1 * p_b / q0
+        x1_given_0 = 0.0 if 0.0 > x1_given_0 else 1.0 if 1.0 < x1_given_0 else x1_given_0
         hs += q0 * binary_entropy(p1 * (1.0 - x1_given_0) + x1_given_0 * (1.0 - p1))
     if q0 < 1.0:
-        x1_given_1 = min(max(b1 * (1.0 - p_b) / (1.0 - q0), 0.0), 1.0)
+        x1_given_1 = b1 * (1.0 - p_b) / (1.0 - q0)
+        x1_given_1 = 0.0 if 0.0 > x1_given_1 else 1.0 if 1.0 < x1_given_1 else x1_given_1
         hs += (1.0 - q0) * binary_entropy(p1 * (1.0 - x1_given_1) + x1_given_1 * (1.0 - p1))
     dist = (1.0 - b1) * (1.0 - p_a) + b1 * p_b
-    return max(info, 0.0), dist, abs(q0 - (1.0 - b1)), hs
+    return 0.0 if 0.0 > info else info, dist, abs(q0 - (1.0 - b1)), hs
 
 
 def gaussian_diff_entropy(variance: float) -> float:

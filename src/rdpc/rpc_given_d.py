@@ -65,7 +65,8 @@ def eval_at(src: GaussianPairSource, d: float, s: float) -> ScanPoint:
 def _roots(vx: float, a: float, q: float) -> tuple[float, float]:
     """The u with ratio(u) = q >= max(a, 0) / var_x, monotone in q; the
     smaller is a^2 over the larger, which keeps its precision."""
-    big = (2.0 * vx * q - a) + 2.0 * math.sqrt(max(vx * q * (vx * q - a), 0.0))
+    disc = vx * q * (vx * q - a)
+    big = (2.0 * vx * q - a) + 2.0 * math.sqrt(0.0 if 0.0 > disc else disc)
     return a / big * a, big
 
 
@@ -76,8 +77,8 @@ def _kl_interval(p: float) -> tuple[float, float]:
     -(2p + min(1, 2 sqrt(p))) are such starts."""
     if p == math.inf:
         return 0.0, math.inf
-    ends = []
-    for v in (2.0 * math.sqrt(p), -2.0 * p - min(1.0, 2.0 * math.sqrt(p))):
+    ends, root = [], 2.0 * math.sqrt(p)
+    for v in (root, -2.0 * p - (root if root < 1.0 else 1.0)):
         while (g := math.expm1(v) - v - 2.0 * p) > 0.0:
             if v == (v := v - g / math.expm1(v)):
                 break
@@ -90,7 +91,7 @@ def _k(src: GaussianPairSource, d: float, p: float, c: float) -> float:
     (-inf or +inf if it is vacuous or unmeetable at rho^2 = 0)."""
     if not 0.0 < d < math.inf:
         raise DomainError(f"pinned distortion must be positive and finite: {d}")
-    _check_bounds(c, p=p)
+    _check_bounds(c, 0.0, p)
     if src.rho**2 == 0.0:
         return -math.inf if c >= src.h_s else math.inf
     return _gaussian_k(src, c)
@@ -102,14 +103,19 @@ def _witness(src: GaussianPairSource, d: float, k: float, target: float,
     roots of ratio = k in [lo, hi] (u = 0 at D = var_x is spurious, with
     KL +inf); of these the point of least KL, evaluated."""
     vx, a = src.var_x, src.var_x - d
-    u = min(max(target, lo), hi)
+    u = lo if lo > target else target
+    u = hi if hi < u else u
     spreads = [u]
-    if k > max(a, 0.0) / vx:
+    if k > (0.0 if 0.0 > a else a) / vx:
         r_lo, r_hi = _roots(vx, a, k)
         if not (0.0 < u <= r_lo or u >= r_hi):
             spreads = [r for r in (r_lo, r_hi) if lo <= r <= hi]
-    points = (eval_at(src, d, math.sqrt(w)) for w in spreads)
-    return min(points, key=lambda q: q.perception_kl, default=None)
+    best = None
+    for w in spreads:  # the first of least KL, as min(..., key=) keeps
+        point = eval_at(src, d, math.sqrt(w))
+        if best is None or point.perception_kl < best.perception_kl:
+            best = point
+    return best
 
 
 def _classify(src: GaussianPairSource, d: float, p: float, c: float,
@@ -134,15 +140,15 @@ def rate_given_pcd(src: GaussianPairSource, d: float, p: float,
     vx, a, k = src.var_x, src.var_x - d, _k(src, d, p, c)
     arc_lo, arc_hi = _roots(vx, a, 1.0)
     t_lo, t_hi = _kl_interval(p)
-    lo, hi = max(arc_lo, vx * t_lo), min(arc_hi, vx * t_hi)
+    lo, hi = vx * t_lo, vx * t_hi
+    lo, hi = lo if lo > arc_lo else arc_lo, hi if hi < arc_hi else arc_hi
     best = _witness(src, d, k, abs(a), lo, hi) if lo <= hi and k < 1.0 else None
     if best is None or not math.isfinite(best.rate):
-        return TradeoffPoint(rate=math.nan, unit=Unit.NATS,
-                             region=Region.INFEASIBLE, c=c, d=d, p=p)
+        return TradeoffPoint(math.nan, Unit.NATS, Region.INFEASIBLE, c, d, p)
     var_xh = best.sigma_xh * best.sigma_xh
     return TradeoffPoint(
-        rate=best.rate, unit=Unit.NATS, region=_classify(src, d, p, c, best), c=c, d=d, p=p,
-        witness=GaussianReconstruction(src.mu_x, var_xh, 0.5 * (vx + var_xh - d)),
+        best.rate, Unit.NATS, _classify(src, d, p, c, best), c, d, p,
+        GaussianReconstruction(src.mu_x, var_xh, 0.5 * (vx + var_xh - d)),
     )
 
 
@@ -163,14 +169,15 @@ def pc_frontier_given_rd(
     live = -math.expm1(-2.0 * (rate_level + _RATE_SLACK))
     out: list[PCFrontierPoint] = []
     for c in map(float, c_grid):
-        k, floor = _k(src, d, math.inf, c), max(a, 0.0) / vx
+        k, floor = _k(src, d, math.inf, c), (0.0 if 0.0 > a else a) / vx
         best = None
-        if max(floor, k) <= live:
-            best = _witness(src, d, k, vx, *_roots(vx, a, max(budget, floor, k)))
+        if (k if k > floor else floor) <= live:
+            q = floor if floor > budget else budget
+            best = _witness(src, d, k, vx, *_roots(vx, a, k if k > q else q))
         # a witness that misses the budget (round-off at D >> var_x) is none
         if best is None or not best.rate <= rate_level + _RATE_SLACK:
             out.append(PCFrontierPoint(c, math.nan, math.nan, math.nan, False))
             continue
-        kl = max(best.perception_kl, 0.0)
-        out.append(PCFrontierPoint(c, kl, best.rate, best.sigma_xh, True))
+        kl = best.perception_kl
+        out.append(PCFrontierPoint(c, 0.0 if 0.0 > kl else kl, best.rate, best.sigma_xh, True))
     return out

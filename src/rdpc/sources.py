@@ -27,7 +27,8 @@ class BinaryPairSource:
     below assume the stated regime and silently folding the label marginal
     would change the meaning of the inputs.
 
-    The source marginal ``b`` = P(X=1) = (a - p1) / (1 - 2 p1) and the
+    The source marginal ``b`` = P(X=1) = (a - p1) / (1 - 2 p1), its
+    entropy ``h_b`` = H(b), the label entropy ``h_a`` = H(a) and the
     classification floor ``floor_c`` = H(p1) (bits) are computed once, at
     construction. The regime keeps b in [0, 1/2], in floats too (1 - 2 p1
     rounds to twice 1/2 - p1, so a = 1/2 gives exactly 1/2); by data
@@ -54,7 +55,10 @@ class BinaryPairSource:
                 f"need p1 <= a <= 1/2, got a={self.a}, p1={self.p1}"
             )
         # plain attributes, not fields: they stay out of eq, hash and repr
-        object.__setattr__(self, "b", (self.a - self.p1) / (1.0 - 2.0 * self.p1))
+        b = (self.a - self.p1) / (1.0 - 2.0 * self.p1)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "h_b", binary_entropy(b))
+        object.__setattr__(self, "h_a", binary_entropy(self.a))
         object.__setattr__(self, "floor_c", binary_entropy(self.p1))
 
 
@@ -124,9 +128,11 @@ def _gaussian_stats(
     the rate is +inf.
     """
     vx = src.var_x
-    ratio = min(_corr2(vx, var_xh, cov), 1.0)
+    ratio = _corr2(vx, var_xh, cov)
+    ratio = 1.0 if 1.0 < ratio else ratio
     rate = math.inf if ratio >= 1.0 else -0.5 * math.log1p(-ratio)
-    label = min(src.rho**2 * ratio, 1.0)
+    label = src.rho**2 * ratio
+    label = 1.0 if 1.0 < label else label
     info_s = math.inf if label >= 1.0 else -0.5 * math.log1p(-label)
     mse = shift2 + vx + var_xh - 2.0 * cov
     return rate, mse, _gaussian_kl(vx, var_xh, shift2), src.h_s - info_s
