@@ -290,17 +290,21 @@ def _binary_point(
 
 
 def gaussian_diff_entropy(variance: float) -> float:
-    """Differential entropy of a Gaussian with the given variance, in nats."""
-    if variance <= 0.0:
-        raise DomainError(f"variance must be positive: {variance}")
+    """Differential entropy of a Gaussian with the given variance, in nats.
+    A variance that is not positive and finite raises ``DomainError``."""
+    if not 0.0 < variance < math.inf:
+        raise DomainError(f"variance must be positive and finite: {variance}")
     return 0.5 * math.log(2.0 * math.pi * math.e * variance)
 
 
 def gaussian_kl(mean1: float, var1: float, mean2: float, var2: float) -> float:
-    """KL divergence N(mean1, var1) || N(mean2, var2), in nats. A mean
-    difference whose square overflows raises ``DomainError``."""
-    if var1 <= 0.0 or var2 <= 0.0:
-        raise DomainError(f"variances must be positive: ({var1}, {var2})")
+    """KL divergence N(mean1, var1) || N(mean2, var2), in nats. A mean that
+    is not finite, a variance that is not positive and finite, and a mean
+    difference whose square overflows raise ``DomainError``."""
+    if not (0.0 < var1 < math.inf and 0.0 < var2 < math.inf):
+        raise DomainError(f"variances must be positive and finite: ({var1}, {var2})")
+    if not (math.isfinite(mean1) and math.isfinite(mean2)):
+        raise DomainError(f"means must be finite: ({mean1}, {mean2})")
     try:
         shift2 = (mean1 - mean2) ** 2
     except OverflowError:  # a Python float raises where numpy gives inf

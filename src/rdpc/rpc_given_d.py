@@ -22,6 +22,8 @@ from .sources import GaussianPairSource, _gaussian_stats
 
 # a frontier row is live while its rate is within this of the budget
 _RATE_SLACK = 1e-9
+# ln of the largest float: math.expm1 overflows above it
+_V_MAX = 709.782712893384
 
 
 @dataclass(frozen=True)
@@ -74,11 +76,16 @@ def _kl_interval(p: float) -> tuple[float, float]:
     """Ends of {t = u / var_x : KL <= p}. In v = -ln t the KL is (e^v - 1
     - v) / 2, convex, so Newton runs monotonically to each root from a
     start outside it; by e^v >= 1 + v + v^2/2 + v^3/6, 2 sqrt(p) and
-    -(2p + min(1, 2 sqrt(p))) are such starts."""
+    -(2p + min(1, 2 sqrt(p))) are such starts. Where e^(2 sqrt(p))
+    overflows (p above about 1.26e5) the first start is ln(4p), as
+    4p - 1 - ln(4p) >= 2p there; the lower end is then about 1 / (2p).
+    Past p = 4.5e307 the product 4p overflows, the gap at v = inf is NaN,
+    Newton stops at once and the lower end is 0.0."""
     if p == math.inf:
         return 0.0, math.inf
     ends, root = [], 2.0 * math.sqrt(p)
-    for v in (root, -2.0 * p - (root if root < 1.0 else 1.0)):
+    for v in (root if root <= _V_MAX else math.log(4.0 * p),
+              -2.0 * p - (root if root < 1.0 else 1.0)):
         while (g := math.expm1(v) - v - 2.0 * p) > 0.0:
             if v == (v := v - g / math.expm1(v)):
                 break
@@ -87,13 +94,17 @@ def _kl_interval(p: float) -> tuple[float, float]:
 
 
 def _k(src: GaussianPairSource, d: float, p: float, c: float) -> float:
-    """Checks the bounds and returns k, the least ratio the C bound allows
-    (-inf or +inf if it is vacuous or unmeetable at rho^2 = 0)."""
+    """Checks the bounds and returns k, the least ratio the C bound allows:
+    -inf where it is vacuous (c >= h(S), as in ``rdc_gaussian``; the formula
+    gives k <= 0 there, which every use of k treats alike, and overflows
+    past h(S) + 354.9), +inf where it is unmeetable (rho^2 = 0)."""
     if not 0.0 < d < math.inf:
         raise DomainError(f"pinned distortion must be positive and finite: {d}")
     _check_bounds(c, 0.0, p)
+    if c >= src.h_s:
+        return -math.inf
     if src.rho**2 == 0.0:
-        return -math.inf if c >= src.h_s else math.inf
+        return math.inf
     return _gaussian_k(src, c)
 
 

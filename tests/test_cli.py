@@ -309,6 +309,18 @@ def test_frontier_default_distortion_triple(capsys, tmp_path):
     assert "front_d0.8.csv" in script
 
 
+@pytest.mark.parametrize("argv", [
+    ["rpc-given-d", "--d", "0.5", "--p", "1e300", "--c", "0.5"],
+    ["rpc-given-d", "--d", "0.5", "--p", "0.1", "--c", "400"],
+    ["rpc-given-d", "--d", "0.5", "--rate", "1.0", "--c-min", "399", "--c-max", "400",
+     "--c-steps", "2"],
+])
+def test_huge_finite_bounds_answer_without_a_traceback(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out and "Traceback" not in err
+
+
 def test_point_query_needs_single_distortion(capsys):
     code, out, _ = run(capsys, "rpc-given-d", "--d", "0.5", "--p", "1",
                        "--c", "0.9")

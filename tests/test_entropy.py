@@ -289,6 +289,28 @@ def test_gaussian_kl_refuses_an_overflowing_mean_shift():
     )
 
 
+@pytest.mark.parametrize("args", [
+    (math.nan, 1.0, 0.0, 1.0), (0.0, 1.0, 0.0, math.inf), (0.0, math.nan, 0.0, 1.0),
+    (math.inf, 1.0, 0.0, 1.0), (0.0, 1.0, -math.inf, 1.0), (0.0, math.inf, 0.0, 1.0),
+])
+def test_gaussian_kl_refuses_non_finite_inputs(args):
+    with pytest.raises(DomainError):
+        gaussian_kl(*args)
+
+
+@pytest.mark.parametrize("variance", [math.nan, math.inf, -math.inf])
+def test_gaussian_entropy_refuses_non_finite_variances(variance):
+    with pytest.raises(DomainError):
+        gaussian_diff_entropy(variance)
+
+
+def test_gaussian_kl_and_entropy_keep_their_bits_on_finite_inputs():
+    assert float.hex(gaussian_kl(0.0, 1.0, 0.3, 1.21)) == "0x1.7690ed09ea2b8p-5"
+    assert float.hex(gaussian_kl(-2.5, 1e-3, 4.0, 7.0)) == "0x1.bc76f809e179dp+2"
+    assert float.hex(gaussian_diff_entropy(0.49)) == "0x1.0ff081afa0f87p+0"
+    assert float.hex(gaussian_diff_entropy(5e-324)) == "-0x1.72cdad8ab7744p+8"
+
+
 def test_std_normal_cdf():
     assert std_normal_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
     assert std_normal_cdf(-1.30624) == pytest.approx(

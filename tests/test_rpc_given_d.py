@@ -2,6 +2,7 @@
 against an independent scan/refine reference solver kept in this file."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -563,3 +564,37 @@ def test_feasible_frontier_rows_meet_their_rate_budget(inst, level):
     assert stats.mutual_info == pytest.approx(row.rate, abs=1e-9)
     assert stats.perception <= row.min_p + 1e-9
     assert stats.cond_entropy_s <= c + 1e-9
+
+
+@pytest.mark.parametrize("p", [1e5, 125947.0, 125948.0, 1e12, 1e300, 4e307])
+def test_kl_interval_lower_end_at_large_p(p):
+    # from p = 125947.9 on e^(2 sqrt(p)) overflows; the lower end t meets
+    # KL = (1/t - 1 + ln t) / 2 = p, so t (1 - ln t + 2p) = 1, t about 1 / (2p)
+    lo, hi = rpc_given_d._kl_interval(p)
+    assert hi == math.inf
+    assert lo * (1.0 - math.log(lo) + 2.0 * p) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [5e307, 1.7976931348623157e308])
+def test_kl_interval_lower_end_past_the_float_range_is_zero(p):
+    assert rpc_given_d._kl_interval(p) == (0.0, math.inf)
+
+
+@pytest.mark.parametrize("p", [1e12, 1e300, 1.7976931348623157e308])
+def test_huge_kl_bounds_answer_like_no_bound(p):
+    for d, c in ((0.5, H_S - 0.05), (0.8, H_S - 0.3), (0.5, 0.5)):
+        got, free = rate_given_pcd(SRC, d, p, c), rate_given_pcd(SRC, d, math.inf, c)
+        assert (got.rate, got.region, got.witness) == (free.rate, free.region, free.witness)
+
+
+@pytest.mark.parametrize("c", [H_S + 354.0, H_S + 400.0, 1e300, math.inf])
+def test_classification_bounds_above_h_s_are_vacuous(c):
+    # math.exp(2 (C - h(S))) overflows past h(S) + 354.9; k is -inf from h(S) on
+    for d, p in ((0.5, 0.1), (0.3, math.inf), (1.5, 0.0)):
+        got, ref = rate_given_pcd(SRC, d, p, c), rate_given_pcd(SRC, d, p, H_S + 1.0)
+        assert (got.rate, got.region, got.witness) == (ref.rate, ref.region, ref.witness)
+    for d, level in ((0.5, 1.0), (0.5, 0.3), (2.0, 0.0)):
+        (got,) = pc_frontier_given_rd(SRC, d, level, [c])
+        (ref,) = pc_frontier_given_rd(SRC, d, level, [H_S + 1.0])
+        # repr keeps every bit and lets NaN rows compare equal
+        assert repr(astuple(got)[1:]) == repr(astuple(ref)[1:])
