@@ -12,9 +12,17 @@ inputs classify as feasible.
 
 The private ``_rdc_*_rates`` kernels give the RDC rates alone over numpy
 arrays of bounds, for callers that need thousands of them at once; the
-scalar entry points stay plain Python: on Python 3.11 they take 2.3-3.9 us
+scalar entry points stay plain Python: on Python 3.11 they take 2.1-2.8 us
 per point, result objects included, where a kernel call on one-element
-arrays takes 20 us (Gaussian) to 90 us (binary).
+arrays takes 26 us (Gaussian) to 115 us (binary).
+
+The scalar code is straight-line float code. A two-argument ``max(a, b)``
+is written ``b if b > a else a`` and ``min(a, b)`` is ``b if b < a else
+a``: the builtins' own comparisons, so the result is the same float, NaN
+and -0.0 included, and the argument order matters. A clamp
+``min(max(x, lo), hi)`` with lo <= hi is ``lo if lo > x else hi if hi < x
+else x``: 50 ns against 300 ns for the builtin calls. Results are built
+positionally, and each public entry point checks each argument once.
 """
 
 from __future__ import annotations
@@ -264,13 +272,9 @@ def _rdc_gaussian_core(
     k = 0.0 if vacuous else _gaussian_k(src, c)
     d_star = vx * (1.0 - k)
     if d <= d_star + _TOL:
-        if d == 0.0:
-            rate = math.inf
-        else:
-            rate = 0.5 * math.log(vx / d)
-            rate = rate if rate > 0.0 else 0.0
+        rate = math.inf if d == 0.0 else 0.5 * math.log(vx / d)
         v = vx - d
-        return rate, _DISTORTION, 0.0 if 0.0 > v else v, d_star
+        return rate if rate > 0.0 else 0.0, _DISTORTION, 0.0 if 0.0 > v else v, d_star
     if vacuous:
         return 0.0, _ZERO_RATE, 0.0, d_star
     one_minus_k = 1.0 - k

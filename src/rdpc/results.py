@@ -10,8 +10,10 @@ minimum over an empty set), never an exception.
 ``BinaryChannel``, ``GaussianReconstruction`` and ``TradeoffPoint``, built on
 every closed-form call, define their own ``__init__``: it checks its arguments
 and sets each field through a module-level ``object.__setattr__``. On Python
-3.11 that cuts a ``TradeoffPoint`` from 1.3-1.5 to 0.9-1.1 us and a witness
-by 0.1 us, against 0.2-0.5 us for a formula. They stay frozen, unslotted
+3.11 a ``TradeoffPoint`` then takes 1.1 us built positionally (1.4 us with
+keywords) against 1.5 us through a generated ``__init__`` and
+``__post_init__``, a ``BinaryChannel`` 0.5 us and a ``GaussianReconstruction``
+0.6 us: about half of a closed-form call. They stay frozen, unslotted
 dataclasses, so equality, hashing, ``repr``, ``replace``, pickling and
 ``FrozenInstanceError`` are the generated ones, with no per-instance dict.
 """

@@ -8,6 +8,7 @@ either side of it, C at and far above h(S), and P = 0.
 """
 
 import math
+import random
 
 import pytest
 
@@ -347,3 +348,16 @@ def test_the_first_bad_argument_names_the_error(name, source, args, message):
     with pytest.raises(DomainError) as err:
         getattr(rdpc, name)(SOURCES[source], *args)
     assert str(err.value).startswith(message)
+
+
+def test_the_conditional_forms_are_the_builtins_bit_for_bit():
+    # the rule the scalar code is written in (see the closed_form docstring)
+    rng = random.Random(36)
+    special = [nan, 0.0, -0.0, inf, -inf, 5e-324, -5e-324, 0.5, 1.0, 1.5]
+    for x in special + [rng.uniform(-2.0, 2.0) for _ in range(100)]:
+        for y in special:
+            assert float.hex(y if y > x else x) == float.hex(max(x, y))
+            assert float.hex(y if y < x else x) == float.hex(min(x, y))
+        for lo, hi in ((0.0, 1.0), (5e-324, 0.49), (-0.0, 0.0)):
+            clamped = lo if lo > x else hi if hi < x else x
+            assert float.hex(clamped) == float.hex(min(max(x, lo), hi))
