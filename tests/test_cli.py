@@ -450,6 +450,26 @@ def test_config_supplies_defaults_flags_win(capsys, tmp_path):
     assert json.loads(out)["inputs"]["d"] == 0.3
 
 
+def test_config_beats_a_built_in_default_and_a_flag_beats_both(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sigma_x": 2, "a_steps": 4}))
+    point = ["rpc", "gaussian", "--p", "0.2", "--c", "0.562264", "--config", str(cfg)]
+    for extra, sigma_x in (([], 2.0), (["--sigma-x", "3"], 3.0)):
+        _, out, _ = run(capsys, *point, *extra)
+        assert json.loads(out)["inputs"]["sigma_x"] == sigma_x
+    for extra, rows in (([], 4), (["--a-steps", "3"], 3)):
+        code, out, _ = run(capsys, "restore", "--config", str(cfg), *extra)
+        assert code == 0 and len(out.strip().split("\n")) == 1 + rows
+
+
+def test_a_suite_flag_replaces_the_config_list(capsys, tmp_path):
+    # --suite appends, but the flags given replace the config's list
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suite": ["entropy"]}))
+    code, out, _ = run(capsys, "verify", "--config", str(cfg), "--suite", "mgl")
+    assert code == 0 and [s["name"] for s in json.loads(out)["suites"]] == ["mgl"]
+
+
 def test_config_must_be_an_object(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2]")
