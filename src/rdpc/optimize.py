@@ -17,6 +17,8 @@ from .errors import DomainError
 
 _GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
 _SQRT_EPS = math.sqrt(2.2e-16)
+# the most midpoints either bisection tries
+_MAX_HALVINGS = 200
 
 
 def bisect_root(
@@ -25,7 +27,6 @@ def bisect_root(
     hi: float,
     *,
     xtol: float = 1e-12,
-    max_iter: int = 200,
 ) -> float:
     """Root of ``f`` on ``[lo, hi]`` by bisection.
 
@@ -46,7 +47,7 @@ def bisect_root(
         raise DomainError(
             f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}"
         )
-    for _ in range(max_iter):
+    for _ in range(_MAX_HALVINGS):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if fmid == 0.0 or (hi - lo) * 0.5 < xtol:
@@ -64,7 +65,6 @@ def bisect_predicate(
     hi: float,
     *,
     xtol: float = 1e-12,
-    max_iter: int = 200,
 ) -> float:
     """Boundary of a monotone boolean predicate.
 
@@ -73,14 +73,14 @@ def bisect_predicate(
     feasible intervals whose edge is defined by a constraint rather than
     by a smooth function value. ``pred`` sees ``hi``, then ``lo`` (which
     is returned if it holds), then the midpoints, until the bracket is
-    narrower than ``xtol`` or ``max_iter`` midpoints have been tried.
+    narrower than ``xtol`` or ``_MAX_HALVINGS`` midpoints have been tried.
     """
     lo, hi = float(lo), float(hi)
     if not pred(hi):
         raise DomainError("predicate must hold at the upper end of the bracket")
     if pred(lo):
         return lo
-    for _ in range(max_iter):
+    for _ in range(_MAX_HALVINGS):
         mid = 0.5 * (lo + hi)
         if pred(mid):
             hi = mid

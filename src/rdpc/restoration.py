@@ -51,8 +51,10 @@ class RestorationModel:
     threshold_c0: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma_n) and self.sigma_n >= 0.0):
-            raise DomainError(f"noise level must be finite and nonnegative: {self.sigma_n}")
+        # the metrics take sigma_n**2, which raises OverflowError past 1.34e154
+        if not (math.isfinite(self.sigma_n * self.sigma_n) and self.sigma_n >= 0.0):
+            raise DomainError(
+                f"noise level must be finite and nonnegative with a finite square: {self.sigma_n}")
         if not math.isfinite(self.threshold_c0):
             raise DomainError(f"threshold must be finite: {self.threshold_c0}")
 
@@ -130,9 +132,13 @@ def scaled_mixture(model: RestorationModel, a: float) -> GaussianMixture2:
 
 
 def mse_of_gain(model: RestorationModel, a: float) -> float:
-    """E[(X - aY)^2] = (1-a)^2 E[X^2] + a^2 sigma_n^2 exactly."""
+    """E[(X - aY)^2] = (1-a)^2 E[X^2] + a^2 sigma_n^2 exactly; inf where a
+    square overflows."""
     _check_gain(a)
-    return (1.0 - a) ** 2 * model.mixture.second_moment() + (a * model.sigma_n) ** 2
+    try:
+        return (1.0 - a) ** 2 * model.mixture.second_moment() + (a * model.sigma_n) ** 2
+    except OverflowError:
+        return math.inf
 
 
 def error_rate_of_gain(

@@ -93,13 +93,16 @@ def _kl_interval(p: float) -> tuple[float, float]:
     return ends[0], ends[1]
 
 
-def _k(src: GaussianPairSource, d: float, p: float, c: float) -> float:
-    """Checks the bounds and returns k, the least ratio the C bound allows:
-    -inf where it is vacuous (c >= h(S), as in ``rdc_gaussian``; the formula
-    gives k <= 0 there, which every use of k treats alike, and overflows
-    past h(S) + 354.9), +inf where it is unmeetable (rho^2 = 0)."""
+def _check_d(d: float) -> None:
     if not 0.0 < d < math.inf:
         raise DomainError(f"pinned distortion must be positive and finite: {d}")
+
+
+def _k(src: GaussianPairSource, p: float, c: float) -> float:
+    """Checks the P and C bounds and returns k, the least ratio the C bound
+    allows: -inf where it is vacuous (c >= h(S), as in ``rdc_gaussian``; the
+    formula gives k <= 0 there, which every use of k treats alike, and
+    overflows past h(S) + 354.9), +inf where it is unmeetable (rho^2 = 0)."""
     _check_bounds(c, 0.0, p)
     if c >= src.h_s:
         return -math.inf
@@ -148,7 +151,8 @@ def rate_given_pcd(src: GaussianPairSource, d: float, p: float,
     m the least ratio on the arc ratio <= 1 cut to {KL <= p}. The witness
     (with the pinned covariance) is where m is reached, or if k > m the
     root of ratio = k there, of smaller perception if both roots are."""
-    vx, a, k = src.var_x, src.var_x - d, _k(src, d, p, c)
+    _check_d(d)
+    vx, a, k = src.var_x, src.var_x - d, _k(src, p, c)
     arc_lo, arc_hi = _roots(vx, a, 1.0)
     t_lo, t_hi = _kl_interval(p)
     lo, hi = vx * t_lo, vx * t_hi
@@ -175,12 +179,13 @@ def pc_frontier_given_rd(
     """
     if not rate_level >= 0.0:
         raise DomainError(f"rate level must be >= 0: {rate_level}")
+    _check_d(d)
     vx, a = src.var_x, src.var_x - d
     budget = -math.expm1(-2.0 * rate_level)
     live = -math.expm1(-2.0 * (rate_level + _RATE_SLACK))
     out: list[PCFrontierPoint] = []
     for c in map(float, c_grid):
-        k, floor = _k(src, d, math.inf, c), (0.0 if 0.0 > a else a) / vx
+        k, floor = _k(src, math.inf, c), (0.0 if 0.0 > a else a) / vx
         best = None
         if (k if k > floor else floor) <= live:
             q = floor if floor > budget else budget

@@ -374,6 +374,18 @@ def test_non_finite_noise_is_refused(sigma_n):
         RestorationModel(MODEL.mixture, sigma_n, MODEL.threshold_c0)
 
 
+def test_noise_whose_square_overflows_is_refused():
+    # every metric takes sigma_n**2, which overflows past 1.34e154
+    with pytest.raises(DomainError, match="finite square"):
+        default_model(1e160)
+    assert default_model(1.3407807929942596e154).sigma_n == 1.3407807929942596e154
+
+
+@pytest.mark.parametrize("a", [1e154, 1e200, -1e200])
+def test_mse_of_a_huge_gain_is_inf(a):
+    assert mse_of_gain(MODEL, a) == math.inf
+
+
 def _seed_monte_carlo_mse(model, a, n, seed):
     mix = model.mixture
     rng = np.random.default_rng(seed)

@@ -422,6 +422,17 @@ def test_frontier_still_validates_its_arguments(kwargs):
         pc_frontier_given_rd(SRC, args["d"], args["rate_level"], args["c_grid"])
 
 
+@pytest.mark.parametrize("d", [-0.5, math.nan])
+def test_frontier_checks_d_once_before_any_row(monkeypatch, d):
+    # an empty grid has no row, and an n-row frontier checks d once
+    with pytest.raises(DomainError):
+        pc_frontier_given_rd(GaussianPairSource(0.0, 0.0, 1.0, 1.0, 0.5), d, 1.0, [])
+    calls, check = [], rpc_given_d._check_d
+    monkeypatch.setattr(rpc_given_d, "_check_d", lambda v: calls.append(v) or check(v))
+    assert len(pc_frontier_given_rd(SRC, 0.5, 0.5, [H_S - 0.3, H_S - 0.2, H_S - 0.1])) == 3
+    assert calls == [0.5]
+
+
 def test_frontier_row_with_round_off_negative_cap():
     # at D = 2 var_x the relaxed optimum sits at s = sigma_x, where the KL
     # formula can round below 0 (the scan solver saw -4.7e-18 here); the
