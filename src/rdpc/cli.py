@@ -4,9 +4,14 @@ Exit codes are script-friendly: 0 for success (a feasible point, a
 completed dataset, a clean verify run), 1 for usage or internal errors,
 2 for a well-posed but infeasible instance.
 
-Flag values win over config-file values, which win over built-in
-defaults; --workers is accepted and has no effect. All output is
-deterministic for a fixed (command, config, seed).
+Each command parses only the flags it reads. Every command takes --out
+and --config; the dataset commands (surface, restore, rpc-given-d) add
+--format and --emit-plot-script, and only verify takes --seed, --suite
+and --workers, which is accepted and has no effect. Built-in defaults
+sit on the flags, where --help shows them. A config file's values become
+the command's parser defaults, so a flag wins over a config value, which
+wins over a built-in default. All output is deterministic for a fixed
+(command, config, seed).
 
 Only the closed-form layer loads with this module: each command imports
 the oracle, the restoration model, the pinned-distortion solver or the
@@ -23,7 +28,7 @@ import math
 import sys
 from dataclasses import astuple
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -81,26 +86,11 @@ def _write(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-class _Merged:
-    """Flag > config-file > default, per key."""
-
-    def __init__(self, ns: argparse.Namespace, config: Mapping[str, Any]):
-        self._ns = ns
-        self._cfg = config
-
-    def get(self, key: str, default: Any = None) -> Any:
-        flag = getattr(self._ns, key, None)
-        if flag is not None:
-            return flag
-        if key in self._cfg:
-            return self._cfg[key]
-        return default
-
-    def require(self, key: str) -> Any:
-        value = self.get(key)
-        if value is None:
-            raise _UsageError(f"missing required value --{key.replace('_', '-')}")
-        return value
+def _require(ns: argparse.Namespace, key: str) -> Any:
+    value = getattr(ns, key)
+    if value is None:
+        raise _UsageError(f"missing required value --{key.replace('_', '-')}")
+    return value
 
 
 def _flag_value(action: argparse.Action, value: Any) -> Any:
@@ -122,11 +112,9 @@ def _flag_value(action: argparse.Action, value: Any) -> Any:
     return parsed if many else parsed[0]
 
 
-def _load_config(path: str | None, par: argparse.ArgumentParser) -> dict[str, Any]:
+def _load_config(path: str, par: argparse.ArgumentParser) -> dict[str, Any]:
     """The config file's values for the flags of the command ``par``
     parses (``_flag_value``); keys that name none of them are dropped."""
-    if path is None:
-        return {}
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
@@ -143,31 +131,11 @@ def _load_config(path: str | None, par: argparse.ArgumentParser) -> dict[str, An
     return config
 
 
-def _unit(is_binary: bool) -> str:
-    return "bits" if is_binary else "nats"
-
-
-def _check_units(m: _Merged, family_unit: str, what: str) -> None:
-    units = m.get("units")
-    if units is not None and units != family_unit:
-        raise _UsageError(
-            f"{what} reports {family_unit}; requested units {units!r} do not apply"
-        )
-
-
-def _source(
-    m: _Merged, is_binary: bool, what: str
-) -> BinaryPairSource | GaussianPairSource:
-    """The binary or Gaussian pair source the flags describe, in its unit."""
-    _check_units(m, _unit(is_binary), what)
+def _source(ns: argparse.Namespace, is_binary: bool) -> BinaryPairSource | GaussianPairSource:
+    """The binary or Gaussian pair source the flags describe."""
     if is_binary:
-        return BinaryPairSource(float(m.require("a")), float(m.require("p1")))
-    sigma_x = float(m.get("sigma_x", 1.0))
-    sigma_s = float(m.get("sigma_s", 0.7))
-    theta1 = float(m.get("theta1", 0.63))
-    mu_x = float(m.get("mu_x", 0.0))
-    mu_s = float(m.get("mu_s", 0.0))
-    return GaussianPairSource(mu_x, mu_s, sigma_x**2, sigma_s**2, theta1)
+        return BinaryPairSource(_require(ns, "a"), _require(ns, "p1"))
+    return GaussianPairSource(ns.mu_x, ns.mu_s, ns.sigma_x**2, ns.sigma_s**2, ns.theta1)
 
 
 def _source_inputs(src: BinaryPairSource | GaussianPairSource) -> dict[str, float]:
@@ -195,11 +163,8 @@ def _linspace(prefix: str, lo: float, hi: float, steps: int) -> list[float]:
     return [float(v) for v in np.linspace(lo, hi, steps)]
 
 
-def _grid(m: _Merged, prefix: str) -> list[float]:
-    return _linspace(
-        prefix, float(m.require(f"{prefix}_min")), float(m.require(f"{prefix}_max")),
-        int(m.require(f"{prefix}_steps")),
-    )
+def _grid(ns: argparse.Namespace, prefix: str) -> list[float]:
+    return _linspace(prefix, *(_require(ns, f"{prefix}_{end}") for end in ("min", "max", "steps")))
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +262,6 @@ print("wrote", out)
 # flags its result cannot honour before it does any work.
 # ---------------------------------------------------------------------------
 
-def _refuse_object_flags(m: _Merged, what: str) -> None:
-    if m.get("format", "json") != "json":
-        raise _UsageError(f"{what} are JSON objects; CSV fits sweeps only")
-    if m.get("emit_plot_script"):
-        raise _UsageError(f"plot scripts accompany sweep datasets, not {what}")
-
-
 def _strict_json(value: Any) -> Any:
     """``value`` with every NaN, an infeasible entry, as None (JSON null)
     and every infinity as the string "Infinity" or "-Infinity", which
@@ -317,37 +275,37 @@ def _strict_json(value: Any) -> Any:
     return value
 
 
-def _emit_object(m: _Merged, payload: dict[str, Any], code: int) -> int:
+def _emit_object(ns: argparse.Namespace, payload: dict[str, Any], code: int) -> int:
     payload = _strict_json(payload) | {"tool_version": __version__}
-    _write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n", m.get("out"))
+    _write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n", ns.out)
     return code
 
 
-def _emit_point(m: _Merged, pt: TradeoffPoint, inputs: dict[str, Any]) -> int:
+def _emit_point(ns: argparse.Namespace, pt: TradeoffPoint, inputs: dict[str, Any]) -> int:
     """The point's ``to_dict`` beside its ``inputs``, which echo its bounds."""
     payload = {k: v for k, v in pt.to_dict().items() if k not in ("c", "d", "p")}
-    return _emit_object(m, payload | {"inputs": inputs},
+    return _emit_object(ns, payload | {"inputs": inputs},
                         _EXIT_OK if pt.feasible else _EXIT_INFEASIBLE)
 
 
-def _refuse_dataset_flags(m: _Merged) -> None:
-    if not m.get("emit_plot_script"):
+def _refuse_dataset_flags(ns: argparse.Namespace) -> None:
+    if not ns.emit_plot_script:
         return
-    if m.get("out") is None:
+    if ns.out is None:
         raise _UsageError("--emit-plot-script needs --out to name the dataset")
-    if m.get("format", "csv") != "csv":
+    if ns.format == "json":
         raise _UsageError("plot scripts read the CSV format")
 
 
 def _emit_dataset(
-    m: _Merged,
+    ns: argparse.Namespace,
     header: Sequence[str],
     tables: Sequence[tuple[float | None, list[tuple]]],
     plot: str,
     meta: dict[str, Any],
     json_only: Sequence[str] = (),
 ) -> int:
-    """Write tables of rows as CSV (the default) or as one JSON document.
+    """Write tables of rows as CSV or as one JSON document (``--format``).
 
     A JSON row is an object keyed by ``header`` and then ``json_only``
     (trailing columns the CSV leaves out), and ``meta`` sits beside the
@@ -356,8 +314,8 @@ def _emit_dataset(
     one goes to a CSV file each, <stem>_d<D><suffix>, or to stdout under
     "# d=<D>" lines.
     """
-    out = m.get("out")
-    if m.get("format", "csv") == "json":
+    out = ns.out
+    if ns.format == "json":
         keys = (*header, *json_only)
 
         def objects(rows: list[tuple]) -> list[dict[str, Any]]:
@@ -367,7 +325,7 @@ def _emit_dataset(
             payload = {"rows": objects(tables[0][1])}
         else:
             payload = {"frontiers": [{"d": d, "rows": objects(rows)} for d, rows in tables]}
-        return _emit_object(m, payload | meta, _EXIT_OK)
+        return _emit_object(ns, payload | meta, _EXIT_OK)
 
     def csv(rows: list[tuple]) -> str:
         return _csv_text(header, [row[:len(header)] for row in rows])
@@ -386,7 +344,7 @@ def _emit_dataset(
             path = base.with_name(f"{base.stem}_d{d:g}{base.suffix}")
             path.write_text(csv(rows))
             sources.append((f"D={d:g}", str(path)))
-    if m.get("emit_plot_script"):
+    if ns.emit_plot_script:
         Path(f"{out}.plot.py").write_text(plot.replace("@SOURCES@", repr(sources)))
     return _EXIT_OK
 
@@ -395,75 +353,76 @@ def _emit_dataset(
 # commands
 # ---------------------------------------------------------------------------
 
-def _cmd_point(family: str, m: _Merged) -> int:
+# the defaults that depend on rpc-given-d's mode or source: a frontier's
+# pinned distortions, and its C grid's ends as offsets from h(S)
+_FRONTIER_D = (0.5, 0.6, 0.8)
+_FRONTIER_C = (-0.7, 0.1)
+
+
+def _cmd_point(family: str, ns: argparse.Namespace) -> int:
     closed, axis, is_binary, _ = _FAMILIES[family]
-    _refuse_object_flags(m, "point results")
-    src = _source(m, is_binary, "a binary tradeoff" if is_binary else "a Gaussian tradeoff")
-    x = float(m.require(axis))
-    c = float(m.require("c"))
-    return _emit_point(m, closed(src, x, c), _source_inputs(src) | {axis: x, "c": c})
+    src = _source(ns, is_binary)
+    x = _require(ns, axis)
+    c = _require(ns, "c")
+    return _emit_point(ns, closed(src, x, c), _source_inputs(src) | {axis: x, "c": c})
 
 
-def _cmd_rpc_given_d(m: _Merged) -> int:
-    src = _source(m, False, "a Gaussian tradeoff")
-    rate_level = m.get("rate")
-    if rate_level is None:
-        return _rpc_given_d_point(m, src)
-    return _rpc_given_d_frontier(m, src, float(rate_level))
+def _cmd_rpc_given_d(ns: argparse.Namespace) -> int:
+    src = _source(ns, False)
+    if ns.rate is None:
+        return _rpc_given_d_point(ns, src)
+    return _rpc_given_d_frontier(ns, src, ns.rate)
 
 
-def _rpc_given_d_point(m: _Merged, src: GaussianPairSource) -> int:
+def _rpc_given_d_point(ns: argparse.Namespace, src: GaussianPairSource) -> int:
     from .rpc_given_d import rate_given_pcd
 
-    _refuse_object_flags(m, "point results")
-    d_values = m.get("d")
-    if d_values is None:
+    if ns.format == "csv":
+        raise _UsageError("point results are JSON objects; CSV fits sweeps only")
+    if ns.emit_plot_script:
+        raise _UsageError("plot scripts accompany sweep datasets, not point results")
+    if ns.d is None:
         raise _UsageError("point query needs --d (one value)")
-    if len(d_values) != 1:
+    if len(ns.d) != 1:
         raise _UsageError("point query takes exactly one --d value")
-    d = float(d_values[0])
-    p = float(m.get("p", math.inf))
-    c = float(m.require("c"))
+    d = ns.d[0]
+    p = math.inf if ns.p is None else ns.p
+    c = _require(ns, "c")
     pt = rate_given_pcd(src, d, p, c)
-    return _emit_point(m, pt, _source_inputs(src) | {"d": d, "p": p, "c": c})
+    return _emit_point(ns, pt, _source_inputs(src) | {"d": d, "p": p, "c": c})
 
 
 def _rpc_given_d_frontier(
-    m: _Merged, src: GaussianPairSource, rate_level: float
+    ns: argparse.Namespace, src: GaussianPairSource, rate_level: float
 ) -> int:
     from .rpc_given_d import pc_frontier_given_rd
 
-    if m.get("p") is not None:
+    if ns.p is not None:
         raise _UsageError("--p belongs to point queries; a frontier minimizes it")
-    if m.get("c") is not None:
+    if ns.c is not None:
         raise _UsageError(
             "--c belongs to point queries; a frontier sweeps --c-min/--c-max/--c-steps"
         )
-    _refuse_dataset_flags(m)
-    d_values = [float(v) for v in m.get("d") or (0.5, 0.6, 0.8)]
-    c_grid = _linspace(
-        "c", float(m.get("c_min", src.h_s - 0.7)), float(m.get("c_max", src.h_s + 0.1)),
-        int(m.get("c_steps", 50)),
-    )
+    _refuse_dataset_flags(ns)
+    c_ends = [src.h_s + off if end is None else end
+              for end, off in zip((ns.c_min, ns.c_max), _FRONTIER_C)]
+    c_grid = _linspace("c", *c_ends, ns.c_steps)
     tables = [
         (d, [astuple(r) for r in pc_frontier_given_rd(src, d, rate_level, c_grid)])
-        for d in d_values
+        for d in ns.d or _FRONTIER_D
     ]
     return _emit_dataset(
-        m, ("C_nats", "min_P_nats", "rate_nats", "sigma_xh"), tables, _FRONTIER_PLOT,
+        ns, ("C_nats", "min_P_nats", "rate_nats", "sigma_xh"), tables, _FRONTIER_PLOT,
         {"rate_level": rate_level}, json_only=("feasible",),
     )
 
 
-def _cmd_surface(m: _Merged) -> int:
-    family = m.require("family")
-    if family not in _FAMILIES:
-        raise _UsageError(f"unknown surface family {family!r}")
-    closed, axis, is_binary, _ = _FAMILIES[family]
-    _refuse_dataset_flags(m)
-    src = _source(m, is_binary, f"the {family} surface")
-    axis_grid = _grid(m, axis)
-    c_grid = _grid(m, "c")
+def _cmd_surface(ns: argparse.Namespace) -> int:
+    closed, axis, is_binary, _ = _FAMILIES[_require(ns, "family")]
+    _refuse_dataset_flags(ns)
+    src = _source(ns, is_binary)
+    axis_grid = _grid(ns, axis)
+    c_grid = _grid(ns, "c")
 
     rows = []
     for x in axis_grid:
@@ -471,58 +430,43 @@ def _cmd_surface(m: _Merged) -> int:
             pt = closed(src, x, c)
             rows.append((x, c, pt.rate, pt.unit.value, pt.region.value, pt.feasible))
     return _emit_dataset(
-        m, ("d_or_p", "c", "rate", "unit", "region", "feasible"), [(None, rows)],
+        ns, ("d_or_p", "c", "rate", "unit", "region", "feasible"), [(None, rows)],
         _SURFACE_PLOT, {},
     )
 
 
-def _cmd_oracle(m: _Merged) -> int:
+def _cmd_oracle(ns: argparse.Namespace) -> int:
     from .oracle import binary_min_rate, gaussian_min_rate
 
-    _refuse_object_flags(m, "oracle results")
-    family = m.require("family")
-    if family not in ("binary", "gaussian"):
-        raise _UsageError(f"unknown oracle family {family!r}")
-    constraints: dict[str, float] = {}
-    for key, name in (("d", "D"), ("p", "P"), ("c", "C")):
-        value = m.get(key)
-        if value is not None:
-            constraints[name] = float(value)
+    is_binary = _require(ns, "family") == "binary"
+    constraints = {name: value for name, value in (("D", ns.d), ("P", ns.p), ("C", ns.c))
+                   if value is not None}
     if not constraints:
         raise _UsageError("oracle needs at least one of --d, --p, --c")
-    if family == "binary":
-        result = binary_min_rate(_source(m, True, "the binary oracle"), constraints)
-    else:
-        result = gaussian_min_rate(_source(m, False, "the Gaussian oracle"), constraints)
-    return _emit_object(m, result.to_dict(), _EXIT_OK if result.feasible else _EXIT_INFEASIBLE)
+    min_rate = binary_min_rate if is_binary else gaussian_min_rate
+    result = min_rate(_source(ns, is_binary), constraints)
+    return _emit_object(ns, result.to_dict(), _EXIT_OK if result.feasible else _EXIT_INFEASIBLE)
 
 
-def _cmd_restore(m: _Merged) -> int:
+def _cmd_restore(ns: argparse.Namespace) -> int:
     from .restoration import default_model, sweep
 
-    _refuse_dataset_flags(m)
-    _check_units(m, "nats", "the restoration example")
-    sigma_n = float(m.get("sigma_n", 1.0))
-    grid = _linspace(
-        "a", float(m.get("a_min", 0.05)), float(m.get("a_max", 1.5)), int(m.get("a_steps", 146)),
-    )
-    curve = sweep(default_model(sigma_n=sigma_n), grid)
+    _refuse_dataset_flags(ns)
+    grid = _linspace("a", ns.a_min, ns.a_max, ns.a_steps)
+    curve = sweep(default_model(sigma_n=ns.sigma_n), grid)
     rows = [astuple(q) for q in curve]
     return _emit_dataset(
-        m, ("a", "mse", "kl_nats", "error_rate"), [(None, rows)], _RESTORE_PLOT,
-        {"sigma_n": sigma_n},
+        ns, ("a", "mse", "kl_nats", "error_rate"), [(None, rows)], _RESTORE_PLOT,
+        {"sigma_n": ns.sigma_n},
     )
 
 
-def _cmd_verify(m: _Merged) -> int:
+def _cmd_verify(ns: argparse.Namespace) -> int:
     from .verify import run_suites
 
-    _refuse_object_flags(m, "verify reports")
-    suites = m.get("suite")
-    if suites is not None:
-        suites = list(dict.fromkeys(suites))
-    report = run_suites(suites, seed=int(m.get("seed", 0)))
-    return _emit_object(m, report.to_dict(), _EXIT_OK if report.all_passed else _EXIT_USAGE)
+    suites = None if ns.suite is None else list(dict.fromkeys(ns.suite))
+    report = run_suites(suites, seed=ns.seed, workers=ns.workers)
+    return _emit_object(ns, report.to_dict(), _EXIT_OK if report.all_passed else _EXIT_USAGE)
 
 
 # ---------------------------------------------------------------------------
@@ -544,19 +488,21 @@ class _SuiteNames(collections.abc.Sequence):
         return len(SUITE_NAMES)
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    par = argparse.ArgumentParser(add_help=False)
+def _command(sub: Any, name: str, handler: Callable[[argparse.Namespace], int],
+             help: str | None = None) -> argparse.ArgumentParser:
+    """A leaf command: its handler and the flags every command takes."""
+    par = sub.add_parser(name, help=help)
     par.add_argument("--out", help="write the result here instead of stdout")
-    par.add_argument("--format", choices=("csv", "json"),
-                     help="csv for sweeps (default), json everywhere")
-    par.add_argument("--units", choices=("bits", "nats"),
-                     help="must match the source family; rejected otherwise")
-    par.add_argument("--seed", type=int, help="seed for randomized suites")
-    par.add_argument("--workers", type=int, help="accepted and has no effect")
     par.add_argument("--config", help="JSON file of defaults; flags win")
-    par.add_argument("--emit-plot-script", action="store_true", default=None,
-                     help="write a matplotlib script next to the CSV")
+    par.set_defaults(handler=handler, parser=par)
     return par
+
+
+def _add_dataset_flags(par: argparse.ArgumentParser, default: str | None = "csv",
+                       fmt_help: str = "dataset format (default %(default)s)") -> None:
+    par.add_argument("--format", choices=("csv", "json"), default=default, help=fmt_help)
+    par.add_argument("--emit-plot-script", action="store_true",
+                     help="write a matplotlib script next to the CSV at --out")
 
 
 def _add_binary_source(par: argparse.ArgumentParser) -> None:
@@ -565,17 +511,17 @@ def _add_binary_source(par: argparse.ArgumentParser) -> None:
 
 
 def _add_gaussian_source(par: argparse.ArgumentParser) -> None:
-    par.add_argument("--sigma-x", type=float, help="source std dev (default 1)")
-    par.add_argument("--sigma-s", type=float, help="label std dev (default 0.7)")
-    par.add_argument("--theta1", type=float, help="cov(X, S) (default 0.63)")
-    par.add_argument("--mu-x", type=float, help="source mean (default 0)")
-    par.add_argument("--mu-s", type=float, help="label mean (default 0)")
+    for flag, default, what in (("--sigma-x", 1.0, "source std dev"),
+                                ("--sigma-s", 0.7, "label std dev"),
+                                ("--theta1", 0.63, "cov(X, S)"),
+                                ("--mu-x", 0.0, "source mean"),
+                                ("--mu-s", 0.0, "label mean")):
+        par.add_argument(flag, type=float, default=default, help=f"{what} (default %(default)s)")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="rdpc", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
-    common = _common_flags()
     sub = parser.add_subparsers(dest="command", required=True)
 
     # `rdc binary` and the other point commands, one per family
@@ -587,33 +533,31 @@ def build_parser() -> _Parser:
             kinds[command] = sub.add_parser(
                 command, help=f"rate under {bound} + classification",
             ).add_subparsers(dest="family", required=True)
-        point = kinds[command].add_parser(kind, parents=[common])
+        point = _command(kinds[command], kind, functools.partial(_cmd_point, family))
         (_add_binary_source if is_binary else _add_gaussian_source)(point)
         point.add_argument(f"--{axis}", type=float, help=bound_help)
-        point.add_argument("--c", type=float,
-                           help=f"conditional label entropy bound, {_unit(is_binary)}")
-        point.set_defaults(handler=functools.partial(_cmd_point, family), parser=point)
+        point.add_argument("--c", type=float, help="conditional label entropy bound, "
+                           + ("bits" if is_binary else "nats"))
 
-    given = sub.add_parser(
-        "rpc-given-d", parents=[common],
-        help="rate (or P-C frontier) at an exactly pinned distortion",
-    )
+    given = _command(sub, "rpc-given-d", _cmd_rpc_given_d,
+                     help="rate (or P-C frontier) at an exactly pinned distortion")
+    _add_dataset_flags(given, None, "csv (a frontier's default) or json; a point is json only")
     _add_gaussian_source(given)
-    given.add_argument("--d", type=float, nargs="+",
-                       help="pinned distortion; frontier default 0.5 0.6 0.8")
-    given.add_argument("--p", type=float, help="KL bound for a point query (inf ok)")
+    given.add_argument("--d", type=float, nargs="+", help="pinned distortion; a frontier's "
+                       f"default {' '.join(map(str, _FRONTIER_D))}")
+    given.add_argument("--p", type=float, help="KL bound for a point query; none if not given")
     given.add_argument("--c", type=float, help="entropy bound for a point query")
     given.add_argument("--rate", type=float,
                        help="rate budget; providing it selects frontier mode")
-    given.add_argument("--c-min", type=float, help="frontier C grid start")
-    given.add_argument("--c-max", type=float, help="frontier C grid end")
-    given.add_argument("--c-steps", type=int, help="frontier C grid size (50)")
-    given.set_defaults(handler=_cmd_rpc_given_d, parser=given)
+    for end, off in zip(("min", "max"), _FRONTIER_C):
+        given.add_argument(f"--c-{end}", type=float,
+                           help=f"frontier C grid {end} (default h(S) {off:+g})")
+    given.add_argument("--c-steps", type=int, default=50,
+                       help="frontier C grid size (default %(default)s)")
 
-    surface = sub.add_parser(
-        "surface", parents=[common],
-        help="closed-form rate over a (D or P) x C grid",
-    )
+    surface = _command(sub, "surface", _cmd_surface,
+                       help="closed-form rate over a (D or P) x C grid")
+    _add_dataset_flags(surface)
     surface.add_argument(
         "--family", choices=sorted(_FAMILIES),
         help="which tradeoff function to sweep",
@@ -624,41 +568,37 @@ def build_parser() -> _Parser:
         surface.add_argument(f"--{axis}-min", type=float)
         surface.add_argument(f"--{axis}-max", type=float)
         surface.add_argument(f"--{axis}-steps", type=int)
-    surface.set_defaults(handler=_cmd_surface, parser=surface)
 
-    oracle = sub.add_parser(
-        "oracle", parents=[common],
-        help="brute-force minimal rate over explicit channels",
-    )
+    oracle = _command(sub, "oracle", _cmd_oracle,
+                      help="brute-force minimal rate over explicit channels")
     oracle.add_argument("--family", choices=("binary", "gaussian"))
     _add_binary_source(oracle)
     _add_gaussian_source(oracle)
     oracle.add_argument("--d", type=float, help="distortion bound")
     oracle.add_argument("--p", type=float, help="perception bound")
     oracle.add_argument("--c", type=float, help="classification bound")
-    oracle.set_defaults(handler=_cmd_oracle, parser=oracle)
 
-    restore = sub.add_parser(
-        "restore", parents=[common],
-        help="denoising gain sweep on the two-component mixture model",
-    )
-    restore.add_argument("--sigma-n", type=float, help="noise std dev (default 1)")
-    restore.add_argument("--a-min", type=float, help="gain grid start (0.05)")
-    restore.add_argument("--a-max", type=float, help="gain grid end (1.5)")
-    restore.add_argument("--a-steps", type=int, help="gain grid size (146)")
-    restore.set_defaults(handler=_cmd_restore, parser=restore)
+    restore = _command(sub, "restore", _cmd_restore,
+                       help="denoising gain sweep on the two-component mixture model")
+    _add_dataset_flags(restore)
+    for flag, kind, default, what in (("--sigma-n", float, 1.0, "noise std dev"),
+                                      ("--a-min", float, 0.05, "gain grid start"),
+                                      ("--a-max", float, 1.5, "gain grid end"),
+                                      ("--a-steps", int, 146, "gain grid size")):
+        restore.add_argument(flag, type=kind, default=default,
+                             help=f"{what} (default %(default)s)")
 
-    verify = sub.add_parser(
-        "verify", parents=[common],
-        help="run the self-check suites and write a JSON report",
-    )
+    verify = _command(sub, "verify", _cmd_verify,
+                      help="run the self-check suites and write a JSON report")
+    verify.add_argument("--seed", type=int, default=0,
+                        help="seed for the randomized suites (default %(default)s)")
+    verify.add_argument("--workers", type=int, default=1, help="accepted and has no effect")
     suite = verify.add_argument(
-        "--suite", action="append", default=None,
+        "--suite", action="append",
         help="restrict to one suite (repeatable; default all)",
     )
     # set after add_argument, whose metavar check would list the choices
     suite.choices = _SuiteNames()
-    verify.set_defaults(handler=_cmd_verify, parser=verify)
 
     return parser
 
@@ -667,7 +607,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        return int(ns.handler(_Merged(ns, _load_config(ns.config, ns.parser))))
+        if ns.config is not None:
+            # config values as the command's defaults: a re-parse applies
+            # flag > config > built-in default
+            config = _load_config(ns.config, ns.parser)
+            if getattr(ns, "suite", None) is not None:
+                config.pop("suite", None)  # --suite appends; the flags given replace the list
+            ns.parser.set_defaults(**config)
+            ns = parser.parse_args(argv)
+        return int(ns.handler(ns))
     except (_UsageError, DomainError, NoCrossingError, WitnessUnavailableError,
             OSError) as exc:
         print(f"rdpc: error: {exc}", file=sys.stderr)

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line: output schemas, exit codes,
 config merging, and determinism. Everything drives ``main`` directly."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 import rdpc
 from rdpc import GaussianPairSource, rpc_gaussian
-from rdpc.cli import main
+from rdpc.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -87,16 +88,16 @@ def test_gaussian_point_matches_library(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        RDC_EXAMPLE + ["--units", "nats"],
-        RDC_EXAMPLE + ["--format", "csv"],
-        RDC_EXAMPLE + ["--emit-plot-script"],
         RDC_EXAMPLE[:-2],  # missing --c
-        ["restore", "--units", "bits"],
         ["rpc-given-d", "--d", "0.5", "--rate", "0.4", "--p", "0.01"],
         ["rpc-given-d", "--d", "0.5", "0.6", "--p", "1", "--c", "0.9"],
         ["oracle", "--family", "binary", "--a", "0.3", "--p1", "0.1"],
-        ["verify", "--format", "csv"],
         ["rpc-given-d", "--rate", "0.4", "--c", "0.9"],
+        ["rpc-given-d", "--d", "0.5", "--c", "0.9", "--format", "csv"],
+        ["rpc-given-d", "--d", "0.5", "--c", "0.9", "--emit-plot-script"],
+        ["surface", "--a", "0.3", "--p1", "0.1"],  # missing --family
+        ["oracle", "--c", "0.9"],  # missing --family
+        ["restore", "--a-steps", "0"],
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):
@@ -122,15 +123,75 @@ def test_restore_refuses_non_finite_inputs(capsys, flag):
 _ORACLE = ["oracle", "--family", "binary", "--a", "0.3", "--p1", "0.1", "--c", "0.99"]
 
 
-def test_bad_flags_exit_one(capsys):
-    # the oracle's grid flags had no effect and are gone
+# a valid argv of each leaf command
+_COMMANDS = {
+    "rdc binary": RDC_EXAMPLE,
+    "rdc gaussian": ["rdc", "gaussian", "--d", "0.3", "--c", "0.8"],
+    "rpc binary": ["rpc", "binary", "--a", "0.3", "--p1", "0.1", "--p", "0.2", "--c", "0.6"],
+    "rpc gaussian": ["rpc", "gaussian", "--p", "0.2", "--c", "0.562264"],
+    "rpc-given-d": ["rpc-given-d", "--d", "0.5", "--c", "0.762264"],
+    "surface": ["surface", "--family", "rdc-gaussian", "--d-min", "0.1", "--d-max", "1",
+                "--d-steps", "2", "--c-min", "0.5", "--c-max", "1", "--c-steps", "2"],
+    "oracle": _ORACLE,
+    "restore": ["restore", "--a-steps", "3"],
+    "verify": ["verify", "--suite", "entropy"],
+}
+_DATASETS = ("rpc-given-d", "surface", "restore")
+# flags a command used to take, with no effect or only to raise an error
+_REMOVED = [
+    *((name, ["--units", "bits"]) for name in _COMMANDS),
+    *((name, flag) for name in _COMMANDS if name != "verify"
+      for flag in (["--seed", "1"], ["--workers", "2"])),
+    *((name, flag) for name in _COMMANDS if name not in _DATASETS
+      for flag in (["--format", "json"], ["--emit-plot-script"])),
+]
+
+
+def test_bad_flags_exit_one(capsys, tmp_path, monkeypatch):
+    # the oracle's grid flags had no effect and are gone, as are the flags
+    # a command does not read; argparse refuses them before any work
+    assert len(_REMOVED) == 37
+    monkeypatch.chdir(tmp_path)
     gone = [_ORACLE + flag for flag in (["--resolution", "0.01"], ["--sigma-steps", "201"],
                                         ["--theta-steps", "201"], ["--no-refine"])]
+    gone += [[*_COMMANDS[name], *flag, "--out", "out"] for name, flag in _REMOVED]
     for argv in (["bogus"], [], ["rdc"], ["verify", "--suite", "nope"], *gone):
         with pytest.raises(SystemExit) as exc:
             main(argv)
-        capsys.readouterr()
+        out, err = capsys.readouterr()
         assert exc.value.code == 1
+        assert out == "" and list(tmp_path.iterdir()) == []
+        if argv in gone:
+            assert "error: unrecognized arguments: " in err, argv
+
+
+def test_every_declared_flag_is_read(capsys, tmp_path, monkeypatch):
+    # each handler, run on argvs that take its paths, reads every flag its
+    # command declares, so a flag with no effect cannot come back unseen
+    monkeypatch.chdir(tmp_path)
+    argvs = [*_COMMANDS.values(),
+             ["rpc-given-d", "--rate", "0.4", "--d", "0.5", "--c-steps", "2", "--out", "f.csv",
+              "--emit-plot-script"],
+             ["surface", "--family", "rpc-binary", "--a", "0.3", "--p1", "0.1", "--p-min", "0",
+              "--p-max", "0.1", "--p-steps", "2", "--c-min", "0.5", "--c-max", "1",
+              "--c-steps", "2"],
+             ["oracle", "--family", "gaussian", "--p", "0.1"]]
+    declared, read = {}, {}
+    for argv in argvs:
+        ns = build_parser().parse_args(argv)
+        seen = read.setdefault(ns.parser.prog, set())
+
+        class Logged(argparse.Namespace):
+            def __getattribute__(self, name):
+                seen.add(name)
+                return super().__getattribute__(name)
+
+        assert ns.handler(Logged(**vars(ns))) in (0, 2), argv
+        declared[ns.parser.prog] = {a.dest for a in ns.parser._actions if a.option_strings}
+    capsys.readouterr()
+    assert len(declared) == len(_COMMANDS)
+    for prog, dests in declared.items():
+        assert dests - {"help", "config"} <= read[prog], prog
 
 
 def test_suite_choices_are_the_verify_suites(capsys, tmp_path):
@@ -326,6 +387,13 @@ def test_point_query_needs_single_distortion(capsys):
                        "--c", "0.9")
     assert code == 0
     assert json.loads(out)["inputs"]["d"] == 0.5
+
+
+def test_an_overflowing_noise_level_exits_one(capsys):
+    # sigma_n**2 would overflow in every restoration metric
+    code, out, err = run(capsys, "restore", "--sigma-n", "1e160", "--a-steps", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("rdpc: error: noise level") and "Traceback" not in err
 
 
 def test_plot_script_needs_out(capsys):
