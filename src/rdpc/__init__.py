@@ -37,9 +37,7 @@ _NAMES = {
         "BinaryChannel", "ChannelStats", "GaussianReconstruction", "OracleResult", "Region",
         "TradeoffPoint", "Unit",
     ),
-    "rpc_given_d": (
-        "PCFrontierPoint", "ScanPoint", "eval_at", "pc_frontier_given_rd", "rate_given_pcd",
-    ),
+    "rpc_given_d": ("PCFrontierPoint", "pc_frontier_given_rd", "rate_given_pcd"),
     "sources": (
         "BinaryPairSource", "GaussianMixture2", "GaussianPairSource", "binary_channel_stats",
         "gaussian_recon_stats",

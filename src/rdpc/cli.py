@@ -58,7 +58,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on bad flags; the contract here is 1."""
+    """argparse exits with 2 on bad flags; the contract here is 1. Long
+    flags are spelled in full: no prefix of one is taken for it. Every
+    subparser is built by this class, so this holds for every command."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str):  # noqa: D401 - argparse hook
         self.print_usage(sys.stderr)
@@ -564,10 +569,14 @@ def build_parser() -> _Parser:
     )
     _add_binary_source(surface)
     _add_gaussian_source(surface)
-    for axis in ("d", "p", "c"):
-        surface.add_argument(f"--{axis}-min", type=float)
-        surface.add_argument(f"--{axis}-max", type=float)
-        surface.add_argument(f"--{axis}-steps", type=int)
+    axes = surface.add_argument_group(
+        "grid axes", "the rdc-* families sweep the --d-* triple and the rpc-* families "
+        "the --p-* triple, each against the --c-* triple")
+    for axis in ("D", "P", "C"):
+        flag = f"--{axis.lower()}"
+        axes.add_argument(f"{flag}-min", type=float, help=f"{axis} grid start")
+        axes.add_argument(f"{flag}-max", type=float, help=f"{axis} grid end")
+        axes.add_argument(f"{flag}-steps", type=int, help=f"{axis} grid size")
 
     oracle = _command(sub, "oracle", _cmd_oracle,
                       help="brute-force minimal rate over explicit channels")

@@ -249,9 +249,15 @@ def _gaussian_k(src: GaussianPairSource, c: float) -> float:
 
     k = (1 - e^{2(c - h(S))}) / rho^2 is the squared source-reconstruction
     correlation needed to push H(S|Xhat) down to c; clamped to 1 at the
-    feasibility floor.
+    feasibility floor. It is -inf where the bound is vacuous (c >= h(S); the
+    formula gives k <= 0 there, which every use of k treats alike, and
+    overflows past h(S) + 354.9) and +inf where it is unmeetable (rho^2 = 0).
     """
+    if c >= src.h_s:
+        return -math.inf
     rho2 = src.rho**2
+    if rho2 == 0.0:
+        return math.inf
     k = (1.0 - math.exp(2.0 * (c - src.h_s))) / rho2
     return 1.0 if 1.0 < k else k
 

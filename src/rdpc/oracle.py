@@ -499,10 +499,7 @@ def gaussian_min_rate(
 
     def met(t: float) -> bool:
         s = deviation(t)
-        var = s * s
-        # a constant reconstruction has the values gaussian_recon_stats gives it
-        values = (_gaussian_stats(src, var, sx * s * t, 0.0) if var > 0.0
-                  else (0.0, vx, math.inf, src.h_s))
+        values = _gaussian_stats(src, s * s, sx * s * t, 0.0)
         return all(values[i] <= bound for i, bound in checks)
 
     result = partial(OracleResult, unit=Unit.NATS, grid_resolution=2.0**-50,

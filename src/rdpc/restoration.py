@@ -207,7 +207,10 @@ def _mean_log_mixture(
     pair = isinstance(var, tuple)
     var_b, var_o = var if pair else (var, var)
     out = math.log(w_b) - 0.5 * np.log(2.0 * math.pi * var_b)
-    out = out - ((m - mu_b) ** 2 + v) / (2.0 * var_b)
+    # a subnormal var_b (a restored law at a gain below about 1e-154)
+    # overflows this term: E l is -inf and the KL +inf
+    with np.errstate(over="ignore"):
+        out = out - ((m - mu_b) ** 2 + v) / (2.0 * var_b)
     if w_o == 0.0:
         return out
     if not pair:

@@ -27,16 +27,6 @@ _V_MAX = 709.782712893384
 
 
 @dataclass(frozen=True)
-class ScanPoint:
-    """Pinned-distortion quantities at one reconstruction spread (nats)."""
-
-    sigma_xh: float
-    rate: float
-    perception_kl: float
-    cond_entropy_s: float
-
-
-@dataclass(frozen=True)
 class PCFrontierPoint:
     """One row of a perception/classification frontier at fixed (R, D)."""
 
@@ -45,23 +35,6 @@ class PCFrontierPoint:
     rate: float
     sigma_xh: float
     feasible: bool
-
-
-def eval_at(src: GaussianPairSource, d: float, s: float) -> ScanPoint:
-    """Rate, perception, and conditional label entropy at spread ``s``,
-    from ``sources._gaussian_stats`` (the oracle's formula) on the witness
-    of variance s * s; rate and label entropy are infinite off the arc
-    ratio < 1 (s = 0 is on it only at D = var_x, and an s * s that
-    overflows is off it). A NaN s, or a d that is NaN or not positive, raises."""
-    if not d > 0.0 or math.isnan(s):
-        raise DomainError(f"need d > 0 and a spread that is a number: d={d}, s={s}")
-    u = s * s
-    if s <= 0.0 or not 0.0 < u < math.inf:  # s * s under- or overflows
-        if u == 0.0 and s >= 0.0 and d == src.var_x:
-            return ScanPoint(s, 0.0, math.inf, src.h_s)
-        return ScanPoint(s, math.inf, math.inf, math.inf)
-    rate, _, kl, hs = _gaussian_stats(src, u, 0.5 * (src.var_x + u - d), 0.0)
-    return ScanPoint(s, rate, kl, math.inf if rate == math.inf else hs)
 
 
 def _roots(vx: float, a: float, q: float) -> tuple[float, float]:
@@ -98,24 +71,15 @@ def _check_d(d: float) -> None:
         raise DomainError(f"pinned distortion must be positive and finite: {d}")
 
 
-def _k(src: GaussianPairSource, p: float, c: float) -> float:
-    """Checks the P and C bounds and returns k, the least ratio the C bound
-    allows: -inf where it is vacuous (c >= h(S), as in ``rdc_gaussian``; the
-    formula gives k <= 0 there, which every use of k treats alike, and
-    overflows past h(S) + 354.9), +inf where it is unmeetable (rho^2 = 0)."""
-    _check_bounds(c, 0.0, p)
-    if c >= src.h_s:
-        return -math.inf
-    if src.rho**2 == 0.0:
-        return math.inf
-    return _gaussian_k(src, c)
-
-
 def _witness(src: GaussianPairSource, d: float, k: float, target: float,
-             lo: float, hi: float) -> ScanPoint | None:
+             lo: float, hi: float) -> tuple[float, float, float, float] | None:
     """``target`` clamped into [lo, hi] if it meets ratio >= k, else the
     roots of ratio = k in [lo, hi] (u = 0 at D = var_x is spurious, with
-    KL +inf); of these the point of least KL, evaluated."""
+    KL +inf); of these the point of least KL, as (s, rate, kl,
+    cond_entropy_s) at spread s = sqrt(u) from ``_gaussian_stats``. Its
+    u = s * s is off the arc (all inf) if it under- or overflows, save
+    u = 0 at D = var_x, the constant reconstruction; the label entropy is
+    inf wherever the rate is."""
     vx, a = src.var_x, src.var_x - d
     u = lo if lo > target else target
     u = hi if hi < u else u
@@ -126,20 +90,25 @@ def _witness(src: GaussianPairSource, d: float, k: float, target: float,
             spreads = [r for r in (r_lo, r_hi) if lo <= r <= hi]
     best = None
     for w in spreads:  # the first of least KL, as min(..., key=) keeps
-        point = eval_at(src, d, math.sqrt(w))
-        if best is None or point.perception_kl < best.perception_kl:
-            best = point
+        s = math.sqrt(w)
+        u = s * s
+        rate = kl = hs = math.inf
+        if 0.0 < u < math.inf or u == 0.0 and d == vx:
+            rate, _, kl, hs = _gaussian_stats(src, u, 0.5 * (vx + u - d), 0.0)
+        if best is None or kl < best[2]:
+            best = (s, rate, kl, math.inf if rate == math.inf else hs)
     return best
 
 
 def _classify(src: GaussianPairSource, d: float, p: float, c: float,
-              best: ScanPoint) -> Region:
+              best: tuple[float, float, float, float]) -> Region:
+    _, rate, kl, hs = best
     floor = 0.5 * math.log(src.var_x / d) if d < src.var_x else 0.0
-    if best.rate <= floor + 1e-9:
+    if rate <= floor + 1e-9:
         return Region.DISTORTION_LIMITED if floor > 1e-12 else Region.ZERO_RATE
-    if best.cond_entropy_s >= c - 1e-7:
+    if hs >= c - 1e-7:
         return Region.CLASSIFICATION_LIMITED
-    if best.perception_kl >= p - 1e-7:
+    if kl >= p - 1e-7:
         return Region.PERCEPTION_LIMITED
     return Region.DISTORTION_LIMITED
 
@@ -152,17 +121,19 @@ def rate_given_pcd(src: GaussianPairSource, d: float, p: float,
     (with the pinned covariance) is where m is reached, or if k > m the
     root of ratio = k there, of smaller perception if both roots are."""
     _check_d(d)
-    vx, a, k = src.var_x, src.var_x - d, _k(src, p, c)
+    _check_bounds(c, 0.0, p)
+    vx, a, k = src.var_x, src.var_x - d, _gaussian_k(src, c)
     arc_lo, arc_hi = _roots(vx, a, 1.0)
     t_lo, t_hi = _kl_interval(p)
     lo, hi = vx * t_lo, vx * t_hi
     lo, hi = lo if lo > arc_lo else arc_lo, hi if hi < arc_hi else arc_hi
     best = _witness(src, d, k, abs(a), lo, hi) if lo <= hi and k < 1.0 else None
-    if best is None or not math.isfinite(best.rate):
+    if best is None or not math.isfinite(best[1]):
         return TradeoffPoint(math.nan, Unit.NATS, Region.INFEASIBLE, c, d, p)
-    var_xh = best.sigma_xh * best.sigma_xh
+    s, rate, _, _ = best
+    var_xh = s * s
     return TradeoffPoint(
-        best.rate, Unit.NATS, _classify(src, d, p, c, best), c, d, p,
+        rate, Unit.NATS, _classify(src, d, p, c, best), c, d, p,
         GaussianReconstruction(src.mu_x, var_xh, 0.5 * (vx + var_xh - d)),
     )
 
@@ -185,15 +156,16 @@ def pc_frontier_given_rd(
     live = -math.expm1(-2.0 * (rate_level + _RATE_SLACK))
     out: list[PCFrontierPoint] = []
     for c in map(float, c_grid):
-        k, floor = _k(src, math.inf, c), (0.0 if 0.0 > a else a) / vx
+        _check_bounds(c)
+        k, floor = _gaussian_k(src, c), (0.0 if 0.0 > a else a) / vx
         best = None
         if (k if k > floor else floor) <= live:
             q = floor if floor > budget else budget
             best = _witness(src, d, k, vx, *_roots(vx, a, k if k > q else q))
         # a witness that misses the budget (round-off at D >> var_x) is none
-        if best is None or not best.rate <= rate_level + _RATE_SLACK:
+        if best is None or not best[1] <= rate_level + _RATE_SLACK:
             out.append(PCFrontierPoint(c, math.nan, math.nan, math.nan, False))
             continue
-        kl = best.perception_kl
-        out.append(PCFrontierPoint(c, 0.0 if 0.0 > kl else kl, best.rate, best.sigma_xh, True))
+        s, rate, kl, _ = best
+        out.append(PCFrontierPoint(c, 0.0 if 0.0 > kl else kl, rate, s, True))
     return out

@@ -121,13 +121,17 @@ def _gaussian_stats(
     src: GaussianPairSource, var_xh: float, cov: float, shift2: float
 ) -> tuple[float, float, float, float]:
     """(rate, mse, kl, cond_entropy_s) of a jointly Gaussian reconstruction
-    of variance ``var_xh`` > 0, covariance ``cov`` with the source and
+    of variance ``var_xh`` >= 0, covariance ``cov`` with the source and
     squared mean shift ``shift2``: the one formula behind
-    ``gaussian_recon_stats`` and ``rpc_given_d.eval_at``, which own the
-    checks. The squared correlation (``_corr2``) is clamped at 1, where
+    ``gaussian_recon_stats``, the Gaussian oracle and the pinned-distortion
+    solver, whose callers own the checks. At var_xh = 0 it is the constant
+    reconstruction (cov taken as 0): rate 0, KL +inf and the label's own
+    entropy. The squared correlation (``_corr2``) is clamped at 1, where
     the rate is +inf.
     """
     vx = src.var_x
+    if var_xh == 0.0:
+        return 0.0, shift2 + vx, math.inf, src.h_s
     ratio = _corr2(vx, var_xh, cov)
     ratio = 1.0 if 1.0 < ratio else ratio
     rate = math.inf if ratio >= 1.0 else -0.5 * math.log1p(-ratio)
@@ -169,9 +173,8 @@ def gaussian_recon_stats(
         raise DomainError(
             f"a square overflows at mu_xh={rec.mu_xh}, cov_xxh={rec.cov_xxh}"
         ) from None
-    if rec.var_xh == 0.0 and rec.cov_xxh == 0.0:
-        return ChannelStats(0.0, shift2 + vx, math.inf, src.h_s, Unit.NATS)
-    if rec.var_xh == 0.0 or _corr2(vx, rec.var_xh, rec.cov_xxh) > 1.0 + 1e-12:
+    if rec.cov_xxh != 0.0 and (rec.var_xh == 0.0
+                               or _corr2(vx, rec.var_xh, rec.cov_xxh) > 1.0 + 1e-12):
         raise DomainError(f"cov^2={cov2} exceeds var_x*var_xh={vx * rec.var_xh}")
     return ChannelStats(*_gaussian_stats(src, rec.var_xh, rec.cov_xxh, shift2), Unit.NATS)
 

@@ -155,6 +155,9 @@ def test_bad_flags_exit_one(capsys, tmp_path, monkeypatch):
     gone = [_ORACLE + flag for flag in (["--resolution", "0.01"], ["--sigma-steps", "201"],
                                         ["--theta-steps", "201"], ["--no-refine"])]
     gone += [[*_COMMANDS[name], *flag, "--out", "out"] for name, flag in _REMOVED]
+    # a long flag is spelled in full: --p is not --p1, --sigma not --sigma-n
+    gone += [["rdc", "binary", "--a", "0.3", "--p", "0.1", "--d", "0.1", "--c", "0.85"],
+             ["restore", "--sigma", "0.5", "--a-st", "3"]]
     for argv in (["bogus"], [], ["rdc"], ["verify", "--suite", "nope"], *gone):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -226,6 +229,19 @@ def test_binary_source_help_states_the_accepted_ranges(capsys):
     text = " ".join(capsys.readouterr().out.split())
     assert "--p1 P1 label flip probability, in [0, a], below 1/2" in text
     assert "--a A P(S=1), in [p1, 1/2]" in text
+
+
+def test_surface_help_names_each_family_s_grid_axes(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["surface", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert ("the rdc-* families sweep the --d-* triple and the rpc-* families the --p-* "
+            "triple, each against the --c-* triple") in text
+    for axis in "DPC":
+        for end, what in (("min", "start"), ("max", "end"), ("steps", "size")):
+            flag = f"--{axis.lower()}-{end}"
+            assert f"{flag} {flag[2:].upper().replace('-', '_')} {axis} grid {what}" in text
 
 
 def test_import_loads_no_scipy_integrate_or_special():

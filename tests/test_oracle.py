@@ -700,6 +700,12 @@ def test_recon_stats_refuse_a_covariance_at_zero_variance(cov):
     tiny = gaussian_recon_stats(half, GaussianReconstruction(0.0, 5e-324, 0.0))
     assert tiny.mutual_info == 0.0 and tiny.distortion == 0.5
     assert tiny.cond_entropy_s == half.h_s
+    # a normal var_xh whose product with var_x underflows: the statistics of
+    # the same correlation at unit scale
+    small = GaussianPairSource(0.0, 0.0, 1e-200, 1.0, 0.0)
+    stats = gaussian_recon_stats(small, GaussianReconstruction(0.0, 1e-200, 0.5e-200))
+    assert stats.mutual_info == pytest.approx(-0.5 * math.log1p(-0.25), rel=1e-12)
+    assert stats.perception == 0.0 and stats.cond_entropy_s == small.h_s
 
 
 # ---------------------------------------------------------------------------

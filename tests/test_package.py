@@ -35,7 +35,7 @@ def test_an_unknown_name_raises_attribute_error(name):
     assert not hasattr(rdpc, name)
 
 
-@pytest.mark.parametrize("name", ["binary_min_rate", "frontier", "eval_at", "run_suites",
+@pytest.mark.parametrize("name", ["binary_min_rate", "frontier", "rate_given_pcd", "run_suites",
                                   "SUITE_NAMES"])
 def test_a_lazy_name_is_bound_on_first_access(monkeypatch, name):
     value = getattr(rdpc, name)

@@ -490,6 +490,14 @@ def test_kl_of_gains_refuses_a_bad_gain_anywhere(bad, at):
     assert time.perf_counter() - t0 < 0.05  # before any quadrature
 
 
+@pytest.mark.parametrize("a", [1e-155, 1e-160])
+@pytest.mark.parametrize("sigma_n", [0.0, 1.0])
+def test_kl_at_a_subnormal_restored_variance_is_inf(sigma_n, a):
+    # the restored variance a^2 (1 + sigma_n^2) is subnormal: the KL is past
+    # the float range, with no overflow warning (warnings fail the test)
+    assert kl_of_gains(default_model(sigma_n), [a])[0] == math.inf
+
+
 def test_kl_of_146_gains_at_high_noise_is_finite_and_nonnegative():
     kl = kl_of_gains(default_model(sigma_n=5.0), GRID)
     assert np.all(np.isfinite(kl)) and np.all(kl >= 0.0)

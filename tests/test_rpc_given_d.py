@@ -3,6 +3,7 @@ against an independent scan/refine reference solver kept in this file."""
 
 import math
 from dataclasses import astuple
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from rdpc import (
     DomainError,
     GaussianPairSource,
     Region,
-    eval_at,
     gaussian_recon_stats,
     pc_frontier_given_rd,
     rate_given_pcd,
@@ -34,6 +34,28 @@ def _k_of(c):
 def _kl_of_spread(s):
     # KL(N(0, s^2) || N(0, 1)) for the unit-variance source
     return 0.5 * math.log(s * s) + (1.0 - s * s) / (2.0 * s * s)
+
+
+class _Pinned(NamedTuple):
+    sigma_xh: float
+    rate: float
+    perception_kl: float
+    cond_entropy_s: float
+
+
+def _pinned(src, d, s):
+    """The reconstruction of spread s with the covariance that pins MSE = d,
+    through ``gaussian_recon_stats``; all inf off the arc, where the
+    covariance breaks Cauchy-Schwarz or s * s leaves the float range."""
+    u = s * s
+    try:
+        stats = gaussian_recon_stats(
+            src, GaussianReconstruction(src.mu_x, u, 0.5 * (src.var_x + u - d)))
+    except DomainError:
+        return _Pinned(s, math.inf, math.inf, math.inf)
+    rate = stats.mutual_info
+    return _Pinned(s, rate, stats.perception,
+                   math.inf if rate == math.inf else stats.cond_entropy_s)
 
 
 def test_unconstrained_perception_spot_value():
@@ -57,8 +79,8 @@ def test_binding_window_roots_share_the_rate():
     hi = math.sqrt(k) + half_width
     assert lo == pytest.approx(0.507545311677235, abs=1e-12)
     assert hi == pytest.approx(0.98513371810627, abs=1e-12)
-    at_lo = eval_at(SRC, 0.5, lo)
-    at_hi = eval_at(SRC, 0.5, hi)
+    at_lo = _pinned(SRC, 0.5, lo)
+    at_hi = _pinned(SRC, 0.5, hi)
     assert at_lo.rate == pytest.approx(at_hi.rate, abs=1e-9)
     assert at_lo.perception_kl == pytest.approx(0.762807597141059, abs=1e-9)
     assert at_hi.perception_kl == pytest.approx(0.000226594209846093, abs=1e-9)
@@ -255,7 +277,7 @@ def _ref_ok(q, p, c):
 def _full_mask_rate(src, d, p, c):
     """Reference minimal rate: a full (kl, hs, rate) mask of the scan, each
     feasible run refined, the seed spreads tried."""
-    ev = rpc_given_d.eval_at
+    ev = _pinned
     s, rate, kl, hs = _ref_scan(src, float(d))
     ok = (kl <= p + _REF_SLACK) & (hs <= c + _REF_SLACK) & np.isfinite(rate)
 
@@ -320,7 +342,7 @@ def _full_mask_frontier(src, d, rate_level, c_grid, rate_slack=1e-9):
             tp = _full_mask_rate(src, d, p_bound, c)
             return tp.feasible and tp.rate <= rate_level + rate_slack
 
-        cap = eval_at(src, d, math.sqrt(relaxed.witness.var_xh)).perception_kl
+        cap = _pinned(src, d, math.sqrt(relaxed.witness.var_xh)).perception_kl
         if not meets(cap):
             cap = cap * (1.0 + 1e-9) + 1e-12
         if meets(0.0):
@@ -389,13 +411,13 @@ def test_frontier_rows_equal_the_full_mask_frontier(src):
 
 def test_frontier_rows_evaluate_at_most_eight_spreads(monkeypatch):
     calls = []
-    original = rpc_given_d.eval_at
+    original = rpc_given_d._gaussian_stats
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(rpc_given_d, "eval_at", counted)
+    monkeypatch.setattr(rpc_given_d, "_gaussian_stats", counted)
     # a dead row, a row bounded away from sigma_x and a row with min P = 0
     c_grid = [H_S - 1.0, H_S + 0.5 * math.log(1.0 - 0.81 * 0.6), H_S - 0.05]
     rows = []
@@ -477,40 +499,27 @@ def test_frontier_rows_far_beyond_the_source_variance_meet_the_budget(share):
         pc_frontier_given_rd(SRC, math.inf, 0.5, [H_S])
 
 
-@pytest.mark.parametrize("s", [1e160, 1e300, math.inf])
-def test_eval_at_overflowing_spread_is_off_the_arc(s):
-    # s * s overflows: the off-arc sentinel, not NaN
-    q = eval_at(SRC, 0.5, s)
-    assert (q.rate, q.perception_kl, q.cond_entropy_s) == (math.inf, math.inf, math.inf)
+@pytest.mark.parametrize("d, u, point", [
+    (0.5, 0.0, (0.0, math.inf, math.inf, math.inf)),
+    (SRC.var_x, 0.0, (0.0, 0.0, math.inf, H_S)),
+    (0.5, math.inf, (math.inf, math.inf, math.inf, math.inf)),
+    (0.5, 1e308, (1e154, math.inf, _kl_of_spread(1e154), math.inf)),
+])
+def test_witness_sentinels_at_the_ends_of_the_float_range(d, u, point):
+    # u = 0 is the constant reconstruction only at D = var_x, and off the
+    # arc otherwise; u = inf is off the arc; at u = 1e308 the pinned
+    # covariance's square overflows: off the arc, with the spread's own KL
+    assert rpc_given_d._witness(SRC, d, -math.inf, u, u, u) == point
 
 
-def test_eval_at_overflowing_covariance_is_off_the_arc():
-    # s * s is finite but the pinned covariance's square is not; the KL is
-    # still the spread's own
-    q = eval_at(SRC, 0.5, 1e154)
-    assert q.rate == math.inf and q.cond_entropy_s == math.inf
-    assert q.perception_kl == _kl_of_spread(1e154) < math.inf
-
-
-def test_eval_at_underflowing_spread_is_the_constant_reconstruction():
-    # s * s underflows to 0: off the arc, except at D = var_x, where the
-    # constant reconstruction meets D
-    q = eval_at(SRC, 0.5, 1e-200)
-    assert q.rate == math.inf and q.cond_entropy_s == math.inf
-    q = eval_at(SRC, SRC.var_x, 1e-200)
-    assert (q.rate, q.perception_kl, q.cond_entropy_s) == (0.0, math.inf, H_S)
-    # s * s is normal but var_x * s * s underflows: the statistics of the
-    # same correlation at unit scale
-    tiny = GaussianPairSource(0.0, 0.0, 1e-200, 1.0, 0.0)
-    q = eval_at(tiny, 1e-200, 1e-100)
-    assert q.rate == pytest.approx(-0.5 * math.log1p(-0.25), rel=1e-12)
-    assert q.perception_kl == 0.0 and q.cond_entropy_s == tiny.h_s
-
-
-@pytest.mark.parametrize("d, s", [(0.5, math.nan), (math.nan, 0.7), (0.0, 0.7), (-0.5, 0.7)])
-def test_eval_at_refuses_nan_and_nonpositive_inputs(d, s):
-    with pytest.raises(DomainError):
-        eval_at(SRC, d, s)
+def test_a_spread_whose_square_underflows_is_off_the_arc():
+    # at D = 8e202 the witness spreads' squares underflow to 0. Only at
+    # D = var_x is that the constant reconstruction: here C = h(S) - 0.5
+    # asks I(S; Xhat) >= 0.5, so every witness costs at least 0.5 nats
+    src = GaussianPairSource(0.0, 0.0, 1e150, 1.0, -1e75)
+    pt = rate_given_pcd(src, 8e202, math.inf, src.h_s - 0.5)
+    assert pt.region is not Region.ZERO_RATE
+    assert not pt.rate < 0.5
 
 
 def test_distortion_at_the_source_variance():
