@@ -435,7 +435,8 @@ def frontier(
 # freeing a block larger than the mgl suite's 800 kB arrays raises glibc's
 # mmap threshold, so a later `verify` in the same process takes those arrays
 # from reused heap pages. Separate 512 kB rows (chunks of 2**16) made
-# repeated verify runs 3-6% slower; one block of 2**16 rows did not.
+# repeated verify runs 3-6% slower; one block of 2**16 rows did not. A
+# chunk's clean rows may straddle the two components' samples.
 _CHUNK = 1 << 18
 
 
@@ -445,16 +446,18 @@ def monte_carlo_mses(
     """Sample estimates of the restoration MSE and their standard errors,
     one (estimate, standard error) pair per gain, all from one draw.
 
-    The sample is drawn in chunks of 2^18, so 10^7 samples stay inside a
-    modest memory budget, and is fully determined by the seed. Per chunk
-    of m samples the generator gives m uniforms for the labels, m normals
-    z for the clean signal x = where(pick1, m1 + s1*z, m2 + s2*z) and m
-    normals for the noise; every gain then sums ``(x - a*(x + noise))**2``
-    and its square over the chunk. So each gain's pair is the one
-    ``monte_carlo_mse`` gives it alone, and a draw of at most one chunk
-    (n <= 2^18) has the bits it had with 10^6-sample chunks. The call
-    holds three float64 and one int8 array of a chunk (6.5 MB), whatever
-    the number of gains.
+    The mixture is sampled by composition (Devroye, Non-Uniform Random
+    Variate Generation, 1986): the generator first gives the count
+    n1 ~ Binomial(n, w1) of component 1's samples, which come first in
+    the sample, and component 2's n - n1 follow. The sample is drawn in
+    chunks of 2^18, so 10^7 samples stay inside a modest memory budget,
+    and is fully determined by the seed. Per chunk of m samples the
+    generator gives m normals z for the clean signal, x = m1 + s1*z at the
+    sample's indices below n1 and m2 + s2*z from there, and m normals for
+    the noise; every gain then sums ``(x - a*(x + noise))**2`` and its
+    square over the chunk. So each gain's pair is the one
+    ``monte_carlo_mse`` gives it alone. The call holds three float64
+    arrays of a chunk (6.3 MB), whatever the number of gains.
 
     Every argument is checked before any draw: a non-finite gain anywhere,
     a sample count that is not an integer of at least 2 and a seed that is
@@ -473,24 +476,18 @@ def monte_carlo_mses(
     mix = model.mixture
     s1, s2, sigma = math.sqrt(mix.v1), math.sqrt(mix.v2), model.sigma_n
     rng = np.random.default_rng(seed)
+    n1 = int(rng.binomial(n, mix.w1))
     size = min(n, _CHUNK)
-    block, buf_pick = np.empty((3, size)), np.empty(size, np.int8)
+    block = np.empty((3, size))
     totals = [0.0] * (2 * len(gains))
     for start in range(0, n, size):
         m = min(n - start, size)
-        (x, y, t), pick = block[:, :m], buf_pick[:m]
-        np.less(rng.random(out=t), mix.w1, out=pick)
-        np.negative(pick, out=pick)
+        x, y, t = block[:, :m]
         rng.standard_normal(out=x)
-        # x = where(pick1, m1 + s1*z, m2 + s2*z) bit for bit, pick 0 or -1
-        np.multiply(x, s1, out=t)
-        t += mix.m1
-        x *= s2
-        x += mix.m2
-        ti, xi = t.view(np.int64), x.view(np.int64)
-        ti ^= xi
-        ti &= pick
-        xi ^= ti
+        j = max(n1 - start, 0)  # component 1's samples come first
+        for part, s, mean in ((x[:j], s1, mix.m1), (x[j:], s2, mix.m2)):
+            part *= s
+            part += mean
         rng.standard_normal(out=y)
         y *= sigma  # noise
         y += x

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -386,26 +387,27 @@ def test_mse_of_a_huge_gain_is_inf(a):
     assert mse_of_gain(MODEL, a) == math.inf
 
 
-def _seed_monte_carlo_mse(model, a, n, seed):
+def _reference_monte_carlo_mse(model, a, n, seed):
+    # the mixture by composition: a binomial count of component 1's
+    # samples, which come first, then per 2**18-sample chunk the clean
+    # signal's normals and the noise's
     mix = model.mixture
     rng = np.random.default_rng(seed)
+    n1 = rng.binomial(n, mix.w1)
     total = 0.0
     total_sq = 0.0
-    remaining = n
-    while remaining > 0:
-        m = min(remaining, 2**18)
-        pick1 = rng.random(m) < mix.w1
-        z = rng.standard_normal(m)
+    for start in range(0, n, 2**18):
+        index = np.arange(start, min(start + 2**18, n))
+        z = rng.standard_normal(index.size)
         x = np.where(
-            pick1,
+            index < n1,
             mix.m1 + math.sqrt(mix.v1) * z,
             mix.m2 + math.sqrt(mix.v2) * z,
         )
-        noise = model.sigma_n * rng.standard_normal(m)
+        noise = model.sigma_n * rng.standard_normal(index.size)
         err = (x - a * (x + noise)) ** 2
         total += float(err.sum())
         total_sq += float((err * err).sum())
-        remaining -= m
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0)
     return mean, math.sqrt(var / n)
@@ -416,6 +418,7 @@ _MC_MODELS = {
     "noise-free": default_model(sigma_n=0.0),
     "unequal-variance": RestorationModel(GaussianMixture2(0.4, 0.6, -1.0, 2.0, 0.5, 1.5), 0.7, 0.0),
     "zero-weight": RestorationModel(GaussianMixture2(0.0, 1.0, -1.0, 2.0, 0.5, 1.5), 1.0, 0.0),
+    "one-weight": RestorationModel(GaussianMixture2(1.0, 0.0, -1.0, 2.0, 0.5, 1.5), 1.0, 0.0),
 }
 
 
@@ -423,21 +426,66 @@ _MC_MODELS = {
 @pytest.mark.parametrize("n", [2, 10, 65_536, 65_537, 262_144, 262_145, 1_000_003])
 def test_monte_carlo_is_bit_identical_to_seed_formula(n):
     # one draw for all gains: each pair keeps the bits of a draw of its
-    # own, a repeated or negative gain too
+    # own, a repeated or negative gain too; component counts of 0 and n
+    # come from the zero- and one-weight models
     gains = (0.8, -0.3, 0.8)
     for model in _MC_MODELS.values():
-        seed = {a: _seed_monte_carlo_mse(model, a, n, seed=5) for a in gains}
-        assert monte_carlo_mses(model, gains, n, seed=5) == [seed[a] for a in gains]
-        assert monte_carlo_mse(model, 0.8, n, seed=5) == seed[0.8]
+        ref = {a: _reference_monte_carlo_mse(model, a, n, seed=5) for a in gains}
+        assert monte_carlo_mses(model, gains, n, seed=5) == [ref[a] for a in gains]
+        assert monte_carlo_mse(model, 0.8, n, seed=5) == ref[0.8]
+
+
+# float.hex of monte_carlo_mses(default_model(), (0.8, -0.3), n, seed=5):
+# one chunk, and four chunks whose third straddles the two components
+_MC_BITS = {
+    262_144: [
+        ["0x1.7009ea558b12ep-1", "0x1.031492888916bp-9"],
+        ["0x1.baf53540c4b9ep+1", "0x1.10ddbad556fdbp-7"],
+    ],
+    1_000_003: [
+        ["0x1.700677c77d5b3p-1", "0x1.09aef2be3b022p-10"],
+        ["0x1.bcab4a0056b85p+1", "0x1.195fe98288316p-8"],
+    ],
+}
+_MC_BITS_CODE = """
+import json
+from rdpc import default_model, monte_carlo_mses
+print(json.dumps({n: [[float.hex(v) for v in pair]
+                      for pair in monte_carlo_mses(default_model(), (0.8, -0.3), n, seed=5)]
+                  for n in (262_144, 1_000_003)}))
+"""
 
 
 def test_monte_carlo_keeps_its_bits_within_one_chunk():
-    # recorded with 10**6-sample chunks: a draw that fits one chunk keeps them
     got = monte_carlo_mses(default_model(), (0.8, -0.3), 262_144, seed=5)
-    assert [tuple(map(float.hex, pair)) for pair in got] == [
-        ("0x1.723e53a7e7962p-1", "0x1.0573ba7218fbep-9"),
-        ("0x1.baec32c7fa34ep+1", "0x1.11d17cb16532ap-7"),
-    ]
+    assert [list(map(float.hex, pair)) for pair in got] == _MC_BITS[262_144]
+
+
+def test_monte_carlo_keeps_its_bits_across_chunks():
+    got = monte_carlo_mses(default_model(), (0.8, -0.3), 1_000_003, seed=5)
+    assert [list(map(float.hex, pair)) for pair in got] == _MC_BITS[1_000_003]
+
+
+# numpy's AVX-512 kernels, turned off for a child process by numpy's own
+# runtime variable; the child then takes the kernels of an AVX2-only CPU
+_NO_AVX512 = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
+
+
+def _dispatches_avx512() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        return False
+    return all(f in __cpu_dispatch__ and __cpu_features__.get(f) for f in _NO_AVX512)
+
+
+@pytest.mark.skipif(not _dispatches_avx512(), reason="numpy dispatches no AVX-512 kernels here")
+def test_monte_carlo_keeps_its_bits_without_avx512():
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(_NO_AVX512),
+               PYTHONPATH=str(Path(restoration.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _MC_BITS_CODE], capture_output=True,
+                         text=True, env=env, timeout=120, check=True)
+    assert {int(n): bits for n, bits in json.loads(out.stdout).items()} == _MC_BITS
 
 
 GRID = np.linspace(0.05, 1.5, 146)
@@ -452,8 +500,8 @@ def test_monte_carlo_mses_of_no_gains_is_empty_without_a_draw(monkeypatch):
 
 
 def test_monte_carlo_mses_hold_one_chunk_whatever_the_gains():
-    # three float64 rows and one int8 array of a chunk, plus the generator's
-    # and numpy's small working buffers, however many gains share them
+    # three float64 rows of a chunk, plus the generator's and numpy's small
+    # working buffers, however many gains share them
     chunk = 2**18
     peaks = []
     for gains in ([0.8], [0.5, 0.8]):
@@ -463,7 +511,7 @@ def test_monte_carlo_mses_hold_one_chunk_whatever_the_gains():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert 3 * 8 * chunk <= peaks[0] <= 3 * 8 * chunk + chunk + 2**17
+    assert 3 * 8 * chunk <= peaks[0] <= 3 * 8 * chunk + 2**17
     assert peaks[1] <= peaks[0] + 4096
 
 
