@@ -97,8 +97,9 @@ def test_convexity_suite_spot_checks_without_scalar_loops(monkeypatch):
 
 
 # float.hex of every measured value of the restoration suite; only the
-# Monte Carlo column depends on the seed, and on the 2**18-sample chunks
-# its 10**6-sample draw is taken in
+# Monte Carlo column depends on the seed, and on how its 10**6-sample draw
+# is taken: a binomial count of component 1's samples, then 2**18-sample
+# chunks
 _RESTORATION_BITS = {
     "bayes_threshold_err": "0x1.8000000000000p-53",
     "symmetric_threshold": "0x0.0p+0",
@@ -129,8 +130,8 @@ _RESTORATION_BITS = {
 
 
 @pytest.mark.parametrize("seed, sigmas", [
-    (0, "0x1.600fd1e6ee7c6p-1"),
-    (3, "0x1.3a6d63e2f65ccp+0"),
+    (0, "0x1.9a126f10ccf34p-2"),
+    (3, "0x1.c56e91e9844c0p-1"),
 ])
 def test_restoration_suite_keeps_its_bits(seed, sigmas):
     suite = run_suites(["restoration"], seed=seed).suites[0]
@@ -143,8 +144,8 @@ def test_restoration_suite_keeps_its_bits(seed, sigmas):
 # sha256 of the `rdpc verify` report file; a change that means to move a
 # report byte declares it and re-pins these in its own commit
 @pytest.mark.parametrize("seed, digest", [
-    (0, "45b426c29610b0bd6d86b7f36d1509acd5c8f6d94f98cf0355a731dec2b506f0"),
-    (3, "2e1149ea541675a7cd7eec13d787bcf5b80c6367cf94be1b4377d17a1fbc2308"),
+    (0, "3c8a1dd0cfd1dd422dc7603ae33222e60997614e0c0a32bc0c2f4994f5711c92"),
+    (3, "e3ea9e7ef5156025f7987ba3b282c3a82b43cb2aedcce31192a39d7404222808"),
 ])
 def test_verify_report_keeps_its_bytes(tmp_path, seed, digest):
     out = tmp_path / "verify.json"
