@@ -313,8 +313,11 @@ def gaussian_kl(mean1: float, var1: float, mean2: float, var2: float) -> float:
 
 
 def _gaussian_kl(var1: float, var2: float, shift2: float) -> float:
-    """``gaussian_kl`` from the squared mean difference, unchecked."""
-    return 0.5 * math.log(var2 / var1) + shift2 / (2.0 * var2) + (var1 - var2) / (2.0 * var2)
+    """``gaussian_kl`` from the squared mean difference, unchecked. Where
+    var2 / var1 underflows to 0 the log is taken of each variance apart."""
+    ratio = var2 / var1
+    log_ratio = math.log(ratio) if ratio > 0.0 else math.log(var2) - math.log(var1)
+    return 0.5 * log_ratio + shift2 / (2.0 * var2) + (var1 - var2) / (2.0 * var2)
 
 
 def std_normal_cdf(x: float) -> float:
@@ -375,21 +378,23 @@ def _mean_softplus(mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
     log1p(e^-t) (phi_sd(t - mu) + phi_sd(t + mu)) over [0, 40] (the rest
     is below 1e-17), by Gauss-Legendre. Each element is reduced over its
     own nodes by ``einsum`` (a BLAS matvec is not), so it does not depend
-    on the other elements."""
+    on the other elements; a branch with no elements is skipped."""
     h_x, h_w, t, l_w = _softplus_rules()
     out = np.empty(mu.shape)
     narrow = sd <= 1.0
-    m, s = mu[narrow, None], sd[narrow, None]
-    out[narrow] = np.einsum("ij,j->i", np.logaddexp(0.0, m + s * h_x), h_w)
+    if narrow.any():
+        m, s = mu[narrow, None], sd[narrow, None]
+        out[narrow] = np.einsum("ij,j->i", np.logaddexp(0.0, m + s * h_x), h_w)
     wide = ~narrow
-    m, s = mu[wide], sd[wide]
-    r = m / s
-    ramp = m * np.array([std_normal_cdf(u) for u in r.tolist()])
-    ramp += s * np.exp(-0.5 * r * r) / math.sqrt(2.0 * math.pi)
-    m, s = m[:, None], s[:, None]
-    bumps = np.exp(-0.5 * ((t - m) / s) ** 2) + np.exp(-0.5 * ((t + m) / s) ** 2)
-    bumps /= s * math.sqrt(2.0 * math.pi)
-    out[wide] = ramp + np.einsum("ij,j->i", bumps, l_w)
+    if wide.any():
+        m, s = mu[wide], sd[wide]
+        r = m / s
+        ramp = m * np.array([std_normal_cdf(u) for u in r.tolist()])
+        ramp += s * np.exp(-0.5 * r * r) / math.sqrt(2.0 * math.pi)
+        m, s = m[:, None], s[:, None]
+        bumps = np.exp(-0.5 * ((t - m) / s) ** 2) + np.exp(-0.5 * ((t + m) / s) ** 2)
+        bumps /= s * math.sqrt(2.0 * math.pi)
+        out[wide] = ramp + np.einsum("ij,j->i", bumps, l_w)
     return out
 
 

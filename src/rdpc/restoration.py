@@ -217,6 +217,10 @@ def _mean_log_mixture(
         alpha = (mu_o - mu_b) / var
         z_mean = alpha * (m - 0.5 * (mu_b + mu_o)) + math.log(w_o / w_b)
         return out + _mean_softplus(*np.broadcast_arrays(z_mean, np.abs(alpha) * math.sqrt(v)))
+    # where E l is -inf so is the mean; the softplus term is taken there at
+    # unit variances, which keep its coefficients finite
+    dead = np.isneginf(out)
+    var_b, var_o = np.where(dead, 1.0, var_b), np.where(dead, 1.0, var_o)
     d_b, d_o = m - mu_b, m - mu_o
     quad = 0.5 * v * (1.0 / var_b - 1.0 / var_o)
     lin = np.sqrt(v) * (d_b / var_b - d_o / var_o)
@@ -266,6 +270,7 @@ def kl_of_gains(model: RestorationModel, gains: Sequence[float]) -> np.ndarray:
         restored = (g2 * (var[0] + bump), g2 * (var[1] + bump))
     diff = _mean_log_mixture(w, mu, var, m, v) - _mean_log_mixture(
         w, (gains * mu[0], gains * mu[1]), restored, m, v)
+    diff[[mix.w1 == 0.0, mix.w2 == 0.0]] = 0.0  # a zero weight adds 0, not 0 * inf
     return mix.w1 * diff[0] + mix.w2 * diff[1]
 
 

@@ -39,10 +39,11 @@ class PCFrontierPoint:
 
 def _roots(vx: float, a: float, q: float) -> tuple[float, float]:
     """The u with ratio(u) = q >= max(a, 0) / var_x, monotone in q; the
-    smaller is a^2 over the larger, which keeps its precision."""
+    smaller is a^2 over the larger, which keeps its precision. Both are 0
+    when a = q = 0 (D = var_x, no rate)."""
     disc = vx * q * (vx * q - a)
     big = (2.0 * vx * q - a) + 2.0 * math.sqrt(0.0 if 0.0 > disc else disc)
-    return a / big * a, big
+    return (a / big * a if big else 0.0), big
 
 
 def _kl_interval(p: float) -> tuple[float, float]:

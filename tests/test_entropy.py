@@ -9,16 +9,19 @@ from hypothesis import strategies as st
 from rdpc import (
     BinaryPairSource,
     DomainError,
+    GaussianPairSource,
     binary_convolution,
     binary_entropy,
     binary_entropy_inv,
     gaussian_diff_entropy,
     gaussian_kl,
+    gaussian_recon_stats,
     rdc_binary,
     std_normal_cdf,
 )
 from rdpc import entropy
 from rdpc.optimize import bisect_root
+from rdpc.results import GaussianReconstruction
 
 
 @pytest.mark.parametrize(
@@ -287,6 +290,14 @@ def test_gaussian_kl_refuses_an_overflowing_mean_shift():
     assert gaussian_kl(0.0, 1.0, shift, 1.0) == (
         0.5 * math.log(1.0) + shift**2 / 2.0 + 0.0 / 2.0
     )
+
+
+def test_gaussian_kl_whose_variance_ratio_underflows_is_inf():
+    # var2 / var1 underflows to 0: each variance takes its own log
+    assert gaussian_kl(0.0, 1e150, 0.0, 8.3917e-320) == math.inf
+    stats = gaussian_recon_stats(GaussianPairSource(0.0, 0.0, 1e150, 1.0, 0.0),
+                                 GaussianReconstruction(0.0, 8.3917e-320, 5e-324))
+    assert stats.perception == math.inf
 
 
 @pytest.mark.parametrize("args", [

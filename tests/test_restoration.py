@@ -546,6 +546,14 @@ def test_kl_at_a_subnormal_restored_variance_is_inf(sigma_n, a):
     assert kl_of_gains(default_model(sigma_n), [a])[0] == math.inf
 
 
+@pytest.mark.parametrize("w1", [0.5, 1.0, 0.0])
+@pytest.mark.parametrize("sigma_n", [0.0, 1.0])
+def test_unequal_variance_kl_at_a_subnormal_restored_variance_is_inf(sigma_n, w1):
+    # as with equal variances; a zero-weight component adds 0, not 0 * inf
+    model = RestorationModel(GaussianMixture2(w1, 1.0 - w1, -1.0, 1.0, 1.0, 2.0), sigma_n, 0.0)
+    assert kl_of_gains(model, [1e-160, 0.5])[0] == math.inf
+
+
 def test_kl_of_146_gains_at_high_noise_is_finite_and_nonnegative():
     kl = kl_of_gains(default_model(sigma_n=5.0), GRID)
     assert np.all(np.isfinite(kl)) and np.all(kl >= 0.0)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from rdpc import (
     DomainError,
     GaussianPairSource,
+    PCFrontierPoint,
     Region,
     gaussian_recon_stats,
     pc_frontier_given_rd,
@@ -536,6 +537,15 @@ def test_distortion_at_the_source_variance():
     assert tight.feasible
     relaxed = rdc_gaussian(SRC, SRC.var_x, H_S - 0.2)
     assert tight.rate == pytest.approx(relaxed.rate, abs=1e-9)
+
+
+def test_frontier_at_the_source_variance_with_no_rate():
+    # D = var_x, rate 0 and a vacuous C: both arc roots are 0 (no 0 / 0),
+    # and the row is the constant reconstruction, as rate_given_pcd has it
+    src = GaussianPairSource(0.0, 0.0, 1.0, 1.0, 0.5)
+    (row,) = pc_frontier_given_rd(src, 1.0, 0.0, [src.h_s])
+    assert row == PCFrontierPoint(src.h_s, math.inf, 0.0, 0.0, True)
+    assert rate_given_pcd(src, 1.0, math.inf, src.h_s).region is Region.ZERO_RATE
 
 
 _VARIANCE = st.floats(0.2, 3.0)
