@@ -313,11 +313,10 @@ def gaussian_kl(mean1: float, var1: float, mean2: float, var2: float) -> float:
 
 
 def _gaussian_kl(var1: float, var2: float, shift2: float) -> float:
-    """``gaussian_kl`` from the squared mean difference, unchecked. Where
-    var2 / var1 underflows to 0 the log is taken of each variance apart."""
+    """``gaussian_kl`` from the squared mean difference, unchecked."""
     try:
         log_ratio = math.log(var2 / var1)
-    except ValueError:
+    except ValueError:  # var2 / var1 underflows to 0
         log_ratio = math.log(var2) - math.log(var1)
     return 0.5 * log_ratio + shift2 / (2.0 * var2) + (var1 - var2) / (2.0 * var2)
 

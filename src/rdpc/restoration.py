@@ -217,10 +217,8 @@ def _mean_log_mixture(
         alpha = (mu_o - mu_b) / var
         z_mean = alpha * (m - 0.5 * (mu_b + mu_o)) + math.log(w_o / w_b)
         return out + _mean_softplus(*np.broadcast_arrays(z_mean, np.abs(alpha) * math.sqrt(v)))
-    # where E l is -inf so is the mean; the softplus term is taken there at
-    # unit variances, which keep its coefficients finite
-    dead = np.isneginf(out)
-    var_b, var_o = np.where(dead, 1.0, var_b), np.where(dead, 1.0, var_o)
+    # where E l is -inf so is the mean: unit variances keep the rest finite
+    var_b, var_o = (np.where(np.isneginf(out), 1.0, var) for var in (var_b, var_o))
     d_b, d_o = m - mu_b, m - mu_o
     quad = 0.5 * v * (1.0 / var_b - 1.0 / var_o)
     lin = np.sqrt(v) * (d_b / var_b - d_o / var_o)
@@ -440,8 +438,8 @@ def frontier(
 # freeing a block larger than the mgl suite's 800 kB arrays raises glibc's
 # mmap threshold, so a later `verify` in the same process takes those arrays
 # from reused heap pages. Separate 512 kB rows (chunks of 2**16) made
-# repeated verify runs 3-6% slower; one block of 2**16 rows did not. A
-# chunk's clean rows may straddle the two components' samples.
+# repeated verify runs 3-6% slower; one block of 2**16 rows did not. The
+# component 1 samples come first, so at most one chunk holds both components.
 _CHUNK = 1 << 18
 
 
@@ -452,17 +450,14 @@ def monte_carlo_mses(
     one (estimate, standard error) pair per gain, all from one draw.
 
     The mixture is sampled by composition (Devroye, Non-Uniform Random
-    Variate Generation, 1986): the generator first gives the count
-    n1 ~ Binomial(n, w1) of component 1's samples, which come first in
-    the sample, and component 2's n - n1 follow. The sample is drawn in
-    chunks of 2^18, so 10^7 samples stay inside a modest memory budget,
-    and is fully determined by the seed. Per chunk of m samples the
-    generator gives m normals z for the clean signal, x = m1 + s1*z at the
-    sample's indices below n1 and m2 + s2*z from there, and m normals for
-    the noise; every gain then sums ``(x - a*(x + noise))**2`` and its
-    square over the chunk. So each gain's pair is the one
-    ``monte_carlo_mse`` gives it alone. The call holds three float64
-    arrays of a chunk (6.3 MB), whatever the number of gains.
+    Variate Generation, 1986): one binomial draw gives the count n1 of
+    component 1's samples, which come first. The sample, fully determined
+    by the seed, is then drawn in chunks of 2^18 (three float64 rows,
+    6.3 MB, whatever the number of gains): per chunk m normals z give the
+    clean signal x = m1 + s1*z below sample n1 and m2 + s2*z from there,
+    and m normals the noise. Every gain sums ``(x - a*(x + noise))**2``
+    and its square over each chunk, so its pair is the one
+    ``monte_carlo_mse`` gives it alone.
 
     Every argument is checked before any draw: a non-finite gain anywhere,
     a sample count that is not an integer of at least 2 and a seed that is
@@ -484,7 +479,7 @@ def monte_carlo_mses(
     n1 = int(rng.binomial(n, mix.w1))
     size = min(n, _CHUNK)
     block = np.empty((3, size))
-    totals = [0.0] * (2 * len(gains))
+    totals = np.zeros((len(gains), 2))
     for start in range(0, n, size):
         m = min(n - start, size)
         x, y, t = block[:, :m]
@@ -500,15 +495,12 @@ def monte_carlo_mses(
             np.multiply(y, a, out=t)
             np.subtract(x, t, out=t)
             t *= t  # err
-            totals[2 * k] += float(t.sum())
+            totals[k, 0] += t.sum()
             t *= t  # err * err
-            totals[2 * k + 1] += float(t.sum())
-    out = []
-    for t, t_sq in zip(totals[::2], totals[1::2]):
-        mean = t / n
-        var = max(t_sq / n - mean * mean, 0.0)
-        out.append((mean, math.sqrt(var / n)))
-    return out
+            totals[k, 1] += t.sum()
+    mean = totals[:, 0] / n
+    var = np.maximum(totals[:, 1] / n - mean * mean, 0.0)
+    return list(zip(mean.tolist(), np.sqrt(var / n).tolist()))
 
 
 def monte_carlo_mse(

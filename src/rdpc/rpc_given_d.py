@@ -39,8 +39,7 @@ class PCFrontierPoint:
 
 def _roots(vx: float, a: float, q: float) -> tuple[float, float]:
     """The u with ratio(u) = q >= max(a, 0) / var_x, monotone in q; the
-    smaller is a^2 over the larger, which keeps its precision. Both are 0
-    when a = q = 0 (D = var_x, no rate)."""
+    smaller is a^2 over the larger (0 if that is 0), which keeps its precision."""
     disc = vx * q * (vx * q - a)
     big = (2.0 * vx * q - a) + 2.0 * math.sqrt(0.0 if 0.0 > disc else disc)
     return (a / big * a if big else 0.0), big
