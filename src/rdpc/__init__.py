@@ -14,18 +14,14 @@ from importlib import import_module
 # each public name's home module; the ones in _LAZY load on first use
 _NAMES = {
     "closed_form": (
-        "g_function", "rdc_binary", "rdc_binary_witness", "rdc_gaussian",
-        "rdc_gaussian_region", "rpc_binary", "rpc_binary_witness", "rpc_gaussian",
-        "rpc_gaussian_witness",
+        "g_function", "rdc_binary", "rdc_gaussian", "rdc_gaussian_region", "rpc_binary",
+        "rpc_binary_witness", "rpc_gaussian",
     ),
     "entropy": (
         "binary_convolution", "binary_entropy", "binary_entropy_inv",
         "gaussian_diff_entropy", "gaussian_kl", "std_normal_cdf",
     ),
-    "errors": (
-        "DegenerateSourceError", "DomainError", "NoCrossingError",
-        "WitnessUnavailableError",
-    ),
+    "errors": ("DegenerateSourceError", "DomainError", "NoCrossingError"),
     "oracle": ("MglCheck", "binary_min_rate", "gaussian_min_rate", "mrs_gerber_check"),
     "restoration": (
         "DenoiseCurvePoint", "FrontierPoint", "RestorationModel", "bayes_threshold_clean",

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .closed_form import rdc_binary, rdc_gaussian, rpc_binary, rpc_gaussian
-from .errors import DomainError, NoCrossingError, WitnessUnavailableError
+from .errors import DomainError, NoCrossingError
 from .results import TradeoffPoint
 from .sources import BinaryPairSource, GaussianPairSource
 
@@ -625,8 +625,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             ns.parser.set_defaults(**config)
             ns = parser.parse_args(argv)
         return int(ns.handler(ns))
-    except (_UsageError, DomainError, NoCrossingError, WitnessUnavailableError,
-            OSError) as exc:
+    except (_UsageError, DomainError, NoCrossingError, OSError) as exc:
         print(f"rdpc: error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
 

@@ -38,7 +38,7 @@ from .entropy import (
     binary_entropy,
     binary_entropy_inv,
 )
-from .errors import DomainError, WitnessUnavailableError
+from .errors import DomainError
 from .optimize import bisect_root
 from .results import (
     BinaryChannel,
@@ -101,7 +101,9 @@ def _backward_witness(src: BinaryPairSource, eps: float) -> BinaryChannel:
     is solved from the marginal constraint; the forward conditionals are
     then read off the joint. Conditionals of X given Xhat come out
     complementary (eps, 1-eps), which is what makes the label-entropy
-    bound tight.
+    bound tight. For 0 < eps <= b <= 1/2, w = 1 - (b - eps) / (1 - 2 eps)
+    lies in [1/2, 1]; the quotient can round past 1 near b = 1/2 (to
+    1 + 2.8e-8 at b = eps = 1/2 - 1e-9), and the clamp takes it back.
     """
     b1 = src.b
     if b1 < 1e-15:
@@ -112,11 +114,7 @@ def _backward_witness(src: BinaryPairSource, eps: float) -> BinaryChannel:
     if eps >= 0.5 - _TOL:
         return BinaryChannel(1.0, 1.0)
     w = (1.0 - eps - b1) / (1.0 - 2.0 * eps)
-    if w < -1e-12 or w > 1.0 + 1e-12:
-        raise WitnessUnavailableError(
-            f"reconstruction weight {w} outside [0,1] for eps={eps}"
-        )
-    w = 0.0 if 0.0 > w else 1.0 if 1.0 < w else w
+    w = 1.0 if 1.0 < w else w
     p_a = w * (1.0 - eps) / (1.0 - b1)
     p_b = w * eps / b1
     return BinaryChannel(0.0 if 0.0 > p_a else 1.0 if 1.0 < p_a else p_a,
@@ -167,14 +165,6 @@ def _rdc_binary_rates(src: BinaryPairSource, d, c) -> np.ndarray:
     return np.where(c >= src.floor_c - _TOL, rate, np.nan)
 
 
-def rdc_binary_witness(src: BinaryPairSource, d: float, c: float) -> BinaryChannel:
-    """Achievability channel for a feasible binary distortion instance."""
-    pt = rdc_binary(src, d, c)
-    if not pt.feasible:
-        raise WitnessUnavailableError("instance is infeasible, no witness exists")
-    return pt.witness
-
-
 def g_function(src: BinaryPairSource, p_a: float) -> float:
     """Label conditional entropy H(S|Xhat) along the zero-divergence line.
 
@@ -208,6 +198,11 @@ def rpc_binary_witness(src: BinaryPairSource, c: float) -> BinaryChannel:
     _check_bounds(c)
     if c < src.floor_c - _TOL or c > 1.0 + _TOL:
         raise DomainError(f"no zero-divergence channel reaches c={c}")
+    return _zero_tv(src, c)
+
+
+def _zero_tv(src: BinaryPairSource, c: float) -> BinaryChannel:
+    """``rpc_binary_witness`` at a c its caller has checked."""
     b = src.b
     if b < 1e-15:
         return BinaryChannel(1.0, 1.0)
@@ -237,7 +232,7 @@ def rpc_binary(src: BinaryPairSource, p: float, c: float) -> TradeoffPoint:
         return TradeoffPoint(0.0, _BITS, _ZERO_RATE, c, None, p, BinaryChannel(1.0 - b, 1.0 - b))
     rate = src.h_b - binary_entropy(_c1(src, c))
     return TradeoffPoint(rate if rate > 0.0 else 0.0, _BITS, _CLASSIFICATION, c, None, p,
-                         rpc_binary_witness(src, c))
+                         _zero_tv(src, c))
 
 
 # ---------------------------------------------------------------------------
@@ -344,21 +339,14 @@ def rdc_gaussian_region(
     return region, d_star
 
 
-def rpc_gaussian_witness(src: GaussianPairSource, c: float) -> GaussianReconstruction:
-    """Distribution-matching reconstruction attaining the Gaussian rate.
+def _tilt(src: GaussianPairSource, c: float) -> GaussianReconstruction:
+    """Distribution-matching reconstruction attaining the Gaussian rate at
+    a c its caller has checked.
 
     Keeps the source law exactly (mu_xh = mu_x, var_xh = var_x, so KL = 0)
     and tilts only the covariance; at the feasibility floor the covariance
     saturates Cauchy-Schwarz and the rate diverges.
     """
-    _check_bounds(c)
-    if c < src.floor_c - _TOL:
-        raise DomainError(f"c={c} is below the feasibility floor {src.floor_c}")
-    return _tilt(src, c)
-
-
-def _tilt(src: GaussianPairSource, c: float) -> GaussianReconstruction:
-    """``rpc_gaussian_witness`` at a c its caller has checked."""
     vx = src.var_x
     if src.cov == 0.0 or c >= src.h_s:
         return GaussianReconstruction(src.mu_x, vx, 0.0)

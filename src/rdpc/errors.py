@@ -16,9 +16,5 @@ class DegenerateSourceError(DomainError):
     with crossover 1/2, which carries no information about the input)."""
 
 
-class WitnessUnavailableError(RuntimeError):
-    """An achievability construction has no valid channel for this instance."""
-
-
 class NoCrossingError(RuntimeError):
     """Two mixture component densities do not cross between their means."""

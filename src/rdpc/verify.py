@@ -26,7 +26,6 @@ from .closed_form import (
     _rdc_binary_rates,
     _rdc_gaussian_rates,
     rdc_binary,
-    rdc_binary_witness,
     rdc_gaussian,
     rpc_binary,
     rpc_binary_witness,
@@ -210,8 +209,7 @@ def _suite_mgl(seed: int) -> _Recorder:
         (BinaryPairSource(0.2, 0.05), 0.4, 0.5),
     ]
     for src, d, c in equality_instances:
-        wit = rdc_binary_witness(src, d, c)
-        chk = mrs_gerber_check(src, wit)
+        chk = mrs_gerber_check(src, rdc_binary(src, d, c).witness)
         rec.worst("equality_gap", abs(chk.lhs - chk.rhs), 1e-10)
     return rec
 

@@ -631,3 +631,13 @@ def test_repeated_runs_are_byte_identical(capsys):
     _, first, _ = run(capsys, *argv)
     _, again, _ = run(capsys, *argv)
     assert first == again
+
+
+def test_a_binary_point_at_its_marginal_near_one_half_exits_zero(capsys):
+    # (1 - eps - b) / (1 - 2 eps) rounds to 1 + 2.8e-8 here; the point is feasible
+    code, out, err = run(capsys, "rdc", "binary", "--a", "0.499999999", "--p1", "0",
+                         "--d", "0.499999999", "--c", "1")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["feasible"] is True and payload["witness"] == {"p_a": 1.0, "p_b": 1.0}
+

@@ -15,18 +15,15 @@ from rdpc import (
     Region,
     TradeoffPoint,
     Unit,
-    WitnessUnavailableError,
     binary_channel_stats,
     g_function,
     gaussian_recon_stats,
     rdc_binary,
-    rdc_binary_witness,
     rdc_gaussian,
     rdc_gaussian_region,
     rpc_binary,
     rpc_binary_witness,
     rpc_gaussian,
-    rpc_gaussian_witness,
 )
 from rdpc.closed_form import _rdc_binary_rates, _rdc_gaussian_rates
 from rdpc.entropy import binary_entropy
@@ -75,16 +72,22 @@ def test_rdc_binary_zero_rate_and_infeasible():
 def test_rdc_binary_witness_meets_bounds():
     for d, c in [(0.1, 0.85), (0.3, 0.6), (0.02, 0.95), (0.25, 0.5)]:
         pt = rdc_binary(SRC, d, c)
-        ch = rdc_binary_witness(SRC, d, c)
-        stats = binary_channel_stats(SRC, ch)
+        stats = binary_channel_stats(SRC, pt.witness)
         assert stats.distortion <= d + 1e-12
         assert stats.cond_entropy_s <= c + 1e-9
         assert stats.mutual_info == pytest.approx(pt.rate, abs=1e-9)
 
 
-def test_rdc_binary_witness_refused_when_infeasible():
-    with pytest.raises(WitnessUnavailableError):
-        rdc_binary_witness(SRC, 0.3, 0.4)
+@pytest.mark.parametrize("k", range(6, 13))
+def test_rdc_binary_witness_at_the_marginal_near_one_half(k):
+    # d = b with b near 1/2: (1 - eps - b) / (1 - 2 eps) rounds past 1
+    # (1 + 2.8e-8 at k = 9); the clamped weight is the exact one
+    src = BinaryPairSource(0.5 - 10.0**-k, 0.0)
+    pt = rdc_binary(src, src.b, 1.0)
+    assert pt.feasible
+    stats = binary_channel_stats(src, pt.witness)
+    assert stats.distortion <= src.b
+    assert stats.mutual_info == pytest.approx(pt.rate, abs=1e-9)
 
 
 def test_rdc_binary_rejects_negative_distortion():
@@ -251,7 +254,7 @@ def test_rpc_gaussian_ignores_perception_bound():
 
 
 def test_rpc_gaussian_witness_matches_source_law():
-    wit = rpc_gaussian_witness(GSRC, H_S - 0.5)
+    wit = rpc_gaussian(GSRC, 0.0, H_S - 0.5).witness
     assert wit.mu_xh == 0.0
     assert wit.var_xh == 1.0
     assert wit.cov_xxh == pytest.approx(0.883400108467389, abs=1e-12)
@@ -298,10 +301,10 @@ def test_rpc_gaussian_monotone_in_c(c1, c2):
         (rdc_gaussian_region, (GSRC, 0.5, math.nan)),
         (rpc_gaussian, (GSRC, math.nan, H_S - 0.05)),
         (rpc_gaussian, (GSRC, 0.1, math.nan)),
-        (rdc_binary_witness, (SRC, math.nan, 0.6)),
-        (rdc_binary_witness, (SRC, 0.1, math.nan)),
+        (rpc_binary_witness, (SRC, math.inf)),
+        (rpc_binary_witness, (SRC, -math.inf)),
         (rpc_binary_witness, (SRC, math.nan)),
-        (rpc_gaussian_witness, (GSRC, math.nan)),
+        (rpc_binary, (SRC, -0.1, 0.6)),
         (_rdc_binary_rates, (SRC, np.array([0.1, math.nan]), 0.6)),
         (_rdc_binary_rates, (SRC, np.array([0.1, -0.1]), 0.6)),
         (_rdc_binary_rates, (SRC, 0.1, np.array([0.6, math.nan]))),
@@ -421,12 +424,11 @@ def test_gaussian_forms_switch_feasibility_at_floor_c(var_x, var_s, rho, d, p):
     cases = [(src.floor_c, True)]
     if src.floor_c > -math.inf:
         cases.append((src.floor_c - 1e-9, False))
-        with pytest.raises(DomainError):
-            rpc_gaussian_witness(src, src.floor_c - 1e-9)
-    rpc_gaussian_witness(src, src.floor_c)
     for c, feasible in cases:
         assert rdc_gaussian(src, d, c).feasible is feasible
-        assert rpc_gaussian(src, p, c).feasible is feasible
+        pt = rpc_gaussian(src, p, c)
+        assert pt.feasible is feasible
+        assert (pt.witness is not None) is feasible
         region, d_star = rdc_gaussian_region(src, d, c)
         assert (region is not Region.INFEASIBLE) is feasible
         assert math.isnan(d_star) is not feasible

@@ -21,7 +21,6 @@ from rdpc import (
     gaussian_recon_stats,
     mrs_gerber_check,
     rdc_binary,
-    rdc_binary_witness,
     rdc_gaussian,
     rpc_binary,
     rpc_gaussian,
@@ -74,7 +73,7 @@ def test_zero_variance_reconstruction_stats():
 # ---------------------------------------------------------------------------
 
 def test_mgl_equality_on_complementary_witness():
-    check = mrs_gerber_check(SRC, rdc_binary_witness(SRC, 0.3, 0.6))
+    check = mrs_gerber_check(SRC, rdc_binary(SRC, 0.3, 0.6).witness)
     assert check.holds
     assert check.lhs == pytest.approx(check.rhs, abs=1e-10)
 

@@ -231,22 +231,29 @@ _CASES = [
     ("rpc_gaussian", "g1", (0.0, -3.0),
      ("0x1.1acfe390c9820p+2", "classification_limited",
       ("0x0.0p+0", "0x1.0000000000000p+0", "0x1.fff67d068902cp-1"))),
-    ("rpc_gaussian_witness", "g", (0.9622635892659405,),
-     ("0x0.0p+0", "0x1.0000000000000p+0", "0x1.e46aca8111117p-2")),
-    ("rpc_gaussian_witness", "g", (0.6622635892659404,),
-     ("0x0.0p+0", "0x1.0000000000000p+0", "0x1.a62815fe32fd4p-1")),
-    ("rpc_gaussian_witness", "g", (0.2318979858551149,),
-     ("0x0.0p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0")),
-    ("rpc_gaussian_witness", "g", (0.2318979858552149,),
-     ("0x0.0p+0", "0x1.0000000000000p+0", "0x1.fffffffffff2dp-1")),
-    ("rpc_gaussian_witness", "g", (1.0622635892659404,),
-     ("0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0")),
-    ("rpc_gaussian_witness", "g", (3.0622635892659407,),
-     ("0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0")),
-    ("rpc_gaussian_witness", "g2", (0.7669521310417046,),
-     ("0x1.0000000000000p-1", "0x1.0000000000000p+1", "0x1.e95f1b8df6004p-1")),
-    ("rpc_gaussian_witness", "g1", (-3.0,),
-     ("0x0.0p+0", "0x1.0000000000000p+0", "0x1.fff67d068902cp-1")),
+    # the witness keeps its bits whatever p is
+    ("rpc_gaussian", "g", (0.5, 0.9622635892659405),
+     ("0x1.03693ce545401p-3", "classification_limited",
+      ("0x0.0p+0", "0x1.0000000000000p+0", "0x1.e46aca8111117p-2"))),
+    ("rpc_gaussian", "g", (0.0, 0.6622635892659404),
+     ("0x1.23915db6a948ep-1", "classification_limited",
+      ("0x0.0p+0", "0x1.0000000000000p+0", "0x1.a62815fe32fd4p-1"))),
+    ("rpc_gaussian", "g", (1e-300, 0.2318979858551149),
+     ("inf", "classification_limited",
+      ("0x0.0p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0"))),
+    ("rpc_gaussian", "g", (2.0, 0.2318979858552149),
+     ("0x1.eb1197e6e81a6p+3", "classification_limited",
+      ("0x0.0p+0", "0x1.0000000000000p+0", "0x1.fffffffffff2dp-1"))),
+    ("rpc_gaussian", "g", (5e-324, 1.0622635892659404),
+     ("0x0.0p+0", "zero_rate", ("0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0"))),
+    ("rpc_gaussian", "g", (0.0, 3.0622635892659407),
+     ("0x0.0p+0", "zero_rate", ("0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0"))),
+    ("rpc_gaussian", "g2", (inf, 0.7669521310417046),
+     ("0x1.097fb97a60d9fp-3", "classification_limited",
+      ("0x1.0000000000000p-1", "0x1.0000000000000p+1", "0x1.e95f1b8df6004p-1"))),
+    ("rpc_gaussian", "g1", (1e300, -3.0),
+     ("0x1.1acfe390c9820p+2", "classification_limited",
+      ("0x0.0p+0", "0x1.0000000000000p+0", "0x1.fff67d068902cp-1"))),
     ("rate_given_pcd", "gh", (0.5, 0.5, 0.5),
      ("nan", "infeasible", None)),
     ("rate_given_pcd", "gh", (0.5, inf, 1.3689385332046726),
@@ -331,8 +338,8 @@ _FIRST_ERRORS = [
     ("rpc_gaussian", "g", (-1.0, nan), "perception bound must be nonnegative"),
     ("rpc_gaussian", "g", (nan, 0.5), "perception bound must be nonnegative"),
     ("rpc_gaussian", "g", (0.1, nan), "classification bound is NaN"),
-    ("rpc_gaussian_witness", "g", (nan,), "classification bound is NaN"),
-    ("rpc_gaussian_witness", "g", (0.1,), "c=0.1 is below the feasibility floor"),
+    ("rpc_gaussian", "g", (0.0, nan), "classification bound is NaN"),
+    ("rpc_binary_witness", "b", (0.3,), "no zero-divergence channel reaches c=0.3"),
     ("rate_given_pcd", "gh", (0.0, -1.0, nan), "pinned distortion must be positive"),
     ("rate_given_pcd", "gh", (0.5, -1.0, nan), "perception bound must be nonnegative"),
     ("rate_given_pcd", "gh", (0.5, nan, 0.5), "perception bound must be nonnegative"),
