@@ -218,11 +218,17 @@ def _zero_tv(src: BinaryPairSource, c: float) -> BinaryChannel:
 
 
 def rpc_binary(src: BinaryPairSource, p: float, c: float) -> TradeoffPoint:
-    """Minimal rate under TV(p_X, p_Xhat) <= p and H(S|Xhat) <= c bits.
+    """Rate under TV(p_X, p_Xhat) <= p and H(S|Xhat) <= c bits.
 
-    The rate does not depend on p: a zero-divergence channel attains every
-    feasible classification level, so the perception bound is never the
-    binding constraint. Zero rate for c >= H(a); infeasible for c < H(p1).
+    The returned rate does not depend on p: it is the classification-limited
+    rate H(b) - H(c1) of ``rdc_binary``, zero for c >= H(a), infeasible for
+    c < H(p1). That is the minimum only for p >= TV*(c), the total variation
+    of the backward channel that attains it. Below TV*(c) the perception
+    bound binds and the value returned is below the true minimum: at a=0.3,
+    p1=0.1, c=0.6 it is 0.493322 for every p, where the oracle gives 0.498469
+    at p = 0 and meets it from TV*(0.6) = 0.0326 up. The witness is the
+    zero-TV channel of ``rpc_binary_witness``, which meets both bounds at a
+    mutual information that can exceed the rate returned.
     """
     _check_bounds(c, 0.0, p)
     if c < src.floor_c - _TOL:
@@ -358,10 +364,10 @@ def _tilt(src: GaussianPairSource, c: float) -> GaussianReconstruction:
 def rpc_gaussian(src: GaussianPairSource, p: float, c: float) -> TradeoffPoint:
     """Minimal rate under KL(p_X || p_Xhat) <= p and H(S|Xhat) <= c nats.
 
-    Like the binary case the answer ignores p: matching the source
-    distribution costs nothing in rate here, so the rate and region are
-    those of ``rdc_gaussian`` with no distortion bound. Zero rate for
-    c >= h(S); infeasible below the floor.
+    The answer ignores p: matching the source distribution costs nothing
+    in rate here, so the rate and region are those of ``rdc_gaussian``
+    with no distortion bound, and the witness keeps the source law (KL = 0).
+    Zero rate for c >= h(S); infeasible below the floor.
     """
     _check_bounds(c, 0.0, p)
     rate, region, _, _ = _rdc_gaussian_core(src, math.inf, c)

@@ -37,6 +37,8 @@ from .optimize import bisect_predicate, bisect_root, brent_min
 from .sources import GaussianMixture2
 
 _METRICS = ("mse", "kl", "error_rate")
+# the u^2 coefficient past which ``_mean_log_mixture`` takes the vertex form
+_STEEP = 1e10
 
 
 def _check_gain(a: float) -> None:
@@ -202,6 +204,15 @@ def _mean_log_mixture(
     (``_mean_softplus``). With a pair, r(m + sqrt(v) u) is a quadratic in
     u that opens downward (``_mean_softplus_quadratic``). With w[1] = 0
     only l is left.
+
+    A steep quadratic, r = r0 - A (u - u0)^2 with A > ``_STEEP``, is a
+    narrow window about its vertex u0, where the expanded coefficients
+    cancel by about 1e-16 A u0^2. Its mean is taken in that vertex form:
+    as phi(u0 + t) = e^(-u0^2 / 2) phi(t) e^(-u0 t),
+    whose odd part drops out, it is e^(-u0^2 / 2) times the mean of
+    softplus(r0 - A t^2), cosh(u0 t) taken as 1, which errs by
+    u0^2 (r0 + 40) / (2 A) where r > -40. Both rules are within 1e-10 of
+    mpmath at A = 1e10 (r0 up to 350, u0 from 0.2 to 3).
     """
     (w_b, w_o), (mu_b, mu_o) = w, mu
     pair = isinstance(var, tuple)
@@ -220,11 +231,21 @@ def _mean_log_mixture(
     # where E l is -inf so is the mean: unit variances keep the rest finite
     var_b, var_o = (np.where(np.isneginf(out), 1.0, var) for var in (var_b, var_o))
     d_b, d_o = m - mu_b, m - mu_o
-    quad = 0.5 * v * (1.0 / var_b - 1.0 / var_o)
-    lin = np.sqrt(v) * (d_b / var_b - d_o / var_o)
-    const = (math.log(w_o / w_b) + 0.5 * np.log(var_b / var_o)
-             + d_b * d_b / (2.0 * var_b) - d_o * d_o / (2.0 * var_o))
-    return out + _mean_softplus_quadratic(*np.broadcast_arrays(quad, lin, const))
+    # a subnormal var_o overflows 1 / var_o: the quadratic is steep
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        quad = 0.5 * v * (1.0 / var_b - 1.0 / var_o)
+        lin = np.sqrt(v) * (d_b / var_b - d_o / var_o)
+        const = (math.log(w_o / w_b) + 0.5 * np.log(var_b / var_o)
+                 + d_b * d_b / (2.0 * var_b) - d_o * d_o / (2.0 * var_o))
+        gap = var_b - var_o
+        r0 = (math.log(w_o / w_b) + 0.5 * (np.log(var_b) - np.log(var_o))
+              + (mu_o - mu_b) ** 2 / (2.0 * gap))
+        tilt = np.exp(-0.5 * ((var_o * (mu_o - mu_b) / gap - d_o) ** 2 / v))
+    steep = quad < -_STEEP
+    mean = _mean_softplus_quadratic(*np.broadcast_arrays(
+        np.where(steep, np.maximum(quad, -1e300), quad), np.where(steep, 0.0, lin),
+        np.where(steep, r0, const)))
+    return out + np.where(steep, tilt * mean, mean)
 
 
 def kl_of_gains(model: RestorationModel, gains: Sequence[float]) -> np.ndarray:

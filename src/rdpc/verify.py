@@ -10,8 +10,10 @@ are byte-identical across worker counts.
 
 One suite is special: the binary perception probe measures the distance
 between the closed-form rate at C = 0.6 and the brute-force optimum on
-the zero-total-variation line. That difference is an open question, not
-a defect, so it is reported as a gap probe and never fails the run.
+the zero-total-variation line. That difference is a known defect of
+``rpc_binary``, whose rate ignores P and so falls below the true minimum
+when P is under the total variation of its backward channel. It is
+reported as a gap probe and never fails the run.
 """
 
 from __future__ import annotations
@@ -101,10 +103,12 @@ class VerifyReport:
 class _Recorder:
     """Accumulates named measurements against tolerances.
 
-    ``worst(name, value, tol)`` keeps the largest value seen per name and
-    fails the suite if it ever exceeds the tolerance; ``flag`` records a
-    boolean condition as 0/1 with tolerance 0. Every suite returns its
-    recorder; ``run_suites`` names the result and collects ``probes``.
+    ``worst(name, value, tol)`` keeps the largest value seen per name (a
+    NaN, once seen, stays, so the report shows why the suite failed) and
+    fails the suite if a value is NaN or exceeds the tolerance; ``flag``
+    records a boolean condition as 0/1 with tolerance 0. Every suite
+    returns its recorder; ``run_suites`` names the result and collects
+    ``probes``.
     """
 
     def __init__(self) -> None:
@@ -115,7 +119,7 @@ class _Recorder:
 
     def worst(self, name: str, value: float, tol: float) -> None:
         prev = self.measured.get(name, -math.inf)
-        self.measured[name] = max(prev, value)
+        self.measured[name] = value if value > prev or math.isnan(value) else prev
         self.tolerances[name] = tol
         if not (value <= tol):
             self.ok = False

@@ -641,3 +641,28 @@ def test_a_binary_point_at_its_marginal_near_one_half_exits_zero(capsys):
     payload = json.loads(out)
     assert payload["feasible"] is True and payload["witness"] == {"p_a": 1.0, "p_b": 1.0}
 
+
+def test_a_config_switch_given_as_true_is_taken(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"emit_plot_script": True}))
+    out = tmp_path / "restore.csv"
+    code, _, _ = run(capsys, "restore", "--a-steps", "3", "--config", str(cfg), "--out", str(out))
+    assert code == 0 and Path(f"{out}.plot.py").is_file()
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["restore", "--a-steps", "3"], None, "cannot read config "),
+    (["restore", "--a-steps", "3"], {"emit_plot_script": "yes"},
+     "config key 'emit_plot_script': must be true or false: 'yes'"),
+    (["surface", "--family", "rdc-binary", "--a", "0.3", "--p1", "0.1", "--d-min", "0.5",
+      "--d-max", "0.1", "--d-steps", "3", "--c-min", "0.5", "--c-max", "0.9", "--c-steps", "3"],
+     {}, "--d-max must be >= --d-min"),
+    (["rpc-given-d", "--p", "0.1", "--c", "0.9"], {}, "point query needs --d (one value)"),
+])
+def test_refused_inputs_exit_one_with_their_message(capsys, tmp_path, argv, config, message):
+    cfg = tmp_path / "cfg.json"
+    if config is not None:
+        cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith(f"rdpc: error: {message}")

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdpc import (
+    BinaryChannel,
     BinaryPairSource,
     DomainError,
     GaussianPairSource,
@@ -140,6 +141,11 @@ def test_rpc_binary_zero_rate_witness_is_constantly_biased():
     stats = binary_channel_stats(SRC, pt.witness)
     assert stats.mutual_info == pytest.approx(0.0, abs=1e-12)
     assert stats.cond_entropy_s <= 0.95 + 1e-9
+
+
+@pytest.mark.parametrize("c", [SRC.h_a, 1.0])
+def test_rpc_binary_witness_at_and_above_h_a_is_the_constant_channel(c):
+    assert rpc_binary_witness(SRC, c) == BinaryChannel(0.75, 0.75)
 
 
 def test_rpc_binary_line_witness_pays_a_rate_premium():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from rdpc import DomainError, default_model, kl_of_gain, kl_of_gains
-from rdpc.optimize import bisect_predicate, bisect_root, brent_min
+from rdpc.optimize import _MAX_HALVINGS, bisect_predicate, bisect_root, brent_min
 
 
 def _loop_bisect_predicate(pred, lo, hi, xtol, max_iter=200):
@@ -112,3 +112,26 @@ def test_bisect_root_sign_test_survives_underflow():
     # the root instead of walking to the upper end
     assert 0.0 <= bisect_root(lambda x: x - 5e-324, 0.0, 1.0) <= 1e-12
     assert 0.0 <= bisect_root(lambda x: 5e-324 - x, 0.0, 1.0) <= 1e-12
+
+
+def test_bisect_root_returns_an_end_whose_value_is_zero():
+    assert bisect_root(lambda x: x, 0.0, 1.0) == 0.0
+    assert bisect_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+
+
+def test_bisect_root_refuses_a_bracket_without_a_sign_change():
+    with pytest.raises(DomainError, match="no sign change"):
+        bisect_root(lambda x: x + 1.0, 0.0, 1.0)
+
+
+def test_bisect_root_stops_at_its_halving_cap():
+    # with xtol 0 and no exact zero, only the cap ends the loop
+    calls = []
+
+    def step(x):
+        calls.append(x)
+        return -1.0 if x < 1.0 / 3.0 else 1.0
+
+    root = bisect_root(step, 0.0, 1.0, xtol=0.0)
+    assert len(calls) == 2 + _MAX_HALVINGS
+    assert abs(root - 1.0 / 3.0) <= math.ulp(1.0 / 3.0)

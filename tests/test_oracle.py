@@ -638,6 +638,14 @@ def test_nan_constraints_are_refused(oracle_min_rate, src, cons):
 
 @pytest.mark.parametrize("oracle_min_rate, src", [(binary_min_rate, SRC),
                                                   (gaussian_min_rate, GSRC)])
+@pytest.mark.parametrize("key", ["D", "P"])
+def test_negative_distortion_and_perception_bounds_are_refused(oracle_min_rate, src, key):
+    with pytest.raises(DomainError, match=f"constraint {key} must be nonnegative: -0.1"):
+        oracle_min_rate(src, {key: -0.1, "C": 0.8})
+
+
+@pytest.mark.parametrize("oracle_min_rate, src", [(binary_min_rate, SRC),
+                                                  (gaussian_min_rate, GSRC)])
 @pytest.mark.parametrize("cons", [
     {"D": 0.2, "d": 0.1}, {"C": math.inf, "c": 0.8}, {1: 0.2}, {None: 0.2},
     {"D": "abc"}, {"D": "0.2"}, {"D": None}, {"P": True}, {"C": False}, {"D": 10**400},

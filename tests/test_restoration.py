@@ -279,6 +279,30 @@ def test_unequal_variance_kl_at_a_tiny_gain():
     assert kl == pytest.approx(4891745.881354319, rel=1e-12)
 
 
+# KL of GaussianMixture2(0.5, 0.5, -1, 1, 1, v2) by (v2, a, sigma_n), from
+# mpmath at 40 digits, each Gaussian term in the coordinate of the component
+# the expectation is over: a narrow clean or restored component makes the
+# log ratio a parabola whose expanded coefficients cancel near its vertex
+_NARROW_KL = [
+    (1e-20, 0.5, 0.0, 13.819778284321857),
+    (1e-30, 0.5, 0.0, 19.576241016895396),
+    (1e-40, -0.8, 0.0, 23.974582378626247),
+    (1e-120, 0.5, 0.0, 71.38440560926143),
+    (1e-300, 0.5, 0.0, 175.00073479399348),
+    (1e-300, 1e-5, 0.0, 7500000161.180955),
+    (1e-30, 0.5, 1.0, 16.90968332302685),
+    (1e-300, 0.5, 1.0, 172.33417710012492),
+]
+
+
+@pytest.mark.parametrize("v2, a, sigma_n, ref", _NARROW_KL)
+def test_kl_with_a_narrow_clean_component_is_right(v2, a, sigma_n, ref):
+    mix = GaussianMixture2(0.5, 0.5, -1.0, 1.0, 1.0, v2)
+    kl = kl_of_gain(RestorationModel(mix, sigma_n, 0.0), a)
+    assert kl >= 0.0
+    assert kl == pytest.approx(ref, rel=1e-12)
+
+
 # float.hex of kl_of_gains at gains -0.8, 0.3, 0.81 and 1.4 for the clean
 # mixture GaussianMixture2(0.7, 0.3, -1, 1, 1, v2), by (v2, sigma_n): the
 # unequal-variance path, the graded composite rule of
@@ -731,3 +755,16 @@ def test_frontier_finds_a_minimum_on_the_range_end(a_lo, a_hi, end):
     # the whole range feasible, so the row is the range's end itself
     (row,) = frontier(MODEL, "mse", "error_rate", [0.5], a_lo=a_lo, a_hi=a_hi, grid_points=11)
     assert (row.gain, row.value) == (end, mse_of_gain(MODEL, end))
+
+
+def test_error_rate_with_the_larger_mean_first_is_the_swapped_mixture_s():
+    model = RestorationModel(GaussianMixture2(0.7, 0.3, 1.0, -1.0, 1.0, 2.0), 0.5, 0.1)
+    swapped = RestorationModel(GaussianMixture2(0.3, 0.7, -1.0, 1.0, 2.0, 1.0), 0.5, 0.1)
+    for a in (0.3, 0.8, 1.2, -0.5):
+        assert error_rate_of_gain(model, a).hex() == error_rate_of_gain(swapped, a).hex()
+
+
+def test_kl_frontier_under_mse_bounds_below_the_grid_s_is_infeasible():
+    rows = frontier(default_model(), "kl", "mse", [0.01, 0.02], grid_points=20)
+    assert [(r.bound, r.feasible) for r in rows] == [(0.01, False), (0.02, False)]
+    assert all(math.isnan(r.value) and math.isnan(r.gain) for r in rows)

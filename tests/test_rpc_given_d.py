@@ -628,3 +628,10 @@ def test_classification_bounds_above_h_s_are_vacuous(c):
         (ref,) = pc_frontier_given_rd(SRC, d, level, [H_S + 1.0])
         # repr keeps every bit and lets NaN rows compare equal
         assert repr(astuple(got)[1:]) == repr(astuple(ref)[1:])
+
+
+def test_an_uncorrelated_label_is_out_of_reach_below_h_s():
+    # rho = 0: no reconstruction lowers H(S|Xhat), so k is +inf
+    src = GaussianPairSource(0.0, 0.0, 1.0, 1.0, 0.0)
+    pt = rate_given_pcd(src, 0.5, math.inf, src.h_s - 0.1)
+    assert pt.region is Region.INFEASIBLE and math.isnan(pt.rate) and pt.witness is None

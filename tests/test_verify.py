@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -151,3 +152,41 @@ def test_verify_report_keeps_its_bytes(tmp_path, seed, digest):
     out = tmp_path / "verify.json"
     assert cli.main(["verify", "--seed", str(seed), "--workers", "1", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _suite_of(*values):
+    rec = verify._Recorder()
+    for value in values:
+        rec.worst("x", value, 1e-9)
+    return rec.result("suite")
+
+
+def test_a_nan_fails_its_suite_and_stays_in_the_report():
+    for values in ((math.nan,), (0.0, math.nan), (math.nan, 0.0), (2.0, math.nan, 3.0)):
+        suite = _suite_of(*values)
+        assert not suite.passed and math.isnan(suite.measured["x"]), values
+        assert not verify.VerifyReport(0, [_suite_of(0.0), suite]).all_passed
+
+
+def test_a_value_over_tolerance_fails_its_suite():
+    suite = _suite_of(0.0, 1e-3, 1e-12)
+    assert not suite.passed and suite.measured["x"] == 1e-3
+    assert not verify.VerifyReport(0, [_suite_of(0.0), suite]).all_passed
+    # a passing suite keeps the largest value, -0.0 and 0.0 in arrival order
+    assert _suite_of(-0.0, 0.0).measured["x"].hex() == "-0x0.0p+0"
+    assert _suite_of(1e-12, 5e-10).passed
+
+
+def test_a_failing_suite_exits_one_and_still_writes_its_report(monkeypatch, tmp_path):
+    def failing(seed):
+        rec = verify._Recorder()
+        rec.worst("broken", math.nan, 1e-9)
+        return rec
+
+    monkeypatch.setitem(verify._SUITES, "entropy", failing)
+    out = tmp_path / "verify.json"
+    assert cli.main(["verify", "--suite", "entropy", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["all_passed"] is False
+    assert report["suites"] == [{"name": "entropy", "passed": False,
+                                 "measured": {"broken": None}, "tolerances": {"broken": 1e-9}}]
