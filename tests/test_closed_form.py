@@ -294,31 +294,53 @@ def test_rpc_gaussian_monotone_in_c(c1, c2):
     assert rpc_gaussian(GSRC, 0.1, hi).rate <= rpc_gaussian(GSRC, 0.1, lo).rate + 1e-12
 
 
-@pytest.mark.parametrize(
-    "solve, args",
-    [
+# each refusal keyed by its test id, fixed when the case was added, so that
+# removing a case renames no other
+_NAN_BOUNDS = {
+    "rdc_binary-args0":
         (rdc_binary, (SRC, math.nan, 0.6)),
+    "rdc_binary-args1":
         (rdc_binary, (SRC, 0.1, math.nan)),
+    "rpc_binary-args2":
         (rpc_binary, (SRC, math.nan, 0.6)),
+    "rpc_binary-args3":
         (rpc_binary, (SRC, 0.1, math.nan)),
+    "rdc_gaussian-args4":
         (rdc_gaussian, (GSRC, math.nan, H_S - 0.05)),
+    "rdc_gaussian-args5":
         (rdc_gaussian, (GSRC, 0.5, math.nan)),
+    "rdc_gaussian_region-args6":
         (rdc_gaussian_region, (GSRC, math.nan, H_S - 0.05)),
+    "rdc_gaussian_region-args7":
         (rdc_gaussian_region, (GSRC, 0.5, math.nan)),
+    "rpc_gaussian-args8":
         (rpc_gaussian, (GSRC, math.nan, H_S - 0.05)),
+    "rpc_gaussian-args9":
         (rpc_gaussian, (GSRC, 0.1, math.nan)),
+    "rpc_binary_witness-args10":
         (rpc_binary_witness, (SRC, math.inf)),
+    "rpc_binary_witness-args11":
         (rpc_binary_witness, (SRC, -math.inf)),
+    "rpc_binary_witness-args12":
         (rpc_binary_witness, (SRC, math.nan)),
+    "rpc_binary-args13":
         (rpc_binary, (SRC, -0.1, 0.6)),
+    "_rdc_binary_rates-args14":
         (_rdc_binary_rates, (SRC, np.array([0.1, math.nan]), 0.6)),
+    "_rdc_binary_rates-args15":
         (_rdc_binary_rates, (SRC, np.array([0.1, -0.1]), 0.6)),
+    "_rdc_binary_rates-args16":
         (_rdc_binary_rates, (SRC, 0.1, np.array([0.6, math.nan]))),
+    "_rdc_gaussian_rates-args17":
         (_rdc_gaussian_rates, (GSRC, np.array([0.5, math.nan]), H_S - 0.05)),
+    "_rdc_gaussian_rates-args18":
         (_rdc_gaussian_rates, (GSRC, np.array([0.5, -0.5]), H_S - 0.05)),
+    "_rdc_gaussian_rates-args19":
         (_rdc_gaussian_rates, (GSRC, 0.5, np.array([H_S, math.nan]))),
-    ],
-)
+}
+
+
+@pytest.mark.parametrize("solve, args", _NAN_BOUNDS.values(), ids=_NAN_BOUNDS)
 def test_nan_bounds_are_refused(solve, args):
     with pytest.raises(DomainError):
         solve(*args)

@@ -297,42 +297,56 @@ SKEW = BinaryPairSource(a=0.45, p1=0.2)
 
 # float.hex of rate, argmin (p_a, p_b) and grid_resolution, as the search
 # of commit f495af9 (fewer, wider levels with pulled-back witnesses) gave
-# them; a change that moves them declares it and re-pins them
-_PINNED = [
-    (SRC, {"D": 0.3, "C": 0.6}, None,
-     ("0x1.f929bcfd199cep-2", "0x1.f753660b32a20p-1", "0x1.6fffc9bb40b33p-3",
-      "0x1.28a96b4e18000p-17")),
-    (SRC, {"P": 0.01, "C": 0.65}, None,
-     ("0x1.9afa371471d7ep-2", "0x1.e60001fe662b8p-1", "0x1.898b0fc97d318p-3",
-      "0x1.08440661c8000p-17")),
-    (SRC, {"D": 0.25, "P": 0.02, "C": 0.65}, None,
-     ("0x1.996be2fba9b60p-2", "0x1.e9d5ef47166eap-1", "0x1.adccd314e8294p-3",
-      "0x1.ac09620e00000p-23")),
-    (SRC, {"D": 0.2}, None,
-     ("0x1.6dfa66a1567d4p-4", "0x1.f493332205274p-1", "0x1.7753332205274p-1",
-      "0x1.4799902540000p-21")),
-    (SRC, {"C": 0.7}, None,
-     ("0x1.39d82b3e61614p-2", "0x1.b3c1d094a8300p-6", "0x1.444003a93d014p-1",
-      "0x1.d41dbb9840000p-18")),
-    (SRC, {"P": 0.0, "C": 0.6}, None,
-     ("0x1.fe6eaf6dd5568p-2", "0x1.eba2726608cbcp-1", "0x1.e8c7ffeabf01ep-4",
-      "0x1.afd857d000000p-24")),
-    (SKEW, {"D": 0.1, "C": 0.9}, None,
-     ("0x1.05912c6b96486p-1", "0x1.dd4ccc9942a93p-1", "0x1.293332650aa4dp-3",
-      "0x1.8cfca53480000p-18")),
-    (SKEW, {"P": 0.02, "C": 0.88}, None,
-     ("0x1.56397029520aep-2", "0x1.c03e39b5221dfp-1", "0x1.c74271b599633p-3",
-      "0x1.66449c5150000p-18")),
-    (SRC, {"D": 0.2, "C": -math.inf}, None, ("nan", None, None, "0x0.0p+0")),
-    (SRC, {"C": 0.4}, None, ("nan", None, None, "0x0.0p+0")),  # every cell excluded
-    (SRC, {"D": 0.3, "C": 0.6}, 64 + 256,
-     ("0x1.f92b9efcb646ap-2", "0x1.f75371db21e72p-1", "0x1.6ffc9b2e2b86dp-3",
-      "0x1.050281153b800p-13")),
-    (SRC, {"D": 0.3, "C": 0.6}, 63, ("nan", None, None, "inf")),
-]
+# them; a change that moves them declares it and re-pins them. Keyed by
+# test id, fixed when the case was pinned, so that removing a case renames
+# no other
+_PINNED = {
+    "src0-cons0-None-want0":
+        (SRC, {"D": 0.3, "C": 0.6}, None,
+         ("0x1.f929bcfd199cep-2", "0x1.f753660b32a20p-1", "0x1.6fffc9bb40b33p-3",
+          "0x1.28a96b4e18000p-17")),
+    "src1-cons1-None-want1":
+        (SRC, {"P": 0.01, "C": 0.65}, None,
+         ("0x1.9afa371471d7ep-2", "0x1.e60001fe662b8p-1", "0x1.898b0fc97d318p-3",
+          "0x1.08440661c8000p-17")),
+    "src2-cons2-None-want2":
+        (SRC, {"D": 0.25, "P": 0.02, "C": 0.65}, None,
+         ("0x1.996be2fba9b60p-2", "0x1.e9d5ef47166eap-1", "0x1.adccd314e8294p-3",
+          "0x1.ac09620e00000p-23")),
+    "src3-cons3-None-want3":
+        (SRC, {"D": 0.2}, None,
+         ("0x1.6dfa66a1567d4p-4", "0x1.f493332205274p-1", "0x1.7753332205274p-1",
+          "0x1.4799902540000p-21")),
+    "src4-cons4-None-want4":
+        (SRC, {"C": 0.7}, None,
+         ("0x1.39d82b3e61614p-2", "0x1.b3c1d094a8300p-6", "0x1.444003a93d014p-1",
+          "0x1.d41dbb9840000p-18")),
+    "src5-cons5-None-want5":
+        (SRC, {"P": 0.0, "C": 0.6}, None,
+         ("0x1.fe6eaf6dd5568p-2", "0x1.eba2726608cbcp-1", "0x1.e8c7ffeabf01ep-4",
+          "0x1.afd857d000000p-24")),
+    "src6-cons6-None-want6":
+        (SKEW, {"D": 0.1, "C": 0.9}, None,
+         ("0x1.05912c6b96486p-1", "0x1.dd4ccc9942a93p-1", "0x1.293332650aa4dp-3",
+          "0x1.8cfca53480000p-18")),
+    "src7-cons7-None-want7":
+        (SKEW, {"P": 0.02, "C": 0.88}, None,
+         ("0x1.56397029520aep-2", "0x1.c03e39b5221dfp-1", "0x1.c74271b599633p-3",
+          "0x1.66449c5150000p-18")),
+    "src8-cons8-None-want8":
+        (SRC, {"D": 0.2, "C": -math.inf}, None, ("nan", None, None, "0x0.0p+0")),
+    "src9-cons9-None-want9":
+        (SRC, {"C": 0.4}, None, ("nan", None, None, "0x0.0p+0")),  # every cell excluded
+    "src10-cons10-320-want10":
+        (SRC, {"D": 0.3, "C": 0.6}, 64 + 256,
+         ("0x1.f92b9efcb646ap-2", "0x1.f75371db21e72p-1", "0x1.6ffc9b2e2b86dp-3",
+          "0x1.050281153b800p-13")),
+    "src11-cons11-63-want11":
+        (SRC, {"D": 0.3, "C": 0.6}, 63, ("nan", None, None, "inf")),
+}
 
 
-@pytest.mark.parametrize("src, cons, budget, want", _PINNED)
+@pytest.mark.parametrize("src, cons, budget, want", _PINNED.values(), ids=_PINNED)
 def test_binary_oracle_answers_keep_their_bits(monkeypatch, src, cons, budget, want):
     if budget is not None:
         monkeypatch.setattr(oracle, "_CELL_BUDGET", budget)
@@ -357,11 +371,14 @@ def _count_cells(monkeypatch) -> list[int]:
 
 # (levels, cells) of the search on each query above; the search is
 # deterministic, so a return to many narrow levels fails here
+_EFFORT = dict(zip(_PINNED, [
+    (4, 384), (4, 384), (5, 448), (4, 560), (6, 784), (6, 848), (3, 448), (3, 512),
+    (1, 64), (1, 64), (3, 288), (0, 0)], strict=True))
+
+
 @pytest.mark.parametrize("src, cons, budget, effort", [
-    (src, cons, budget, effort) for (src, cons, budget, _), effort in zip(_PINNED, [
-        (4, 384), (4, 384), (5, 448), (4, 560), (6, 784), (6, 848), (3, 448), (3, 512),
-        (1, 64), (1, 64), (3, 288), (0, 0)])
-])
+    (*_PINNED[key][:3], effort) for key, effort in _EFFORT.items()
+], ids=[key.replace("-want", "-effort") for key in _EFFORT])
 def test_binary_oracle_search_effort_is_pinned(monkeypatch, src, cons, budget, effort):
     if budget is not None:
         monkeypatch.setattr(oracle, "_CELL_BUDGET", budget)
