@@ -386,6 +386,54 @@ def test_frontier_default_distortion_triple(capsys, tmp_path):
     assert "front_d0.8.csv" in script
 
 
+# a matplotlib with what the emitted scripts call: no-op axes, and a
+# savefig that writes its path into the file
+_STUB_MATPLOTLIB = {
+    "__init__.py": "def use(backend):\n    pass\n",
+    "pyplot.py": '''\
+class _Any:
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: None
+
+
+class _Figure(_Any):
+    def savefig(self, path, **kwargs):
+        with open(path, "w") as fh:
+            fh.write(str(path))
+
+
+def subplots(nrows=1, ncols=1, **kwargs):
+    axes = [_Any() for _ in range(nrows * ncols)]
+    return _Figure(), axes[0] if len(axes) == 1 else axes
+''',
+}
+
+
+@pytest.mark.parametrize("argv, png", [
+    (["surface", "--family", "rdc-binary", "--a", "0.3", "--p1", "0.1", "--d-min", "0",
+      "--d-max", "0.4", "--d-steps", "3", "--c-min", "0.5", "--c-max", "1", "--c-steps", "3"],
+     "data.csv.png"),
+    (["restore", "--a-steps", "3"], "data.csv.png"),
+    (["rpc-given-d", "--rate", "0.4", "--c-steps", "3"], "data_d0.5.csv.png"),
+])
+def test_emitted_plot_scripts_run(capsys, tmp_path, argv, png):
+    """Each script runs on the CSVs beside it, in a child process that
+    imports the stub matplotlib, so a CSV column renamed in the CLI but not
+    in its script fails here."""
+    out = tmp_path / "data.csv"
+    code, _, _ = run(capsys, *argv, "--out", str(out), "--emit-plot-script")
+    assert code == 0
+    stub = tmp_path / "stub" / "matplotlib"
+    stub.mkdir(parents=True)
+    for name, text in _STUB_MATPLOTLIB.items():
+        (stub / name).write_text(text)
+    path = os.pathsep.join(p for p in (str(stub.parent), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, f"{out}.plot.py"], cwd=tmp_path, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / png).read_text() == str(tmp_path / png)
+
+
 @pytest.mark.parametrize("argv", [
     ["rpc-given-d", "--d", "0.5", "--p", "1e300", "--c", "0.5"],
     ["rpc-given-d", "--d", "0.5", "--p", "0.1", "--c", "400"],
