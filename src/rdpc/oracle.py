@@ -18,10 +18,14 @@ h, as fast as the bounds tighten. The answer's witness meets each bound
 within ``_TIGHT`` (1e-9), and [rate - grid_resolution, rate] is a
 certified bracket on the minimum of the problem with every bound
 loosened by ``_TIGHT``, up to float rounding, which that loosening
-dominates. A level costs numpy call overhead, not arithmetic, so the
-search takes few, wide levels: an open cell splits into up to 8 x 8
-children at once, its corners settle the children that no bound line
-crosses, and only the rest go through the LP.
+dominates. The search takes few, wide levels: an open cell splits into up
+to 8 x 8 children at once, its corners settle the children that no bound
+line crosses, and only the rest go through the LP. A level costs about the
+same up to 256 cells, set by its count of numpy calls (a few hundred, on
+arrays of tens to hundreds of elements), not by their arithmetic, so each
+step of a level is one call over all its cells. Other level widths
+(``_LEVEL_CELLS``) and first splits measured no faster, and would move the
+pinned search effort.
 
 A Gaussian reconstruction reduces to its correlation with the source,
 set by a bisection whose witness meets every bound with no slack
@@ -44,7 +48,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .entropy import _binary_entropy_inv_arr, _gaussian_kl, _h2_bits_arr
+from .entropy import _binary_entropy_inv_arr, _gaussian_kl, _h2_bits_arr, _neg_h2_bits_pair
 from .errors import DomainError
 from .optimize import bisect_predicate
 from .results import BinaryChannel, GaussianReconstruction, OracleResult, Unit
@@ -70,7 +74,7 @@ _CORNERS = np.array([[0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
 # (u, v) = (p_a, p_b) - A, indexed [a, b or r / h][edge][triangle]
 _EDGES = np.array([[[0.0, -1.0], [1.0, 0.0], [-1.0, 1.0]],
                    [[-1.0, 0.0], [0.0, 1.0], [1.0, -1.0]],
-                   [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]]])
+                   [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]]])[..., None]
 # how far a vertex may lie outside a line and still count as on it
 _VERTEX_TOL = 1e-12
 # for the pairs i < j of 4 to 7 lines, the rows of lines.reshape(3 * count, 2, n)
@@ -99,24 +103,25 @@ def _binary_joint_arr(b1, p1, pa, pb) -> tuple[np.ndarray, np.ndarray]:
         parts = zip(*(_binary_joint_arr(*(v[lo:lo + _SLICE] for v in flat))
                       for lo in range(0, flat[0].size, _SLICE)))
         return tuple(np.concatenate(part).reshape(shape) for part in parts)
-    # rows: the two label conditionals, q0, pa, pb and 1 - q0; one call
-    # takes the entropies of the first five
-    rows = np.empty((6, *shape))
-    rows[3], rows[4], w = pa, pb, 1.0 - b1
-    np.multiply(b1, rows[4], out=rows[0])
-    np.add(np.multiply(w, rows[3], out=rows[2]), rows[0], out=rows[2])
-    np.subtract(1.0, rows[2], out=rows[5])
-    np.multiply(np.subtract(1.0, rows[4], out=rows[1]), b1, out=rows[1])
+    # x[0]: the two label conditionals, q0, pa and pb, and x[1] one minus
+    # each, the pairs whose entropies one call takes
+    x = np.empty((2, 5, *shape))
+    x[0, 3], x[0, 4], w = pa, pb, 1.0 - b1
+    np.multiply(b1, x[0, 4], out=x[0, 0])
+    np.add(np.multiply(w, x[0, 3], out=x[0, 2]), x[0, 0], out=x[0, 2])
+    np.subtract(1.0, x[0, 2:], out=x[1, 2:])
+    np.multiply(x[1, 4], b1, out=x[0, 1])
     # each value of Xhat adds its probability times h(p1 * P(X=1 | Xhat)),
     # the backward conditional clipped to [0, 1]; (1 - q0) > 0 iff q0 < 1
-    weight, cond = rows[2::3], np.zeros((2, *shape))
-    np.divide(rows[:2], weight, out=cond, where=weight > 0.0)
+    weight, cond = x[:, 2].copy(), np.zeros((2, *shape))
+    np.divide(x[0, :2], weight, out=cond, where=weight > 0.0)
     np.minimum(np.maximum(cond, 0.0, out=cond), 1.0, out=cond)
-    np.add(cond * (1.0 - p1), (1.0 - cond) * p1, out=rows[:2])
-    ent = _h2_bits_arr(rows[:5])
-    ent[:2] *= weight
-    hs = (ent[0] + ent[1]) + 0.0  # as a sum from 0.0: a -0.0 becomes 0.0
-    return np.maximum(ent[2] - (w * ent[3] + b1 * ent[4]), 0.0), hs
+    np.add(cond * (1.0 - p1), (1.0 - cond) * p1, out=x[0, :2])
+    np.subtract(1.0, x[0, :2], out=x[1, :2])
+    neg = _neg_h2_bits_pair(x)  # minus each entropy, so minus each term
+    neg[:2] *= weight
+    hs = 0.0 - (neg[0] + neg[1])  # the sum from 0.0: a -0.0 becomes 0.0
+    return np.maximum((w * neg[3] + b1 * neg[4]) - neg[2], 0.0), hs
 
 
 # ---------------------------------------------------------------------------
@@ -162,16 +167,18 @@ def _met(b1: float, cons: Mapping[str, float], pa, pb, hs) -> np.ndarray:
     channels (pa, pb) whose H(S | Xhat) is ``hs``, in the arithmetic of
     ``_binary_point``: one row per side, D, then P above and below the
     band, then C."""
-    w, bpb = 1.0 - b1, b1 * pb
-    rows = []
-    if "D" in cons:
-        rows.append((w * (1.0 - pa) + bpb) - cons["D"] <= _TIGHT)
+    w, bpb, k = 1.0 - b1, b1 * pb, int("D" in cons)
+    gap = np.empty((k + 2 * ("P" in cons) + ("C" in cons), *np.shape(hs)))
+    if k:
+        np.subtract(w * (1.0 - pa) + bpb, cons["D"], out=gap[0])
     if "P" in cons:
-        tv = (w * pa + bpb) - w
-        rows += [tv - cons["P"] <= _TIGHT, -tv - cons["P"] <= _TIGHT]
+        np.subtract(w * pa + bpb, w, out=gap[k])
+        np.negative(gap[k], out=gap[k + 1])
+        gap[k:k + 2] -= cons["P"]
+        k += 2
     if "C" in cons:
-        rows.append(hs - cons["C"] <= _TIGHT)
-    return np.array(rows)
+        np.subtract(hs, cons["C"], out=gap[k])
+    return gap <= _TIGHT
 
 
 def _centre_terms(b1: float, p1: float, c: np.ndarray) -> np.ndarray:
@@ -192,10 +199,9 @@ def _centre_terms(b1: float, p1: float, c: np.ndarray) -> np.ndarray:
     w, k = 1.0 - b1, 1.0 - 2.0 * p1
     # rows q0, p_a, p_b, s given Xhat = 0 and 1, then one minus each
     x = np.empty((10, c.shape[1]))
-    x[1:3] = c
-    np.subtract(1.0, c, out=x[6:8])
     np.dot((w, b1), c, out=x[0])
-    np.subtract(1.0, x[0], out=x[5])
+    x[1:3] = c
+    np.subtract(1.0, x[:3], out=x[5:8])
     # (1 - 2 p1) times P(X = 1 | Xhat) is m / q0 and (b1 - m) / (1 - q0)
     np.multiply(k * b1, x[2:8:5], out=x[3:5])
     np.divide(x[3:5], x[0:6:5], out=x[3:5])
@@ -216,10 +222,8 @@ def _centre_terms(b1: float, p1: float, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lp_bounds(
-    b1: float, cons: Mapping[str, float], xy: np.ndarray, h: float, hs: np.ndarray,
-    g: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+def _lp_bounds(b1: float, cons: Mapping[str, float], xy: np.ndarray, h: float, hs: np.ndarray,
+               g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The least value of the plane g . (p - A) over the part of each cell
     that can meet the bounds, and where it sits.
 
@@ -238,64 +242,59 @@ def _lp_bounds(
     """
     n, w = xy.shape[1], 1.0 - b1
     if n > _CELL_SLICE:
-        parts = [_lp_bounds(b1, cons, xy[:, lo:lo + _CELL_SLICE], h, hs[:, lo:lo + _CELL_SLICE],
-                            g[:, lo:lo + _CELL_SLICE])
-                 for lo in range(0, n, _CELL_SLICE)]
+        parts = [_lp_bounds(b1, cons, xy[:, c], h, hs[:, c], g[:, c])
+                 for c in (slice(lo, lo + _CELL_SLICE) for lo in range(0, n, _CELL_SLICE))]
         return tuple(np.concatenate(part, axis=-1) for part in zip(*parts))
     count = 3 + ("D" in cons) + 2 * ("P" in cons) + ("C" in cons)
     # the lines a u + b v <= r in (u, v) = (p_a - x0, p_b - y0), shape
     # (3, lines, 2, n): on axis 2, 0 is the triangle A B C and 1 is A B' C
     lines = np.empty((3, count, 2, n))
-    lines[:, :3] = _EDGES[..., None]
-    lines[2, :3] *= h
-    a, b, r = lines
+    lines[:2, :3], r = _EDGES[:2], lines[2]
+    np.multiply(_EDGES[2], h, out=r[:3])
     wx, by = w * xy[0], b1 * xy[1]
     k = 3
     if "D" in cons:  # D = (w - w x0 + b1 y0) - w u + b1 v
-        a[k], b[k], r[k] = -w, b1, cons["D"] + _TIGHT - ((w - wx) + by)
+        lines[0, k], lines[1, k] = -w, b1
+        np.subtract(cons["D"] + _TIGHT, (w - wx) + by, out=r[k])
         k += 1
     if "P" in cons:  # q0 - (1 - b1) = shift + w u + b1 v
         shift = (wx + by) - w
-        a[k], b[k], r[k] = w, b1, cons["P"] + _TIGHT - shift
-        a[k + 1], b[k + 1], r[k + 1] = -w, -b1, cons["P"] + _TIGHT + shift
+        lines[:2, k:k + 2] = np.array([[w, -w], [b1, -b1]])[..., None, None]
+        np.subtract(cons["P"] + _TIGHT, shift, out=r[k])
+        np.add(cons["P"] + _TIGHT, shift, out=r[k + 1])
         k += 2
     if "C" in cons:  # a = (hb - ha, hc - hb2) / h and b = (hc - hb, hb2 - ha) / h
-        lines[:2, k] = (hs[[[1, 2], [2, 3]]] - hs[[[0, 3], [1, 0]]]) / h
-        r[k] = cons["C"] + _TIGHT - hs[0]
-    # parallel lines meet nowhere, and a line at C = -inf nowhere finite; a
-    # subnormal b1 makes a determinant so small that a quotient overflows,
-    # and an infinite vertex fails the finiteness test like a missing one
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        flat = lines.reshape(3 * count, 2, n)
-        prod = flat[_PAIR_ROWS[count][0]]
-        prod *= flat[_PAIR_ROWS[count][1]]
-        # (det, u det, v det) by Cramer's rule, then (det, u, v)
-        np.subtract(prod[:3], prod[3:], out=prod[:3])
-        uv, term = prod[1:3], prod[3:5]
-        np.divide(uv, prod[0], out=uv)
-        # a u + b v <= r + _VERTEX_TOL, indexed [line][pair][triangle][cell]
-        side = lines[:2, :, None] * uv[:, None]
-        np.add(side[0], side[1], out=side[0])
-        inside = np.logical_and.reduce(np.concatenate(
-            (np.isfinite(uv), side[0] <= r[:, None] + _VERTEX_TOL)))
-        # in the place of det, g . (u, v) at the vertices inside, else +inf
-        plane = prod[0]
-        plane.fill(np.inf)
-        np.multiply(g[:, None, None], uv, out=term)
-        np.add(term[0], term[1], out=plane, where=inside)
+        ends = hs.take([[[1, 2], [2, 3]], [[0, 3], [1, 0]]], axis=0)
+        np.divide(np.subtract(ends[0], ends[1], out=lines[:2, k]), h, out=lines[:2, k])
+        np.subtract(cons["C"] + _TIGHT, hs[0], out=r[k])
+    flat = lines.reshape(3 * count, 2, n)
+    prod = flat.take(_PAIR_ROWS[count][0], axis=0)
+    prod *= flat.take(_PAIR_ROWS[count][1], axis=0)
+    # (det, u det, v det) by Cramer's rule, then (det, u, v)
+    np.subtract(prod[:3], prod[3:], out=prod[:3])
+    uv, term = prod[1:3], prod[3:5]
+    np.divide(uv, prod[0], out=uv)
+    # a u + b v <= r + _VERTEX_TOL, indexed [line][pair][triangle][cell]: a
+    # vertex that is not finite fails a triangle edge whose a or b is 0
+    side = lines[:2, :, None] * uv[:, None]
+    np.add(side[0], side[1], out=side[0])
+    inside = np.logical_and.reduce(side[0] <= r[:, None] + _VERTEX_TOL)
+    # in the place of det, g . (u, v) at the vertices inside, else +inf
+    plane = prod[0]
+    plane.fill(np.inf)
+    np.multiply(g[:, None, None], uv, out=term)
+    np.add(term[0], term[1], out=plane, where=inside)
     # the least plane value, with its vertex (u, v), by triangle and cell
-    picked = prod[:3].reshape(3, -1, 2 * n)[:, plane.reshape(-1, 2 * n).argmin(axis=0),
-                                            np.arange(2 * n)]
+    pick = plane.reshape(-1, 2 * n).argmin(axis=0) * (2 * n) + np.arange(2 * n)
+    picked = prod[:3].reshape(3, -1).take(pick, axis=1)
     vert = np.where(np.isfinite(picked[0]), picked[1:], 0.0).reshape(2, 2, n) + xy[:, None]
     low = picked[0].reshape(2, n)
     return (np.minimum(low[0], low[1]),
             np.minimum(np.maximum(vert, 0.0, out=vert), 1.0, out=vert))
 
 
-def _cell_bounds(
-    b1: float, p1: float, cons: Mapping[str, float], xy: np.ndarray, h: float,
-    hs: np.ndarray, met: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+def _cell_bounds(b1: float, p1: float, cons: Mapping[str, float], xy: np.ndarray, h: float,
+                 hs: np.ndarray, met: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower bounds on I(X; Xhat) over square cells, and witness candidates.
 
     Cell i has width ``h`` and corner A = ``xy[:, i]``; ``hs[:, i]`` is
@@ -316,28 +315,31 @@ def _cell_bounds(
     within O(h^2) of the C boundary. Returns each cell's bound and the
     candidates, shape (2, k), clipped to the square.
     """
-    live = met.any(axis=1).all(axis=0)
-    cross = np.flatnonzero(live & ~met.all(axis=(0, 1)))
+    live = np.logical_and.reduce(np.logical_or.reduce(met, axis=1))
+    cross = (live & ~np.logical_and.reduce(met.reshape(-1, met.shape[-1]))).nonzero()[0]
     centre = xy + 0.5 * h
     terms = _centre_terms(b1, p1, centre)
     # the least corner value of I's tangent plane is I - h (|dI/dp_a| + |dI/dp_b|) / 2
-    bound = np.where(live, terms[0] - 0.5 * h * np.abs(terms[2:4]).sum(axis=0), np.inf)
+    bound = np.where(live, terms[0] - 0.5 * h * np.add(*np.abs(terms[2:4])), np.inf)
     if not cross.size:
         return bound, np.empty((2, 0))
-    terms, centre = terms.take(cross, axis=1), centre.take(cross, axis=1)
-    low, vert = _lp_bounds(b1, cons, xy.take(cross, axis=1), h, hs.take(cross, axis=1),
-                           terms[2:4])
-    # the LP's plane is I's tangent plane less its value at A
-    bound[cross] = (terms[0] - 0.5 * h * terms[2:4].sum(axis=0)) + low
-    if "C" in cons:
-        # T(v) - C over |grad H|^2 is the step back along grad H; where the
-        # gradient vanishes the step is not finite, and _met drops the point
-        grad = terms[4:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # the LP cells' rows: their terms, centres, corners A and corner values of H
+    rows = np.concatenate((terms, centre, xy, hs)).take(cross, axis=1)
+    terms, centre, xy, hs = rows[:6], rows[6:8], rows[8:10], rows[10:]
+    # parallel lines meet nowhere, nor a line at C = -inf; a subnormal b1 makes
+    # a quotient overflow; where grad H vanishes a pull-back is not finite
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        low, vert = _lp_bounds(b1, cons, xy, h, hs, terms[2:4])
+        # the LP's plane is I's tangent plane less its value at A
+        bound[cross] = (terms[0] - 0.5 * h * terms[2:4].sum(axis=0)) + low
+        if "C" in cons:
+            # T(v) - C over |grad H|^2 is the step back along grad H; where
+            # it is not finite, _met drops the point
+            grad = terms[4:, None]
             lift = (terms[1] - cons["C"]) + (grad * (vert - centre[:, None])).sum(axis=0)
             moved = vert - lift / (grad * grad).sum(axis=0) * grad
-        np.minimum(np.maximum(moved, 0.0, out=moved), 1.0, out=moved)
-        vert = np.concatenate((vert, moved), axis=1)
+            np.minimum(np.maximum(moved, 0.0, out=moved), 1.0, out=moved)
+            vert = np.concatenate((vert, moved), axis=1)
     return bound, vert.reshape(2, -1)
 
 
@@ -371,13 +373,13 @@ def binary_min_rate(
     bits). A branch-and-bound covers all of [0,1]^2: it splits the square
     into an 8 x 8 grid of cells and, level by level, splits each open cell
     into s x s children, s in {2, 4, 8} the widest that keeps a level at
-    most 256 cells (2 when none does). A level evaluates each open cell's (s + 1)^2 lattice
-    points once; ``_cell_bounds`` screens the cells by their corners and
-    bounds the rate on each from below, or proves that no point of it
-    meets the bounds within ``_TIGHT``. The lattice points and the LP
-    cells' vertices and pulled-back vertices that meet every bound within
-    ``_TIGHT`` are the witnesses, the least I winning and ties going to
-    the first found. A cell closes once its bound is at least the best
+    most 256 cells (2 when none does). A level evaluates each open cell's
+    (s + 1)^2 lattice points once; ``_cell_bounds`` screens the cells by
+    their corners and bounds the rate on each from below, or proves that
+    no point of it meets the bounds within ``_TIGHT``. The lattice points,
+    then the LP cells' vertices and pulled-back vertices, that meet every
+    bound within ``_TIGHT`` are the witnesses, the least I winning, ties
+    to the first. A cell closes once its bound is at least the best
     witness's rate less ``_GAP``.
 
     The witness's exact I is the rate, and ``grid_resolution`` is rate -
@@ -400,8 +402,7 @@ def binary_min_rate(
     # the open cells' corners A, their width and the next level's split:
     # first the whole square, split 8 x 8
     xy, h, s = np.zeros((2, 1)), 1.0, 8
-    # parent is the least bound among the open cells
-    best, argmin, lower, parent, cells = math.inf, None, math.inf, -math.inf, 0
+    best, argmin, lower, cells = math.inf, None, math.inf, 0
     while xy.shape[1] and cells + xy.shape[1] * s * s <= _CELL_BUDGET:
         # the open cells' lattices, and each child's corners in them
         grid, local = _SPLITS[s]
@@ -415,24 +416,23 @@ def binary_min_rate(
         bound, cand = _cell_bounds(b1, p1, cons, xy, h, hs.take(corners),
                                    met.take(corners, axis=1))
         cinfo, chs = _binary_joint_arr(b1, p1, cand[0], cand[1])
-        pa, pb = np.concatenate((points, cand), axis=1)
-        value = np.where(np.concatenate((met.all(axis=0),
-                                         _met(b1, cons, cand[0], cand[1], chs).all(axis=0))),
-                         np.concatenate((info, cinfo)), np.inf)
+        met = np.concatenate((met, _met(b1, cons, cand[0], cand[1], chs)), axis=1)
+        value = np.where(np.logical_and.reduce(met), np.concatenate((info, cinfo)), np.inf)
         k = value.argmin()
-        if value[k] < best:
-            best, argmin = float(value[k]), (float(pa[k]), float(pb[k]))
+        if value.item(k) < best:
+            pa, pb = points[:, k] if k < info.size else cand[:, k - info.size]
+            best, argmin = value.item(k), (pa.item(), pb.item())
         closed = bound >= best - _GAP
         lower = min(lower, float(np.minimum.reduce(bound, where=closed, initial=np.inf)))
         kept = ~closed
-        parent = float(np.minimum.reduce(bound, where=kept, initial=np.inf))
-        xy = xy[:, kept]
+        xy = xy.compress(kept, axis=1)
         s = next((s for s in _SPLITS if xy.shape[1] * s * s <= _LEVEL_CELLS), 2)
-    lower = min(lower, parent)  # cells left open by the budget
     result = partial(OracleResult, unit=Unit.BITS, refined=False, constraints=cons)
     if argmin is None:
         return result(rate=math.nan, argmin=None,
                       grid_resolution=0.0 if xy.shape[1] == 0 else math.inf)
+    # the cells left open by the budget (a witness means a level ran)
+    lower = min(lower, float(np.minimum.reduce(bound, where=kept, initial=np.inf)))
     ch = BinaryChannel(*argmin)
     rate = binary_channel_stats(src, ch).mutual_info
     return result(rate=rate, argmin=ch, grid_resolution=rate - lower)
