@@ -49,17 +49,20 @@ def _h2_bits_arr(x: np.ndarray) -> np.ndarray:
     ``x`` gives a 0-d array.
     """
     x = np.asarray(x, dtype=float)
-    out = _neg_h2_bits_pair(np.stack((x, 1.0 - x)))
+    # into an array of its own: ``1.0 - x`` of a 0-d x is a numpy scalar,
+    # which cannot take the second logarithm's ``out``
+    rest = np.subtract(1.0, x, out=np.empty(x.shape))
+    out = _xlog2x(rest, np.zeros(rest.shape))
+    rest.fill(0.0)
+    out += _xlog2x(x, rest)
     return np.negative(out, out=out)
 
 
-def _neg_h2_bits_pair(pair: np.ndarray) -> np.ndarray:
-    """Minus ``_h2_bits_arr`` of ``pair[0]``, given 1 - x as ``pair[1]``, for
-    callers that hold 1 - x already: both logarithms in one call."""
-    logs = np.zeros(pair.shape)
-    np.log2(pair, out=logs, where=pair >= _TINY)
-    logs *= pair  # then, indexed with ``...``, a 0-d x gives a 0-d array
-    return np.add(logs[1, ...], logs[0, ...], out=logs[1, ...])
+def _xlog2x(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x log2 x elementwise into ``out``, which keeps its value where x < 1e-300."""
+    np.log2(x, out=out, where=x >= _TINY)
+    out *= x
+    return out
 
 
 # The entropy inverse returns what a bisection on [0, 1/2] returns when

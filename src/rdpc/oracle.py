@@ -18,14 +18,12 @@ h, as fast as the bounds tighten. The answer's witness meets each bound
 within ``_TIGHT`` (1e-9), and [rate - grid_resolution, rate] is a
 certified bracket on the minimum of the problem with every bound
 loosened by ``_TIGHT``, up to float rounding, which that loosening
-dominates. The search takes few, wide levels: an open cell splits into up
-to 8 x 8 children at once, its corners settle the children that no bound
-line crosses, and only the rest go through the LP. A level costs about the
-same up to 256 cells, set by its count of numpy calls (a few hundred, on
-arrays of tens to hundreds of elements), not by their arithmetic, so each
-step of a level is one call over all its cells. The first split measured
-no faster at 4 x 4 or 16 x 16, and 1024-cell levels (``_LEVEL_CELLS``)
-about 6% faster; either would move the pinned answers and search effort.
+dominates. The search takes few, wide levels (``binary_min_rate``), as a
+level costs about the same up to 256 cells: its count of numpy calls (a
+few hundred, on arrays of tens to hundreds of elements) sets its time, not
+their arithmetic, so each step of a level is one call over all its cells.
+The first split measured no faster at 4 x 4 or 16 x 16, and 1024-cell
+levels (``_LEVEL_CELLS``) about 6% faster; either moves the pinned answers.
 
 A Gaussian reconstruction reduces to its correlation with the source,
 set by a bisection whose witness meets every bound with no slack
@@ -48,7 +46,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .entropy import _binary_entropy_inv_arr, _gaussian_kl, _h2_bits_arr, _neg_h2_bits_pair
+from .entropy import _binary_entropy_inv_arr, _gaussian_kl, _h2_bits_arr, _xlog2x
 from .errors import DomainError
 from .optimize import bisect_predicate
 from .results import BinaryChannel, GaussianReconstruction, OracleResult, Unit
@@ -118,7 +116,7 @@ def _binary_joint_arr(b1, p1, pa, pb) -> tuple[np.ndarray, np.ndarray]:
     np.minimum(np.maximum(cond, 0.0, out=cond), 1.0, out=cond)
     np.add(cond * (1.0 - p1), (1.0 - cond) * p1, out=x[0, :2])
     np.subtract(1.0, x[0, :2], out=x[1, :2])
-    neg = _neg_h2_bits_pair(x)  # minus each entropy, so minus each term
+    neg = np.add(*_xlog2x(x, np.zeros(x.shape)))  # minus each entropy
     neg[:2] *= weight
     hs = 0.0 - (neg[0] + neg[1])  # the sum from 0.0: a -0.0 becomes 0.0
     return np.maximum((w * neg[3] + b1 * neg[4]) - neg[2], 0.0), hs
@@ -175,9 +173,8 @@ def _met(b1: float, cons: Mapping[str, float], pa, pb, hs) -> np.ndarray:
         np.subtract(w * pa + bpb, w, out=gap[k])
         np.negative(gap[k], out=gap[k + 1])
         gap[k:k + 2] -= cons["P"]
-        k += 2
-    if "C" in cons:
-        np.subtract(hs, cons["C"], out=gap[k])
+    if "C" in cons:  # the last row
+        np.subtract(hs, cons["C"], out=gap[-1])
     return gap <= _TIGHT
 
 
@@ -238,7 +235,8 @@ def _lp_bounds(b1: float, cons: Mapping[str, float], xy: np.ndarray, h: float, h
     intersections of its at most 7 lines; an empty polygon, which no such
     point can lie in, gives +inf. Returns the lesser of the two triangles'
     values and their minimizing vertices, indexed [p_a or p_b][triangle]
-    [cell]; an empty polygon's is A.
+    [cell]; an empty polygon's is A. Parallel lines make quotients by zero,
+    so the caller turns floating-point warnings off (``_cell_bounds``).
     """
     n, w = xy.shape[1], 1.0 - b1
     if n > _CELL_SLICE:
@@ -431,8 +429,7 @@ def binary_min_rate(
     if argmin is None:
         return result(rate=math.nan, argmin=None,
                       grid_resolution=0.0 if xy.shape[1] == 0 else math.inf)
-    # the cells left open by the budget (a witness means a level ran)
-    lower = min(lower, float(np.minimum.reduce(bound, where=kept, initial=np.inf)))
+    lower = min(lower, float(np.minimum.reduce(bound, where=kept, initial=np.inf)))  # open cells
     ch = BinaryChannel(*argmin)
     rate = binary_channel_stats(src, ch).mutual_info
     return result(rate=rate, argmin=ch, grid_resolution=rate - lower)
