@@ -58,7 +58,8 @@ from .sources import (
     gaussian_recon_stats,
 )
 
-_TIGHT = 1e-9
+# numpy pairs a 0-d array with an array faster than a float (NEP 50)
+_TIGHT, _ZERO, _ONE, _INF = np.array(1e-9), np.array(0.0), np.array(1.0), np.array(np.inf)
 # a requested P = 0 is executed as this tolerance; exact equality is
 # measure-zero on a continuous parameter grid
 _P_ZERO_TOL = 1e-6
@@ -74,7 +75,7 @@ _EDGES = np.array([[[0.0, -1.0], [1.0, 0.0], [-1.0, 1.0]],
                    [[-1.0, 0.0], [0.0, 1.0], [1.0, -1.0]],
                    [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]]])[..., None]
 # how far a vertex may lie outside a line and still count as on it
-_VERTEX_TOL = 1e-12
+_VERTEX_TOL = np.array(1e-12)
 # for the pairs i < j of 4 to 7 lines, the rows of lines.reshape(3 * count, 2, n)
 # (row c * count + l is a, b or r of line l) whose products are Cramer's terms
 # (a_i b_j, r_i b_j, a_i r_j) and (a_j b_i, r_j b_i, a_j r_i)
@@ -103,23 +104,23 @@ def _binary_joint_arr(b1, p1, pa, pb) -> tuple[np.ndarray, np.ndarray]:
         return tuple(np.concatenate(part).reshape(shape) for part in parts)
     # x[0]: the two label conditionals, q0, pa and pb, and x[1] one minus
     # each, the pairs whose entropies one call takes
-    x = np.empty((2, 5, *shape))
-    x[0, 3], x[0, 4], w = pa, pb, 1.0 - b1
+    x, b1, w = np.empty((2, 5, *shape)), np.array(b1), np.array(1.0 - b1)
+    x[0, 3], x[0, 4] = pa, pb
     np.multiply(b1, x[0, 4], out=x[0, 0])
     np.add(np.multiply(w, x[0, 3], out=x[0, 2]), x[0, 0], out=x[0, 2])
-    np.subtract(1.0, x[0, 2:], out=x[1, 2:])
+    np.subtract(_ONE, x[0, 2:], out=x[1, 2:])
     np.multiply(x[1, 4], b1, out=x[0, 1])
     # each value of Xhat adds its probability times h(p1 * P(X=1 | Xhat)),
     # the backward conditional clipped to [0, 1]; (1 - q0) > 0 iff q0 < 1
     weight, cond = x[:, 2].copy(), np.zeros((2, *shape))
-    np.divide(x[0, :2], weight, out=cond, where=weight > 0.0)
-    np.minimum(np.maximum(cond, 0.0, out=cond), 1.0, out=cond)
-    np.add(cond * (1.0 - p1), (1.0 - cond) * p1, out=x[0, :2])
-    np.subtract(1.0, x[0, :2], out=x[1, :2])
+    np.divide(x[0, :2], weight, out=cond, where=weight > _ZERO)
+    np.minimum(np.maximum(cond, _ZERO, out=cond), _ONE, out=cond)
+    np.add(cond * (1.0 - p1), (_ONE - cond) * p1, out=x[0, :2])
+    np.subtract(_ONE, x[0, :2], out=x[1, :2])
     neg = np.add(*_xlog2x(x, np.zeros(x.shape)))  # minus each entropy
     neg[:2] *= weight
-    hs = 0.0 - (neg[0] + neg[1])  # the sum from 0.0: a -0.0 becomes 0.0
-    return np.maximum((w * neg[3] + b1 * neg[4]) - neg[2], 0.0), hs
+    hs = _ZERO - (neg[0] + neg[1])  # the sum from 0.0: a -0.0 becomes 0.0
+    return np.maximum((w * neg[3] + b1 * neg[4]) - neg[2], _ZERO), hs
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +166,10 @@ def _met(b1: float, cons: Mapping[str, float], pa, pb, hs) -> np.ndarray:
     channels (pa, pb) whose H(S | Xhat) is ``hs``, in the arithmetic of
     ``_binary_point``: one row per side, D, then P above and below the
     band, then C."""
-    w, bpb, k = 1.0 - b1, b1 * pb, int("D" in cons)
+    w, bpb, k = np.array(1.0 - b1), b1 * pb, int("D" in cons)
     gap = np.empty((k + 2 * ("P" in cons) + ("C" in cons), *np.shape(hs)))
     if k:
-        np.subtract(w * (1.0 - pa) + bpb, cons["D"], out=gap[0])
+        np.subtract(w * (_ONE - pa) + bpb, cons["D"], out=gap[0])
     if "P" in cons:
         np.subtract(w * pa + bpb, w, out=gap[k])
         np.negative(gap[k], out=gap[k + 1])
@@ -198,12 +199,12 @@ def _centre_terms(b1: float, p1: float, c: np.ndarray) -> np.ndarray:
     x = np.empty((10, c.shape[1]))
     np.dot((w, b1), c, out=x[0])
     x[1:3] = c
-    np.subtract(1.0, x[:3], out=x[5:8])
+    np.subtract(_ONE, x[:3], out=x[5:8])
     # (1 - 2 p1) times P(X = 1 | Xhat) is m / q0 and (b1 - m) / (1 - q0)
     np.multiply(k * b1, x[2:8:5], out=x[3:5])
     np.divide(x[3:5], x[0:6:5], out=x[3:5])
     x[3:5] += p1
-    np.subtract(1.0, x[3:5], out=x[8:10])
+    np.subtract(_ONE, x[3:5], out=x[8:10])
     logs = np.log2(np.maximum(x, 1e-300, out=x))
     neg = x * logs
     neg = neg[:5] + neg[5:]  # minus the binary entropy of each row
@@ -238,7 +239,7 @@ def _lp_bounds(b1: float, cons: Mapping[str, float], xy: np.ndarray, h: float, h
     [cell]; an empty polygon's is A. Parallel lines make quotients by zero,
     so the caller turns floating-point warnings off (``_cell_bounds``).
     """
-    n, w = xy.shape[1], 1.0 - b1
+    n, w = xy.shape[1], np.array(1.0 - b1)
     if n > _CELL_SLICE:
         parts = [_lp_bounds(b1, cons, xy[:, c], h, hs[:, c], g[:, c])
                  for c in (slice(lo, lo + _CELL_SLICE) for lo in range(0, n, _CELL_SLICE))]
@@ -285,10 +286,10 @@ def _lp_bounds(b1: float, cons: Mapping[str, float], xy: np.ndarray, h: float, h
     # the least plane value, with its vertex (u, v), by triangle and cell
     pick = plane.reshape(-1, 2 * n).argmin(axis=0) * (2 * n) + np.arange(2 * n)
     picked = prod[:3].reshape(3, -1).take(pick, axis=1)
-    vert = np.where(np.isfinite(picked[0]), picked[1:], 0.0).reshape(2, 2, n) + xy[:, None]
+    vert = np.where(np.isfinite(picked[0]), picked[1:], _ZERO).reshape(2, 2, n) + xy[:, None]
     low = picked[0].reshape(2, n)
     return (np.minimum(low[0], low[1]),
-            np.minimum(np.maximum(vert, 0.0, out=vert), 1.0, out=vert))
+            np.minimum(np.maximum(vert, _ZERO, out=vert), _ONE, out=vert))
 
 
 def _cell_bounds(b1: float, p1: float, cons: Mapping[str, float], xy: np.ndarray, h: float,
@@ -318,7 +319,7 @@ def _cell_bounds(b1: float, p1: float, cons: Mapping[str, float], xy: np.ndarray
     centre = xy + 0.5 * h
     terms = _centre_terms(b1, p1, centre)
     # the least corner value of I's tangent plane is I - h (|dI/dp_a| + |dI/dp_b|) / 2
-    bound = np.where(live, terms[0] - 0.5 * h * np.add(*np.abs(terms[2:4])), np.inf)
+    bound = np.where(live, terms[0] - 0.5 * h * np.add(*np.abs(terms[2:4])), _INF)
     if not cross.size:
         return bound, np.empty((2, 0))
     # the LP cells' rows: their terms, centres, corners A and corner values of H
@@ -336,7 +337,7 @@ def _cell_bounds(b1: float, p1: float, cons: Mapping[str, float], xy: np.ndarray
             grad = terms[4:, None]
             lift = (terms[1] - cons["C"]) + (grad * (vert - centre[:, None])).sum(axis=0)
             moved = vert - lift / (grad * grad).sum(axis=0) * grad
-            np.minimum(np.maximum(moved, 0.0, out=moved), 1.0, out=moved)
+            np.minimum(np.maximum(moved, _ZERO, out=moved), _ONE, out=moved)
             vert = np.concatenate((vert, moved), axis=1)
     return bound, vert.reshape(2, -1)
 
@@ -415,11 +416,10 @@ def binary_min_rate(
                                    met.take(corners, axis=1))
         cinfo, chs = _binary_joint_arr(b1, p1, cand[0], cand[1])
         met = np.concatenate((met, _met(b1, cons, cand[0], cand[1], chs)), axis=1)
-        value = np.where(np.logical_and.reduce(met), np.concatenate((info, cinfo)), np.inf)
+        value = np.where(np.logical_and.reduce(met), np.concatenate((info, cinfo)), _INF)
         k = value.argmin()
         if value.item(k) < best:
-            pa, pb = points[:, k] if k < info.size else cand[:, k - info.size]
-            best, argmin = value.item(k), (pa.item(), pb.item())
+            best, argmin = value.item(k), tuple(np.hstack((points, cand))[:, k].tolist())
         closed = bound >= best - _GAP
         lower = min(lower, float(np.minimum.reduce(bound, where=closed, initial=np.inf)))
         kept = ~closed
