@@ -58,8 +58,8 @@ from .sources import (
     gaussian_recon_stats,
 )
 
-# numpy pairs a 0-d array with an array faster than a float (NEP 50)
-_TIGHT, _ZERO, _ONE, _INF = np.array(1e-9), np.array(0.0), np.array(1.0), np.array(np.inf)
+# 0, 1 and inf as 0-d arrays, which numpy pairs with arrays faster than floats (NEP 50)
+_TIGHT, _ZERO, _ONE, _INF = 1e-9, np.array(0.0), np.array(1.0), np.array(np.inf)
 # a requested P = 0 is executed as this tolerance; exact equality is
 # measure-zero on a continuous parameter grid
 _P_ZERO_TOL = 1e-6
@@ -167,7 +167,7 @@ def _met(b1: float, cons: Mapping[str, float], pa, pb, hs) -> np.ndarray:
     ``_binary_point``: one row per side, D, then P above and below the
     band, then C."""
     w, bpb, k = np.array(1.0 - b1), b1 * pb, int("D" in cons)
-    gap = np.empty((k + 2 * ("P" in cons) + ("C" in cons), *np.shape(hs)))
+    gap = np.empty((k + 2 * ("P" in cons) + ("C" in cons), *hs.shape))
     if k:
         np.subtract(w * (_ONE - pa) + bpb, cons["D"], out=gap[0])
     if "P" in cons:
