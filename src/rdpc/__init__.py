@@ -13,21 +13,14 @@ from importlib import import_module
 
 # each public name's home module; the ones in _LAZY load on first use
 _NAMES = {
-    "closed_form": (
-        "g_function", "rdc_binary", "rdc_gaussian", "rdc_gaussian_region", "rpc_binary",
-        "rpc_binary_witness", "rpc_gaussian",
-    ),
-    "entropy": (
-        "binary_convolution", "binary_entropy", "binary_entropy_inv",
-        "gaussian_diff_entropy", "gaussian_kl", "std_normal_cdf",
-    ),
+    "closed_form": ("rdc_binary", "rdc_gaussian", "rpc_binary", "rpc_binary_witness", "rpc_gaussian"),
+    "entropy": ("binary_entropy", "binary_entropy_inv", "gaussian_diff_entropy", "gaussian_kl"),
     "errors": ("DegenerateSourceError", "DomainError", "NoCrossingError"),
     "oracle": ("MglCheck", "binary_min_rate", "gaussian_min_rate", "mrs_gerber_check"),
     "restoration": (
         "DenoiseCurvePoint", "FrontierPoint", "RestorationModel", "bayes_threshold_clean",
         "default_model", "error_rate_of_gain", "error_rate_reoptimized", "frontier",
-        "kl_of_gain", "kl_of_gains", "monte_carlo_mse", "monte_carlo_mses", "mse_of_gain",
-        "scaled_mixture", "sweep",
+        "kl_of_gain", "kl_of_gains", "monte_carlo_mse", "monte_carlo_mses", "mse_of_gain", "sweep",
     ),
     "results": (
         "BinaryChannel", "ChannelStats", "GaussianReconstruction", "OracleResult", "Region",

@@ -165,25 +165,18 @@ def _rdc_binary_rates(src: BinaryPairSource, d, c) -> np.ndarray:
     return np.where(c >= src.floor_c - _TOL, rate, np.nan)
 
 
-def g_function(src: BinaryPairSource, p_a: float) -> float:
+def _line_entropy(src: BinaryPairSource, p_a: float) -> float:
     """Label conditional entropy H(S|Xhat) along the zero-divergence line.
 
     On the line the reconstruction marginal matches the source, forcing
     p_b = (1-b)(1-p_a)/b, clamped to [0, 1]. The value is the H(S|Xhat)
     of ``entropy._binary_point`` at that channel, the formula the oracle's
-    channel statistics use; it decreases from
-    H(a) at p_a = 1-b down to H(p1) at p_a = 1. A p_b more than 1e-12
-    outside [0, 1], and a p_a outside [0, 1], raise ``DomainError``.
+    channel statistics use; it decreases from H(a) at p_a = 1-b down to
+    H(p1) at p_a = 1. Unchecked: ``_zero_tv`` calls it only with b >= 1e-15
+    and p_a in [1-b, 1], where p_b lies in [0, 1-b].
     """
     b = src.b
-    if b < 1e-15:
-        raise DomainError("source marginal is degenerate; the line is undefined")
     p_b = (1.0 - b) * (1.0 - p_a) / b
-    if p_b < -1e-12 or p_b > 1.0 + 1e-12:
-        raise DomainError(
-            f"p_a={p_a} implies p_b={p_b} outside [0,1]; "
-            f"the line only exists for p_a in [{(1 - 2 * b) / (1 - b)}, 1]"
-        )
     return _binary_point(b, src.p1, p_a, 0.0 if 0.0 > p_b else 1.0 if 1.0 < p_b else p_b)[3]
 
 
@@ -211,7 +204,7 @@ def _zero_tv(src: BinaryPairSource, c: float) -> BinaryChannel:
     if c <= src.floor_c + _TOL:
         return BinaryChannel(1.0, 0.0)
     p_a = bisect_root(
-        lambda x: g_function(src, x) - c, 1.0 - b, 1.0, xtol=1e-13
+        lambda x: _line_entropy(src, x) - c, 1.0 - b, 1.0, xtol=1e-13
     )
     p_b = (1.0 - b) * (1.0 - p_a) / b
     return BinaryChannel(p_a, 0.0 if 0.0 > p_b else 1.0 if 1.0 < p_b else p_b)
@@ -265,28 +258,26 @@ def _gaussian_k(src: GaussianPairSource, c: float) -> float:
 
 def _rdc_gaussian_core(
     src: GaussianPairSource, d: float, c: float
-) -> tuple[float, Region, float, float]:
-    """Returns (rate, region, v, d_star), where the witness is
-    (mu_x, v, v), a variance equal to the covariance; NaN, INFEASIBLE,
-    NaN and NaN (no boundary exists) below the source's ``floor_c``. The
-    callers check the bounds."""
+) -> tuple[float, Region, float]:
+    """Returns (rate, region, v), where the witness is (mu_x, v, v), a
+    variance equal to the covariance; NaN, INFEASIBLE and NaN below the
+    source's ``floor_c``. The callers check the bounds."""
     if c < src.floor_c - _TOL:
-        return math.nan, _INFEASIBLE, math.nan, math.nan
+        return math.nan, _INFEASIBLE, math.nan
     vx = src.var_x
     # at c >= h(S) the classification constraint is vacuous: k = 0, and
     # above d* = var_x the constant reconstruction costs nothing
     vacuous = c >= src.h_s - _TOL
     k = 0.0 if vacuous else _gaussian_k(src, c)
-    d_star = vx * (1.0 - k)
-    if d <= d_star + _TOL:
+    if d <= vx * (1.0 - k) + _TOL:
         rate = math.inf if d == 0.0 else 0.5 * math.log(vx / d)
         v = vx - d
-        return rate if rate > 0.0 else 0.0, _DISTORTION, 0.0 if 0.0 > v else v, d_star
+        return rate if rate > 0.0 else 0.0, _DISTORTION, 0.0 if 0.0 > v else v
     if vacuous:
-        return 0.0, _ZERO_RATE, 0.0, d_star
+        return 0.0, _ZERO_RATE, 0.0
     one_minus_k = 1.0 - k
     rate = math.inf if one_minus_k <= 0.0 else -0.5 * math.log(one_minus_k)
-    return rate, _CLASSIFICATION, vx * k, d_star
+    return rate, _CLASSIFICATION, vx * k
 
 
 def _rdc_gaussian_rates(src: GaussianPairSource, d, c) -> np.ndarray:
@@ -328,21 +319,9 @@ def rdc_gaussian(src: GaussianPairSource, d: float, c: float) -> TradeoffPoint:
     0.5 ln(1 - rho^2) + h(S), the source's ``floor_c``.
     """
     _check_bounds(c, d)
-    rate, region, v, _ = _rdc_gaussian_core(src, d, c)
+    rate, region, v = _rdc_gaussian_core(src, d, c)
     wit = None if region is _INFEASIBLE else GaussianReconstruction(src.mu_x, v, v)
     return TradeoffPoint(rate, _NATS, region, c, d, None, wit)
-
-
-def rdc_gaussian_region(
-    src: GaussianPairSource, d: float, c: float
-) -> tuple[Region, float]:
-    """Active-constraint label plus the boundary distortion d*.
-
-    d* is reported as NaN for infeasible instances (no boundary exists).
-    """
-    _check_bounds(c, d)
-    _, region, _, d_star = _rdc_gaussian_core(src, d, c)
-    return region, d_star
 
 
 def _tilt(src: GaussianPairSource, c: float) -> GaussianReconstruction:
@@ -370,7 +349,7 @@ def rpc_gaussian(src: GaussianPairSource, p: float, c: float) -> TradeoffPoint:
     Zero rate for c >= h(S); infeasible below the floor.
     """
     _check_bounds(c, 0.0, p)
-    rate, region, _, _ = _rdc_gaussian_core(src, math.inf, c)
+    rate, region, _ = _rdc_gaussian_core(src, math.inf, c)
     if region is _INFEASIBLE:
         wit = None
     elif region is _ZERO_RATE:

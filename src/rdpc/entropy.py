@@ -261,19 +261,12 @@ def _bisect_inv_arr(h: np.ndarray) -> np.ndarray:
     return np.where(h == 0.0, 0.0, np.where(h == 1.0, 0.5, mid))
 
 
-def binary_convolution(p: float, q: float) -> float:
-    """Crossover probability of two cascaded binary symmetric channels."""
-    if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
-        raise DomainError(f"probabilities out of range: ({p}, {q})")
-    return p * (1.0 - q) + q * (1.0 - p)
-
-
 def _binary_point(
     b1: float, p1: float, p_a: float, p_b: float
 ) -> tuple[float, float, float, float]:
     """(mutual_info, distortion, tv, cond_entropy_S) in bits of one binary
     channel: ``b1`` is P(X = 1), ``p1`` the label flip probability and
-    (p_a, p_b) the channel. The closed forms' ``g_function`` and
+    (p_a, p_b) the channel. The closed forms' zero-divergence line and
     ``sources.binary_channel_stats`` both evaluate it;
     ``oracle._binary_joint_arr`` is its array form."""
     q0 = (1.0 - b1) * p_a + b1 * p_b
@@ -324,7 +317,7 @@ def _gaussian_kl(var1: float, var2: float, shift2: float) -> float:
     return 0.5 * log_ratio + shift2 / (2.0 * var2) + (var1 - var2) / (2.0 * var2)
 
 
-def std_normal_cdf(x: float) -> float:
+def _std_normal_cdf(x: float) -> float:
     """Standard normal CDF via the complementary error function."""
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
@@ -393,7 +386,7 @@ def _mean_softplus(mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
     if wide.any():
         m, s = mu[wide], sd[wide]
         r = m / s
-        ramp = m * np.array([std_normal_cdf(u) for u in r.tolist()])
+        ramp = m * np.array([_std_normal_cdf(u) for u in r.tolist()])
         ramp += s * np.exp(-0.5 * r * r) / math.sqrt(2.0 * math.pi)
         m, s = m[:, None], s[:, None]
         bumps = np.exp(-0.5 * ((t - m) / s) ** 2) + np.exp(-0.5 * ((t + m) / s) ** 2)

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .entropy import _mean_softplus, _mean_softplus_quadratic, std_normal_cdf
+from .entropy import _mean_softplus, _mean_softplus_quadratic, _std_normal_cdf
 from .errors import DomainError, NoCrossingError
 from .optimize import bisect_predicate, bisect_root, brent_min
 from .sources import GaussianMixture2
@@ -119,7 +119,7 @@ def default_model(sigma_n: float = 1.0) -> RestorationModel:
     )
 
 
-def scaled_mixture(model: RestorationModel, a: float) -> GaussianMixture2:
+def _scaled_mixture(model: RestorationModel, a: float) -> GaussianMixture2:
     """Law of the restored signal a*(X+N): component means scale by a,
     variances by a^2 after adding the noise."""
     _check_gain(a)
@@ -172,7 +172,7 @@ def error_rate_of_gain(
     scale = abs(a)
     z_hi = (c0 - a * m_hi) / (scale * math.sqrt(v_hi + bump))
     z_lo = (c0 - a * m_lo) / (scale * math.sqrt(v_lo + bump))
-    return w_hi * std_normal_cdf(z_hi) + w_lo * std_normal_cdf(-z_lo)
+    return w_hi * _std_normal_cdf(z_hi) + w_lo * _std_normal_cdf(-z_lo)
 
 
 def error_rate_reoptimized(model: RestorationModel, a: float) -> float:
@@ -184,7 +184,7 @@ def error_rate_reoptimized(model: RestorationModel, a: float) -> float:
     """
     if a <= 0.0:
         raise DomainError("the control is defined for positive gains only")
-    restored = scaled_mixture(model, a)
+    restored = _scaled_mixture(model, a)
     c_star = bayes_threshold_clean(restored)
     return error_rate_of_gain(model, a, threshold=c_star)
 
@@ -273,7 +273,7 @@ def kl_of_gains(model: RestorationModel, gains: Sequence[float]) -> np.ndarray:
     # the restored means and variances grow with |a|: if the laws of the
     # smallest and largest |a| are in float range, all are
     for k in {int(np.argmin(np.abs(gains))), int(np.argmax(np.abs(gains)))}:
-        scaled_mixture(model, float(gains[k]))
+        _scaled_mixture(model, float(gains[k]))
     mix, bump, g2 = model.mixture, model.sigma_n**2, gains * gains
     w, mu, m = (mix.w1, mix.w2), (mix.m1, mix.m2), np.array([[mix.m1], [mix.m2]])
     if mix.v1 == mix.v2:

@@ -17,16 +17,14 @@ from rdpc import (
     TradeoffPoint,
     Unit,
     binary_channel_stats,
-    g_function,
     gaussian_recon_stats,
     rdc_binary,
     rdc_gaussian,
-    rdc_gaussian_region,
     rpc_binary,
     rpc_binary_witness,
     rpc_gaussian,
 )
-from rdpc.closed_form import _rdc_binary_rates, _rdc_gaussian_rates
+from rdpc.closed_form import _line_entropy, _rdc_binary_rates, _rdc_gaussian_rates
 from rdpc.entropy import binary_entropy
 
 SRC = BinaryPairSource(a=0.3, p1=0.1)
@@ -160,7 +158,7 @@ def test_rpc_binary_line_witness_pays_a_rate_premium():
 
 
 def test_g_function_anchor():
-    assert g_function(SRC, 0.96) == pytest.approx(0.600637242235634, abs=1e-12)
+    assert _line_entropy(SRC, 0.96) == pytest.approx(0.600637242235634, abs=1e-12)
 
 
 def _four_atom_g(src, p_a):
@@ -184,7 +182,7 @@ def test_g_function_is_the_four_atom_formula():
         src = BinaryPairSource(a, a * frac)
         start = (1.0 - 2.0 * src.b) / (1.0 - src.b)
         for p_a in [start, 1.0, *rng.uniform(start, 1.0, 2_000).tolist()]:
-            assert abs(g_function(src, p_a) - _four_atom_g(src, p_a)) <= 4e-15
+            assert abs(_line_entropy(src, p_a) - _four_atom_g(src, p_a)) <= 4e-15
 
 
 # float.hex of (p_a, p_b) of rpc_binary_witness, by ((a, p1), C)
@@ -223,12 +221,11 @@ def test_rdc_gaussian_classification_branch():
 
 
 def test_rdc_gaussian_boundary_distortion():
-    region, d_star = rdc_gaussian_region(GSRC, 0.5, H_S - 0.5)
-    assert region is Region.CLASSIFICATION_LIMITED
-    assert d_star == pytest.approx(0.219604248359805, abs=1e-12)
-    # just below the boundary the distortion constraint takes over
-    region, _ = rdc_gaussian_region(GSRC, d_star - 1e-6, H_S - 0.5)
-    assert region is Region.DISTORTION_LIMITED
+    # the region switches at d* = var_x (1 - k): the distortion constraint
+    # binds just below it, the classification constraint just above
+    d_star = 0.219604248359805
+    assert rdc_gaussian(GSRC, d_star + 1e-6, H_S - 0.5).region is Region.CLASSIFICATION_LIMITED
+    assert rdc_gaussian(GSRC, d_star - 1e-6, H_S - 0.5).region is Region.DISTORTION_LIMITED
 
 
 def test_rdc_gaussian_zero_rate_and_infeasible():
@@ -309,10 +306,6 @@ _NAN_BOUNDS = {
         (rdc_gaussian, (GSRC, math.nan, H_S - 0.05)),
     "rdc_gaussian-args5":
         (rdc_gaussian, (GSRC, 0.5, math.nan)),
-    "rdc_gaussian_region-args6":
-        (rdc_gaussian_region, (GSRC, math.nan, H_S - 0.05)),
-    "rdc_gaussian_region-args7":
-        (rdc_gaussian_region, (GSRC, 0.5, math.nan)),
     "rpc_gaussian-args8":
         (rpc_gaussian, (GSRC, math.nan, H_S - 0.05)),
     "rpc_gaussian-args9":
@@ -457,7 +450,4 @@ def test_gaussian_forms_switch_feasibility_at_floor_c(var_x, var_s, rho, d, p):
         pt = rpc_gaussian(src, p, c)
         assert pt.feasible is feasible
         assert (pt.witness is not None) is feasible
-        region, d_star = rdc_gaussian_region(src, d, c)
-        assert (region is not Region.INFEASIBLE) is feasible
-        assert math.isnan(d_star) is not feasible
         assert math.isnan(_rdc_gaussian_rates(src, [d], [c])[0]) is not feasible

@@ -10,16 +10,16 @@ from rdpc import (
     BinaryPairSource,
     DomainError,
     GaussianPairSource,
-    binary_convolution,
     binary_entropy,
     binary_entropy_inv,
     gaussian_diff_entropy,
     gaussian_kl,
     gaussian_recon_stats,
     rdc_binary,
-    std_normal_cdf,
 )
 from rdpc import entropy
+from rdpc.closed_form import _c1
+from rdpc.entropy import _std_normal_cdf
 from rdpc.optimize import bisect_root
 from rdpc.results import GaussianReconstruction
 
@@ -251,22 +251,14 @@ def test_inverse_cache_serves_repeated_surfaces_and_stays_bounded():
     assert binary_entropy_inv.cache_info().currsize == 256
 
 
-@given(
-    st.floats(min_value=0.0, max_value=1.0),
-    st.floats(min_value=0.0, max_value=1.0),
-)
-def test_convolution_commutes(p, q):
-    assert binary_convolution(p, q) == binary_convolution(q, p)
-
-
 def test_convolution_edges():
-    assert binary_convolution(0.3, 0.0) == 0.3
-    assert binary_convolution(0.3, 0.5) == 0.5
-    # the crossover that lands back on the inverse-entropy anchor
-    c1 = (binary_entropy_inv(0.6) - 0.1) / 0.8
-    assert binary_convolution(0.1, c1) == pytest.approx(
-        0.146102403411887, abs=1e-12
-    )
+    # the label noise p1 convolved with the classification-tight crossover
+    # c1 lands on the entropy inverse of C: p1 at the floor C = H(p1), 1/2
+    # at C = 1, and the inverse-entropy anchor at C = 0.6
+    src = BinaryPairSource(0.3, 0.1)
+    for c, expected in ((src.floor_c, 0.1), (1.0, 0.5), (0.6, 0.146102403411887)):
+        c1 = _c1(src, c)
+        assert 0.1 * (1.0 - c1) + c1 * (1.0 - 0.1) == pytest.approx(expected, abs=1e-12)
 
 
 def test_gaussian_entropy_values():
@@ -323,11 +315,11 @@ def test_gaussian_kl_and_entropy_keep_their_bits_on_finite_inputs():
 
 
 def test_std_normal_cdf():
-    assert std_normal_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
-    assert std_normal_cdf(-1.30624) == pytest.approx(
+    assert _std_normal_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
+    assert _std_normal_cdf(-1.30624) == pytest.approx(
         0.0957354770076356, abs=1e-12
     )
-    assert std_normal_cdf(3.0) + std_normal_cdf(-3.0) == pytest.approx(
+    assert _std_normal_cdf(3.0) + _std_normal_cdf(-3.0) == pytest.approx(
         1.0, abs=1e-15
     )
 
@@ -337,8 +329,6 @@ def test_domain_rejections():
         binary_entropy(-0.01)
     with pytest.raises(DomainError):
         binary_entropy_inv(1.01)
-    with pytest.raises(DomainError):
-        binary_convolution(0.3, 1.5)
     with pytest.raises(DomainError):
         gaussian_diff_entropy(0.0)
     with pytest.raises(DomainError):

@@ -28,7 +28,6 @@ from rdpc import (
 from rdpc import entropy, oracle, verify
 from rdpc.entropy import (
     _h2_bits_arr,
-    binary_convolution,
     binary_entropy,
     binary_entropy_inv,
 )
@@ -94,12 +93,17 @@ def test_mgl_holds_everywhere(pa, pb):
     assert mrs_gerber_check(SRC, BinaryChannel(pa, pb)).holds
 
 
+def _convolution(p, q):
+    """Crossover probability of two cascaded binary symmetric channels."""
+    return p * (1.0 - q) + q * (1.0 - p)
+
+
 def _scalar_mgl(src, ch):
     """(lhs, rhs) of Mrs. Gerber's lemma as first written, with the scalar
     entropy functions: the reference ``mrs_gerber_check`` must match."""
     stats = binary_channel_stats(src, ch)
     h_x_given = min(max(binary_entropy(src.b) - stats.mutual_info, 0.0), 1.0)
-    rhs = binary_entropy(binary_convolution(src.p1, binary_entropy_inv(h_x_given)))
+    rhs = binary_entropy(_convolution(src.p1, binary_entropy_inv(h_x_given)))
     return stats.cond_entropy_s, rhs
 
 
@@ -761,10 +765,10 @@ def _scalar_binary_point(b1, p1, p_a, p_b):
     hs = 0.0
     if q0 > 0.0:
         x1_given_0 = min(max(b1 * p_b / q0, 0.0), 1.0)
-        hs += q0 * binary_entropy(binary_convolution(p1, x1_given_0))
+        hs += q0 * binary_entropy(_convolution(p1, x1_given_0))
     if q0 < 1.0:
         x1_given_1 = min(max(b1 * (1.0 - p_b) / (1.0 - q0), 0.0), 1.0)
-        hs += (1.0 - q0) * binary_entropy(binary_convolution(p1, x1_given_1))
+        hs += (1.0 - q0) * binary_entropy(_convolution(p1, x1_given_1))
     return info, dist, tv, hs
 
 

@@ -31,9 +31,9 @@ from rdpc import (
     monte_carlo_mse,
     monte_carlo_mses,
     mse_of_gain,
-    scaled_mixture,
     sweep,
 )
+from rdpc.restoration import _scaled_mixture
 
 MODEL = default_model()
 BAYES_ERROR = 0.204117333467254  # min over thresholds, invariant under gain
@@ -138,7 +138,7 @@ def test_kl_of_gain_values(a, expected, tol):
 
 def test_scaled_mixture_moments():
     # E[(aY)^2] = a^2 (E[X^2] + sigma_n^2) = 3 a^2
-    assert scaled_mixture(MODEL, 0.5).second_moment() == pytest.approx(
+    assert _scaled_mixture(MODEL, 0.5).second_moment() == pytest.approx(
         0.75, abs=1e-12
     )
 
@@ -149,7 +149,7 @@ def test_domain_rejections():
     with pytest.raises(DomainError):
         error_rate_reoptimized(MODEL, -0.1)
     with pytest.raises(DomainError):
-        scaled_mixture(MODEL, 0.0)
+        _scaled_mixture(MODEL, 0.0)
     with pytest.raises(DomainError):
         sweep(MODEL, [])
     with pytest.raises(DomainError):
@@ -223,7 +223,7 @@ def _quad_kl(model, a, epsrel=0.0):
     densities, over the union of both laws' 12-sd supports, split at the
     four component means and at the restored support's ends, so a
     restored law far narrower than the range is not missed."""
-    clean, restored = model.mixture, scaled_mixture(model, a)
+    clean, restored = model.mixture, _scaled_mixture(model, a)
     (c_lo, c_hi), (r_lo, r_hi) = _support_12sd(clean), _support_12sd(restored)
     lo, hi = min(c_lo, r_lo), max(c_hi, r_hi)
 
@@ -358,7 +358,7 @@ def test_kl_with_one_live_component_is_the_gaussian_kl(w1, sigma_n):
 
 @pytest.mark.parametrize(
     "entry", [kl_of_gain, mse_of_gain, error_rate_of_gain, error_rate_reoptimized,
-              scaled_mixture]
+              pytest.param(_scaled_mixture, id="scaled_mixture")]
 )
 @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
 def test_non_finite_gain_is_refused(entry, a):

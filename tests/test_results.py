@@ -229,7 +229,7 @@ def test_a_kept_result_costs_no_more_than_a_generated_init():
     ds = [0.1 + i * 1e-4 for i in range(2000)]
 
     def twin(i):
-        rate, region, v, _ = _rdc_gaussian_core(GSRC, ds[i], c)
+        rate, region, v = _rdc_gaussian_core(GSRC, ds[i], c)
         return _Point(rate, Unit.NATS, region, c, ds[i], None, _Reconstruction(GSRC.mu_x, v, v))
 
     assert rdc_gaussian(GSRC, ds[0], c).witness is not None

@@ -437,8 +437,6 @@ _FIRST_ERRORS = {
         ("rdc_gaussian", "g", (-1.0, nan), "distortion bound must be nonnegative"),
     "rdc_gaussian-g-args7-classification bound is NaN":
         ("rdc_gaussian", "g", (0.5, nan), "classification bound is NaN"),
-    "rdc_gaussian_region-g-args8-distortion bound must be nonnegative":
-        ("rdc_gaussian_region", "g", (-1.0, nan), "distortion bound must be nonnegative"),
     "rpc_gaussian-g-args9-perception bound must be nonnegative":
         ("rpc_gaussian", "g", (-1.0, nan), "perception bound must be nonnegative"),
     "rpc_gaussian-g-args10-perception bound must be nonnegative":
