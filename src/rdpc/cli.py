@@ -140,7 +140,20 @@ def _source(ns: argparse.Namespace, is_binary: bool) -> BinaryPairSource | Gauss
     """The binary or Gaussian pair source the flags describe."""
     if is_binary:
         return BinaryPairSource(_require(ns, "a"), _require(ns, "p1"))
-    return GaussianPairSource(ns.mu_x, ns.mu_s, ns.sigma_x**2, ns.sigma_s**2, ns.theta1)
+    return GaussianPairSource(ns.mu_x, ns.mu_s, _variance(ns, "sigma_x"), _variance(ns, "sigma_s"),
+                              ns.theta1)
+
+
+def _variance(ns: argparse.Namespace, key: str) -> float:
+    """The square of a standard deviation flag; a negative one, or one whose
+    square overflows, is refused (zero and non-finite ones the source refuses)."""
+    sigma, flag = getattr(ns, key), f"--{key.replace('_', '-')}"
+    if sigma < 0.0:
+        raise _UsageError(f"{flag} must be positive: {sigma}")
+    try:
+        return sigma**2
+    except OverflowError:  # a Python float raises where numpy gives inf
+        raise _UsageError(f"{flag} squared overflows: {sigma}") from None
 
 
 def _source_inputs(src: BinaryPairSource | GaussianPairSource) -> dict[str, float]:

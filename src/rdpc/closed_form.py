@@ -47,7 +47,7 @@ from .results import (
     TradeoffPoint,
     Unit,
 )
-from .sources import BinaryPairSource, GaussianPairSource
+from .sources import _NORMAL_MIN, BinaryPairSource, GaussianPairSource
 
 _TOL = 1e-12
 # Each Region.X or Unit.X lookup costs 80-90 ns on Python 3.11 (14 ns on
@@ -336,7 +336,15 @@ def _tilt(src: GaussianPairSource, c: float) -> GaussianReconstruction:
     if src.cov == 0.0 or c >= src.h_s:
         return GaussianReconstruction(src.mu_x, vx, 0.0)
     inner = 1.0 - math.exp(2.0 * (c - src.h_s))
-    theta2 = math.sqrt(src.var_s * vx**3 * (inner if inner > 0.0 else 0.0)) / abs(src.cov)
+    inner = inner if inner > 0.0 else 0.0
+    try:
+        product = src.var_s * vx**3 * inner
+    except OverflowError:  # vx**3 of a Python float raises
+        product = math.inf
+    # theta2 = sqrt(var_s vx^3 inner) / |cov| = vx sqrt(inner) / |rho|; the
+    # second form where the product underflows or overflows
+    theta2 = (math.sqrt(product) / abs(src.cov) if _NORMAL_MIN <= product < math.inf
+              else vx * math.sqrt(inner) / abs(src.rho))
     return GaussianReconstruction(src.mu_x, vx, vx if vx < theta2 else theta2)
 
 

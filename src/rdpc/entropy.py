@@ -28,6 +28,7 @@ from .errors import DomainError
 from .optimize import bisect_root
 
 _TINY = 1e-300
+_INF = math.inf  # a module global reads faster than math.inf
 
 
 def binary_entropy(p: float) -> float:
@@ -314,7 +315,11 @@ def _gaussian_kl(var1: float, var2: float, shift2: float) -> float:
         log_ratio = math.log(var2 / var1)
     except ValueError:  # var2 / var1 underflows to 0
         log_ratio = math.log(var2) - math.log(var1)
-    return 0.5 * log_ratio + shift2 / (2.0 * var2) + (var1 - var2) / (2.0 * var2)
+    twice = 2.0 * var2
+    if log_ratio + twice < _INF:  # one test for both, neither of which can be -inf
+        return 0.5 * log_ratio + shift2 / twice + (var1 - var2) / twice
+    # var2 / var1 or 2 var2 overflows: a log per variance, halved after dividing
+    return 0.5 * (math.log(var2) - math.log(var1) + shift2 / var2 + (var1 - var2) / var2)
 
 
 def _std_normal_cdf(x: float) -> float:

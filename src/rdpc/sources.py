@@ -9,6 +9,7 @@ immutable after construction and freely shareable across workers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .entropy import _binary_point, _gaussian_kl, binary_entropy, gaussian_diff_entropy
@@ -16,6 +17,7 @@ from .errors import DegenerateSourceError, DomainError
 from .results import BinaryChannel, ChannelStats, GaussianReconstruction, Unit
 
 _DEGENERATE_EPS = 1e-12
+_NORMAL_MIN = sys.float_info.min  # the smallest positive normal float
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,11 @@ class GaussianPairSource:
             raise DomainError(f"source parameters must be finite: {self}")
         if self.var_x <= 0.0 or self.var_s <= 0.0:
             raise DomainError(f"variances must be positive: {self}")
-        bound = math.sqrt(self.var_s * self.var_x)
+        product = self.var_s * self.var_x
+        # a product that underflows or overflows loses the bound: take the
+        # deviations one at a time there
+        bound = (math.sqrt(product) if _NORMAL_MIN <= product < math.inf
+                 else math.sqrt(self.var_s) * math.sqrt(self.var_x))
         if abs(self.cov) > bound * (1.0 + 1e-12):
             raise DomainError(
                 f"|cov|={abs(self.cov)} exceeds Cauchy-Schwarz bound {bound}"

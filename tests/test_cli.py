@@ -98,12 +98,17 @@ def test_gaussian_point_matches_library(capsys):
         ["surface", "--a", "0.3", "--p1", "0.1"],  # missing --family
         ["oracle", "--c", "0.9"],  # missing --family
         ["restore", "--a-steps", "0"],
+        # a negative deviation, or one whose square overflows
+        ["rdc", "gaussian", "--sigma-x", "-1", "--d", "0.5", "--c", "0"],
+        ["oracle", "--family", "gaussian", "--sigma-x", "-2", "--d", "0.5"],
+        ["rdc", "gaussian", "--sigma-x", "1e200", "--d", "0.5", "--c", "0"],
+        ["rpc-given-d", "--sigma-s", "-0.7", "--d", "0.5", "--c", "0.9"],
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):
-    code, _, err = run(capsys, *argv)
-    assert code == 1
-    assert "error" in err
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "error" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag", ["--sigma-n", "--a-min", "--a-max"])

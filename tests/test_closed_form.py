@@ -228,6 +228,20 @@ def test_rdc_gaussian_boundary_distortion():
     assert rdc_gaussian(GSRC, d_star - 1e-6, H_S - 0.5).region is Region.DISTORTION_LIMITED
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_gaussian_forms_at_huge_variances_answer_as_at_unit_scale(scale):
+    unit = GaussianPairSource(0.0, 0.0, 1.0, 1.0, 0.1)
+    src = GaussianPairSource(0.0, 0.0, scale, scale, 0.1 * scale)
+    rdc = rdc_gaussian(src, 0.5 * scale, src.h_s - 0.004)
+    rpc = rpc_gaussian(src, 0.1, src.h_s - 0.004)
+    assert rdc.region is Region.CLASSIFICATION_LIMITED and rdc.witness is not None
+    assert abs(rdc.rate - 0.7968032375) <= 1e-9 and abs(rpc.rate - 0.7968032375) <= 1e-9
+    # the tilted witness keeps the source law and scales its covariance
+    tilt = rpc_gaussian(unit, 0.1, unit.h_s - 0.004).witness.cov_xxh
+    assert rpc.witness.var_xh == scale
+    assert rpc.witness.cov_xxh / scale == pytest.approx(tilt, rel=1e-9)
+
+
 def test_rdc_gaussian_zero_rate_and_infeasible():
     free = rdc_gaussian(GSRC, 1.5, H_S + 0.1)
     assert free.region is Region.ZERO_RATE and free.rate == 0.0

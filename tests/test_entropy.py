@@ -292,6 +292,15 @@ def test_gaussian_kl_whose_variance_ratio_underflows_is_inf():
     assert stats.perception == math.inf
 
 
+@pytest.mark.parametrize("var1, var2, expected", [
+    (1.0, 1e308, 354.0981043210830),  # 2 var2 overflows
+    (1e-300, 1e300, 690.2755278982137),  # var2 / var1 overflows
+    (1e-320, 1e300, 713.3013843945938),
+])
+def test_gaussian_kl_at_extreme_variance_ratios(var1, var2, expected):
+    assert gaussian_kl(0.0, var1, 0.0, var2) == pytest.approx(expected, rel=1e-12)
+
+
 @pytest.mark.parametrize("args", [
     (math.nan, 1.0, 0.0, 1.0), (0.0, 1.0, 0.0, math.inf), (0.0, math.nan, 0.0, 1.0),
     (math.inf, 1.0, 0.0, 1.0), (0.0, 1.0, -math.inf, 1.0), (0.0, math.inf, 0.0, 1.0),

@@ -33,8 +33,9 @@ def _k_of(c):
 
 
 def _kl_of_spread(s):
-    # KL(N(0, s^2) || N(0, 1)) for the unit-variance source
-    return 0.5 * math.log(s * s) + (1.0 - s * s) / (2.0 * s * s)
+    # KL(N(0, 1) || N(0, s^2)) for the unit-variance source, halved after
+    # dividing, so the -1/2 term survives where 2 s^2 would overflow
+    return 0.5 * (math.log(s * s) + (1.0 - s * s) / (s * s))
 
 
 class _Pinned(NamedTuple):

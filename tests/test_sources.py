@@ -71,6 +71,13 @@ def test_gaussian_rejections():
         GaussianPairSource(0.0, 0.0, 1.0, 1.0, 1.5)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200, 1e300])
+def test_gaussian_correlation_where_the_variance_product_is_not_normal(scale):
+    # var_x var_s underflows or overflows: the bound takes each deviation alone
+    assert abs(GaussianPairSource(0.0, 0.0, scale, scale, 0.1 * scale).rho - 0.1) <= 1e-15
+    assert GaussianPairSource(0.0, 0.0, scale, scale, 0.0).rho == 0.0
+
+
 def test_mixture_weight_validation():
     with pytest.raises(DomainError):
         GaussianMixture2(w1=0.8, m1=-1.0, v1=1.0, w2=0.3, m2=1.0, v2=1.0)
