@@ -269,7 +269,7 @@ def _rdc_gaussian_core(
     # above d* = var_x the constant reconstruction costs nothing
     vacuous = c >= src.h_s - _TOL
     k = 0.0 if vacuous else _gaussian_k(src, c)
-    if d <= vx * (1.0 - k) + _TOL:
+    if d <= vx * (1.0 - k + _TOL):
         rate = math.inf if d == 0.0 else 0.5 * math.log(vx / d)
         v = vx - d
         return rate if rate > 0.0 else 0.0, _DISTORTION, 0.0 if 0.0 > v else v
@@ -300,7 +300,7 @@ def _rdc_gaussian_rates(src: GaussianPairSource, d, c) -> np.ndarray:
         shrink = np.fromiter(map(math.exp, arg.ravel().tolist()), float, arg.size)
         k = np.minimum((1.0 - shrink.reshape(arg.shape)) / src.rho**2, 1.0)
         k = np.where(vacuous, 0.0, k)
-        by_d = d <= vx * (1.0 - k) + _TOL
+        by_d = d <= vx * (1.0 - k + _TOL)
         rate = np.where(
             by_d, np.maximum(0.0, 0.5 * np.log(vx / d)),
             np.where(vacuous, 0.0, -0.5 * np.log(1.0 - k)),

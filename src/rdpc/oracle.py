@@ -9,21 +9,28 @@ Binary channels are searched over the whole square (p_a, p_b) in
 1996) that rests on two facts: I(X; Xhat) is convex in the channel, and
 H(S | Xhat) is concave in it (the fact behind Mrs. Gerber's lemma). On a
 cell, a tangent plane of I and a secant plane of H(S | Xhat) give a
-lower bound on the rate, or prove that nothing there meets the bounds;
-cells whose bound cannot beat the best witness by 1e-5 bits are closed,
-the rest are split. Concavity also yields witnesses: a point moved along
-the gradient of H(S | Xhat) onto the level C of its tangent plane meets
-C, so the best witness nears the C boundary at O(h^2) in the cell width
-h, as fast as the bounds tighten. The answer's witness meets each bound
-within ``_TIGHT`` (1e-9), and [rate - grid_resolution, rate] is a
-certified bracket on the minimum of the problem with every bound
+lower bound on the rate, at least 0 as I is, or prove that nothing there
+meets the bounds; cells whose bound cannot beat the best witness by 1e-5
+bits are closed, the rest are split. So once a witness is within 1e-5
+bits of 0, every cell closes. Concavity also yields witnesses: a point
+moved along the gradient of H(S | Xhat) onto the level C of its tangent
+plane meets C, so the best witness nears the C boundary at O(h^2) in the
+cell width h, as fast as the bounds tighten. The answer's witness meets
+each bound within ``_TIGHT`` (1e-9), and [rate - grid_resolution, rate]
+is a certified bracket on the minimum of the problem with every bound
 loosened by ``_TIGHT``, up to float rounding, which that loosening
-dominates. The search takes few, wide levels (``binary_min_rate``), as a
-level costs about the same up to 256 cells: its count of numpy calls (a
-few hundred, on arrays of tens to hundreds of elements) sets its time, not
-their arithmetic, so each step of a level is one call over all its cells.
-The first split measured no faster at 4 x 4 or 16 x 16, and 1024-cell
-levels (``_LEVEL_CELLS``) about 6% faster; either moves the pinned answers.
+dominates.
+
+The search takes few, wide levels (``binary_min_rate``), as a level costs
+about the same up to 256 cells: its count of numpy calls (a few hundred,
+on arrays of tens to hundreds of elements) sets its time, not their
+arithmetic, so each step of a level is one call over all its cells. The
+first level does not depend on the bounds, and the last 16 sources' first
+levels are kept (``_first_level``). It also tries the product channel
+p_a = p_b = 1 - b, Xhat independent of X with X's marginal (I = 0, TV =
+0), so a zero-rate query under P and C bounds alone ends after it. The
+first split measured no faster at 4 x 4 or 16 x 16, and 1024-cell levels
+(``_LEVEL_CELLS``) 5-6% slower; either moves the pinned answers.
 
 A Gaussian reconstruction reduces to its correlation with the source,
 set by a bisection whose witness meets every bound with no slack
@@ -41,7 +48,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Mapping
 
 import numpy as np
@@ -292,16 +299,18 @@ def _lp_bounds(b1: float, cons: Mapping[str, float], xy: np.ndarray, h: float, h
             np.minimum(np.maximum(vert, _ZERO, out=vert), _ONE, out=vert))
 
 
-def _cell_bounds(b1: float, p1: float, cons: Mapping[str, float], xy: np.ndarray, h: float,
-                 hs: np.ndarray, met: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cell_bounds(b1: float, cons: Mapping[str, float], xy: np.ndarray, h: float, hs: np.ndarray,
+                 met: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower bounds on I(X; Xhat) over square cells, and witness candidates.
 
     Cell i has width ``h`` and corner A = ``xy[:, i]``; ``hs[:, i]`` is
-    H(S | Xhat) at its corners A, B, C, B' (``_CORNERS``) and ``met[:, :,
-    i]`` the ``_met`` rows there. The convex I lies above its tangent plane
-    at the cell centre. D and both sides of the P band are linear in the
-    channel and H(S | Xhat) is concave, so each takes its least value over
-    a cell at a corner, and the corners screen the cells:
+    H(S | Xhat) at its corners A, B, C, B' (``_CORNERS``), ``met[:, :,
+    i]`` the ``_met`` rows there and ``terms[:, i]`` the ``_centre_terms``
+    at its centre. The convex I lies above its tangent plane at the cell
+    centre, and I >= 0, so a bound is at least 0. D and both sides of the
+    P band are linear in the channel and H(S | Xhat) is concave, so each
+    takes its least value over a cell at a corner, and the corners screen
+    the cells:
     - a side broken at all four corners is broken on the whole cell, which
       holds no point that meets the bounds: its bound is +inf;
     - where every side is met at every corner no bound line crosses the
@@ -317,11 +326,10 @@ def _cell_bounds(b1: float, p1: float, cons: Mapping[str, float], xy: np.ndarray
     live = np.logical_and.reduce(np.logical_or.reduce(met, axis=1))
     cross = (live & ~np.logical_and.reduce(met.reshape(-1, met.shape[-1]))).nonzero()[0]
     centre = xy + 0.5 * h
-    terms = _centre_terms(b1, p1, centre)
     # the least corner value of I's tangent plane is I - h (|dI/dp_a| + |dI/dp_b|) / 2
     bound = np.where(live, terms[0] - 0.5 * h * np.add(*np.abs(terms[2:4])), _INF)
     if not cross.size:
-        return bound, np.empty((2, 0))
+        return np.maximum(bound, _ZERO, out=bound), np.empty((2, 0))
     # the LP cells' rows: their terms, centres, corners A and corner values of H
     rows = np.concatenate((terms, centre, xy, hs)).take(cross, axis=1)
     terms, centre, xy, hs = rows[:6], rows[6:8], rows[8:10], rows[10:]
@@ -339,7 +347,7 @@ def _cell_bounds(b1: float, p1: float, cons: Mapping[str, float], xy: np.ndarray
             moved = vert - lift / (grad * grad).sum(axis=0) * grad
             np.minimum(np.maximum(moved, _ZERO, out=moved), _ONE, out=moved)
             vert = np.concatenate((vert, moved), axis=1)
-    return bound, vert.reshape(2, -1)
+    return np.maximum(bound, _ZERO, out=bound), vert.reshape(2, -1)
 
 
 def _split_tables(s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -358,6 +366,39 @@ _SPLITS = {s: _split_tables(s) for s in (8, 4, 2)}
 _LEVEL_CELLS = 256
 
 
+def _level(b1: float, p1: float, xy: np.ndarray, h: float, s: int) -> tuple[np.ndarray, ...]:
+    """A level that splits the cells with corners A = ``xy`` into s x s
+    children of width ``h``: the cells' lattice points, shape (2, n), the
+    lattice index of each child's corners A, B, C, B' (shape (4, k)), I and
+    H(S | Xhat) at the points (``_binary_joint_arr``) and the
+    ``_centre_terms`` of the children."""
+    grid, local = _SPLITS[s]
+    points = (xy[:, :, None] + h * grid[:, None]).reshape(2, -1)
+    corners = (local[:, None] + grid.shape[1] * np.arange(xy.shape[1])[:, None]).reshape(4, -1)
+    info, hs = _binary_joint_arr(b1, p1, points[0], points[1])
+    terms = _centre_terms(b1, p1, points.take(corners[0], axis=1) + 0.5 * h)
+    return points, corners, info, hs, terms
+
+
+@lru_cache(maxsize=16)
+def _first_level(b1: float, p1: float) -> tuple[np.ndarray, ...]:
+    """The first level of every search on a source, ``_level`` on the
+    whole square split 8 x 8, read-only: it does not depend on the bounds.
+    After the lattice comes one more point, the product channel p_a = p_b
+    = 1 - b1, under which Xhat is independent of X with X's marginal: I =
+    0 and TV = 0, so it is a witness wherever the rate is 0 under P and C
+    bounds alone. -0.0 and 0.0 share a key, so both are computed as 0.0."""
+    b1, p1 = b1 + 0.0, p1 + 0.0
+    points, corners, info, hs, terms = _level(b1, p1, np.zeros((2, 1)), 1.0 / 8, 8)
+    product = np.full((2, 1), 1.0 - b1)
+    pinfo, phs = _binary_joint_arr(b1, p1, product[0], product[1])
+    out = (np.hstack((points, product)), corners, np.concatenate((info, pinfo)),
+           np.concatenate((hs, phs)), terms)
+    for array in out:
+        array.flags.writeable = False
+    return out
+
+
 def binary_min_rate(
     src: BinaryPairSource,
     constraints: Mapping[str, float],
@@ -373,19 +414,22 @@ def binary_min_rate(
     into an 8 x 8 grid of cells and, level by level, splits each open cell
     into s x s children, s in {2, 4, 8} the widest that keeps a level at
     most 256 cells (2 when none does). A level evaluates each open cell's
-    (s + 1)^2 lattice points once; ``_cell_bounds`` screens the cells by
-    their corners and bounds the rate on each from below, or proves that
-    no point of it meets the bounds within ``_TIGHT``. The lattice points,
-    then the LP cells' vertices and pulled-back vertices, that meet every
-    bound within ``_TIGHT`` are the witnesses, the least I winning, ties
-    to the first. A cell closes once its bound is at least the best
+    (s + 1)^2 lattice points once (the first level comes from
+    ``_first_level``, with the product channel after its lattice);
+    ``_cell_bounds`` screens the cells by their corners and bounds the
+    rate on each from below, or proves that no point of it meets the
+    bounds within ``_TIGHT``. The lattice points, then the LP cells'
+    vertices and pulled-back vertices, that meet every bound within
+    ``_TIGHT`` are the witnesses, the least I winning, ties to the first.
+    A cell closes once its bound, at least 0, is at least the best
     witness's rate less ``_GAP``.
 
     The witness's exact I is the rate, and ``grid_resolution`` is rate -
-    lower, where lower, the least bound of the closed cells, is at most
-    the minimum of the problem with each bound loosened by ``_TIGHT``. It
-    is at most ``_GAP`` (1e-5 bits) unless the search stopped after
-    ``_CELL_BUDGET`` cells, when lower also takes the open cells' bounds.
+    lower, where lower, the least bound of the closed cells capped at the
+    rate, is at most the minimum of the problem with each bound loosened
+    by ``_TIGHT``. It is in [0, ``_GAP``] (1e-5 bits) unless the search
+    stopped after ``_CELL_BUDGET`` cells, when lower also takes the open
+    cells' bounds.
     Where no witness is found the result is infeasible (rate NaN, no
     argmin): ``grid_resolution`` is 0 when every cell was excluded, and
     +inf when the budget ran out first. A bad bound raises
@@ -404,16 +448,14 @@ def binary_min_rate(
     best, argmin, lower, cells = math.inf, None, math.inf, 0
     while xy.shape[1] and cells + xy.shape[1] * s * s <= _CELL_BUDGET:
         # the open cells' lattices, and each child's corners in them
-        grid, local = _SPLITS[s]
         h /= s
-        points = (xy[:, :, None] + h * grid[:, None]).reshape(2, -1)
-        corners = (local[:, None] + grid.shape[1] * np.arange(xy.shape[1])[:, None]).reshape(4, -1)
+        points, corners, info, hs, terms = (
+            _level(b1, p1, xy, h, s) if cells else _first_level(b1, p1))
         cells += corners.shape[1]
-        info, hs = _binary_joint_arr(b1, p1, points[0], points[1])
         met = _met(b1, cons, points[0], points[1], hs)
         xy = points.take(corners[0], axis=1)
-        bound, cand = _cell_bounds(b1, p1, cons, xy, h, hs.take(corners),
-                                   met.take(corners, axis=1))
+        bound, cand = _cell_bounds(b1, cons, xy, h, hs.take(corners),
+                                   met.take(corners, axis=1), terms)
         cinfo, chs = _binary_joint_arr(b1, p1, cand[0], cand[1])
         met = np.concatenate((met, _met(b1, cons, cand[0], cand[1], chs)), axis=1)
         value = np.where(np.logical_and.reduce(met), np.concatenate((info, cinfo)), _INF)
@@ -432,7 +474,9 @@ def binary_min_rate(
     lower = min(lower, float(np.minimum.reduce(bound, where=kept, initial=np.inf)))  # open cells
     ch = BinaryChannel(*argmin)
     rate = binary_channel_stats(src, ch).mutual_info
-    return result(rate=rate, argmin=ch, grid_resolution=rate - lower)
+    # the witness meets every loosened bound, so the loosened minimum is at
+    # most its I, whatever rounding a cell bound took
+    return result(rate=rate, argmin=ch, grid_resolution=rate - min(lower, rate))
 
 
 # ---------------------------------------------------------------------------

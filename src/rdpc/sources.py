@@ -113,10 +113,11 @@ class GaussianPairSource:
 def _corr2(vx: float, var_xh: float, cov: float) -> float:
     """The squared correlation cov^2 / (vx * var_xh) of variances > 0,
     unclamped: +inf when cov^2 overflows. When vx * var_xh underflows to
-    0, cov is divided by both deviations before it is squared."""
+    0 or overflows to +inf, cov is divided by both deviations before it is
+    squared."""
     denom = vx * var_xh
     try:
-        if denom == 0.0:
+        if not 0.0 < denom < math.inf:
             return (cov / math.sqrt(vx) / math.sqrt(var_xh)) ** 2
         return cov**2 / denom
     except OverflowError:  # a Python float raises where numpy gives inf
@@ -167,21 +168,19 @@ def gaussian_recon_stats(
 
     Sentinels at the degenerate corners: an exact copy (correlation 1)
     reports infinite rate; a constant reconstruction reports infinite KL
-    and the unconditional label entropy. A mean difference or covariance
-    whose square overflows, or a covariance that breaks Cauchy-Schwarz
-    (any nonzero one at var_xh = 0), raises ``DomainError``.
+    and the unconditional label entropy. A mean difference whose square
+    overflows, or a covariance that breaks Cauchy-Schwarz (any nonzero one
+    at var_xh = 0), raises ``DomainError``.
     """
     vx = src.var_x
     try:
         shift2 = (src.mu_x - rec.mu_xh) ** 2
-        cov2 = rec.cov_xxh**2
     except OverflowError:  # a Python float raises where numpy gives inf
-        raise DomainError(
-            f"a square overflows at mu_xh={rec.mu_xh}, cov_xxh={rec.cov_xxh}"
-        ) from None
+        raise DomainError(f"a square overflows at mu_xh={rec.mu_xh}") from None
     if rec.cov_xxh != 0.0 and (rec.var_xh == 0.0
                                or _corr2(vx, rec.var_xh, rec.cov_xxh) > 1.0 + 1e-12):
-        raise DomainError(f"cov^2={cov2} exceeds var_x*var_xh={vx * rec.var_xh}")
+        raise DomainError(f"cov_xxh={rec.cov_xxh} breaks Cauchy-Schwarz at "
+                          f"var_x={vx}, var_xh={rec.var_xh}")
     return ChannelStats(*_gaussian_stats(src, rec.var_xh, rec.cov_xxh, shift2), Unit.NATS)
 
 

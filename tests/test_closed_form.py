@@ -242,6 +242,28 @@ def test_gaussian_forms_at_huge_variances_answer_as_at_unit_scale(scale):
     assert rpc.witness.cov_xxh / scale == pytest.approx(tilt, rel=1e-9)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+def test_gaussian_forms_and_their_witnesses_do_not_depend_on_the_scale(scale):
+    """The distortion slack is relative to var_x, so a tiny source is not
+    distortion-limited at every d below 1e-12; and the statistics take the
+    correlation one deviation at a time where var_x * var_xh overflows, so
+    a huge source's tilted witness certifies."""
+    unit = GaussianPairSource(0.0, 0.0, 1.0, 1.0, 0.1)
+    src = GaussianPairSource(0.0, 0.0, scale, scale, 0.1 * scale)
+    d, p, c = 0.5 * scale, 0.5, src.h_s - 0.004
+    for got, want in ((rdc_gaussian(src, d, c), rdc_gaussian(unit, 0.5, unit.h_s - 0.004)),
+                      (rpc_gaussian(src, p, c), rpc_gaussian(unit, p, unit.h_s - 0.004))):
+        assert got.region is want.region is Region.CLASSIFICATION_LIMITED
+        assert abs(got.rate - want.rate) <= 1e-9
+        stats = gaussian_recon_stats(src, got.witness)
+        assert abs(stats.mutual_info - got.rate) <= 1e-9
+        assert stats.cond_entropy_s - c <= 1e-9
+        if got.d is not None:
+            assert stats.distortion - d <= 1e-9 * scale
+        else:
+            assert stats.perception - p <= 1e-9
+
+
 def test_rdc_gaussian_zero_rate_and_infeasible():
     free = rdc_gaussian(GSRC, 1.5, H_S + 0.1)
     assert free.region is Region.ZERO_RATE and free.rate == 0.0

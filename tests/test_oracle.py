@@ -223,7 +223,9 @@ def test_cell_bound_is_below_every_point_that_meets_the_bounds(src, depth, fx, f
         spread = values.max() - values.min()
         cons[k] = float(np.quantile(values, inner) + (share - inner) * spread)
     met = oracle._met(b1, cons, cx, cy, corners)
-    bound = oracle._cell_bounds(b1, p1, cons, np.array([x0, y0]), h, corners, met)[0][0]
+    xy = np.array([x0, y0])
+    terms = oracle._centre_terms(b1, p1, xy + 0.5 * h)
+    bound = oracle._cell_bounds(b1, cons, xy, h, corners, met, terms)[0][0]
     met = np.logical_and.reduce([stats[:, column[k]] - v <= TIGHT for k, v in cons.items()])
     assert (stats[met, 0] >= bound - 1e-12).all()
 
@@ -297,6 +299,7 @@ def test_a_search_cut_short_by_its_budget_says_so(monkeypatch):
 
 
 SKEW = BinaryPairSource(a=0.45, p1=0.2)
+OFF = BinaryPairSource(a=0.3, p1=0.05)  # b = 5/18
 
 
 # float.hex of rate, argmin (p_a, p_b) and grid_resolution, as the search
@@ -347,6 +350,20 @@ _PINNED = {
           "0x1.050281153b800p-13")),
     "src11-cons11-63-want11":
         (SRC, {"D": 0.3, "C": 0.6}, 63, ("nan", None, None, "inf")),
+    # zero rates, each settled by a witness of the first level: a lattice
+    # point, or the product channel p_a = p_b = 1 - b where 1 - b = 13/18
+    # is off the lattice
+    "zero-rate-under-d-and-c":
+        (SRC, {"D": 0.3, "C": 0.9}, None,
+         ("0x0.0p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x0.0p+0")),
+    "zero-rate-under-c":
+        (SRC, {"C": 0.9}, None, ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0")),
+    "zero-rate-at-p-zero-off-the-lattice":
+        (OFF, {"P": 0.0, "C": 0.9}, None,
+         ("0x0.0p+0", "0x1.71c71c71c71c7p-1", "0x1.71c71c71c71c7p-1", "0x0.0p+0")),
+    "zero-rate-under-p-off-the-lattice":
+        (OFF, {"P": 0.02, "C": 0.95}, None,
+         ("0x0.0p+0", "0x1.71c71c71c71c7p-1", "0x1.71c71c71c71c7p-1", "0x0.0p+0")),
 }
 
 
@@ -365,9 +382,9 @@ def _count_cells(monkeypatch) -> list[int]:
     once per level, with all of that level's cells."""
     levels, bounds = [], oracle._cell_bounds
 
-    def counted(b1, p1, cons, xy, *rest):
+    def counted(b1, cons, xy, *rest):
         levels.append(xy.shape[1])
-        return bounds(b1, p1, cons, xy, *rest)
+        return bounds(b1, cons, xy, *rest)
 
     monkeypatch.setattr(oracle, "_cell_bounds", counted)
     return levels
@@ -377,7 +394,7 @@ def _count_cells(monkeypatch) -> list[int]:
 # deterministic, so a return to many narrow levels fails here
 _EFFORT = dict(zip(_PINNED, [
     (4, 384), (4, 384), (5, 448), (4, 560), (6, 784), (6, 848), (3, 448), (3, 512),
-    (1, 64), (1, 64), (3, 288), (0, 0)], strict=True))
+    (1, 64), (1, 64), (3, 288), (0, 0), (1, 64), (1, 64), (1, 64), (1, 64)], strict=True))
 
 
 @pytest.mark.parametrize("src, cons, budget, effort", [
@@ -414,6 +431,84 @@ def test_a_zero_perception_query_near_b_zero_says_when_its_budget_ran_out(monkey
     values = {"P": stats.perception, "C": stats.cond_entropy_s}
     assert all(values[k] - bound <= TIGHT for k, bound in got.constraints.items())
     assert (got.grid_resolution > 1e-5) == stopped
+
+
+@pytest.mark.parametrize("key", [key for key in _PINNED if key.startswith("zero-rate")])
+def test_a_zero_rate_ends_after_the_first_level(monkeypatch, key):
+    """I >= 0 closes every cell once a witness is within 1e-5 bits of 0,
+    and the first level holds a zero-rate witness for these bounds."""
+    src, cons, _, _ = _PINNED[key]
+    levels = _count_cells(monkeypatch)
+    got = binary_min_rate(src, cons)
+    assert levels == [64]
+    assert 0.0 <= got.rate <= 1e-15 and 0.0 <= got.grid_resolution <= 1e-5
+    stats = binary_channel_stats(src, got.argmin)
+    values = {"D": stats.distortion, "P": stats.perception, "C": stats.cond_entropy_s}
+    assert all(values[k] - bound <= TIGHT for k, bound in got.constraints.items())
+
+
+def _crosscheck_like_queries(seed, n):
+    """n binary queries of D and C or P and C, half of them at C from h(a)
+    up, where the rate is 0."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        a = float(rng.uniform(0.05, 0.5))
+        src = BinaryPairSource(a, a * float(rng.uniform(0.0, 0.9)))
+        top = binary_entropy(a)
+        c = float(rng.uniform(top, 1.0) if i % 2 else rng.uniform(src.floor_c, top))
+        first = {"D": float(rng.uniform(0.02, 0.4))} if i % 4 < 2 else {
+            "P": float(rng.uniform(0.0, 0.05))}
+        yield src, first | {"C": c}
+
+
+def test_a_bracket_is_never_negative():
+    """A cell bound can exceed the witness's I by rounding; the loosened
+    minimum is at most that I, so lower is capped there."""
+    got = binary_min_rate(SRC, {"D": 0.26, "C": 1.0})
+    assert (got.rate, got.grid_resolution) == (0.0, 0.0)
+    got = binary_min_rate(BinaryPairSource(0.3249058232101367, 0.2338594685670405),
+                          {"C": 0.9628875592347534, "P": 0.025})
+    assert (got.rate, got.grid_resolution) == (0.0, 0.0)
+    for src, cons in _crosscheck_like_queries(5, 200):
+        got = binary_min_rate(src, cons)
+        assert got.feasible and 0.0 <= got.grid_resolution <= 1e-5
+
+
+def _answer(src, cons):
+    got = binary_min_rate(src, cons)
+    return (float.hex(got.rate), float.hex(got.grid_resolution),
+            None if got.argmin is None else (float.hex(got.argmin.p_a),
+                                             float.hex(got.argmin.p_b)))
+
+
+def test_a_cached_first_level_gives_the_answers_of_a_fresh_one():
+    """Blocks of 6 queries on three sources in turn, p1 = -0.0 after p1 =
+    0.0 (one key), answer as they do with the cache cleared before each."""
+    sources = (BinaryPairSource(0.3, 0.0), BinaryPairSource(0.45, 0.2),
+               BinaryPairSource(0.3, -0.0))
+    queries = [(src, cons) for _ in range(2) for src in sources
+               for cons in ({"D": 0.2, "C": 0.7}, {"P": 0.01, "C": 0.8}, {"C": 0.95},
+                            {"D": 0.3, "C": 1.0}, {"P": 0.0, "C": 0.75}, {"D": 0.1})]
+    oracle._first_level.cache_clear()
+    warm = [_answer(src, cons) for src, cons in queries]
+    assert oracle._first_level.cache_info().hits == len(queries) - 2
+    fresh = []
+    for src, cons in queries:
+        oracle._first_level.cache_clear()
+        fresh.append(_answer(src, cons))
+    assert warm == fresh
+
+
+def test_the_first_level_cache_is_read_only_and_bounded():
+    size = oracle._first_level.cache_info().maxsize
+    assert size == 16
+    for a in np.linspace(0.05, 0.5, 2 * size):
+        binary_min_rate(BinaryPairSource(float(a), 0.01), {"D": 0.2, "C": 0.9})
+        assert oracle._first_level.cache_info().currsize <= size
+    for array in oracle._first_level(SRC.b, SRC.p1):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array.reshape(-1)[0] = 0
 
 
 def test_a_subnormal_source_solves_without_warnings():
@@ -630,7 +725,8 @@ def _traced_peak(query):
 
 def test_oracle_queries_hold_no_full_size_temporary():
     # one 1001 x 1001 float64 array is 7.6 MiB; the binary search holds
-    # arrays over one level of cells, and no lattice
+    # arrays over one level of cells, and no lattice, besides its cache of
+    # first levels, 16 of about 4 KiB
     mib = 2**20
     cold = _traced_peak(lambda: binary_min_rate(SRC, {"D": 0.2, "C": 0.7}))
     warm = _traced_peak(lambda: binary_min_rate(SRC, {"P": 0.05, "C": 0.6}))
