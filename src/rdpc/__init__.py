@@ -13,7 +13,7 @@ from importlib import import_module
 
 # each public name's home module; the ones in _LAZY load on first use
 _NAMES = {
-    "closed_form": ("rdc_binary", "rdc_gaussian", "rpc_binary", "rpc_binary_witness", "rpc_gaussian"),
+    "closed_form": ("rdc_binary", "rdc_gaussian", "rpc_binary", "rpc_gaussian"),
     "entropy": ("binary_entropy", "binary_entropy_inv", "gaussian_diff_entropy", "gaussian_kl"),
     "errors": ("DegenerateSourceError", "DomainError", "NoCrossingError"),
     "oracle": ("MglCheck", "binary_min_rate", "gaussian_min_rate", "mrs_gerber_check"),

@@ -180,32 +180,17 @@ def _line_entropy(src: BinaryPairSource, p_a: float) -> float:
     return _binary_point(b, src.p1, p_a, 0.0 if 0.0 > p_b else 1.0 if 1.0 < p_b else p_b)[3]
 
 
-def rpc_binary_witness(src: BinaryPairSource, c: float) -> BinaryChannel:
-    """Zero-divergence channel with H(S|Xhat) = c, via inverting g.
-
-    Bisection runs on the decreasing branch p_a in [1-b, 1]. The returned
-    channel always has TV(p_X, p_Xhat) = 0; its mutual information may
-    strictly exceed the closed-form rate for interior c (see the gap probe
-    in the verify suite), so callers must not assume rate equality.
-    """
-    _check_bounds(c)
-    if c < src.floor_c - _TOL or c > 1.0 + _TOL:
-        raise DomainError(f"no zero-divergence channel reaches c={c}")
-    return _zero_tv(src, c)
-
-
 def _zero_tv(src: BinaryPairSource, c: float) -> BinaryChannel:
-    """``rpc_binary_witness`` at a c its caller has checked."""
+    """The zero-TV channel with H(S|Xhat) = c, at the c < H(a) - 1e-12
+    that ``rpc_binary`` passes: H(S|Xhat) falls along the zero-divergence
+    line from H(a) at p_a = 1-b to H(p1) at p_a = 1, and bisection on p_a
+    finds where it crosses c."""
     b = src.b
     if b < 1e-15:
         return BinaryChannel(1.0, 1.0)
-    if c >= src.h_a - _TOL:
-        return BinaryChannel(1.0 - b, 1.0 - b)
     if c <= src.floor_c + _TOL:
         return BinaryChannel(1.0, 0.0)
-    p_a = bisect_root(
-        lambda x: _line_entropy(src, x) - c, 1.0 - b, 1.0, xtol=1e-13
-    )
+    p_a = bisect_root(lambda x: _line_entropy(src, x) - c, 1.0 - b, 1.0, xtol=1e-13)
     p_b = (1.0 - b) * (1.0 - p_a) / b
     return BinaryChannel(p_a, 0.0 if 0.0 > p_b else 1.0 if 1.0 < p_b else p_b)
 
@@ -219,9 +204,10 @@ def rpc_binary(src: BinaryPairSource, p: float, c: float) -> TradeoffPoint:
     of the backward channel that attains it. Below TV*(c) the perception
     bound binds and the value returned is below the true minimum: at a=0.3,
     p1=0.1, c=0.6 it is 0.493322 for every p, where the oracle gives 0.498469
-    at p = 0 and meets it from TV*(0.6) = 0.0326 up. The witness is the
-    zero-TV channel of ``rpc_binary_witness``, which meets both bounds at a
-    mutual information that can exceed the rate returned.
+    at p = 0 and meets it from TV*(0.6) = 0.0326 up. The witness has zero TV
+    for every p, so it is also the P = 0 witness: X's marginal (1-b, 1-b) at
+    c >= H(a), else where the zero-divergence line crosses H(S|Xhat) = c
+    (``_zero_tv``). Its mutual information can exceed the rate returned.
     """
     _check_bounds(c, 0.0, p)
     if c < src.floor_c - _TOL:

@@ -30,7 +30,6 @@ from .closed_form import (
     rdc_binary,
     rdc_gaussian,
     rpc_binary,
-    rpc_binary_witness,
     rpc_gaussian,
 )
 from .entropy import (
@@ -342,7 +341,7 @@ def _suite_rpc_binary_gap_probe(seed: int) -> _Recorder:
     tv_at_relaxed = binary_channel_stats(src, relaxed.argmin).perception
     rec.worst("relaxed_argmin_tv", tv_at_relaxed, 0.05 + 1e-9)
 
-    line_wit = rpc_binary_witness(src, c)
+    line_wit = rpc_binary(src, 0.0, c).witness
     line_stats = binary_channel_stats(src, line_wit)
     rec.worst("line_witness_tv", abs(line_stats.perception), 1e-12)
     rec.worst("line_witness_cond_entropy_err", abs(line_stats.cond_entropy_s - c), 1e-9)

@@ -31,7 +31,7 @@ from rdpc import (
     rate_given_pcd,
     rdc_binary,
     rdc_gaussian,
-    rpc_binary_witness,
+    rpc_binary,
     rpc_gaussian,
     sweep,
 )
@@ -138,7 +138,7 @@ def test_criterion_3_binary_rpc_two_regimes():
     src = BinaryPairSource(0.3, 0.1)
     relaxed = binary_min_rate(src, {"P": 0.05, "C": 0.6}, workers=8)
     probe = binary_min_rate(src, {"P": 0.0, "C": 0.6}, workers=8)
-    line_stats = binary_channel_stats(src, rpc_binary_witness(src, 0.6))
+    line_stats = binary_channel_stats(src, rpc_binary(src, 0.0, 0.6).witness)
 
     relaxed_err = abs(relaxed.rate - 0.492917)
     probe_err = abs(probe.rate - line_stats.mutual_info)

@@ -21,7 +21,6 @@ from rdpc import (
     rdc_binary,
     rdc_gaussian,
     rpc_binary,
-    rpc_binary_witness,
     rpc_gaussian,
 )
 from rdpc.closed_form import _line_entropy, _rdc_binary_rates, _rdc_gaussian_rates
@@ -143,13 +142,13 @@ def test_rpc_binary_zero_rate_witness_is_constantly_biased():
 
 @pytest.mark.parametrize("c", [SRC.h_a, 1.0])
 def test_rpc_binary_witness_at_and_above_h_a_is_the_constant_channel(c):
-    assert rpc_binary_witness(SRC, c) == BinaryChannel(0.75, 0.75)
+    assert rpc_binary(SRC, 0.0, c).witness == BinaryChannel(0.75, 0.75)
 
 
 def test_rpc_binary_line_witness_pays_a_rate_premium():
     """The zero-divergence channel hits the classification level exactly
     but its mutual information sits strictly above the closed-form rate."""
-    ch = rpc_binary_witness(SRC, 0.6)
+    ch = rpc_binary(SRC, 0.0, 0.6).witness
     stats = binary_channel_stats(SRC, ch)
     assert stats.perception <= 1e-12
     assert stats.cond_entropy_s == pytest.approx(0.6, abs=1e-9)
@@ -185,7 +184,7 @@ def test_g_function_is_the_four_atom_formula():
             assert abs(_line_entropy(src, p_a) - _four_atom_g(src, p_a)) <= 4e-15
 
 
-# float.hex of (p_a, p_b) of rpc_binary_witness, by ((a, p1), C)
+# float.hex of (p_a, p_b) of the P = 0 witness of rpc_binary, by ((a, p1), C)
 _RPC_WITNESS_BITS = [
     ((0.3, 0.1), 0.6, ("0x1.eba2621e4ba00p-1", "0x1.e8c6cd28e9001p-4")),
     ((0.3, 0.1), 0.75, ("0x1.ca63189df3e00p-1", "0x1.41ad6c4c48c01p-2")),
@@ -198,8 +197,23 @@ _RPC_WITNESS_BITS = [
 
 @pytest.mark.parametrize("source, c, bits", _RPC_WITNESS_BITS)
 def test_rpc_binary_witness_keeps_its_bits(source, c, bits):
-    ch = rpc_binary_witness(BinaryPairSource(*source), c)
+    ch = rpc_binary(BinaryPairSource(*source), 0.0, c).witness
     assert (float.hex(ch.p_a), float.hex(ch.p_b)) == bits
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(a=st.floats(0.0, 0.5), share=st.floats(0.0, 0.98), t=st.floats(0.0, 1.0))
+def test_rpc_binary_witness_has_zero_tv_and_meets_c(a, share, t):
+    # below H(a) the witness lies on the zero-divergence line at H(S|Xhat) = C;
+    # from H(a) up it is X's marginal, independent of X
+    src = BinaryPairSource(a, a * share)
+    c = src.floor_c + t * (src.h_a - src.floor_c)
+    if c < src.h_a:
+        stats = binary_channel_stats(src, rpc_binary(src, 0.0, c).witness)
+        assert stats.perception <= 1e-12
+        assert abs(stats.cond_entropy_s - c) <= 1e-9
+    for c in (src.h_a, src.h_a + t * (1.0 - src.h_a)):
+        assert rpc_binary(src, 0.0, c).witness == BinaryChannel(1.0 - src.b, 1.0 - src.b)
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +360,6 @@ _NAN_BOUNDS = {
         (rpc_gaussian, (GSRC, math.nan, H_S - 0.05)),
     "rpc_gaussian-args9":
         (rpc_gaussian, (GSRC, 0.1, math.nan)),
-    "rpc_binary_witness-args10":
-        (rpc_binary_witness, (SRC, math.inf)),
-    "rpc_binary_witness-args11":
-        (rpc_binary_witness, (SRC, -math.inf)),
-    "rpc_binary_witness-args12":
-        (rpc_binary_witness, (SRC, math.nan)),
     "rpc_binary-args13":
         (rpc_binary, (SRC, -0.1, 0.6)),
     "_rdc_binary_rates-args14":
@@ -464,9 +472,6 @@ def test_binary_forms_switch_feasibility_at_floor_c(a, share, d, p):
         assert rdc_binary(src, d, c).feasible is feasible
         assert rpc_binary(src, p, c).feasible is feasible
         assert math.isnan(_rdc_binary_rates(src, [d], [c])[0]) is not feasible
-    rpc_binary_witness(src, src.floor_c)
-    with pytest.raises(DomainError):
-        rpc_binary_witness(src, src.floor_c - 1e-9)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)

@@ -431,8 +431,6 @@ _FIRST_ERRORS = {
         ("rpc_binary", "b", (-0.1, nan), "perception bound must be nonnegative"),
     "rpc_binary-b-args4-classification bound is NaN":
         ("rpc_binary", "b", (0.1, nan), "classification bound is NaN"),
-    "rpc_binary_witness-b-args5-classification bound is NaN":
-        ("rpc_binary_witness", "b", (nan,), "classification bound is NaN"),
     "rdc_gaussian-g-args6-distortion bound must be nonnegative":
         ("rdc_gaussian", "g", (-1.0, nan), "distortion bound must be nonnegative"),
     "rdc_gaussian-g-args7-classification bound is NaN":
@@ -445,8 +443,6 @@ _FIRST_ERRORS = {
         ("rpc_gaussian", "g", (0.1, nan), "classification bound is NaN"),
     "rpc_gaussian-g-args12-classification bound is NaN":
         ("rpc_gaussian", "g", (0.0, nan), "classification bound is NaN"),
-    "rpc_binary_witness-b-args13-no zero-divergence channel reaches c=0.3":
-        ("rpc_binary_witness", "b", (0.3,), "no zero-divergence channel reaches c=0.3"),
     "rate_given_pcd-gh-args14-pinned distortion must be positive":
         ("rate_given_pcd", "gh", (0.0, -1.0, nan), "pinned distortion must be positive"),
     "rate_given_pcd-gh-args15-perception bound must be nonnegative":
