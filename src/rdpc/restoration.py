@@ -85,9 +85,9 @@ def bayes_threshold_clean(mixture: GaussianMixture2) -> float:
 
     Closed form for equal variances, otherwise a bisection on the density
     difference over the segment between the means. Components with equal
-    means have no threshold, nor has a component with zero weight (domain
-    errors); unequal-variance pairs whose densities do not cross between
-    the means raise ``NoCrossingError``.
+    means or a zero weight have no threshold, nor have unequal-variance
+    pairs whose squared mean gap overflows (domain errors); those whose
+    densities do not cross between the means raise ``NoCrossingError``.
     """
     m1, m2 = mixture.m1, mixture.m2
     if m1 == m2:
@@ -105,6 +105,8 @@ def bayes_threshold_clean(mixture: GaussianMixture2) -> float:
         return d1 - d2
 
     lo, hi = min(m1, m2), max(m1, m2)
+    if not (hi - lo) * (hi - lo) < math.inf:  # diff squares x - m, which would raise
+        raise DomainError(f"the squared gap between the means overflows: ({m1}, {m2})")
     if diff(lo) * diff(hi) > 0.0:
         raise NoCrossingError("component densities do not cross between the means")
     return bisect_root(diff, lo, hi, xtol=1e-13)
@@ -170,9 +172,15 @@ def error_rate_of_gain(
         w_hi, m_hi, v_hi = mix.w1, mix.m1, mix.v1
     bump = model.sigma_n**2
     scale = abs(a)
-    z_hi = (c0 - a * m_hi) / (scale * math.sqrt(v_hi + bump))
-    z_lo = (c0 - a * m_lo) / (scale * math.sqrt(v_lo + bump))
+    z_hi = _standardized(c0 - a * m_hi, scale, math.sqrt(v_hi + bump))
+    z_lo = _standardized(c0 - a * m_lo, scale, math.sqrt(v_lo + bump))
     return w_hi * _std_normal_cdf(z_hi) + w_lo * _std_normal_cdf(-z_lo)
+
+
+def _standardized(x: float, scale: float, sd: float) -> float:
+    """x / (scale sd), one factor at a time where the product underflows to 0."""
+    den = scale * sd
+    return x / den if den > 0.0 else x / scale / sd
 
 
 def error_rate_reoptimized(model: RestorationModel, a: float) -> float:
@@ -261,7 +269,8 @@ def kl_of_gains(model: RestorationModel, gains: Sequence[float]) -> np.ndarray:
 
     Every gain is checked before any work: a zero, NaN or infinite gain
     anywhere raises ``DomainError``, as does one whose restored variance
-    or means leave the float range. With no gains the result is empty.
+    or means leave the float range or, as in ``gaussian_kl``, whose mean
+    gaps square past it. With no gains the result is empty.
     """
     gains = np.asarray(gains, dtype=float).reshape(-1)
     for a in gains.tolist():
@@ -270,10 +279,15 @@ def kl_of_gains(model: RestorationModel, gains: Sequence[float]) -> np.ndarray:
             raise DomainError("restored law at gain 0 is a point mass; KL diverges")
     if not gains.size:
         return gains
-    # the restored means and variances grow with |a|: if the laws of the
-    # smallest and largest |a| are in float range, all are
-    for k in {int(np.argmin(np.abs(gains))), int(np.argmax(np.abs(gains)))}:
-        _scaled_mixture(model, float(gains[k]))
+    # the restored variances grow with |a| and the spread of the means (m1, m2,
+    # a m1, a m2) is convex in a: if both are in float range at the smallest
+    # |a| and at the smallest and largest a, they are at every gain
+    for k in {int(np.argmin(np.abs(gains))), int(np.argmin(gains)), int(np.argmax(gains))}:
+        law = _scaled_mixture(model, float(gains[k]))
+        means = (model.mixture.m1, model.mixture.m2, law.m1, law.m2)
+        spread = max(means) - min(means)
+        if not spread * spread < math.inf:
+            raise DomainError(f"a squared gap of the means overflows at gain {gains[k]}: {means}")
     mix, bump, g2 = model.mixture, model.sigma_n**2, gains * gains
     w, mu, m = (mix.w1, mix.w2), (mix.m1, mix.m2), np.array([[mix.m1], [mix.m2]])
     if mix.v1 == mix.v2:

@@ -83,3 +83,36 @@ def test_every_path_the_tracer_patches_resolves():
 
     assert len(paths) >= 10
     assert not sorted(p for p in paths if not resolves(p))
+
+
+# tracer targets whose code is gone from rdpc; the benchmark's next revision
+# drops them from perfbench/tracer.py, and this set with them
+_RETIRED = {"entropy.numeric_kl", "optimize.golden_min", "sources.mixture_density",
+            "rpc_given_d.eval_at", "closed_form.rpc_binary_witness"}
+
+
+def test_every_tracer_target_resolves_unless_retired():
+    """A ``SPANS`` or ``COUNTS`` target that no owner has is skipped by
+    ``Tracer.__enter__``, so its metric reads 0 with no error. Each target
+    must resolve on at least one owner, or be listed in ``_RETIRED``; a
+    listed one that resolves again fails too, so the list stays exact."""
+    tree = ast.parse(next(p for p in HARNESS if p.name == "tracer.py").read_text())
+    tables = {node.target.id: ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.AnnAssign)
+              and getattr(node.target, "id", "") in ("SPANS", "COUNTS")}
+    sites = {name: [(owner, name.rpartition(".")[2]) for owner in owners]
+             for name, owners in tables["SPANS"].items()}
+    sites.update(tables["COUNTS"])
+
+    def owner_of(path):
+        try:
+            return importlib.import_module(path)
+        except ModuleNotFoundError:
+            module, _, name = path.rpartition(".")
+            return getattr(importlib.import_module(module), name)
+
+    resolved = {name for name, pairs in sites.items()
+                if any(hasattr(owner_of(owner), attr) for owner, attr in pairs)}
+    assert _RETIRED <= set(sites)
+    assert sorted(set(sites) - resolved - _RETIRED) == []
+    assert sorted(_RETIRED & resolved) == []

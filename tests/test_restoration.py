@@ -327,13 +327,31 @@ _UNEQUAL_KL_BITS = {
     (4.0, 1.0): ["0x1.56da5c889c6e2p-2", "0x1.3b0965747eb77p+1",
                  "0x1.0732c25644733p-6", "0x1.c6bad93409fa1p-3"],
 }
+# the same where numpy takes no AVX-512 kernels, whose rounding moves the
+# last bits of three of the gain-0.81 values
+_UNEQUAL_KL_BITS_WITHOUT_AVX512 = _UNEQUAL_KL_BITS | {
+    (2.0, 0.3): ["0x1.59dfddbadd727p-2", "0x1.41ecdcb8ff175p+2",
+                 "0x1.b6f41f494bac0p-5", "0x1.02b4a1d7c7884p-3"],
+    (2.0, 1.0): ["0x1.b33c89f12bd32p-3", "0x1.67b7bc3f48aa2p+1",
+                 "0x1.56276316f3cf3p-7", "0x1.de5f03a349125p-3"],
+    (4.0, 0.0): ["0x1.0bc584bb80152p-1", "0x1.c15d6c2a30966p+1",
+                 "0x1.f84ec09f082d6p-5", "0x1.c37e373dbe5a9p-4"],
+}
+_UNEQUAL_KL_CODE = """
+import json
+from rdpc import GaussianMixture2, RestorationModel, kl_of_gains
+print(json.dumps([[float.hex(x) for x in kl_of_gains(RestorationModel(
+    GaussianMixture2(0.7, 0.3, -1.0, 1.0, 1.0, v2), sigma_n, 0.0), [-0.8, 0.3, 0.81, 1.4]).tolist()]
+    for v2, sigma_n in %r]))
+"""
 
 
 @pytest.mark.parametrize("v2, sigma_n", list(_UNEQUAL_KL_BITS))
 def test_unequal_variance_kl_keeps_its_bits(v2, sigma_n):
     model = RestorationModel(GaussianMixture2(0.7, 0.3, -1.0, 1.0, 1.0, v2), sigma_n, 0.0)
     got = kl_of_gains(model, [-0.8, 0.3, 0.81, 1.4])
-    assert [float.hex(x) for x in got.tolist()] == _UNEQUAL_KL_BITS[(v2, sigma_n)]
+    pins = _UNEQUAL_KL_BITS if _dispatches_avx512() else _UNEQUAL_KL_BITS_WITHOUT_AVX512
+    assert [float.hex(x) for x in got.tolist()] == pins[(v2, sigma_n)]
 
 
 @pytest.mark.parametrize("sigma_n", [0.0, 0.7])
@@ -512,6 +530,16 @@ def test_monte_carlo_keeps_its_bits_without_avx512():
     assert {int(n): bits for n, bits in json.loads(out.stdout).items()} == _MC_BITS
 
 
+@pytest.mark.skipif(not _dispatches_avx512(), reason="numpy dispatches no AVX-512 kernels here")
+def test_unequal_variance_kl_keeps_its_bits_without_avx512():
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(_NO_AVX512),
+               PYTHONPATH=str(Path(restoration.__file__).parents[1]))
+    keys = list(_UNEQUAL_KL_BITS_WITHOUT_AVX512)
+    out = subprocess.run([sys.executable, "-c", _UNEQUAL_KL_CODE % keys], capture_output=True,
+                         text=True, env=env, timeout=120, check=True)
+    assert json.loads(out.stdout) == [_UNEQUAL_KL_BITS_WITHOUT_AVX512[k] for k in keys]
+
+
 GRID = np.linspace(0.05, 1.5, 146)
 
 
@@ -576,6 +604,45 @@ def test_unequal_variance_kl_at_a_subnormal_restored_variance_is_inf(sigma_n, w1
     # as with equal variances; a zero-weight component adds 0, not 0 * inf
     model = RestorationModel(GaussianMixture2(w1, 1.0 - w1, -1.0, 1.0, 1.0, 2.0), sigma_n, 0.0)
     assert kl_of_gains(model, [1e-160, 0.5])[0] == math.inf
+
+
+@pytest.mark.parametrize("means, v2, gains", [
+    ((0.0, 1e155), 1.0, [0.7]),  # was NaN, with 6 RuntimeWarnings
+    ((0.0, 1e155), 2.0, [0.7]),  # was a bare OverflowError
+    ((1e300, 1e300), 2.0, [0.7]),  # was NaN from logaddexp
+    ((0.0, 1e154), 1.0, [0.5, -1.0]),  # the gap 2e154 between 1e154 and -1e154
+])
+def test_kl_where_a_squared_mean_gap_overflows_is_refused(means, v2, gains):
+    model = RestorationModel(GaussianMixture2(0.5, 0.5, *means, 1.0, v2), 1.0, 0.0)
+    for call in (kl_of_gains, sweep):
+        with pytest.raises(DomainError, match="squared gap"):
+            call(model, gains)
+
+
+@pytest.mark.parametrize("v2", [1.0, 2.0])
+def test_kl_where_every_squared_mean_gap_is_finite_is_answered(v2):
+    # the far component's restored mean is 3e153 off its clean one: KL is
+    # about w2 (3e153)^2 / (2 * 0.7^2 * (v2 + 1)), past which every term is O(1)
+    model = RestorationModel(GaussianMixture2(0.5, 0.5, 0.0, 1e154, 1.0, v2), 1.0, 0.0)
+    got = kl_of_gains(model, [0.7])[0]
+    assert got == pytest.approx(0.5 * 3e153 * 3e153 / (2.0 * 0.49 * (v2 + 1.0)), rel=1e-12)
+
+
+def test_bayes_threshold_where_the_squared_mean_gap_overflows():
+    # unequal variances bisect on densities that square x - m: refused;
+    # equal ones take the closed form, which squares nothing
+    with pytest.raises(DomainError, match="squared gap"):
+        bayes_threshold_clean(GaussianMixture2(0.5, 0.5, -1e160, 1e160, 1.0, 2.0))
+    assert bayes_threshold_clean(GaussianMixture2(0.5, 0.5, -1e160, 1e160, 1.0, 1.0)) == 0.0
+
+
+@pytest.mark.parametrize("a, rate", [(1e-150, 0.0), (1e-200, 0.0), (5e-324, 0.0), (-1e-200, 1.0)])
+def test_error_rate_where_the_restored_spread_underflows(a, rate):
+    # |a| sqrt(v) is 1e-300 at a = 1e-150 and underflows to 0 below: each
+    # restored law is a point mass a * m, on its own side of the threshold 0
+    # for a > 0 and on the other for a < 0 (was a ZeroDivisionError)
+    model = RestorationModel(GaussianMixture2(0.5, 0.5, -1.0, 1.0, 1e-300, 1e-300), 0.0, 0.0)
+    assert error_rate_of_gain(model, a) == rate
 
 
 def test_kl_of_146_gains_at_high_noise_is_finite_and_nonnegative():

@@ -153,25 +153,40 @@ _REPORT_DIGESTS = {
     0: "3c8a1dd0cfd1dd422dc7603ae33222e60997614e0c0a32bc0c2f4994f5711c92",
     3: "e3ea9e7ef5156025f7987ba3b282c3a82b43cb2aedcce31192a39d7404222808",
 }
+# the same where numpy takes no AVX-512 kernels: seed 3's convexity suite
+# records binary_scalar_array_mismatch, the one-ulp gap between the scalar
+# closed form and numpy's array kernel, 5.55e-17 with AVX-512 and 0.0 without
+_REPORT_DIGESTS_WITHOUT_AVX512 = _REPORT_DIGESTS | {
+    3: "b0b0cd22150a3940c67de649cc4132b1124957dcb86362ed64275becaa26133f",
+}
 
 
 @pytest.mark.parametrize("seed, digest", list(_REPORT_DIGESTS.items()))
 def test_verify_report_keeps_its_bytes(tmp_path, seed, digest):
     out = tmp_path / "verify.json"
     assert cli.main(["verify", "--seed", str(seed), "--workers", "1", "--out", str(out)]) == 0
+    if not _dispatches_avx512():
+        digest = _REPORT_DIGESTS_WITHOUT_AVX512[seed]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _report_without_avx512(seed):
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(_NO_AVX512),
+               PYTHONPATH=str(Path(verify.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "rdpc", "verify", "--seed", str(seed)],
+                          capture_output=True, env=env, timeout=300, check=True).stdout
 
 
 @pytest.mark.skipif(not _dispatches_avx512(), reason="numpy dispatches no AVX-512 kernels here")
 def test_seed_0_report_keeps_its_bytes_without_avx512():
-    # Seed 3 is left out: its convexity suite's binary_scalar_array_mismatch
-    # records the one-ulp gap between the scalar closed form and numpy's
-    # array kernel, 5.55e-17 with AVX-512 and 0.0 without
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(_NO_AVX512),
-               PYTHONPATH=str(Path(verify.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-m", "rdpc", "verify", "--seed", "0"],
-                         capture_output=True, env=env, timeout=300, check=True)
-    assert hashlib.sha256(out.stdout).hexdigest() == _REPORT_DIGESTS[0]
+    digest = hashlib.sha256(_report_without_avx512(0)).hexdigest()
+    assert digest == _REPORT_DIGESTS_WITHOUT_AVX512[0]
+
+
+@pytest.mark.skipif(not _dispatches_avx512(), reason="numpy dispatches no AVX-512 kernels here")
+def test_seed_3_report_keeps_its_bytes_without_avx512():
+    digest = hashlib.sha256(_report_without_avx512(3)).hexdigest()
+    assert digest == _REPORT_DIGESTS_WITHOUT_AVX512[3]
 
 
 def _suite_of(*values):
