@@ -62,23 +62,37 @@ def test_every_oracle_keyword_the_harness_passes_is_accepted():
         oracle.bind(None, {}, refine=False, workers=1, **grid)  # TypeError if refused
 
 
+def _tracer_tables():
+    """``SPANS`` and ``COUNTS`` of ``perfbench/tracer.py``."""
+    tree = ast.parse(next(p for p in HARNESS if p.name == "tracer.py").read_text())
+    return {node.target.id: ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.AnnAssign)
+            and getattr(node.target, "id", "") in ("SPANS", "COUNTS")}
+
+
+def _owner(path):
+    """A module, or a class inside one, from its dotted name, as the tracer
+    resolves it; AttributeError if the module has no such class."""
+    try:
+        return importlib.import_module(path)
+    except ModuleNotFoundError:
+        module, _, name = path.rpartition(".")
+        return getattr(importlib.import_module(module), name)
+
+
 def test_every_path_the_tracer_patches_resolves():
     """``Tracer.__enter__`` imports each owner of ``SPANS`` and ``COUNTS``,
     a module or a class inside one, so a renamed module would crash every
     traced run."""
-    tree = ast.parse(next(p for p in HARNESS if p.name == "tracer.py").read_text())
-    tables = {node.target.id: ast.literal_eval(node.value) for node in tree.body
-              if isinstance(node, ast.AnnAssign)
-              and getattr(node.target, "id", "") in ("SPANS", "COUNTS")}
+    tables = _tracer_tables()
     paths = {path for owners in tables["SPANS"].values() for path in owners}
     paths |= {path for sites in tables["COUNTS"].values() for path, _ in sites}
 
     def resolves(path):
         try:
-            importlib.import_module(path)
-        except ModuleNotFoundError:
-            module, _, name = path.rpartition(".")
-            return hasattr(importlib.import_module(module), name)
+            _owner(path)
+        except AttributeError:
+            return False
         return True
 
     assert len(paths) >= 10
@@ -96,23 +110,12 @@ def test_every_tracer_target_resolves_unless_retired():
     ``Tracer.__enter__``, so its metric reads 0 with no error. Each target
     must resolve on at least one owner, or be listed in ``_RETIRED``; a
     listed one that resolves again fails too, so the list stays exact."""
-    tree = ast.parse(next(p for p in HARNESS if p.name == "tracer.py").read_text())
-    tables = {node.target.id: ast.literal_eval(node.value) for node in tree.body
-              if isinstance(node, ast.AnnAssign)
-              and getattr(node.target, "id", "") in ("SPANS", "COUNTS")}
+    tables = _tracer_tables()
     sites = {name: [(owner, name.rpartition(".")[2]) for owner in owners]
              for name, owners in tables["SPANS"].items()}
     sites.update(tables["COUNTS"])
-
-    def owner_of(path):
-        try:
-            return importlib.import_module(path)
-        except ModuleNotFoundError:
-            module, _, name = path.rpartition(".")
-            return getattr(importlib.import_module(module), name)
-
     resolved = {name for name, pairs in sites.items()
-                if any(hasattr(owner_of(owner), attr) for owner, attr in pairs)}
+                if any(hasattr(_owner(owner), attr) for owner, attr in pairs)}
     assert _RETIRED <= set(sites)
     assert sorted(set(sites) - resolved - _RETIRED) == []
     assert sorted(_RETIRED & resolved) == []
