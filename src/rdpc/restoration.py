@@ -243,11 +243,10 @@ def _mean_log_mixture(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         quad = 0.5 * v * (1.0 / var_b - 1.0 / var_o)
         lin = np.sqrt(v) * (d_b / var_b - d_o / var_o)
-        const = (math.log(w_o / w_b) + 0.5 * np.log(var_b / var_o)
-                 + d_b * d_b / (2.0 * var_b) - d_o * d_o / (2.0 * var_o))
+        log_ratios = math.log(w_o / w_b) + 0.5 * (np.log(var_b) - np.log(var_o))
+        const = log_ratios + d_b * d_b / (2.0 * var_b) - d_o * d_o / (2.0 * var_o)
         gap = var_b - var_o
-        r0 = (math.log(w_o / w_b) + 0.5 * (np.log(var_b) - np.log(var_o))
-              + (mu_o - mu_b) ** 2 / (2.0 * gap))
+        r0 = log_ratios + (mu_o - mu_b) ** 2 / (2.0 * gap)
         tilt = np.exp(-0.5 * ((var_o * (mu_o - mu_b) / gap - d_o) ** 2 / v))
     steep = quad < -_STEEP
     mean = _mean_softplus_quadratic(*np.broadcast_arrays(
