@@ -33,7 +33,7 @@ import numpy as np
 
 from .entropy import _mean_softplus, _mean_softplus_quadratic, _std_normal_cdf
 from .errors import DomainError, NoCrossingError
-from .optimize import bisect_predicate, bisect_root, brent_min
+from .optimize import bisect_predicate, brent_min
 from .sources import GaussianMixture2
 
 _METRICS = ("mse", "kl", "error_rate")
@@ -83,33 +83,33 @@ class FrontierPoint:
 def bayes_threshold_clean(mixture: GaussianMixture2) -> float:
     """Decision threshold where the two weighted component densities cross.
 
-    Closed form for equal variances, otherwise a bisection on the density
-    difference over the segment between the means. Components with equal
-    means or a zero weight have no threshold, nor have unequal-variance
-    pairs whose squared mean gap overflows (domain errors); those whose
-    densities do not cross between the means raise ``NoCrossingError``.
+    Equal variances v: (m1 + m2) / 2 + v log(w1 / w2) / (m2 - m1). Else,
+    with b the narrower component, x = m_a + t g and g = m_b - m_a, the log
+    densities meet where A t^2 - 2 t + c = 0: A = 1 - v_b / v_a and
+    c = 1 - 2 (v_b / g^2) (log(w_b / w_a) + log(v_a / v_b) / 2). Its vertex
+    1 / A lies beyond m_b, so t = c / (1 + sqrt(1 - A c)), a form in which
+    nothing cancels, is the only crossing between the means. Equal means or
+    a zero weight raise ``DomainError``, no crossing ``NoCrossingError``.
     """
-    m1, m2 = mixture.m1, mixture.m2
+    w1, w2, m1, m2, v1, v2 = mixture.w1, mixture.w2, mixture.m1, mixture.m2, mixture.v1, mixture.v2
     if m1 == m2:
         raise DomainError("components share a mean; no threshold between them")
-    if mixture.w1 == 0.0 or mixture.w2 == 0.0:
+    if w1 == 0.0 or w2 == 0.0:
         raise DomainError("a component has zero weight; no threshold between them")
-    if mixture.v1 == mixture.v2:
-        return 0.5 * (m1 + m2) + mixture.v1 * math.log(mixture.w1 / mixture.w2) / (
-            m2 - m1
-        )
-
-    def diff(x: float) -> float:
-        d1, d2 = (w * math.exp(-0.5 * (x - m) ** 2 / v) / math.sqrt(2.0 * math.pi * v)
-                  for w, m, v in ((mixture.w1, m1, mixture.v1), (mixture.w2, m2, mixture.v2)))
-        return d1 - d2
-
-    lo, hi = min(m1, m2), max(m1, m2)
-    if not (hi - lo) * (hi - lo) < math.inf:  # diff squares x - m, which would raise
-        raise DomainError(f"the squared gap between the means overflows: ({m1}, {m2})")
-    if diff(lo) * diff(hi) > 0.0:
+    if v1 == v2:
+        return 0.5 * (m1 + m2) + v1 * math.log(w1 / w2) / (m2 - m1)
+    (w_a, m_a, v_a), (w_b, m_b, v_b) = sorted(((w1, m1, v1), (w2, m2, v2)), key=lambda c: -c[2])
+    g = m_b - m_a
+    sd_b = math.sqrt(v_b)
+    ratio = sd_b / abs(g)
+    # a log of the deviations' ratio, which neither cancels at extreme scales nor overflows
+    L = math.log(w_b) - math.log(w_a) - math.log(sd_b / math.sqrt(v_a))
+    c = 1.0 - 2.0 * (ratio * (ratio * L))  # 0, not NaN, where ratio^2 overflows and L = 0
+    disc = 1.0 - (1.0 - v_b / v_a) * c
+    t = c / (1.0 + math.sqrt(disc)) if disc >= 0.0 else math.nan
+    if not 0.0 <= t <= 1.0:
         raise NoCrossingError("component densities do not cross between the means")
-    return bisect_root(diff, lo, hi, xtol=1e-13)
+    return m_a + t * g if math.isfinite(g) else (1.0 - t) * m_a + t * m_b
 
 
 def default_model(sigma_n: float = 1.0) -> RestorationModel:

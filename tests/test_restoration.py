@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -69,6 +69,60 @@ def test_unequal_variance_threshold_keeps_its_bits(params):
     assert abs(logs[0] - logs[1]) <= 1e-11
 
 
+def test_unequal_variance_threshold_at_a_tiny_gap():
+    # both weighted densities are about 1e20 at the means; mpmath gives
+    # 6.3705984770714034e-22 (the bisection's absolute tolerance 1e-13 gave 0.0)
+    mix = GaussianMixture2(0.5, 0.5, -1e-20, 1e-20, 1e-40, 2e-40)
+    assert bayes_threshold_clean(mix) == pytest.approx(6.3705984770714034e-22, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("params", list(_UNEQUAL_THRESHOLD_BITS))
+@pytest.mark.parametrize("s", [2.0**-500, 1.0, 2.0**500], ids=["2^-500", "1", "2^500"])
+def test_unequal_variance_threshold_scales_with_the_mixture(params, s):
+    w1, w2, m1, m2, v1, v2 = params
+    base = bayes_threshold_clean(GaussianMixture2(*params))
+    scaled = bayes_threshold_clean(GaussianMixture2(w1, w2, m1 * s, m2 * s, v1 * s * s, v2 * s * s))
+    assert abs(scaled / s - base) <= 1e-12 * abs(base)
+
+
+def _log_ratio_in_units(w, mu, var, u):
+    """log(w[0] N(u; mu[0], var[0])) - log(w[1] N(u; mu[1], var[1])), and the
+    sum of its terms' magnitudes, for O(1) arguments."""
+    terms = [(math.log(wi), -0.5 * math.log(vi), -0.5 * (u - mi) ** 2 / vi)
+             for wi, mi, vi in zip(w, mu, var)]
+    return (sum(terms[0]) - sum(terms[1]),
+            sum(abs(x) for x in terms[0]) + sum(abs(x) for x in terms[1]))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    w1=st.floats(1e-3, 1.0 - 1e-3, exclude_min=True, exclude_max=True),
+    exponent=st.floats(-150.0, 150.0),
+    mu=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    log_var=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+)
+def test_unequal_variance_threshold_at_extreme_scales(w1, exponent, mu, log_var):
+    # the mixture is an O(1) one scaled by s = 10^exponent; its checks are
+    # worked in units of s, where no square overflows
+    s = 10.0**exponent
+    w = (w1, 1.0 - w1)
+    mix = GaussianMixture2(*w, mu[0] * s, mu[1] * s,
+                           math.exp(log_var[0]) * s * s, math.exp(log_var[1]) * s * s)
+    assume(mix.m1 != mix.m2 and mix.v1 != mix.v2)
+    mu, var = (mix.m1 / s, mix.m2 / s), (mix.v1 / s / s, mix.v2 / s / s)
+    ends = [_log_ratio_in_units(w, mu, var, m) for m in mu]
+    assume(all(abs(r) > 1e-12 * size for r, size in ends))  # not a knife edge
+    try:
+        t = bayes_threshold_clean(mix)
+    except NoCrossingError:
+        assert ends[0][0] * ends[1][0] > 0.0
+        return
+    assert ends[0][0] * ends[1][0] < 0.0
+    assert min(mix.m1, mix.m2) <= t <= max(mix.m1, mix.m2)
+    r, size = _log_ratio_in_units(w, mu, var, t / s)
+    assert abs(r) <= 1e-12 * size
+
+
 def test_unequal_variance_densities_that_do_not_cross_have_no_threshold():
     # the narrow light component stays under the wide heavy one between the means
     with pytest.raises(NoCrossingError):
@@ -121,6 +175,15 @@ def test_reoptimized_threshold_is_flat_in_gain():
     values = [error_rate_reoptimized(MODEL, a) for a in (0.3, 0.7, 1.0, 1.4)]
     assert max(values) - min(values) <= 1e-9
     assert values[0] == pytest.approx(BAYES_ERROR, abs=1e-9)
+
+
+def test_reoptimized_threshold_is_flat_at_extreme_gains():
+    # the restored law's threshold is found by the closed form at every scale;
+    # the bisection read 0.2056 at gain 1e-100 and 0.17115397 at 1e-10
+    mix = GaussianMixture2(0.7, 0.3, -1.0, 1.0, 1.0, 2.0)
+    model = RestorationModel(mix, 0.5, bayes_threshold_clean(mix))
+    values = [error_rate_reoptimized(model, a) for a in (1e-100, 1e-10, 1e-5, 1.0, 1e100)]
+    assert max(values) - min(values) <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -629,10 +692,12 @@ def test_kl_where_every_squared_mean_gap_is_finite_is_answered(v2):
 
 
 def test_bayes_threshold_where_the_squared_mean_gap_overflows():
-    # unequal variances bisect on densities that square x - m: refused;
-    # equal ones take the closed form, which squares nothing
-    with pytest.raises(DomainError, match="squared gap"):
-        bayes_threshold_clean(GaussianMixture2(0.5, 0.5, -1e160, 1e160, 1.0, 2.0))
+    # neither closed form squares the gap: the densities cross where
+    # |x - m1| = |x - m2| / sqrt(2), about -0.1716 m; mpmath gives
+    # -1.71572875253809899e149 and -1.71572875253809904e159 (the bisection
+    # gave 0.0 at 1e150, where both densities underflow, and refused 1e160)
+    for m, want in ((1e150, -1.7157287525380984e+149), (1e160, -1.7157287525380994e+159)):
+        assert bayes_threshold_clean(GaussianMixture2(0.5, 0.5, -m, m, 1.0, 2.0)) == want
     assert bayes_threshold_clean(GaussianMixture2(0.5, 0.5, -1e160, 1e160, 1.0, 1.0)) == 0.0
 
 
