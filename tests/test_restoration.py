@@ -420,6 +420,17 @@ def test_unequal_variance_kl_keeps_its_bits(v2, sigma_n):
     assert [float.hex(x) for x in got.tolist()] == pins[(v2, sigma_n)]
 
 
+@pytest.mark.parametrize("params", [
+    (0.7, 0.3, -1.0, 1.0, 1.0, 2.0),
+    (1e-300, 1.0, -1e100, -1e100, 1e-300, 1e100),  # was NaN: the variance ratio overflowed
+])
+def test_identity_restoration_has_zero_kl(params):
+    # gain 1 without noise restores the clean law: both log-mixture means
+    # are the same arithmetic
+    model = RestorationModel(GaussianMixture2(*params), 0.0, 0.0)
+    assert kl_of_gain(model, 1.0) == 0.0
+
+
 @pytest.mark.parametrize("sigma_n", [0.0, 0.7])
 @pytest.mark.parametrize("w1", [0.0, 1.0])
 def test_kl_with_one_live_component_is_the_gaussian_kl(w1, sigma_n):
