@@ -76,6 +76,10 @@ def test_unequal_variance_threshold_at_a_tiny_gap():
     # 6.3705984770714034e-22 (the bisection's absolute tolerance 1e-13 gave 0.0)
     mix = GaussianMixture2(0.5, 0.5, -1e-20, 1e-20, 1e-40, 2e-40)
     assert bayes_threshold_clean(mix) == pytest.approx(6.3705984770714034e-22, rel=1e-15, abs=0.0)
+    # weights in the deviations' ratio, so that the log-ratio constant is
+    # exactly 0 while its factor (sd / gap)^2 = 1e320 overflows: t = 1 / (1 + 1 / 4)
+    mix = GaussianMixture2(0.8, 0.2, 0.0, 1e-160, 16.0, 1.0)
+    assert bayes_threshold_clean(mix) == pytest.approx(0.8e-160, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("params", [p for p, _ in _UNEQUAL_THRESHOLD_BITS.values()],
@@ -712,6 +716,9 @@ def test_bayes_threshold_where_the_squared_mean_gap_overflows():
     # gave 0.0 at 1e150, where both densities underflow, and refused 1e160)
     for m, want in ((1e150, -1.7157287525380984e+149), (1e160, -1.7157287525380994e+159)):
         assert bayes_threshold_clean(GaussianMixture2(0.5, 0.5, -m, m, 1.0, 2.0)) == want
+    # the gap itself overflows; mpmath gives 1.183766184073566e307
+    got = bayes_threshold_clean(GaussianMixture2(0.5, 0.5, -1e308, 1.7e308, 1.0, 2.0))
+    assert got == pytest.approx(1.183766184073566e307, rel=1e-15)
     assert bayes_threshold_clean(GaussianMixture2(0.5, 0.5, -1e160, 1e160, 1.0, 1.0)) == 0.0
 
 
