@@ -400,18 +400,17 @@ def _mean_softplus(mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
     return out
 
 
-# The panels of ``_mean_softplus_quadratic``: edges every 0.25 on [-12, 12]
-# (N(0, 1) puts 4e-33 outside), and offsets 0.25 * 2^-k, k < 48, for the
-# ladders toward its breakpoints; 2^-49 is float64's spacing at 12.
-_PANEL_EDGES = np.linspace(-12.0, 12.0, 97)
-_LADDER = 0.25 * 0.5 ** np.arange(48)
+# The fixed edges of ``_mean_softplus_quadratic`` (N(0, 1) puts 4e-33
+# outside [-12, 12]), and the levels of r whose roots are edges too.
+_FIXED_EDGES = np.array([-12.0, -8.0, -4.0, 0.0, 4.0, 8.0, 12.0])
+_LEVELS = np.array([-40.0, 0.0, 40.0])
 
 
 @lru_cache(maxsize=1)
 def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The 12-node Gauss-Legendre rule on [-1, 1], weights summing to 1."""
-    b = np.arange(13.0) ** 2
-    rule = _gauss_rule(b / (4.0 * b - 1.0), np.cos(math.pi * (np.arange(1, 7) - 0.25) / 12.5))
+    """The 48-node Gauss-Legendre rule on [-1, 1], weights summing to 1."""
+    b = np.arange(49.0) ** 2
+    rule = _gauss_rule(b / (4.0 * b - 1.0), np.cos(math.pi * (np.arange(1, 25) - 0.25) / 48.5))
     for arr in rule:
         arr.flags.writeable = False
     return rule
@@ -421,43 +420,37 @@ def _mean_softplus_quadratic(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.
     """E log(1 + e^r(u)) for u ~ N(0, 1), r(u) = a u^2 + b u + c with
     a <= 0, elementwise over arrays of one shape.
 
-    A graded composite rule (Davis & Rabinowitz, Methods of Numerical
-    Integration, 2nd ed., 1984, ch. 2) on u in [-12, 12], with no error
-    estimate and no adaptivity: the 12-node Gauss-Legendre rule on panels
-    at most 0.25 wide, graded geometrically toward the breakpoints where
-    softplus(r) bends sharply. These are r's real roots, down to a quarter
-    of 1 / |r'| there, and its vertex, down to a quarter of 1 / sqrt(-a).
-    Every element has the same number of edges: the uniform ones and a
-    +- ladder about each breakpoint, whose offsets are raised to that
-    breakpoint's floor. Repeated edges make panels of zero width, so one
-    pass serves all elements, and each element is reduced over its own
-    panels by ``einsum``, so it does not depend on the others.
+    A composite Gauss-Legendre rule (Davis & Rabinowitz, Methods of
+    Numerical Integration, 2nd ed., 1984, ch. 2) on u in [-12, 12], split
+    at each element's own 14 edges: 0, +-4, +-8 and +-12, where the normal
+    weight needs them; r's vertex; and the real roots of r = -40, 0 and
+    40, where softplus(r) bends. Below -40 softplus(r) is e^r within
+    4e-18 and above 40 it is r, so past those roots the integrand is
+    smooth, and the r = 0 root holds the kink. Each of the 13 pieces takes
+    48 nodes; with 32, steep triples erred by up to 4e-12. A root that is
+    not real, or not there (a = 0), takes the vertex's place, and edges
+    are clipped to [-12, 12]; repeated edges make pieces of zero width.
+    Each element is reduced over its own nodes by ``einsum``, so it does
+    not depend on the others. No error estimate, no adaptivity.
     """
     shape = np.shape(a)
     a, b, c = (np.ravel(t) for t in (a, b, c))
-    n = a.size
+    a2, b2 = a[:, None], b[:, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         vertex = np.where(a < 0.0, -0.5 * b / a, 0.0)
-        # the roots from the coefficients scaled to at most 1, so b^2 cannot
-        # overflow, as the pair q / a, c / q, which does not cancel
-        size = np.max(np.abs((a, b, c)), axis=0)
+        # the roots of r = level from the coefficients scaled to at most 1,
+        # so b^2 cannot overflow, as the pair q / a, c / q, which does not cancel
+        shift = c[:, None] - _LEVELS
+        size = np.maximum(np.maximum(np.abs(a2), np.abs(b2)), np.abs(shift))
         size[size == 0.0] = 1.0
-        qa, qb, qc = a / size, b / size, c / size
+        qa, qb, qc = a2 / size, b2 / size, shift / size
         disc = qb * qb - 4.0 * qa * qc
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        q = -0.5 * (qb + np.copysign(sq, qb))
-        marks = np.stack((vertex, q / qa, qc / q), axis=1)
-        floors = 0.25 / np.stack((np.sqrt(-a), size * sq, size * sq), axis=1)
-    # a root that is not real, or not there (a = 0), takes the vertex's place
-    lost = ~((disc >= 0.0)[:, None] & np.isfinite(marks))
-    marks = np.where(lost, vertex[:, None], marks)
-    floors = np.where(lost, floors[:, :1], floors)
-    np.clip(marks, -12.0, 12.0, out=marks)
-    steps = np.maximum(_LADDER, floors[..., None])
+        q = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(disc, 0.0)), qb))
+        roots = np.concatenate((q / qa, qc / q), axis=1)
+    real = np.tile(disc >= 0.0, 2) & np.isfinite(roots)
     edges = np.concatenate((
-        np.broadcast_to(_PANEL_EDGES, (n, _PANEL_EDGES.size)), marks,
-        (marks[..., None] - steps).reshape(n, -1), (marks[..., None] + steps).reshape(n, -1),
-    ), axis=1)
+        np.broadcast_to(_FIXED_EDGES, (a.size, _FIXED_EDGES.size)), vertex[:, None],
+        np.where(real, roots, vertex[:, None])), axis=1)
     np.clip(edges, -12.0, 12.0, out=edges)
     edges.sort(axis=1)
     x, w = _panel_rule()

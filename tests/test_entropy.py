@@ -359,8 +359,8 @@ def test_softplus_rules_are_the_gauss_rules():
     assert np.max(np.abs(t[order] - 20.0 * (x + 1.0))) <= 1e-13
     want = 20.0 * w * np.log1p(np.exp(-t[order]))
     assert np.max(np.abs(l_w[order] / want - 1.0)) <= 1e-11
-    x, w = leggauss(12)
+    x, w = leggauss(48)
     p_x, p_w = entropy._panel_rule()
     order = np.argsort(p_x)
     assert np.max(np.abs(p_x[order] - x)) <= 1e-15
-    assert np.max(np.abs(p_w[order] / (w / 2.0) - 1.0)) <= 5e-14
+    assert np.max(np.abs(p_w[order] / (w / 2.0) - 1.0)) <= 1e-12

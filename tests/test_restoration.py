@@ -340,9 +340,9 @@ def test_kl_agrees_with_scipy_quad(w1, means, v1, v2, sigma_n, gains):
 
 
 def test_unequal_variance_kl_at_a_tiny_gain():
-    # the restored law is about 4e-4 wide on a range about 43 wide: it sits
-    # far inside one 0.25-wide panel of the clean laws' u range, where the
-    # breakpoint ladders of the softplus rule resolve it
+    # the restored law is about 4e-4 wide on a range about 43 wide: the
+    # softplus rule resolves it at its own edges, the roots of r = -40, 0
+    # and 40 and the vertex
     mix = GaussianMixture2(0.50196, 0.49804, 0.34314, 0.63670, 2.31200, 3.23738)
     kl = kl_of_gain(RestorationModel(mix, 2.0, 0.0), -2.07e-4)
     # scipy's quad, split at the restored law's 12-sd ends, gives 4891745.881354319
@@ -422,6 +422,81 @@ def test_unequal_variance_kl_keeps_its_bits(v2, sigma_n):
     got = kl_of_gains(model, [-0.8, 0.3, 0.81, 1.4])
     pins = _UNEQUAL_KL_BITS if _dispatches_avx512() else _UNEQUAL_KL_BITS_WITHOUT_AVX512
     assert [float.hex(x) for x in got.tolist()] == pins[(v2, sigma_n)]
+
+
+def _kl_triples() -> np.ndarray:
+    """The (a, b, c) rows that kl_of_gains hands the quadratic rule, on
+    the 146-gain case, a narrow clean component and the tiny-gain case."""
+    seen = []
+    real = restoration._mean_softplus_quadratic
+
+    def record(a, b, c):
+        seen.append(np.stack([np.ravel(t) for t in (a, b, c)], axis=1))
+        return real(a, b, c)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(restoration, "_mean_softplus_quadratic", record)
+        for mix, sigma_n, gains in [
+            (GaussianMixture2(0.4, 0.6, -1.0, 2.0, 0.5, 1.5), 0.7, GRID),
+            (GaussianMixture2(0.5, 0.5, -1.0, 1.0, 1.0, 1e-30), 1.0, [0.5, -0.8]),
+            (GaussianMixture2(0.50196, 0.49804, 0.34314, 0.63670, 2.31200, 3.23738), 2.0,
+             [-2.07e-4, 1e-3, 3.0]),
+        ]:
+            kl_of_gains(RestorationModel(mix, sigma_n, 0.0), gains)
+    return np.concatenate(seen)
+
+
+def _softplus_quadratic_pool(kind: str) -> np.ndarray:
+    rng = np.random.default_rng(48)
+    n = 8
+    sign = rng.choice([-1.0, 1.0], n)
+    if kind == "kl":
+        rows = _kl_triples()
+        return rows[rng.choice(len(rows), 12, replace=False)]
+    if kind == "linear":  # a = 0: one root per level
+        return np.stack([np.zeros(n), sign * 10.0 ** rng.uniform(-3, 2, n),
+                         rng.uniform(-60, 60, n)], axis=1)
+    if kind == "steep":  # as the vertex form of _mean_log_mixture passes it
+        return np.stack([-(10.0 ** rng.uniform(10, 300, n)), np.zeros(n),
+                         rng.uniform(-50, 350, n)], axis=1)
+    if kind == "far":  # a shallow parabola whose level roots lie beyond +-12
+        return np.stack([-(10.0 ** rng.uniform(-4, -1, n)), rng.uniform(-1, 1, n),
+                         rng.uniform(20, 80, n)], axis=1)
+    # a narrow vertex just under r = 40, where 32 nodes a piece err by up to 3.4e-12
+    return np.stack([-(10.0 ** rng.uniform(3, 5, n)), sign * 10.0 ** rng.uniform(-2, 0, n),
+                     rng.uniform(25, 45, n)], axis=1)
+
+
+@pytest.mark.parametrize("kind", ["kl", "linear", "steep", "far", "vertex"])
+def test_softplus_quadratic_rule_agrees_with_mpmath(kind):
+    # mpmath's tanh-sinh quadrature split at the same edges: 0, +-4, +-8,
+    # +-12, the vertex and the real roots of r = -40, 0 and 40 within [-12, 12]
+    mpmath = pytest.importorskip("mpmath")
+    from rdpc.entropy import _mean_softplus_quadratic
+
+    pool = _softplus_quadratic_pool(kind)
+    got = _mean_softplus_quadratic(pool[:, 0], pool[:, 1], pool[:, 2])
+    with mpmath.workdps(20):
+        for (a, b, c), value in zip(pool.tolist(), got.tolist()):
+            a, b, c = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c)
+            edges = {mpmath.mpf(e) for e in (-12, -8, -4, 0, 4, 8, 12)}
+            for level in (-40, 0, 40):
+                if a < 0:
+                    disc = b * b - 4 * a * (c - level)
+                    if disc >= 0:
+                        edges |= {(-b + s * mpmath.sqrt(disc)) / (2 * a) for s in (-1, 1)}
+                elif b != 0:
+                    edges.add((level - c) / b)
+            if a < 0:
+                edges.add(-b / (2 * a))
+
+            def f(u):
+                r = (a * u + b) * u + c
+                soft = r + mpmath.log1p(mpmath.exp(-r)) if r > 0 else mpmath.log1p(mpmath.exp(r))
+                return soft * mpmath.npdf(u)
+
+            ref = mpmath.quad(f, sorted(e for e in edges if -12 <= e <= 12))
+            assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (a, b, c)
 
 
 @pytest.mark.parametrize("params", [
@@ -734,6 +809,20 @@ def test_error_rate_where_the_restored_spread_underflows(a, rate):
 def test_kl_of_146_gains_at_high_noise_is_finite_and_nonnegative():
     kl = kl_of_gains(default_model(sigma_n=5.0), GRID)
     assert np.all(np.isfinite(kl)) and np.all(kl >= 0.0)
+
+
+def test_unequal_variance_kl_of_146_gains_holds_under_5_mb():
+    # 13 pieces of 48 nodes per element, about 3.2 MB at the peak; the
+    # graded rule's 387 panels of 12 nodes held about 25 MB
+    model = RestorationModel(GaussianMixture2(0.4, 0.6, -1.0, 2.0, 0.5, 1.5), 0.7, 0.0)
+    kl_of_gains(model, GRID[:1])  # builds the cached node table
+    tracemalloc.start()
+    try:
+        kl_of_gains(model, GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def _counting_kernel(monkeypatch):
