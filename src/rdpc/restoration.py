@@ -83,7 +83,7 @@ class FrontierPoint:
 def bayes_threshold_clean(mixture: GaussianMixture2) -> float:
     """Decision threshold where the two weighted component densities cross.
 
-    Equal variances v: (m1 + m2) / 2 + v log(w1 / w2) / (m2 - m1). Else,
+    Equal variances v: (m1 + m2) / 2 + v (log w1 - log w2) / (m2 - m1). Else,
     with b the narrower component, x = m_a + t g and g = m_b - m_a, the log
     densities meet where A t^2 - 2 t + c = 0: A = 1 - v_b / v_a and
     c = 1 - 2 (v_b / g^2) (log(w_b / w_a) + log(v_a / v_b) / 2). Its vertex
@@ -97,7 +97,7 @@ def bayes_threshold_clean(mixture: GaussianMixture2) -> float:
     if w1 == 0.0 or w2 == 0.0:
         raise DomainError("a component has zero weight; no threshold between them")
     if v1 == v2:
-        return 0.5 * (m1 + m2) + v1 * math.log(w1 / w2) / (m2 - m1)
+        return 0.5 * (m1 + m2) + v1 * (math.log(w1) - math.log(w2)) / (m2 - m1)
     (w_a, m_a, v_a), (w_b, m_b, v_b) = sorted(((w1, m1, v1), (w2, m2, v2)), key=lambda c: -c[2])
     g = m_b - m_a
     sd_b = math.sqrt(v_b)

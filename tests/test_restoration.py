@@ -49,6 +49,12 @@ def test_symmetric_mixture_threshold_is_zero():
     assert bayes_threshold_clean(mix) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_equal_variance_threshold_at_a_subnormal_weight():
+    # 0.5 + ln(1 / 5e-324): the weight ratio overflows, its log does not
+    mix = GaussianMixture2(1.0, 5e-324, 0.0, 1.0, 1.0, 1.0)
+    assert bayes_threshold_clean(mix) == 744.9400719213812
+
+
 # mixture parameters and the float.hex of their threshold, within 2 ulps of
 # mpmath's 0.57428115887218712, 0.13927292153328392 and 0.30356532385233976
 _UNEQUAL_THRESHOLD_BITS = {
