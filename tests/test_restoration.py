@@ -810,8 +810,7 @@ def test_kl_of_146_gains_at_high_noise_is_finite_and_nonnegative():
 
 
 def test_unequal_variance_kl_of_146_gains_holds_under_5_mb():
-    # 13 pieces of 48 nodes per element, about 3.2 MB at the peak; the
-    # graded rule's 387 panels of 12 nodes held about 25 MB
+    # 13 pieces of 48 nodes per element of the quadratic rule: about 3.2 MB
     model = RestorationModel(GaussianMixture2(0.4, 0.6, -1.0, 2.0, 0.5, 1.5), 0.7, 0.0)
     kl_of_gains(model, GRID[:1])  # builds the cached node table
     tracemalloc.start()
