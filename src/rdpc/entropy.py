@@ -400,8 +400,8 @@ def _mean_softplus(mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
     return out
 
 
-# The fixed edges of ``_mean_softplus_quadratic`` (N(0, 1) puts 4e-33
-# outside [-12, 12]), and the levels of r whose roots are edges too.
+# The fixed edges of ``_mean_softplus_quadratic``, and the levels of r
+# whose roots are edges too.
 _FIXED_EDGES = np.array([-12.0, -8.0, -4.0, 0.0, 4.0, 8.0, 12.0])
 _LEVELS = np.array([-40.0, 0.0, 40.0])
 
@@ -421,17 +421,18 @@ def _mean_softplus_quadratic(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.
     a <= 0, elementwise over arrays of one shape.
 
     A composite Gauss-Legendre rule (Davis & Rabinowitz, Methods of
-    Numerical Integration, 2nd ed., 1984, ch. 2) on u in [-12, 12], split
-    at each element's own 14 edges: 0, +-4, +-8 and +-12, where the normal
-    weight needs them; r's vertex; and the real roots of r = -40, 0 and
-    40, where softplus(r) bends. Below -40 softplus(r) is e^r within
-    4e-18 and above 40 it is r, so past those roots the integrand is
-    smooth, and the r = 0 root holds the kink. Each of the 13 pieces takes
-    48 nodes; with 32, steep triples erred by up to 4e-12. A root that is
-    not real, or not there (a = 0), takes the vertex's place, and edges
-    are clipped to [-12, 12]; repeated edges make pieces of zero width.
-    Each element is reduced over its own nodes by ``einsum``, so it does
-    not depend on the others. No error estimate, no adaptivity.
+    Numerical Integration, 2nd ed., 1984, ch. 2) on u in [-12, 12], outside
+    which N(0, 1) puts 4e-33. It splits at each element's own 14 edges:
+    0, +-4, +-8 and +-12 for the normal weight; r's vertex; and the real
+    roots of r = -40, 0 and 40, where softplus(r) bends. Below -40
+    softplus(r) is e^r within 4e-18 and above 40 it is r, so past those
+    roots the integrand is smooth, and the r = 0 root holds the kink. Each
+    of the 13 pieces takes 48 nodes; with 32, narrow vertices erred by up
+    to 3.4e-12. A root that is not real, or not there (a = 0), takes the
+    vertex's place, and edges are clipped to [-12, 12]; repeated edges make
+    pieces of zero width. Each element is reduced over its own nodes by
+    ``einsum``, so it does not depend on the others. No error estimate, no
+    adaptivity.
     """
     shape = np.shape(a)
     a, b, c = (np.ravel(t) for t in (a, b, c))
