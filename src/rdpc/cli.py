@@ -4,14 +4,17 @@ Exit codes are script-friendly: 0 for success (a feasible point, a
 completed dataset, a clean verify run), 1 for usage or internal errors,
 2 for a well-posed but infeasible instance.
 
-Each command parses only the flags it reads. Every command takes --out
-and --config; the dataset commands (surface, restore, rpc-given-d) add
---format and --emit-plot-script, and only verify takes --seed, --suite
-and --workers, which is accepted and has no effect. Built-in defaults
-sit on the flags, where --help shows them. A config file's values become
-the command's parser defaults, so a flag wins over a config value, which
-wins over a built-in default. All output is deterministic for a fixed
-(command, config, seed).
+Each leaf command parses only the flags it reads. A family or mode is a
+subcommand (`rdc binary`, `surface rpc-gaussian`, `oracle gaussian`,
+`rpc-given-d frontier`), so a leaf declares only its own source flags
+and its own bound or grid flags. Every leaf takes --out and --config;
+the dataset leaves (the four surfaces, restore and rpc-given-d frontier)
+add --format and --emit-plot-script, and only verify takes --seed,
+--suite and --workers, which is accepted and has no effect. Built-in
+defaults sit on the flags, where --help shows them. A config file's
+values become the leaf's parser defaults, so a flag wins over a config
+value, which wins over a built-in default. All output is deterministic
+for a fixed (command, config, seed).
 
 Only the closed-form layer loads with this module: each command imports
 the oracle, the restoration model, the pinned-distortion solver or the
@@ -43,8 +46,8 @@ _EXIT_USAGE = 1
 _EXIT_INFEASIBLE = 2
 
 # family -> (closed form, constrained axis, is_binary, help for the axis
-# bound). It drives the rdc/rpc point commands and `surface --family`; the
-# unit follows from the source kind.
+# bound). It drives the rdc/rpc point commands, the surface leaves and,
+# one per source kind, the oracle leaves; the unit follows from the kind.
 _FAMILIES: dict[str, tuple[Callable[[Any, float, float], TradeoffPoint], str, bool, str]] = {
     "rdc-binary": (rdc_binary, "d", True, "Hamming distortion bound"),
     "rdc-gaussian": (rdc_gaussian, "d", False, "mean squared error bound"),
@@ -276,8 +279,8 @@ print("wrote", out)
 
 # ---------------------------------------------------------------------------
 # emitters: a JSON object (points, oracle runs, verify reports) or a dataset
-# (surface, restore, rpc-given-d frontiers). A command refuses the output
-# flags its result cannot honour before it does any work.
+# (surface, restore, rpc-given-d frontiers). A dataset command refuses a
+# plot script it cannot write before it does any work.
 # ---------------------------------------------------------------------------
 
 def _strict_json(value: Any) -> Any:
@@ -371,9 +374,7 @@ def _emit_dataset(
 # commands
 # ---------------------------------------------------------------------------
 
-# the defaults that depend on rpc-given-d's mode or source: a frontier's
-# pinned distortions, and its C grid's ends as offsets from h(S)
-_FRONTIER_D = (0.5, 0.6, 0.8)
+# a frontier's C grid ends, as offsets from h(S), where not given
 _FRONTIER_C = (-0.7, 0.1)
 
 
@@ -385,49 +386,29 @@ def _cmd_point(family: str, ns: argparse.Namespace) -> int:
     return _emit_point(ns, closed(src, x, c), _source_inputs(src) | {axis: x, "c": c})
 
 
-def _cmd_rpc_given_d(ns: argparse.Namespace) -> int:
-    src = _source(ns, False)
-    if ns.rate is None:
-        return _rpc_given_d_point(ns, src)
-    return _rpc_given_d_frontier(ns, src, ns.rate)
-
-
-def _rpc_given_d_point(ns: argparse.Namespace, src: GaussianPairSource) -> int:
+def _cmd_given_d_point(ns: argparse.Namespace) -> int:
     from .rpc_given_d import rate_given_pcd
 
-    if ns.format == "csv":
-        raise _UsageError("point results are JSON objects; CSV fits sweeps only")
-    if ns.emit_plot_script:
-        raise _UsageError("plot scripts accompany sweep datasets, not point results")
-    if ns.d is None:
-        raise _UsageError("point query needs --d (one value)")
-    if len(ns.d) != 1:
-        raise _UsageError("point query takes exactly one --d value")
-    d = ns.d[0]
+    src = _source(ns, False)
+    d = _require(ns, "d")
     p = math.inf if ns.p is None else ns.p
     c = _require(ns, "c")
     pt = rate_given_pcd(src, d, p, c)
     return _emit_point(ns, pt, _source_inputs(src) | {"d": d, "p": p, "c": c})
 
 
-def _rpc_given_d_frontier(
-    ns: argparse.Namespace, src: GaussianPairSource, rate_level: float
-) -> int:
+def _cmd_given_d_frontier(ns: argparse.Namespace) -> int:
     from .rpc_given_d import pc_frontier_given_rd
 
-    if ns.p is not None:
-        raise _UsageError("--p belongs to point queries; a frontier minimizes it")
-    if ns.c is not None:
-        raise _UsageError(
-            "--c belongs to point queries; a frontier sweeps --c-min/--c-max/--c-steps"
-        )
+    src = _source(ns, False)
+    rate_level = _require(ns, "rate")
     _refuse_dataset_flags(ns)
     c_ends = [src.h_s + off if end is None else end
               for end, off in zip((ns.c_min, ns.c_max), _FRONTIER_C)]
     c_grid = _linspace("c", *c_ends, ns.c_steps)
     tables = [
         (d, [astuple(r) for r in pc_frontier_given_rd(src, d, rate_level, c_grid)])
-        for d in ns.d or _FRONTIER_D
+        for d in ns.d
     ]
     return _emit_dataset(
         ns, ("C_nats", "min_P_nats", "rate_nats", "sigma_xh"), tables, _FRONTIER_PLOT,
@@ -435,8 +416,8 @@ def _rpc_given_d_frontier(
     )
 
 
-def _cmd_surface(ns: argparse.Namespace) -> int:
-    closed, axis, is_binary, _ = _FAMILIES[_require(ns, "family")]
+def _cmd_surface(family: str, ns: argparse.Namespace) -> int:
+    closed, axis, is_binary, _ = _FAMILIES[family]
     _refuse_dataset_flags(ns)
     src = _source(ns, is_binary)
     axis_grid = _grid(ns, axis)
@@ -453,10 +434,9 @@ def _cmd_surface(ns: argparse.Namespace) -> int:
     )
 
 
-def _cmd_oracle(ns: argparse.Namespace) -> int:
+def _cmd_oracle(is_binary: bool, ns: argparse.Namespace) -> int:
     from .oracle import binary_min_rate, gaussian_min_rate
 
-    is_binary = _require(ns, "family") == "binary"
     constraints = {name: value for name, value in (("D", ns.d), ("P", ns.p), ("C", ns.c))
                    if value is not None}
     if not constraints:
@@ -516,9 +496,9 @@ def _command(sub: Any, name: str, handler: Callable[[argparse.Namespace], int],
     return par
 
 
-def _add_dataset_flags(par: argparse.ArgumentParser, default: str | None = "csv",
-                       fmt_help: str = "dataset format (default %(default)s)") -> None:
-    par.add_argument("--format", choices=("csv", "json"), default=default, help=fmt_help)
+def _add_dataset_flags(par: argparse.ArgumentParser) -> None:
+    par.add_argument("--format", choices=("csv", "json"), default="csv",
+                     help="dataset format (default %(default)s)")
     par.add_argument("--emit-plot-script", action="store_true",
                      help="write a matplotlib script next to the CSV at --out")
 
@@ -542,63 +522,63 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # `rdc binary` and the other point commands, one per family
-    kinds: dict[str, Any] = {}
+    def group(name: str, help: str) -> Any:
+        return sub.add_parser(name, help=help).add_subparsers(required=True)
+
+    points = {"rdc": group("rdc", "rate under distortion + classification"),
+              "rpc": group("rpc", "rate under perception + classification")}
+    given = group("rpc-given-d", "rate or P-C frontier at an exactly pinned distortion")
+    surfaces = group("surface", "closed-form rate over a (D or P) x C grid")
+    oracles = group("oracle", "brute-force minimal rate over explicit channels")
+
+    # `rdc binary` and the other point commands, `surface rdc-binary` and
+    # the other surfaces, one per family, and `oracle binary` and `oracle
+    # gaussian`, one per source kind
     for family, (_, axis, is_binary, bound_help) in _FAMILIES.items():
         command, kind = family.split("-")
-        if command not in kinds:
-            bound = "distortion" if axis == "d" else "perception"
-            kinds[command] = sub.add_parser(
-                command, help=f"rate under {bound} + classification",
-            ).add_subparsers(dest="family", required=True)
-        point = _command(kinds[command], kind, functools.partial(_cmd_point, family))
-        (_add_binary_source if is_binary else _add_gaussian_source)(point)
+        add_source = _add_binary_source if is_binary else _add_gaussian_source
+        point = _command(points[command], kind, functools.partial(_cmd_point, family))
+        add_source(point)
         point.add_argument(f"--{axis}", type=float, help=bound_help)
         point.add_argument("--c", type=float, help="conditional label entropy bound, "
                            + ("bits" if is_binary else "nats"))
 
-    given = _command(sub, "rpc-given-d", _cmd_rpc_given_d,
-                     help="rate (or P-C frontier) at an exactly pinned distortion")
-    _add_dataset_flags(given, None, "csv (a frontier's default) or json; a point is json only")
-    _add_gaussian_source(given)
-    given.add_argument("--d", type=float, nargs="+", help="pinned distortion; a frontier's "
-                       f"default {' '.join(map(str, _FRONTIER_D))}")
-    given.add_argument("--p", type=float, help="KL bound for a point query; none if not given")
-    given.add_argument("--c", type=float, help="entropy bound for a point query")
-    given.add_argument("--rate", type=float,
-                       help="rate budget; providing it selects frontier mode")
+        surface = _command(surfaces, family, functools.partial(_cmd_surface, family),
+                           help=f"closed-form {family} rate over a {axis.upper()} x C grid")
+        _add_dataset_flags(surface)
+        add_source(surface)
+        for name in (axis.upper(), "C"):
+            for end, type_, what in (("min", float, "start"), ("max", float, "end"),
+                                     ("steps", int, "size")):
+                surface.add_argument(f"--{name.lower()}-{end}", type=type_,
+                                     help=f"{name} grid {what}")
+
+        if kind not in oracles.choices:
+            oracle = _command(oracles, kind, functools.partial(_cmd_oracle, is_binary),
+                              help=f"minimal rate over {kind} channels")
+            add_source(oracle)
+            for flag, what in (("--d", "distortion"), ("--p", "perception"),
+                               ("--c", "classification")):
+                oracle.add_argument(flag, type=float, help=f"{what} bound")
+
+    point = _command(given, "point", _cmd_given_d_point, help="rate to meet D, P and C")
+    _add_gaussian_source(point)
+    point.add_argument("--d", type=float, help="pinned distortion (MSE)")
+    point.add_argument("--p", type=float, help="KL bound, nats; none if not given")
+    point.add_argument("--c", type=float, help="conditional label entropy bound, nats")
+
+    frontier = _command(given, "frontier", _cmd_given_d_frontier,
+                        help="minimal P over a C grid within a rate budget")
+    _add_dataset_flags(frontier)
+    _add_gaussian_source(frontier)
+    frontier.add_argument("--d", type=float, nargs="+", default=[0.5, 0.6, 0.8],
+                          help="pinned distortions, one frontier each (default %(default)s)")
+    frontier.add_argument("--rate", type=float, help="rate budget, nats")
     for end, off in zip(("min", "max"), _FRONTIER_C):
-        given.add_argument(f"--c-{end}", type=float,
-                           help=f"frontier C grid {end} (default h(S) {off:+g})")
-    given.add_argument("--c-steps", type=int, default=50,
-                       help="frontier C grid size (default %(default)s)")
-
-    surface = _command(sub, "surface", _cmd_surface,
-                       help="closed-form rate over a (D or P) x C grid")
-    _add_dataset_flags(surface)
-    surface.add_argument(
-        "--family", choices=sorted(_FAMILIES),
-        help="which tradeoff function to sweep",
-    )
-    _add_binary_source(surface)
-    _add_gaussian_source(surface)
-    axes = surface.add_argument_group(
-        "grid axes", "the rdc-* families sweep the --d-* triple and the rpc-* families "
-        "the --p-* triple, each against the --c-* triple")
-    for axis in ("D", "P", "C"):
-        flag = f"--{axis.lower()}"
-        axes.add_argument(f"{flag}-min", type=float, help=f"{axis} grid start")
-        axes.add_argument(f"{flag}-max", type=float, help=f"{axis} grid end")
-        axes.add_argument(f"{flag}-steps", type=int, help=f"{axis} grid size")
-
-    oracle = _command(sub, "oracle", _cmd_oracle,
-                      help="brute-force minimal rate over explicit channels")
-    oracle.add_argument("--family", choices=("binary", "gaussian"))
-    _add_binary_source(oracle)
-    _add_gaussian_source(oracle)
-    oracle.add_argument("--d", type=float, help="distortion bound")
-    oracle.add_argument("--p", type=float, help="perception bound")
-    oracle.add_argument("--c", type=float, help="classification bound")
+        frontier.add_argument(f"--c-{end}", type=float,
+                              help=f"C grid {end} (default h(S) {off:+g})")
+    frontier.add_argument("--c-steps", type=int, default=50,
+                          help="C grid size (default %(default)s)")
 
     restore = _command(sub, "restore", _cmd_restore,
                        help="denoising gain sweep on the two-component mixture model")

@@ -272,15 +272,13 @@ def kl_of_gains(model: RestorationModel, gains: Sequence[float]) -> np.ndarray:
     gaps square past it. With no gains the result is empty.
     """
     gains = np.asarray(gains, dtype=float).reshape(-1)
-    for a in gains.tolist():
-        _check_gain(a)
-        if a == 0.0:
-            raise DomainError("restored law at gain 0 is a point mass; KL diverges")
     if not gains.size:
         return gains
     # the restored variances grow with |a| and the spread of the means (m1, m2,
     # a m1, a m2) is convex in a: if both are in float range at the smallest
-    # |a| and at the smallest and largest a, they are at every gain
+    # |a| and at the smallest and largest a, they are at every gain. These
+    # indices also land on the first NaN and on any zero or infinity, which
+    # ``_scaled_mixture`` refuses
     for k in {int(np.argmin(np.abs(gains))), int(np.argmin(gains)), int(np.argmax(gains))}:
         law = _scaled_mixture(model, float(gains[k]))
         means = (model.mixture.m1, model.mixture.m2, law.m1, law.m2)

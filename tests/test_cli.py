@@ -4,6 +4,8 @@ config merging, and determinism. Everything drives ``main`` directly."""
 import argparse
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -50,9 +52,8 @@ def _refuse_constant(token):
 
 @pytest.mark.parametrize("argv, path, text", [
     (["rdc", "gaussian", "--d", "0.0", "--c", "0.9"], ("rate",), "Infinity"),
-    (["rpc-given-d", "--d", "0.5", "--c", "0.9"], ("inputs", "p"), "Infinity"),
-    (["oracle", "--family", "gaussian", "--p", "0.1", "--c=-inf"], ("constraints", "C"),
-     "-Infinity"),
+    (["rpc-given-d", "point", "--d", "0.5", "--c", "0.9"], ("inputs", "p"), "Infinity"),
+    (["oracle", "gaussian", "--p", "0.1", "--c=-inf"], ("constraints", "C"), "-Infinity"),
 ])
 def test_infinities_are_strict_json_strings(capsys, argv, path, text):
     # RFC 8259 has no Infinity token; the string is what float() reads back
@@ -89,20 +90,20 @@ def test_gaussian_point_matches_library(capsys):
     "argv",
     [
         RDC_EXAMPLE[:-2],  # missing --c
-        ["rpc-given-d", "--d", "0.5", "--rate", "0.4", "--p", "0.01"],
-        ["rpc-given-d", "--d", "0.5", "0.6", "--p", "1", "--c", "0.9"],
-        ["oracle", "--family", "binary", "--a", "0.3", "--p1", "0.1"],
-        ["rpc-given-d", "--rate", "0.4", "--c", "0.9"],
-        ["rpc-given-d", "--d", "0.5", "--c", "0.9", "--format", "csv"],
-        ["rpc-given-d", "--d", "0.5", "--c", "0.9", "--emit-plot-script"],
-        ["surface", "--a", "0.3", "--p1", "0.1"],  # missing --family
-        ["oracle", "--c", "0.9"],  # missing --family
+        ["rpc-given-d", "frontier", "--d", "0.5"],  # missing --rate
+        ["rpc-given-d", "point", "--p", "1", "--c", "0.9"],  # missing --d
+        ["oracle", "binary", "--a", "0.3", "--p1", "0.1"],
+        ["rpc-given-d", "point", "--d", "0.5"],  # missing --c
+        ["rpc-given-d", "frontier", "--rate", "0.4", "--c-steps", "0"],
+        ["rpc-given-d", "frontier", "--rate", "0.4", "--c-min", "1", "--c-max", "0"],
+        ["surface", "rdc-binary", "--a", "0.3", "--p1", "0.1"],  # missing --d-min
+        ["oracle", "binary", "--c", "0.9"],  # missing --a
         ["restore", "--a-steps", "0"],
         # a negative deviation, or one whose square overflows
         ["rdc", "gaussian", "--sigma-x", "-1", "--d", "0.5", "--c", "0"],
-        ["oracle", "--family", "gaussian", "--sigma-x", "-2", "--d", "0.5"],
+        ["oracle", "gaussian", "--sigma-x", "-2", "--d", "0.5"],
         ["rdc", "gaussian", "--sigma-x", "1e200", "--d", "0.5", "--c", "0"],
-        ["rpc-given-d", "--sigma-s", "-0.7", "--d", "0.5", "--c", "0.9"],
+        ["rpc-given-d", "point", "--sigma-s", "-0.7", "--d", "0.5", "--c", "0.9"],
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):
@@ -125,7 +126,8 @@ def test_restore_refuses_non_finite_inputs(capsys, flag):
             assert f"{flag} must be finite: {value}" in err
 
 
-_ORACLE = ["oracle", "--family", "binary", "--a", "0.3", "--p1", "0.1", "--c", "0.99"]
+_ORACLE = ["oracle", "binary", "--a", "0.3", "--p1", "0.1", "--c", "0.99"]
+_C_GRID = ["--c-min", "0.5", "--c-max", "1", "--c-steps", "2"]
 
 
 # a valid argv of each leaf command
@@ -134,14 +136,24 @@ _COMMANDS = {
     "rdc gaussian": ["rdc", "gaussian", "--d", "0.3", "--c", "0.8"],
     "rpc binary": ["rpc", "binary", "--a", "0.3", "--p1", "0.1", "--p", "0.2", "--c", "0.6"],
     "rpc gaussian": ["rpc", "gaussian", "--p", "0.2", "--c", "0.562264"],
-    "rpc-given-d": ["rpc-given-d", "--d", "0.5", "--c", "0.762264"],
-    "surface": ["surface", "--family", "rdc-gaussian", "--d-min", "0.1", "--d-max", "1",
-                "--d-steps", "2", "--c-min", "0.5", "--c-max", "1", "--c-steps", "2"],
-    "oracle": _ORACLE,
+    "rpc-given-d point": ["rpc-given-d", "point", "--d", "0.5", "--c", "0.762264"],
+    "rpc-given-d frontier": ["rpc-given-d", "frontier", "--rate", "0.4", "--d", "0.5",
+                             "--c-steps", "2"],
+    "surface rdc-binary": ["surface", "rdc-binary", "--a", "0.3", "--p1", "0.1", "--d-min", "0",
+                           "--d-max", "0.3", "--d-steps", "2", *_C_GRID],
+    "surface rdc-gaussian": ["surface", "rdc-gaussian", "--d-min", "0.1", "--d-max", "1",
+                             "--d-steps", "2", *_C_GRID],
+    "surface rpc-binary": ["surface", "rpc-binary", "--a", "0.3", "--p1", "0.1", "--p-min", "0",
+                           "--p-max", "0.1", "--p-steps", "2", *_C_GRID],
+    "surface rpc-gaussian": ["surface", "rpc-gaussian", "--p-min", "0.001", "--p-max", "0.01",
+                             "--p-steps", "2", *_C_GRID],
+    "oracle binary": _ORACLE,
+    "oracle gaussian": ["oracle", "gaussian", "--p", "0.1"],
     "restore": ["restore", "--a-steps", "3"],
     "verify": ["verify", "--suite", "entropy"],
 }
-_DATASETS = ("rpc-given-d", "surface", "restore")
+_DATASETS = ("rpc-given-d frontier", "surface rdc-binary", "surface rdc-gaussian",
+             "surface rpc-binary", "surface rpc-gaussian", "restore")
 # flags a command used to take, with no effect or only to raise an error
 _REMOVED = [
     *((name, ["--units", "bits"]) for name in _COMMANDS),
@@ -150,20 +162,37 @@ _REMOVED = [
     *((name, flag) for name in _COMMANDS if name not in _DATASETS
       for flag in (["--format", "json"], ["--emit-plot-script"])),
 ]
+# flags of another family or mode, which a leaf used to parse and then
+# ignore or refuse in its handler
+_FOREIGN = [
+    ("surface rdc-binary", ["--sigma-x", "1"]), ("surface rdc-binary", ["--p-min", "0"]),
+    ("oracle gaussian", ["--a", "0.3"]), ("oracle binary", ["--theta1", "0.5"]),
+    ("rpc-given-d point", ["--c-steps", "3"]), ("rpc-given-d point", ["--format", "json"]),
+    ("rpc-given-d point", ["--rate", "0.4"]), ("rpc-given-d frontier", ["--p", "0.1"]),
+    ("rpc-given-d frontier", ["--c", "0.9"]),
+]
 
 
 def test_bad_flags_exit_one(capsys, tmp_path, monkeypatch):
     # the oracle's grid flags had no effect and are gone, as are the flags
     # a command does not read; argparse refuses them before any work
-    assert len(_REMOVED) == 37
+    assert len(_COMMANDS) == 14 and len(_REMOVED) == 56
     monkeypatch.chdir(tmp_path)
     gone = [_ORACLE + flag for flag in (["--resolution", "0.01"], ["--sigma-steps", "201"],
                                         ["--theta-steps", "201"], ["--no-refine"])]
-    gone += [[*_COMMANDS[name], *flag, "--out", "out"] for name, flag in _REMOVED]
+    gone += [[*_COMMANDS[name], *flag, "--out", "out"] for name, flag in _REMOVED + _FOREIGN]
     # a long flag is spelled in full: --p is not --p1, --sigma not --sigma-n
     gone += [["rdc", "binary", "--a", "0.3", "--p", "0.1", "--d", "0.1", "--c", "0.85"],
-             ["restore", "--sigma", "0.5", "--a-st", "3"]]
-    for argv in (["bogus"], [], ["rdc"], ["verify", "--suite", "nope"], *gone):
+             ["restore", "--sigma", "0.5", "--a-st", "3"],
+             # a point query takes one --d
+             ["rpc-given-d", "point", "--d", "0.5", "0.6", "--c", "0.9", "--out", "out"]]
+    # the family or mode is a subcommand, not an option
+    old = [["surface", "--family", "rdc-binary", *_COMMANDS["surface rdc-binary"][2:]],
+           ["oracle", "--family", "binary", *_ORACLE[2:]],
+           ["rpc-given-d", "--d", "0.5", "--c", "0.762264"],
+           ["rpc-given-d", "--rate", "0.4", "--d", "0.5", "--c-steps", "2"]]
+    for argv in (["bogus"], [], ["rdc"], ["surface"], ["oracle", "--c", "0.9"],
+                 ["rpc-given-d"], ["verify", "--suite", "nope"], *old, *gone):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         out, err = capsys.readouterr()
@@ -174,20 +203,13 @@ def test_bad_flags_exit_one(capsys, tmp_path, monkeypatch):
 
 
 def test_every_declared_flag_is_read(capsys, tmp_path, monkeypatch):
-    # each handler, run on argvs that take its paths, reads every flag its
-    # command declares, so a flag with no effect cannot come back unseen
+    # each leaf's handler, run on one argv, reads every flag the leaf
+    # declares, so a flag with no effect cannot come back unseen
     monkeypatch.chdir(tmp_path)
-    argvs = [*_COMMANDS.values(),
-             ["rpc-given-d", "--rate", "0.4", "--d", "0.5", "--c-steps", "2", "--out", "f.csv",
-              "--emit-plot-script"],
-             ["surface", "--family", "rpc-binary", "--a", "0.3", "--p1", "0.1", "--p-min", "0",
-              "--p-max", "0.1", "--p-steps", "2", "--c-min", "0.5", "--c-max", "1",
-              "--c-steps", "2"],
-             ["oracle", "--family", "gaussian", "--p", "0.1"]]
     declared, read = {}, {}
-    for argv in argvs:
+    for argv in _COMMANDS.values():
         ns = build_parser().parse_args(argv)
-        seen = read.setdefault(ns.parser.prog, set())
+        seen = read[ns.parser.prog] = set()
 
         class Logged(argparse.Namespace):
             def __getattribute__(self, name):
@@ -200,6 +222,34 @@ def test_every_declared_flag_is_read(capsys, tmp_path, monkeypatch):
     assert len(declared) == len(_COMMANDS)
     for prog, dests in declared.items():
         assert dests - {"help", "config"} <= read[prog], prog
+
+
+def _readme_examples():
+    """(argv, exit code) of each `rdpc` line in the sh blocks of README's
+    CLI section: `\\` continuations joined, a trailing `# ...` comment
+    dropped, and the code 0 unless the comment reads "exits N"."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", section, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            command, _, comment = line.partition("#")
+            if command.startswith("rdpc "):
+                code = re.search(r"exits (\d)", comment)
+                examples.append((shlex.split(command)[1:], int(code[1]) if code else 0))
+    return examples
+
+
+def test_readme_has_cli_examples():
+    commands = {argv[0] for argv, _ in _readme_examples()}
+    assert commands == {"rdc", "rpc", "rpc-given-d", "surface", "oracle", "restore", "verify"}
+
+
+@pytest.mark.parametrize("argv, code", _readme_examples())
+def test_readme_cli_example_exits_as_documented(capsys, tmp_path, monkeypatch, argv, code):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    capsys.readouterr()
 
 
 def test_suite_choices_are_the_verify_suites(capsys, tmp_path):
@@ -237,16 +287,20 @@ def test_binary_source_help_states_the_accepted_ranges(capsys):
 
 
 def test_surface_help_names_each_family_s_grid_axes(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["surface", "--help"])
-    assert exc.value.code == 0
-    text = " ".join(capsys.readouterr().out.split())
-    assert ("the rdc-* families sweep the --d-* triple and the rpc-* families the --p-* "
-            "triple, each against the --c-* triple") in text
-    for axis in "DPC":
-        for end, what in (("min", "start"), ("max", "end"), ("steps", "size")):
-            flag = f"--{axis.lower()}-{end}"
-            assert f"{flag} {flag[2:].upper().replace('-', '_')} {axis} grid {what}" in text
+    # each surface lists its own axis triple and the C triple, and no other
+    for family in ("rdc-binary", "rdc-gaussian", "rpc-binary", "rpc-gaussian"):
+        with pytest.raises(SystemExit) as exc:
+            main(["surface", family, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        own = "DC" if family.startswith("rdc") else "PC"
+        for axis in "DPC":
+            for end, what in (("min", "start"), ("max", "end"), ("steps", "size")):
+                flag = f"--{axis.lower()}-{end}"
+                line = f"{flag} {flag[2:].upper().replace('-', '_')} {axis} grid {what}"
+                assert (line in text) is (axis in own), (family, flag)
+        assert ("--sigma-x" in text) is family.endswith("gaussian")
+        assert ("--p1" in text) is family.endswith("binary")
 
 
 def test_import_loads_no_scipy_integrate_or_special():
@@ -308,7 +362,7 @@ def test_channel_statistics_load_no_lazy_module():
     (RDC_EXAMPLE, []),
     (["rpc", "gaussian", "--p", "0.2", "--c", "0.562264"], []),
     (_ORACLE, ["rdpc.oracle"]),
-    (["rpc-given-d", "--d", "0.5", "--c", "0.762264"], ["rdpc.rpc_given_d"]),
+    (["rpc-given-d", "point", "--d", "0.5", "--c", "0.762264"], ["rdpc.rpc_given_d"]),
     (["restore", "--a-steps", "3"], ["rdpc.restoration"]),
     (["verify", "--suite", "entropy"], list(_LAZY)),
 ])
@@ -330,7 +384,7 @@ def test_python_m_rdpc_runs_the_cli():
 
 
 def test_surface_csv_schema_and_order(capsys):
-    code, out, _ = run(capsys, "surface", "--family", "rdc-binary",
+    code, out, _ = run(capsys, "surface", "rdc-binary",
                        "--a", "0.3", "--p1", "0.1",
                        "--d-min", "0", "--d-max", "0.3", "--d-steps", "2",
                        "--c-min", "0.5", "--c-max", "1", "--c-steps", "3")
@@ -346,7 +400,7 @@ def test_surface_csv_schema_and_order(capsys):
 
 
 def test_surface_json_round_trips(capsys):
-    code, out, _ = run(capsys, "surface", "--family", "rpc-gaussian",
+    code, out, _ = run(capsys, "surface", "rpc-gaussian",
                        "--p-min", "0.001", "--p-max", "0.01", "--p-steps", "2",
                        "--c-min", "0.4", "--c-max", "1.2", "--c-steps", "2",
                        "--format", "json")
@@ -368,7 +422,7 @@ def test_restore_csv_schema(capsys):
 
 
 def test_frontier_csv_schema(capsys):
-    code, out, _ = run(capsys, "rpc-given-d", "--d", "0.5", "--rate", "0.4",
+    code, out, _ = run(capsys, "rpc-given-d", "frontier", "--d", "0.5", "--rate", "0.4",
                        "--c-steps", "4")
     assert code == 0
     lines = out.strip().split("\n")
@@ -378,7 +432,7 @@ def test_frontier_csv_schema(capsys):
 
 def test_frontier_default_distortion_triple(capsys, tmp_path):
     out_base = tmp_path / "front.csv"
-    code, _, _ = run(capsys, "rpc-given-d", "--rate", "0.4", "--c-steps", "3",
+    code, _, _ = run(capsys, "rpc-given-d", "frontier", "--rate", "0.4", "--c-steps", "3",
                      "--out", str(out_base), "--emit-plot-script")
     assert code == 0
     emitted = sorted(p.name for p in tmp_path.iterdir())
@@ -415,11 +469,11 @@ def subplots(nrows=1, ncols=1, **kwargs):
 
 
 @pytest.mark.parametrize("argv, png", [
-    (["surface", "--family", "rdc-binary", "--a", "0.3", "--p1", "0.1", "--d-min", "0",
+    (["surface", "rdc-binary", "--a", "0.3", "--p1", "0.1", "--d-min", "0",
       "--d-max", "0.4", "--d-steps", "3", "--c-min", "0.5", "--c-max", "1", "--c-steps", "3"],
      "data.csv.png"),
     (["restore", "--a-steps", "3"], "data.csv.png"),
-    (["rpc-given-d", "--rate", "0.4", "--c-steps", "3"], "data_d0.5.csv.png"),
+    (["rpc-given-d", "frontier", "--rate", "0.4", "--c-steps", "3"], "data_d0.5.csv.png"),
 ])
 def test_emitted_plot_scripts_run(capsys, tmp_path, argv, png):
     """Each script runs on the CSVs beside it, in a child process that
@@ -440,10 +494,10 @@ def test_emitted_plot_scripts_run(capsys, tmp_path, argv, png):
 
 
 @pytest.mark.parametrize("argv", [
-    ["rpc-given-d", "--d", "0.5", "--p", "1e300", "--c", "0.5"],
-    ["rpc-given-d", "--d", "0.5", "--p", "0.1", "--c", "400"],
-    ["rpc-given-d", "--d", "0.5", "--rate", "1.0", "--c-min", "399", "--c-max", "400",
-     "--c-steps", "2"],
+    ["rpc-given-d", "point", "--d", "0.5", "--p", "1e300", "--c", "0.5"],
+    ["rpc-given-d", "point", "--d", "0.5", "--p", "0.1", "--c", "400"],
+    ["rpc-given-d", "frontier", "--d", "0.5", "--rate", "1.0", "--c-min", "399", "--c-max",
+     "400", "--c-steps", "2"],
 ])
 def test_huge_finite_bounds_answer_without_a_traceback(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -452,7 +506,7 @@ def test_huge_finite_bounds_answer_without_a_traceback(capsys, argv):
 
 
 def test_point_query_needs_single_distortion(capsys):
-    code, out, _ = run(capsys, "rpc-given-d", "--d", "0.5", "--p", "1",
+    code, out, _ = run(capsys, "rpc-given-d", "point", "--d", "0.5", "--p", "1",
                        "--c", "0.9")
     assert code == 0
     assert json.loads(out)["inputs"]["d"] == 0.5
@@ -477,13 +531,13 @@ def test_plot_script_needs_out(capsys):
     [
         ["restore", "--a-steps", "3", "--format", "json", "--out", "r.json",
          "--emit-plot-script"],
-        ["surface", "--family", "rpc-gaussian", "--p-min", "0", "--p-max", "0.1",
+        ["surface", "rpc-gaussian", "--p-min", "0", "--p-max", "0.1",
          "--p-steps", "2", "--c-min", "0.5", "--c-max", "1", "--c-steps", "2",
          "--format", "json", "--out", "s.json", "--emit-plot-script"],
-        ["rpc-given-d", "--rate", "0.4", "--d", "0.5", "--c-steps", "3",
+        ["rpc-given-d", "frontier", "--rate", "0.4", "--d", "0.5", "--c-steps", "3",
          "--format", "json", "--out", "f.json", "--emit-plot-script"],
         ["restore", "--a-steps", "3", "--emit-plot-script"],
-        ["rpc-given-d", "--rate", "0.4", "--d", "0.5", "0.6", "--c-steps", "3",
+        ["rpc-given-d", "frontier", "--rate", "0.4", "--d", "0.5", "0.6", "--c-steps", "3",
          "--emit-plot-script"],
     ],
 )
@@ -524,14 +578,14 @@ def _json_cell(value):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["surface", "--family", "rdc-binary", "--a", "0.3", "--p1", "0.1",
+        ["surface", "rdc-binary", "--a", "0.3", "--p1", "0.1",
          "--d-min", "0", "--d-max", "0.3", "--d-steps", "3",
          "--c-min", "0.3", "--c-max", "1", "--c-steps", "4"],
-        ["surface", "--family", "rpc-gaussian", "--p-min", "0.001", "--p-max", "0.01",
+        ["surface", "rpc-gaussian", "--p-min", "0.001", "--p-max", "0.01",
          "--p-steps", "2", "--c-min", "-1", "--c-max", "1.2", "--c-steps", "3"],
         ["restore", "--a-min", "0.5", "--a-max", "1.0", "--a-steps", "4"],
-        ["rpc-given-d", "--rate", "0.4", "--d", "0.5", "--c-steps", "4"],
-        ["rpc-given-d", "--rate", "0.4", "--d", "0.5", "0.6", "--c-steps", "4"],
+        ["rpc-given-d", "frontier", "--rate", "0.4", "--d", "0.5", "--c-steps", "4"],
+        ["rpc-given-d", "frontier", "--rate", "0.4", "--d", "0.5", "0.6", "--c-steps", "4"],
     ],
 )
 def test_dataset_json_and_csv_carry_the_same_rows(capsys, argv):
@@ -617,7 +671,7 @@ def test_config_must_be_an_object(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv, config, key", [
-    (["rpc-given-d", "--c", "0.9"], {"d": 0.5}, "d"),
+    (["rpc-given-d", "frontier", "--rate", "0.4"], {"d": 0.5}, "d"),
     (["restore"], {"a_steps": "x"}, "a_steps"),
     (["verify"], {"seed": "zero"}, "seed"),
     (["restore", "--a-steps", "3"], {"format": "xml"}, "format"),
@@ -643,7 +697,7 @@ def test_workers_env_default(capsys, monkeypatch):
 
 
 def test_oracle_exit_codes(capsys):
-    code, out, _ = run(capsys, "oracle", "--family", "binary", "--a", "0.3",
+    code, out, _ = run(capsys, "oracle", "binary", "--a", "0.3",
                        "--p1", "0.1", "--c", "0.4")
     assert code == 2
     assert json.loads(out)["rate"] is None
@@ -654,10 +708,10 @@ def test_oracle_exit_codes(capsys):
     ("gaussian", ["--p", "0.1"]),
 ])
 def test_oracle_minus_inf_bound_is_infeasible(capsys, family, bounds):
-    code, out, _ = run(capsys, "oracle", "--family", family, *bounds, "--c=-inf")
+    code, out, _ = run(capsys, "oracle", family, *bounds, "--c=-inf")
     assert code == 2
     assert json.loads(out)["feasible"] is False
-    code, out, _ = run(capsys, "oracle", "--family", family, *bounds, "--c=inf")
+    code, out, _ = run(capsys, "oracle", family, *bounds, "--c=inf")
     assert code == 0
     assert "C" not in json.loads(out)["constraints"]
 
@@ -678,7 +732,7 @@ def test_verify_refuses_a_negative_seed(capsys):
 
 
 def test_repeated_runs_are_byte_identical(capsys):
-    argv = ["surface", "--family", "rdc-gaussian", "--d-min", "0.1",
+    argv = ["surface", "rdc-gaussian", "--d-min", "0.1",
             "--d-max", "1.0", "--d-steps", "4", "--c-min", "0.4",
             "--c-max", "1.1", "--c-steps", "4"]
     _, first, _ = run(capsys, *argv)
@@ -707,10 +761,10 @@ def test_a_config_switch_given_as_true_is_taken(capsys, tmp_path):
     (["restore", "--a-steps", "3"], None, "cannot read config "),
     (["restore", "--a-steps", "3"], {"emit_plot_script": "yes"},
      "config key 'emit_plot_script': must be true or false: 'yes'"),
-    (["surface", "--family", "rdc-binary", "--a", "0.3", "--p1", "0.1", "--d-min", "0.5",
+    (["surface", "rdc-binary", "--a", "0.3", "--p1", "0.1", "--d-min", "0.5",
       "--d-max", "0.1", "--d-steps", "3", "--c-min", "0.5", "--c-max", "0.9", "--c-steps", "3"],
      {}, "--d-max must be >= --d-min"),
-    (["rpc-given-d", "--p", "0.1", "--c", "0.9"], {}, "point query needs --d (one value)"),
+    (["rpc-given-d", "point", "--p", "0.1", "--c", "0.9"], {}, "missing required value --d"),
 ])
 def test_refused_inputs_exit_one_with_their_message(capsys, tmp_path, argv, config, message):
     cfg = tmp_path / "cfg.json"

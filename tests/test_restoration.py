@@ -744,6 +744,24 @@ def test_kl_of_gains_refuses_a_bad_gain_anywhere(bad, at):
     assert time.perf_counter() - t0 < 0.05  # before any quadrature
 
 
+@pytest.mark.parametrize("bad", [0.0, math.nan, math.inf, -math.inf])
+def test_kl_of_gains_checks_each_gain_once(monkeypatch, bad):
+    # the range check's probes at the smallest |a|, the smallest and the
+    # largest gain land on a zero, a NaN or an infinity mid-array, so no
+    # pass over every gain runs before them
+    checked = []
+    real = restoration._check_gain
+    monkeypatch.setattr(restoration, "_check_gain", lambda a: checked.append(a) or real(a))
+    kl_of_gains(MODEL, GRID)
+    assert len(checked) <= 3
+    gains = GRID.copy()
+    gains[GRID.size // 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="gain"):
+            kl_of_gains(MODEL, gains)
+
+
 @pytest.mark.parametrize("a", [1e-155, 1e-160])
 @pytest.mark.parametrize("sigma_n", [0.0, 1.0])
 def test_kl_at_a_subnormal_restored_variance_is_inf(sigma_n, a):
