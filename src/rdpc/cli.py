@@ -605,13 +605,23 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser of every ``main`` call without --config, built on first
+    use: building all the leaves takes a few ms, and a process may call
+    ``main`` many times. Nothing changes it after it is built."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = _shared_parser().parse_args(argv)
     try:
         if ns.config is not None:
-            # config values as the command's defaults: a re-parse applies
-            # flag > config > built-in default
+            # config values as the command's defaults, on a parser of its
+            # own, so the shared one keeps the built-in defaults: a re-parse
+            # applies flag > config > built-in default
+            parser = build_parser()
+            ns = parser.parse_args(argv)
             config = _load_config(ns.config, ns.parser)
             if getattr(ns, "suite", None) is not None:
                 config.pop("suite", None)  # --suite appends; the flags given replace the list

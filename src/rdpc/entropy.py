@@ -79,9 +79,10 @@ _NEWTON_STEPS = 4
 _P_MAX = 0.49
 # the certificate's four points, lo - W to lo + 2W, as offsets from lo
 _CERT_STEPS = np.array([[-_W], [0.0], [_W], [2.0 * _W]])
-# Elements per slice of the array inverse: its temporaries stay below
-# 0.5 MB each, whatever the array's size.
-_SLICE = 2 ** 14
+# Elements per slice of the array inverse: whatever the array's size, its
+# largest temporaries are (4, 2**13) float64 arrays of 256 KiB, and those
+# of one slice come to under 1 MiB.
+_SLICE = 2 ** 13
 
 
 def _entropy_gap(m: float, h: float) -> float:
@@ -167,12 +168,13 @@ def _binary_entropy_inv_arr(h) -> np.ndarray:
     Each element gets the answer of the scalar's bisection run with
     ``np.log2`` (``_bisect_inv_arr``), by the scalar's Newton estimate and
     certificate, evaluated in that arithmetic; the elements that fail it
-    run the bisection in lockstep. numpy's log2 can differ from
-    ``math.log2`` in the last bit, so a result may differ from the scalar
-    one by the root's width at that precision, 1e-14 or less away from
-    h = 1. The array is worked in slices of ``_SLICE`` elements, so the
-    memory held stays a few MB. Out-of-range and NaN ``h`` raise
-    ``DomainError``.
+    run the bisection in lockstep. As in the scalar, h = 0 and h = 1 get
+    0 and 1/2 directly; the certificate always fails at 1. numpy's log2
+    can differ from ``math.log2`` in the last bit, so a result may differ
+    from the scalar one by the root's width at that precision, 1e-14 or
+    less away from h = 1. The array is worked in slices of ``_SLICE``
+    elements, so the memory held stays a few MB. Out-of-range and NaN
+    ``h`` raise ``DomainError``.
     """
     h = np.asarray(h, dtype=float)
     bad = ~((h >= 0.0) & (h <= 1.0))
@@ -183,6 +185,8 @@ def _binary_entropy_inv_arr(h) -> np.ndarray:
     for s in range(0, flat.size, _SLICE):
         _certified_inv(flat[s:s + _SLICE], out[s:s + _SLICE], failed[s:s + _SLICE])
     out[flat == 0.0] = 0.0  # the certificate passes 2**-47 there
+    top = flat == 1.0
+    out[top], failed[top] = 0.5, False
     if np.any(failed):
         out[failed] = _bisect_inv_arr(flat[failed])
     return out.reshape(h.shape)

@@ -91,9 +91,10 @@ _PAIR_ROWS = {
             np.stack([count + j, count + j, 2 * count + j, count + i, count + i, 2 * count + i]))
     for count in range(4, 8) for i, j in [np.triu_indices(count, 1)]
 }
-# _binary_joint_arr works in slices of _SLICE elements and _lp_bounds in
-# slices of _CELL_SLICE cells, which bounds their temporaries
-_SLICE, _CELL_SLICE = 2**12, 2**8
+# _binary_joint_arr works in slices of _SLICE elements, _lp_bounds in
+# slices of _CELL_SLICE cells and _mgl_margins in slices of _MGL_SLICE
+# channels, which bounds their temporaries
+_SLICE, _CELL_SLICE, _MGL_SLICE = 2**12, 2**8, 2**14
 
 
 def _binary_joint_arr(b1, p1, pa, pb) -> tuple[np.ndarray, np.ndarray]:
@@ -569,13 +570,26 @@ def _mgl_margins(a, p1, pa, pb) -> tuple[np.ndarray, np.ndarray]:
     """(lhs, rhs) of Mrs. Gerber's lemma, H(S | Xhat) >= h(p1 * Hinv(H(X | Xhat))),
     elementwise over broadcast arrays of label marginals ``a``, label flip
     probabilities ``p1`` and channels (pa, pb), from ``_binary_joint_arr``
-    and the array entropy inverse."""
-    b1 = (a - p1) / (1.0 - 2.0 * p1)
-    info, lhs = _binary_joint_arr(b1, p1, pa, pb)
-    h_x_given = np.clip(_h2_bits_arr(b1) - info, 0.0, 1.0)
-    eps = _binary_entropy_inv_arr(h_x_given)
-    rhs = _h2_bits_arr(p1 * (1.0 - eps) + eps * (1.0 - p1))
-    return lhs, rhs
+    and the array entropy inverse.
+
+    Two passes over slices of ``_MGL_SLICE`` channels write both outputs,
+    so the only full-length arrays besides the inputs and outputs are the
+    inverse's result and masks. The first pass writes lhs and
+    parks H(X | Xhat) in rhs. The inverse then runs once over all of it:
+    its fallback bisection costs about the same whatever the size. The
+    second pass overwrites rhs with h(p1 * eps)."""
+    shape = np.broadcast(a, p1, pa, pb).shape
+    a, p1, pa, pb = (np.broadcast_to(v, shape).reshape(-1) for v in (a, p1, pa, pb))
+    lhs, rhs = np.empty(a.size), np.empty(a.size)
+    slices = [slice(lo, lo + _MGL_SLICE) for lo in range(0, a.size, _MGL_SLICE)]
+    for s in slices:
+        b1 = (a[s] - p1[s]) / (1.0 - 2.0 * p1[s])
+        info, lhs[s] = _binary_joint_arr(b1, p1[s], pa[s], pb[s])
+        np.clip(_h2_bits_arr(b1) - info, 0.0, 1.0, out=rhs[s])
+    eps = _binary_entropy_inv_arr(rhs)
+    for s in slices:
+        rhs[s] = _h2_bits_arr(p1[s] * (1.0 - eps[s]) + eps[s] * (1.0 - p1[s]))
+    return lhs.reshape(shape), rhs.reshape(shape)
 
 
 def mrs_gerber_check(src: BinaryPairSource, ch: BinaryChannel) -> MglCheck:

@@ -467,7 +467,8 @@ def frontier(
 
 
 # Samples per chunk. The three float64 rows of a chunk share one block:
-# freeing a block larger than the mgl suite's 800 kB arrays raises glibc's
+# freeing a block larger than the mgl suite's 800 kB arrays (its four draws,
+# two margins and entropy inverse; its slices are 128 kB) raises glibc's
 # mmap threshold, so a later `verify` in the same process takes those arrays
 # from reused heap pages. Separate 512 kB rows (chunks of 2**16) made
 # repeated verify runs 3-6% slower; one block of 2**16 rows did not. The

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import rdpc
-from rdpc import GaussianPairSource, rpc_gaussian
+from rdpc import GaussianPairSource, cli, rpc_gaussian
 from rdpc.cli import build_parser, main
 
 
@@ -626,6 +626,44 @@ def test_out_writes_file_and_nothing_to_stdout(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["unit"] == "bits"
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._shared_parser.cache_clear()
+    try:
+        for argv in (RDC_EXAMPLE, RDC_EXAMPLE, ["rpc", "gaussian", "--p", "0.2", "--c", "0.562264"],
+                     ["verify", "--suite", "entropy"]):
+            assert run(capsys, *argv)[0] == 0
+    finally:
+        cli._shared_parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_a_config_leaves_the_next_call_its_built_in_defaults(capsys, tmp_path):
+    # --config sets defaults on a parser of its own, not on the shared one
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sigma_x": 2, "a_steps": 4}))
+    point = ["rpc", "gaussian", "--p", "0.2", "--c", "0.562264"]
+    for extra, sigma_x in ((["--config", str(cfg)], 2.0), ([], 1.0)):
+        _, out, _ = run(capsys, *point, *extra)
+        assert json.loads(out)["inputs"]["sigma_x"] == sigma_x
+    for extra, rows in ((["--config", str(cfg)], 4), ([], 146)):
+        code, out, _ = run(capsys, "restore", *extra)
+        assert code == 0 and len(out.strip().split("\n")) == 1 + rows
+
+
+def test_two_verify_calls_in_one_process_write_the_same_bytes(tmp_path):
+    outs = [tmp_path / "first.json", tmp_path / "second.json"]
+    for out in outs:
+        assert main(["verify", "--seed", "0", "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_config_supplies_defaults_flags_win(capsys, tmp_path):

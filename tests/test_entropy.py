@@ -180,10 +180,11 @@ def _lockstep_bisection(h):
 
 def test_array_inverse_is_bit_identical_to_the_lockstep_bisection(monkeypatch):
     fallback = entropy._bisect_inv_arr
-    sizes = []
+    sizes, ones = [], []
 
     def counted(h):
         sizes.append(h.size)
+        ones.append(int(np.count_nonzero(h == 1.0)))
         return fallback(h)
 
     monkeypatch.setattr(entropy, "_bisect_inv_arr", counted)
@@ -194,6 +195,10 @@ def test_array_inverse_is_bit_identical_to_the_lockstep_bisection(monkeypatch):
         "near 1": 1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 2000),
         "subnormal": rng.uniform(0.0, 2.0**-1022, 1000),
         "grid and near 1/2": _grid_and_half_entropies(rng, entropy._h2_bits_arr),
+        "all ones": np.ones(1000),
+        # as the convexity suite's clipped C grid: ones among other entropies
+        "ones and uniform": np.where(rng.uniform(size=2000) < 0.1, 1.0,
+                                     rng.uniform(0.0, 1.0, 2000)),
     }
     refused = _margin_refused_entropies(rng, entropy._h2_bits_arr)
     kinds |= refused
@@ -209,6 +214,8 @@ def test_array_inverse_is_bit_identical_to_the_lockstep_bisection(monkeypatch):
     assert fell_back["uniform"] < 0.02 * kinds["uniform"].size
     assert fell_back["log-uniform"] < 0.02 * kinds["log-uniform"].size
     assert all(fell_back[kind] == hs.size for kind, hs in refused.items()), fell_back
+    # h = 1 is answered before the fallback, which sees none of them
+    assert fell_back["all ones"] == 0 and sum(ones) == 0, (fell_back, ones)
     for h in (0.0, 1.0, 5e-324, 0.3, 1.0 - 1e-16):
         got = entropy._binary_entropy_inv_arr(np.float64(h))
         assert got.shape == () and got == _lockstep_bisection(np.array(h)), h

@@ -121,6 +121,46 @@ def test_mgl_check_is_the_scalar_formula_on_the_verify_draws(seed):
         assert abs(got.lhs - lhs) <= 1e-12 and abs(got.rhs - rhs) <= 1e-9
 
 
+@pytest.mark.parametrize("src, ch, lhs, rhs", [
+    (SRC, BinaryChannel(0.96, 0.12), 0.6006372422356343, 0.5980332399585406),
+    (SRC, BinaryChannel(0.5, 0.5), 0.8812908992306927, 0.8812908992306856),
+    (SRC, BinaryChannel(1.0, 0.0), 0.4689955935892812, 0.4689955935892812),
+    # H(X | Xhat) = 1, which the entropy inverse answers before its fallback
+    (BinaryPairSource(0.5, 0.1), BinaryChannel(0.5, 0.5), 1.0, 1.0),
+])
+def test_mgl_check_keeps_its_bits(src, ch, lhs, rhs):
+    got = mrs_gerber_check(src, ch)
+    assert (got.lhs, got.rhs) == (lhs, rhs)
+
+
+def _bulk_mgl_margins(a, p1, pa, pb):
+    """``_mgl_margins`` in one pass over the whole arrays, as first written:
+    the reference its two passes over slices must equal bit for bit."""
+    b1 = (a - p1) / (1.0 - 2.0 * p1)
+    info, lhs = oracle._binary_joint_arr(b1, p1, pa, pb)
+    eps = entropy._binary_entropy_inv_arr(np.clip(_h2_bits_arr(b1) - info, 0.0, 1.0))
+    return lhs, _h2_bits_arr(p1 * (1.0 - eps) + eps * (1.0 - p1))
+
+
+def test_sliced_mgl_margins_equal_the_bulk_ones():
+    # 10^5 + 7 = 97 * 1031 channels end in a partial slice
+    rng, n = np.random.default_rng(20261021), 100_007
+    a = rng.uniform(0.02, 0.5, n)
+    p1 = a * rng.uniform(0.1, 0.95, n)
+    pa, pb = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
+    pa[:50], pb[:50] = 0.5, 0.5  # no information: H(X | Xhat) = h(b)
+    cases = {
+        "flat": (a, p1, pa, pb),
+        "grid": (a.reshape(97, -1), p1.reshape(97, -1), pa.reshape(97, -1), pb.reshape(97, -1)),
+        "one source": (np.float64(0.5), 0.1, pa.reshape(97, -1), pb[:1031]),
+        "one channel": (a[:7], p1[:7], 0.96, 0.12),
+    }
+    for kind, args in cases.items():
+        got, want = oracle._mgl_margins(*args), _bulk_mgl_margins(*args)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), kind
+
+
 # ---------------------------------------------------------------------------
 # binary oracle
 # ---------------------------------------------------------------------------

@@ -4,12 +4,16 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+from test_oracle import _bulk_mgl_margins
 from test_restoration import _NO_AVX512, _dispatches_avx512
 
-from rdpc import DomainError, cli, default_model, monte_carlo_mse, verify
+from rdpc import DomainError, cli, default_model, monte_carlo_mse, oracle, verify
+from rdpc.entropy import _h2_bits_arr
 from rdpc.verify import SUITE_NAMES, run_suites
 
 
@@ -78,6 +82,44 @@ def test_seed_changes_draws_not_verdicts():
     other = run_suites(["entropy"], seed=5).to_dict()
     assert first["all_passed"] and other["all_passed"]
     assert first != other
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7, 11])
+def test_mgl_suite_maxima_are_those_of_the_bulk_margins(monkeypatch, seed):
+    # the suite takes its two maxima slice by slice, over margins computed
+    # in slices; whatever the cut (the default, one that leaves a partial
+    # slice of 1 channel, and one slice longer than the 10^5 draws), they
+    # are the maxima of the margins computed whole
+    drawn = []
+
+    def kept(*args):
+        drawn.append(args)
+        return oracle._mgl_margins(*args)
+
+    monkeypatch.setattr(verify, "_mgl_margins", kept)
+    for size in (oracle._MGL_SLICE, 33_333, 100_007):
+        monkeypatch.setattr(oracle, "_MGL_SLICE", size)
+        monkeypatch.setattr(verify, "_MGL_SLICE", size)
+        del drawn[:]
+        measured = run_suites(["mgl"], seed=seed).suites[0].measured
+        a, p1, pa, pb = drawn[0]
+        lhs, rhs = _bulk_mgl_margins(a, p1, pa, pb)
+        assert measured["min_margin_deficit"] == float(np.max(rhs - lhs)), size
+        assert measured["label_floor_deficit"] == float(np.max(_h2_bits_arr(p1) - lhs)), size
+
+
+def test_mgl_suite_memory_stays_bounded():
+    # in one pass over the 10^5 channels the suite held 9.26 MiB; in slices
+    # it holds the four draws, the two margins and the entropy inverse's
+    # result and slices, 6.53 MiB
+    run_suites(["mgl"], seed=0)
+    tracemalloc.start()
+    try:
+        run_suites(["mgl"], seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 2**20
 
 
 def test_convexity_suite_spot_checks_without_scalar_loops(monkeypatch):
