@@ -566,30 +566,32 @@ class MglCheck:
     holds: bool
 
 
-def _mgl_margins(a, p1, pa, pb) -> tuple[np.ndarray, np.ndarray]:
+def _mgl_margins(sources, channels, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(lhs, rhs) of Mrs. Gerber's lemma, H(S | Xhat) >= h(p1 * Hinv(H(X | Xhat))),
-    elementwise over broadcast arrays of label marginals ``a``, label flip
-    probabilities ``p1`` and channels (pa, pb), from ``_binary_joint_arr``
-    and the array entropy inverse.
+    for n channels, from ``_binary_joint_arr`` and the array entropy
+    inverse. For each slice s of them, ``sources(s)`` gives the label
+    marginals ``a`` and label flip probabilities ``p1`` and
+    ``channels(s)`` the channels (pa, pb), as arrays or numbers that
+    broadcast to the slice, the same on every call.
 
     Two passes over slices of ``_MGL_SLICE`` channels write both outputs,
-    so the only full-length arrays besides the inputs and outputs are the
-    inverse's result and masks. The first pass writes lhs and
-    parks H(X | Xhat) in rhs. The inverse then runs once over all of it:
-    its fallback bisection costs about the same whatever the size. The
-    second pass overwrites rhs with h(p1 * eps)."""
-    shape = np.broadcast(a, p1, pa, pb).shape
-    a, p1, pa, pb = (np.broadcast_to(v, shape).reshape(-1) for v in (a, p1, pa, pb))
-    lhs, rhs = np.empty(a.size), np.empty(a.size)
-    slices = [slice(lo, lo + _MGL_SLICE) for lo in range(0, a.size, _MGL_SLICE)]
+    so the only full-length arrays are the outputs and the inverse's
+    result and masks. The first pass writes lhs and parks H(X | Xhat) in
+    rhs. The inverse then runs once over all of it: its fallback
+    bisection costs about the same whatever the size. The second pass
+    reads the sources again and overwrites rhs with h(p1 * eps)."""
+    lhs, rhs = np.empty(n), np.empty(n)
+    slices = [slice(lo, lo + _MGL_SLICE) for lo in range(0, n, _MGL_SLICE)]
     for s in slices:
-        b1 = (a[s] - p1[s]) / (1.0 - 2.0 * p1[s])
-        info, lhs[s] = _binary_joint_arr(b1, p1[s], pa[s], pb[s])
+        a, p1 = sources(s)
+        b1 = (a - p1) / (1.0 - 2.0 * p1)
+        info, lhs[s] = _binary_joint_arr(b1, p1, *channels(s))
         np.clip(_h2_bits_arr(b1) - info, 0.0, 1.0, out=rhs[s])
     eps = _binary_entropy_inv_arr(rhs)
     for s in slices:
-        rhs[s] = _h2_bits_arr(p1[s] * (1.0 - eps[s]) + eps[s] * (1.0 - p1[s]))
-    return lhs.reshape(shape), rhs.reshape(shape)
+        p1 = sources(s)[1]
+        rhs[s] = _h2_bits_arr(p1 * (1.0 - eps[s]) + eps[s] * (1.0 - p1))
+    return lhs, rhs
 
 
 def mrs_gerber_check(src: BinaryPairSource, ch: BinaryChannel) -> MglCheck:
@@ -599,6 +601,6 @@ def mrs_gerber_check(src: BinaryPairSource, ch: BinaryChannel) -> MglCheck:
     Equality requires the backward conditionals of the channel to be
     complementary; everything else should be strictly above the bound.
     """
-    lhs, rhs = _mgl_margins(np.array([src.a]), src.p1, ch.p_a, ch.p_b)
+    lhs, rhs = _mgl_margins(lambda s: (np.array([src.a]), src.p1), lambda s: (ch.p_a, ch.p_b), 1)
     lhs, rhs = float(lhs[0]), float(rhs[0])
     return MglCheck(lhs=lhs, rhs=rhs, holds=lhs >= rhs - 1e-10)

@@ -143,22 +143,25 @@ def _bulk_mgl_margins(a, p1, pa, pb):
 
 
 def test_sliced_mgl_margins_equal_the_bulk_ones():
-    # 10^5 + 7 = 97 * 1031 channels end in a partial slice
+    # 10^5 + 7 = 97 * 1031 channels end in a partial slice; the kernel
+    # reads each slice's sources and channels through two functions, whose
+    # arrays or numbers broadcast to the slice
     rng, n = np.random.default_rng(20261021), 100_007
     a = rng.uniform(0.02, 0.5, n)
     p1 = a * rng.uniform(0.1, 0.95, n)
     pa, pb = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
     pa[:50], pb[:50] = 0.5, 0.5  # no information: H(X | Xhat) = h(b)
     cases = {
-        "flat": (a, p1, pa, pb),
-        "grid": (a.reshape(97, -1), p1.reshape(97, -1), pa.reshape(97, -1), pb.reshape(97, -1)),
-        "one source": (np.float64(0.5), 0.1, pa.reshape(97, -1), pb[:1031]),
-        "one channel": (a[:7], p1[:7], 0.96, 0.12),
+        "arrays": (lambda s: (a[s], p1[s]), lambda s: (pa[s], pb[s]), n, (a, p1, pa, pb)),
+        "one source": (lambda s: (np.float64(0.5), 0.1), lambda s: (pa[s], pb[s]), n,
+                       (np.float64(0.5), 0.1, pa, pb)),
+        "one channel": (lambda s: (a[:7][s], p1[:7][s]), lambda s: (0.96, 0.12), 7,
+                        (a[:7], p1[:7], 0.96, 0.12)),
     }
-    for kind, args in cases.items():
-        got, want = oracle._mgl_margins(*args), _bulk_mgl_margins(*args)
+    for kind, (sources, channels, size, args) in cases.items():
+        got, want = oracle._mgl_margins(sources, channels, size), _bulk_mgl_margins(*args)
         for g, w in zip(got, want):
-            assert g.shape == w.shape and g.tobytes() == w.tobytes(), kind
+            assert g.shape == w.shape == (size,) and g.tobytes() == w.tobytes(), kind
 
 
 # ---------------------------------------------------------------------------

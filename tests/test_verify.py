@@ -84,26 +84,41 @@ def test_seed_changes_draws_not_verdicts():
     assert first != other
 
 
+def _mgl_draws_whole(seed, n=100_000):
+    """The mgl suite's sources and channels as four whole draws, in the
+    order that ``_rng_for(seed, 1)`` gives them."""
+    rng = verify._rng_for(seed, 1)
+    a = rng.uniform(0.02, 0.5, size=n)
+    p1 = a * rng.uniform(0.1, 0.95, size=n)
+    return a, p1, rng.uniform(0.0, 1.0, size=n), rng.uniform(0.0, 1.0, size=n)
+
+
+# the default cut, one that leaves a last slice of 1 channel, and one
+# slice longer than the 10^5 draws
+_MGL_CUTS = (oracle._MGL_SLICE, 33_333, 100_007)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_mgl_suite_reads_the_whole_draws_slice_by_slice(seed):
+    sources, channels = verify._mgl_draws(seed, 100_000)
+    for size in _MGL_CUTS:
+        cut = [slice(lo, lo + size) for lo in range(0, 100_000, size)]
+        got = [np.concatenate(parts) for parts in zip(*(sources(s) + channels(s) for s in cut))]
+        for g, w in zip(got, _mgl_draws_whole(seed)):
+            assert g.tobytes() == w.tobytes(), size
+
+
 @pytest.mark.parametrize("seed", [0, 3, 7, 11])
 def test_mgl_suite_maxima_are_those_of_the_bulk_margins(monkeypatch, seed):
     # the suite takes its two maxima slice by slice, over margins computed
-    # in slices; whatever the cut (the default, one that leaves a partial
-    # slice of 1 channel, and one slice longer than the 10^5 draws), they
-    # are the maxima of the margins computed whole
-    drawn = []
-
-    def kept(*args):
-        drawn.append(args)
-        return oracle._mgl_margins(*args)
-
-    monkeypatch.setattr(verify, "_mgl_margins", kept)
-    for size in (oracle._MGL_SLICE, 33_333, 100_007):
+    # in slices from draws read in slices; whatever the cut, they are the
+    # maxima of the margins computed whole from the whole draws
+    a, p1, pa, pb = _mgl_draws_whole(seed)
+    lhs, rhs = _bulk_mgl_margins(a, p1, pa, pb)
+    for size in _MGL_CUTS:
         monkeypatch.setattr(oracle, "_MGL_SLICE", size)
         monkeypatch.setattr(verify, "_MGL_SLICE", size)
-        del drawn[:]
         measured = run_suites(["mgl"], seed=seed).suites[0].measured
-        a, p1, pa, pb = drawn[0]
-        lhs, rhs = _bulk_mgl_margins(a, p1, pa, pb)
         assert measured["min_margin_deficit"] == float(np.max(rhs - lhs)), size
         assert measured["label_floor_deficit"] == float(np.max(_h2_bits_arr(p1) - lhs)), size
 
