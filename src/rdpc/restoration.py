@@ -466,14 +466,16 @@ def frontier(
     ]
 
 
-# Samples per chunk. The three float64 rows of a chunk share one block:
-# freeing a block larger than the mgl suite's 800 kB arrays (its four draws,
-# two margins and entropy inverse; its slices are 128 kB) raises glibc's
-# mmap threshold, so a later `verify` in the same process takes those arrays
-# from reused heap pages. Separate 512 kB rows (chunks of 2**16) made
-# repeated verify runs 3-6% slower; one block of 2**16 rows did not. The
-# component 1 samples come first, so at most one chunk holds both components.
-_CHUNK = 1 << 18
+# Samples per chunk. The three float64 rows of a chunk share one 1.5 MiB
+# block, which stays in a 2 MiB L2 cache through every gain's passes over
+# it; 2**18-sample rows (6 MiB) did not, and the restoration suite ran
+# about 3 ms slower. One block, not three rows: freeing a block larger
+# than the mgl suite's 800 kB arrays (its two margins and entropy inverse)
+# raises glibc's mmap threshold, so a later `verify` in the same process
+# takes those arrays from reused heap pages; separate 512 kB rows made
+# repeated verify runs 3-6% slower. The component 1 samples come first,
+# so at most one chunk holds both components.
+_CHUNK = 1 << 16
 
 
 def monte_carlo_mses(
@@ -485,8 +487,8 @@ def monte_carlo_mses(
     The mixture is sampled by composition (Devroye, Non-Uniform Random
     Variate Generation, 1986): one binomial draw gives the count n1 of
     component 1's samples, which come first. The sample, fully determined
-    by the seed, is then drawn in chunks of 2^18 (three float64 rows,
-    6.3 MB, whatever the number of gains): per chunk m normals z give the
+    by the seed, is then drawn in chunks of 2^16 (three float64 rows,
+    1.5 MiB, whatever the number of gains): per chunk m normals z give the
     clean signal x = m1 + s1*z below sample n1 and m2 + s2*z from there,
     and m normals the noise. Every gain sums ``(x - a*(x + noise))**2``
     and its square over each chunk, so its pair is the one

@@ -708,7 +708,7 @@ def test_monte_carlo_mses_of_no_gains_is_empty_without_a_draw(monkeypatch):
 def test_monte_carlo_mses_hold_one_chunk_whatever_the_gains():
     # three float64 rows of a chunk, plus the generator's and numpy's small
     # working buffers, however many gains share them
-    chunk = 2**18
+    chunk = 2**16
     peaks = []
     for gains in ([0.8], [0.5, 0.8]):
         tracemalloc.start()
