@@ -585,15 +585,15 @@ def test_mse_of_a_huge_gain_is_inf(a):
 
 def _reference_monte_carlo_mse(model, a, n, seed):
     # the mixture by composition: a binomial count of component 1's
-    # samples, which come first, then per 2**18-sample chunk the clean
+    # samples, which come first, then per 2**16-sample chunk the clean
     # signal's normals and the noise's
     mix = model.mixture
     rng = np.random.default_rng(seed)
     n1 = rng.binomial(n, mix.w1)
     total = 0.0
     total_sq = 0.0
-    for start in range(0, n, 2**18):
-        index = np.arange(start, min(start + 2**18, n))
+    for start in range(0, n, 2**16):
+        index = np.arange(start, min(start + 2**16, n))
         z = rng.standard_normal(index.size)
         x = np.where(
             index < n1,
@@ -618,7 +618,8 @@ _MC_MODELS = {
 }
 
 
-# inside one chunk (at 2**16 too), the chunk's edge, two chunks, four
+# inside one chunk, one whole chunk and one more sample, four whole chunks
+# and one more sample, sixteen chunks
 @pytest.mark.parametrize("n", [2, 10, 65_536, 65_537, 262_144, 262_145, 1_000_003])
 def test_monte_carlo_is_bit_identical_to_seed_formula(n):
     # one draw for all gains: each pair keeps the bits of a draw of its
@@ -632,15 +633,15 @@ def test_monte_carlo_is_bit_identical_to_seed_formula(n):
 
 
 # float.hex of monte_carlo_mses(default_model(), (0.8, -0.3), n, seed=5):
-# one chunk, and four chunks whose third straddles the two components
+# one chunk, and sixteen chunks whose eleventh straddles the two components
 _MC_BITS = {
-    262_144: [
-        ["0x1.7009ea558b12ep-1", "0x1.031492888916bp-9"],
-        ["0x1.baf53540c4b9ep+1", "0x1.10ddbad556fdbp-7"],
+    65_536: [
+        ["0x1.716fde804e2f6p-1", "0x1.04c6df604f6bfp-8"],
+        ["0x1.b8b11b8b1c1b8p+1", "0x1.0fc589c63cc58p-6"],
     ],
     1_000_003: [
-        ["0x1.700677c77d5b3p-1", "0x1.09aef2be3b022p-10"],
-        ["0x1.bcab4a0056b85p+1", "0x1.195fe98288316p-8"],
+        ["0x1.704563141e792p-1", "0x1.0a4f76b74de65p-10"],
+        ["0x1.bb8c4358bce3cp+1", "0x1.188940889a979p-8"],
     ],
 }
 _MC_BITS_CODE = """
@@ -648,13 +649,13 @@ import json
 from rdpc import default_model, monte_carlo_mses
 print(json.dumps({n: [[float.hex(v) for v in pair]
                       for pair in monte_carlo_mses(default_model(), (0.8, -0.3), n, seed=5)]
-                  for n in (262_144, 1_000_003)}))
+                  for n in (65_536, 1_000_003)}))
 """
 
 
 def test_monte_carlo_keeps_its_bits_within_one_chunk():
-    got = monte_carlo_mses(default_model(), (0.8, -0.3), 262_144, seed=5)
-    assert [list(map(float.hex, pair)) for pair in got] == _MC_BITS[262_144]
+    got = monte_carlo_mses(default_model(), (0.8, -0.3), 65_536, seed=5)
+    assert [list(map(float.hex, pair)) for pair in got] == _MC_BITS[65_536]
 
 
 def test_monte_carlo_keeps_its_bits_across_chunks():
