@@ -566,7 +566,7 @@ class MglCheck:
     holds: bool
 
 
-def _mgl_margins(sources, channels, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _mgl_margins(sources, channels, n: int, each=None) -> tuple[np.ndarray, np.ndarray]:
     """(lhs, rhs) of Mrs. Gerber's lemma, H(S | Xhat) >= h(p1 * Hinv(H(X | Xhat))),
     for n channels, from ``_binary_joint_arr`` and the array entropy
     inverse. For each slice s of them, ``sources(s)`` gives the label
@@ -579,7 +579,8 @@ def _mgl_margins(sources, channels, n: int) -> tuple[np.ndarray, np.ndarray]:
     result and masks. The first pass writes lhs and parks H(X | Xhat) in
     rhs. The inverse then runs once over all of it: its fallback
     bisection costs about the same whatever the size. The second pass
-    reads the sources again and overwrites rhs with h(p1 * eps)."""
+    reads the sources again, overwrites rhs with h(p1 * eps) and hands
+    ``each``, if given, each slice's p1, lhs and rhs."""
     lhs, rhs = np.empty(n), np.empty(n)
     slices = [slice(lo, lo + _MGL_SLICE) for lo in range(0, n, _MGL_SLICE)]
     for s in slices:
@@ -591,6 +592,8 @@ def _mgl_margins(sources, channels, n: int) -> tuple[np.ndarray, np.ndarray]:
     for s in slices:
         p1 = sources(s)[1]
         rhs[s] = _h2_bits_arr(p1 * (1.0 - eps[s]) + eps[s] * (1.0 - p1))
+        if each is not None:
+            each(p1, lhs[s], rhs[s])
     return lhs, rhs
 
 

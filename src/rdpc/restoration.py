@@ -467,14 +467,13 @@ def frontier(
 
 
 # Samples per chunk. The three float64 rows of a chunk share one 1.5 MiB
-# block, which stays in a 2 MiB L2 cache through every gain's passes over
-# it; 2**18-sample rows (6 MiB) did not, and the restoration suite ran
-# about 3 ms slower. One block, not three rows: freeing a block larger
-# than the mgl suite's 800 kB arrays (its two margins and entropy inverse)
-# raises glibc's mmap threshold, so a later `verify` in the same process
-# takes those arrays from reused heap pages; separate 512 kB rows made
-# repeated verify runs 3-6% slower. The component 1 samples come first,
-# so at most one chunk holds both components.
+# block, which stays in a 2 MiB L2 cache through each gain's passes (6 MiB
+# of 2**18-sample rows did not: the restoration suite ran 3 ms slower). One
+# block, not three rows: freeing a block larger than the mgl suite's 800 kB
+# margins raises glibc's mmap threshold, so a later `verify` in the same
+# process takes them from reused heap pages; separate 512 kB rows made
+# repeated verify runs 3-6% slower. The component 1 samples come first, so
+# at most one chunk holds both components.
 _CHUNK = 1 << 16
 
 

@@ -41,7 +41,6 @@ from .entropy import (
 )
 from .errors import DomainError
 from .oracle import (
-    _MGL_SLICE,
     _mgl_margins,
     binary_min_rate,
     gaussian_min_rate,
@@ -197,12 +196,11 @@ def _mgl_draws(seed: int, n: int) -> tuple[Callable, Callable]:
     """The mgl suite's sources (a, p1) and channels (pa, pb) in a slice, as
     ``_mgl_margins`` reads them: that slice of the four uniform draws of n
     values that ``_rng_for(seed, 1)`` gives one after another. Each value
-    takes one 64-bit PCG64 output, so a copy of the generator moved ahead
-    with ``advance`` to the slice's first value draws it; no draw is ever
-    held whole."""
-    state = _rng_for(seed, 1).bit_generator.state
-    bits = np.random.PCG64(0)
-    gen = np.random.Generator(bits)
+    takes one 64-bit PCG64 output, so the generator, set back to its first
+    state and moved ahead with ``advance`` to the slice's first value,
+    draws it; no draw is ever held whole."""
+    gen = _rng_for(seed, 1)
+    bits, state = gen.bit_generator, gen.bit_generator.state
 
     def uniform(k: int, s: slice, low: float, high: float) -> np.ndarray:
         r = range(n)[s]
@@ -218,20 +216,18 @@ def _mgl_draws(seed: int, n: int) -> tuple[Callable, Callable]:
 
 def _suite_mgl(seed: int) -> _Recorder:
     """Mrs. Gerber's lemma on 100,000 random sources and channels, through
-    ``_mgl_margins``, the kernel that ``mrs_gerber_check`` wraps, and its
-    equality case on three backward witnesses. The kernel and the suite
-    read the draws slice by slice (``_mgl_draws``), so only the two
-    margins and the entropy inverse's result are full length."""
-    rec = _Recorder()
-    n = 100_000
-    sources, channels = _mgl_draws(seed, n)
-    lhs, rhs = _mgl_margins(sources, channels, n)
+    ``_mgl_margins``, the kernel that ``mrs_gerber_check`` wraps, reading
+    the draws slice by slice (``_mgl_draws``), and its equality case on
+    three backward witnesses."""
+    rec, n = _Recorder(), 100_000
+
     # slice by slice, so no difference is full length: the recorder keeps
     # the largest value, or a NaN
-    for lo in range(0, n, _MGL_SLICE):
-        s = slice(lo, lo + _MGL_SLICE)
-        rec.worst("min_margin_deficit", float(np.max(rhs[s] - lhs[s])), 1e-10)
-        rec.worst("label_floor_deficit", float(np.max(_h2_bits_arr(sources(s)[1]) - lhs[s])), 1e-12)
+    def maxima(p1: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> None:
+        rec.worst("min_margin_deficit", float(np.max(rhs - lhs)), 1e-10)
+        rec.worst("label_floor_deficit", float(np.max(_h2_bits_arr(p1) - lhs)), 1e-12)
+
+    _mgl_margins(*_mgl_draws(seed, n), n, maxima)
 
     # complementary backward conditionals are the equality case
     equality_instances = [

@@ -145,7 +145,8 @@ def _bulk_mgl_margins(a, p1, pa, pb):
 def test_sliced_mgl_margins_equal_the_bulk_ones():
     # 10^5 + 7 = 97 * 1031 channels end in a partial slice; the kernel
     # reads each slice's sources and channels through two functions, whose
-    # arrays or numbers broadcast to the slice
+    # arrays or numbers broadcast to the slice, and hands each slice's
+    # final margins, in order, to its ``each``
     rng, n = np.random.default_rng(20261021), 100_007
     a = rng.uniform(0.02, 0.5, n)
     p1 = a * rng.uniform(0.1, 0.95, n)
@@ -159,9 +160,12 @@ def test_sliced_mgl_margins_equal_the_bulk_ones():
                         (a[:7], p1[:7], 0.96, 0.12)),
     }
     for kind, (sources, channels, size, args) in cases.items():
-        got, want = oracle._mgl_margins(sources, channels, size), _bulk_mgl_margins(*args)
-        for g, w in zip(got, want):
+        seen = []
+        got = oracle._mgl_margins(sources, channels, size, lambda *parts: seen.append(parts))
+        want = _bulk_mgl_margins(*args)
+        for g, w, parts in zip(got, want, list(zip(*seen))[1:]):
             assert g.shape == w.shape == (size,) and g.tobytes() == w.tobytes(), kind
+            assert np.concatenate(parts).tobytes() == g.tobytes(), kind
 
 
 # ---------------------------------------------------------------------------

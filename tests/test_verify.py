@@ -110,14 +110,14 @@ def test_mgl_suite_reads_the_whole_draws_slice_by_slice(seed):
 
 @pytest.mark.parametrize("seed", [0, 3, 7, 11])
 def test_mgl_suite_maxima_are_those_of_the_bulk_margins(monkeypatch, seed):
-    # the suite takes its two maxima slice by slice, over margins computed
-    # in slices from draws read in slices; whatever the cut, they are the
-    # maxima of the margins computed whole from the whole draws
+    # the suite takes its two maxima slice by slice, as the kernel hands it
+    # each slice of margins computed from draws read in slices; whatever
+    # the cut, they are the maxima of the margins computed whole from the
+    # whole draws
     a, p1, pa, pb = _mgl_draws_whole(seed)
     lhs, rhs = _bulk_mgl_margins(a, p1, pa, pb)
     for size in _MGL_CUTS:
         monkeypatch.setattr(oracle, "_MGL_SLICE", size)
-        monkeypatch.setattr(verify, "_MGL_SLICE", size)
         measured = run_suites(["mgl"], seed=seed).suites[0].measured
         assert measured["min_margin_deficit"] == float(np.max(rhs - lhs)), size
         assert measured["label_floor_deficit"] == float(np.max(_h2_bits_arr(p1) - lhs)), size
