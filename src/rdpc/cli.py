@@ -7,14 +7,11 @@ completed dataset, a clean verify run), 1 for usage or internal errors,
 Each leaf command parses only the flags it reads. A family or mode is a
 subcommand (`rdc binary`, `surface rpc-gaussian`, `oracle gaussian`,
 `rpc-given-d frontier`), so a leaf declares only its own source flags
-and its own bound or grid flags. Every leaf takes --out and --config;
-the dataset leaves (the four surfaces, restore and rpc-given-d frontier)
-add --format and --emit-plot-script, and only verify takes --seed,
---suite and --workers, which is accepted and has no effect. Built-in
-defaults sit on the flags, where --help shows them. A config file's
-values become the leaf's parser defaults, so a flag wins over a config
-value, which wins over a built-in default. All output is deterministic
-for a fixed (command, config, seed).
+and its own bound or grid flags. Every leaf takes --out; the dataset
+leaves (the four surfaces, restore and rpc-given-d frontier) add
+--format, and only verify takes --seed, --suite and --workers, which is
+accepted and has no effect. Defaults sit on the flags, where --help
+shows them. All output is deterministic for a fixed argv.
 
 Only the closed-form layer loads with this module: each command imports
 the oracle, the restoration model, the pinned-distortion solver or the
@@ -101,44 +98,6 @@ def _require(ns: argparse.Namespace, key: str) -> Any:
     return value
 
 
-def _flag_value(action: argparse.Action, value: Any) -> Any:
-    """A config value as ``action``'s flag parses its text: its ``type``,
-    ``nargs`` (a list for --d and the repeatable --suite, true or false
-    for a switch) and ``choices``. Raises ValueError."""
-    if action.nargs == 0:
-        if isinstance(value, bool):
-            return value
-        raise ValueError(f"must be true or false: {value!r}")
-    many = action.nargs == "+" or isinstance(action, argparse._AppendAction)
-    items = value if many else [value]
-    if not (isinstance(items, list) and items and all(type(v) in (str, int, float) for v in items)):
-        raise ValueError(f"must be {'a list of values' if many else 'one number or string'}: {value!r}")
-    parsed = [(action.type or str)(str(v)) for v in items]
-    for v in parsed:
-        if action.choices is not None and v not in action.choices:
-            raise ValueError(f"invalid choice {v!r} (choose from {', '.join(map(repr, action.choices))})")
-    return parsed if many else parsed[0]
-
-
-def _load_config(path: str, par: argparse.ArgumentParser) -> dict[str, Any]:
-    """The config file's values for the flags of the command ``par``
-    parses (``_flag_value``); keys that name none of them are dropped."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        raise _UsageError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise _UsageError(f"config {path} must hold a JSON object")
-    flags = {a.dest: a for a in par._actions if a.option_strings}
-    config: dict[str, Any] = {}
-    for key in (k for k in raw if k in flags):
-        try:
-            config[key] = _flag_value(flags[key], raw[key])
-        except ValueError as exc:
-            raise _UsageError(f"config key {key!r}: {exc}") from None
-    return config
-
-
 def _source(ns: argparse.Namespace, is_binary: bool) -> BinaryPairSource | GaussianPairSource:
     """The binary or Gaussian pair source the flags describe."""
     if is_binary:
@@ -189,98 +148,8 @@ def _grid(ns: argparse.Namespace, prefix: str) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# plot scripts
-# ---------------------------------------------------------------------------
-
-_SURFACE_PLOT = """#!/usr/bin/env python3
-\"\"\"Contour view of a tradeoff surface CSV (columns d_or_p,c,rate,...).\"\"\"
-import csv
-
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-import numpy as np
-
-PATH = @SOURCES@
-
-with open(PATH, newline="") as fh:
-    rows = list(csv.DictReader(fh))
-xs = sorted({float(r["d_or_p"]) for r in rows})
-ys = sorted({float(r["c"]) for r in rows})
-z = np.full((len(xs), len(ys)), np.nan)
-for r in rows:
-    i = xs.index(float(r["d_or_p"]))
-    j = ys.index(float(r["c"]))
-    if r["feasible"] == "true":
-        z[i, j] = float(r["rate"])
-fig, ax = plt.subplots(figsize=(6, 4.5))
-cs = ax.contourf(ys, xs, z, levels=24)
-fig.colorbar(cs, ax=ax, label="rate (" + rows[0]["unit"] + ")")
-ax.set_xlabel("C")
-ax.set_ylabel("D or P")
-fig.tight_layout()
-fig.savefig(PATH + ".png", dpi=150)
-print("wrote", PATH + ".png")
-"""
-
-_RESTORE_PLOT = """#!/usr/bin/env python3
-\"\"\"Denoising metric curves from a restore CSV (a,mse,kl_nats,error_rate).\"\"\"
-import csv
-
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-
-PATH = @SOURCES@
-
-with open(PATH, newline="") as fh:
-    rows = list(csv.DictReader(fh))
-a = [float(r["a"]) for r in rows]
-fig, axes = plt.subplots(1, 3, figsize=(12, 3.5))
-for ax, col in zip(axes, ("mse", "kl_nats", "error_rate")):
-    ax.plot(a, [float(r[col]) for r in rows])
-    ax.set_xlabel("gain a")
-    ax.set_ylabel(col)
-fig.tight_layout()
-fig.savefig(PATH + ".png", dpi=150)
-print("wrote", PATH + ".png")
-"""
-
-_FRONTIER_PLOT = """#!/usr/bin/env python3
-\"\"\"Minimal-perception frontiers from rpc-given-d CSVs.\"\"\"
-import csv
-import math
-
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-
-SOURCES = @SOURCES@
-
-fig, ax = plt.subplots(figsize=(6, 4.5))
-for label, path in SOURCES:
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    pts = [
-        (float(r["C_nats"]), float(r["min_P_nats"]))
-        for r in rows
-        if not math.isnan(float(r["min_P_nats"]))
-    ]
-    ax.plot([c for c, _ in pts], [p for _, p in pts], marker="o", label=label)
-ax.set_xlabel("C (nats)")
-ax.set_ylabel("minimal P (nats)")
-ax.legend()
-fig.tight_layout()
-out = SOURCES[0][1] + ".png"
-fig.savefig(out, dpi=150)
-print("wrote", out)
-"""
-
-
-# ---------------------------------------------------------------------------
 # emitters: a JSON object (points, oracle runs, verify reports) or a dataset
-# (surface, restore, rpc-given-d frontiers). A dataset command refuses a
-# plot script it cannot write before it does any work.
+# (surface, restore, rpc-given-d frontiers)
 # ---------------------------------------------------------------------------
 
 def _strict_json(value: Any) -> Any:
@@ -309,20 +178,10 @@ def _emit_point(ns: argparse.Namespace, pt: TradeoffPoint, inputs: dict[str, Any
                         _EXIT_OK if pt.feasible else _EXIT_INFEASIBLE)
 
 
-def _refuse_dataset_flags(ns: argparse.Namespace) -> None:
-    if not ns.emit_plot_script:
-        return
-    if ns.out is None:
-        raise _UsageError("--emit-plot-script needs --out to name the dataset")
-    if ns.format == "json":
-        raise _UsageError("plot scripts read the CSV format")
-
-
 def _emit_dataset(
     ns: argparse.Namespace,
     header: Sequence[str],
     tables: Sequence[tuple[float | None, list[tuple]]],
-    plot: str,
     meta: dict[str, Any],
     json_only: Sequence[str] = (),
 ) -> int:
@@ -352,21 +211,13 @@ def _emit_dataset(
         return _csv_text(header, [row[:len(header)] for row in rows])
 
     if len(tables) == 1:
-        label, rows = tables[0]
-        _write(csv(rows), out)
-        sources: Any = out if label is None else [(f"D={label:g}", out)]
+        _write(csv(tables[0][1]), out)
     elif out is None:
         _write("\n".join(f"# d={d:g}\n{csv(rows)}" for d, rows in tables), None)
-        return _EXIT_OK
     else:
         base = Path(out)
-        sources = []
         for d, rows in tables:
-            path = base.with_name(f"{base.stem}_d{d:g}{base.suffix}")
-            path.write_text(csv(rows))
-            sources.append((f"D={d:g}", str(path)))
-    if ns.emit_plot_script:
-        Path(f"{out}.plot.py").write_text(plot.replace("@SOURCES@", repr(sources)))
+            base.with_name(f"{base.stem}_d{d:g}{base.suffix}").write_text(csv(rows))
     return _EXIT_OK
 
 
@@ -402,7 +253,6 @@ def _cmd_given_d_frontier(ns: argparse.Namespace) -> int:
 
     src = _source(ns, False)
     rate_level = _require(ns, "rate")
-    _refuse_dataset_flags(ns)
     c_ends = [src.h_s + off if end is None else end
               for end, off in zip((ns.c_min, ns.c_max), _FRONTIER_C)]
     c_grid = _linspace("c", *c_ends, ns.c_steps)
@@ -411,14 +261,13 @@ def _cmd_given_d_frontier(ns: argparse.Namespace) -> int:
         for d in ns.d
     ]
     return _emit_dataset(
-        ns, ("C_nats", "min_P_nats", "rate_nats", "sigma_xh"), tables, _FRONTIER_PLOT,
+        ns, ("C_nats", "min_P_nats", "rate_nats", "sigma_xh"), tables,
         {"rate_level": rate_level}, json_only=("feasible",),
     )
 
 
 def _cmd_surface(family: str, ns: argparse.Namespace) -> int:
     closed, axis, is_binary, _ = _FAMILIES[family]
-    _refuse_dataset_flags(ns)
     src = _source(ns, is_binary)
     axis_grid = _grid(ns, axis)
     c_grid = _grid(ns, "c")
@@ -429,8 +278,7 @@ def _cmd_surface(family: str, ns: argparse.Namespace) -> int:
             pt = closed(src, x, c)
             rows.append((x, c, pt.rate, pt.unit.value, pt.region.value, pt.feasible))
     return _emit_dataset(
-        ns, ("d_or_p", "c", "rate", "unit", "region", "feasible"), [(None, rows)],
-        _SURFACE_PLOT, {},
+        ns, ("d_or_p", "c", "rate", "unit", "region", "feasible"), [(None, rows)], {},
     )
 
 
@@ -449,12 +297,11 @@ def _cmd_oracle(is_binary: bool, ns: argparse.Namespace) -> int:
 def _cmd_restore(ns: argparse.Namespace) -> int:
     from .restoration import default_model, sweep
 
-    _refuse_dataset_flags(ns)
     grid = _linspace("a", ns.a_min, ns.a_max, ns.a_steps)
     curve = sweep(default_model(sigma_n=ns.sigma_n), grid)
     rows = [astuple(q) for q in curve]
     return _emit_dataset(
-        ns, ("a", "mse", "kl_nats", "error_rate"), [(None, rows)], _RESTORE_PLOT,
+        ns, ("a", "mse", "kl_nats", "error_rate"), [(None, rows)],
         {"sigma_n": ns.sigma_n},
     )
 
@@ -491,7 +338,6 @@ def _command(sub: Any, name: str, handler: Callable[[argparse.Namespace], int],
     """A leaf command: its handler and the flags every command takes."""
     par = sub.add_parser(name, help=help)
     par.add_argument("--out", help="write the result here instead of stdout")
-    par.add_argument("--config", help="JSON file of defaults; flags win")
     par.set_defaults(handler=handler, parser=par)
     return par
 
@@ -499,8 +345,6 @@ def _command(sub: Any, name: str, handler: Callable[[argparse.Namespace], int],
 def _add_dataset_flags(par: argparse.ArgumentParser) -> None:
     par.add_argument("--format", choices=("csv", "json"), default="csv",
                      help="dataset format (default %(default)s)")
-    par.add_argument("--emit-plot-script", action="store_true",
-                     help="write a matplotlib script next to the CSV at --out")
 
 
 def _add_binary_source(par: argparse.ArgumentParser) -> None:
@@ -607,26 +451,15 @@ def build_parser() -> _Parser:
 
 @functools.cache
 def _shared_parser() -> _Parser:
-    """The parser of every ``main`` call without --config, built on first
-    use: building all the leaves takes a few ms, and a process may call
-    ``main`` many times. Nothing changes it after it is built."""
+    """The parser of every ``main`` call, built on first use: building all
+    the leaves takes a few ms, and a process may call ``main`` many times.
+    Nothing changes it after it is built."""
     return build_parser()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     ns = _shared_parser().parse_args(argv)
     try:
-        if ns.config is not None:
-            # config values as the command's defaults, on a parser of its
-            # own, so the shared one keeps the built-in defaults: a re-parse
-            # applies flag > config > built-in default
-            parser = build_parser()
-            ns = parser.parse_args(argv)
-            config = _load_config(ns.config, ns.parser)
-            if getattr(ns, "suite", None) is not None:
-                config.pop("suite", None)  # --suite appends; the flags given replace the list
-            ns.parser.set_defaults(**config)
-            ns = parser.parse_args(argv)
         return int(ns.handler(ns))
     except (_UsageError, DomainError, NoCrossingError, OSError) as exc:
         print(f"rdpc: error: {exc}", file=sys.stderr)

@@ -1,5 +1,5 @@
-"""End-to-end checks of the command line: output schemas, exit codes,
-config merging, and determinism. Everything drives ``main`` directly."""
+"""End-to-end checks of the command line: output schemas, exit codes and
+determinism. Everything drives ``main`` directly."""
 
 import argparse
 import json
@@ -154,13 +154,15 @@ _COMMANDS = {
 }
 _DATASETS = ("rpc-given-d frontier", "surface rdc-binary", "surface rdc-gaussian",
              "surface rpc-binary", "surface rpc-gaussian", "restore")
-# flags a command used to take, with no effect or only to raise an error
+# flags a command used to take, with no effect, only to raise an error, or
+# (--emit-plot-script and --config) for a feature no caller used
 _REMOVED = [
     *((name, ["--units", "bits"]) for name in _COMMANDS),
     *((name, flag) for name in _COMMANDS if name != "verify"
       for flag in (["--seed", "1"], ["--workers", "2"])),
-    *((name, flag) for name in _COMMANDS if name not in _DATASETS
-      for flag in (["--format", "json"], ["--emit-plot-script"])),
+    *((name, ["--format", "json"]) for name in _COMMANDS if name not in _DATASETS),
+    *((name, flag) for name in _COMMANDS
+      for flag in (["--emit-plot-script"], ["--config", "cfg.json"])),
 ]
 # flags of another family or mode, which a leaf used to parse and then
 # ignore or refuse in its handler
@@ -176,7 +178,7 @@ _FOREIGN = [
 def test_bad_flags_exit_one(capsys, tmp_path, monkeypatch):
     # the oracle's grid flags had no effect and are gone, as are the flags
     # a command does not read; argparse refuses them before any work
-    assert len(_COMMANDS) == 14 and len(_REMOVED) == 56
+    assert len(_COMMANDS) == 14 and len(_REMOVED) == 76
     monkeypatch.chdir(tmp_path)
     gone = [_ORACLE + flag for flag in (["--resolution", "0.01"], ["--sigma-steps", "201"],
                                         ["--theta-steps", "201"], ["--no-refine"])]
@@ -221,7 +223,7 @@ def test_every_declared_flag_is_read(capsys, tmp_path, monkeypatch):
     capsys.readouterr()
     assert len(declared) == len(_COMMANDS)
     for prog, dests in declared.items():
-        assert dests - {"help", "config"} <= read[prog], prog
+        assert dests - {"help"} <= read[prog], prog
 
 
 def _readme_examples():
@@ -252,10 +254,9 @@ def test_readme_cli_example_exits_as_documented(capsys, tmp_path, monkeypatch, a
     capsys.readouterr()
 
 
-def test_suite_choices_are_the_verify_suites(capsys, tmp_path):
+def test_suite_choices_are_the_verify_suites(capsys):
     # --suite reads its choices from verify when argparse checks or lists
-    # them: the help lists all nine, and an unknown suite exits 1 whether
-    # it comes from argv or from --config
+    # them: the help lists all nine, and an unknown suite exits 1
     names = rdpc.SUITE_NAMES
     assert len(names) == 9
     with pytest.raises(SystemExit) as exc:
@@ -266,15 +267,6 @@ def test_suite_choices_are_the_verify_suites(capsys, tmp_path):
         main(["verify", "--suite", "nope"])
     err = capsys.readouterr().err
     assert exc.value.code == 1 and "invalid choice" in err and all(n in err for n in names)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"suite": ["entropy", "nope"]}))
-    code, out, err = run(capsys, "verify", "--config", str(cfg))
-    assert code == 1 and out == ""
-    assert err == ("rdpc: error: config key 'suite': invalid choice 'nope' (choose from "
-                   + ", ".join(map(repr, names)) + ")\n")
-    cfg.write_text(json.dumps({"suite": ["entropy"]}))
-    code, out, _ = run(capsys, "verify", "--config", str(cfg))
-    assert code == 0 and [s["name"] for s in json.loads(out)["suites"]] == ["entropy"]
 
 
 def test_binary_source_help_states_the_accepted_ranges(capsys):
@@ -433,64 +425,10 @@ def test_frontier_csv_schema(capsys):
 def test_frontier_default_distortion_triple(capsys, tmp_path):
     out_base = tmp_path / "front.csv"
     code, _, _ = run(capsys, "rpc-given-d", "frontier", "--rate", "0.4", "--c-steps", "3",
-                     "--out", str(out_base), "--emit-plot-script")
+                     "--out", str(out_base))
     assert code == 0
     emitted = sorted(p.name for p in tmp_path.iterdir())
-    assert emitted == [
-        "front.csv.plot.py", "front_d0.5.csv", "front_d0.6.csv",
-        "front_d0.8.csv",
-    ]
-    script = (tmp_path / "front.csv.plot.py").read_text()
-    compile(script, "front.csv.plot.py", "exec")
-    assert "front_d0.8.csv" in script
-
-
-# a matplotlib with what the emitted scripts call: no-op axes, and a
-# savefig that writes its path into the file
-_STUB_MATPLOTLIB = {
-    "__init__.py": "def use(backend):\n    pass\n",
-    "pyplot.py": '''\
-class _Any:
-    def __getattr__(self, name):
-        return lambda *args, **kwargs: None
-
-
-class _Figure(_Any):
-    def savefig(self, path, **kwargs):
-        with open(path, "w") as fh:
-            fh.write(str(path))
-
-
-def subplots(nrows=1, ncols=1, **kwargs):
-    axes = [_Any() for _ in range(nrows * ncols)]
-    return _Figure(), axes[0] if len(axes) == 1 else axes
-''',
-}
-
-
-@pytest.mark.parametrize("argv, png", [
-    (["surface", "rdc-binary", "--a", "0.3", "--p1", "0.1", "--d-min", "0",
-      "--d-max", "0.4", "--d-steps", "3", "--c-min", "0.5", "--c-max", "1", "--c-steps", "3"],
-     "data.csv.png"),
-    (["restore", "--a-steps", "3"], "data.csv.png"),
-    (["rpc-given-d", "frontier", "--rate", "0.4", "--c-steps", "3"], "data_d0.5.csv.png"),
-])
-def test_emitted_plot_scripts_run(capsys, tmp_path, argv, png):
-    """Each script runs on the CSVs beside it, in a child process that
-    imports the stub matplotlib, so a CSV column renamed in the CLI but not
-    in its script fails here."""
-    out = tmp_path / "data.csv"
-    code, _, _ = run(capsys, *argv, "--out", str(out), "--emit-plot-script")
-    assert code == 0
-    stub = tmp_path / "stub" / "matplotlib"
-    stub.mkdir(parents=True)
-    for name, text in _STUB_MATPLOTLIB.items():
-        (stub / name).write_text(text)
-    path = os.pathsep.join(p for p in (str(stub.parent), os.environ.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, f"{out}.plot.py"], cwd=tmp_path, capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
-    assert done.returncode == 0, done.stderr
-    assert (tmp_path / png).read_text() == str(tmp_path / png)
+    assert emitted == ["front_d0.5.csv", "front_d0.6.csv", "front_d0.8.csv"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -517,39 +455,6 @@ def test_an_overflowing_noise_level_exits_one(capsys):
     code, out, err = run(capsys, "restore", "--sigma-n", "1e160", "--a-steps", "3")
     assert code == 1 and out == ""
     assert err.startswith("rdpc: error: noise level") and "Traceback" not in err
-
-
-def test_plot_script_needs_out(capsys):
-    code, _, err = run(capsys, "restore", "--a-steps", "3",
-                       "--emit-plot-script")
-    assert code == 1
-    assert "--out" in err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["restore", "--a-steps", "3", "--format", "json", "--out", "r.json",
-         "--emit-plot-script"],
-        ["surface", "rpc-gaussian", "--p-min", "0", "--p-max", "0.1",
-         "--p-steps", "2", "--c-min", "0.5", "--c-max", "1", "--c-steps", "2",
-         "--format", "json", "--out", "s.json", "--emit-plot-script"],
-        ["rpc-given-d", "frontier", "--rate", "0.4", "--d", "0.5", "--c-steps", "3",
-         "--format", "json", "--out", "f.json", "--emit-plot-script"],
-        ["restore", "--a-steps", "3", "--emit-plot-script"],
-        ["rpc-given-d", "frontier", "--rate", "0.4", "--d", "0.5", "0.6", "--c-steps", "3",
-         "--emit-plot-script"],
-    ],
-)
-def test_plot_script_refused_before_any_output(capsys, tmp_path, monkeypatch, argv):
-    # a plot script reads the CSV at --out; without one the command stops
-    # before it computes or writes anything
-    monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, *argv)
-    assert code == 1
-    assert out == ""
-    assert "error" in err
-    assert list(tmp_path.iterdir()) == []
 
 
 def _csv_tables(text):
@@ -646,80 +551,11 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
     assert len(built) == 1
 
 
-def test_a_config_leaves_the_next_call_its_built_in_defaults(capsys, tmp_path):
-    # --config sets defaults on a parser of its own, not on the shared one
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"sigma_x": 2, "a_steps": 4}))
-    point = ["rpc", "gaussian", "--p", "0.2", "--c", "0.562264"]
-    for extra, sigma_x in ((["--config", str(cfg)], 2.0), ([], 1.0)):
-        _, out, _ = run(capsys, *point, *extra)
-        assert json.loads(out)["inputs"]["sigma_x"] == sigma_x
-    for extra, rows in ((["--config", str(cfg)], 4), ([], 146)):
-        code, out, _ = run(capsys, "restore", *extra)
-        assert code == 0 and len(out.strip().split("\n")) == 1 + rows
-
-
 def test_two_verify_calls_in_one_process_write_the_same_bytes(tmp_path):
     outs = [tmp_path / "first.json", tmp_path / "second.json"]
     for out in outs:
         assert main(["verify", "--seed", "0", "--out", str(out)]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
-
-
-def test_config_supplies_defaults_flags_win(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"a": 0.3, "p1": 0.1, "d": 0.1}))
-    code, out, _ = run(capsys, "rdc", "binary", "--config", str(cfg),
-                       "--c", "0.85")
-    assert code == 0
-    assert json.loads(out)["rate"] == pytest.approx(0.342282530869852, abs=1e-12)
-
-    code, out, _ = run(capsys, "rdc", "binary", "--config", str(cfg),
-                       "--d", "0.3", "--c", "0.85")
-    assert json.loads(out)["inputs"]["d"] == 0.3
-
-
-def test_config_beats_a_built_in_default_and_a_flag_beats_both(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"sigma_x": 2, "a_steps": 4}))
-    point = ["rpc", "gaussian", "--p", "0.2", "--c", "0.562264", "--config", str(cfg)]
-    for extra, sigma_x in (([], 2.0), (["--sigma-x", "3"], 3.0)):
-        _, out, _ = run(capsys, *point, *extra)
-        assert json.loads(out)["inputs"]["sigma_x"] == sigma_x
-    for extra, rows in (([], 4), (["--a-steps", "3"], 3)):
-        code, out, _ = run(capsys, "restore", "--config", str(cfg), *extra)
-        assert code == 0 and len(out.strip().split("\n")) == 1 + rows
-
-
-def test_a_suite_flag_replaces_the_config_list(capsys, tmp_path):
-    # --suite appends, but the flags given replace the config's list
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"suite": ["entropy"]}))
-    code, out, _ = run(capsys, "verify", "--config", str(cfg), "--suite", "mgl")
-    assert code == 0 and [s["name"] for s in json.loads(out)["suites"]] == ["mgl"]
-
-
-def test_config_must_be_an_object(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text("[1, 2]")
-    code, _, err = run(capsys, "rdc", "binary", "--config", str(cfg),
-                       "--a", "0.3", "--p1", "0.1", "--d", "0.1", "--c", "0.9")
-    assert code == 1
-    assert "object" in err
-
-
-@pytest.mark.parametrize("argv, config, key", [
-    (["rpc-given-d", "frontier", "--rate", "0.4"], {"d": 0.5}, "d"),
-    (["restore"], {"a_steps": "x"}, "a_steps"),
-    (["verify"], {"seed": "zero"}, "seed"),
-    (["restore", "--a-steps", "3"], {"format": "xml"}, "format"),
-])
-def test_config_values_are_parsed_like_their_flags(capsys, tmp_path, argv, config, key):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    code, out, err = run(capsys, *argv, "--config", str(cfg))
-    assert code == 1 and out == ""
-    assert err.startswith("rdpc: error: ") and repr(key) in err
 
 
 def test_workers_env_default(capsys, monkeypatch):
@@ -787,27 +623,13 @@ def test_a_binary_point_at_its_marginal_near_one_half_exits_zero(capsys):
     assert payload["feasible"] is True and payload["witness"] == {"p_a": 1.0, "p_b": 1.0}
 
 
-def test_a_config_switch_given_as_true_is_taken(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"emit_plot_script": True}))
-    out = tmp_path / "restore.csv"
-    code, _, _ = run(capsys, "restore", "--a-steps", "3", "--config", str(cfg), "--out", str(out))
-    assert code == 0 and Path(f"{out}.plot.py").is_file()
-
-
-@pytest.mark.parametrize("argv, config, message", [
-    (["restore", "--a-steps", "3"], None, "cannot read config "),
-    (["restore", "--a-steps", "3"], {"emit_plot_script": "yes"},
-     "config key 'emit_plot_script': must be true or false: 'yes'"),
+@pytest.mark.parametrize("argv, message", [
     (["surface", "rdc-binary", "--a", "0.3", "--p1", "0.1", "--d-min", "0.5",
       "--d-max", "0.1", "--d-steps", "3", "--c-min", "0.5", "--c-max", "0.9", "--c-steps", "3"],
-     {}, "--d-max must be >= --d-min"),
-    (["rpc-given-d", "point", "--p", "0.1", "--c", "0.9"], {}, "missing required value --d"),
+     "--d-max must be >= --d-min"),
+    (["rpc-given-d", "point", "--p", "0.1", "--c", "0.9"], "missing required value --d"),
 ])
-def test_refused_inputs_exit_one_with_their_message(capsys, tmp_path, argv, config, message):
-    cfg = tmp_path / "cfg.json"
-    if config is not None:
-        cfg.write_text(json.dumps(config))
-    code, out, err = run(capsys, *argv, "--config", str(cfg))
+def test_refused_inputs_exit_one_with_their_message(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith(f"rdpc: error: {message}")
