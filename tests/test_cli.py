@@ -551,6 +551,18 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
     assert len(built) == 1
 
 
+def test_built_in_defaults_apply_when_a_flag_is_not_given(capsys):
+    # the defaults --help shows: a Gaussian source of (1, 0.7, 0.63) and
+    # restore's 146-gain grid from 0.05 to 1.5
+    _, out, _ = run(capsys, "rpc", "gaussian", "--p", "0.2", "--c", "0.562264")
+    inputs = json.loads(out)["inputs"]
+    assert (inputs["sigma_x"], inputs["sigma_s"], inputs["theta1"]) == (1.0, 0.7, 0.63)
+    code, out, _ = run(capsys, "restore")
+    lines = out.strip().split("\n")
+    assert code == 0 and len(lines) == 1 + 146
+    assert lines[1].startswith("0.05,") and lines[-1].startswith("1.5,")
+
+
 def test_two_verify_calls_in_one_process_write_the_same_bytes(tmp_path):
     outs = [tmp_path / "first.json", tmp_path / "second.json"]
     for out in outs:
