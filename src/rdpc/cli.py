@@ -338,7 +338,7 @@ def _command(sub: Any, name: str, handler: Callable[[argparse.Namespace], int],
     """A leaf command: its handler and the flags every command takes."""
     par = sub.add_parser(name, help=help)
     par.add_argument("--out", help="write the result here instead of stdout")
-    par.set_defaults(handler=handler, parser=par)
+    par.set_defaults(handler=handler)
     return par
 
 

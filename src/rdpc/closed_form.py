@@ -151,8 +151,10 @@ def _rdc_binary_rates(src: BinaryPairSource, d, c) -> np.ndarray:
     """``rdc_binary(src, d, c).rate`` over d and c broadcast together.
 
     The branches of ``rdc_binary`` with the same slack; an infeasible
-    entry is NaN. c1 comes from the array entropy inverse, so an entry can
-    differ from the scalar rate in its last bits.
+    entry is NaN. c1 comes from the array entropy inverse, which runs the
+    scalar's Newton steps with numpy's logarithms; those can differ from
+    ``math``'s in the last bit, so an entry can differ from the scalar rate
+    in its last bits.
     """
     d, c = _bound_arrays(d, c)
     b, p1 = src.b, src.p1

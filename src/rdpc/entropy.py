@@ -10,11 +10,9 @@ Conventions used throughout the package:
 * ``0 * log 0 == 0`` everywhere, implemented by guarding arguments below
   1e-300 rather than by special-casing exact zeros, so denormals do not
   produce spurious infinities.
-* The inverse of the binary entropy returns exactly what a 46-step
-  bisection on [0, 1/2] returns, but mostly without running it: a few
-  Newton steps find the bisection's last bracket, and a certificate of
-  four entropy evaluations proves that the bisection would end there.
-  Only the inputs that fail it, mostly entropies near 1, are bisected.
+* The inverse of the binary entropy is four Newton steps from a close
+  start, in p below entropy 1/2 and in 1 - 2p above it, one formula for
+  ``math`` and numpy; it is within a few ulp of the true inverse.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .optimize import bisect_root
 
 _TINY = 1e-300
 _INF = math.inf  # a module global reads faster than math.inf
@@ -66,76 +63,66 @@ def _xlog2x(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-# The entropy inverse returns what a bisection on [0, 1/2] returns when
-# it stops at a half-width below 1e-14: that half-width is first reached
-# in a bracket _W wide. _MARGIN is the certificate's M (see
-# binary_entropy_inv), and Newton's iterates are held in [5e-324, _P_MAX]:
-# at 1/2 the slope of H is 0, and above 0.49 it is too flat for the
-# certificate to pass.
-_W = 2.0 ** -46
-_MARGIN = 4e-15
-_LN4 = math.log(4.0)
+_LN2, _LN4 = math.log(2.0), math.log(4.0)
 _NEWTON_STEPS = 4
-_P_MAX = 0.49
-# the certificate's four points, lo - W to lo + 2W, as offsets from lo
-_CERT_STEPS = np.array([[-_W], [0.0], [_W], [2.0 * _W]])
 # Elements per slice of the array inverse: whatever the array's size, its
-# largest temporaries are (4, 2**13) float64 arrays of 256 KiB, and those
-# of one slice come to under 1 MiB.
+# temporaries are slice-long float64 arrays of 64 KiB.
 _SLICE = 2 ** 13
 
 
-def _entropy_gap(m: float, h: float) -> float:
-    """``binary_entropy(m) - h`` in the bisection's arithmetic."""
-    rest = 1.0 - m
-    return -(m * math.log2(m)) - rest * math.log2(rest) - h
+def _inv_below_half(h, log, log1p, sqrt, maximum):
+    """p in (0, 0.11] with H(p) = h in (0, 1/2]: Newton in p on
+    F(p) = -(p ln p + (1 - p) log1p(-p)) / ln 2 - h, whose step
+    p - F / F' is (h ln 2 + log1p(-p)) / (log1p(-p) - ln p), each iterate
+    held at 5e-324 or above. The start is the p at which
+    (4 p (1 - p))**(1 / ln 4), a close approximation of H, equals h:
+    x / (2 (1 + sqrt(1 - x))) with x = h**ln 4, which does not cancel for
+    small h. F is concave, so after the first step every iterate lies below
+    the root and rises to it. ``binary_entropy_inv`` passes ``math``'s
+    functions and ``max``, ``_binary_entropy_inv_arr`` numpy's."""
+    x = h ** _LN4
+    p = maximum(x / (2.0 * (1.0 + sqrt(1.0 - x))), 5e-324)
+    hl = h * _LN2
+    for _ in range(_NEWTON_STEPS):
+        lq = log1p(-p)
+        p = maximum((hl + lq) / (lq - log(p)), 5e-324)
+    return p
+
+
+def _inv_above_half(r, log1p, sqrt, expm1):
+    """p in (0.11, 1/2) with 1 - H(p) = r = 1 - h, for h in (1/2, 1): Newton
+    in u = 1 - 2p on g(u) = ((1 + u) log1p(u) + (1 - u) log1p(-u)) / (2 ln 2),
+    which is 1 - H((1 - u) / 2) but, unlike 1 - H, is computed to within a
+    few ulp of u where H is flat; r is exact for h >= 1/2. The start is
+    ``_inv_below_half``'s, as u0 = sqrt(1 - x) with 1 - x taken as
+    -expm1(ln 4 log1p(-r)). g is convex, so after the first step every
+    iterate lies above the root and falls to it."""
+    u = sqrt(-expm1(_LN4 * log1p(-r)))
+    c = 2.0 * _LN2 * r
+    for _ in range(_NEWTON_STEPS):
+        a, b = log1p(u), log1p(-u)
+        u = u - ((1.0 + u) * a + (1.0 - u) * b - c) / (a - b)
+    return 0.5 - 0.5 * u
 
 
 @lru_cache(maxsize=256)
 def binary_entropy_inv(h: float) -> float:
     """The unique p in [0, 1/2] with ``binary_entropy(p) == h``.
 
-    The result is that of a bisection on the increasing branch of
-    F(p) = binary_entropy(p) - h over [0, 1/2] (``bisect_root``): it
-    returns the midpoint at which F is exactly 0 or the half-width of the
-    bracket falls below 1e-14, so the result is within 1e-14 of a root of
-    the computed F. Near h = 1, where H is flat, that root lies up to 2.4e-9
-    from the true one (at 1 - h = 2**-52), yet H of it is h within 1e-16.
-    That bisection takes 46 steps; most h get its answer without it:
+    Four Newton steps from a close start: in p for h <= 1/2
+    (``_inv_below_half``) and in u = 1 - 2p for h > 1/2
+    (``_inv_above_half``), with ``math``'s logarithms; h = 0 gives 0 and
+    h = 1 gives 1/2. Below h of about 4e-234, where the start's h**ln 4
+    underflows to 0, Newton starts from 5e-324; its first step lands at
+    0.73 (h = 4e-234) to 0.97 (h = 1e-310) of the root.
 
-    * Estimate: four Newton steps on F from p0 = (1 - sqrt(1 - x)) / 2
-      with x = h**ln 4, the p at which (4 p (1 - p))**(1 / ln 4), a close
-      approximation of H, equals h. It is computed as
-      x / (2 (1 + sqrt(1 - x))), which does not cancel for small h. Each
-      iterate is held in [5e-324, 0.49]. Where x underflows (h below
-      about 1e-222), the iterates start at 5e-324 and, F being concave,
-      rise towards the root without passing it; the root is below W
-      there, so lo = 0 as it should be.
-    * Certificate: let W = 2**-46 and lo = floor(p / W) W. The answer is
-      lo + W/2, the midpoint of the bisection's last bracket [lo, lo + W],
-      when these hold with F evaluated in the bisection's own arithmetic:
-      F(lo) < 0 or lo = 0; F(lo + W) > 0; F(lo - W) < -M or lo <= W; and
-      F(lo + 2W) > M, with M = 4e-15. (lo + 2W <= 1/2 because p <= 0.49.)
-      The bracket ends start at 0 and 1/2 and halve, so every midpoint the
-      bisection visits before its last is a multiple of W in (0, 1/2),
-      where 1 - m is exact. At lo and lo + W the signs are checked
-      directly. Every other such point lies outside (lo - W, lo + 2W), so,
-      F being increasing, its true F is below -M/2 or above M/2. The
-      computed F is within M/2 of the true one, so its sign is the same,
-      no visited F is 0, and the bisection walks to [lo, lo + W].
-    * M: let u = 2**-53 and let log2 be within c ULP, so within 2cu of its
-      value relatively. Each of the products m log2 m and
-      (1 - m) log2(1 - m) is then off by at most (2c + 1) u times its
-      magnitude, to first order, and the two magnitudes sum to H(m) <= 1.
-      The difference of the products and the subtraction of h each round
-      by at most u. So the computed F is within (2c + 3) u of the true
-      one, and M = 4e-15 is at least twice that for any c <= 7. glibc's
-      log2 and numpy's float64 log2 (by numpy's own accuracy tests) are
-      within 1 ULP.
-    * Fallback: an h that fails the certificate runs the bisection. Near
-      h = 1, where H is flat, every h fails by design; elsewhere an h
-      fails when its root lies within rounding of a multiple of W. About
-      0.8% of uniform h fall back.
+    The answer is within 8 ulp of the true inverse; the tests hold the
+    scalar and the array form to that against mpmath. Measured against
+    Newton at 80 digits with mpmath, on both of numpy's dispatch paths
+    (with and without its AVX-512 kernels): within 6.8 ulp on 20,000
+    uniform h and 5,000 h in (1/2, 0.6], the worst just above 1/2; within
+    2.3 ulp on 5,000 h from 1e-323 to 0.1 and 2.2 ulp on 5,000 h with
+    1 - h from 1e-16 to 0.1; and within half an ulp on 2,000 subnormal h.
 
     Results are memoized (256 entries, least recently used first out);
     out-of-range and NaN ``h`` raise ``DomainError`` on every call.
@@ -146,126 +133,35 @@ def binary_entropy_inv(h: float) -> float:
         return 0.0
     if h == 1.0:
         return 0.5
-    x = h ** _LN4
-    p = x / (2.0 * (1.0 + math.sqrt(1.0 - x)))
-    for _ in range(_NEWTON_STEPS):
-        p = 5e-324 if 5e-324 > p else _P_MAX if _P_MAX < p else p
-        rest = 1.0 - p
-        lp, lr = math.log2(p), math.log2(rest)
-        p += (p * lp + rest * lr + h) / (lr - lp)
-    lo = math.floor((5e-324 if 5e-324 > p else _P_MAX if _P_MAX < p else p) / _W) * _W
-    if (
-        (lo == 0.0 or _entropy_gap(lo, h) < 0.0)
-        and _entropy_gap(lo + _W, h) > 0.0
-        and (lo <= _W or _entropy_gap(lo - _W, h) < -_MARGIN)
-        and _entropy_gap(lo + 2.0 * _W, h) > _MARGIN
-    ):
-        return lo + 0.5 * _W
-    return bisect_root(lambda p: binary_entropy(p) - h, 0.0, 0.5, xtol=1e-14)
+    if h <= 0.5:
+        return _inv_below_half(h, math.log, math.log1p, math.sqrt, max)
+    return _inv_above_half(1.0 - h, math.log1p, math.sqrt, math.expm1)
 
 
 def _binary_entropy_inv_arr(h) -> np.ndarray:
-    """``binary_entropy_inv`` elementwise, with numpy's log2.
-
-    Each element gets the answer of the scalar's bisection run with
-    ``np.log2`` (``_bisect_inv_arr``), by the scalar's Newton estimate and
-    certificate, evaluated in that arithmetic; the elements that fail it
-    run the bisection in lockstep. As in the scalar, h = 0 and h = 1 get
-    0 and 1/2 directly; the certificate always fails at 1. numpy's log2
-    can differ from ``math.log2`` in the last bit, so a result may differ
-    from the scalar one by the root's width at that precision, 1e-14 or
-    less away from h = 1. The array is worked in slices of ``_SLICE``
-    elements, so the memory held stays a few MB. Out-of-range and NaN
-    ``h`` raise ``DomainError``.
+    """``binary_entropy_inv`` elementwise: the same Newton steps with
+    numpy's logarithms, which can differ from ``math``'s in the last bit,
+    so an element can differ from the scalar answer by a few ulp; both
+    keep the scalar's bound. The array is worked in slices of ``_SLICE``
+    elements. A 0-d ``h`` gives a 0-d result; out-of-range and NaN ``h``
+    raise ``DomainError``.
     """
     h = np.asarray(h, dtype=float)
     bad = ~((h >= 0.0) & (h <= 1.0))
     if np.any(bad):
         raise DomainError(f"binary entropy out of range: {h[bad].flat[0]}")
     flat = h.ravel()
-    out, failed = np.empty(flat.shape), np.empty(flat.shape, dtype=bool)
+    out = np.empty(flat.shape)
     for s in range(0, flat.size, _SLICE):
-        _certified_inv(flat[s:s + _SLICE], out[s:s + _SLICE], failed[s:s + _SLICE])
-    out[flat == 0.0] = 0.0  # the certificate passes 2**-47 there
-    top = flat == 1.0
-    out[top], failed[top] = 0.5, False
-    if np.any(failed):
-        out[failed] = _bisect_inv_arr(flat[failed])
+        part, dst = flat[s:s + _SLICE], out[s:s + _SLICE]
+        np.multiply(part == 1.0, 0.5, out=dst)  # 1/2 at h = 1, 0 at h = 0
+        # as indices: gathering and scattering through a random boolean mask
+        # took several times longer
+        low = np.flatnonzero((part > 0.0) & (part <= 0.5))
+        high = np.flatnonzero((part > 0.5) & (part < 1.0))
+        dst[low] = _inv_below_half(part[low], np.log, np.log1p, np.sqrt, np.maximum)
+        dst[high] = _inv_above_half(1.0 - part[high], np.log1p, np.sqrt, np.expm1)
     return out.reshape(h.shape)
-
-
-def _certified_inv(h: np.ndarray, out: np.ndarray, failed: np.ndarray) -> None:
-    """The scalar's Newton estimate and certificate on one slice of h.
-
-    ``out`` receives lo + W/2 and ``failed`` marks where the certificate
-    does not hold. Every temporary is one slice long or four.
-    """
-    n = h.size
-    p = np.power(h, _LN4)
-    rest = np.subtract(1.0, p)
-    np.sqrt(rest, out=rest)
-    rest += 1.0
-    rest *= 2.0
-    p /= rest
-    lp, lr = np.empty(n), np.empty(n)
-    for _ in range(_NEWTON_STEPS):
-        np.clip(p, 5e-324, _P_MAX, out=p)
-        np.subtract(1.0, p, out=rest)
-        np.log2(p, out=lp)
-        np.log2(rest, out=lr)
-        rest *= lr
-        lr -= lp
-        lp *= p
-        lp += rest
-        lp += h
-        lp /= lr
-        p += lp
-    np.clip(p, 5e-324, _P_MAX, out=p)
-    p /= _W
-    lo = np.floor(p, out=p)
-    lo *= _W
-    # F at the four points with the bisection's float operations; the first
-    # two are raised to W where they are not positive, and not read there
-    m = np.add(lo, _CERT_STEPS)
-    np.maximum(m[:2], _W, out=m[:2])
-    rest = np.subtract(1.0, m)
-    f = np.log2(m)
-    f *= m
-    np.negative(f, out=f)
-    np.log2(rest, out=m)
-    m *= rest
-    f -= m
-    f -= h
-    ok = f[1] < 0.0
-    ok |= lo == 0.0
-    ok &= f[2] > 0.0
-    ok &= (f[0] < -_MARGIN) | (lo <= _W)
-    ok &= f[3] > _MARGIN
-    np.logical_not(ok, out=failed)
-    np.add(lo, 0.5 * _W, out=out)
-
-
-def _bisect_inv_arr(h: np.ndarray) -> np.ndarray:
-    """``binary_entropy_inv``'s fallback bisection elementwise with numpy's
-    log2, in lockstep.
-
-    Every element takes the scalar's midpoints and sign test and stops
-    under its rule: at fmid == 0 it stays at that midpoint, and the
-    half-width falls below 1e-14 at the same step for every element,
-    because the bracket ends are dyadic and halve exactly.
-    """
-    # mid stays strictly inside (0, 1/2), so both logs are finite
-    lo, hi = np.zeros_like(h), np.full_like(h, 0.5)
-    for step in range(200):
-        mid = 0.5 * (lo + hi)
-        if 0.5 ** (step + 2) < 1e-14:  # (hi - lo) * 0.5 at this step
-            break
-        rest = 1.0 - mid
-        fmid = -(mid * np.log2(mid)) - rest * np.log2(rest) - h
-        up = fmid > 0.0
-        hi = np.where(up | (fmid == 0.0), mid, hi)
-        lo = np.where(up, lo, mid)
-    return np.where(h == 0.0, 0.0, np.where(h == 1.0, 0.5, mid))
 
 
 def _binary_point(

@@ -572,26 +572,21 @@ def _mgl_margins(sources, channels, n: int, each=None) -> tuple[np.ndarray, np.n
     inverse. For each slice s of them, ``sources(s)`` gives the label
     marginals ``a`` and label flip probabilities ``p1`` and
     ``channels(s)`` the channels (pa, pb), as arrays or numbers that
-    broadcast to the slice, the same on every call.
+    broadcast to the slice.
 
-    Two passes over slices of ``_MGL_SLICE`` channels write both outputs,
-    so the only full-length arrays are the outputs and the inverse's
-    result and masks. The first pass writes lhs and parks H(X | Xhat) in
-    rhs. The inverse then runs once over all of it: its fallback
-    bisection costs about the same whatever the size. The second pass
-    reads the sources again, overwrites rhs with h(p1 * eps) and hands
-    ``each``, if given, each slice's p1, lhs and rhs."""
+    One pass over slices of ``_MGL_SLICE`` channels: each slice reads its
+    sources and channels, writes lhs, inverts H(X | Xhat), writes
+    rhs = h(p1 * eps) and hands ``each``, if given, the slice's p1, lhs
+    and rhs. Every step is elementwise, so the outputs do not depend on
+    the cut, and they are the only full-length arrays."""
     lhs, rhs = np.empty(n), np.empty(n)
-    slices = [slice(lo, lo + _MGL_SLICE) for lo in range(0, n, _MGL_SLICE)]
-    for s in slices:
+    for lo in range(0, n, _MGL_SLICE):
+        s = slice(lo, lo + _MGL_SLICE)
         a, p1 = sources(s)
         b1 = (a - p1) / (1.0 - 2.0 * p1)
         info, lhs[s] = _binary_joint_arr(b1, p1, *channels(s))
-        np.clip(_h2_bits_arr(b1) - info, 0.0, 1.0, out=rhs[s])
-    eps = _binary_entropy_inv_arr(rhs)
-    for s in slices:
-        p1 = sources(s)[1]
-        rhs[s] = _h2_bits_arr(p1 * (1.0 - eps[s]) + eps[s] * (1.0 - p1))
+        eps = _binary_entropy_inv_arr(np.clip(_h2_bits_arr(b1) - info, 0.0, 1.0))
+        rhs[s] = _h2_bits_arr(p1 * (1.0 - eps) + eps * (1.0 - p1))
         if each is not None:
             each(p1, lhs[s], rhs[s])
     return lhs, rhs

@@ -260,10 +260,12 @@ def _suite_convexity(seed: int) -> _Recorder:
         rm = rates(src, dm, cm)
         chord = lam * rates(src, d1, c1) + (1 - lam) * rates(src, d2, c2)
         rec.worst(f"{tag}_convexity_violation", float(np.max(rm - chord)), 1e-9)
-        # the kernel restates the scalar entry point users call
+        # the kernel restates the scalar entry point users call; recorded as
+        # a flag, since math's and numpy's logarithms can differ in the last
+        # bit, and numpy's with the CPU it dispatches for
         for i in range(0, n, 100):
             got = scalar(src, float(dm[i]), float(cm[i])).rate
-            rec.worst(f"{tag}_scalar_array_mismatch", abs(got - float(rm[i])), 1e-9)
+            rec.flag(f"{tag}_scalar_array_agree", abs(got - rm[i]) <= 1e-9)
 
     bsrc = BinaryPairSource(0.3, 0.1)
     convexity("binary", bsrc, _rdc_binary_rates, rdc_binary, 0.0, 0.6, bsrc.floor_c + 1e-6, 1.0)

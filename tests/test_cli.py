@@ -204,14 +204,24 @@ def test_bad_flags_exit_one(capsys, tmp_path, monkeypatch):
             assert "error: unrecognized arguments: " in err, argv
 
 
+def _leaf_parser(parser, argv):
+    """The leaf of ``parser`` that ``argv``'s leading command words select,
+    down its subparser actions."""
+    words = iter(argv)
+    while subs := [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]:
+        parser = subs[0].choices[next(words)]
+    return parser
+
+
 def test_every_declared_flag_is_read(capsys, tmp_path, monkeypatch):
     # each leaf's handler, run on one argv, reads every flag the leaf
     # declares, so a flag with no effect cannot come back unseen
     monkeypatch.chdir(tmp_path)
     declared, read = {}, {}
     for argv in _COMMANDS.values():
-        ns = build_parser().parse_args(argv)
-        seen = read[ns.parser.prog] = set()
+        parser = build_parser()
+        ns, leaf = parser.parse_args(argv), _leaf_parser(parser, argv)
+        seen = read[leaf.prog] = set()
 
         class Logged(argparse.Namespace):
             def __getattribute__(self, name):
@@ -219,7 +229,7 @@ def test_every_declared_flag_is_read(capsys, tmp_path, monkeypatch):
                 return super().__getattribute__(name)
 
         assert ns.handler(Logged(**vars(ns))) in (0, 2), argv
-        declared[ns.parser.prog] = {a.dest for a in ns.parser._actions if a.option_strings}
+        declared[leaf.prog] = {a.dest for a in leaf._actions if a.option_strings}
     capsys.readouterr()
     assert len(declared) == len(_COMMANDS)
     for prog, dests in declared.items():

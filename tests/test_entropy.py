@@ -20,7 +20,6 @@ from rdpc import (
 from rdpc import entropy
 from rdpc.closed_form import _c1
 from rdpc.entropy import _std_normal_cdf
-from rdpc.optimize import bisect_root
 from rdpc.results import GaussianReconstruction
 
 
@@ -53,50 +52,58 @@ def test_inverse_roundtrip(p):
     assert binary_entropy_inv(binary_entropy(p)) == pytest.approx(p, abs=1e-10)
 
 
-def _bisect_root_inverse(h):
-    # the bisection whose answer the Newton estimate and certificate give
-    if h == 0.0:
-        return 0.0
-    if h == 1.0:
-        return 0.5
-    return bisect_root(lambda p: binary_entropy(p) - h, 0.0, 0.5, xtol=1e-14)
+# the inverse's stated bound, in ulp of the true inverse; the worst seen
+# was 6.8, just above h = 1/2 (``binary_entropy_inv``'s docstring)
+_INVERSE_ULPS = 8
 
 
-def _grid_and_half_entropies(rng, entropy_of):
-    """Entropies that test the certificate and its fallback, by the array
-    entropy ``entropy_of``: H at random multiples k 2**-46 of the
-    bisection's last bracket width (there F is 0 or within rounding of it)
-    with their float neighbours, and H of points near 1/2, where H is too
-    flat to certify."""
-    grid = entropy_of(rng.integers(1, 2**45, 700) * 2.0**-46)
-    half = entropy_of(0.5 - 10.0 ** -rng.uniform(1.0, 8.0, 300))
-    return np.concatenate([grid, np.nextafter(grid, 0.0), np.nextafter(grid, 1.0), half])
-
-
-def _margin_refused_entropies(rng, entropy_of):
-    """Entropies whose roots only the certificate's margin refuses, by the
-    array entropy ``entropy_of``: where two steps of W = 2**-46 move H by
-    less than the margin, and, a little steeper, where one step does and
-    the root sits a float away from a multiple of W, on either side."""
-    on_grid = entropy_of(rng.integers(0.46 / 2**-46, 0.47 / 2**-46, 500) * 2.0**-46)
+def _inverse_pools(rng):
+    """Seeded entropies, by kind, on which the inverse keeps its bound."""
+    grid = entropy._h2_bits_arr(rng.integers(1, 2**45, 100) * 2.0**-46)
+    ulps = np.arange(1, 9)
     return {
-        "too flat": entropy_of(rng.uniform(0.48, 0.49, 500)),
-        "below a grid point": np.nextafter(on_grid, 0.0),
-        "above a grid point": np.nextafter(on_grid, 1.0),
+        "uniform": rng.uniform(0.0, 1.0, 400),
+        "log-uniform": 10.0 ** rng.uniform(-300.0, 0.0, 300),
+        "near 1": np.append(1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 200), 1.0 - 2.0**-52),
+        "subnormal": rng.uniform(0.0, 2.0**-1022, 50),
+        # H at multiples of 2**-46 with their float neighbours, and H near
+        # 1/2, where the bisection the inverse once reproduced was refused
+        "grid and near 1/2": np.concatenate([
+            grid, np.nextafter(grid, 0.0), np.nextafter(grid, 1.0),
+            entropy._h2_bits_arr(0.5 - 10.0 ** -rng.uniform(1.0, 8.0, 100))]),
+        # where the Newton steps switch from p to 1/2 - p
+        "around 1/2": np.concatenate([0.5 - ulps * 2.0**-54, [0.5], 0.5 + ulps * 2.0**-53]),
     }
 
 
-def test_inverse_is_bit_identical_to_bisect_root():
-    rng = np.random.default_rng(20261018)
-    hs = np.concatenate([
-        rng.uniform(0.0, 1.0, 2000),
-        10.0 ** rng.uniform(-300.0, 0.0, 2000),
-        1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 2000),
-        [0.0, 1.0, 5e-324, 1.0 - 1e-16],
-        _grid_and_half_entropies(rng, np.vectorize(binary_entropy)),
-    ])
-    for h in hs.tolist():
-        assert binary_entropy_inv(h) == _bisect_root_inverse(h), h
+def _true_inverse(mpmath, h, start):
+    """The p in (0, 1/2) with H(p) = h, at 80 digits: Newton from ``start``
+    on H written with ``mpmath.log1p`` (log(1 - p) at 80 digits loses the
+    p / ln 2 term below p of about 1e-80), run until a step is below 1e-50
+    of p. Every iterate must stay in (0, 1/2), where the root is unique."""
+    with mpmath.workdps(80):
+        h, p = mpmath.mpf(h), mpmath.mpf(start)
+        for _ in range(40):
+            lp, lq = mpmath.log(p), mpmath.log1p(-p)
+            step = (p * lp + (1 - p) * lq + h * mpmath.ln2) / (lq - lp)
+            p += step
+            assert 0 < p < 0.5, (h, start)
+            if abs(step) < 1e-50 * p:
+                return p
+    raise AssertionError(f"no convergence at h = {h}")
+
+
+def test_inverse_is_within_its_ulp_bound_of_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261022)
+    for kind, hs in _inverse_pools(rng).items():
+        scalar = [binary_entropy_inv(h) for h in hs.tolist()]
+        array = entropy._binary_entropy_inv_arr(hs).tolist()
+        for h, got_s, got_a in zip(hs.tolist(), scalar, array):
+            true = _true_inverse(mpmath, h, got_s)
+            ulp = math.ulp(float(true))
+            assert abs(got_s - true) <= _INVERSE_ULPS * ulp, (kind, h, got_s)
+            assert abs(got_a - true) <= _INVERSE_ULPS * ulp, (kind, h, got_a)
 
 
 def test_array_entropy_takes_a_0d_input():
@@ -112,17 +119,6 @@ def test_array_entropy_takes_a_0d_input():
         "0x1.e0406181bc7cep-2", "0x1.c3388f8ceaa0ap-1", "0x1.0000000000000p+0",
         "0x1.e0406181bc7ccp-2", "-0x0.0p+0",
     ]
-
-
-def test_inverse_certificate_refuses_what_only_its_margin_can(monkeypatch):
-    fallback, calls = entropy.bisect_root, []
-    monkeypatch.setattr(entropy, "bisect_root", lambda *a, **k: calls.append(a) or fallback(*a, **k))
-    rng = np.random.default_rng(20261021)
-    for kind, hs in _margin_refused_entropies(rng, np.vectorize(binary_entropy)).items():
-        del calls[:]
-        for h in hs.tolist():
-            assert binary_entropy_inv.__wrapped__(h) == _bisect_root_inverse(h), h
-        assert len(calls) == hs.size, kind
 
 
 @pytest.mark.parametrize("h", [5e-324, 1e-320, 1e-310])
@@ -144,88 +140,33 @@ def test_inverse_rejects_every_time_and_caches_no_error(h):
 
 
 def test_array_inverse_follows_the_scalar_bisection():
-    rng = np.random.default_rng(20261019)
-    hs = np.concatenate([
-        rng.uniform(0.0, 0.999, 3000),
-        10.0 ** rng.uniform(-300.0, 0.0, 1000),
-        [0.0, 1.0, 5e-324, 0.5],
-    ])
-    got = entropy._binary_entropy_inv_arr(hs.reshape(4, -1)).ravel()
-    want = np.array([binary_entropy_inv(h) for h in hs.tolist()])
-    assert np.max(np.abs(got - want)) <= 1e-14
-    assert got[-4:-2].tolist() == [0.0, 0.5]
-    # near h = 1 the root is flat, and a last-bit difference between numpy's
-    # and math's log2 moves the midpoint further; both land on the same entropy
-    near_one = 1.0 - 10.0 ** -rng.uniform(3.0, 16.0, 1000)
-    got = entropy._binary_entropy_inv_arr(near_one)
-    want = np.array([binary_entropy_inv(h) for h in near_one.tolist()])
-    assert np.max(np.abs(entropy._h2_bits_arr(got) - entropy._h2_bits_arr(want))) <= 1e-15
+    # the scalar's Newton steps, with numpy's logarithms for math's; a
+    # last-bit difference between them leaves the two within the bound
+    for kind, hs in _inverse_pools(np.random.default_rng(20261019)).items():
+        got = entropy._binary_entropy_inv_arr(hs)
+        want = np.array([binary_entropy_inv(h) for h in hs.tolist()])
+        assert np.all(np.abs(got - want) <= _INVERSE_ULPS * np.spacing(want)), kind
 
 
-def _lockstep_bisection(h):
-    """The array inverse as the 46-step bisection in lockstep that it
-    replaces, with numpy's log2: the reference its answers must equal."""
-    lo, hi = np.zeros_like(h), np.full_like(h, 0.5)
-    for step in range(200):
-        mid = 0.5 * (lo + hi)
-        if 0.5 ** (step + 2) < 1e-14:
-            break
-        rest = 1.0 - mid
-        fmid = -(mid * np.log2(mid)) - rest * np.log2(rest) - h
-        up = fmid > 0.0
-        hi = np.where(up | (fmid == 0.0), mid, hi)
-        lo = np.where(up, lo, mid)
-    return np.where(h == 0.0, 0.0, np.where(h == 1.0, 0.5, mid))
-
-
-def test_array_inverse_is_bit_identical_to_the_lockstep_bisection(monkeypatch):
-    fallback = entropy._bisect_inv_arr
-    sizes, ones = [], []
-
-    def counted(h):
-        sizes.append(h.size)
-        ones.append(int(np.count_nonzero(h == 1.0)))
-        return fallback(h)
-
-    monkeypatch.setattr(entropy, "_bisect_inv_arr", counted)
-    rng = np.random.default_rng(20261020)
-    kinds = {
-        "uniform": rng.uniform(0.0, 1.0, 30_000),
-        "log-uniform": 10.0 ** rng.uniform(-300.0, 0.0, 10_000),
-        "near 1": 1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 2000),
-        "subnormal": rng.uniform(0.0, 2.0**-1022, 1000),
-        "grid and near 1/2": _grid_and_half_entropies(rng, entropy._h2_bits_arr),
-        "all ones": np.ones(1000),
-        # as the convexity suite's clipped C grid: ones among other entropies
-        "ones and uniform": np.where(rng.uniform(size=2000) < 0.1, 1.0,
-                                     rng.uniform(0.0, 1.0, 2000)),
-    }
-    refused = _margin_refused_entropies(rng, entropy._h2_bits_arr)
-    kinds |= refused
-    fell_back = {}
-    for kind, hs in kinds.items():
-        del sizes[:]
-        got = entropy._binary_entropy_inv_arr(hs.reshape(2, -1))
-        assert got.shape == (2, hs.size // 2)
-        assert np.array_equal(got.ravel(), _lockstep_bisection(hs)), kind
-        fell_back[kind] = sum(sizes)
-    total = sum(hs.size for hs in kinds.values())
-    assert 0 < sum(fell_back.values()) < total / 2, fell_back
-    assert fell_back["uniform"] < 0.02 * kinds["uniform"].size
-    assert fell_back["log-uniform"] < 0.02 * kinds["log-uniform"].size
-    assert all(fell_back[kind] == hs.size for kind, hs in refused.items()), fell_back
-    # h = 1 is answered before the fallback, which sees none of them
-    assert fell_back["all ones"] == 0 and sum(ones) == 0, (fell_back, ones)
+def test_array_inverse_keeps_shapes_and_answers_the_ends_exactly():
+    hs = np.random.default_rng(20261020).uniform(0.0, 1.0, 1000)
+    got = entropy._binary_entropy_inv_arr(hs.reshape(2, -1))
+    assert got.shape == (2, 500)
+    assert got.ravel().tobytes() == entropy._binary_entropy_inv_arr(hs).tobytes()
+    # 0 and 1 among other entropies, as in the convexity suite's clipped C grid
+    ends = entropy._binary_entropy_inv_arr(np.array([0.0, 0.3, 1.0, 0.7, 1.0, 0.0]))
+    assert ends[[0, 2, 4, 5]].tolist() == [0.0, 0.5, 0.5, 0.0]
     for h in (0.0, 1.0, 5e-324, 0.3, 1.0 - 1e-16):
         got = entropy._binary_entropy_inv_arr(np.float64(h))
-        assert got.shape == () and got == _lockstep_bisection(np.array(h)), h
+        assert got.shape == () and got == entropy._binary_entropy_inv_arr([h])[0], h
+    assert (binary_entropy_inv(0.0), binary_entropy_inv(1.0)) == (0.0, 0.5)
     for empty in (np.zeros(0), np.zeros((0, 3))):
         assert entropy._binary_entropy_inv_arr(empty).shape == empty.shape
 
 
 def test_array_inverse_memory_stays_flat():
     # the 46-step bisection held about 5.6 MiB for 100k elements; the
-    # certified inverse works in slices and must not need more than 6 MiB
+    # Newton inverse works in slices and must not need more than 6 MiB
     hs = np.random.default_rng(3).uniform(0.0, 1.0, 100_000)
     tracemalloc.start()
     try:

@@ -135,7 +135,7 @@ def test_mgl_check_keeps_its_bits(src, ch, lhs, rhs):
 
 def _bulk_mgl_margins(a, p1, pa, pb):
     """``_mgl_margins`` in one pass over the whole arrays, as first written:
-    the reference its two passes over slices must equal bit for bit."""
+    the reference its pass over slices must equal bit for bit."""
     b1 = (a - p1) / (1.0 - 2.0 * p1)
     info, lhs = oracle._binary_joint_arr(b1, p1, pa, pb)
     eps = entropy._binary_entropy_inv_arr(np.clip(_h2_bits_arr(b1) - info, 0.0, 1.0))

@@ -165,8 +165,8 @@ def test_convexity_suite_spot_checks_without_scalar_loops(monkeypatch):
     assert 0 < calls.count("rdc_binary") and 0 < calls.count("rdc_gaussian")
     assert len(calls) <= 200
     measured = report.suites[0].measured
-    assert measured["binary_scalar_array_mismatch"] <= 1e-9
-    assert measured["gaussian_scalar_array_mismatch"] <= 1e-9
+    assert measured["binary_scalar_array_agree"] == 0.0
+    assert measured["gaussian_scalar_array_agree"] == 0.0
 
 
 # float.hex of every measured value of the restoration suite; only the
@@ -214,17 +214,12 @@ def test_restoration_suite_keeps_its_bits(seed):
     assert list(got) == list(_RESTORATION_BITS)  # the report's order too
 
 
-# sha256 of the `rdpc verify` report file, by seed; a change that means to
-# move a report byte declares it and re-pins these in its own commit
+# sha256 of the `rdpc verify` report file, by seed, the same whether or not
+# numpy dispatches AVX-512 kernels; a change that means to move a report
+# byte declares it and re-pins these in its own commit
 _REPORT_DIGESTS = {
     0: "3cc5386bd08dfff5b812eb1e0802216cfd5d5b424f87549e3922ba115107a86a",
     3: "c0120a82389e3f9f77be21c3aef3241357ca33442ae697eb788802ef5be2dd07",
-}
-# the same where numpy takes no AVX-512 kernels: seed 3's convexity suite
-# records binary_scalar_array_mismatch, the one-ulp gap between the scalar
-# closed form and numpy's array kernel, 5.55e-17 with AVX-512 and 0.0 without
-_REPORT_DIGESTS_WITHOUT_AVX512 = _REPORT_DIGESTS | {
-    3: "49dea96346436377f841634c58828f39f0b4cea53673dae2278ab73cb5c14cb3",
 }
 
 
@@ -261,43 +256,26 @@ _SUITE_DIGESTS = {
         "restoration": "95def95fefdc1c6b83c87927b472c09e8bc73f45a9327b2322ff0f52d11a6786",
     },
 }
-_SUITE_DIGESTS_WITHOUT_AVX512 = _SUITE_DIGESTS | {
-    3: _SUITE_DIGESTS[3] | {
-        "convexity": "92ad4cd86f5ac4db4c02711b14a1c06a9cc73d6a11ce8d52be00ebd6826fb4c4",
-    },
-}
 
 
 @pytest.mark.parametrize("seed", list(_REPORT_DIGESTS))
 def test_verify_report_keeps_its_bytes(tmp_path, seed):
     out = tmp_path / "verify.json"
     assert cli.main(["verify", "--seed", str(seed), "--workers", "1", "--out", str(out)]) == 0
-    suites, digests = ((_SUITE_DIGESTS, _REPORT_DIGESTS) if _dispatches_avx512()
-                       else (_SUITE_DIGESTS_WITHOUT_AVX512, _REPORT_DIGESTS_WITHOUT_AVX512))
     report = out.read_bytes()
-    assert _record_digests(report) == suites[seed]
-    assert hashlib.sha256(report).hexdigest() == digests[seed]
+    assert _record_digests(report) == _SUITE_DIGESTS[seed]
+    assert hashlib.sha256(report).hexdigest() == _REPORT_DIGESTS[seed]
 
 
-def _report_without_avx512(seed):
+@pytest.mark.skipif(not _dispatches_avx512(), reason="numpy dispatches no AVX-512 kernels here")
+@pytest.mark.parametrize("seed", list(_REPORT_DIGESTS))
+def test_verify_report_keeps_its_bytes_without_avx512(seed):
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(_NO_AVX512),
                PYTHONPATH=str(Path(verify.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-m", "rdpc", "verify", "--seed", str(seed)],
-                          capture_output=True, env=env, timeout=300, check=True).stdout
-
-
-@pytest.mark.skipif(not _dispatches_avx512(), reason="numpy dispatches no AVX-512 kernels here")
-def test_seed_0_report_keeps_its_bytes_without_avx512():
-    report = _report_without_avx512(0)
-    assert _record_digests(report) == _SUITE_DIGESTS_WITHOUT_AVX512[0]
-    assert hashlib.sha256(report).hexdigest() == _REPORT_DIGESTS_WITHOUT_AVX512[0]
-
-
-@pytest.mark.skipif(not _dispatches_avx512(), reason="numpy dispatches no AVX-512 kernels here")
-def test_seed_3_report_keeps_its_bytes_without_avx512():
-    report = _report_without_avx512(3)
-    assert _record_digests(report) == _SUITE_DIGESTS_WITHOUT_AVX512[3]
-    assert hashlib.sha256(report).hexdigest() == _REPORT_DIGESTS_WITHOUT_AVX512[3]
+    report = subprocess.run([sys.executable, "-m", "rdpc", "verify", "--seed", str(seed)],
+                            capture_output=True, env=env, timeout=300, check=True).stdout
+    assert _record_digests(report) == _SUITE_DIGESTS[seed]
+    assert hashlib.sha256(report).hexdigest() == _REPORT_DIGESTS[seed]
 
 
 def _suite_of(*values):
