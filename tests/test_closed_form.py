@@ -421,9 +421,9 @@ def test_rate_kernels_take_scalar_bounds():
     got = _rdc_binary_rates(SRC, np.array([0.0, 0.05, 0.2, 0.4]),
                             np.array([[0.6], [0.85]]))
     assert [v.hex() for v in got.ravel().tolist()] == [
-        "0x1.9f5fd8a9063e2p-1", "0x1.0cbd39700ced1p-1", "0x1.f929678eecfbcp-2",
-        "0x1.f929678eecfbcp-2", "0x1.9f5fd8a9063e2p-1", "0x1.0cbd39700ced1p-1",
-        "0x1.6dfa4bee84a80p-4", "0x1.a1ef077f4a580p-5",
+        "0x1.9f5fd8a9063e2p-1", "0x1.0cbd39700ced1p-1", "0x1.f929678eecd7fp-2",
+        "0x1.f929678eecd7fp-2", "0x1.9f5fd8a9063e2p-1", "0x1.0cbd39700ced1p-1",
+        "0x1.6dfa4bee84a80p-4", "0x1.a1ef077f49d80p-5",
     ]
 
 

@@ -218,8 +218,8 @@ def test_restoration_suite_keeps_its_bits(seed):
 # numpy dispatches AVX-512 kernels; a change that means to move a report
 # byte declares it and re-pins these in its own commit
 _REPORT_DIGESTS = {
-    0: "3cc5386bd08dfff5b812eb1e0802216cfd5d5b424f87549e3922ba115107a86a",
-    3: "c0120a82389e3f9f77be21c3aef3241357ca33442ae697eb788802ef5be2dd07",
+    0: "04bf5159a7cf92ec40bc2500361a63ec7137927b7e34aa524d3b1eb1afec15ff",
+    3: "d08402f47dac753b0d001894d0ac2b47b56c6a59e771de5867a52095d5a75b22",
 }
 
 
@@ -238,21 +238,21 @@ _SEEDLESS_DIGESTS = {
     "oracle-rdc-binary": "35cdeda2ec71109d1c7450bea57fcdc2d638d4177eefae608edb3a906ed7a454",
     "oracle-rdc-gaussian": "962d962c06fdba5702203d7f36ce89fce89b71ff6adba0180366db8a429cd07e",
     "oracle-rpc-gaussian": "d04a2141beabfea5e92d8c61d2fcd0d5ccdcff78f20c35348fb7ce1e084b17df",
-    "rpc-binary-gap-probe": "acbb02c20bf9d5d77cd623cc7a33971a82c4ef93fc51b03fffcaccd719f873db",
+    "rpc-binary-gap-probe": "e65526d1fcef99fcad9f8652c99133f58ff2dc7fa46ad8487fb90e711072083a",
     "rpc-given-d": "9bda669f83ecd9550b834602faa366d70afdb9e5b93c83f2a071632797e77a9a",
-    "gap_probes": "fac100d02cc91cb8915bc2ccdc1616466052bc90a71bf23d81dd919219849cff",
+    "gap_probes": "35b3817c6d15c4527ec7170fb3245d26324db7c51de7ee5d4d2cbc0984a8a916",
 }
 _SUITE_DIGESTS = {
     0: _SEEDLESS_DIGESTS | {
-        "entropy": "a0894dbc72b75dad60d58daaa251667eeaabd000e2344025ae117a1851c2de6a",
-        "mgl": "19bff360e577004b39ed60f064d9e30b14b4c5ff0c00eef20938759e5526c3bf",
-        "convexity": "92ad4cd86f5ac4db4c02711b14a1c06a9cc73d6a11ce8d52be00ebd6826fb4c4",
+        "entropy": "6e58e1547620cdd041ad14fa1df3fd152477bde47e3e33d8a76a28f1496eb67f",
+        "mgl": "8d7cf376f9319cfe53188e209705818e016d4967c44c975d317307537f0f2000",
+        "convexity": "888b671706c6abb8aa94ea3cae3790b228e55a5162e7bcc52815e5755f8355ee",
         "restoration": "305a24da3841298912ca8314fb037bd96655efd9a748adb670388b17e60d41e2",
     },
     3: _SEEDLESS_DIGESTS | {
-        "entropy": "2024bb18f9555181579ee58e87a2f55da546862381b6e1f459cedfeda21a6e8b",
-        "mgl": "ff6330ceaf6bdbc6f78c2a3603ace843a29547870d1ed943b482f5f56b936d97",
-        "convexity": "a5809b3f313fbeabfd17758b1cf0ab07412380c013620b542eb2562f330ca424",
+        "entropy": "6e58e1547620cdd041ad14fa1df3fd152477bde47e3e33d8a76a28f1496eb67f",
+        "mgl": "d61c2079388ad64f3a283d746d101fb2944caa9b8231fe23a2c54b235fffe758",
+        "convexity": "888b671706c6abb8aa94ea3cae3790b228e55a5162e7bcc52815e5755f8355ee",
         "restoration": "95def95fefdc1c6b83c87927b472c09e8bc73f45a9327b2322ff0f52d11a6786",
     },
 }
