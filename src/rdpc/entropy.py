@@ -71,7 +71,7 @@ _SLICE = 2 ** 13
 
 
 def _inv_below_half(h, log, log1p, sqrt, maximum):
-    """p in (0, 0.11] with H(p) = h in (0, 1/2]: Newton in p on
+    """p in (0, 0.110] with H(p) = h in (0, 1/2]: Newton in p on
     F(p) = -(p ln p + (1 - p) log1p(-p)) / ln 2 - h, whose step
     p - F / F' is (h ln 2 + log1p(-p)) / (log1p(-p) - ln p), each iterate
     held at 5e-324 or above. The start is the p at which
@@ -90,13 +90,15 @@ def _inv_below_half(h, log, log1p, sqrt, maximum):
 
 
 def _inv_above_half(r, log1p, sqrt, expm1):
-    """p in (0.11, 1/2) with 1 - H(p) = r = 1 - h, for h in (1/2, 1): Newton
-    in u = 1 - 2p on g(u) = ((1 + u) log1p(u) + (1 - u) log1p(-u)) / (2 ln 2),
-    which is 1 - H((1 - u) / 2) but, unlike 1 - H, is computed to within a
-    few ulp of u where H is flat; r is exact for h >= 1/2. The start is
-    ``_inv_below_half``'s, as u0 = sqrt(1 - x) with 1 - x taken as
-    -expm1(ln 4 log1p(-r)). g is convex, so after the first step every
-    iterate lies above the root and falls to it."""
+    """p in (0.110, 1/2) with 1 - H(p) = r = 1 - h, for h in (1/2, 1):
+    Newton in u = 1 - 2p on
+    g(u) = ((1 + u) log1p(u) + (1 - u) log1p(-u)) / (2 ln 2) = r. g is
+    1 - H((1 - u) / 2), but computed without the cancellation of 1 - H
+    where H is flat, so the root in u comes out within a few ulp; r is
+    exact for h >= 1/2. The start is ``_inv_below_half``'s, as
+    u0 = sqrt(1 - x) with 1 - x taken as -expm1(ln 4 log1p(-r)). g is
+    convex, so after the first step every iterate lies above the root and
+    falls to it."""
     u = sqrt(-expm1(_LN4 * log1p(-r)))
     c = 2.0 * _LN2 * r
     for _ in range(_NEWTON_STEPS):
@@ -154,7 +156,8 @@ def _binary_entropy_inv_arr(h) -> np.ndarray:
     out = np.empty(flat.shape)
     for s in range(0, flat.size, _SLICE):
         part, dst = flat[s:s + _SLICE], out[s:s + _SLICE]
-        np.multiply(part == 1.0, 0.5, out=dst)  # 1/2 at h = 1, 0 at h = 0
+        # 1/2 at h = 1 and 0 elsewhere, which leaves h = 0 its answer
+        np.multiply(part == 1.0, 0.5, out=dst)
         # as indices: gathering and scattering through a random boolean mask
         # took several times longer
         low = np.flatnonzero((part > 0.0) & (part <= 0.5))
