@@ -71,7 +71,7 @@ def _inverse_pools(rng):
         "grid and near 1/2": np.concatenate([
             grid, np.nextafter(grid, 0.0), np.nextafter(grid, 1.0),
             entropy._h2_bits_arr(0.5 - 10.0 ** -rng.uniform(1.0, 8.0, 100))]),
-        # where the Newton steps switch from p to 1/2 - p
+        # where the Newton steps switch from p to 1 - 2p
         "around 1/2": np.concatenate([0.5 - ulps * 2.0**-54, [0.5], 0.5 + ulps * 2.0**-53]),
     }
 

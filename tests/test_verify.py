@@ -126,10 +126,10 @@ def test_mgl_suite_maxima_are_those_of_the_bulk_margins(monkeypatch, seed):
 # tracemalloc peak of one run of each suite, in MiB, after a first run has
 # filled the caches. The mgl suite held 9.26 in one pass over its four
 # whole draws and 6.53 in slices over them; with the draws read in slices
-# it holds its two margins and the entropy inverse's result and masks,
-# 3.51. The restoration suite held 6.04 in Monte Carlo chunks of 2**18
-# samples and 1.54 in chunks of 2**16. Convexity holds 1.91, and no other
-# suite more than 0.27.
+# and one pass per slice it holds its two margins and one slice's
+# temporaries, 3.57. The restoration suite held 6.04 in Monte Carlo chunks
+# of 2**18 samples and 1.54 in chunks of 2**16. Convexity holds 1.46, and
+# no other suite more than 0.27.
 _SUITE_PEAK_MIB = dict.fromkeys(SUITE_NAMES, 0.5) | {
     "mgl": 4.0, "restoration": 2.0, "convexity": 2.5,
 }
